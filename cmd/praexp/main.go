@@ -38,16 +38,6 @@
 // the snapshots across invocations; -nockpt disables reuse entirely. The
 // closing summary and the -http /vars/checkpoints endpoint report how many
 // warmups were reused versus paid cold.
-//
-// Campaign parallelism composes two levels (DESIGN.md §4i): the -j pool
-// fans independent simulations out, and within each simulation the
-// memory controller can tick its channel partitions concurrently
-// (parallel-in-time, bit-identical to sequential). The inner level is
-// sized automatically as GOMAXPROCS/-j so the product never
-// oversubscribes the machine — a campaign that saturates it with -j
-// ticks each run sequentially, exactly as before. -par N forces N
-// worker shares per run, -seq forces sequential ticking; tables are
-// byte-identical for every choice.
 package main
 
 import (
@@ -69,8 +59,6 @@ func main() {
 		warmup   = flag.Int64("warmup", 400_000, "warmup instructions per core")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "max simulations in flight (worker pool size)")
-		par      = flag.Int("par", -1, "worker shares for parallel-in-time channel ticking per run (results are identical; -1 = auto-size against -j, 0 = sequential)")
-		seq      = flag.Bool("seq", false, "force sequential channel ticking (same as -par 0)")
 		cacheDir = flag.String("cache", "", "on-disk result cache directory (empty = disabled)")
 		quiet    = flag.Bool("q", false, "suppress the stderr progress line")
 		noskip   = flag.Bool("noskip", false, "disable event-driven cycle skipping (identical results, slower campaign)")
@@ -98,19 +86,10 @@ func main() {
 	}
 	defer stopReporter()
 
-	// The inner (per-run) parallelism budget divides GOMAXPROCS by the
-	// outer pool so the two levels compose without oversubscription.
-	shares := *par
-	if *seq {
-		shares = 0
-	} else if shares < 0 {
-		shares = sim.AutoPar(*workers)
-	}
-
 	runner := sim.NewRunner(sim.ExpOptions{
 		Instr: *instr, Warmup: *warmup, Seed: *seed,
 		Workers: *workers, CacheDir: *cacheDir,
-		Progress: prog, NoSkip: *noskip, Par: shares,
+		Progress: prog, NoSkip: *noskip,
 		CkptDir: *ckptDir, NoCheckpoint: *nockpt,
 	})
 

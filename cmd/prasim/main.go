@@ -23,15 +23,6 @@
 // invocation whose configuration shares a warmup fingerprint restores the
 // snapshot instead of re-warming, with bit-identical results.
 //
-// Parallel-in-time ticking (DESIGN.md §4i): on multi-channel
-// configurations the memory controller can tick its channel partitions
-// concurrently, bit-identical to the sequential loop. By default the
-// worker-share count is chosen automatically so the two parallelism
-// levels compose — -j batch workers multiplied by per-run channel
-// workers never oversubscribe GOMAXPROCS (a batch that saturates the
-// machine runs each simulation sequentially). -par N forces N shares,
-// -seq forces sequential ticking; results are identical either way.
-//
 // Telemetry (see internal/obs and DESIGN.md "Observability"):
 //
 //	prasim -workload gups -timeline tl.csv -epoch 50000
@@ -97,8 +88,6 @@ func main() {
 		ecc          = flag.Bool("ecc", false, "model an x72 ECC DIMM (Section 4.2)")
 		workers      = flag.Int("j", runtime.GOMAXPROCS(0), "max simulations in flight for workload batches")
 		noskip       = flag.Bool("noskip", false, "disable event-driven cycle skipping (tick every CPU cycle; results are identical, runs are slower)")
-		par          = flag.Int("par", -1, "worker shares for parallel-in-time channel ticking (results are identical; -1 = auto-size against -j, 0 = sequential)")
-		seq          = flag.Bool("seq", false, "force sequential channel ticking (same as -par 0)")
 		channels     = flag.Int("channels", 0, "memory channels, power of two (0 = controller default; changes address decomposition, hence results)")
 		ckptDir      = flag.String("ckpt-dir", "", "persist warmup checkpoints in this directory and restore matching ones instead of re-warming (results are identical)")
 
@@ -169,20 +158,6 @@ func main() {
 		names = []string{*mixSpec}
 	}
 
-	// Resolve the worker-share count for parallel-in-time ticking. The
-	// automatic choice budgets against the *effective* outer parallelism:
-	// a single run next to an idle -j pool still gets every core.
-	shares := *par
-	if *seq {
-		shares = 0
-	} else if shares < 0 {
-		outer := *workers
-		if outer > len(names) {
-			outer = len(names)
-		}
-		shares = pradram.AutoPar(outer)
-	}
-
 	systems := make([]*pradram.System, len(names))
 	cfgs := make([]pradram.Config, len(names))
 	for i, name := range names {
@@ -197,7 +172,6 @@ func main() {
 		cfg.ActiveCores = *cores
 		cfg.Seed = *seed
 		cfg.NoSkip = *noskip
-		cfg.Par = shares
 		cfg.Channels = *channels
 		cfg.PDPolicy = pd
 		cfg.PDTimeout = *pdTimeout

@@ -12,14 +12,9 @@
 //	pratrace -replay gups.trace -compare          # all schemes side by side
 //
 // Traces record in the chunked, seekable v2 format ("PRA2", DESIGN.md
-// §4j) unless -v1 selects the legacy format; both replay identically.
-// Replays stream records straight off the file — no trace is ever
-// materialized in memory, so file size is bounded by disk, not RAM.
-//
-// Replays on multi-channel controllers tick their channel partitions
-// concurrently by default (parallel-in-time, DESIGN.md §4i) with results
-// bit-identical to the sequential loop; -par N forces N worker shares,
-// -seq forces sequential ticking.
+// §4j); legacy v1 files still replay, identically. Replays stream records
+// straight off the file — no trace is ever materialized in memory, so
+// file size is bounded by disk, not RAM.
 package main
 
 import (
@@ -41,7 +36,6 @@ func main() {
 		record       = flag.String("record", "", "record a trace from -workload into this file")
 		replay       = flag.String("replay", "", "replay the trace in this file")
 		info         = flag.String("info", "", "print the trace file's header and chunk index without decoding records")
-		v1           = flag.Bool("v1", false, "record in the legacy v1 format instead of chunked v2")
 		workloadName = flag.String("workload", "GUPS", "workload to record (a name or a name[:count],... mix spec)")
 		schemeName   = flag.String("scheme", "baseline", "scheme for -replay")
 		policyName   = flag.String("policy", "relaxed", "policy for -replay")
@@ -50,8 +44,6 @@ func main() {
 		warmup       = flag.Int64("warmup", 300_000, "warmup instructions per core")
 		seed         = flag.Uint64("seed", 1, "workload seed")
 		noskip       = flag.Bool("noskip", false, "disable event-driven cycle skipping in both record and replay (identical results, slower runs)")
-		par          = flag.Int("par", -1, "worker shares for parallel-in-time channel ticking during -replay (results are identical; -1 = auto, 0 = sequential)")
-		seq          = flag.Bool("seq", false, "force sequential channel ticking (same as -par 0)")
 		httpAddr     = flag.String("http", "", "serve pprof introspection on this address (e.g. :6060)")
 
 		pdPolicyName = flag.String("pd-policy", "immediate", "power-down entry policy: immediate | none | timeout | queue")
@@ -91,7 +83,7 @@ func main() {
 
 	switch {
 	case *record != "":
-		if err := doRecord(*record, *workloadName, *instr, *warmup, *seed, *noskip, *v1, lowPower); err != nil {
+		if err := doRecord(*record, *workloadName, *instr, *warmup, *seed, *noskip, lowPower); err != nil {
 			fatal(err)
 		}
 	case *info != "":
@@ -99,15 +91,7 @@ func main() {
 			fatal(err)
 		}
 	case *replay != "":
-		// Replays run one at a time (no outer pool), so auto mode gives
-		// the controller every core.
-		shares := *par
-		if *seq {
-			shares = 0
-		} else if shares < 0 {
-			shares = pradram.AutoPar(1)
-		}
-		if err := doReplay(*replay, *schemeName, *policyName, *compare, *noskip, shares, lowPower); err != nil {
+		if err := doReplay(*replay, *schemeName, *policyName, *compare, *noskip, lowPower); err != nil {
 			fatal(err)
 		}
 	default:
@@ -143,7 +127,7 @@ func (l lowPowerFlags) applyCtrl(cfg *memctrl.Config) {
 	cfg.RefreshMode = l.refMode
 }
 
-func doRecord(path, workloadName string, instr, warmup int64, seed uint64, noskip, v1 bool, lp lowPowerFlags) error {
+func doRecord(path, workloadName string, instr, warmup int64, seed uint64, noskip bool, lp lowPowerFlags) error {
 	cfg := pradram.DefaultConfig(workloadName)
 	cfg.InstrPerCore = instr
 	cfg.WarmupPerCore = warmup
@@ -165,15 +149,11 @@ func doRecord(path, workloadName string, instr, warmup int64, seed uint64, noski
 		return err
 	}
 	defer f.Close()
-	save, format := tr.SaveV2, "v2"
-	if v1 {
-		save, format = tr.Save, "v1"
-	}
-	if err := save(f); err != nil {
+	if err := tr.SaveV2(f); err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d requests (%d reads, %d writes) from %s over %d cycles -> %s (%s)\n",
-		tr.Len(), res.Ctrl.ReadsServed, res.Ctrl.WritesServed, workloadName, res.Cycles, path, format)
+	fmt.Printf("recorded %d requests (%d reads, %d writes) from %s over %d cycles -> %s (v2)\n",
+		tr.Len(), res.Ctrl.ReadsServed, res.Ctrl.WritesServed, workloadName, res.Cycles, path)
 	return f.Sync()
 }
 
@@ -240,7 +220,7 @@ func scanV1Info(f *os.File) (*trace.Info, error) {
 	return info, nil
 }
 
-func doReplay(path, schemeName, policyName string, compare, noskip bool, par int, lp lowPowerFlags) error {
+func doReplay(path, schemeName, policyName string, compare, noskip bool, lp lowPowerFlags) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -286,7 +266,7 @@ func doReplay(path, schemeName, policyName string, compare, noskip bool, par int
 		if err != nil {
 			return trace.ReplayResult{}, err
 		}
-		return trace.ReplayStream(stream, cfg, trace.ReplayOpts{NoSkip: noskip, Parallel: par})
+		return trace.ReplayStream(stream, cfg, trace.ReplayOpts{NoSkip: noskip})
 	}
 
 	policy, err := pradram.ParsePolicy(policyName)

@@ -6,7 +6,6 @@ import (
 	"pradram/internal/core"
 	"pradram/internal/dram"
 	"pradram/internal/obs"
-	"pradram/internal/pdes"
 	"pradram/internal/power"
 	"pradram/internal/stats"
 )
@@ -283,13 +282,6 @@ type chanCtl struct {
 	// so the pool's high-water mark is the queue depth.
 	freeReq *request
 
-	// Parallel-in-time support (pdes.go): while deferring, completion
-	// callbacks are captured into deferred instead of firing inline, and
-	// the master replays them in channel order after the tick barrier.
-	// Both stay zero on sequential controllers.
-	deferring bool
-	deferred  *pdes.Ring
-
 	// Latency attribution (latency.go, LatBreak only): per-bank read
 	// latency histograms indexed rank*Banks+bank, and the sampled-span
 	// ring. Measurement-scoped like Stats — cleared by ResetStats, never
@@ -404,10 +396,6 @@ type Controller struct {
 	// per-executed-cycle path, so it must not walk the channels itself.
 	active  bool
 	minWake int64
-
-	// par is the conservative parallel-in-time engine (pdes.go), nil on
-	// sequential controllers.
-	par *parEngine
 }
 
 // New builds a controller; each channel gets its own power accumulator.
@@ -587,12 +575,8 @@ func (c *Controller) Tick(cpu int64) {
 	mem := c.lastMem + 1
 	c.lastMem = mem
 	c.nextMemAt = cpu + c.cpm
-	if c.par != nil {
-		c.par.tick(mem)
-	} else {
-		for _, cc := range c.chans {
-			cc.tick(mem)
-		}
+	for _, cc := range c.chans {
+		cc.tick(mem)
 	}
 	c.active = false
 	min := int64(farFuture)
@@ -736,7 +720,7 @@ func (cc *chanCtl) tick(mem int64) {
 			cc.stats.RowHitRead++ // served without any DRAM activity
 			cc.stats.ReadLatencySum += mem - f.arrive
 			cc.completeLat(f, mem, mem) // no DRAM command: all queue time
-			cc.complete(f.done, mem*cc.cfg.CPUPerMem)
+			f.done.Fn(mem * cc.cfg.CPUPerMem)
 			cc.forwards[i] = nil
 			cc.releaseReq(f)
 		}
@@ -1067,7 +1051,7 @@ func (cc *chanCtl) issueColumn(mem int64, q *[]*request, i int, req *request, ma
 		cc.stats.ReadLatencySum += done - req.arrive
 		cc.sweepWait(req, mem, &terms)
 		cc.completeLat(req, mem, done)
-		cc.complete(req.done, done*cc.cfg.CPUPerMem)
+		req.done.Fn(done * cc.cfg.CPUPerMem)
 	} else {
 		if at := cc.ch.WriteLatTerms(mem, l.Rank, l.Bank, burst, &terms); at > mem {
 			cc.noteReady(at)

@@ -396,3 +396,73 @@ func TestChannelsSplitTraffic(t *testing.T) {
 		}
 	}
 }
+
+// TestCrossChannelCompletionOrder pins the cross-channel visibility rule
+// of one DRAM tick: channels tick in index order and completion callbacks
+// fire inline, so same-tick completions arrive in channel order, and a
+// request a callback on channel i enqueues is seen by channel j > i in
+// the same tick but by channel j <= i only in the next one. Front ends
+// (cache fills spawning writebacks) depend on exactly this order.
+func TestCrossChannelCompletionOrder(t *testing.T) {
+	t.Parallel()
+	c := newCtl(t, func(cfg *Config) { cfg.Channels = 4 })
+
+	type completion struct {
+		what string
+		ch   int
+		cpu  int64 // CPU cycle of the Tick call that fired the callback
+		at   int64 // completion time handed to the callback
+	}
+	var log []completion
+	var cpu int64
+	note := func(what string, ch int) core.Done {
+		return core.Untagged(func(at int64) { log = append(log, completion{what, ch, cpu, at}) })
+	}
+	// A write followed by a read of the same line: the read is served
+	// from the write queue at the top of the channel's next tick.
+	forward := func(ch int) {
+		addr := addrAt(c, Loc{Channel: ch, Row: 9})
+		if !c.Write(addr, core.FullByteMask) || !c.Read(addr, note("fwd", ch)) {
+			t.Fatalf("forward pair into channel %d rejected", ch)
+		}
+	}
+
+	// One read per channel to the same (rank, bank, row): the channels run
+	// in lockstep and complete at the same tick. Channel 1's completion
+	// spawns forward pairs into a higher and a lower channel.
+	for ch := 0; ch < 4; ch++ {
+		done := note("read", ch)
+		if ch == 1 {
+			inner := done.Fn
+			done = core.Untagged(func(at int64) {
+				inner(at)
+				forward(3)
+				forward(0)
+			})
+		}
+		if !c.Read(addrAt(c, Loc{Channel: ch, Row: 3}), done) {
+			t.Fatal("seed read rejected")
+		}
+	}
+	for cpu = 0; len(log) < 6 && cpu < 10000; cpu++ {
+		c.Tick(cpu)
+	}
+
+	if len(log) != 6 {
+		t.Fatalf("got %d completions, want 6: %+v", len(log), log)
+	}
+	t0, at0, cpm := log[0].cpu, log[0].at, c.CPUPerMem()
+	want := []completion{
+		{"read", 0, t0, at0},
+		{"read", 1, t0, at0},
+		{"read", 2, t0, at0},
+		{"fwd", 3, t0, t0}, // j > i: same tick, before channel 3's own read
+		{"read", 3, t0, at0},
+		{"fwd", 0, t0 + cpm, t0 + cpm}, // j <= i: next tick
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Errorf("completion %d = %+v, want %+v", i, log[i], want[i])
+		}
+	}
+}

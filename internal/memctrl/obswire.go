@@ -25,13 +25,6 @@ func (c *Controller) CPUPerMem() int64 { return c.cfg.CPUPerMem }
 // controller and its DRAM channels. Either argument may be nil. Call once,
 // before the first Tick.
 func (c *Controller) AttachObs(rec *obs.Recorder, ev *obs.EventLog) {
-	// The event trace interleaves all channels through one shared ring
-	// whose order is part of the bit-identity contract, so an events-on
-	// run must tick sequentially (pdes.go). The recorder is unaffected:
-	// it only reads between ticks, when any workers are parked.
-	if ev.Level() != obs.LevelOff {
-		c.DisableParallel()
-	}
 	for i, cc := range c.chans {
 		cc.attachObs(rec, ev, i)
 	}

@@ -52,9 +52,9 @@ func restoreAndMeasure(t *testing.T, cfg Config, data []byte) (*System, Result) 
 
 // TestCheckpointBitIdentityMatrix is the tentpole's correctness contract:
 // for every activation scheme crossed with representative workloads (plus
-// the DBI, ECC, and NoSkip variants), warmup → checkpoint → restore into a
-// fresh system → measure must be bit-identical to a monolithic Run — same
-// Result, same epoch timeline, same event log.
+// the DBI, ECC, NoSkip, and four-channel variants), warmup → checkpoint →
+// restore into a fresh system → measure must be bit-identical to a
+// monolithic Run — same Result, same epoch timeline, same event log.
 func TestCheckpointBitIdentityMatrix(t *testing.T) {
 	t.Parallel()
 	type variant struct {
@@ -75,6 +75,8 @@ func TestCheckpointBitIdentityMatrix(t *testing.T) {
 					{"DBI", func(c *Config) { c.DBI = true }},
 					{"ECC", func(c *Config) { c.ECC = true }},
 					{"noskip", func(c *Config) { c.NoSkip = true }},
+					{"4ch", fourChannels},
+					{"4ch-hammer", fourChannelHammer},
 				}
 			}
 			for _, v := range vs {
@@ -100,6 +102,9 @@ func TestCheckpointBitIdentityMatrix(t *testing.T) {
 					data := warmAndCheckpoint(t, cfg)
 					restored, rr := restoreAndMeasure(t, cfg, data)
 					checkIdentical(t, mono, restored, rm, rr)
+					if cfg.MitThreshold > 0 && rr.Ctrl.Alerts == 0 {
+						t.Error("hammer cell raised no alerts; the mitigation cell is vacuous")
+					}
 				})
 			}
 		}
@@ -189,8 +194,6 @@ func TestCheckpointFieldExclusions(t *testing.T) {
 			func(c *Config) { c.PowerCal = "ghose:10" }},
 		{"LatBreak", "attribution observes command issue without changing it, and the sweep frontier is checkpointed unconditionally",
 			func(c *Config) { c.LatBreak = true; c.LatSpanEvery = 8 }},
-		{"Par", "parallel-in-time ticking reproduces the sequential tick order bit-exactly (pdes identity suite), and checkpoints are taken between ticks with the workers parked",
-			func(c *Config) { c.Par = 2 }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -262,9 +265,6 @@ func TestWarmupFingerprintFields(t *testing.T) {
 		"MaxCycles":     {mutate: func(c *Config) { c.MaxCycles = 1 << 40 }, wantChange: true},
 		"NoSkip":        {mutate: func(c *Config) { c.NoSkip = true }, wantChange: true},
 		"Channels":      {mutate: func(c *Config) { c.Channels = 4 }, wantChange: true},
-		// Parallel-in-time ticking is bit-identical to sequential (the
-		// pdes identity suite), so a checkpoint serves both settings.
-		"Par": {mutate: func(c *Config) { c.Par = 2 }, wantChange: false},
 		"CPU":           {mutate: func(c *Config) { c.CPU.ROB = 64 }, wantChange: true},
 		"Generator":     {unsupported: true},
 		"Timing":        {mutate: func(c *Config) { t := c.timingOrDefault(); t.TRCD = 99; c.Timing = &t }, wantChange: true},

@@ -53,14 +53,6 @@ type ExpOptions struct {
 	// cache deliberately does not key on it.
 	NoSkip bool
 
-	// Par sets Config.Par — parallel-in-time controller ticking with
-	// that many worker shares — on every run the runner launches
-	// (praexp -par). Bit-identical to sequential like NoSkip, so the
-	// on-disk cache and the warmup fingerprint deliberately do not key
-	// on it. It multiplies with Workers; see AutoPar for the composition
-	// rule that keeps the product within the machine.
-	Par int
-
 	// CkptDir, when non-empty, persists warmup checkpoints on disk so
 	// later invocations sharing the directory restore instead of
 	// re-warming (praexp/prasim -ckpt-dir). Independent of CacheDir: the
@@ -270,7 +262,6 @@ func (r *Runner) config(k runKey) Config {
 	cfg.LatBreak = k.latBreak
 	cfg.Obs = r.opt.Obs
 	cfg.NoSkip = r.opt.NoSkip
-	cfg.Par = r.opt.Par
 	return cfg
 }
 

@@ -13,10 +13,9 @@ import (
 
 // The multi-program mix determinism matrix (DESIGN.md §4j): custom
 // `name[:count]` co-run specs must behave exactly like every other
-// workload under the three equivalence contracts — sequential ==
-// parallel-in-time, captured traces byte-identical across drivers, and
-// streaming v2 replay bit-identical to materialized replay — plus carry
-// correct per-core attribution and survive warmup checkpointing.
+// workload — streaming v2 replay of the captured trace bit-identical to
+// materialized replay — plus carry correct per-core attribution and
+// survive warmup checkpointing.
 
 // mixCells spans the spec grammar: explicit counts, mixed count/no-count
 // entries, tensor streams co-running with benchmarks, and the 4-way
@@ -38,37 +37,30 @@ func mixCfg(spec string) Config {
 	return cfg
 }
 
-// TestMixDeterminismMatrix is the seq==par==replay matrix over mix specs.
+// TestMixDeterminismMatrix checks, over mix specs, per-core attribution of
+// the co-run and that its captured request stream replays identically
+// materialized and streamed from its v2 encoding.
 func TestMixDeterminismMatrix(t *testing.T) {
 	t.Parallel()
 	for _, spec := range mixCells() {
 		spec := spec
 		t.Run(spec, func(t *testing.T) {
 			t.Parallel()
-			run := func(par int) (*System, Result) {
-				cfg := mixCfg(spec)
-				if spec == "TensorKCP,GUPS:2,lbm" {
-					// The tensor stream's dependent all-miss loads make
-					// simulated time expensive; a shorter window still
-					// exercises the co-run.
-					cfg.InstrPerCore = 2_000
-					cfg.WarmupPerCore = 500
-				}
-				cfg.Par = par
-				s, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := s.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s, r
+			cfg := mixCfg(spec)
+			if spec == "TensorKCP,GUPS:2,lbm" {
+				// The tensor stream's dependent all-miss loads make
+				// simulated time expensive; a shorter window still
+				// exercises the co-run.
+				cfg.InstrPerCore = 2_000
+				cfg.WarmupPerCore = 500
 			}
-			seqSys, seqRes := run(0)
-			parSys, parRes := run(2)
-			if !reflect.DeepEqual(seqRes, parRes) {
-				t.Errorf("sequential and parallel mix results differ:\nseq: %+v\npar: %+v", seqRes, parRes)
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Run()
+			if err != nil {
+				t.Fatal(err)
 			}
 
 			// Per-core attribution: Apps mirrors the spec expansion and
@@ -77,53 +69,39 @@ func TestMixDeterminismMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(seqRes.Apps, apps) {
-				t.Errorf("Result.Apps = %v, want %v", seqRes.Apps, apps)
+			if !reflect.DeepEqual(res.Apps, apps) {
+				t.Errorf("Result.Apps = %v, want %v", res.Apps, apps)
 			}
-			if len(seqRes.CoreIPC) != 4 {
-				t.Fatalf("CoreIPC has %d entries, want 4", len(seqRes.CoreIPC))
+			if len(res.CoreIPC) != 4 {
+				t.Fatalf("CoreIPC has %d entries, want 4", len(res.CoreIPC))
 			}
-			for i, ipc := range seqRes.CoreIPC {
+			for i, ipc := range res.CoreIPC {
 				if ipc <= 0 {
 					t.Errorf("core %d (%s): IPC %v, want > 0", i, apps[i], ipc)
 				}
 			}
 
-			// The captured request streams must be byte-identical across
-			// drivers in both serializations.
-			seqTr, parTr := seqSys.Trace(), parSys.Trace()
-			var seqV1, parV1, seqV2 bytes.Buffer
-			if err := seqTr.Save(&seqV1); err != nil {
+			// Replay equivalence: materialized replay == streaming v2
+			// replay of the captured request stream.
+			tr := sys.Trace()
+			var v2 bytes.Buffer
+			if err := tr.SaveV2(&v2); err != nil {
 				t.Fatal(err)
 			}
-			if err := parTr.Save(&parV1); err != nil {
+			want, err := trace.Replay(tr, memctrl.DefaultConfig())
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(seqV1.Bytes(), parV1.Bytes()) {
-				t.Error("captured traces differ between sequential and parallel drivers")
-			}
-			if err := seqTr.SaveV2(&seqV2); err != nil {
+			s, err := trace.Open(bytes.NewReader(v2.Bytes()))
+			if err != nil {
 				t.Fatal(err)
 			}
-
-			// Replay equivalence: materialized v1 replay == streaming v2
-			// replay, for the plain and parallel replay drivers.
-			for _, opt := range []trace.ReplayOpts{{}, {Parallel: 2}} {
-				want, err := trace.ReplayWith(seqTr, memctrl.DefaultConfig(), opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s, err := trace.Open(bytes.NewReader(seqV2.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := trace.ReplayStream(s, memctrl.DefaultConfig(), opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Errorf("opt %+v: streaming replay of the mix capture diverged", opt)
-				}
+			got, err := trace.ReplayStream(s, memctrl.DefaultConfig(), trace.ReplayOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Error("streaming replay of the mix capture diverged")
 			}
 		})
 	}

@@ -26,24 +26,6 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// AutoPar picks a Config.Par worker-share count that composes with an
-// outer level of parallelism without oversubscribing the machine. The two
-// levels multiply — outer campaign workers (praexp/prasim -j) each ticking
-// a system whose controller runs Par shares — so the budget for the inner
-// level is GOMAXPROCS(0)/outer: a campaign that already saturates the
-// machine gets 0 (sequential ticking, today's BENCH_speed behaviour), and
-// a single interactive run gets every core. outer < 1 is treated as 1.
-func AutoPar(outer int) int {
-	if outer < 1 {
-		outer = 1
-	}
-	w := runtime.GOMAXPROCS(0) / outer
-	if w < 2 {
-		return 0
-	}
-	return w
-}
-
 // Precompute executes the given configurations across the runner's worker
 // pool so a subsequent formatting pass finds every result memoized.
 // Duplicate keys are collapsed before dispatch (the singleflight layer in

@@ -119,23 +119,9 @@ type Config struct {
 	// the baseline for the speed benchmarks.
 	NoSkip bool
 
-	// Par selects parallel-in-time ticking of the memory controller — a
-	// conservative PDES over per-channel partitions (DESIGN §4i): 0
-	// keeps the sequential tick loop; N >= 2 requests N worker shares,
-	// clamped to the channel count. AutoPar derives a GOMAXPROCS-aware
-	// value that composes with campaign-level workers. Results are
-	// bit-identical either way (the pdes identity suite enforces it);
-	// runs with the event trace enabled fall back to sequential ticking
-	// because shared-ring event order is part of that contract. Like
-	// NoSkip, Par is excluded from the warmup fingerprint and the
-	// campaign result cache key.
-	Par int
-
 	// Channels overrides the memory controller's channel count (0 keeps
-	// the memctrl default; must be a power of two). More channels widen
-	// both modeled DRAM parallelism and the Par partition count. Unlike
-	// Par it changes simulated behaviour, so it is part of the warmup
-	// fingerprint.
+	// the memctrl default; must be a power of two). It changes simulated
+	// behaviour, so it is part of the warmup fingerprint.
 	Channels int
 
 	CPU cpu.Config
@@ -181,8 +167,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: instruction target must be positive")
 	case c.Workload == "":
 		return fmt.Errorf("sim: workload is required")
-	case c.Par < 0:
-		return fmt.Errorf("sim: parallel shares must be >= 0, got %d", c.Par)
 	case c.Channels < 0:
 		return fmt.Errorf("sim: channel count must be >= 0, got %d", c.Channels)
 	}
@@ -290,11 +274,6 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Par > 0 {
-		// attachObs below reverts to sequential ticking if the event
-		// trace is on (memctrl.AttachObs owns that rule).
-		ctrl.EnableParallel(cfg.Par)
-	}
 
 	s := &System{cfg: cfg, ctrl: ctrl, cal: power.CalNone()}
 	if cfg.PowerCal != "" {
@@ -387,9 +366,6 @@ func (s *System) Warmup() error {
 	if s.cfg.WarmupPerCore <= 0 || s.warmed {
 		return nil
 	}
-	// Parallel-mode worker goroutines start lazily at the first parallel
-	// tick; release them when the phase ends so idle Systems hold none.
-	defer s.ctrl.StopWorkers()
 	maxTicks := s.maxTicks()
 	// With skipping on, a cycle another component forces the loop to
 	// execute still need not Tick a blocked core: a quiescent core's Tick
@@ -452,7 +428,6 @@ func (s *System) Warmup() error {
 // the collected metrics. Call it after Warmup (or after Restore installed
 // a checkpointed warmup state).
 func (s *System) Measure() (Result, error) {
-	defer s.ctrl.StopWorkers()
 	target := s.cfg.InstrPerCore
 	maxTicks := s.maxTicks()
 	skipIdle := !s.cfg.NoSkip

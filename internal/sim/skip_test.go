@@ -24,6 +24,18 @@ func skipCfg(workload string) Config {
 	return cfg
 }
 
+// fourChannels and fourChannelHammer are the multi-channel variant cells
+// of the skip and checkpoint identity matrices (the default controller
+// has two channels): plain traffic, and the double-sided hammer with
+// Alert/RFM mitigation armed (per-channel alert deadlines and RFM state).
+func fourChannels(c *Config) { c.Channels = 4 }
+
+func fourChannelHammer(c *Config) {
+	c.Channels = 4
+	c.Workload = "HammerDouble"
+	c.MitThreshold = hammerMitThreshold
+}
+
 // runBoth executes cfg with fast-forwarding on and off and returns both
 // systems with their results.
 func runBoth(t *testing.T, cfg Config) (skip, noskip *System, rs, rn Result) {
@@ -75,8 +87,9 @@ func checkIdentical(t *testing.T, skip, noskip *System, rs, rn Result) {
 
 // TestSkipBitIdentityMatrix is the tentpole's correctness contract: for
 // every activation scheme crossed with representative workloads (plus the
-// DBI and ECC variants), a fast-forwarded run must be bit-identical to a
-// per-cycle run — same Result, same epoch timeline, same event log. On the
+// DBI, ECC, and four-channel variants), a fast-forwarded run must be
+// bit-identical to a per-cycle run — same Result, same epoch timeline,
+// same event log. On the
 // memory-bound workloads it additionally proves the skip path engaged at
 // all (Skipped() > 0), so the matrix cannot pass vacuously.
 func TestSkipBitIdentityMatrix(t *testing.T) {
@@ -98,6 +111,8 @@ func TestSkipBitIdentityMatrix(t *testing.T) {
 					{"plain", func(*Config) {}},
 					{"DBI", func(c *Config) { c.DBI = true }},
 					{"ECC", func(c *Config) { c.ECC = true }},
+					{"4ch", fourChannels},
+					{"4ch-hammer", fourChannelHammer},
 				}
 			}
 			for _, v := range vs {
@@ -113,6 +128,9 @@ func TestSkipBitIdentityMatrix(t *testing.T) {
 					v.mod(&cfg)
 					skip, noskip, rs, rn := runBoth(t, cfg)
 					checkIdentical(t, skip, noskip, rs, rn)
+					if cfg.MitThreshold > 0 && rs.Ctrl.Alerts == 0 {
+						t.Error("hammer cell raised no alerts; the mitigation cell is vacuous")
+					}
 					if wl != "bzip2" && skip.Skipped() == 0 {
 						t.Error("memory-bound run never fast-forwarded; the identity check is vacuous")
 					}

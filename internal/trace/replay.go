@@ -36,12 +36,6 @@ type ReplayOpts struct {
 	// did. Results are bit-identical either way; the flag is a debugging
 	// escape hatch (pratrace -noskip).
 	NoSkip bool
-
-	// Parallel enables parallel-in-time ticking with this many worker
-	// shares on multi-channel replays (memctrl's conservative PDES
-	// dispatch; see internal/memctrl/pdes.go). Results are bit-identical
-	// to the sequential replay; zero keeps the classic tick loop.
-	Parallel int
 }
 
 // Replay feeds a recorded request stream into a fresh controller built
@@ -72,10 +66,6 @@ func ReplayStream(s Stream, cfg memctrl.Config, opt ReplayOpts) (ReplayResult, e
 	ctrl, err := memctrl.New(cfg)
 	if err != nil {
 		return ReplayResult{}, err
-	}
-	if opt.Parallel > 0 {
-		ctrl.EnableParallel(opt.Parallel)
-		defer ctrl.StopWorkers()
 	}
 	var res ReplayResult
 	outstanding := 0

@@ -62,9 +62,10 @@ func (t *Trace) checkOrdered() error {
 
 // Save writes the trace in the v1 binary format: magic, count, then per
 // record a varint time delta, a flag byte, a varint address, and (for
-// writes) the byte mask. New captures should prefer SaveV2 (v2.go), which
-// adds chunk framing, CRCs, and a seek index; Save remains for tools that
-// interoperate with existing v1 traces.
+// writes) the byte mask. Captures are written with SaveV2 (v2.go), which
+// adds chunk framing, CRCs, and a seek index; Save remains as the
+// reference writer the v1-decoder and v1<->v2 equivalence tests use, since
+// Open and Load still read v1 files.
 func (t *Trace) Save(w io.Writer) error {
 	if err := t.checkOrdered(); err != nil {
 		return err

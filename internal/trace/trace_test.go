@@ -230,35 +230,6 @@ func TestReplaySchemeWhatIf(t *testing.T) {
 	}
 }
 
-// TestReplayParallelIdentity pins the pratrace -par contract: a replay
-// on a multi-channel controller with parallel-in-time ticking enabled is
-// bit-identical — cycles, stats, energy — to the sequential replay of
-// the same trace, across read- and write-heavy streams.
-func TestReplayParallelIdentity(t *testing.T) {
-	tr := &Trace{}
-	for i := 0; i < 600; i++ {
-		rec := Record{At: int64(i * 5), Addr: (uint64(i) * 93_241) % (2 << 30) &^ 63}
-		if i%4 == 0 {
-			rec.Write = true
-			rec.Mask = core.StoreBytes((i%8)*8, 8)
-		}
-		tr.Records = append(tr.Records, rec)
-	}
-	cfg := memctrl.DefaultConfig()
-	cfg.Channels = 4
-	seq, err := ReplayWith(tr, cfg, ReplayOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ReplayWith(tr, cfg, ReplayOpts{Parallel: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != par {
-		t.Errorf("parallel replay diverges from sequential:\nseq %+v\npar %+v", seq, par)
-	}
-}
-
 func TestReplayEmptyTrace(t *testing.T) {
 	res, err := Replay(&Trace{}, memctrl.DefaultConfig())
 	if err != nil {

@@ -201,7 +201,8 @@ func TestV2WriterRejectsOutOfOrderAppend(t *testing.T) {
 // TestReplayStreamIdentity is the tentpole acceptance check: a streaming
 // replay of the v2 encoding must be bit-identical (the full ReplayResult,
 // which embeds controller stats, device stats, and the energy breakdown)
-// to the materialized v1 replay, across skip/noskip and parallel drivers.
+// to the materialized v1 replay, across skip/noskip drivers on the default
+// two-channel and a four-channel controller.
 func TestReplayStreamIdentity(t *testing.T) {
 	tr := synthTrace(4000, 42)
 	var v1, v2 bytes.Buffer
@@ -215,33 +216,37 @@ func TestReplayStreamIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opt := range []ReplayOpts{{}, {NoSkip: true}, {Parallel: 2}} {
-		want, err := ReplayWith(loaded, memctrl.DefaultConfig(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(bytes.NewReader(v2.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReplayStream(s, memctrl.DefaultConfig(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("opt %+v: streaming v2 replay diverged:\n got %+v\nwant %+v", opt, got, want)
-		}
-		// The seekable path must replay identically too.
-		f, err := OpenV2(bytes.NewReader(v2.Bytes()), int64(v2.Len()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got2, err := ReplayStream(f.Stream(), memctrl.DefaultConfig(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got2 != want {
-			t.Errorf("opt %+v: V2File replay diverged", opt)
+	wide := memctrl.DefaultConfig()
+	wide.Channels = 4
+	for _, cfg := range []memctrl.Config{memctrl.DefaultConfig(), wide} {
+		for _, opt := range []ReplayOpts{{}, {NoSkip: true}} {
+			want, err := ReplayWith(loaded, cfg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(bytes.NewReader(v2.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReplayStream(s, cfg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%d channels, opt %+v: streaming v2 replay diverged:\n got %+v\nwant %+v", cfg.Channels, opt, got, want)
+			}
+			// The seekable path must replay identically too.
+			f, err := OpenV2(bytes.NewReader(v2.Bytes()), int64(v2.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got2, err := ReplayStream(f.Stream(), cfg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got2 != want {
+				t.Errorf("%d channels, opt %+v: V2File replay diverged", cfg.Channels, opt)
+			}
 		}
 	}
 }

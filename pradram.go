@@ -196,11 +196,6 @@ func NewSystem(cfg Config) (*System, error) { return sim.New(cfg) }
 // Run builds and runs a configuration.
 func Run(cfg Config) (Result, error) { return sim.RunOne(cfg) }
 
-// AutoPar picks a Config.Par worker-share count for parallel-in-time
-// channel ticking that composes with an outer level of parallelism (a
-// -j worker pool) without oversubscribing the machine; see sim.AutoPar.
-func AutoPar(outer int) int { return sim.AutoPar(outer) }
-
 // Workloads lists the eight benchmark models.
 func Workloads() []string { return workload.Names() }
 

@@ -1,8 +1,9 @@
-// Command benchgate is CI's performance gate. It has two modes, both built
-// on the same principle: CI has no stored hardware-normalized ns/op to
-// diff against, so every invariant under guard is a *ratio between two
-// benchmarks run back to back on the same host*, which cancels the
-// machine out.
+// Command benchgate is CI's performance gate: a default mode plus six
+// flag-selected ones. The timing modes share one principle: CI has no
+// stored hardware-normalized ns/op to diff against, so every invariant
+// under guard is a *ratio between two benchmarks run back to back on the
+// same host*, which cancels the machine out (-power and -ingest gate a
+// golden table and absolute format contracts instead).
 //
 // The default mode is the telemetry-overhead gate: it runs the paired
 // internal/obs hot-path benchmarks (the same DRAM command loop with
@@ -59,20 +60,13 @@
 // full-system runs with per-request latency attribution on and off, gated
 // on the on/off wall-clock ratio. Measurements go to BENCH_lat.json.
 //
-// -pdes switches to the parallel-in-time ticking gate (pdes.go): paired
-// full-system runs with the conservative PDES channel dispatch on and
-// off. The multi-channel pair gates a speedup floor (enforced only when
-// the host has real cores to parallelize over — GOMAXPROCS is recorded
-// in the report); the one-channel pair gates the degenerate-case
-// overhead ceiling unconditionally. Measurements go to BENCH_pdes.json.
-//
 // -ingest switches to the workload-ingestion gate (ingest.go): the v2
 // trace decoder must sustain the records/sec floor and the streaming
 // replay loop must run at zero steady-state allocations per record.
 // These are absolute contracts of the format, not host-relative ratios.
 // Measurements go to BENCH_ingest.json.
 //
-// Usage: go run ./tools/benchgate [-speed|-warm|-power|-hammer|-lat|-pdes|-ingest] [-out FILE] [-count 5]
+// Usage: go run ./tools/benchgate [-speed|-warm|-power|-hammer|-lat|-ingest] [-out FILE] [-count 5]
 package main
 
 import (
@@ -193,20 +187,19 @@ func main() {
 	pwr := flag.Bool("power", false, "run the energy-band golden-table gate instead of the telemetry-overhead gate")
 	hammer := flag.Bool("hammer", false, "run the RowHammer mitigation-overhead gate instead of the telemetry-overhead gate")
 	lat := flag.Bool("lat", false, "run the latency-attribution overhead gate instead of the telemetry-overhead gate")
-	pdes := flag.Bool("pdes", false, "run the parallel-in-time ticking gate instead of the telemetry-overhead gate")
 	ingest := flag.Bool("ingest", false, "run the workload-ingestion gate (v2 decode throughput, zero-alloc streaming replay) instead of the telemetry-overhead gate")
-	out := flag.String("out", "", "where to write the measurement report (default BENCH_obs.json; BENCH_speed.json with -speed; BENCH_warm.json with -warm; BENCH_power.json with -power; BENCH_hammer.json with -hammer; BENCH_lat.json with -lat; BENCH_pdes.json with -pdes; BENCH_ingest.json with -ingest)")
+	out := flag.String("out", "", "where to write the measurement report (default BENCH_obs.json; BENCH_speed.json with -speed; BENCH_warm.json with -warm; BENCH_power.json with -power; BENCH_hammer.json with -hammer; BENCH_lat.json with -lat; BENCH_ingest.json with -ingest)")
 	count := flag.Int("count", 5, "benchmark repetitions (minimum is kept)")
 	updatePower, golden := powerFlags()
 	flag.Parse()
 	modes := 0
-	for _, m := range []bool{*speed, *warm, *pwr, *hammer, *lat, *pdes, *ingest} {
+	for _, m := range []bool{*speed, *warm, *pwr, *hammer, *lat, *ingest} {
 		if m {
 			modes++
 		}
 	}
 	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "benchgate: -speed, -warm, -power, -hammer, -lat, -pdes, and -ingest are mutually exclusive")
+		fmt.Fprintln(os.Stderr, "benchgate: -speed, -warm, -power, -hammer, -lat, and -ingest are mutually exclusive")
 		os.Exit(1)
 	}
 	if *out == "" {
@@ -221,8 +214,6 @@ func main() {
 			*out = "BENCH_hammer.json"
 		case *lat:
 			*out = "BENCH_lat.json"
-		case *pdes:
-			*out = "BENCH_pdes.json"
 		case *ingest:
 			*out = "BENCH_ingest.json"
 		default:
@@ -240,8 +231,6 @@ func main() {
 		runHammer(*out, *count)
 	case *lat:
 		runLat(*out, *count)
-	case *pdes:
-		runPdes(*out, *count)
 	case *ingest:
 		runIngest(*out, *count)
 	default:
