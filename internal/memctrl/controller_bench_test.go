@@ -6,6 +6,17 @@ import (
 	"pradram/internal/core"
 )
 
+// benchRNG returns a fixed-seed xorshift generator.
+func benchRNG() func() uint64 {
+	rng := uint64(0x12345)
+	return func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+}
+
 // benchTraffic drives the controller with a synthetic random read/write
 // mix and measures ticks per second under load.
 func benchTraffic(b *testing.B, scheme Scheme) {
@@ -15,13 +26,7 @@ func benchTraffic(b *testing.B, scheme Scheme) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := uint64(0x12345)
-	next := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
+	next := benchRNG()
 	outstanding := 0
 	b.ResetTimer()
 	for cpu := int64(0); cpu < int64(b.N); cpu++ {
@@ -41,6 +46,60 @@ func benchTraffic(b *testing.B, scheme Scheme) {
 
 func BenchmarkControllerBaseline(b *testing.B) { benchTraffic(b, Baseline) }
 func BenchmarkControllerPRA(b *testing.B)      { benchTraffic(b, PRA) }
+
+// benchSaturated keeps both queues full with random rows — the GUPS
+// regime, where a scheduling pass sees ~64+64 queued requests on almost as
+// many distinct rows. One op is one CPU cycle.
+func benchSaturated(b *testing.B, scheme Scheme) {
+	cfg := DefaultConfig()
+	cfg.Scheme = scheme
+	c, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := benchRNG()
+	done := core.Untagged(func(int64) {})
+	b.ResetTimer()
+	for cpu := int64(0); cpu < int64(b.N); cpu++ {
+		// Rejected enqueues are part of the regime (the cache retries
+		// every cycle against a full queue).
+		c.Read((next()%(4<<30))&^63, done)
+		if cpu%4 == 0 {
+			c.Write((next()%(4<<30))&^63, core.StoreBytes(int(next()%8)*8, 8))
+		}
+		c.Tick(cpu)
+	}
+}
+
+func BenchmarkControllerSaturatedBaseline(b *testing.B) { benchSaturated(b, Baseline) }
+func BenchmarkControllerSaturatedPRA(b *testing.B)      { benchSaturated(b, PRA) }
+
+// BenchmarkControllerSparse keeps at most one read outstanding — the
+// pointer-chase regime, where the queues are near empty and any per-pass
+// cost that scales with the bank count instead of the queued work shows.
+func BenchmarkControllerSparse(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Scheme = PRA
+	c, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := benchRNG()
+	outstanding := 0
+	done := core.Untagged(func(int64) { outstanding-- })
+	b.ResetTimer()
+	for cpu := int64(0); cpu < int64(b.N); cpu++ {
+		if outstanding == 0 {
+			if c.Read((next()%(4<<30))&^63, done) {
+				outstanding++
+			}
+			if next()%4 == 0 {
+				c.Write((next()%(4<<30))&^63, core.StoreBytes(int(next()%8)*8, 8))
+			}
+		}
+		c.Tick(cpu)
+	}
+}
 
 // BenchmarkAddressDecompose measures the mapping hot path.
 func BenchmarkAddressDecompose(b *testing.B) {

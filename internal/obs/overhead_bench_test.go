@@ -10,17 +10,43 @@ import (
 	"pradram/internal/power"
 )
 
-// These paired benchmarks drive the same DRAM command hot path (the
-// ACT / column-write / PRE cycle of the channel model) with telemetry
-// disabled and fully enabled. CI's benchgate tool runs them at
-// -benchtime 1x and fails if the disabled path is not at least as cheap as
-// the enabled one — the regression it guards against is "disabled"
-// telemetry that still pays for emission (a broken level guard, a probe
-// read in the per-cycle path). Each b.N iteration performs innerOps
-// command cycles so a single -benchtime 1x pass is long enough to be
-// stable.
+// These benchmarks drive the same DRAM command hot path (the ACT /
+// column-write / PRE cycle of the channel model) three ways: with no
+// telemetry code in the loop at all (the baseline), with telemetry
+// disabled, and with it fully enabled. CI's benchgate tool runs them at
+// -benchtime 1x and fails if the disabled path costs more than the
+// baseline — the regression it guards against is "disabled" telemetry that
+// still pays for emission (a broken level guard, a probe read in the
+// per-cycle path). The enabled path is measured for information. Each b.N
+// iteration performs innerOps command cycles so a single -benchtime 1x
+// pass is long enough to be stable.
 
-const innerOps = 2000
+const innerOps = 20000
+
+// activate issues command cycle op's ACT at the earliest legal cycle from
+// now on and returns that cycle and the bank.
+func activate(b *testing.B, ch *dram.Channel, now int64, op int) (int64, int) {
+	bank := op % ch.G.Banks
+	now = ch.ActReadyAt(now, 0, bank, core.FullMask, false)
+	if err := ch.Activate(now, 0, bank, op%ch.G.Rows, core.FullMask, false); err != nil {
+		b.Fatal(err)
+	}
+	return now, bank
+}
+
+// writePrecharge completes the command cycle on bank (column write, then
+// PRE) and returns the precharge cycle.
+func writePrecharge(b *testing.B, ch *dram.Channel, now int64, bank int) int64 {
+	at := ch.WriteReadyAt(now, 0, bank, ch.T.TBURST)
+	if _, err := ch.Write(at, 0, bank, ch.T.TBURST, 1, false); err != nil {
+		b.Fatal(err)
+	}
+	pre := ch.PreReadyAt(at, 0, bank)
+	if err := ch.Precharge(pre, 0, bank); err != nil {
+		b.Fatal(err)
+	}
+	return pre
+}
 
 // commandCycles drives innerOps ACT/WR/PRE cycles, mirroring the
 // controller's instrumentation pattern: a nil-safe Enabled guard before
@@ -34,24 +60,13 @@ func commandCycles(b *testing.B, ch *dram.Channel, ev *obs.EventLog, rec *obs.Re
 	}
 	for i := 0; i < b.N; i++ {
 		for op := 0; op < innerOps; op++ {
-			bank := op % ch.G.Banks
-			now = ch.ActReadyAt(now, 0, bank, core.FullMask, false)
-			if err := ch.Activate(now, 0, bank, op%ch.G.Rows, core.FullMask, false); err != nil {
-				b.Fatal(err)
-			}
+			var bank int
+			now, bank = activate(b, ch, now, op)
 			if ev.Enabled(obs.LevelState) {
 				ev.Emit(obs.Event{Cycle: now, Level: obs.LevelState, Scope: "bench",
 					Kind: "act", Detail: fmt.Sprintf("bank %d", bank)})
 			}
-			at := ch.WriteReadyAt(now, 0, bank, ch.T.TBURST)
-			if _, err := ch.Write(at, 0, bank, ch.T.TBURST, 1, false); err != nil {
-				b.Fatal(err)
-			}
-			pre := ch.PreReadyAt(at, 0, bank)
-			if err := ch.Precharge(pre, 0, bank); err != nil {
-				b.Fatal(err)
-			}
-			now = pre
+			now = writePrecharge(b, ch, now, bank)
 			if rec != nil && now >= next {
 				rec.Sample(now)
 				next = rec.NextSample()
@@ -66,6 +81,22 @@ func newBenchChannel(b *testing.B) *dram.Channel {
 		b.Fatal(err)
 	}
 	return ch
+}
+
+// BenchmarkTelemetryBaselineHotPath is the command loop of commandCycles
+// with no telemetry code in it: no Enabled guard, no recorder check. It is
+// what the telemetry-off path is gated against.
+func BenchmarkTelemetryBaselineHotPath(b *testing.B) {
+	ch := newBenchChannel(b)
+	b.ResetTimer()
+	now := int64(0)
+	for i := 0; i < b.N; i++ {
+		for op := 0; op < innerOps; op++ {
+			var bank int
+			now, bank = activate(b, ch, now, op)
+			now = writePrecharge(b, ch, now, bank)
+		}
+	}
 }
 
 // BenchmarkTelemetryOffHotPath is the production telemetry-off path: a nil
