@@ -2,6 +2,8 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
+	"sort"
 
 	"pradram/internal/core"
 	"pradram/internal/dram"
@@ -207,7 +209,7 @@ func (s *Stats) Add(o Stats) {
 type request struct {
 	kind      core.AccessKind
 	loc       Loc
-	rowKey    uint64
+	seq       uint64        // arrival stamp within the channel (bankQ order)
 	byteMask  core.ByteMask // writes: FGD dirty bytes
 	wordMask  core.Mask     // cached projection of byteMask (FullMask for reads)
 	arrive    int64         // memory cycle
@@ -235,20 +237,24 @@ type chanCtl struct {
 	am  *AddressMapper
 	idx int // channel index
 
-	readQ, writeQ []*request
-	drain         bool
-	hitCount      [][]int
-	refPending    []bool
-	forwards      []*request // reads served from the write queue
-
-	// rowCount tracks queued requests per row key and rankCount per rank,
-	// so the hot benefit/idle checks avoid scanning the queues. rowCount is
-	// a small unordered key/count list rather than a map: the queues hold a
-	// handful of distinct rows at a time, and a linear scan over that beats
-	// map hashing on the scheduling hot path. No caller iterates it, so its
-	// internal order (swap-delete on removal) cannot leak into results.
-	rowCount  rowCounts
+	// The read and write queues, indexed by bank (DESIGN.md "Scheduler
+	// index"): banks[rank*Banks+bank] holds the bank's queued requests per
+	// kind in arrival order, n counts the queued requests per kind (the
+	// queue lengths the capacity, watermark and drain rules speak of),
+	// rankCount per rank. nonEmpty[k] is the set of banks with a queued
+	// request of kind k and hasSame[k] the set of banks where one targets
+	// the open row (geometry is validated <= 64 banks), so a scheduling
+	// pass visits only banks that can yield a candidate.
+	banks     []bankQ
+	seq       uint64 // last arrival stamp handed out
+	n         [2]int
+	nonEmpty  [2]uint64
+	hasSame   [2]uint64
 	rankCount []int
+
+	drain      bool
+	refPending []bool
+	forwards   []*request // reads served from the write queue
 
 	// lastWork is the last scheduling-pass cycle at which each rank had
 	// queued work, the idle clock the timeout-based power-down policies
@@ -321,57 +327,131 @@ func (cc *chanCtl) noteReady(at int64) {
 	}
 }
 
-func (cc *chanCtl) noteAdd(req *request) {
-	cc.rowCount.inc(req.rowKey)
+// bankQ is one bank's share of the channel's queues plus the summary the
+// scheduler reads instead of walking them.
+type bankQ struct {
+	rank, bank int
+	// q holds the queued requests per kind in arrival order (strictly
+	// increasing seq): FR-FCFS is "oldest first" within a bank, and the
+	// oldest candidate across banks is the one with the smallest seq.
+	q [2][]*request
+	// same counts, per kind, the queued requests that target the bank's
+	// open row (zero while the bank is closed). Maintained at exactly the
+	// points where a list or the open row changes: push, remove, a
+	// successful ACT (recount), every precharge including an
+	// auto-precharging column (closeRow), and RestoreState (re-push). A
+	// write merge changes masks, never rows, so it touches nothing here.
+	same [2]int
+	hits int // column accesses since the row opened (the MaxRowHits cap)
+}
+
+// covered returns the position in q[k] of the oldest request other than
+// skip that targets row and that the open mask covers (a row-buffer hit),
+// or -1.
+func (b *bankQ) covered(k core.AccessKind, row int, mask core.Mask, skip *request) int {
+	for i, req := range b.q[k] {
+		if req != skip && req.loc.Row == row &&
+			core.ClassifyAccess(true, true, mask, k, req.need()) == core.Hit {
+			return i
+		}
+	}
+	return -1
+}
+
+func (cc *chanCtl) bankOf(l Loc) int { return l.Rank*cc.cfg.Geom.Banks + l.Bank }
+
+// push appends req to its bank's list, stamping its arrival order.
+func (cc *chanCtl) push(req *request) {
+	cc.seq++
+	req.seq = cc.seq
+	k, bi := req.kind, cc.bankOf(req.loc)
+	b := &cc.banks[bi]
+	b.q[k] = append(b.q[k], req)
+	cc.n[k]++
 	cc.rankCount[req.loc.Rank]++
+	cc.nonEmpty[k] |= 1 << uint(bi)
+	if row, _, open := cc.ch.OpenRow(req.loc.Rank, req.loc.Bank); open && row == req.loc.Row {
+		b.same[k]++
+		cc.hasSame[k] |= 1 << uint(bi)
+	}
 }
 
-func (cc *chanCtl) noteRemove(req *request) {
-	cc.rowCount.dec(req.rowKey)
+// remove takes the request at position i out of its bank's list. Only a
+// column command removes a request, so it targeted the open row: if the
+// column auto-precharged the row is closed now, otherwise the row has one
+// more access against the cap and one request fewer waiting for it.
+func (cc *chanCtl) remove(req *request, i int, autoPre bool) {
+	k, bi := req.kind, cc.bankOf(req.loc)
+	b := &cc.banks[bi]
+	q := b.q[k]
+	copy(q[i:], q[i+1:])
+	q[len(q)-1] = nil
+	b.q[k] = q[:len(q)-1]
+	cc.n[k]--
 	cc.rankCount[req.loc.Rank]--
-}
-
-// rowCounts is a small key→count multiset over row keys.
-type rowCounts []rowKC
-
-type rowKC struct {
-	key uint64
-	n   int
-}
-
-func (rc rowCounts) get(key uint64) int {
-	for i := range rc {
-		if rc[i].key == key {
-			return rc[i].n
-		}
+	if len(b.q[k]) == 0 {
+		cc.nonEmpty[k] &^= 1 << uint(bi)
 	}
-	return 0
-}
-
-func (rc *rowCounts) inc(key uint64) {
-	s := *rc
-	for i := range s {
-		if s[i].key == key {
-			s[i].n++
-			return
-		}
-	}
-	*rc = append(s, rowKC{key: key, n: 1})
-}
-
-func (rc *rowCounts) dec(key uint64) {
-	s := *rc
-	for i := range s {
-		if s[i].key != key {
-			continue
-		}
-		if s[i].n--; s[i].n == 0 {
-			last := len(s) - 1
-			s[i] = s[last]
-			*rc = s[:last]
-		}
+	if autoPre {
+		cc.closeRow(bi)
 		return
 	}
+	b.hits++
+	if b.same[k]--; b.same[k] == 0 {
+		cc.hasSame[k] &^= 1 << uint(bi)
+	}
+}
+
+// recount rebuilds bank bi's open-row summary after an ACT opened row (the
+// bank was closed, so its hasSame bits are clear).
+func (cc *chanCtl) recount(bi, row int) {
+	b := &cc.banks[bi]
+	for k := range b.q {
+		n := 0
+		for _, req := range b.q[k] {
+			if req.loc.Row == row {
+				n++
+			}
+		}
+		b.same[k] = n
+		if n > 0 {
+			cc.hasSame[k] |= 1 << uint(bi)
+		}
+	}
+}
+
+// closeRow resets bank bi's hit count and open-row summary: its row just
+// closed.
+func (cc *chanCtl) closeRow(bi int) {
+	cc.banks[bi].hits = 0
+	cc.banks[bi].same = [2]int{}
+	cc.hasSame[core.Read] &^= 1 << uint(bi)
+	cc.hasSame[core.Write] &^= 1 << uint(bi)
+}
+
+// precharge closes bank (r, b) if a PRE is legal at mem and reports
+// whether it issued; otherwise it notes when the PRE becomes legal.
+func (cc *chanCtl) precharge(mem int64, r, b int) bool {
+	if at := cc.ch.PreReadyAt(mem, r, b); at > mem {
+		cc.noteReady(at)
+		return false
+	}
+	if cc.ch.Precharge(mem, r, b) != nil {
+		return false
+	}
+	cc.closeRow(cc.bankOf(Loc{Rank: r, Bank: b}))
+	return true
+}
+
+// queued returns the queued requests of kind k in arrival order — the
+// flat queue the bank lists partition.
+func (cc *chanCtl) queued(k core.AccessKind) []*request {
+	out := make([]*request, 0, cc.n[k])
+	for i := range cc.banks {
+		out = append(out, cc.banks[i].q[k]...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	return out
 }
 
 // Controller is the full multi-channel memory controller. It implements
@@ -440,12 +520,11 @@ func New(cfg Config) (*Controller, error) {
 			acc.ECCChips = 1
 		}
 		cc := &chanCtl{cfg: &c.cfg, ch: ch, acc: acc, am: am, idx: i}
-		cc.hitCount = make([][]int, cfg.Geom.Ranks)
-		for r := range cc.hitCount {
-			cc.hitCount[r] = make([]int, cfg.Geom.Banks)
+		cc.banks = make([]bankQ, cfg.Geom.Ranks*cfg.Geom.Banks)
+		for bi := range cc.banks {
+			cc.banks[bi].rank, cc.banks[bi].bank = bi/cfg.Geom.Banks, bi%cfg.Geom.Banks
 		}
 		cc.refPending = make([]bool, cfg.Geom.Ranks)
-		cc.rowCount = nil
 		cc.rankCount = make([]int, cfg.Geom.Ranks)
 		cc.lastWork = make([]int64, cfg.Geom.Ranks)
 		if cfg.LatBreak {
@@ -467,14 +546,13 @@ func (c *Controller) RowKey(addr uint64) uint64 { return c.am.RowKey(addr) }
 func (c *Controller) Read(addr uint64, done core.Done) bool {
 	l := c.am.Decompose(addr)
 	cc := c.chans[l.Channel]
-	if len(cc.readQ) >= c.cfg.ReadQ {
+	if cc.n[core.Read] >= c.cfg.ReadQ {
 		cc.stats.ReadRejects++
 		return false
 	}
 	req := cc.allocReq()
 	req.kind = core.Read
 	req.loc = l
-	req.rowKey = c.am.RowKeyOf(l)
 	req.wordMask = core.FullMask
 	req.arrive = c.lastMem + 1
 	req.mark = req.arrive
@@ -482,15 +560,14 @@ func (c *Controller) Read(addr uint64, done core.Done) bool {
 	cc.nextWake = 0
 	c.active = true
 	// Forward from the write queue: the newest matching write has the data.
-	for _, w := range cc.writeQ {
+	for _, w := range cc.banks[cc.bankOf(l)].q[core.Write] {
 		if w.loc == l {
 			cc.forwards = append(cc.forwards, req)
 			cc.stats.Forwarded++
 			return true
 		}
 	}
-	cc.readQ = append(cc.readQ, req)
-	cc.noteAdd(req)
+	cc.push(req)
 	return true
 }
 
@@ -509,27 +586,25 @@ func (c *Controller) Write(addr uint64, mask core.ByteMask) bool {
 	if c.cfg.Scheme.chipMasks() {
 		project = core.ByteMask.ChipMask
 	}
-	for _, w := range cc.writeQ {
+	for _, w := range cc.banks[cc.bankOf(l)].q[core.Write] {
 		if w.loc == l {
 			w.byteMask |= mask
 			w.wordMask = project(w.byteMask)
 			return true
 		}
 	}
-	if len(cc.writeQ) >= c.cfg.WriteQ {
+	if cc.n[core.Write] >= c.cfg.WriteQ {
 		cc.stats.WriteRejects++
 		return false
 	}
 	req := cc.allocReq()
 	req.kind = core.Write
 	req.loc = l
-	req.rowKey = c.am.RowKeyOf(l)
 	req.byteMask = mask
 	req.wordMask = project(mask)
 	req.arrive = c.lastMem + 1
 	req.mark = req.arrive
-	cc.writeQ = append(cc.writeQ, req)
-	cc.noteAdd(req)
+	cc.push(req)
 	cc.nextWake = 0
 	c.active = true
 	return true
@@ -549,7 +624,7 @@ func (c *Controller) ResetStats() {
 // Pending reports whether any request is still queued or forwarding.
 func (c *Controller) Pending() bool {
 	for _, cc := range c.chans {
-		if len(cc.readQ) > 0 || len(cc.writeQ) > 0 || len(cc.forwards) > 0 {
+		if cc.n[core.Read] > 0 || cc.n[core.Write] > 0 || len(cc.forwards) > 0 {
 			return true
 		}
 	}
@@ -752,17 +827,17 @@ func (cc *chanCtl) tick(mem int64) {
 	}
 
 	// Watermark-driven write drain (Section 5.1.2).
-	if len(cc.writeQ) >= cc.cfg.HighWM {
+	if writes := cc.n[core.Write]; writes >= cc.cfg.HighWM {
 		if !cc.drain && cc.ev.Enabled(obs.LevelState) {
 			cc.ev.Emit(obs.Event{Cycle: mem, Level: obs.LevelState, Scope: cc.scope,
-				Kind: "drain-start", Detail: fmt.Sprintf("write queue %d >= high watermark %d", len(cc.writeQ), cc.cfg.HighWM)})
+				Kind: "drain-start", Detail: fmt.Sprintf("write queue %d >= high watermark %d", writes, cc.cfg.HighWM)})
 		}
 		cc.drain = true
-	} else if cc.drain && len(cc.writeQ) <= cc.cfg.LowWM {
+	} else if cc.drain && writes <= cc.cfg.LowWM {
 		cc.drain = false
 		if cc.ev.Enabled(obs.LevelState) {
 			cc.ev.Emit(obs.Event{Cycle: mem, Level: obs.LevelState, Scope: cc.scope,
-				Kind: "drain-stop", Detail: fmt.Sprintf("write queue %d <= low watermark %d", len(cc.writeQ), cc.cfg.LowWM)})
+				Kind: "drain-stop", Detail: fmt.Sprintf("write queue %d <= low watermark %d", writes, cc.cfg.LowWM)})
 		}
 	}
 
@@ -794,9 +869,9 @@ func (cc *chanCtl) schedule(mem int64) bool {
 	if cc.rfmPending {
 		return cc.issueRFM(mem)
 	}
-	primary, secondary := &cc.readQ, &cc.writeQ
-	if cc.drain || len(cc.readQ) == 0 {
-		primary, secondary = &cc.writeQ, &cc.readQ
+	primary, secondary := core.Read, core.Write
+	if cc.drain || cc.n[core.Read] == 0 {
+		primary, secondary = core.Write, core.Read
 	}
 	if cc.tryColumn(mem, primary) {
 		return true
@@ -894,16 +969,8 @@ func (cc *chanCtl) issueRefresh(mem int64) bool {
 		cc.refPending[r] = true
 		if cc.ch.AnyBankOpen(r) {
 			for b := 0; b < cc.cfg.Geom.Banks; b++ {
-				if _, _, open := cc.ch.OpenRow(r, b); !open {
-					continue
-				}
-				if at := cc.ch.PreReadyAt(mem, r, b); at <= mem {
-					if err := cc.ch.Precharge(mem, r, b); err == nil {
-						cc.hitCount[r][b] = 0
-						return true
-					}
-				} else {
-					cc.noteReady(at)
+				if _, _, open := cc.ch.OpenRow(r, b); open && cc.precharge(mem, r, b) {
+					return true
 				}
 			}
 			continue // waiting for tRAS/tWR on some bank
@@ -935,15 +1002,7 @@ func (cc *chanCtl) issueRefresh(mem int64) bool {
 func (cc *chanCtl) issueRefreshBank(mem int64, r int) bool {
 	b := cc.ch.NextRefreshBank(r)
 	if _, _, open := cc.ch.OpenRow(r, b); open {
-		if at := cc.ch.PreReadyAt(mem, r, b); at <= mem {
-			if err := cc.ch.Precharge(mem, r, b); err == nil {
-				cc.hitCount[r][b] = 0
-				return true
-			}
-		} else {
-			cc.noteReady(at)
-		}
-		return false
+		return cc.precharge(mem, r, b)
 	}
 	at, ok := cc.ch.RefreshBankReadyAt(mem, r)
 	if !ok {
@@ -973,97 +1032,75 @@ func (cc *chanCtl) writeFrac(req *request) float64 {
 	return req.need().Fraction()
 }
 
-// tryColumn issues the first ready column command for a covered open-row
-// request, honoring the open-row access cap.
-func (cc *chanCtl) tryColumn(mem int64, q *[]*request) bool {
-	if cc.ch.OpenBankCount() == 0 {
-		return false // no open rows, so no column command can be legal
-	}
-	geom := cc.cfg.Geom
+// tryColumn issues the oldest ready column command of kind k for a covered
+// open-row request, honoring the open-row access cap. Only banks with a
+// queued request on their open row can hold a candidate, and all same-kind
+// requests to one bank share one readiness time, so each such bank is
+// evaluated once: its candidate is its oldest covered request, and the
+// ready candidate with the smallest seq is the one an arrival-order walk of
+// the whole queue would reach first. A not-ready candidate reports its
+// exact ready time to noteReady: those times set nextWake when the pass
+// issues nothing, and pass cycles are simulation-visible through lastWork.
+// Once a ready candidate is held the pass will issue, wakeMin is discarded,
+// and younger candidates need no evaluation.
+func (cc *chanCtl) tryColumn(mem int64, k core.AccessKind) bool {
 	burst := cc.cfg.Scheme.burstCycles(cc.cfg.Timing.TBURST)
-	if len(*q) < geom.Ranks*geom.Banks {
-		// Short queue: one OpenRow per request beats snapshotting every
-		// bank (the common case — queues are near-empty most cycles).
-		for i, req := range *q {
-			l := req.loc
-			if cc.refPending[l.Rank] {
-				continue
-			}
-			row, mask, open := cc.ch.OpenRow(l.Rank, l.Bank)
-			if !open || row != l.Row {
-				continue
-			}
-			if cc.issueColumn(mem, q, i, req, mask, burst) {
-				return true
-			}
-		}
-		return false
-	}
-	// Deep queue: hoist open-row state, one snapshot instead of
-	// per-request lookups.
-	var openRows [64]int32 // row or -1; geometry is validated <= 64 banks
-	for r := 0; r < geom.Ranks; r++ {
-		for b := 0; b < geom.Banks; b++ {
-			if row, _, open := cc.ch.OpenRow(r, b); open {
-				openRows[r*geom.Banks+b] = int32(row)
-			} else {
-				openRows[r*geom.Banks+b] = -1
-			}
-		}
-	}
-	for i, req := range *q {
-		l := req.loc
-		if openRows[l.Rank*geom.Banks+l.Bank] != int32(l.Row) || cc.refPending[l.Rank] {
+	var (
+		win      *request
+		winPos   int
+		winMask  core.Mask
+		winTerms dram.LatTerms
+	)
+	for set := cc.hasSame[k]; set != 0; set &= set - 1 {
+		b := &cc.banks[bits.TrailingZeros64(set)]
+		if cc.refPending[b.rank] || b.hits >= cc.cfg.MaxRowHits {
 			continue
 		}
-		_, mask, _ := cc.ch.OpenRow(l.Rank, l.Bank)
-		if cc.issueColumn(mem, q, i, req, mask, burst) {
-			return true
+		row, mask, _ := cc.ch.OpenRow(b.rank, b.bank)
+		pos := b.covered(k, row, mask, nil)
+		if pos < 0 || (win != nil && b.q[k][pos].seq > win.seq) {
+			continue
 		}
+		var terms dram.LatTerms
+		var at int64
+		if k == core.Read {
+			at = cc.ch.ReadLatTerms(mem, b.rank, b.bank, burst, &terms)
+		} else {
+			at = cc.ch.WriteLatTerms(mem, b.rank, b.bank, burst, &terms)
+		}
+		if at > mem {
+			cc.noteReady(at)
+			continue
+		}
+		win, winPos, winMask, winTerms = b.q[k][pos], pos, mask, terms
 	}
-	return false
+	return win != nil && cc.issueColumn(mem, win, winPos, winMask, burst, &winTerms)
 }
 
-// issueColumn attempts the column command for request i of q, whose bank
-// holds its row open under mask. Reports whether a command issued; both
-// tryColumn scan paths funnel through here so their decisions are
-// identical by construction.
-func (cc *chanCtl) issueColumn(mem int64, q *[]*request, i int, req *request, mask core.Mask, burst int) bool {
+// issueColumn issues the column command for req, position i of its bank's
+// list, whose bank holds its row open under mask and whose readiness terms
+// say it is legal at mem. Reports whether the command issued.
+func (cc *chanCtl) issueColumn(mem int64, req *request, i int, mask core.Mask, burst int, terms *dram.LatTerms) bool {
 	l := req.loc
-	if core.ClassifyAccess(true, true, mask, req.kind, req.need()) != core.Hit {
-		return false
-	}
-	if cc.hitCount[l.Rank][l.Bank] >= cc.cfg.MaxRowHits {
-		return false
-	}
 	autoPre := cc.autoPrecharge(req, mask)
-	var terms dram.LatTerms
 	if req.kind == core.Read {
-		if at := cc.ch.ReadLatTerms(mem, l.Rank, l.Bank, burst, &terms); at > mem {
-			cc.noteReady(at)
-			return false
-		}
 		done, err := cc.ch.Read(mem, l.Rank, l.Bank, burst, cc.cfg.Scheme.ioFrac(), autoPre)
 		if err != nil {
 			return false
 		}
-		cc.finishColumn(q, i, req, autoPre)
+		cc.finishColumn(req, i, autoPre)
 		cc.stats.ReadLatencySum += done - req.arrive
-		cc.sweepWait(req, mem, &terms)
+		cc.sweepWait(req, mem, terms)
 		cc.completeLat(req, mem, done)
 		req.done.Fn(done * cc.cfg.CPUPerMem)
 	} else {
-		if at := cc.ch.WriteLatTerms(mem, l.Rank, l.Bank, burst, &terms); at > mem {
-			cc.noteReady(at)
-			return false
-		}
 		end, err := cc.ch.Write(mem, l.Rank, l.Bank, burst, cc.writeFrac(req), autoPre)
 		if err != nil {
 			return false
 		}
-		cc.finishColumn(q, i, req, autoPre)
+		cc.finishColumn(req, i, autoPre)
 		cc.stats.WriteLatencySum += end - req.arrive
-		cc.sweepWait(req, mem, &terms)
+		cc.sweepWait(req, mem, terms)
 		cc.completeLat(req, mem, end)
 	}
 	cc.releaseReq(req)
@@ -1071,14 +1108,8 @@ func (cc *chanCtl) issueColumn(mem int64, q *[]*request, i int, req *request, ma
 }
 
 // finishColumn updates hit accounting and removes the request from its
-// queue.
-func (cc *chanCtl) finishColumn(q *[]*request, i int, req *request, autoPre bool) {
-	l := req.loc
-	if autoPre {
-		cc.hitCount[l.Rank][l.Bank] = 0
-	} else {
-		cc.hitCount[l.Rank][l.Bank]++
-	}
+// bank's list.
+func (cc *chanCtl) finishColumn(req *request, i int, autoPre bool) {
 	if req.kind == core.Read {
 		cc.stats.ReadsServed++
 		if !req.activated {
@@ -1090,10 +1121,7 @@ func (cc *chanCtl) finishColumn(q *[]*request, i int, req *request, autoPre bool
 			cc.stats.RowHitWrite++
 		}
 	}
-	s := *q
-	copy(s[i:], s[i+1:])
-	*q = s[:len(s)-1]
-	cc.noteRemove(req)
+	cc.remove(req, i, autoPre)
 }
 
 // autoPrecharge decides whether a column access should close the row:
@@ -1104,129 +1132,148 @@ func (cc *chanCtl) autoPrecharge(req *request, openMask core.Mask) bool {
 	if cc.cfg.Policy == RestrictedClose {
 		return true
 	}
-	l := req.loc
-	if cc.hitCount[l.Rank][l.Bank]+1 >= cc.cfg.MaxRowHits {
+	b := &cc.banks[cc.bankOf(req.loc)]
+	if b.hits+1 >= cc.cfg.MaxRowHits {
 		return true
 	}
 	if cc.cfg.Policy == OpenPage {
 		return false // rows stay open until a conflict or the hit cap
 	}
 	// req itself is still queued, so a count of 1 means nobody else.
-	if cc.rowCount.get(req.rowKey) <= 1 {
+	if b.same[core.Read]+b.same[core.Write] <= 1 {
 		return true
 	}
 	if openMask.IsFull() {
 		return false // any same-row request hits a full row
 	}
-	for _, q := range [2][]*request{cc.readQ, cc.writeQ} {
-		for _, o := range q {
-			if o == req || o.rowKey != req.rowKey {
-				continue
-			}
-			if core.ClassifyAccess(true, true, openMask, o.kind, o.need()) == core.Hit {
-				return false
-			}
-		}
-	}
-	return true
+	return b.covered(core.Read, req.loc.Row, openMask, req) < 0 &&
+		b.covered(core.Write, req.loc.Row, openMask, req) < 0
 }
 
 // actMask computes the activation mask for a request (Section 5.2.1: PRA
 // masks of queued same-row writes are ORed; a queued same-row read forces
 // a full activation).
-func (cc *chanCtl) actMask(req *request) core.Mask {
+func (cc *chanCtl) actMask(b *bankQ, req *request) core.Mask {
 	if !cc.cfg.Scheme.praWrites() || req.kind == core.Read {
 		return core.FullMask
 	}
-	if cc.rowCount.get(req.rowKey) <= 1 {
-		return req.need() // no other queued request shares the row
-	}
-	m := req.need()
-	for _, o := range cc.writeQ {
-		if o.rowKey == req.rowKey {
-			m = m.Union(o.need())
+	for _, o := range b.q[core.Read] {
+		if o.loc.Row == req.loc.Row {
+			return core.FullMask
 		}
 	}
-	for _, o := range cc.readQ {
-		if o.rowKey == req.rowKey {
-			return core.FullMask
+	m := req.need()
+	for _, o := range b.q[core.Write] {
+		if o.loc.Row == req.loc.Row {
+			m = m.Union(o.need())
 		}
 	}
 	return m
 }
 
-// tryPrep progresses the oldest request that needs an ACT or PRE. Only the
-// oldest request per bank matters (FCFS within a bank), so each bank is
-// examined once per scan.
-func (cc *chanCtl) tryPrep(mem int64, q *[]*request) bool {
+// tryPrep progresses the oldest request of kind k that needs an ACT or a
+// PRE. Only the oldest request per bank matters (FCFS within a bank), so
+// each non-empty bank offers its list head, and the head with the smallest
+// seq whose command is legal now is the one an arrival-order walk would
+// issue for. Readiness reporting follows the same rule as in tryColumn.
+func (cc *chanCtl) tryPrep(mem int64, k core.AccessKind) bool {
 	half := cc.cfg.Scheme.halfDRAMOrg()
-	var visited uint64
-	for _, req := range *q {
-		l := req.loc
-		if cc.refPending[l.Rank] {
+	var (
+		win      *request
+		winBank  int
+		winAct   bool // the winner needs an ACT (with winMask), not a PRE
+		winMask  core.Mask
+		winTerms dram.LatTerms
+	)
+	for set := cc.nonEmpty[k]; set != 0; set &= set - 1 {
+		bi := bits.TrailingZeros64(set)
+		b := &cc.banks[bi]
+		head := b.q[k][0]
+		if cc.refPending[b.rank] || (win != nil && head.seq > win.seq) {
 			continue
 		}
-		row, mask, open := cc.ch.OpenRow(l.Rank, l.Bank)
-		// False-hit accounting happens for every queued request that
-		// observes the partially open row, even while older same-bank
-		// requests are still in line (Section 5.2.1): in a conventional
-		// DRAM this request would have hit the open row.
-		if open && row == l.Row && !req.falseHit &&
-			core.ClassifyAccess(true, true, mask, req.kind, req.need()) == core.FalseHit {
-			req.falseHit = true
-			if req.kind == core.Read {
-				cc.stats.FalseHitRead++
-			} else {
-				cc.stats.FalseHitWrite++
-			}
-		}
-		bankBit := uint64(1) << uint(l.Rank*cc.cfg.Geom.Banks+l.Bank)
-		if visited&bankBit != 0 {
-			continue
-		}
-		visited |= bankBit
+		row, mask, open := cc.ch.OpenRow(b.rank, b.bank)
 		if !open {
-			m := cc.actMask(req)
+			m := cc.actMask(b, head)
 			var terms dram.LatTerms
-			if at := cc.ch.ActLatTerms(mem, l.Rank, l.Bank, m, half, &terms); at > mem {
+			if at := cc.ch.ActLatTerms(mem, b.rank, b.bank, m, half, &terms); at > mem {
 				cc.noteReady(at)
 				continue
 			}
-			if err := cc.ch.Activate(mem, l.Rank, l.Bank, l.Row, m, half); err != nil {
-				continue
-			}
-			cc.hitCount[l.Rank][l.Bank] = 0
-			req.activated = true
-			cc.sweepWait(req, mem, &terms)
-			if req.kind == core.Read {
-				cc.stats.ActsForReads++
-			} else {
-				cc.stats.ActsForWrites++
-			}
-			cc.mitOnAct(mem, l)
-			return true
+			win, winBank, winAct, winMask, winTerms = head, bi, true, m, terms
+			continue
 		}
-		sameRow := row == l.Row
-		outcome := core.ClassifyAccess(true, sameRow, mask, req.kind, req.need())
-		if outcome == core.Hit && cc.hitCount[l.Rank][l.Bank] < cc.cfg.MaxRowHits {
+		if b.hits < cc.cfg.MaxRowHits &&
+			core.ClassifyAccess(true, row == head.loc.Row, mask, k, head.need()) == core.Hit {
 			continue // waiting for the column path; nothing to prep
 		}
-		if cc.rowBenefits(l.Rank, l.Bank, row, mask) {
+		if cc.rowBenefits(b, row, mask) {
 			// Another queued request will hit the open row: let it drain
 			// before conflicting it away (bounded by the row-hit cap), so
 			// read/write phase switches do not waste fresh activations.
 			continue
 		}
-		if at := cc.ch.PreReadyAt(mem, l.Rank, l.Bank); at <= mem {
-			if err := cc.ch.Precharge(mem, l.Rank, l.Bank); err == nil {
-				cc.hitCount[l.Rank][l.Bank] = 0
-				return true
-			}
-		} else {
+		if at := cc.ch.PreReadyAt(mem, b.rank, b.bank); at > mem {
 			cc.noteReady(at)
+			continue
+		}
+		win, winBank, winAct = head, bi, false
+	}
+	if win == nil {
+		cc.markFalseHits(k, ^uint64(0))
+		return false
+	}
+	cc.markFalseHits(k, win.seq)
+	l := win.loc
+	if !winAct {
+		return cc.precharge(mem, l.Rank, l.Bank)
+	}
+	if err := cc.ch.Activate(mem, l.Rank, l.Bank, l.Row, winMask, half); err != nil {
+		return false
+	}
+	cc.banks[winBank].hits = 0
+	cc.recount(winBank, l.Row)
+	win.activated = true
+	cc.sweepWait(win, mem, &winTerms)
+	if k == core.Read {
+		cc.stats.ActsForReads++
+	} else {
+		cc.stats.ActsForWrites++
+	}
+	cc.mitOnAct(mem, l)
+	return true
+}
+
+// markFalseHits does the false-hit accounting of one tryPrep pass: every
+// queued request of kind k that observes its row partially open without
+// the words it needs is counted once, even while older same-bank requests
+// are still in line (Section 5.2.1) — in a conventional DRAM it would have
+// hit the open row. An arrival-order walk reaches a request only before it
+// issues, so the pass marks requests up to the winner's seq (limit; all of
+// them when nothing issues). Only banks with a queued request on a
+// partially open row can hold one.
+func (cc *chanCtl) markFalseHits(k core.AccessKind, limit uint64) {
+	for set := cc.hasSame[k]; set != 0; set &= set - 1 {
+		b := &cc.banks[bits.TrailingZeros64(set)]
+		row, mask, _ := cc.ch.OpenRow(b.rank, b.bank)
+		if mask.IsFull() || cc.refPending[b.rank] {
+			continue
+		}
+		for _, req := range b.q[k] {
+			if req.seq > limit {
+				break
+			}
+			if req.loc.Row == row && !req.falseHit &&
+				core.ClassifyAccess(true, true, mask, k, req.need()) == core.FalseHit {
+				req.falseHit = true
+				if k == core.Read {
+					cc.stats.FalseHitRead++
+				} else {
+					cc.stats.FalseHitWrite++
+				}
+			}
 		}
 	}
-	return false
 }
 
 // idleManage closes rows no queued request benefits from and power-downs
@@ -1241,19 +1288,8 @@ func (cc *chanCtl) idleManage(mem int64) bool {
 			}
 			for b := 0; b < geom.Banks; b++ {
 				row, mask, open := cc.ch.OpenRow(r, b)
-				if !open {
-					continue
-				}
-				if cc.rowBenefits(r, b, row, mask) {
-					continue
-				}
-				if at := cc.ch.PreReadyAt(mem, r, b); at <= mem {
-					if err := cc.ch.Precharge(mem, r, b); err == nil {
-						cc.hitCount[r][b] = 0
-						return true
-					}
-				} else {
-					cc.noteReady(at)
+				if open && !cc.rowBenefits(&cc.banks[cc.bankOf(Loc{Rank: r, Bank: b})], row, mask) && cc.precharge(mem, r, b) {
+					return true
 				}
 			}
 		}
@@ -1357,7 +1393,7 @@ func (cc *chanCtl) pdDueAt(mem int64, r int) int64 {
 	case PDTimed:
 		return cc.lastWork[r] + cc.cfg.PDTimeout
 	case PDQueueAware:
-		if len(cc.readQ) == 0 && len(cc.writeQ) == 0 {
+		if cc.n[core.Read] == 0 && cc.n[core.Write] == 0 {
 			return mem
 		}
 		return cc.lastWork[r] + cc.cfg.PDTimeout
@@ -1375,29 +1411,14 @@ func (cc *chanCtl) srDueAt(r int) int64 {
 	return cc.lastWork[r] + cc.cfg.SRTimeout
 }
 
-// rowBenefits reports whether any queued request would hit the open row.
-func (cc *chanCtl) rowBenefits(rank, bank, row int, mask core.Mask) bool {
-	if cc.hitCount[rank][bank] >= cc.cfg.MaxRowHits {
+// rowBenefits reports whether any queued request would hit bank b's open
+// row (row under mask) within the access cap.
+func (cc *chanCtl) rowBenefits(b *bankQ, row int, mask core.Mask) bool {
+	if b.hits >= cc.cfg.MaxRowHits || b.same[core.Read]+b.same[core.Write] == 0 {
 		return false
 	}
-	key := cc.am.RowKeyOf(Loc{Channel: cc.idx, Rank: rank, Bank: bank, Row: row})
-	if cc.rowCount.get(key) == 0 {
-		return false
-	}
-	if mask.IsFull() {
-		return true
-	}
-	for _, q := range [2][]*request{cc.readQ, cc.writeQ} {
-		for _, o := range q {
-			if o.rowKey != key {
-				continue
-			}
-			if core.ClassifyAccess(true, true, mask, o.kind, o.need()) == core.Hit {
-				return true
-			}
-		}
-	}
-	return false
+	return mask.IsFull() ||
+		b.covered(core.Read, row, mask, nil) >= 0 || b.covered(core.Write, row, mask, nil) >= 0
 }
 
 func (cc *chanCtl) rankHasWork(rank int) bool { return cc.rankCount[rank] > 0 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pradram/internal/core"
+	"pradram/internal/dram"
 )
 
 // checkConservation asserts the invariants that must hold after any
@@ -45,9 +46,12 @@ func checkConservation(t *testing.T, c *Controller, acceptedReads, acceptedWrite
 }
 
 // driveRandomTraffic feeds seeded random traffic into a fresh controller,
-// drains it, and checks conservation. The shared harness behind both the
-// deterministic matrix test and the fuzz target.
-func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64) {
+// drains it, and checks conservation and, after every tick, the scheduler
+// index. Addresses are uniform over 4 GiB when rowPool is 0; otherwise they
+// fall on rowPool rows per bank, so requests cluster on open rows (hits,
+// false hits, mask unions, the hit cap, forwards and merges). The shared
+// harness behind both the deterministic matrix test and the fuzz target.
+func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64, rowPool int) {
 	t.Helper()
 	c, err := New(cfg)
 	if err != nil {
@@ -56,14 +60,33 @@ func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64) {
 	rng := rand.New(rand.NewSource(seed))
 	var acceptedReads, acceptedWrites, completions int64
 	outstanding := 0
+	// The scheduler index is re-verified after every tick that could have
+	// changed it: one that followed an accepted request or issued a command.
+	dirty := false
+	for _, cc := range c.chans {
+		cc.ch.Trace = func(dram.CmdEvent) { dirty = true }
+	}
+	tick := func(cpu int64) {
+		c.Tick(cpu)
+		if dirty {
+			checkIndex(t, c)
+			dirty = false
+		}
+	}
 	var cpu int64
 	for ; cpu < cycles; cpu++ {
 		if cpu%6 == 0 && outstanding < 40 {
 			addr := (rng.Uint64() % (4 << 30)) &^ 63
+			if rowPool > 0 {
+				l := c.Mapper().Decompose(addr)
+				l.Row %= rowPool
+				addr = c.Mapper().Compose(l)
+			}
 			if rng.Intn(3) == 0 {
 				m := core.StoreBytes(rng.Intn(8)*8, 8*(1+rng.Intn(3)))
 				if c.Write(addr, m) {
 					acceptedWrites++
+					dirty = true
 				}
 			} else {
 				if c.Read(addr, core.Untagged(func(int64) {
@@ -72,14 +95,15 @@ func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64) {
 				})) {
 					acceptedReads++
 					outstanding++
+					dirty = true
 				}
 			}
 		}
-		c.Tick(cpu)
+		tick(cpu)
 	}
 	// Drain.
 	for limit := cpu + 4*2_000_000; c.Pending() && cpu < limit; cpu++ {
-		c.Tick(cpu)
+		tick(cpu)
 	}
 	if c.Pending() {
 		t.Fatal("controller failed to drain")
@@ -103,7 +127,7 @@ func TestTrafficConservationMatrix(t *testing.T) {
 				if policy == RestrictedClose {
 					cfg.Mapping = LineInterleaved
 				}
-				driveRandomTraffic(t, cfg, int64(scheme)*10+int64(policy), 4*60_000)
+				driveRandomTraffic(t, cfg, int64(scheme)*10+int64(policy), 4*60_000, 0)
 			})
 		}
 	}
@@ -121,17 +145,24 @@ func FuzzTrafficConservation(f *testing.F) {
 	// One seed per scheme at the default relaxed-close/row-interleaved
 	// pairing, plus restricted and open-page variants of PRA.
 	for _, s := range Schemes() {
-		f.Add(uint8(s), uint8(RelaxedClose), int64(1))
+		f.Add(uint8(s), uint8(RelaxedClose), int64(1), uint8(0))
 	}
-	f.Add(uint8(PRA), uint8(RestrictedClose), int64(2))
-	f.Add(uint8(PRA), uint8(OpenPage), int64(3))
+	f.Add(uint8(PRA), uint8(RestrictedClose), int64(2), uint8(0))
+	f.Add(uint8(PRA), uint8(OpenPage), int64(3), uint8(0))
 	// The dedup-heavy interleavings: same seed, differing only in scheme,
 	// as produced when the worker pool runs a baseline/PRA pair of one
 	// workload concurrently.
-	f.Add(uint8(Baseline), uint8(RelaxedClose), int64(77))
-	f.Add(uint8(PRA), uint8(RelaxedClose), int64(77))
+	f.Add(uint8(Baseline), uint8(RelaxedClose), int64(77), uint8(0))
+	f.Add(uint8(PRA), uint8(RelaxedClose), int64(77), uint8(0))
+	// Row-clustered addresses (one to three rows per bank): the traffic
+	// that keeps the per-bank open-row summaries busy.
+	for _, policy := range []Policy{RelaxedClose, RestrictedClose, OpenPage} {
+		f.Add(uint8(PRA), uint8(policy), int64(5), uint8(1))
+		f.Add(uint8(HalfDRAMPRA), uint8(policy), int64(6), uint8(3))
+	}
+	f.Add(uint8(Baseline), uint8(RelaxedClose), int64(7), uint8(2))
 
-	f.Fuzz(func(t *testing.T, schemeByte, policyByte uint8, seed int64) {
+	f.Fuzz(func(t *testing.T, schemeByte, policyByte uint8, seed int64, rowPool uint8) {
 		schemes := Schemes()
 		scheme := schemes[int(schemeByte)%len(schemes)]
 		policies := []Policy{RelaxedClose, RestrictedClose, OpenPage}
@@ -144,6 +175,6 @@ func FuzzTrafficConservation(f *testing.F) {
 		}
 		// A shorter window than the matrix test keeps fuzz iterations
 		// fast; the drain bound and invariants are identical.
-		driveRandomTraffic(t, cfg, seed, 4*12_000)
+		driveRandomTraffic(t, cfg, seed, 4*12_000, int(rowPool))
 	})
 }

@@ -219,11 +219,12 @@ func (cc *chanCtl) resetLat() {
 	cc.spans = cc.spans[:0]
 	cc.spanHead = 0
 	cc.spanSeq = 0
-	for _, req := range cc.readQ {
-		req.brk = LatBreakdown{}
-	}
-	for _, req := range cc.writeQ {
-		req.brk = LatBreakdown{}
+	for i := range cc.banks {
+		for _, q := range cc.banks[i].q {
+			for _, req := range q {
+				req.brk = LatBreakdown{}
+			}
+		}
 	}
 	for _, req := range cc.forwards {
 		req.brk = LatBreakdown{}

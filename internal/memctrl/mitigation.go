@@ -114,15 +114,7 @@ func (cc *chanCtl) issueRFM(mem int64) bool {
 	}
 	r, b := cc.rfmRank, cc.rfmBank
 	if _, _, open := cc.ch.OpenRow(r, b); open {
-		if at := cc.ch.PreReadyAt(mem, r, b); at <= mem {
-			if err := cc.ch.Precharge(mem, r, b); err == nil {
-				cc.hitCount[r][b] = 0
-				return true
-			}
-		} else {
-			cc.noteReady(at)
-		}
-		return false
+		return cc.precharge(mem, r, b)
 	}
 	at, ok := cc.ch.RFMReadyAt(mem, r, b)
 	if !ok {

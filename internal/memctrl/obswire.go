@@ -3,6 +3,7 @@ package memctrl
 import (
 	"fmt"
 
+	"pradram/internal/core"
 	"pradram/internal/dram"
 	"pradram/internal/obs"
 	"pradram/internal/power"
@@ -165,8 +166,8 @@ func (cc *chanCtl) attachObs(rec *obs.Recorder, ev *obs.EventLog, idx int) {
 		return
 	}
 	p := fmt.Sprintf("ch%d", idx)
-	rec.Gauge(p+"_readq", func() float64 { return float64(len(cc.readQ)) })
-	rec.Gauge(p+"_writeq", func() float64 { return float64(len(cc.writeQ)) })
+	rec.Gauge(p+"_readq", func() float64 { return float64(cc.n[core.Read]) })
+	rec.Gauge(p+"_writeq", func() float64 { return float64(cc.n[core.Write]) })
 	rec.Gauge(p+"_drain", func() float64 {
 		if cc.drain {
 			return 1

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"hash"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,6 +47,7 @@ type schedGen struct {
 	outstanding int
 	nextID      uint64
 	cmds        int64
+	dirty       bool // a request was accepted or a command issued since the last checkIndex
 
 	phase     int   // trPhased: index into the phase cycle
 	phaseEnd  int64 // CPU cycle the current phase ends
@@ -81,6 +83,7 @@ func (g *schedGen) attach() {
 		i := int64(i)
 		cc.ch.Trace = func(e dram.CmdEvent) {
 			g.cmds++
+			g.dirty = true
 			g.put(i, e.At, int64(e.Kind), int64(e.Rank), int64(e.Bank), int64(e.Row), int64(e.Mask), e.DataStart, e.DataEnd)
 		}
 	}
@@ -102,6 +105,23 @@ func (g *schedGen) read(addr uint64) {
 	if g.c.Read(addr, g.done(g.nextID)) {
 		g.outstanding++
 		g.nextID++
+		g.dirty = true
+	}
+}
+
+func (g *schedGen) write(addr uint64) bool {
+	ok := g.c.Write(addr, g.partialMask())
+	g.dirty = g.dirty || ok
+	return ok
+}
+
+// tick advances the controller one CPU cycle and re-verifies the scheduler
+// index whenever the cycle could have changed it.
+func (g *schedGen) tick(t *testing.T, cpu int64) {
+	g.c.Tick(cpu)
+	if g.dirty {
+		checkIndex(t, g.c)
+		g.dirty = false
 	}
 }
 
@@ -136,7 +156,7 @@ func (g *schedGen) step(cpu int64) {
 		if cpu%2 == 0 {
 			g.read(g.randomAddr())
 		} else if cpu%16 == 1 {
-			g.c.Write(g.randomAddr(), g.partialMask())
+			g.write(g.randomAddr())
 		}
 	case trClustered:
 		if cpu%4 != 0 {
@@ -161,7 +181,7 @@ func (g *schedGen) step(cpu int64) {
 				g.read(addr)
 			}
 		} else {
-			g.c.Write(addr, g.partialMask())
+			g.write(addr)
 		}
 	case trForward:
 		if cpu%3 != 0 {
@@ -170,7 +190,7 @@ func (g *schedGen) step(cpu int64) {
 		switch r := g.next() % 8; {
 		case r < 3 || g.recentLen == 0: // fresh write, remembered
 			addr := g.randomAddr()
-			if g.c.Write(addr, g.partialMask()) {
+			if g.write(addr) {
 				g.recent[g.writes%len(g.recent)] = addr
 				g.writes++
 				g.recentLen = min(g.writes, len(g.recent))
@@ -178,7 +198,7 @@ func (g *schedGen) step(cpu int64) {
 		case r < 5: // read a recently written line: forwards while it is queued
 			g.read(g.recent[g.next()%uint64(g.recentLen)])
 		case r < 6: // re-write it: merges while it is queued
-			g.c.Write(g.recent[g.next()%uint64(g.recentLen)], g.partialMask())
+			g.write(g.recent[g.next()%uint64(g.recentLen)])
 		default: // background reads keep the writes waiting
 			if g.outstanding < 40 {
 				g.read(g.randomAddr())
@@ -190,9 +210,10 @@ func (g *schedGen) step(cpu int64) {
 // run drives cycles CPU cycles of traffic from cpu on and returns the next
 // cycle.
 func (g *schedGen) run(t *testing.T, cpu, cycles int64) int64 {
+	t.Helper()
 	for end := cpu + cycles; cpu < end; cpu++ {
 		g.step(cpu)
-		g.c.Tick(cpu)
+		g.tick(t, cpu)
 	}
 	return cpu
 }
@@ -201,7 +222,7 @@ func (g *schedGen) run(t *testing.T, cpu, cycles int64) int64 {
 func (g *schedGen) drain(t *testing.T, cpu int64) int64 {
 	t.Helper()
 	for limit := cpu + 8_000_000; g.c.Pending() && cpu < limit; cpu++ {
-		g.c.Tick(cpu)
+		g.tick(t, cpu)
 	}
 	if g.c.Pending() {
 		t.Fatal("controller failed to drain")
@@ -355,18 +376,13 @@ func TestSchedulerCommandStreamGolden(t *testing.T) {
 // queueLens reports the read-queue, write-queue and forward-list lengths
 // summed over channels, and the number of banks with queued requests.
 func queueLens(c *Controller) (reads, writes, forwards, banks int) {
-	seen := map[[3]int]bool{}
-	for i, cc := range c.chans {
-		reads += len(cc.readQ)
-		writes += len(cc.writeQ)
+	for _, cc := range c.chans {
+		reads += cc.n[core.Read]
+		writes += cc.n[core.Write]
 		forwards += len(cc.forwards)
-		for _, q := range [][]*request{cc.readQ, cc.writeQ} {
-			for _, req := range q {
-				seen[[3]int{i, req.loc.Rank, req.loc.Bank}] = true
-			}
-		}
+		banks += bits.OnesCount64(cc.nonEmpty[core.Read] | cc.nonEmpty[core.Write])
 	}
-	return reads, writes, forwards, len(seen)
+	return reads, writes, forwards, banks
 }
 
 // TestCheckpointQueueBytes pins the serialized form of populated queues:
@@ -382,7 +398,7 @@ func TestCheckpointQueueBytes(t *testing.T) {
 	// Land a forward pair so the forwards list is populated at the save
 	// point (forwards complete at the channel's next DRAM tick).
 	addr := g.randomAddr()
-	if !g.c.Write(addr, g.partialMask()) {
+	if !g.write(addr) {
 		t.Fatal("write rejected at the save point")
 	}
 	g.read(addr)

@@ -7,10 +7,11 @@ import (
 
 // Checkpointing (DESIGN.md §4e). The controller serializes the clock
 // stride, the NextEvent cache, and per channel: the DRAM channel state,
-// the request queues (verbatim order — FR-FCFS scans them in order, so
-// order is simulation-visible), the forward list, drain/refresh/hit
-// bookkeeping, and the wake time. The derived occupancy indices
-// (rowCount, rankCount) are recomputed from the restored queues.
+// the request queues (each queue in arrival order — FR-FCFS picks the
+// oldest candidate, so order is simulation-visible), the forward list,
+// drain/refresh/hit bookkeeping, and the wake time. The bank index (lists,
+// arrival stamps, open-row summaries, rankCount) is rebuilt by re-pushing
+// the restored queues in file order.
 // Statistics and energy are not serialized: checkpoints are taken at the
 // warmup boundary, immediately after ResetStats.
 //
@@ -18,14 +19,14 @@ import (
 // entries; they are rebound through the line-id resolver the hierarchy's
 // RestoreState returns.
 
-func saveReq(w *checkpoint.Writer, req *request) {
+func (cc *chanCtl) saveReq(w *checkpoint.Writer, req *request) {
 	w.U8(uint8(req.kind))
 	w.Int(req.loc.Channel)
 	w.Int(req.loc.Rank)
 	w.Int(req.loc.Bank)
 	w.Int(req.loc.Row)
 	w.Int(req.loc.Col)
-	w.U64(req.rowKey)
+	w.U64(cc.am.RowKeyOf(req.loc)) // derived; kept so the format does not change
 	w.U64(uint64(req.byteMask))
 	w.U8(uint8(req.wordMask))
 	w.I64(req.arrive)
@@ -52,23 +53,15 @@ func (c *Controller) SaveState(w *checkpoint.Writer) {
 	w.I64(c.minWake)
 	for _, cc := range c.chans {
 		cc.ch.SaveState(w)
-		w.Count(len(cc.readQ))
-		for _, req := range cc.readQ {
-			saveReq(w, req)
-		}
-		w.Count(len(cc.writeQ))
-		for _, req := range cc.writeQ {
-			saveReq(w, req)
-		}
-		w.Count(len(cc.forwards))
-		for _, req := range cc.forwards {
-			saveReq(w, req)
+		for _, q := range [][]*request{cc.queued(core.Read), cc.queued(core.Write), cc.forwards} {
+			w.Count(len(q))
+			for _, req := range q {
+				cc.saveReq(w, req)
+			}
 		}
 		w.Bool(cc.drain)
-		for r := range cc.hitCount {
-			for b := range cc.hitCount[r] {
-				w.Int(cc.hitCount[r][b])
-			}
+		for bi := range cc.banks {
+			w.Int(cc.banks[bi].hits)
 		}
 		for _, p := range cc.refPending {
 			w.Bool(p)
@@ -100,7 +93,7 @@ func (cc *chanCtl) restoreReq(r *checkpoint.Reader, fillResolve func(lineID uint
 	req.loc.Bank = r.Int()
 	req.loc.Row = r.Int()
 	req.loc.Col = r.Int()
-	req.rowKey = r.U64()
+	rowKey := r.U64()
 	req.byteMask = core.ByteMask(r.U64())
 	req.wordMask = core.Mask(r.U8())
 	req.arrive = r.I64()
@@ -130,6 +123,8 @@ func (cc *chanCtl) restoreReq(r *checkpoint.Reader, fillResolve func(lineID uint
 	if req.loc.Channel != cc.idx || req.loc.Rank < 0 || req.loc.Rank >= g.Ranks ||
 		req.loc.Bank < 0 || req.loc.Bank >= g.Banks || req.loc.Row < 0 || req.loc.Row >= g.Rows {
 		r.Fail("memctrl: request location %+v out of range on channel %d", req.loc, cc.idx)
+	} else if rowKey != cc.am.RowKeyOf(req.loc) {
+		r.Fail("memctrl: request row key %#x does not match location %+v", rowKey, req.loc)
 	}
 	return req
 }
@@ -220,15 +215,8 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 		for i, cc := range c.chans {
 			st := &states[i]
 			st.chCommit()
-			cc.readQ = st.readQ
-			cc.writeQ = st.writeQ
 			cc.forwards = st.forwards
 			cc.drain = st.drain
-			for ri := range cc.hitCount {
-				for bi := range cc.hitCount[ri] {
-					cc.hitCount[ri][bi] = st.hitCount[ri*c.cfg.Geom.Banks+bi]
-				}
-			}
 			copy(cc.refPending, st.refPending)
 			copy(cc.lastWork, st.lastWork)
 			cc.nextWake = st.nextWake
@@ -237,17 +225,23 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 			cc.rfmBank = st.rfmBank
 			cc.alertUntil = st.alertUntil
 			cc.freeReq = nil
-			// Recompute the derived occupancy indices (forwarded reads are
-			// never counted — they bypassed noteAdd on enqueue).
-			cc.rowCount = nil
+			// Rebuild the bank index against the restored open rows
+			// (forwarded reads are never queued — they bypassed push on
+			// enqueue).
+			for bi := range cc.banks {
+				cc.banks[bi].q = [2][]*request{}
+				cc.banks[bi].same = [2]int{}
+				cc.banks[bi].hits = st.hitCount[bi]
+			}
+			cc.seq, cc.n, cc.nonEmpty, cc.hasSame = 0, [2]int{}, [2]uint64{}, [2]uint64{}
 			for ri := range cc.rankCount {
 				cc.rankCount[ri] = 0
 			}
-			for _, req := range cc.readQ {
-				cc.noteAdd(req)
+			for _, req := range st.readQ {
+				cc.push(req)
 			}
-			for _, req := range cc.writeQ {
-				cc.noteAdd(req)
+			for _, req := range st.writeQ {
+				cc.push(req)
 			}
 		}
 	}, nil

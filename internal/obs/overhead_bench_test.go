@@ -19,9 +19,10 @@ import (
 // still pays for emission (a broken level guard, a probe read in the
 // per-cycle path). The enabled path is measured for information. Each b.N
 // iteration performs innerOps command cycles so a single -benchtime 1x
-// pass is long enough to be stable.
+// pass is long enough to be stable: ~10 ms for the two gated paths, where
+// a timer tick or a preemption is well under the gate's 5%.
 
-const innerOps = 20000
+const innerOps = 200000
 
 // activate issues command cycle op's ACT at the earliest legal cycle from
 // now on and returns that cycle and the bank.

@@ -5,14 +5,16 @@
 // same host*, which cancels the machine out (-power and -ingest gate a
 // golden table and absolute format contracts instead).
 //
-// The default mode is the telemetry-overhead gate: it runs the paired
-// internal/obs hot-path benchmarks (the same DRAM command loop with
-// telemetry disabled and fully enabled), takes the minimum ns/op of
-// several repetitions of each, writes the measurements to BENCH_obs.json,
-// and fails when the telemetry-off path costs more than 1.05x the
-// telemetry-on path — a disabled path drifting up toward the enabled cost
-// means "off" is no longer free (a broken level guard, a probe read left
-// in the per-cycle path).
+// The default mode is the telemetry-overhead gate: it runs the
+// internal/obs hot-path benchmarks (the same DRAM command loop with no
+// telemetry code at all, with telemetry disabled, and with it fully
+// enabled) several times, writes the measurements to BENCH_obs.json, and
+// fails when the telemetry-off path costs more than 1.05x the no-probe
+// baseline (median of the back-to-back off/baseline ratios) — "off" is no
+// longer free (a broken level guard, a probe read left in the per-cycle
+// path).
+// The enabled path is recorded for information: off measures ~0.05x on, so
+// a gate against it could not fail for the regression it describes.
 //
 // -speed switches to the cycle-skipping gate: it runs the paired
 // full-system internal/sim benchmarks (identical deterministic runs with
@@ -75,7 +77,9 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 )
 
@@ -110,12 +114,14 @@ const (
 )
 
 type report struct {
-	OffNsOp   float64 `json:"off_ns_op"`
-	OnNsOp    float64 `json:"on_ns_op"`
-	Ratio     float64 `json:"off_over_on_ratio"`
-	Threshold float64 `json:"threshold"`
-	Count     int     `json:"count"`
-	Pass      bool    `json:"pass"`
+	BaselineNsOp float64 `json:"baseline_ns_op"` // the loop with no telemetry code in it
+	OffNsOp      float64 `json:"off_ns_op"`
+	OnNsOp       float64 `json:"on_ns_op"`
+	Ratio        float64 `json:"off_over_baseline_ratio"` // median of the paired ratios, gated against Threshold
+	OffOverOn    float64 `json:"off_over_on_ratio"`       // information only
+	Threshold    float64 `json:"threshold"`
+	Count        int     `json:"count"`
+	Pass         bool    `json:"pass"`
 }
 
 type speedPair struct {
@@ -242,9 +248,14 @@ func main() {
 // and returns the minimum ns/op per benchmark: noise on shared CI machines
 // only inflates timings, so the minimum is the best estimate of true cost.
 func runBench(pattern, pkg string, count int) map[string]float64 {
-	cmd := exec.Command("go", "test", "-run", "^$",
+	return benchMins(exec.Command("go", "test", "-run", "^$",
 		"-bench", pattern, "-benchtime", "1x",
-		"-count", strconv.Itoa(count), pkg)
+		"-count", strconv.Itoa(count), pkg))
+}
+
+// benchMins runs a benchmark command and returns the minimum ns/op per
+// benchmark in its output.
+func benchMins(cmd *exec.Cmd) map[string]float64 {
 	raw, err := cmd.CombinedOutput()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: benchmark run failed: %v\n%s", err, raw)
@@ -369,27 +380,61 @@ func runWarm(out string, count int) {
 }
 
 func runObs(out string, count int) {
-	mins := runBench("BenchmarkTelemetry", "./internal/obs", count)
-	off, okOff := mins["BenchmarkTelemetryOffHotPath"]
-	on, okOn := mins["BenchmarkTelemetryOnHotPath"]
-	if !okOff || !okOn {
-		fmt.Fprintf(os.Stderr, "benchgate: missing benchmark results (parsed %v)\n", mins)
+	// A 5% ceiling does not survive comparing the two minima on a shared
+	// host: measured here, one gate run in ten saw every off sample inside a
+	// noise burst the baseline samples missed, and under `go test` one
+	// back-to-back off/baseline pair in ten is off by more than 5% (run
+	// directly, the test binary's pairs stay within 3%). So the binary is
+	// built once, each repetition is its own process running baseline and
+	// off back to back (best of three each), where host noise hits both
+	// alike, and the gated figure is the median of the repetitions'
+	// off/baseline ratios. The reported ns/op stay minima.
+	const baseName, offName, onName = "BenchmarkTelemetryBaselineHotPath", "BenchmarkTelemetryOffHotPath", "BenchmarkTelemetryOnHotPath"
+	dir, err := os.MkdirTemp("", "benchgate")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
+	defer os.RemoveAll(dir)
+	bin := filepath.Join(dir, "obs.test")
+	if raw, err := exec.Command("go", "test", "-c", "-o", bin, "./internal/obs").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "benchgate: building the benchmark binary failed: %v\n%s", err, raw)
+		os.Exit(1)
+	}
+	mins := map[string]float64{}
+	var ratios []float64
+	for i := 0; i < count; i++ {
+		round := benchMins(exec.Command(bin, "-test.run", "^$",
+			"-test.bench", "BenchmarkTelemetry", "-test.benchtime", "1x", "-test.count", "3"))
+		if round[baseName] == 0 || round[offName] == 0 || round[onName] == 0 {
+			fmt.Fprintf(os.Stderr, "benchgate: missing benchmark results (parsed %v)\n", round)
+			os.Exit(1)
+		}
+		ratios = append(ratios, round[offName]/round[baseName])
+		for name, ns := range round {
+			if cur, ok := mins[name]; !ok || ns < cur {
+				mins[name] = ns
+			}
+		}
+	}
+	sort.Float64s(ratios)
+	ratio := ratios[len(ratios)/2]
 
 	rep := report{
-		OffNsOp:   off,
-		OnNsOp:    on,
-		Ratio:     off / on,
-		Threshold: threshold,
-		Count:     count,
-		Pass:      off <= on*threshold,
+		BaselineNsOp: mins[baseName],
+		OffNsOp:      mins[offName],
+		OnNsOp:       mins[onName],
+		Ratio:        ratio,
+		OffOverOn:    mins[offName] / mins[onName],
+		Threshold:    threshold,
+		Count:        count,
+		Pass:         ratio <= threshold,
 	}
 	writeReport(out, rep)
-	fmt.Printf("benchgate: off %.0f ns/op, on %.0f ns/op, ratio %.3f (threshold %.2f) -> %s\n",
-		rep.OffNsOp, rep.OnNsOp, rep.Ratio, rep.Threshold, map[bool]string{true: "PASS", false: "FAIL"}[rep.Pass])
+	fmt.Printf("benchgate: baseline %.0f ns/op, off %.0f ns/op, ratio %.3f (threshold %.2f); on %.0f ns/op -> %s\n",
+		rep.BaselineNsOp, rep.OffNsOp, rep.Ratio, rep.Threshold, rep.OnNsOp, map[bool]string{true: "PASS", false: "FAIL"}[rep.Pass])
 	if !rep.Pass {
-		fmt.Fprintln(os.Stderr, "benchgate: telemetry-off hot path is no longer cheap relative to telemetry-on; a disabled-path guard has likely broken")
+		fmt.Fprintln(os.Stderr, "benchgate: the telemetry-off hot path costs more than the same loop without telemetry code; a disabled-path guard has likely broken")
 		os.Exit(1)
 	}
 }
