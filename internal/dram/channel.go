@@ -414,10 +414,7 @@ func (c *Channel) Activate(at int64, r, b, row int, mask core.Mask, halfDRAM boo
 	if bk.open {
 		return fmt.Errorf("dram: ACT to open bank %d/%d", r, b)
 	}
-	w := core.ActivationWeight(mask, halfDRAM)
-	if c.NoWeightedFAW {
-		w = 1
-	}
+	w := c.actWeight(mask, halfDRAM)
 
 	c.flushBG(rk)
 	bk.open, bk.row, bk.mask = true, row, mask

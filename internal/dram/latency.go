@@ -49,12 +49,8 @@ func maxTerms(now int64, t *LatTerms) int64 {
 // same value as ActReadyAt, which is defined in terms of this method.
 func (c *Channel) ActLatTerms(now int64, r, b int, mask core.Mask, halfDRAM bool, t *LatTerms) int64 {
 	rk, bk := c.rank(r), c.bank(r, b)
-	w := core.ActivationWeight(mask, halfDRAM)
-	if c.NoWeightedFAW {
-		w = 1
-	}
 	t[TermBank] = bk.actAllowed
-	t[TermTiming] = max(rk.rrdAllowed, c.fawReadyAt(rk, w), c.cmdFree)
+	t[TermTiming] = max(rk.rrdAllowed, c.fawReadyAt(rk, c.actWeight(mask, halfDRAM)), c.cmdFree)
 	t[TermRefresh] = rk.refUntil
 	t[TermPD] = c.pdExitAt(rk, now)
 	return maxTerms(now, t)
@@ -95,4 +91,56 @@ func (c *Channel) WriteLatTerms(now int64, r, b, burstCycles int, t *LatTerms) i
 		t[TermTiming] = ready
 	}
 	return ready
+}
+
+// CmdTerms holds one ready-cycle term per command kind: the factored form
+// of the readiness rules above, for a scheduler that evaluates many banks
+// in one cycle. With BankTerms the bank's own share and RankTerms the share
+// all banks of a rank have in common, a command's ready cycle is
+// max(now, BankTerms(r,b).X, RankTerms(now,r).X) — for an ACT also over
+// FAWReadyAt, the one term that depends on the mask — and equals
+// ActLatTerms / ReadLatTerms / WriteLatTerms / PreReadyAt, which explain
+// the same cycle by constraint family (FuzzFactoredReadiness).
+type CmdTerms struct {
+	Act, Read, Write, Pre int64
+}
+
+// BankTerms returns bank (r,b)'s own readiness cycles (TermBank of the
+// *LatTerms methods; tRAS/tRTP/write recovery for a PRE).
+func (c *Channel) BankTerms(r, b int) CmdTerms {
+	bk := c.bank(r, b)
+	return CmdTerms{Act: bk.actAllowed, Read: bk.rdAllowed, Write: bk.wrAllowed, Pre: bk.preAllowed}
+}
+
+// RankTerms returns the rank- and channel-scoped share of command
+// readiness for rank r at cycle now: command bus, in-flight refresh and
+// power-down exit for every command, plus tRRD for an ACT, tCCD, tWTR
+// (reads) and the data-bus gap for a column. It depends on now only
+// through the assumed wake of a still-powered-down rank.
+func (c *Channel) RankTerms(now int64, r int) CmdTerms {
+	rk := c.rank(r)
+	pre := max(rk.refUntil, c.cmdFree, c.pdExitAt(rk, now))
+	col := max(pre, rk.colAllowed)
+	return CmdTerms{
+		Act:   max(pre, rk.rrdAllowed),
+		Read:  max(col, rk.rdAfterWr, c.busStart(0, BusRead, r)-int64(c.T.TCAS)),
+		Write: max(col, c.busStart(0, BusWrite, r)-int64(c.T.CWL)),
+		Pre:   pre,
+	}
+}
+
+// FAWReadyAt returns the weighted-tFAW share of the ready cycle of an ACT
+// of the given mask in rank r. The weight depends only on the mask's
+// granularity, so one value serves every such ACT of the rank in a cycle.
+func (c *Channel) FAWReadyAt(r int, mask core.Mask, halfDRAM bool) int64 {
+	return c.fawReadyAt(c.rank(r), c.actWeight(mask, halfDRAM))
+}
+
+// actWeight returns the tRRD/tFAW charge of an activation (1 for every ACT
+// under the NoWeightedFAW ablation).
+func (c *Channel) actWeight(mask core.Mask, halfDRAM bool) float64 {
+	if c.NoWeightedFAW {
+		return 1
+	}
+	return core.ActivationWeight(mask, halfDRAM)
 }

@@ -242,15 +242,33 @@ type chanCtl struct {
 	// kind in arrival order, n counts the queued requests per kind (the
 	// queue lengths the capacity, watermark and drain rules speak of),
 	// rankCount per rank. nonEmpty[k] is the set of banks with a queued
-	// request of kind k and hasSame[k] the set of banks where one targets
-	// the open row (geometry is validated <= 64 banks), so a scheduling
-	// pass visits only banks that can yield a candidate.
+	// request of kind k (geometry is validated <= 64 banks).
 	banks     []bankQ
 	seq       uint64 // last arrival stamp handed out
 	n         [2]int
 	nonEmpty  [2]uint64
-	hasSame   [2]uint64
 	rankCount []int
+
+	// The cached scheduling decisions (settle): which command each bank
+	// wants, as opposed to when it is legal. stale is the set of banks whose
+	// lists, open row or hit count changed since their decision was taken;
+	// the candidate sets below describe the other banks and are what a
+	// scheduling pass iterates. colCand[k]: a covered open-row request of
+	// kind k under the hit cap (bankQ.colPos). closeCand: open with no such
+	// request of either kind — the row has no beneficiary. fhCand[k]: a
+	// kind-k request targets the partially open row and markFalseHits has
+	// not been through all of them yet. (The banks whose kind-k head needs
+	// an ACT or a PRE are the non-empty ones in no colCand: prepCand.)
+	stale     uint64
+	colCand   [2]uint64
+	closeCand uint64
+	fhCand    [2]uint64
+
+	// terms holds each rank's share of command readiness for the current
+	// pass only (termsOK is cleared at the top of every pass: no readiness
+	// time survives one — DESIGN "Scheduler index" rule 1).
+	terms   []rankTerms
+	termsOK uint64
 
 	drain      bool
 	refPending []bool
@@ -340,9 +358,23 @@ type bankQ struct {
 	// points where a list or the open row changes: push, remove, a
 	// successful ACT (recount), every precharge including an
 	// auto-precharging column (closeRow), and RestoreState (re-push). A
-	// write merge changes masks, never rows, so it touches nothing here.
+	// write merge changes masks, never rows, so it leaves same alone.
 	same [2]int
 	hits int // column accesses since the row opened (the MaxRowHits cap)
+	// The bank's cached decision, valid while the bank is not stale: colPos[k]
+	// is the position in q[k] of the column candidate (bank in colCand[k]),
+	// act[k] the activation mask for q[k][0] (bank closed, q[k] non-empty).
+	colPos [2]int
+	act    [2]core.Mask
+}
+
+// rankTerms is one rank's share of command readiness at the current pass
+// cycle, with the weighted-tFAW term filled in per activation granularity
+// on first use (fawOK says which).
+type rankTerms struct {
+	dram.CmdTerms
+	faw   [core.WordsPerLine + 1]int64
+	fawOK uint16
 }
 
 // covered returns the position in q[k] of the oldest request other than
@@ -370,9 +402,9 @@ func (cc *chanCtl) push(req *request) {
 	cc.n[k]++
 	cc.rankCount[req.loc.Rank]++
 	cc.nonEmpty[k] |= 1 << uint(bi)
+	cc.stale |= 1 << uint(bi)
 	if row, _, open := cc.ch.OpenRow(req.loc.Rank, req.loc.Bank); open && row == req.loc.Row {
 		b.same[k]++
-		cc.hasSame[k] |= 1 << uint(bi)
 	}
 }
 
@@ -389,6 +421,7 @@ func (cc *chanCtl) remove(req *request, i int, autoPre bool) {
 	b.q[k] = q[:len(q)-1]
 	cc.n[k]--
 	cc.rankCount[req.loc.Rank]--
+	cc.stale |= 1 << uint(bi)
 	if len(b.q[k]) == 0 {
 		cc.nonEmpty[k] &^= 1 << uint(bi)
 	}
@@ -397,15 +430,13 @@ func (cc *chanCtl) remove(req *request, i int, autoPre bool) {
 		return
 	}
 	b.hits++
-	if b.same[k]--; b.same[k] == 0 {
-		cc.hasSame[k] &^= 1 << uint(bi)
-	}
+	b.same[k]--
 }
 
-// recount rebuilds bank bi's open-row summary after an ACT opened row (the
-// bank was closed, so its hasSame bits are clear).
+// recount rebuilds bank bi's open-row summary after an ACT opened row.
 func (cc *chanCtl) recount(bi, row int) {
 	b := &cc.banks[bi]
+	cc.stale |= 1 << uint(bi)
 	for k := range b.q {
 		n := 0
 		for _, req := range b.q[k] {
@@ -414,19 +445,15 @@ func (cc *chanCtl) recount(bi, row int) {
 			}
 		}
 		b.same[k] = n
-		if n > 0 {
-			cc.hasSame[k] |= 1 << uint(bi)
-		}
 	}
 }
 
 // closeRow resets bank bi's hit count and open-row summary: its row just
 // closed.
 func (cc *chanCtl) closeRow(bi int) {
+	cc.stale |= 1 << uint(bi)
 	cc.banks[bi].hits = 0
 	cc.banks[bi].same = [2]int{}
-	cc.hasSame[core.Read] &^= 1 << uint(bi)
-	cc.hasSame[core.Write] &^= 1 << uint(bi)
 }
 
 // precharge closes bank (r, b) if a PRE is legal at mem and reports
@@ -526,6 +553,7 @@ func New(cfg Config) (*Controller, error) {
 		}
 		cc.refPending = make([]bool, cfg.Geom.Ranks)
 		cc.rankCount = make([]int, cfg.Geom.Ranks)
+		cc.terms = make([]rankTerms, cfg.Geom.Ranks)
 		cc.lastWork = make([]int64, cfg.Geom.Ranks)
 		if cfg.LatBreak {
 			cc.latHistBank = make([]stats.LogHist, cfg.Geom.Ranks*cfg.Geom.Banks)
@@ -586,10 +614,14 @@ func (c *Controller) Write(addr uint64, mask core.ByteMask) bool {
 	if c.cfg.Scheme.chipMasks() {
 		project = core.ByteMask.ChipMask
 	}
-	for _, w := range cc.banks[cc.bankOf(l)].q[core.Write] {
+	bi := cc.bankOf(l)
+	for _, w := range cc.banks[bi].q[core.Write] {
 		if w.loc == l {
+			// A merge grows need(): what the open mask covers, the
+			// activation mask and the false-hit classes all change.
 			w.byteMask |= mask
 			w.wordMask = project(w.byteMask)
+			cc.stale |= 1 << uint(bi)
 			return true
 		}
 	}
@@ -869,6 +901,12 @@ func (cc *chanCtl) schedule(mem int64) bool {
 	if cc.rfmPending {
 		return cc.issueRFM(mem)
 	}
+	// From here to the command this pass issues (which ends it) nothing
+	// mutates the lists or the device: the wake loop and the two gates above
+	// ran already. So decisions settled now and rank terms taken at the
+	// first candidate that needs them hold for the whole pass.
+	cc.settle()
+	cc.termsOK = 0
 	primary, secondary := core.Read, core.Write
 	if cc.drain || cc.n[core.Read] == 0 {
 		primary, secondary = core.Write, core.Read
@@ -890,6 +928,76 @@ func (cc *chanCtl) schedule(mem int64) bool {
 		return true
 	}
 	return cc.idleManage(mem)
+}
+
+// settle re-derives the cached decision of every stale bank from its lists,
+// open row and hit count. Only such list-derived decisions are cached; when
+// the wanted command is legal is recomputed by every pass (rankTerms), and
+// every candidate that is not ready still reports its exact ready cycle. A
+// bank absent from a candidate set is one the pass would have evaluated to
+// "nothing to do here" without a noteReady.
+func (cc *chanCtl) settle() {
+	for set := cc.stale; set != 0; set &= set - 1 {
+		bi := bits.TrailingZeros64(set)
+		bit := uint64(1) << uint(bi)
+		b := &cc.banks[bi]
+		row, mask, open := cc.ch.OpenRow(b.rank, b.bank)
+		benefits := false // a queued request hits the open row within the cap
+		for k := range b.q {
+			cc.colCand[k] &^= bit
+			if open && b.hits < cc.cfg.MaxRowHits && b.same[k] > 0 {
+				if pos := b.covered(core.AccessKind(k), row, mask, nil); pos >= 0 {
+					b.colPos[k] = pos
+					cc.colCand[k] |= bit
+					benefits = true
+				}
+			}
+			cc.fhCand[k] &^= bit
+			if open && !mask.IsFull() && b.same[k] > 0 {
+				cc.fhCand[k] |= bit
+			}
+		}
+		cc.closeCand &^= bit
+		if open && !benefits {
+			cc.closeCand |= bit
+		}
+		for k := range b.q {
+			if !open && len(b.q[k]) > 0 {
+				b.act[k] = cc.actMask(b, b.q[k][0])
+			}
+		}
+	}
+	cc.stale = 0
+}
+
+// prepCand returns the banks whose kind-k list head needs an ACT (closed
+// bank) or a PRE (bank in closeCand): the non-empty ones whose open row, if
+// any, has no beneficiary left. A row with one drains first (bounded by the
+// hit cap), so read/write phase switches do not waste fresh activations —
+// and a head that itself hits is waiting for the column path.
+func (cc *chanCtl) prepCand(k core.AccessKind) uint64 {
+	return cc.nonEmpty[k] &^ (cc.colCand[core.Read] | cc.colCand[core.Write])
+}
+
+// rankTerms returns rank r's share of command readiness at the pass cycle
+// mem, computing it on the pass's first request for it.
+func (cc *chanCtl) rankTerms(mem int64, r int) *rankTerms {
+	if cc.termsOK&(1<<uint(r)) == 0 {
+		cc.termsOK |= 1 << uint(r)
+		cc.terms[r] = rankTerms{CmdTerms: cc.ch.RankTerms(mem, r)}
+	}
+	return &cc.terms[r]
+}
+
+// fawTerm returns the tFAW term of an ACT of mask m in rank r, computed once
+// per pass and activation granularity (all the weight depends on).
+func (cc *chanCtl) fawTerm(t *rankTerms, r int, m core.Mask) int64 {
+	g := uint(m.Granularity())
+	if t.fawOK&(1<<g) == 0 {
+		t.fawOK |= 1 << g
+		t.faw[g] = cc.ch.FAWReadyAt(r, m, cc.cfg.Scheme.halfDRAMOrg())
+	}
+	return t.faw[g]
 }
 
 // refreshWakes reports whether a refresh obligation justifies waking
@@ -1033,74 +1141,71 @@ func (cc *chanCtl) writeFrac(req *request) float64 {
 }
 
 // tryColumn issues the oldest ready column command of kind k for a covered
-// open-row request, honoring the open-row access cap. Only banks with a
-// queued request on their open row can hold a candidate, and all same-kind
-// requests to one bank share one readiness time, so each such bank is
-// evaluated once: its candidate is its oldest covered request, and the
-// ready candidate with the smallest seq is the one an arrival-order walk of
-// the whole queue would reach first. A not-ready candidate reports its
-// exact ready time to noteReady: those times set nextWake when the pass
-// issues nothing, and pass cycles are simulation-visible through lastWork.
-// Once a ready candidate is held the pass will issue, wakeMin is discarded,
-// and younger candidates need no evaluation.
+// open-row request, honoring the open-row access cap. Only banks in
+// colCand[k] hold a candidate — their oldest covered request — and all
+// same-kind requests to one bank share one readiness time, so the ready
+// candidate with the smallest seq is the one an arrival-order walk of the
+// whole queue would reach first. A not-ready candidate reports its exact
+// ready time to noteReady: those times set nextWake when the pass issues
+// nothing, and pass cycles are simulation-visible through lastWork. Once a
+// ready candidate is held the pass will issue, wakeMin is discarded, and
+// younger candidates need no evaluation.
 func (cc *chanCtl) tryColumn(mem int64, k core.AccessKind) bool {
-	burst := cc.cfg.Scheme.burstCycles(cc.cfg.Timing.TBURST)
 	var (
-		win      *request
-		winPos   int
-		winMask  core.Mask
-		winTerms dram.LatTerms
+		win    *request
+		winPos int
 	)
-	for set := cc.hasSame[k]; set != 0; set &= set - 1 {
+	for set := cc.colCand[k]; set != 0; set &= set - 1 {
 		b := &cc.banks[bits.TrailingZeros64(set)]
-		if cc.refPending[b.rank] || b.hits >= cc.cfg.MaxRowHits {
+		req := b.q[k][b.colPos[k]]
+		if cc.refPending[b.rank] || (win != nil && req.seq > win.seq) {
 			continue
 		}
-		row, mask, _ := cc.ch.OpenRow(b.rank, b.bank)
-		pos := b.covered(k, row, mask, nil)
-		if pos < 0 || (win != nil && b.q[k][pos].seq > win.seq) {
-			continue
-		}
-		var terms dram.LatTerms
-		var at int64
-		if k == core.Read {
-			at = cc.ch.ReadLatTerms(mem, b.rank, b.bank, burst, &terms)
-		} else {
-			at = cc.ch.WriteLatTerms(mem, b.rank, b.bank, burst, &terms)
+		bank, rank := cc.ch.BankTerms(b.rank, b.bank), cc.rankTerms(mem, b.rank)
+		at := max(mem, bank.Read, rank.Read)
+		if k == core.Write {
+			at = max(mem, bank.Write, rank.Write)
 		}
 		if at > mem {
 			cc.noteReady(at)
 			continue
 		}
-		win, winPos, winMask, winTerms = b.q[k][pos], pos, mask, terms
+		win, winPos = req, b.colPos[k]
 	}
-	return win != nil && cc.issueColumn(mem, win, winPos, winMask, burst, &winTerms)
+	return win != nil && cc.issueColumn(mem, win, winPos)
 }
 
 // issueColumn issues the column command for req, position i of its bank's
-// list, whose bank holds its row open under mask and whose readiness terms
-// say it is legal at mem. Reports whether the command issued.
-func (cc *chanCtl) issueColumn(mem int64, req *request, i int, mask core.Mask, burst int, terms *dram.LatTerms) bool {
+// list, which the factored terms say is legal at mem. The full term set is
+// taken here, for the one command that issues: it feeds the attribution
+// sweep, and the device re-checks legality against it. Reports whether the
+// command issued.
+func (cc *chanCtl) issueColumn(mem int64, req *request, i int) bool {
 	l := req.loc
+	burst := cc.cfg.Scheme.burstCycles(cc.cfg.Timing.TBURST)
+	_, mask, _ := cc.ch.OpenRow(l.Rank, l.Bank)
 	autoPre := cc.autoPrecharge(req, mask)
+	var terms dram.LatTerms
 	if req.kind == core.Read {
+		cc.ch.ReadLatTerms(mem, l.Rank, l.Bank, burst, &terms)
 		done, err := cc.ch.Read(mem, l.Rank, l.Bank, burst, cc.cfg.Scheme.ioFrac(), autoPre)
 		if err != nil {
 			return false
 		}
 		cc.finishColumn(req, i, autoPre)
 		cc.stats.ReadLatencySum += done - req.arrive
-		cc.sweepWait(req, mem, terms)
+		cc.sweepWait(req, mem, &terms)
 		cc.completeLat(req, mem, done)
 		req.done.Fn(done * cc.cfg.CPUPerMem)
 	} else {
+		cc.ch.WriteLatTerms(mem, l.Rank, l.Bank, burst, &terms)
 		end, err := cc.ch.Write(mem, l.Rank, l.Bank, burst, cc.writeFrac(req), autoPre)
 		if err != nil {
 			return false
 		}
 		cc.finishColumn(req, i, autoPre)
 		cc.stats.WriteLatencySum += end - req.arrive
-		cc.sweepWait(req, mem, terms)
+		cc.sweepWait(req, mem, &terms)
 		cc.completeLat(req, mem, end)
 	}
 	cc.releaseReq(req)
@@ -1173,51 +1278,34 @@ func (cc *chanCtl) actMask(b *bankQ, req *request) core.Mask {
 
 // tryPrep progresses the oldest request of kind k that needs an ACT or a
 // PRE. Only the oldest request per bank matters (FCFS within a bank), so
-// each non-empty bank offers its list head, and the head with the smallest
-// seq whose command is legal now is the one an arrival-order walk would
-// issue for. Readiness reporting follows the same rule as in tryColumn.
+// each bank in prepCand(k) offers its list head, and the head with the
+// smallest seq whose command is legal now is the one an arrival-order walk
+// would issue for. Readiness reporting follows the same rule as in
+// tryColumn.
 func (cc *chanCtl) tryPrep(mem int64, k core.AccessKind) bool {
-	half := cc.cfg.Scheme.halfDRAMOrg()
 	var (
-		win      *request
-		winBank  int
-		winAct   bool // the winner needs an ACT (with winMask), not a PRE
-		winMask  core.Mask
-		winTerms dram.LatTerms
+		win     *request
+		winBank int
 	)
-	for set := cc.nonEmpty[k]; set != 0; set &= set - 1 {
+	for set := cc.prepCand(k); set != 0; set &= set - 1 {
 		bi := bits.TrailingZeros64(set)
 		b := &cc.banks[bi]
 		head := b.q[k][0]
 		if cc.refPending[b.rank] || (win != nil && head.seq > win.seq) {
 			continue
 		}
-		row, mask, open := cc.ch.OpenRow(b.rank, b.bank)
-		if !open {
-			m := cc.actMask(b, head)
-			var terms dram.LatTerms
-			if at := cc.ch.ActLatTerms(mem, b.rank, b.bank, m, half, &terms); at > mem {
-				cc.noteReady(at)
-				continue
-			}
-			win, winBank, winAct, winMask, winTerms = head, bi, true, m, terms
-			continue
+		bank, rank := cc.ch.BankTerms(b.rank, b.bank), cc.rankTerms(mem, b.rank)
+		var at int64
+		if cc.closeCand&(1<<uint(bi)) != 0 { // open, no beneficiary: conflict it away
+			at = max(mem, bank.Pre, rank.Pre)
+		} else {
+			at = max(mem, bank.Act, rank.Act, cc.fawTerm(rank, b.rank, b.act[k]))
 		}
-		if b.hits < cc.cfg.MaxRowHits &&
-			core.ClassifyAccess(true, row == head.loc.Row, mask, k, head.need()) == core.Hit {
-			continue // waiting for the column path; nothing to prep
-		}
-		if cc.rowBenefits(b, row, mask) {
-			// Another queued request will hit the open row: let it drain
-			// before conflicting it away (bounded by the row-hit cap), so
-			// read/write phase switches do not waste fresh activations.
-			continue
-		}
-		if at := cc.ch.PreReadyAt(mem, b.rank, b.bank); at > mem {
+		if at > mem {
 			cc.noteReady(at)
 			continue
 		}
-		win, winBank, winAct = head, bi, false
+		win, winBank = head, bi
 	}
 	if win == nil {
 		cc.markFalseHits(k, ^uint64(0))
@@ -1225,16 +1313,19 @@ func (cc *chanCtl) tryPrep(mem int64, k core.AccessKind) bool {
 	}
 	cc.markFalseHits(k, win.seq)
 	l := win.loc
-	if !winAct {
+	if cc.closeCand&(1<<uint(winBank)) != 0 {
 		return cc.precharge(mem, l.Rank, l.Bank)
 	}
-	if err := cc.ch.Activate(mem, l.Rank, l.Bank, l.Row, winMask, half); err != nil {
+	half, mask := cc.cfg.Scheme.halfDRAMOrg(), cc.banks[winBank].act[k]
+	var terms dram.LatTerms // for the attribution sweep; Activate re-checks legality
+	cc.ch.ActLatTerms(mem, l.Rank, l.Bank, mask, half, &terms)
+	if err := cc.ch.Activate(mem, l.Rank, l.Bank, l.Row, mask, half); err != nil {
 		return false
 	}
 	cc.banks[winBank].hits = 0
 	cc.recount(winBank, l.Row)
 	win.activated = true
-	cc.sweepWait(win, mem, &winTerms)
+	cc.sweepWait(win, mem, &terms)
 	if k == core.Read {
 		cc.stats.ActsForReads++
 	} else {
@@ -1251,14 +1342,19 @@ func (cc *chanCtl) tryPrep(mem int64, k core.AccessKind) bool {
 // hit the open row. An arrival-order walk reaches a request only before it
 // issues, so the pass marks requests up to the winner's seq (limit; all of
 // them when nothing issues). Only banks with a queued request on a
-// partially open row can hold one.
+// partially open row can hold one (fhCand), and a bank marked in full — limit
+// = all, rank not frozen for a refresh — has none left until it goes stale.
 func (cc *chanCtl) markFalseHits(k core.AccessKind, limit uint64) {
-	for set := cc.hasSame[k]; set != 0; set &= set - 1 {
-		b := &cc.banks[bits.TrailingZeros64(set)]
-		row, mask, _ := cc.ch.OpenRow(b.rank, b.bank)
-		if mask.IsFull() || cc.refPending[b.rank] {
+	for set := cc.fhCand[k]; set != 0; set &= set - 1 {
+		bi := bits.TrailingZeros64(set)
+		b := &cc.banks[bi]
+		if cc.refPending[b.rank] {
 			continue
 		}
+		if limit == ^uint64(0) {
+			cc.fhCand[k] &^= 1 << uint(bi)
+		}
+		row, mask, _ := cc.ch.OpenRow(b.rank, b.bank)
 		for _, req := range b.q[k] {
 			if req.seq > limit {
 				break
@@ -1281,16 +1377,16 @@ func (cc *chanCtl) markFalseHits(k core.AccessKind, limit uint64) {
 // whether a precharge command was issued.
 func (cc *chanCtl) idleManage(mem int64) bool {
 	geom := cc.cfg.Geom
-	if cc.ch.OpenBankCount() > 0 && cc.cfg.Policy != OpenPage {
-		for r := 0; r < geom.Ranks; r++ {
-			if !cc.ch.AnyBankOpen(r) {
-				continue // skip the bank walk for fully closed ranks
-			}
-			for b := 0; b < geom.Banks; b++ {
-				row, mask, open := cc.ch.OpenRow(r, b)
-				if open && !cc.rowBenefits(&cc.banks[cc.bankOf(Loc{Rank: r, Bank: b})], row, mask) && cc.precharge(mem, r, b) {
-					return true
-				}
+	if cc.cfg.Policy != OpenPage {
+		// Ascending bank index is rank-major, bank-minor: the first legal
+		// PRE wins and every earlier one reports when it becomes legal.
+		for set := cc.closeCand; set != 0; set &= set - 1 {
+			b := &cc.banks[bits.TrailingZeros64(set)]
+			at := max(mem, cc.ch.BankTerms(b.rank, b.bank).Pre, cc.rankTerms(mem, b.rank).Pre)
+			if at > mem {
+				cc.noteReady(at)
+			} else if cc.precharge(mem, b.rank, b.bank) {
+				return true
 			}
 		}
 	}
@@ -1409,16 +1505,6 @@ func (cc *chanCtl) srDueAt(r int) int64 {
 		return farFuture
 	}
 	return cc.lastWork[r] + cc.cfg.SRTimeout
-}
-
-// rowBenefits reports whether any queued request would hit bank b's open
-// row (row under mask) within the access cap.
-func (cc *chanCtl) rowBenefits(b *bankQ, row int, mask core.Mask) bool {
-	if b.hits >= cc.cfg.MaxRowHits || b.same[core.Read]+b.same[core.Write] == 0 {
-		return false
-	}
-	return mask.IsFull() ||
-		b.covered(core.Read, row, mask, nil) >= 0 || b.covered(core.Write, row, mask, nil) >= 0
 }
 
 func (cc *chanCtl) rankHasWork(rank int) bool { return cc.rankCount[rank] > 0 }

@@ -49,9 +49,12 @@ func checkConservation(t *testing.T, c *Controller, acceptedReads, acceptedWrite
 // drains it, and checks conservation and, after every tick, the scheduler
 // index. Addresses are uniform over 4 GiB when rowPool is 0; otherwise they
 // fall on rowPool rows per bank, so requests cluster on open rows (hits,
-// false hits, mask unions, the hit cap, forwards and merges). The shared
+// false hits, mask unions, the hit cap, forwards and merges). remerge of
+// every 256 writes re-target one of the last eight written lines with a
+// fresh partial mask: a merge while the first write is still queued, which
+// grows its need() under a row that may be partially open. The shared
 // harness behind both the deterministic matrix test and the fuzz target.
-func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64, rowPool int) {
+func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64, rowPool, remerge int) {
 	t.Helper()
 	c, err := New(cfg)
 	if err != nil {
@@ -73,7 +76,8 @@ func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64, rowP
 			dirty = false
 		}
 	}
-	var cpu int64
+	var recent [8]uint64
+	var cpu, written int64
 	for ; cpu < cycles; cpu++ {
 		if cpu%6 == 0 && outstanding < 40 {
 			addr := (rng.Uint64() % (4 << 30)) &^ 63
@@ -84,7 +88,12 @@ func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64, rowP
 			}
 			if rng.Intn(3) == 0 {
 				m := core.StoreBytes(rng.Intn(8)*8, 8*(1+rng.Intn(3)))
+				if remerge > 0 && written > 0 && rng.Intn(256) < remerge {
+					addr = recent[rng.Int63n(min(written, int64(len(recent))))]
+				}
 				if c.Write(addr, m) {
+					recent[written%int64(len(recent))] = addr
+					written++
 					acceptedWrites++
 					dirty = true
 				}
@@ -127,7 +136,7 @@ func TestTrafficConservationMatrix(t *testing.T) {
 				if policy == RestrictedClose {
 					cfg.Mapping = LineInterleaved
 				}
-				driveRandomTraffic(t, cfg, int64(scheme)*10+int64(policy), 4*60_000, 0)
+				driveRandomTraffic(t, cfg, int64(scheme)*10+int64(policy), 4*60_000, 0, 0)
 			})
 		}
 	}
@@ -145,24 +154,31 @@ func FuzzTrafficConservation(f *testing.F) {
 	// One seed per scheme at the default relaxed-close/row-interleaved
 	// pairing, plus restricted and open-page variants of PRA.
 	for _, s := range Schemes() {
-		f.Add(uint8(s), uint8(RelaxedClose), int64(1), uint8(0))
+		f.Add(uint8(s), uint8(RelaxedClose), int64(1), uint8(0), uint8(0))
 	}
-	f.Add(uint8(PRA), uint8(RestrictedClose), int64(2), uint8(0))
-	f.Add(uint8(PRA), uint8(OpenPage), int64(3), uint8(0))
+	f.Add(uint8(PRA), uint8(RestrictedClose), int64(2), uint8(0), uint8(0))
+	f.Add(uint8(PRA), uint8(OpenPage), int64(3), uint8(0), uint8(0))
 	// The dedup-heavy interleavings: same seed, differing only in scheme,
 	// as produced when the worker pool runs a baseline/PRA pair of one
 	// workload concurrently.
-	f.Add(uint8(Baseline), uint8(RelaxedClose), int64(77), uint8(0))
-	f.Add(uint8(PRA), uint8(RelaxedClose), int64(77), uint8(0))
+	f.Add(uint8(Baseline), uint8(RelaxedClose), int64(77), uint8(0), uint8(0))
+	f.Add(uint8(PRA), uint8(RelaxedClose), int64(77), uint8(0), uint8(0))
 	// Row-clustered addresses (one to three rows per bank): the traffic
 	// that keeps the per-bank open-row summaries busy.
 	for _, policy := range []Policy{RelaxedClose, RestrictedClose, OpenPage} {
-		f.Add(uint8(PRA), uint8(policy), int64(5), uint8(1))
-		f.Add(uint8(HalfDRAMPRA), uint8(policy), int64(6), uint8(3))
+		f.Add(uint8(PRA), uint8(policy), int64(5), uint8(1), uint8(0))
+		f.Add(uint8(HalfDRAMPRA), uint8(policy), int64(6), uint8(3), uint8(0))
+		// Write merges under partially open rows: the merged write's grown
+		// mask must reach the cached column pick, activation mask and
+		// false-hit class of its bank. The open-page cell keeps partial
+		// rows open longest.
+		f.Add(uint8(PRA), uint8(policy), int64(8), uint8(1), uint8(96))
+		f.Add(uint8(SDS), uint8(policy), int64(9), uint8(2), uint8(200))
 	}
-	f.Add(uint8(Baseline), uint8(RelaxedClose), int64(7), uint8(2))
+	f.Add(uint8(Baseline), uint8(RelaxedClose), int64(7), uint8(2), uint8(0))
+	f.Add(uint8(PRA), uint8(RelaxedClose), int64(10), uint8(0), uint8(255))
 
-	f.Fuzz(func(t *testing.T, schemeByte, policyByte uint8, seed int64, rowPool uint8) {
+	f.Fuzz(func(t *testing.T, schemeByte, policyByte uint8, seed int64, rowPool, remerge uint8) {
 		schemes := Schemes()
 		scheme := schemes[int(schemeByte)%len(schemes)]
 		policies := []Policy{RelaxedClose, RestrictedClose, OpenPage}
@@ -175,6 +191,6 @@ func FuzzTrafficConservation(f *testing.F) {
 		}
 		// A shorter window than the matrix test keeps fuzz iterations
 		// fast; the drain bound and invariants are identical.
-		driveRandomTraffic(t, cfg, seed, 4*12_000, int(rowPool))
+		driveRandomTraffic(t, cfg, seed, 4*12_000, int(rowPool), int(remerge))
 	})
 }

@@ -385,6 +385,26 @@ func queueLens(c *Controller) (reads, writes, forwards, banks int) {
 	return reads, writes, forwards, banks
 }
 
+// forkRestored copies generator g onto controller c, restored from a
+// SaveState payload of g's own controller, with a hash of its own.
+func forkRestored(t *testing.T, g *schedGen, c *Controller, saved []byte) *schedGen {
+	t.Helper()
+	g2 := *g
+	g2.h, g2.c = sha256.New(), c
+	g2.attach()
+	rd := checkpoint.NewReader(saved)
+	commit, err := c.RestoreState(rd, func(id uint64) (core.Done, bool) { return g2.done(id), true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rd.Done(); err != nil {
+		t.Fatal(err)
+	}
+	commit()
+	checkIndex(t, c)
+	return &g2
+}
+
 // TestCheckpointQueueBytes pins the serialized form of populated queues:
 // SaveState bytes at a mid-run point are golden (testdata/ckpt.golden),
 // Save -> Restore -> Save is byte-equal, and the restored controller
@@ -413,22 +433,11 @@ func TestCheckpointQueueBytes(t *testing.T) {
 	compareGolden(t, "ckpt.golden", fmt.Sprintf("%d bytes sha256 %x\n", len(saved), sha256.Sum256(saved)))
 
 	// Fork the generator onto a fresh controller restored from the bytes.
-	g2 := *g
-	g2.h = sha256.New()
-	var err error
-	if g2.c, err = New(cfg); err != nil {
-		t.Fatal(err)
-	}
-	g2.attach()
-	rd := checkpoint.NewReader(saved)
-	commit, err := g2.c.RestoreState(rd, func(id uint64) (core.Done, bool) { return g2.done(id), true })
+	fresh, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rd.Done(); err != nil {
-		t.Fatal(err)
-	}
-	commit()
+	g2 := forkRestored(t, g, fresh, saved)
 	var w2 checkpoint.Writer
 	g2.c.SaveState(&w2)
 	if !bytes.Equal(saved, w2.Bytes()) {
@@ -446,5 +455,52 @@ func TestCheckpointQueueBytes(t *testing.T) {
 	}
 	if s1, s2 := fmt.Sprintf("%+v", g.c.Stats()), fmt.Sprintf("%+v", g2.c.Stats()); s1 != s2 {
 		t.Errorf("restored statistics diverged:\n %s\n %s", s1, s2)
+	}
+}
+
+// TestRestoreIntoUsedController restores one checkpoint into a fresh
+// controller and into one that has run other traffic and still holds queued
+// requests, open rows and cached scheduling decisions for them. Nothing of
+// that may survive the restore: both must continue with the same command
+// stream and end in the same SaveState bytes.
+func TestRestoreIntoUsedController(t *testing.T) {
+	t.Parallel()
+	for _, policy := range []Policy{RelaxedClose, OpenPage} {
+		cfg := DefaultConfig()
+		cfg.Scheme, cfg.Policy = PRA, policy
+		g := newSchedGen(t, cfg, trClustered, 41)
+		cpu := g.run(t, 0, 20_001)
+		var w checkpoint.Writer
+		g.c.SaveState(&w)
+		saved := append([]byte(nil), w.Bytes()...)
+
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		used := newSchedGen(t, cfg, trSaturate, 7)
+		used.run(t, 0, 9_000)
+		if r, w, _, banks := queueLens(used.c); r < 8 || w < 2 || banks < 6 {
+			t.Fatalf("used controller not populated: %d reads, %d writes over %d banks", r, w, banks)
+		}
+		var ends [2][]byte
+		var sums [2][]byte
+		for i, c := range []*Controller{fresh, used.c} {
+			g2 := forkRestored(t, g, c, saved)
+			g2.cmds = 0
+			g2.drain(t, g2.run(t, cpu, 30_000))
+			if g2.cmds == 0 {
+				t.Fatal("no command after the restore")
+			}
+			var w checkpoint.Writer
+			c.SaveState(&w)
+			ends[i], sums[i] = w.Bytes(), g2.h.Sum(nil)
+		}
+		if !bytes.Equal(sums[0], sums[1]) {
+			t.Errorf("%v: command stream after restoring into a used controller differs from a fresh one", policy)
+		}
+		if !bytes.Equal(ends[0], ends[1]) {
+			t.Errorf("%v: SaveState bytes after restoring into a used controller differ from a fresh one", policy)
+		}
 	}
 }

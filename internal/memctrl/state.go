@@ -11,7 +11,8 @@ import (
 // oldest candidate, so order is simulation-visible), the forward list,
 // drain/refresh/hit bookkeeping, and the wake time. The bank index (lists,
 // arrival stamps, open-row summaries, rankCount) is rebuilt by re-pushing
-// the restored queues in file order.
+// the restored queues in file order, and every bank's cached scheduling
+// decision is invalidated.
 // Statistics and energy are not serialized: checkpoints are taken at the
 // warmup boundary, immediately after ResetStats.
 //
@@ -233,7 +234,11 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 				cc.banks[bi].same = [2]int{}
 				cc.banks[bi].hits = st.hitCount[bi]
 			}
-			cc.seq, cc.n, cc.nonEmpty, cc.hasSame = 0, [2]int{}, [2]uint64{}, [2]uint64{}
+			cc.seq, cc.n, cc.nonEmpty = 0, [2]int{}, [2]uint64{}
+			// Every cached decision predates the restored lists and open
+			// rows: all banks are stale (also the ones nothing is pushed
+			// to), and the next settle rebuilds every candidate set.
+			cc.stale = 1<<uint(len(cc.banks)) - 1
 			for ri := range cc.rankCount {
 				cc.rankCount[ri] = 0
 			}
