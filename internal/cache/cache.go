@@ -7,11 +7,12 @@
 // eviction to the memory controller where it becomes the PRA mask.
 //
 // The hierarchy is non-blocking: misses allocate MSHRs (merging waiters for
-// the same line), fills and hit completions are delivered through an event
-// queue, and writebacks are buffered until the memory controller accepts
-// them. The optional Dirty-Block Index (Seshadri et al., modelled for the
-// Figure 15 case study) proactively writes back all dirty L2 lines of a
-// DRAM row when any dirty line of that row is evicted.
+// the same line), hit completions are delivered through two FIFO lanes (one
+// per hit latency; fills are delivered by the backend), and writebacks are
+// buffered until the memory controller accepts them. The optional
+// Dirty-Block Index (Seshadri et al., modelled for the Figure 15 case study)
+// proactively writes back all dirty L2 lines of a DRAM row when any dirty
+// line of that row is evicted.
 package cache
 
 import (
@@ -74,6 +75,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: sets/ways must be positive")
 	case c.L1Sets&(c.L1Sets-1) != 0 || c.L2Sets&(c.L2Sets-1) != 0:
 		return fmt.Errorf("cache: set counts must be powers of two")
+	case c.L1Lat < 0:
+		return fmt.Errorf("cache: negative L1Lat %d", c.L1Lat)
+	case c.L2Lat < 0:
+		return fmt.Errorf("cache: negative L2Lat %d", c.L2Lat)
 	case c.MSHRs <= 0:
 		return fmt.Errorf("cache: MSHRs must be positive")
 	case c.DBI && c.RowKey == nil:
@@ -188,55 +193,59 @@ type event struct {
 	done core.Done
 }
 
-// eventQueue is a binary min-heap on at, hand-rolled over the concrete
-// event type so the hot schedule/deliver path pays no interface boxing
-// (container/heap allocates per Push) and no dynamic dispatch. The sift
-// loops compare and swap in exactly container/heap's order, so same-cycle
-// events pop in the same sequence the library heap produced — replacing
-// the implementation does not perturb run results.
-type eventQueue []event
+// The two completion lanes: every hit completion is scheduled at either
+// now+L1Lat or now+L1Lat+L2Lat, so with the non-decreasing now the run loop
+// supplies each lane is born sorted.
+const (
+	laneL1 = iota
+	laneL2
+	numLanes
+)
 
-// push appends e and sifts it up (container/heap.Push + up).
-func (q *eventQueue) push(e event) {
-	s := append(*q, e)
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if s[i].at <= s[j].at {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-	*q = s
+// lane is a ring of events kept sorted by at, equal cycles in arrival
+// order. push inserts from the tail, walking back only past predecessors
+// that are due later — never, for a monotone now, so push and pop are
+// O(1) — and stays correct (a stable insertion) for any other caller.
+type lane struct {
+	buf  []event // power-of-two length, or nil before the first push
+	head int
+	n    int
 }
 
-// pop removes and returns the minimum (container/heap.Pop: swap root to
-// the end, sift the new root down over the shortened prefix, detach).
-func (q *eventQueue) pop() event {
-	s := *q
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
+func (l *lane) push(e event) {
+	if l.n == len(l.buf) {
+		grown := make([]event, max(16, 2*len(l.buf)))
+		for i := 0; i < l.n; i++ {
+			grown[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
 		}
-		if j2 := j + 1; j2 < n && s[j2].at < s[j].at {
-			j = j2
-		}
-		if s[j].at >= s[i].at {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
+		l.buf, l.head = grown, 0
 	}
-	e := s[n]
-	s[n] = event{} // release the callback for GC
-	*q = s[:n]
+	mask := len(l.buf) - 1
+	i := (l.head + l.n) & mask
+	for k := l.n; k > 0; k-- {
+		p := (i - 1) & mask
+		if l.buf[p].at <= e.at {
+			break
+		}
+		l.buf[i] = l.buf[p]
+		i = p
+	}
+	l.buf[i] = e
+	l.n++
+}
+
+// pop removes the earliest event; the lane must be non-empty. The vacated
+// slot keeps its stale callback until overwritten: completions are the
+// cores' long-lived closures, so there is nothing to release to the GC.
+func (l *lane) pop() event {
+	e := l.buf[l.head]
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
 	return e
 }
+
+// nth returns the i-th earliest event.
+func (l *lane) nth(i int) event { return l.buf[(l.head+i)&(len(l.buf)-1)] }
 
 type waiter struct {
 	done      core.Done
@@ -290,7 +299,7 @@ type Hierarchy struct {
 	// ordering cannot influence simulation order.
 	mshr        []*missEntry
 	mshrPerCore []int
-	events      eventQueue
+	lanes       [numLanes]lane
 	wbs         []pendingWB
 	retryFills  []*missEntry
 	freeMiss    *missEntry // missEntry freelist
@@ -369,7 +378,7 @@ func (h *Hierarchy) access(coreID int, addr uint64, now int64, storeMask core.By
 		if storeMask != 0 {
 			h.dbiMark(id)
 		}
-		h.schedule(now+h.cfg.L1Lat, done)
+		h.lanes[laneL1].push(event{at: now + h.cfg.L1Lat, done: done})
 		return true
 	}
 	h.Stats.L1Misses++
@@ -378,7 +387,7 @@ func (h *Hierarchy) access(coreID int, addr uint64, now int64, storeMask core.By
 	if ln := h.l2.lookup(id, true); ln != nil {
 		h.Stats.L2Hits++
 		h.fillL1(coreID, id, storeMask)
-		h.schedule(now+h.cfg.L1Lat+h.cfg.L2Lat, done)
+		h.lanes[laneL2].push(event{at: now + h.cfg.L1Lat + h.cfg.L2Lat, done: done})
 		return true
 	}
 	h.Stats.L2Misses++
@@ -645,17 +654,18 @@ func (h *Hierarchy) dbiSweepKey(k uint64) {
 
 // --- event processing ---
 
-func (h *Hierarchy) schedule(at int64, done core.Done) {
-	h.events.push(event{at: at, done: done})
-}
-
 // Tick delivers due completions and retries refused backend operations.
 // Call once per CPU cycle.
 func (h *Hierarchy) Tick(now int64) {
 	h.now = now
-	for len(h.events) > 0 && h.events[0].at <= now {
-		e := h.events.pop()
-		e.done.Fn(e.at)
+	if h.queued() > 0 {
+		for i := range h.lanes {
+			l := &h.lanes[i]
+			for l.n > 0 && l.buf[l.head].at <= now {
+				e := l.pop()
+				e.done.Fn(e.at)
+			}
+		}
 	}
 	if len(h.retryFills) > 0 {
 		keep := h.retryFills[:0]
@@ -696,7 +706,7 @@ func (h *Hierarchy) ResetStats() {
 }
 
 // NextEvent reports the earliest CPU cycle at which the hierarchy's state
-// can change without new input: the head of the completion-event heap, or
+// can change without new input: the earlier head of the completion lanes, or
 // the very next cycle while refused backend operations (fill retries,
 // buffered writebacks) are pending — those retry every Tick, and each
 // attempt bumps the controller's reject counters, so skipping them would
@@ -707,18 +717,24 @@ func (h *Hierarchy) NextEvent(now int64) int64 {
 	if len(h.retryFills) > 0 || len(h.wbs) > 0 {
 		return now + 1
 	}
-	if len(h.events) > 0 {
-		if at := h.events[0].at; at > now {
-			return at
+	next := int64(core.FarFuture)
+	if h.queued() > 0 {
+		for i := range h.lanes {
+			if l := &h.lanes[i]; l.n > 0 {
+				next = min(next, max(l.buf[l.head].at, now+1))
+			}
 		}
-		return now + 1
 	}
-	return core.FarFuture
+	return next
 }
+
+// queued returns the number of scheduled completions; the empty case is
+// the common one on memory-bound runs and is kept to one test.
+func (h *Hierarchy) queued() int { return h.lanes[laneL1].n + h.lanes[laneL2].n }
 
 // Drain returns whether any miss, event, or writeback is still in flight.
 func (h *Hierarchy) Drain() bool {
-	return len(h.mshr) > 0 || len(h.events) > 0 || len(h.wbs) > 0 || len(h.retryFills) > 0
+	return len(h.mshr) > 0 || h.queued() > 0 || len(h.wbs) > 0 || len(h.retryFills) > 0
 }
 
 // FlushDirty writes back every dirty line (L1 merged into L2 first). Used

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 
 	"pradram/internal/core"
@@ -72,25 +73,33 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
-	bad := good
-	bad.Cores = 0
-	if bad.Validate() == nil {
-		t.Error("zero cores must fail")
+	// Each row breaks one field of the default; the error must mention want.
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"zero cores", func(c *Config) { c.Cores = 0 }, "core"},
+		{"non-power-of-two sets", func(c *Config) { c.L1Sets = 100 }, "powers of two"},
+		{"zero MSHRs", func(c *Config) { c.MSHRs = 0 }, "MSHRs"},
+		{"DBI without RowKey", func(c *Config) { c.DBI = true }, "RowKey"},
+		{"negative L1 latency", func(c *Config) { c.L1Lat = -1 }, "L1Lat"},
+		{"negative L2 latency", func(c *Config) { c.L2Lat = -20 }, "L2Lat"},
+	} {
+		bad := good
+		tc.mutate(&bad)
+		err := bad.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		if _, err := New(bad, newFakeMem()); err == nil {
+			t.Errorf("%s: New must reject the config", tc.name)
+		}
 	}
-	bad = good
-	bad.L1Sets = 100 // not a power of two
-	if bad.Validate() == nil {
-		t.Error("non-power-of-two sets must fail")
-	}
-	bad = good
-	bad.MSHRs = 0
-	if bad.Validate() == nil {
-		t.Error("zero MSHRs must fail")
-	}
-	bad = good
-	bad.DBI = true
-	if bad.Validate() == nil {
-		t.Error("DBI without RowKey must fail")
+	zero := good
+	zero.L1Lat, zero.L2Lat = 0, 0
+	if err := zero.Validate(); err != nil {
+		t.Errorf("zero latencies are legal: %v", err)
 	}
 	if _, err := New(good, nil); err == nil {
 		t.Error("nil backend must fail")

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"slices"
 	"strconv"
 
@@ -10,11 +11,13 @@ import (
 
 // Checkpointing (DESIGN.md §4e). The hierarchy serializes cache contents
 // (lines, LRU state), the miss machinery (MSHRs, waiters, the completion
-// event heap, refused-operation retry lists), and the DBI index. Slices
-// and the event heap's backing array are written verbatim — restoring them
-// in the stored order preserves delivery order exactly, so a restored run
-// is bit-identical to the monolithic one. Map contents (the DBI) are
-// written in sorted key order so identical states produce identical bytes.
+// lanes, refused-operation retry lists), and the DBI index. Slices are
+// written verbatim and each lane in delivery order from its head —
+// restoring them in the stored order preserves delivery order exactly, so
+// a restored run is bit-identical to the monolithic one, and the bytes do
+// not depend on how a ring happened to be rotated. Map contents (the DBI)
+// are written in sorted key order so identical states produce identical
+// bytes.
 //
 // Statistics are NOT serialized: checkpoints are taken at the warmup
 // boundary, immediately after ResetStats, so a freshly built hierarchy
@@ -102,13 +105,14 @@ func (h *Hierarchy) SaveState(w *checkpoint.Writer) {
 	for _, n := range h.mshrPerCore {
 		w.Int(n)
 	}
-	// The event heap's backing array verbatim: the heap invariant is
-	// position-independent, and same-cycle pop order depends on the exact
-	// array layout, so no re-heapify on restore.
-	w.Count(len(h.events))
-	for _, e := range h.events {
-		w.I64(e.at)
-		saveTag(w, e.done.Tag)
+	for i := range h.lanes {
+		l := &h.lanes[i]
+		w.Count(l.n)
+		for j := 0; j < l.n; j++ {
+			e := l.nth(j)
+			w.I64(e.at)
+			saveTag(w, e.done.Tag)
+		}
 	}
 	w.Count(len(h.wbs))
 	for _, wb := range h.wbs {
@@ -223,14 +227,21 @@ func (h *Hierarchy) RestoreState(r *checkpoint.Reader, resolve func(core.DoneTag
 			r.Fail("cache: core %d MSHR count %d of %d", i, perCore[i], h.cfg.MSHRs)
 		}
 	}
-	events := make(eventQueue, r.Count())
-	for i := range events {
-		at := r.I64()
-		tag := readTag(r)
-		if r.Err() != nil {
-			continue
+	var lanes [numLanes]lane
+	for i := range lanes {
+		prev := int64(math.MinInt64)
+		for n := r.Count(); n > 0; n-- {
+			at := r.I64()
+			tag := readTag(r)
+			if r.Err() == nil && at < prev {
+				r.Fail("cache: lane %d completion at %d after one at %d", i, at, prev)
+			}
+			if r.Err() != nil {
+				break
+			}
+			prev = at
+			lanes[i].push(event{at: at, done: resolveOrFail(tag)})
 		}
-		events[i] = event{at: at, done: resolveOrFail(tag)}
 	}
 	wbs := make([]pendingWB, r.Count())
 	for i := range wbs {
@@ -297,7 +308,7 @@ func (h *Hierarchy) RestoreState(r *checkpoint.Reader, resolve func(core.DoneTag
 		h.mshr = make([]*missEntry, len(entries), h.cfg.Cores*h.cfg.MSHRs)
 		copy(h.mshr, entries)
 		copy(h.mshrPerCore, perCore)
-		h.events = events
+		h.lanes = lanes
 		h.wbs = wbs
 		h.retryFills = retries
 		h.freeMiss = nil

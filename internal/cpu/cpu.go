@@ -20,8 +20,14 @@ import (
 type OpKind uint8
 
 const (
+	// Compute is a non-memory instruction: it completes at dispatch and
+	// only occupies a ROB slot until it retires.
 	Compute OpKind = iota
+	// Load reads Op.Addr through the hierarchy and blocks retirement until
+	// the hierarchy answers.
 	Load
+	// Store writes Op.Bytes of the line at Op.Addr; it retires at once and
+	// holds a store-queue entry until the hierarchy completes it.
 	Store
 )
 
@@ -70,20 +76,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-type robEntry struct {
-	done       bool
-	retiredOut bool      // left the ROB while still the dependence anchor
-	next       *robEntry // freelist link while recycled
-	// serial is the per-core dispatch serial of the in-flight load bound
-	// to this entry; it is the checkpoint identity (core.DoneLoad tag) of
-	// the completion the hierarchy holds for it.
-	serial uint64
-	// onDone is the completion callback bound to this entry for its whole
-	// pooled lifetime — entries recycle through the freelist, so the
-	// closure is allocated once per physical entry, not once per load.
-	onDone func(at int64)
-}
-
 // Core is one out-of-order core.
 type Core struct {
 	ID  int
@@ -91,22 +83,35 @@ type Core struct {
 	gen Generator
 	mem MemPort
 
-	// The ROB is a fixed ring of entry pointers; entries are recycled
-	// through a freelist once retired (a retired entry is never touched
-	// by callbacks again: loads only retire after their callback ran).
-	rob        []*robEntry
+	// The ROB is a ring of cfg.ROB slots held as parallel arrays. done[i]
+	// is the slot's completion flag; serial[i] is the per-core dispatch
+	// serial of the load last dispatched into it — the checkpoint identity
+	// (core.DoneLoad tag) of the completion the hierarchy holds for it —
+	// and is stale once a compute op or store reuses the slot; onDone[i]
+	// is the slot's load-completion callback, built once in New. A slot is
+	// only reused after its occupant retired, and a load retires only
+	// after its callback ran, so a callback never lands on a new occupant.
+	done       []bool
+	serial     []uint64
+	onDone     []func(at int64)
 	head, tail int // ring indices; count tracks occupancy
 	count      int
-	free       *robEntry
 
-	ldqUsed  int
-	stqUsed  int
-	lastLoad *robEntry // most recently dispatched load (for Dep)
+	ldqUsed int
+	stqUsed int
 
-	// loadSerial numbers load dispatches; each accepted load's ROB entry
+	// loadSerial numbers load dispatches; each accepted load's ROB slot
 	// records the serial it was issued under, giving every in-flight load
 	// completion a stable identity across checkpoint save/restore.
 	loadSerial uint64
+
+	// lastSlot is the slot the most recent load — serial loadSerial-1 — was
+	// dispatched into (-1 before the first). A dependent load waits while
+	// that load is in flight: while the slot still holds its serial and is
+	// not done. Once the load has retired the slot is either untouched
+	// (done), reused by a compute op or store (done), or written by a load
+	// attempt the hierarchy refused (serial loadSerial).
+	lastSlot int
 
 	pending    Op // a fetched but not yet dispatched op
 	hasPending bool
@@ -138,48 +143,24 @@ func New(id int, cfg Config, gen Generator, mem MemPort) (*Core, error) {
 	if gen == nil || mem == nil {
 		return nil, fmt.Errorf("cpu: generator and memory port are required")
 	}
-	c := &Core{ID: id, cfg: cfg, gen: gen, mem: mem, rob: make([]*robEntry, cfg.ROB)}
+	c := &Core{ID: id, cfg: cfg, gen: gen, mem: mem, lastSlot: -1,
+		done: make([]bool, cfg.ROB), serial: make([]uint64, cfg.ROB), onDone: make([]func(int64), cfg.ROB)}
 	c.storeDone = func(int64) {
 		c.stqUsed--
 		c.idle = false
 	}
-	// Seed the freelist from one contiguous slab: at most ROB entries are
-	// live plus the retired dependence anchor, so alloc never grows the
-	// pool and the retire scan walks adjacent memory.
-	slab := make([]robEntry, cfg.ROB+1)
-	for i := range slab {
-		e := &slab[i]
-		e.onDone = func(int64) {
-			e.done = true
+	for i := range c.onDone {
+		c.onDone[i] = func(int64) {
+			c.done[i] = true
 			c.ldqUsed--
 			c.idle = false
 		}
-		e.next = c.free
-		c.free = e
 	}
 	return c, nil
 }
 
-func (c *Core) alloc(done bool) *robEntry {
-	e := c.free
-	if e == nil {
-		e = &robEntry{}
-		e.onDone = func(int64) {
-			e.done = true
-			c.ldqUsed--
-			c.idle = false
-		}
-	} else {
-		c.free = e.next
-		e.next = nil
-	}
-	e.done = done
-	e.retiredOut = false
-	return e
-}
-
-func (c *Core) push(e *robEntry) {
-	c.rob[c.tail] = e
+// push enters the instruction bound to the tail slot into the ROB.
+func (c *Core) push() {
 	if c.tail++; c.tail == c.cfg.ROB {
 		c.tail = 0 // branch instead of modulo: ROB size is not a power of two
 	}
@@ -236,25 +217,21 @@ func (c *Core) Quiescent() bool { return c.idle }
 // retire retires up to Width completed instructions in order.
 func (c *Core) retire() int {
 	retired := 0
-	for retired < c.cfg.Width && c.count > 0 && c.rob[c.head].done {
-		e := c.rob[c.head]
-		c.rob[c.head] = nil
+	for retired < c.cfg.Width && c.count > 0 && c.done[c.head] {
 		if c.head++; c.head == c.cfg.ROB {
 			c.head = 0
 		}
 		c.count--
 		retired++
-		// Recycle unless it is the dependence anchor for the next load;
-		// the anchor is marked and recycled when a newer load replaces it.
-		if e != c.lastLoad {
-			e.next = c.free
-			c.free = e
-		} else {
-			e.retiredOut = true
-		}
 	}
 	c.Retired += int64(retired)
 	return retired
+}
+
+// loadInFlight reports whether the most recently dispatched load has not
+// completed yet (the pointer-chase condition; see lastSlot).
+func (c *Core) loadInFlight() bool {
+	return c.lastSlot >= 0 && c.serial[c.lastSlot] == c.loadSerial-1 && !c.done[c.lastSlot]
 }
 
 // dispatch dispatches up to Width new instructions, returning how many
@@ -272,32 +249,29 @@ func (c *Core) dispatch(now int64) int {
 		op := &c.pending
 		switch op.Kind {
 		case Compute:
-			c.push(c.alloc(true))
+			c.done[c.tail] = true
+			c.push()
 			c.ComputeOps++
 		case Load:
-			if op.Dep && c.lastLoad != nil && !c.lastLoad.done {
+			if op.Dep && c.loadInFlight() {
 				return n // address not ready: pointer chase stalls dispatch
 			}
-			e := c.alloc(false)
 			if c.ldqUsed >= c.cfg.LDQ {
-				e.next, c.free = c.free, e
 				return n
 			}
-			e.serial = c.loadSerial
-			done := core.Done{Fn: e.onDone, Tag: core.DoneTag{Kind: core.DoneLoad, Core: int32(c.ID), Serial: e.serial}}
+			// Bind the slot before the call: the port may complete the
+			// load from inside it. A refusal leaves the free tail slot
+			// with a serial no load owns.
+			slot := c.tail
+			c.done[slot], c.serial[slot] = false, c.loadSerial
+			done := core.Done{Fn: c.onDone[slot], Tag: core.DoneTag{Kind: core.DoneLoad, Core: int32(c.ID), Serial: c.loadSerial}}
 			if !c.mem.Load(c.ID, op.Addr, now, done) {
-				e.next, c.free = c.free, e
 				return n // hierarchy refused; retry next cycle
 			}
+			c.lastSlot = slot
 			c.loadSerial++
 			c.ldqUsed++
-			c.push(e)
-			if old := c.lastLoad; old != nil && old.retiredOut {
-				old.retiredOut = false
-				old.next = c.free
-				c.free = old
-			}
-			c.lastLoad = e
+			c.push()
 			c.Loads++
 		case Store:
 			if c.stqUsed >= c.cfg.STQ {
@@ -310,7 +284,8 @@ func (c *Core) dispatch(now int64) int {
 			c.stqUsed++
 			// Stores retire immediately (they drain from the store queue
 			// in the background); the STQ bound models the backpressure.
-			c.push(c.alloc(true))
+			c.done[c.tail] = true
+			c.push()
 			c.Stores++
 		}
 		c.hasPending = false

@@ -26,11 +26,9 @@ func TestResetStatsKeepsPipeline(t *testing.T) {
 	}
 }
 
-func TestFreelistRecyclesEntries(t *testing.T) {
-	// A long compute stream must not grow memory per instruction: the
-	// freelist recycles ROB entries. Indirectly verified via the ring
-	// never exceeding the ROB and the core staying correct over many
-	// cycles.
+func TestRingRecyclesSlots(t *testing.T) {
+	// A long compute stream wraps the ring many times: occupancy must
+	// never exceed the ROB and the core must stay correct throughout.
 	c, _ := New(0, DefaultConfig(), &scriptGen{}, &fakeMem{})
 	run(c, 5000)
 	if c.count > c.cfg.ROB {

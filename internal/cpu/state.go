@@ -6,48 +6,29 @@ import (
 )
 
 // Checkpointing (DESIGN.md §4e). The core's dynamic state is the ROB ring
-// (entry completion flags and load serials), the queue occupancy counters,
-// the pre-fetched pending op, and the retirement statistics. The ROB is
-// canonicalized to start at index 0 on save so two identical pipeline
-// states produce identical bytes regardless of how the ring happened to be
-// rotated. Completion callbacks held by the cache hierarchy are not saved
-// here — they are tagged (core.DoneTag) and rebound through the resolver
+// (slot completion flags and in-flight load serials), the queue occupancy
+// counters, the pre-fetched pending op, and the retirement statistics. The
+// ROB is canonicalized on save — written from the head as if the head were
+// slot 0, with the stale serial of a done slot written as 0 — so two
+// identical pipeline states produce identical bytes regardless of how the
+// ring happened to be rotated or what its slots held before. The pointer-
+// chase anchor is not saved: it matters only while the last load is in
+// flight, and that load is the one in-flight serial equal to loadSerial-1.
+// Completion callbacks held by the cache hierarchy are not saved here —
+// they are tagged (core.DoneTag) and rebound through the resolver
 // RestoreState returns.
-
-// lastLoad encodings beyond ring offsets (see SaveState).
-const (
-	lastLoadNil    = -2 // no dependence anchor
-	lastLoadAnchor = -1 // anchor retired out of the ROB but still live
-)
 
 // SaveState appends the core's dynamic state.
 func (c *Core) SaveState(w *checkpoint.Writer) {
 	w.Int(c.count)
 	for i := 0; i < c.count; i++ {
-		e := c.rob[(c.head+i)%c.cfg.ROB]
-		w.Bool(e.done)
-		w.U64(e.serial)
-	}
-	// The dependence anchor is either nil, an entry inside the ring
-	// (encoded as its offset from head), or an entry that retired out.
-	last := int64(lastLoadNil)
-	if c.lastLoad != nil {
-		if c.lastLoad.retiredOut {
-			last = lastLoadAnchor
+		slot := (c.head + i) % c.cfg.ROB
+		w.Bool(c.done[slot])
+		if c.done[slot] {
+			w.U64(0)
 		} else {
-			last = lastLoadNil
-			for i := 0; i < c.count; i++ {
-				if c.rob[(c.head+i)%c.cfg.ROB] == c.lastLoad {
-					last = int64(i)
-					break
-				}
-			}
+			w.U64(c.serial[slot])
 		}
-	}
-	w.I64(last)
-	if last == lastLoadAnchor {
-		w.Bool(c.lastLoad.done)
-		w.U64(c.lastLoad.serial)
 	}
 	w.Int(c.ldqUsed)
 	w.Int(c.stqUsed)
@@ -70,45 +51,21 @@ func (c *Core) SaveState(w *checkpoint.Writer) {
 // RestoreState decodes a SaveState payload. It returns a commit that
 // installs the state (head canonicalized to 0) and a resolver mapping the
 // completion tags the hierarchy holds for this core — in-flight load
-// serials and the shared store completion — back to callbacks bound to
-// the restored entries. The resolver is valid immediately (it closes over
-// the decoded entries); the commit must still run for those entries to
-// become the live ROB. On error the core is untouched.
+// serials and the shared store completion — back to the callbacks of the
+// slots the commit will put those loads in. The resolver is valid
+// immediately; the commit must still run for the decoded flags to become
+// the live ROB. On error the core is untouched.
 func (c *Core) RestoreState(r *checkpoint.Reader) (func(), func(tag core.DoneTag) (core.Done, bool), error) {
 	count := r.Int()
 	if count < 0 || count > c.cfg.ROB {
 		r.Fail("cpu %d: ROB count %d of %d", c.ID, count, c.cfg.ROB)
 		count = 0
 	}
-	entries := make([]*robEntry, count)
-	slab := make([]robEntry, count)
-	for i := range entries {
-		e := &slab[i]
-		e.onDone = func(int64) {
-			e.done = true
-			c.ldqUsed--
-			c.idle = false
-		}
-		e.done = r.Bool()
-		e.serial = r.U64()
-		entries[i] = e
-	}
-	last := r.I64()
-	var anchor *robEntry
-	switch {
-	case last == lastLoadNil:
-	case last == lastLoadAnchor:
-		anchor = &robEntry{retiredOut: true}
-		anchor.onDone = func(int64) {
-			anchor.done = true
-			c.ldqUsed--
-			c.idle = false
-		}
-		anchor.done = r.Bool()
-		anchor.serial = r.U64()
-	case last >= 0 && last < int64(count):
-	default:
-		r.Fail("cpu %d: lastLoad code %d with %d entries", c.ID, last, count)
+	done := make([]bool, c.cfg.ROB)
+	serial := make([]uint64, c.cfg.ROB)
+	for i := 0; i < count; i++ {
+		done[i] = r.Bool()
+		serial[i] = r.U64()
 	}
 	ldqUsed := r.Int()
 	stqUsed := r.Int()
@@ -142,46 +99,31 @@ func (c *Core) RestoreState(r *checkpoint.Reader) (func(), func(tag core.DoneTag
 			return core.Done{Fn: c.storeDone, Tag: tag}, true
 		case core.DoneLoad:
 			// Serials are unique among in-flight loads (assigned at
-			// dispatch, and an entry only recycles after completion), so
-			// a linear scan is unambiguous.
-			for _, e := range entries {
-				if !e.done && e.serial == tag.Serial {
-					return core.Done{Fn: e.onDone, Tag: tag}, true
+			// dispatch, and a slot is only reused after completion), so a
+			// linear scan is unambiguous.
+			for i := 0; i < count; i++ {
+				if !done[i] && serial[i] == tag.Serial {
+					return core.Done{Fn: c.onDone[i], Tag: tag}, true
 				}
-			}
-			if anchor != nil && !anchor.done && anchor.serial == tag.Serial {
-				return core.Done{Fn: anchor.onDone, Tag: tag}, true
 			}
 		}
 		return core.Done{}, false
 	}
 
 	commit := func() {
-		// Rebuild the ring canonicalized at head 0 and reseed the
-		// freelist with fresh spares (old entries are garbage once the
-		// hierarchy's rebound callbacks replace theirs).
-		c.rob = make([]*robEntry, c.cfg.ROB)
-		copy(c.rob, entries)
+		// The per-slot callbacks write c.done through the field, so
+		// replacing the arrays rebinds them to the restored ring.
+		c.done, c.serial = done, serial
 		c.head = 0
 		c.tail = count % c.cfg.ROB
 		c.count = count
-		c.free = nil
-		spare := make([]robEntry, c.cfg.ROB+1-count)
-		for i := range spare {
-			e := &spare[i]
-			e.onDone = func(int64) {
-				e.done = true
-				c.ldqUsed--
-				c.idle = false
+		// The last load matters only while it is in flight, and then it
+		// is the in-flight load with the newest serial.
+		c.lastSlot = -1
+		for i := 0; i < count; i++ {
+			if !done[i] && serial[i] == loadSerial-1 {
+				c.lastSlot = i
 			}
-			e.next = c.free
-			c.free = e
-		}
-		c.lastLoad = nil
-		if last == lastLoadAnchor {
-			c.lastLoad = anchor
-		} else if last >= 0 {
-			c.lastLoad = entries[last]
 		}
 		c.ldqUsed = ldqUsed
 		c.stqUsed = stqUsed

@@ -131,7 +131,7 @@ func WarmupFingerprint(cfg Config) (string, bool) {
 // by ModelVersion, which is embedded alongside.
 const (
 	ckptMagic  = "pradram-ckpt"
-	ckptFormat = 4 // v4: per-request latency-attribution mark + breakdown
+	ckptFormat = 5 // v5: cache completion lanes in order, each count + (at, tag); cpu ROB from head 0, serial 0 for done slots, no last-load/anchor record
 )
 
 // Checkpoint serializes the system's complete post-warmup state. It must

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -401,6 +403,34 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	}
 	if err := s3.Restore(data); err == nil {
 		t.Error("restore into a non-checkpointable config must fail")
+	}
+
+	// A file of the previous container format (same header, the byte after
+	// the magic one lower, CRC valid) holds the cache's event heap and the
+	// cpu's anchor record where v5 has lanes and none: it must be refused
+	// by number before any component decodes it, and the system must then
+	// warm cold to the monolithic result.
+	old := append([]byte(nil), data[:len(data)-4]...)
+	formatAt := 8 + len(ckptMagic) // u64 length prefix, then the magic
+	if old[formatAt] != ckptFormat {
+		t.Fatalf("format byte not at offset %d", formatAt)
+	}
+	old[formatAt] = ckptFormat - 1
+	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+	s4, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s4.Restore(old)
+	if want := fmt.Sprintf("sim: checkpoint format %d, want %d", ckptFormat-1, ckptFormat); err == nil || err.Error() != want {
+		t.Errorf("restore of an old-format file: %v, want %q", err, want)
+	}
+	got, err := s4.Run()
+	if err != nil {
+		t.Fatalf("cold warmup after an old-format file: %v", err)
+	}
+	if want, err := RunOne(cfg); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("cold warmup after an old-format file diverged from the monolithic run (err %v)", err)
 	}
 }
 
