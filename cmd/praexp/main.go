@@ -51,24 +51,44 @@ import (
 	"pradram/internal/sim"
 )
 
-func main() {
-	var (
-		expID    = flag.String("exp", "all", "experiment id (see -list) or 'all'")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		instr    = flag.Int64("instr", 400_000, "measured instructions per core")
-		warmup   = flag.Int64("warmup", 400_000, "warmup instructions per core")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "max simulations in flight (worker pool size)")
-		cacheDir = flag.String("cache", "", "on-disk result cache directory (empty = disabled)")
-		quiet    = flag.Bool("q", false, "suppress the stderr progress line")
-		noskip   = flag.Bool("noskip", false, "disable event-driven cycle skipping (identical results, slower campaign)")
-		httpAddr = flag.String("http", "", "serve live campaign progress and pprof on this address (e.g. :6060)")
-		ckptDir  = flag.String("ckpt-dir", "", "persist warmup checkpoints in this directory so later invocations restore instead of re-warming (empty = in-memory reuse only)")
-		nockpt   = flag.Bool("nockpt", false, "disable warmup checkpoint reuse (identical results, every run warms from scratch)")
-	)
-	flag.Parse()
+// options is a parsed command line: what to run, and the budget and caches
+// the runner is built from.
+type options struct {
+	exp         string
+	list, quiet bool
+	httpAddr    string
+	run         sim.ExpOptions // Progress is attached by main
+}
 
-	if *list {
+// parseArgs registers the flags on fs, parses args and validates the
+// runner's options.
+func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.exp, "exp", "all", "experiment id (see -list) or 'all'")
+	fs.BoolVar(&o.list, "list", false, "list experiment ids and exit")
+	fs.Int64Var(&o.run.Instr, "instr", 400_000, "measured instructions per core")
+	fs.Int64Var(&o.run.Warmup, "warmup", 400_000, "warmup instructions per core")
+	fs.Uint64Var(&o.run.Seed, "seed", 1, "workload seed")
+	fs.IntVar(&o.run.Workers, "j", runtime.GOMAXPROCS(0), "max simulations in flight (worker pool size)")
+	fs.StringVar(&o.run.CacheDir, "cache", "", "on-disk result cache directory (empty = disabled)")
+	fs.BoolVar(&o.quiet, "q", false, "suppress the stderr progress line")
+	fs.BoolVar(&o.run.NoSkip, "noskip", false, "disable event-driven cycle skipping (identical results, slower campaign)")
+	fs.StringVar(&o.httpAddr, "http", "", "serve live campaign progress and pprof on this address (e.g. :6060)")
+	fs.StringVar(&o.run.CkptDir, "ckpt-dir", "", "persist warmup checkpoints in this directory so later invocations restore instead of re-warming (empty = in-memory reuse only)")
+	fs.BoolVar(&o.run.NoCheckpoint, "nockpt", false, "disable warmup checkpoint reuse (identical results, every run warms from scratch)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	return o, o.run.Validate()
+}
+
+func main() {
+	o, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "praexp:", err)
+		os.Exit(1)
+	}
+	if o.list {
 		for _, e := range sim.Experiments() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
@@ -81,19 +101,15 @@ func main() {
 	// stdout only, so redirected output is unchanged.
 	prog := obs.NewProgress()
 	stopReporter := func() {}
-	if !*quiet {
+	if !o.quiet {
 		stopReporter = prog.Reporter(os.Stderr, time.Second, "praexp")
 	}
 	defer stopReporter()
 
-	runner := sim.NewRunner(sim.ExpOptions{
-		Instr: *instr, Warmup: *warmup, Seed: *seed,
-		Workers: *workers, CacheDir: *cacheDir,
-		Progress: prog, NoSkip: *noskip,
-		CkptDir: *ckptDir, NoCheckpoint: *nockpt,
-	})
+	o.run.Progress = prog
+	runner := sim.NewRunner(o.run)
 
-	if *httpAddr != "" {
+	if o.httpAddr != "" {
 		srv := obs.NewServer()
 		srv.Publish("build", func() any { return sim.BuildInfo() })
 		srv.Publish("progress", func() any { return prog.Snapshot() })
@@ -104,7 +120,7 @@ func main() {
 			}
 		})
 		go func() {
-			if err := srv.ListenAndServe(*httpAddr); err != nil {
+			if err := srv.ListenAndServe(o.httpAddr); err != nil {
 				fmt.Fprintln(os.Stderr, "praexp: http:", err)
 			}
 		}()
@@ -122,7 +138,7 @@ func main() {
 	}
 
 	start := time.Now()
-	if *expID == "all" {
+	if o.exp == "all" {
 		// Warm the memo for the whole campaign in one wave, so the pool
 		// parallelizes across experiment boundaries too.
 		if err := runner.PrecomputeExperiments(sim.Experiments()); err != nil {
@@ -136,7 +152,7 @@ func main() {
 			}
 		}
 	} else {
-		e, err := sim.ExperimentByID(*expID)
+		e, err := sim.ExperimentByID(o.exp)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "praexp:", err)
 			os.Exit(1)
@@ -149,5 +165,5 @@ func main() {
 	stopReporter()
 	fmt.Fprintf(os.Stderr, "(total: %v, %d simulations run, %d disk-cache hits, %d warmups reused / %d cold, -j %d)\n",
 		time.Since(start).Round(time.Millisecond), runner.Simulations(), runner.DiskHits(),
-		runner.CheckpointHits(), runner.CheckpointMisses(), *workers)
+		runner.CheckpointHits(), runner.CheckpointMisses(), o.run.Workers)
 }

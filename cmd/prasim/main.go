@@ -69,54 +69,90 @@ import (
 	"pradram"
 	"pradram/internal/obs"
 	"pradram/internal/power"
+	"pradram/internal/sim"
 	"pradram/internal/stats"
 )
 
+// options is a parsed command line: one validated Config per run plus the
+// settings that belong to the binary rather than to a run.
+type options struct {
+	cfgs         []pradram.Config // one per run, in report order
+	list, asJSON bool
+	workers      int
+
+	ckptDir, traceOut, timeline, eventsOut, httpAddr string
+}
+
+// parseArgs registers the flags on fs, parses args and expands them into
+// the batch's Configs. Run flags bind straight to Config fields through
+// sim's flag table; the defaults below are this binary's.
+func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
+	cfg := pradram.DefaultConfig("GUPS")
+	cfg.InstrPerCore = 400_000
+	cfg.WarmupPerCore = 400_000
+	cfg.ActiveCores = 4
+	cfg.PDTimeout = 200
+	cfg.LatSpanEvery = 64         // -trace-sample; armed by -trace-out
+	cfg.Obs.EpochCycles = 100_000 // -epoch; armed by -timeline / -http
+	sim.BindFlags(fs, &cfg)
+
+	var o options
+	mixSpec := fs.String("mix", "", "run one custom co-run spec name[:count],... (e.g. gups:2,linkedlist:2); counts must sum to -cores")
+	fs.BoolVar(&o.list, "list", false, "list workloads and exit")
+	fs.BoolVar(&o.asJSON, "json", false, "emit machine-readable JSON instead of tables")
+	fs.IntVar(&o.workers, "j", runtime.GOMAXPROCS(0), "max simulations in flight for workload batches")
+	fs.StringVar(&o.ckptDir, "ckpt-dir", "", "persist warmup checkpoints in this directory and restore matching ones instead of re-warming (results are identical)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write sampled request spans as a Chrome/Perfetto trace JSON to this file (implies -latbreak)")
+	fs.StringVar(&o.timeline, "timeline", "", "write the per-epoch time-series to this file (.json for JSON, else CSV)")
+	fs.StringVar(&o.eventsOut, "events-out", "", "write the event trace to this file (otherwise dumped to stderr only on error)")
+	fs.StringVar(&o.httpAddr, "http", "", "serve live telemetry JSON and pprof on this address (e.g. :6060)")
+	if err := fs.Parse(args); err != nil || o.list {
+		return o, err
+	}
+
+	// The output flags arm what they export; unarmed, the sampling knobs
+	// stay off. An output whose source cannot be armed is an error, not an
+	// empty file.
+	if o.traceOut != "" {
+		cfg.LatBreak = true
+		if cfg.LatSpanEvery == 0 {
+			return o, fmt.Errorf("-trace-out needs a positive -trace-sample")
+		}
+	} else {
+		cfg.LatSpanEvery = 0
+	}
+	if o.timeline == "" && o.httpAddr == "" {
+		cfg.Obs.EpochCycles = 0
+	} else if o.timeline != "" && cfg.Obs.EpochCycles == 0 {
+		return o, fmt.Errorf("-timeline needs a positive -epoch")
+	}
+	if o.workers < 0 {
+		return o, fmt.Errorf("-j must be non-negative, got %d", o.workers)
+	}
+
+	names := strings.Split(cfg.Workload, ",")
+	if *mixSpec != "" {
+		// A co-run spec contains commas itself, so it cannot ride the
+		// comma-separated batch list; -mix submits the whole spec as one
+		// multi-program run instead.
+		names = []string{*mixSpec}
+	}
+	for _, name := range names {
+		cfg.Workload = strings.TrimSpace(name)
+		if err := cfg.Validate(); err != nil {
+			return o, err
+		}
+		o.cfgs = append(o.cfgs, cfg)
+	}
+	return o, nil
+}
+
 func main() {
-	var (
-		workloadName = flag.String("workload", "GUPS", "benchmark or MIXn (comma-separated for a batch; see -list)")
-		mixSpec      = flag.String("mix", "", "run one custom co-run spec name[:count],... (e.g. gups:2,linkedlist:2); counts must sum to -cores")
-		schemeName   = flag.String("scheme", "baseline", "baseline | fga | halfdram | pra | halfdram+pra")
-		policyName   = flag.String("policy", "relaxed", "relaxed | restricted")
-		dbi          = flag.Bool("dbi", false, "enable Dirty-Block-Index proactive writeback")
-		instr        = flag.Int64("instr", 400_000, "measured instructions per core")
-		warmup       = flag.Int64("warmup", 400_000, "warmup instructions per core")
-		cores        = flag.Int("cores", 4, "active cores")
-		seed         = flag.Uint64("seed", 1, "workload seed")
-		list         = flag.Bool("list", false, "list workloads and exit")
-		asJSON       = flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-		ecc          = flag.Bool("ecc", false, "model an x72 ECC DIMM (Section 4.2)")
-		workers      = flag.Int("j", runtime.GOMAXPROCS(0), "max simulations in flight for workload batches")
-		noskip       = flag.Bool("noskip", false, "disable event-driven cycle skipping (tick every CPU cycle; results are identical, runs are slower)")
-		channels     = flag.Int("channels", 0, "memory channels, power of two (0 = controller default; changes address decomposition, hence results)")
-		ckptDir      = flag.String("ckpt-dir", "", "persist warmup checkpoints in this directory and restore matching ones instead of re-warming (results are identical)")
-
-		pdPolicy  = flag.String("pd-policy", "immediate", "power-down entry policy: immediate | none | timeout | queue")
-		pdTimeout = flag.Int64("pd-timeout", 200, "idle memory cycles before power-down entry (timeout/queue policies)")
-		srTimeout = flag.Int64("sr-timeout", 0, "idle memory cycles before self-refresh entry (0 = never)")
-		pdSlow    = flag.Bool("pd-slow", false, "use slow-exit (DLL-off) precharge power-down: lower IDD2P, tXPDLL exit")
-		apd       = flag.Bool("apd", false, "allow active power-down (CKE low with banks open) under the relaxed-close policy")
-		refMode   = flag.String("refresh-mode", "allbank", "refresh management: allbank | perbank | elastic")
-
-		mitThreshold = flag.Int("mit-threshold", 0, "RowHammer Alert/RFM mitigation: per-row activation threshold (0 = off)")
-		mitAlert     = flag.Int64("mit-alert", 0, "alert back-off in memory cycles before the RFM issues (0 = default 144)")
-		mitTable     = flag.Int("mit-table", 0, "per-bank activation-counter table capacity (0 = default 512)")
-
-		powerCal = flag.String("power-cal", "", "report calibrated energy bands: none | vendor | ghose[:pct] (empty = nominal only)")
-
-		latBreak    = flag.Bool("latbreak", false, "attribute per-request latency to components (queue/bank/timing/refresh/pd/alert/xfer) and report the breakdown and tail percentiles (results are identical)")
-		traceOut    = flag.String("trace-out", "", "write sampled request spans as a Chrome/Perfetto trace JSON to this file (implies -latbreak)")
-		traceSample = flag.Int("trace-sample", 64, "with -trace-out, sample every Nth completed request into the span ring")
-
-		epoch     = flag.Int64("epoch", 100_000, "telemetry sampling epoch in DRAM cycles (used with -timeline / -http)")
-		timeline  = flag.String("timeline", "", "write the per-epoch time-series to this file (.json for JSON, else CSV)")
-		eventsLvl = flag.String("events", "off", "structured event trace: off | state | cmd")
-		eventsOut = flag.String("events-out", "", "write the event trace to this file (otherwise dumped to stderr only on error)")
-		httpAddr  = flag.String("http", "", "serve live telemetry JSON and pprof on this address (e.g. :6060)")
-	)
-	flag.Parse()
-
-	if *list {
+	o, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	if o.list {
 		fmt.Println("benchmarks:", pradram.Workloads())
 		fmt.Println("hammers:   ", pradram.Hammers())
 		fmt.Println("tensors:   ", pradram.Tensors())
@@ -125,70 +161,8 @@ func main() {
 		return
 	}
 
-	scheme, err := pradram.ParseScheme(*schemeName)
-	if err != nil {
-		fatal(err)
-	}
-	policy, err := pradram.ParsePolicy(*policyName)
-	if err != nil {
-		fatal(err)
-	}
-	pd, err := pradram.ParsePDPolicy(*pdPolicy)
-	if err != nil {
-		fatal(err)
-	}
-	rm, err := pradram.ParseRefreshMode(*refMode)
-	if err != nil {
-		fatal(err)
-	}
-	level, err := obs.ParseLevel(*eventsLvl)
-	if err != nil {
-		fatal(err)
-	}
-	obsCfg := pradram.ObsConfig{EventLevel: level}
-	if *timeline != "" || *httpAddr != "" {
-		obsCfg.EpochCycles = *epoch
-	}
-
-	names := strings.Split(*workloadName, ",")
-	if *mixSpec != "" {
-		// A co-run spec contains commas itself, so it cannot ride the
-		// comma-separated batch list; -mix submits the whole spec as one
-		// multi-program run instead.
-		names = []string{*mixSpec}
-	}
-
-	systems := make([]*pradram.System, len(names))
-	cfgs := make([]pradram.Config, len(names))
-	for i, name := range names {
-		names[i] = strings.TrimSpace(name)
-		cfg := pradram.DefaultConfig(names[i])
-		cfg.Scheme = scheme
-		cfg.Policy = policy
-		cfg.DBI = *dbi
-		cfg.ECC = *ecc
-		cfg.InstrPerCore = *instr
-		cfg.WarmupPerCore = *warmup
-		cfg.ActiveCores = *cores
-		cfg.Seed = *seed
-		cfg.NoSkip = *noskip
-		cfg.Channels = *channels
-		cfg.PDPolicy = pd
-		cfg.PDTimeout = *pdTimeout
-		cfg.SRTimeout = *srTimeout
-		cfg.PDSlowExit = *pdSlow
-		cfg.APD = *apd
-		cfg.RefreshMode = rm
-		cfg.MitThreshold = *mitThreshold
-		cfg.MitAlertCycles = *mitAlert
-		cfg.MitTableCap = *mitTable
-		cfg.PowerCal = *powerCal
-		cfg.Obs = obsCfg
-		cfg.LatBreak = *latBreak || *traceOut != ""
-		if *traceOut != "" {
-			cfg.LatSpanEvery = *traceSample
-		}
-		cfgs[i] = cfg
+	systems := make([]*pradram.System, len(o.cfgs))
+	for i, cfg := range o.cfgs {
 		if systems[i], err = pradram.NewSystem(cfg); err != nil {
 			fatal(err)
 		}
@@ -201,12 +175,12 @@ func main() {
 	if batch {
 		stopReporter = prog.Reporter(os.Stderr, time.Second, "prasim")
 	}
-	if *httpAddr != "" {
+	if o.httpAddr != "" {
 		srv := obs.NewServer()
 		srv.Publish("build", func() any { return pradram.BuildInfo() })
 		srv.Publish("progress", func() any { return prog.Snapshot() })
 		for i := range systems {
-			s, label := systems[i], names[i]
+			s, label := systems[i], o.cfgs[i].Workload
 			if batch {
 				label = fmt.Sprintf("%d-%s", i, label)
 			}
@@ -215,15 +189,15 @@ func main() {
 			}
 		}
 		go func() {
-			if err := srv.ListenAndServe(*httpAddr); err != nil {
+			if err := srv.ListenAndServe(o.httpAddr); err != nil {
 				fmt.Fprintln(os.Stderr, "prasim: http:", err)
 			}
 		}()
 	}
 
 	var store *pradram.CheckpointStore
-	if *ckptDir != "" {
-		store = pradram.NewCheckpointStore(*ckptDir)
+	if o.ckptDir != "" {
+		store = pradram.NewCheckpointStore(o.ckptDir)
 	}
 	var ckptHits, ckptCold atomic.Int64
 
@@ -231,11 +205,7 @@ func main() {
 	// in the order the workloads were given.
 	results := make([]pradram.Result, len(systems))
 	errs := make([]error, len(systems))
-	pool := *workers
-	if pool < 1 {
-		pool = 1
-	}
-	sem := make(chan struct{}, pool)
+	sem := make(chan struct{}, max(o.workers, 1))
 	var wg sync.WaitGroup
 	for i := range systems {
 		wg.Add(1)
@@ -245,7 +215,7 @@ func main() {
 			defer func() { <-sem }()
 			prog.Start()
 			defer prog.Done()
-			results[i], errs[i] = runSystem(systems[i], cfgs[i], store, &ckptHits, &ckptCold)
+			results[i], errs[i] = runSystem(systems[i], o.cfgs[i], store, &ckptHits, &ckptCold)
 		}(i)
 	}
 	wg.Wait()
@@ -264,15 +234,15 @@ func main() {
 			}
 			fatal(errs[i])
 		}
-		if err := dumpTelemetry(systems[i], names[i], *timeline, *eventsOut, batch); err != nil {
+		if err := dumpTelemetry(systems[i], o.cfgs[i].Workload, o.timeline, o.eventsOut, batch); err != nil {
 			fatal(err)
 		}
-		if *traceOut != "" {
-			if err := writeTrace(systems[i], names[i], *traceOut, batch); err != nil {
+		if o.traceOut != "" {
+			if err := writeTrace(systems[i], o.cfgs[i].Workload, o.traceOut, batch); err != nil {
 				fatal(err)
 			}
 		}
-		if *asJSON {
+		if o.asJSON {
 			if err := emitJSON(os.Stdout, res); err != nil {
 				fatal(err)
 			}

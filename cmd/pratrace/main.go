@@ -23,7 +23,6 @@ import (
 	"io"
 	"os"
 
-	"pradram"
 	"pradram/internal/memctrl"
 	"pradram/internal/obs"
 	"pradram/internal/sim"
@@ -31,110 +30,89 @@ import (
 	"pradram/internal/trace"
 )
 
+// options is a parsed command line: the mode, and the one Config both
+// modes read.
+type options struct {
+	// cfg is the recording configuration; a replay schedules under its
+	// controller knobs (scheme, policy, power-down and refresh management).
+	cfg                  sim.Config
+	record, replay, info string
+	compare              bool
+	httpAddr             string
+}
+
+// parseArgs registers the flags on fs and parses args. Run flags bind
+// straight to Config fields through sim's flag table; the defaults below
+// are this binary's.
+func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
+	o := options{cfg: sim.DefaultConfig("GUPS")}
+	o.cfg.InstrPerCore = 200_000
+	o.cfg.WarmupPerCore = 300_000
+	o.cfg.PDTimeout = 200
+	sim.BindFlags(fs, &o.cfg, "workload", "scheme", "policy", "instr", "warmup", "seed", "noskip",
+		"pd-policy", "pd-timeout", "sr-timeout", "pd-slow", "apd", "refresh-mode")
+	// Three of the shared flags mean something narrower here.
+	fs.Lookup("workload").Usage = "workload to record (a name or a name[:count],... mix spec)"
+	fs.Lookup("scheme").Usage = "scheme for -replay"
+	fs.Lookup("policy").Usage = "policy for -replay"
+
+	fs.StringVar(&o.record, "record", "", "record a trace from -workload into this file")
+	fs.StringVar(&o.replay, "replay", "", "replay the trace in this file")
+	fs.StringVar(&o.info, "info", "", "print the trace file's header and chunk index without decoding records")
+	fs.BoolVar(&o.compare, "compare", false, "replay under every scheme")
+	fs.StringVar(&o.httpAddr, "http", "", "serve pprof introspection on this address (e.g. :6060)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	modes := 0
+	for _, m := range []string{o.record, o.replay, o.info} {
+		if m != "" {
+			modes++
+		}
+	}
+	if modes > 1 {
+		return o, fmt.Errorf("-record, -replay and -info are mutually exclusive")
+	}
+	return o, o.cfg.Validate()
+}
+
 func main() {
-	var (
-		record       = flag.String("record", "", "record a trace from -workload into this file")
-		replay       = flag.String("replay", "", "replay the trace in this file")
-		info         = flag.String("info", "", "print the trace file's header and chunk index without decoding records")
-		workloadName = flag.String("workload", "GUPS", "workload to record (a name or a name[:count],... mix spec)")
-		schemeName   = flag.String("scheme", "baseline", "scheme for -replay")
-		policyName   = flag.String("policy", "relaxed", "policy for -replay")
-		compare      = flag.Bool("compare", false, "replay under every scheme")
-		instr        = flag.Int64("instr", 200_000, "instructions per core to record")
-		warmup       = flag.Int64("warmup", 300_000, "warmup instructions per core")
-		seed         = flag.Uint64("seed", 1, "workload seed")
-		noskip       = flag.Bool("noskip", false, "disable event-driven cycle skipping in both record and replay (identical results, slower runs)")
-		httpAddr     = flag.String("http", "", "serve pprof introspection on this address (e.g. :6060)")
-
-		pdPolicyName = flag.String("pd-policy", "immediate", "power-down entry policy: immediate | none | timeout | queue")
-		pdTimeout    = flag.Int64("pd-timeout", 200, "idle memory cycles before power-down entry (timeout/queue policies)")
-		srTimeout    = flag.Int64("sr-timeout", 0, "idle memory cycles before self-refresh entry (0 = never)")
-		pdSlow       = flag.Bool("pd-slow", false, "use slow-exit (DLL-off) precharge power-down")
-		apd          = flag.Bool("apd", false, "allow active power-down (CKE low with banks open)")
-		refModeName  = flag.String("refresh-mode", "allbank", "refresh management: allbank | perbank | elastic")
-	)
-	flag.Parse()
-
-	pdPolicy, err := pradram.ParsePDPolicy(*pdPolicyName)
+	o, err := parseArgs(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fatal(err)
 	}
-	refMode, err := pradram.ParseRefreshMode(*refModeName)
-	if err != nil {
-		fatal(err)
-	}
-	// lowPower is the power-management configuration both the record and
-	// replay paths apply — the recorded trace's timing and every replay's
-	// scheduling honour the same FSMs.
-	lowPower := lowPowerFlags{
-		policy: pdPolicy, pdTimeout: *pdTimeout, srTimeout: *srTimeout,
-		slowExit: *pdSlow, apd: *apd, refMode: refMode,
-	}
 
-	if *httpAddr != "" {
+	if o.httpAddr != "" {
 		srv := obs.NewServer()
-		srv.Publish("build", func() any { return pradram.BuildInfo() })
+		srv.Publish("build", func() any { return sim.BuildInfo() })
 		go func() {
-			if err := srv.ListenAndServe(*httpAddr); err != nil {
+			if err := srv.ListenAndServe(o.httpAddr); err != nil {
 				fmt.Fprintln(os.Stderr, "pratrace: http:", err)
 			}
 		}()
 	}
 
 	switch {
-	case *record != "":
-		if err := doRecord(*record, *workloadName, *instr, *warmup, *seed, *noskip, lowPower); err != nil {
-			fatal(err)
-		}
-	case *info != "":
-		if err := doInfo(*info); err != nil {
-			fatal(err)
-		}
-	case *replay != "":
-		if err := doReplay(*replay, *schemeName, *policyName, *compare, *noskip, lowPower); err != nil {
-			fatal(err)
-		}
+	case o.record != "":
+		err = doRecord(o.record, o.cfg)
+	case o.info != "":
+		err = doInfo(o.info)
+	case o.replay != "":
+		err = doReplay(o.replay, o.cfg, o.compare)
 	default:
 		fmt.Fprintln(os.Stderr, "pratrace: need -record FILE, -replay FILE, or -info FILE")
 		os.Exit(2)
 	}
+	if err != nil {
+		fatal(err)
+	}
 }
 
-// lowPowerFlags carries the power-down and refresh-management flags to the
-// record and replay paths.
-type lowPowerFlags struct {
-	policy               pradram.PDPolicy
-	pdTimeout, srTimeout int64
-	slowExit, apd        bool
-	refMode              pradram.RefreshMode
-}
-
-func (l lowPowerFlags) applySim(cfg *pradram.Config) {
-	cfg.PDPolicy = l.policy
-	cfg.PDTimeout = l.pdTimeout
-	cfg.SRTimeout = l.srTimeout
-	cfg.PDSlowExit = l.slowExit
-	cfg.APD = l.apd
-	cfg.RefreshMode = l.refMode
-}
-
-func (l lowPowerFlags) applyCtrl(cfg *memctrl.Config) {
-	cfg.PDPolicy = l.policy
-	cfg.PDTimeout = l.pdTimeout
-	cfg.SRTimeout = l.srTimeout
-	cfg.PDSlowExit = l.slowExit
-	cfg.APD = l.apd
-	cfg.RefreshMode = l.refMode
-}
-
-func doRecord(path, workloadName string, instr, warmup int64, seed uint64, noskip bool, lp lowPowerFlags) error {
-	cfg := pradram.DefaultConfig(workloadName)
-	cfg.InstrPerCore = instr
-	cfg.WarmupPerCore = warmup
-	cfg.Seed = seed
+func doRecord(path string, cfg sim.Config) error {
+	// -scheme and -policy select the replay; the recording is the baseline
+	// system's request stream.
+	cfg.Scheme, cfg.Policy = memctrl.Baseline, memctrl.RelaxedClose
 	cfg.Capture = true
-	cfg.NoSkip = noskip
-	lp.applySim(&cfg)
 	sys, err := sim.New(cfg)
 	if err != nil {
 		return err
@@ -153,7 +131,7 @@ func doRecord(path, workloadName string, instr, warmup int64, seed uint64, noski
 		return err
 	}
 	fmt.Printf("recorded %d requests (%d reads, %d writes) from %s over %d cycles -> %s (v2)\n",
-		tr.Len(), res.Ctrl.ReadsServed, res.Ctrl.WritesServed, workloadName, res.Cycles, path)
+		tr.Len(), res.Ctrl.ReadsServed, res.Ctrl.WritesServed, cfg.Workload, res.Cycles, path)
 	return f.Sync()
 }
 
@@ -220,7 +198,7 @@ func scanV1Info(f *os.File) (*trace.Info, error) {
 	return info, nil
 }
 
-func doReplay(path, schemeName, policyName string, compare, noskip bool, lp lowPowerFlags) error {
+func doReplay(path string, cfg sim.Config, compare bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -254,25 +232,16 @@ func doReplay(path, schemeName, policyName string, compare, noskip bool, lp lowP
 		fmt.Printf("trace %s\n\n", path)
 	}
 
-	replayOne := func(s memctrl.Scheme, p memctrl.Policy) (trace.ReplayResult, error) {
-		cfg := memctrl.DefaultConfig()
-		cfg.Scheme = s
-		cfg.Policy = p
-		if p == memctrl.RestrictedClose {
-			cfg.Mapping = memctrl.LineInterleaved
-		}
-		lp.applyCtrl(&cfg)
+	replayOne := func(scheme memctrl.Scheme) (trace.ReplayResult, error) {
+		k := cfg.Knobs
+		k.Scheme = scheme
 		stream, err := openStream()
 		if err != nil {
 			return trace.ReplayResult{}, err
 		}
-		return trace.ReplayStream(stream, cfg, trace.ReplayOpts{NoSkip: noskip})
+		return trace.ReplayStream(stream, memctrl.ConfigFor(k), trace.ReplayOpts{NoSkip: cfg.NoSkip})
 	}
 
-	policy, err := pradram.ParsePolicy(policyName)
-	if err != nil {
-		return err
-	}
 	table := stats.NewTable("scheme", "cycles", "power mW", "avg gran", "read ns", "vs baseline")
 	addRow := func(name string, r trace.ReplayResult, base *trace.ReplayResult) {
 		rel := ""
@@ -283,21 +252,17 @@ func doReplay(path, schemeName, policyName string, compare, noskip bool, lp lowP
 	}
 
 	if !compare {
-		scheme, err := pradram.ParseScheme(schemeName)
+		res, err := replayOne(cfg.Scheme)
 		if err != nil {
 			return err
 		}
-		res, err := replayOne(scheme, policy)
-		if err != nil {
-			return err
-		}
-		addRow(scheme.String(), res, nil)
+		addRow(cfg.Scheme.String(), res, nil)
 		fmt.Print(table.String())
 		return nil
 	}
 	var base *trace.ReplayResult
 	for _, s := range memctrl.Schemes() {
-		res, err := replayOne(s, policy)
+		res, err := replayOne(s)
 		if err != nil {
 			return err
 		}

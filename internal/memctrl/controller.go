@@ -15,8 +15,10 @@ import (
 // Config assembles a full memory system: scheme, policy, mapping, and the
 // per-channel organization.
 type Config struct {
-	Scheme  Scheme
-	Policy  Policy
+	// Knobs are the settings a run chooses (scheme, policy, ECC, ablations,
+	// power-down and refresh management, mitigation, latency attribution);
+	// the rest of Config is the Table 3 organization around them.
+	Knobs
 	Mapping Mapping
 
 	Channels int
@@ -32,83 +34,12 @@ type Config struct {
 	// CPUPerMem is the CPU-to-memory clock ratio (4 for 3.2GHz over
 	// DDR3-1600's 800MHz command clock).
 	CPUPerMem int64
-
-	// ECC models an x72 DIMM: a ninth chip per rank stores ECC codes with
-	// its PRA pin tied high (Section 4.2) — it always fully activates and
-	// always transfers, while the eight data chips keep their partial-
-	// activation savings. Timing is unchanged; only energy accounting
-	// differs.
-	ECC bool
-
-	// Power-down management (DESIGN.md §4f). The zero values reproduce the
-	// pre-FSM behavior: immediate fast-exit precharge power-down, no active
-	// power-down, no self-refresh, conventional all-bank refresh.
-	PDPolicy  PDPolicy // when idle ranks drop CKE
-	PDTimeout int64    // idle memory cycles before PDTimed/PDQueueAware entry
-	// SRTimeout escalates a rank to self-refresh after this many idle
-	// memory cycles (0 = never). Independent of PDPolicy: a rank already
-	// in precharge power-down is woken (paying the exit latency) so the
-	// self-refresh entry command can issue.
-	SRTimeout int64
-	// PDSlowExit selects slow-exit (DLL-off) precharge power-down: lower
-	// background power, tXPDLL instead of tXP on exit.
-	PDSlowExit bool
-	// APD allows active power-down for idle ranks with open rows (only
-	// reachable under the open-page policy, which keeps rows open with no
-	// queued beneficiary).
-	APD bool
-	// RefreshMode selects all-bank, per-bank, or elastic (postpone and
-	// pull-in within the JEDEC 8x tREFI window) refresh management.
-	RefreshMode RefreshMode
-
-	// RowHammer mitigation (DESIGN.md §4g): PRAC-style per-row activation
-	// counting with Alert/RFM back-off, orthogonal to Scheme (any scheme
-	// can run with or without it). MitThreshold == 0 disables everything:
-	// no counter table is allocated and results are bit-identical to a
-	// build without the feature.
-	//
-	// When a row's activation count since its bank's last refresh reaches
-	// MitThreshold, the device raises an alert: the channel's command
-	// stream stalls for MitAlertCycles (the ALERT_n back-off real PRAC
-	// devices enforce), after which the controller issues an RFM command
-	// to the offending bank (precharging it first if needed) that
-	// refreshes the highest-count row's victims and clears its counter.
-	MitThreshold int
-	// MitAlertCycles is the alert back-off in memory cycles before the
-	// RFM may issue (0 selects the default 144 cycles = 180ns, the
-	// per-alert overhead measured on real PRAC parts).
-	MitAlertCycles int64
-	// MitTableCap bounds the per-bank counter table (0 selects the
-	// default 512 rows). Overflow falls back to a Misra-Gries spill floor
-	// that may overcount but never undercounts a row (dram/rowcounter.go).
-	MitTableCap int
-
-	// Latency attribution (DESIGN.md §4h). LatBreak enables the
-	// per-request latency breakdown, the percentile histograms, and span
-	// sampling. Attribution is purely observational: with LatBreak off the
-	// per-request cost is one int64 assignment and simulated results are
-	// bit-identical to a controller without the feature.
-	LatBreak bool
-	// LatSpanEvery samples every Nth completed request into the span ring
-	// for trace export (0 disables sampling; only meaningful with
-	// LatBreak).
-	LatSpanEvery int
-
-	// Ablation knobs (all default off = full PRA as published). They
-	// isolate the contribution of each PRA design element:
-	//   NoTimingRelax  — partial ACTs charge full tRRD/tFAW weight.
-	//   NoPartialIO    — writes drive all 8 words even under PRA masks.
-	//   NoMaskCycle    — the PRA mask transfer costs no extra cycle.
-	NoTimingRelax bool
-	NoPartialIO   bool
-	NoMaskCycle   bool
 }
 
 // DefaultConfig returns the paper's Table 3 memory system.
 func DefaultConfig() Config {
 	return Config{
-		Scheme:   Baseline,
-		Policy:   RelaxedClose,
+		Knobs:    Knobs{Scheme: Baseline, Policy: RelaxedClose},
 		Mapping:  RowInterleaved,
 		Channels: 2,
 		Geom:     dram.DefaultGeometry(),
@@ -135,19 +66,8 @@ func (c Config) Validate() error {
 	case c.Geom.Ranks*c.Geom.Banks > 64:
 		return fmt.Errorf("memctrl: at most 64 banks per channel supported (have %d)", c.Geom.Ranks*c.Geom.Banks)
 	}
-	switch {
-	case c.PDPolicy > PDQueueAware:
-		return fmt.Errorf("memctrl: unknown power-down policy %d", c.PDPolicy)
-	case c.RefreshMode > RefreshElastic:
-		return fmt.Errorf("memctrl: unknown refresh mode %d", c.RefreshMode)
-	case c.PDTimeout < 0 || c.SRTimeout < 0:
-		return fmt.Errorf("memctrl: power-down timeouts must be non-negative")
-	case (c.PDPolicy == PDTimed || c.PDPolicy == PDQueueAware) && c.PDTimeout == 0:
-		return fmt.Errorf("memctrl: %v power-down policy requires PDTimeout > 0", c.PDPolicy)
-	case c.MitThreshold < 0 || c.MitAlertCycles < 0 || c.MitTableCap < 0:
-		return fmt.Errorf("memctrl: mitigation parameters must be non-negative")
-	case c.LatSpanEvery < 0:
-		return fmt.Errorf("memctrl: LatSpanEvery must be non-negative")
+	if err := c.Knobs.Validate(); err != nil {
+		return err
 	}
 	if err := c.Timing.Validate(); err != nil {
 		return err

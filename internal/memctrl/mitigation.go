@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"cmp"
 	"fmt"
 
 	"pradram/internal/obs"
@@ -41,21 +42,12 @@ const (
 	DefaultMitTableCap = 512
 )
 
-// mitAlertCycles returns the effective alert back-off.
-func (c Config) mitAlertCycles() int64 {
-	if c.MitAlertCycles > 0 {
-		return c.MitAlertCycles
-	}
-	return DefaultMitAlertCycles
-}
+// mitAlertCycles returns the effective alert back-off (Validate rejects
+// negative values, so zero is the only "unset").
+func (c Config) mitAlertCycles() int64 { return cmp.Or(c.MitAlertCycles, DefaultMitAlertCycles) }
 
 // mitTableCap returns the effective per-bank counter-table capacity.
-func (c Config) mitTableCap() int {
-	if c.MitTableCap > 0 {
-		return c.MitTableCap
-	}
-	return DefaultMitTableCap
-}
+func (c Config) mitTableCap() int { return cmp.Or(c.MitTableCap, DefaultMitTableCap) }
 
 // RowActCount reports channel ch's tracked activation count for a row
 // since its bank's last refresh (the spill floor for untracked rows, 0

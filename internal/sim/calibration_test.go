@@ -62,7 +62,7 @@ func TestCalibrationTable1(t *testing.T) {
 		"LinkedList": {6, 5, 5},
 	}
 	for _, b := range benchOrder {
-		res, err := r.Run(runKey{workload: b, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1})
+		res, err := r.Run(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestCalibrationFig3DirtyWords(t *testing.T) {
 	r := calibrationRunner(t)
 	// Structural expectations from the paper's Figure 3, by store model.
 	for _, b := range []string{"GUPS", "LinkedList", "mcf"} {
-		res, err := r.Run(runKey{workload: b, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1})
+		res, err := r.Run(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,14 +101,14 @@ func TestCalibrationFig3DirtyWords(t *testing.T) {
 			t.Errorf("%s: 1-dirty-word share = %.2f, want > 0.9", b, share)
 		}
 	}
-	res, err := r.Run(runKey{workload: "libquantum", scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1})
+	res, err := r.Run(newKey("libquantum", memctrl.Baseline, memctrl.RelaxedClose, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if share := res.Cache.DirtyWords.Share(8); share < 0.9 {
 		t.Errorf("libquantum: fully-dirty share = %.2f, want > 0.9", share)
 	}
-	res, err = r.Run(runKey{workload: "lbm", scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1})
+	res, err = r.Run(newKey("lbm", memctrl.Baseline, memctrl.RelaxedClose, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCalibrationFig11GranularityMix(t *testing.T) {
 	var oneEighth, full float64
 	var n int
 	for _, w := range workloadOrder() {
-		res, err := r.Run(runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4})
+		res, err := r.Run(newKey(w, memctrl.PRA, memctrl.RelaxedClose, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,11 +144,11 @@ func TestCalibrationFig12HeadlineSavings(t *testing.T) {
 	var actSum, ioSum, totSum float64
 	var n int
 	for _, w := range workloadOrder() {
-		base, err := r.Run(runKey{workload: w, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 4})
+		base, err := r.Run(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pra, err := r.Run(runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4})
+		pra, err := r.Run(newKey(w, memctrl.PRA, memctrl.RelaxedClose, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,15 +173,15 @@ func TestCalibrationFig13Performance(t *testing.T) {
 	subset := []string{"libquantum", "GUPS", "MIX1", "MIX2"}
 	var praSum, fgaSum float64
 	for _, w := range subset {
-		base, err := r.Run(runKey{workload: w, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 4})
+		base, err := r.Run(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pra, err := r.Run(runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4})
+		pra, err := r.Run(newKey(w, memctrl.PRA, memctrl.RelaxedClose, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fga, err := r.Run(runKey{workload: w, scheme: memctrl.FGA, policy: memctrl.RelaxedClose, active: 4})
+		fga, err := r.Run(newKey(w, memctrl.FGA, memctrl.RelaxedClose, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestCalibrationFig10FalseHits(t *testing.T) {
 	// Paper: false read hits are rare (avg 0.04%, max 0.26%).
 	var worst float64
 	for _, w := range workloadOrder() {
-		res, err := r.Run(runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4})
+		res, err := r.Run(newKey(w, memctrl.PRA, memctrl.RelaxedClose, 4))
 		if err != nil {
 			t.Fatal(err)
 		}

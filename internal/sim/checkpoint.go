@@ -6,12 +6,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
+	"reflect"
 
 	"pradram/internal/checkpoint"
 	"pradram/internal/core"
-	"pradram/internal/cpu"
-	"pradram/internal/dram"
-	"pradram/internal/memctrl"
 	"pradram/internal/workload"
 )
 
@@ -23,61 +21,26 @@ import (
 // identity matrix in checkpoint_test.go enforces it per scheme, workload,
 // and variant.
 //
-// Checkpoints are keyed by a warmup fingerprint: a hash over exactly the
-// Config fields that can influence execution up to the warmup boundary.
-// Fields that only affect energy accounting, statistics, or the measured
-// window are excluded — each exclusion is justified by a cross-restore
-// test (TestCheckpointFieldExclusions) and the full field classification
-// is enforced by TestWarmupFingerprintFields, so adding a Config field
-// without classifying it fails the build's tests.
+// Checkpoints are keyed by a warmup fingerprint: a hash over the normalised
+// Config itself, minus the fields on warmupExcluded. Everything is included
+// unless excluded, so a Config field nobody classified costs one cold
+// warmup, never a wrong reuse. Each exclusion is justified by a
+// cross-restore test (TestCheckpointFieldExclusions), and
+// TestWarmupFingerprintFields holds the list equal to the set of fields the
+// fingerprint ignores.
 
-// warmupKey lists every Config field included in the fingerprint. The
-// fingerprint hashes this struct's %#v rendering, so adding a field here
-// (or changing a member type) changes every fingerprint — which is the
-// safe direction: at worst a cold warmup, never a wrong reuse.
-type warmupKey struct {
-	Workload      string // canonical spelling: resolves per-core generators and their regions
-	Scheme        memctrl.Scheme
-	Policy        memctrl.Policy
-	DBI           bool // changes cache writeback behaviour during warmup
-	NoTimingRelax bool // changes DRAM timing during warmup
-	NoMaskCycle   bool // changes DRAM timing during warmup
-	Cores         int
-	ActiveCores   int // normalized (0 means all cores)
-	WarmupPerCore int64
-	Seed          uint64
-	CPU           cpu.Config
-	Timing        dram.Timing // normalized (nil Config.Timing means the DDR3-1600 default)
-	CPUPerMem     int64       // normalized to the effective clock ratio
-	NoSkip        bool        // changes the executed-tick count carried across the boundary
-	MaxCycles     int64       // changes where a stuck warmup aborts
-	Channels      int         // changes address decomposition, hence all warmup traffic
-
-	// Power-down and refresh management all steer controller decisions
-	// during warmup (entry timing, refresh scheduling), so they are part
-	// of the key. PowerCal is NOT: calibration is applied post-hoc to the
-	// energy breakdown and cannot influence execution.
-	PDPolicy    memctrl.PDPolicy
-	PDTimeout   int64
-	SRTimeout   int64
-	PDSlowExit  bool
-	APD         bool
-	RefreshMode memctrl.RefreshMode
-
-	// RowHammer mitigation parameters steer alert/RFM decisions during
-	// warmup, and the counter-table capacity shapes the serialized tables.
-	MitThreshold   int
-	MitAlertCycles int64
-	MitTableCap    int
-}
-
-// timingOrDefault returns the effective DDR3 timing set (Config.Timing,
-// or the DDR3-1600 default a nil Timing selects).
-func (c Config) timingOrDefault() dram.Timing {
-	if c.Timing != nil {
-		return *c.Timing
-	}
-	return dram.DefaultTiming()
+// warmupExcluded names the Config fields (promoted ones included) that
+// cannot influence execution up to the warmup boundary.
+var warmupExcluded = []string{
+	"ECC",          // energy accounting of the ninth chip only; timing unchanged
+	"Capture",      // wraps the backend in a recorder that Warmup resets at the boundary
+	"NoPartialIO",  // I/O energy accounting only
+	"InstrPerCore", // the measured window's length
+	"Obs",          // probes are read-only views
+	"PowerCal",     // applied post-hoc to the energy breakdown
+	// Attribution observes scheduling without influencing it, and the sweep
+	// frontier each request carries is checkpointed whether it is on or off.
+	"LatBreak", "LatSpanEvery",
 }
 
 // WarmupFingerprint returns the checkpoint key for cfg's warmup phase and
@@ -89,40 +52,22 @@ func WarmupFingerprint(cfg Config) (string, bool) {
 	if cfg.Generator != nil || cfg.WarmupPerCore <= 0 {
 		return "", false
 	}
-	key := warmupKey{
-		Workload:       workload.Canonical(cfg.Workload),
-		Scheme:         cfg.Scheme,
-		Policy:         cfg.Policy,
-		DBI:            cfg.DBI,
-		NoTimingRelax:  cfg.NoTimingRelax,
-		NoMaskCycle:    cfg.NoMaskCycle,
-		Cores:          cfg.Cores,
-		ActiveCores:    cfg.ActiveCores,
-		WarmupPerCore:  cfg.WarmupPerCore,
-		Seed:           cfg.Seed,
-		CPU:            cfg.CPU,
-		Timing:         cfg.timingOrDefault(),
-		CPUPerMem:      memctrl.DefaultConfig().CPUPerMem,
-		NoSkip:         cfg.NoSkip,
-		MaxCycles:      cfg.MaxCycles,
-		Channels:       cfg.Channels,
-		PDPolicy:       cfg.PDPolicy,
-		PDTimeout:      cfg.PDTimeout,
-		SRTimeout:      cfg.SRTimeout,
-		PDSlowExit:     cfg.PDSlowExit,
-		APD:            cfg.APD,
-		RefreshMode:    cfg.RefreshMode,
-		MitThreshold:   cfg.MitThreshold,
-		MitAlertCycles: cfg.MitAlertCycles,
-		MitTableCap:    cfg.MitTableCap,
+	// Normalise, so spellings of the same effective warmup share a key: the
+	// canonical workload name, the effective core count, and the clock ratio
+	// and timing set the controller will run with (the timing by value,
+	// beside the Config, whose pointer is cleared — an address is not a
+	// configuration).
+	mc := cfg.ctrlConfig()
+	cfg.Timing, cfg.CPUPerMem = nil, mc.CPUPerMem
+	cfg.Workload = workload.Canonical(cfg.Workload)
+	if cfg.ActiveCores == 0 {
+		cfg.ActiveCores = cfg.Cores
 	}
-	if key.ActiveCores == 0 {
-		key.ActiveCores = key.Cores
+	v := reflect.ValueOf(&cfg).Elem()
+	for _, name := range warmupExcluded {
+		v.FieldByName(name).SetZero()
 	}
-	if cfg.CPUPerMem > 0 {
-		key.CPUPerMem = cfg.CPUPerMem
-	}
-	h := sha256.Sum256([]byte(fmt.Sprintf("%#v", key)))
+	h := sha256.Sum256([]byte(fmt.Sprintf("%#v|%#v", cfg, mc.Timing)))
 	return hex.EncodeToString(h[:16]), true
 }
 

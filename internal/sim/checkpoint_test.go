@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"sort"
 	"testing"
 
 	"pradram/internal/checkpoint"
 	"pradram/internal/cpu"
+	"pradram/internal/dram"
 	"pradram/internal/memctrl"
 	"pradram/internal/obs"
 	"pradram/internal/workload"
@@ -233,12 +235,13 @@ func TestCheckpointFieldExclusions(t *testing.T) {
 	}
 }
 
-// TestWarmupFingerprintFields classifies every sim.Config field as
-// fingerprint-relevant or not and asserts the fingerprint reacts exactly
-// as classified. A future Config field fails this test until it is
-// classified here AND in WarmupFingerprint — the guard the checkpoint
-// design depends on: an unclassified field could silently let two
-// different warmups share a checkpoint.
+// TestWarmupFingerprintFields classifies every sim.Config field (the
+// promoted fields of the embedded knobs included) as fingerprint-relevant
+// or not and asserts the fingerprint reacts exactly as classified, and that
+// the fields it ignores are exactly warmupExcluded. A future Config field is
+// fingerprinted by default — at worst a cold warmup — and fails this test
+// until it is classified here; excluding it additionally needs an entry in
+// warmupExcluded and a cross-restore row in TestCheckpointFieldExclusions.
 func TestWarmupFingerprintFields(t *testing.T) {
 	t.Parallel()
 	// For each field: a mutation keeping the config checkpointable, and
@@ -292,14 +295,13 @@ func TestWarmupFingerprintFields(t *testing.T) {
 		"MitTableCap":    {mutate: func(c *Config) { c.MitThreshold = 32; c.MitTableCap = 64 }, wantChange: true},
 	}
 
-	typ := reflect.TypeOf(Config{})
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
+	var ignored []string
+	for _, name := range leafFields(reflect.TypeOf(Config{})) {
 		p, ok := probes[name]
 		if !ok {
 			t.Errorf("Config field %q is not classified for the warmup fingerprint; "+
-				"decide whether it can influence warmup execution, add it to WarmupFingerprint "+
-				"if so, and record the decision here and in TestCheckpointFieldExclusions", name)
+				"decide whether it can influence warmup execution, add it to warmupExcluded "+
+				"if not, and record the decision here and in TestCheckpointFieldExclusions", name)
 			continue
 		}
 		base := DefaultConfig("GUPS")
@@ -324,8 +326,38 @@ func TestWarmupFingerprintFields(t *testing.T) {
 		}
 		if changed := fp0 != fp1; changed != p.wantChange {
 			t.Errorf("%s: fingerprint change = %v, classified as %v", name, changed, p.wantChange)
+		} else if !changed {
+			ignored = append(ignored, name)
 		}
 	}
+	sort.Strings(ignored)
+	excluded := append([]string(nil), warmupExcluded...)
+	sort.Strings(excluded)
+	if !reflect.DeepEqual(ignored, excluded) {
+		t.Errorf("fields the fingerprint ignores = %v, warmupExcluded = %v", ignored, excluded)
+	}
+
+	// The fingerprint hashes the Config's %#v rendering, which prints an
+	// address for anything reached through a pointer, func, channel or
+	// interface — stable within a process, useless across two. Timing and
+	// Generator are the two such fields, and WarmupFingerprint clears both;
+	// a third must be normalised there (or excluded) before it lands.
+	var unstable func(path string, typ reflect.Type)
+	unstable = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Func, reflect.Chan, reflect.Interface, reflect.UnsafePointer:
+			if path != "Config.Timing" && path != "Config.Generator" {
+				t.Errorf("%s (%v) renders as an address; normalise it in WarmupFingerprint", path, typ)
+			}
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				unstable(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Slice, reflect.Array, reflect.Map:
+			unstable(path+"[]", typ.Elem())
+		}
+	}
+	unstable("Config", reflect.TypeOf(Config{}))
 
 	// Zero or negative warmup leaves nothing to checkpoint.
 	noWarm := DefaultConfig("GUPS")
@@ -333,6 +365,24 @@ func TestWarmupFingerprintFields(t *testing.T) {
 	if _, ok := WarmupFingerprint(noWarm); ok {
 		t.Error("config without a warmup phase must not be checkpointable")
 	}
+}
+
+// timingOrDefault returns the effective DDR3 timing set (Config.Timing, or
+// the DDR3-1600 default a nil Timing selects).
+func (c Config) timingOrDefault() dram.Timing { return c.ctrlConfig().Timing }
+
+// leafFields lists a struct type's field names with embedded structs
+// flattened, i.e. every name a selector on the struct can reach.
+func leafFields(typ reflect.Type) []string {
+	var names []string
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Anonymous {
+			names = append(names, leafFields(f.Type)...)
+		} else {
+			names = append(names, f.Name)
+		}
+	}
+	return names
 }
 
 // TestCheckpointNormalization pins the fingerprint's config normalization:

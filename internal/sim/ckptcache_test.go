@@ -14,10 +14,10 @@ import (
 // (workload, scheme) pair warms once and its noIO variant restores.
 func ckptCampaignKeys() []runKey {
 	return []runKey{
-		{workload: "GUPS", scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 1},
-		{workload: "GUPS", scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 1, noIO: true},
-		{workload: "LinkedList", scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1},
-		{workload: "LinkedList", scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1, noIO: true},
+		{workload: "GUPS", Knobs: memctrl.Knobs{Scheme: memctrl.PRA}, active: 1},
+		{workload: "GUPS", Knobs: memctrl.Knobs{Scheme: memctrl.PRA, NoPartialIO: true}, active: 1},
+		{workload: "LinkedList", Knobs: memctrl.Knobs{Scheme: memctrl.Baseline}, active: 1},
+		{workload: "LinkedList", Knobs: memctrl.Knobs{Scheme: memctrl.Baseline, NoPartialIO: true}, active: 1},
 	}
 }
 
@@ -72,7 +72,7 @@ func TestRunnerCheckpointIdentical(t *testing.T) {
 // instead of repeating it, with identical results.
 func TestRunnerCheckpointDisk(t *testing.T) {
 	dir := t.TempDir()
-	key := runKey{workload: "GUPS", scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 1}
+	key := newKey("GUPS", memctrl.PRA, memctrl.RelaxedClose, 1)
 
 	opt := ckptRunnerOpts()
 	opt.CkptDir = dir
@@ -109,7 +109,7 @@ func TestRunnerCheckpointDisk(t *testing.T) {
 // rejected, replaced, and never changes results.
 func TestRunnerCheckpointDiskCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	key := runKey{workload: "GUPS", scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 1}
+	key := newKey("GUPS", memctrl.PRA, memctrl.RelaxedClose, 1)
 	opt := ckptRunnerOpts()
 	opt.CkptDir = dir
 
@@ -159,7 +159,7 @@ func TestRunnerCheckpointIneligible(t *testing.T) {
 	opt := ckptRunnerOpts()
 	opt.Warmup = 0
 	r := NewRunner(opt)
-	if _, err := r.Run(runKey{workload: "GUPS", scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1}); err != nil {
+	if _, err := r.Run(newKey("GUPS", memctrl.Baseline, memctrl.RelaxedClose, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if h, m := r.CheckpointHits(), r.CheckpointMisses(); h != 0 || m != 0 {

@@ -19,10 +19,10 @@ import (
 // blowing the -race budget.
 func determinismKeys() []runKey {
 	return []runKey{
-		{workload: "GUPS", scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1},
-		{workload: "GUPS", scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4},
-		{workload: "em3d", scheme: memctrl.HalfDRAM, policy: memctrl.RestrictedClose, active: 4},
-		{workload: "MIX2", scheme: memctrl.PRA, policy: memctrl.RelaxedClose, dbi: true, active: 4},
+		newKey("GUPS", memctrl.Baseline, memctrl.RelaxedClose, 1),
+		newKey("GUPS", memctrl.PRA, memctrl.RelaxedClose, 4),
+		newKey("em3d", memctrl.HalfDRAM, memctrl.RestrictedClose, 4),
+		{workload: "MIX2", Knobs: memctrl.Knobs{Scheme: memctrl.PRA}, dbi: true, active: 4},
 	}
 }
 
@@ -70,7 +70,7 @@ func TestParallelPoolMatchesSequential(t *testing.T) {
 func TestSingleflightDeduplicates(t *testing.T) {
 	t.Parallel()
 	r := NewRunner(tinyOpt(4))
-	k := runKey{workload: "GUPS", scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1}
+	k := newKey("GUPS", memctrl.Baseline, memctrl.RelaxedClose, 1)
 
 	const callers = 8
 	results := make([]Result, callers)
@@ -127,7 +127,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	opt := tinyOpt(2)
 	opt.CacheDir = dir
-	k := runKey{workload: "em3d", scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4}
+	k := newKey("em3d", memctrl.PRA, memctrl.RelaxedClose, 4)
 
 	first := NewRunner(opt)
 	a, err := first.Run(k)
@@ -158,7 +158,7 @@ func TestDiskCacheKeyedByBudgetAndVersion(t *testing.T) {
 	dir := t.TempDir()
 	opt := tinyOpt(1)
 	opt.CacheDir = dir
-	k := runKey{workload: "GUPS", scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1}
+	k := newKey("GUPS", memctrl.Baseline, memctrl.RelaxedClose, 1)
 
 	if _, err := NewRunner(opt).Run(k); err != nil {
 		t.Fatal(err)

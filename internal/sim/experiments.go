@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -70,6 +71,21 @@ type ExpOptions struct {
 // DefaultExpOptions returns the standard experiment budget.
 func DefaultExpOptions() ExpOptions {
 	return ExpOptions{Instr: 400_000, Warmup: 400_000, Seed: 1}
+}
+
+// Validate reports a budget or pool size that is not what the caller can
+// have meant, naming the field. NewRunner itself is lenient (it substitutes
+// the defaults), so a front end that takes these from a user checks first.
+func (o ExpOptions) Validate() error {
+	switch {
+	case o.Instr < 0:
+		return fmt.Errorf("sim: ExpOptions.Instr must be non-negative (0 = default), got %d", o.Instr)
+	case o.Warmup < 0:
+		return fmt.Errorf("sim: ExpOptions.Warmup must be non-negative, got %d", o.Warmup)
+	case o.Workers < 0:
+		return fmt.Errorf("sim: ExpOptions.Workers must be non-negative (0 = GOMAXPROCS), got %d", o.Workers)
+	}
+	return nil
 }
 
 // Runner executes simulation runs with memoization, so experiments that
@@ -146,56 +162,50 @@ func (r *Runner) CheckpointHits() int64 { return r.ckptHits.Load() }
 // warm from scratch (first run of a fingerprint, or a rejected restore).
 func (r *Runner) CheckpointMisses() int64 { return r.ckptMisses.Load() }
 
+// runKey identifies one memoized simulation: a workload under a set of
+// controller knobs, plus the few run-level settings experiments vary.
 type runKey struct {
 	workload string
-	scheme   memctrl.Scheme
-	policy   memctrl.Policy
-	dbi      bool
-	active   int
-
-	// ablation variants
-	noRelax, noIO, noCycle bool
-
-	// power-down and refresh management (the pdsweep/powerband
-	// experiments); zero values are the defaults, and the key string only
-	// grows a suffix when any of them is set, so historical keys for
-	// default runs are unchanged.
-	pdPolicy  memctrl.PDPolicy
-	pdTimeout int64
-	srTimeout int64
-	slowPD    bool
-	apd       bool
-	refMode   memctrl.RefreshMode
-	powerCal  string
-
-	// RowHammer mitigation (the hammer experiment); zero values keep the
-	// key string unchanged, like the power-down block above.
-	mitThreshold int
-	mitAlert     int64
-	mitTable     int
-
-	// latency attribution (the latbreak experiment); false keeps the key
-	// string unchanged, like the blocks above.
-	latBreak bool
+	memctrl.Knobs
+	dbi    bool
+	active int
 }
 
+// newKey is the common case: a workload under a scheme and policy, every
+// other knob at its default.
+func newKey(workload string, s memctrl.Scheme, p memctrl.Policy, active int) runKey {
+	return runKey{workload: workload, Knobs: memctrl.Knobs{Scheme: s, Policy: p}, active: active}
+}
+
+// String is the memo key and, with the budget and ModelVersion, the on-disk
+// cache's file name, so its spelling is pinned (testdata/runkeys.golden).
+// The low-power and mitigation groups only grow a suffix when one of their
+// knobs is set, so historical keys for default runs are unchanged, and each
+// renders its fields in declaration order. ECC and LatSpanEvery are not
+// rendered: no experiment varies them.
 func (k runKey) String() string {
 	s := fmt.Sprintf("%s/%v/%v/dbi=%v/active=%d/abl=%v%v%v",
-		k.workload, k.scheme, k.policy, k.dbi, k.active, k.noRelax, k.noIO, k.noCycle)
-	if k.pdPolicy != 0 || k.pdTimeout != 0 || k.srTimeout != 0 || k.slowPD || k.apd || k.refMode != 0 {
-		s += fmt.Sprintf("/pd=%v,%d,%d,slow=%v,apd=%v,ref=%v",
-			k.pdPolicy, k.pdTimeout, k.srTimeout, k.slowPD, k.apd, k.refMode)
+		k.workload, k.Scheme, k.Policy, k.dbi, k.active, k.NoTimingRelax, k.NoPartialIO, k.NoMaskCycle)
+	if k.LowPower != (memctrl.LowPower{}) {
+		s += fmt.Sprintf("/pd=%v,%d,%d,slow=%v,apd=%v,ref=%v", fieldsOf(k.LowPower)...)
 	}
-	if k.mitThreshold != 0 || k.mitAlert != 0 || k.mitTable != 0 {
-		s += fmt.Sprintf("/mit=%d,%d,%d", k.mitThreshold, k.mitAlert, k.mitTable)
+	if k.Mitigation != (memctrl.Mitigation{}) {
+		s += fmt.Sprintf("/mit=%d,%d,%d", fieldsOf(k.Mitigation)...)
 	}
-	if k.powerCal != "" {
-		s += "/cal=" + k.powerCal
-	}
-	if k.latBreak {
+	if k.LatBreak {
 		s += "/latbreak"
 	}
 	return s
+}
+
+// fieldsOf returns a struct's field values in declaration order.
+func fieldsOf(v any) []any {
+	rv := reflect.ValueOf(v)
+	out := make([]any, rv.NumField())
+	for i := range out {
+		out[i] = rv.Field(i).Interface()
+	}
+	return out
 }
 
 // Run executes (or recalls) one configuration. Concurrent callers are
@@ -233,8 +243,7 @@ func (r *Runner) Run(k runKey) (Result, error) {
 // the runner's budget.
 func (r *Runner) config(k runKey) Config {
 	cfg := DefaultConfig(k.workload)
-	cfg.Scheme = k.scheme
-	cfg.Policy = k.policy
+	cfg.Knobs = k.Knobs
 	cfg.DBI = k.dbi
 	cfg.ActiveCores = k.active
 	cfg.InstrPerCore = r.opt.Instr
@@ -246,20 +255,6 @@ func (r *Runner) config(k runKey) Config {
 		cfg.WarmupPerCore = r.opt.Warmup / int64(k.active)
 	}
 	cfg.Seed = r.opt.Seed
-	cfg.NoTimingRelax = k.noRelax
-	cfg.NoPartialIO = k.noIO
-	cfg.NoMaskCycle = k.noCycle
-	cfg.PDPolicy = k.pdPolicy
-	cfg.PDTimeout = k.pdTimeout
-	cfg.SRTimeout = k.srTimeout
-	cfg.PDSlowExit = k.slowPD
-	cfg.APD = k.apd
-	cfg.RefreshMode = k.refMode
-	cfg.MitThreshold = k.mitThreshold
-	cfg.MitAlertCycles = k.mitAlert
-	cfg.MitTableCap = k.mitTable
-	cfg.PowerCal = k.powerCal
-	cfg.LatBreak = k.latBreak
 	cfg.Obs = r.opt.Obs
 	cfg.NoSkip = r.opt.NoSkip
 	return cfg
@@ -289,7 +284,7 @@ func (r *Runner) execute(k runKey, key string) (Result, error) {
 // under the baseline scheme with the given policy (the Equation 3
 // denominator).
 func (r *Runner) AloneIPC(app string, policy memctrl.Policy) (float64, error) {
-	res, err := r.Run(runKey{workload: app, scheme: memctrl.Baseline, policy: policy, active: 1})
+	res, err := r.Run(newKey(app, memctrl.Baseline, policy, 1))
 	if err != nil {
 		return 0, err
 	}

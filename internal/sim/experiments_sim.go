@@ -32,7 +32,7 @@ func ExpTable1(r *Runner) (string, error) {
 		"trafR% (paper)", "trafW% (paper)",
 		"actR% (paper)", "actW% (paper)")
 	for _, b := range benchOrder {
-		res, err := r.Run(runKey{workload: b, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1})
+		res, err := r.Run(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
 		if err != nil {
 			return "", err
 		}
@@ -57,7 +57,7 @@ func ExpFig2(r *Runner) (string, error) {
 	t := stats.NewTable("benchmark", "ACT-PRE%", "RD%", "WR%", "I/O%", "BG%", "REF%", "total mW")
 	var actSum, ioSum float64
 	for _, b := range benchOrder {
-		res, err := r.Run(runKey{workload: b, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1})
+		res, err := r.Run(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
 		if err != nil {
 			return "", err
 		}
@@ -85,7 +85,7 @@ func ExpFig2(r *Runner) (string, error) {
 func ExpFig3(r *Runner) (string, error) {
 	t := stats.NewTable("benchmark", "1w%", "2w%", "3w%", "4w%", "5w%", "6w%", "7w%", "8w%", "mean")
 	for _, b := range benchOrder {
-		res, err := r.Run(runKey{workload: b, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1})
+		res, err := r.Run(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
 		if err != nil {
 			return "", err
 		}
@@ -107,11 +107,11 @@ func ExpFig10(r *Runner) (string, error) {
 	var fr, fw float64
 	var n int
 	for _, w := range workloadOrder() {
-		base, err := r.Run(runKey{workload: w, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 4})
+		base, err := r.Run(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
 		if err != nil {
 			return "", err
 		}
-		pra, err := r.Run(runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4})
+		pra, err := r.Run(newKey(w, memctrl.PRA, memctrl.RelaxedClose, 4))
 		if err != nil {
 			return "", err
 		}
@@ -138,7 +138,7 @@ func ExpFig11(r *Runner) (string, error) {
 		sums := make([]float64, 9)
 		var n int
 		for _, w := range workloadOrder() {
-			res, err := r.Run(runKey{workload: w, scheme: memctrl.PRA, policy: pol, active: 4})
+			res, err := r.Run(newKey(w, memctrl.PRA, pol, 4))
 			if err != nil {
 				return "", err
 			}
@@ -167,16 +167,16 @@ func ExpFig11(r *Runner) (string, error) {
 // schemeComparison runs the Figure 12/13 matrix: every workload under
 // baseline, FGA, Half-DRAM, and PRA with the relaxed close-page policy.
 func schemeComparison(r *Runner, w string) (base, fga, half, pra Result, err error) {
-	if base, err = r.Run(runKey{workload: w, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 4}); err != nil {
+	if base, err = r.Run(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4)); err != nil {
 		return
 	}
-	if fga, err = r.Run(runKey{workload: w, scheme: memctrl.FGA, policy: memctrl.RelaxedClose, active: 4}); err != nil {
+	if fga, err = r.Run(newKey(w, memctrl.FGA, memctrl.RelaxedClose, 4)); err != nil {
 		return
 	}
-	if half, err = r.Run(runKey{workload: w, scheme: memctrl.HalfDRAM, policy: memctrl.RelaxedClose, active: 4}); err != nil {
+	if half, err = r.Run(newKey(w, memctrl.HalfDRAM, memctrl.RelaxedClose, 4)); err != nil {
 		return
 	}
-	pra, err = r.Run(runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4})
+	pra, err = r.Run(newKey(w, memctrl.PRA, memctrl.RelaxedClose, 4))
 	return
 }
 
@@ -278,12 +278,12 @@ func ExpFig14(r *Runner) (string, error) {
 	sums := make(map[memctrl.Scheme][4]float64)
 	var n int
 	for _, w := range workloadOrder() {
-		base, err := r.Run(runKey{workload: w, scheme: memctrl.Baseline, policy: memctrl.RestrictedClose, active: 4})
+		base, err := r.Run(newKey(w, memctrl.Baseline, memctrl.RestrictedClose, 4))
 		if err != nil {
 			return "", err
 		}
 		for _, s := range schemes {
-			res, err := r.Run(runKey{workload: w, scheme: s, policy: memctrl.RestrictedClose, active: 4})
+			res, err := r.Run(newKey(w, s, memctrl.RestrictedClose, 4))
 			if err != nil {
 				return "", err
 			}
@@ -327,7 +327,7 @@ func ExpFig15(r *Runner) (string, error) {
 	sums := make(map[string][4]float64)
 	var n int
 	for _, w := range workloadOrder() {
-		base, err := r.Run(runKey{workload: w, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 4})
+		base, err := r.Run(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
 		if err != nil {
 			return "", err
 		}
@@ -338,7 +338,9 @@ func ExpFig15(r *Runner) (string, error) {
 			}
 		}
 		for _, v := range variants {
-			res, err := r.Run(runKey{workload: w, scheme: v.scheme, policy: memctrl.RelaxedClose, dbi: v.dbi, active: 4})
+			k := newKey(w, v.scheme, memctrl.RelaxedClose, 4)
+			k.dbi = v.dbi
+			res, err := r.Run(k)
 			if err != nil {
 				return "", err
 			}
@@ -378,32 +380,14 @@ func ExpFig15(r *Runner) (string, error) {
 // help). Values are normalized to the conventional baseline; "pra" is the
 // full published scheme.
 func ExpAblation(r *Runner) (string, error) {
-	workloads := ablationWorkloads
-	variants := []struct {
-		name string
-		k    func(w string) runKey
-	}{
-		{"pra", func(w string) runKey {
-			return runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4}
-		}},
-		{"pra-no-partial-io", func(w string) runKey {
-			return runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4, noIO: true}
-		}},
-		{"pra-no-timing-relax", func(w string) runKey {
-			return runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4, noRelax: true}
-		}},
-		{"pra-free-mask-cycle", func(w string) runKey {
-			return runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4, noCycle: true}
-		}},
-	}
 	t := stats.NewTable("workload", "variant", "power", "energy", "perf (sumIPC)")
-	for _, w := range workloads {
-		base, err := r.Run(runKey{workload: w, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 4})
+	for _, w := range ablationWorkloads {
+		base, err := r.Run(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
 		if err != nil {
 			return "", err
 		}
-		for _, v := range variants {
-			res, err := r.Run(v.k(w))
+		for _, v := range ablationVariants {
+			res, err := r.Run(runKey{workload: w, Knobs: v.knobs, active: 4})
 			if err != nil {
 				return "", err
 			}
@@ -430,15 +414,15 @@ func ExpSec3Coverage(r *Runner) (string, error) {
 	var pSum, sSum, ppSum, spSum float64
 	var n int
 	for _, b := range benchOrder {
-		base, err := r.Run(runKey{workload: b, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1})
+		base, err := r.Run(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
 		if err != nil {
 			return "", err
 		}
-		pra, err := r.Run(runKey{workload: b, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 1})
+		pra, err := r.Run(newKey(b, memctrl.PRA, memctrl.RelaxedClose, 1))
 		if err != nil {
 			return "", err
 		}
-		sds, err := r.Run(runKey{workload: b, scheme: memctrl.SDS, policy: memctrl.RelaxedClose, active: 1})
+		sds, err := r.Run(newKey(b, memctrl.SDS, memctrl.RelaxedClose, 1))
 		if err != nil {
 			return "", err
 		}

@@ -87,7 +87,7 @@ func TestAllExperimentsRunTiny(t *testing.T) {
 func TestRunnerMemoization(t *testing.T) {
 	t.Parallel()
 	r := tinyRunner()
-	k := runKey{workload: "GUPS", scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 1}
+	k := newKey("GUPS", memctrl.Baseline, memctrl.RelaxedClose, 1)
 	a, err := r.Run(k)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestRunnerMemoization(t *testing.T) {
 	}
 	// Different key must actually rerun and occupy its own cache slot.
 	k2 := k
-	k2.scheme = memctrl.PRA
+	k2.Scheme = memctrl.PRA
 	c, err := r.Run(k2)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestAloneIPCs(t *testing.T) {
 func TestNormalizedWSIdentity(t *testing.T) {
 	t.Parallel()
 	r := tinyRunner()
-	k := runKey{workload: "GUPS", scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 4}
+	k := newKey("GUPS", memctrl.Baseline, memctrl.RelaxedClose, 4)
 	base, err := r.Run(k)
 	if err != nil {
 		t.Fatal(err)
@@ -165,11 +165,11 @@ func TestAblationKnobsChangeBehaviour(t *testing.T) {
 		t.Skip("slow; skipped with -short")
 	}
 	r := tinyRunner()
-	full, err := r.Run(runKey{workload: "GUPS", scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4})
+	full, err := r.Run(newKey("GUPS", memctrl.PRA, memctrl.RelaxedClose, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	noIO, err := r.Run(runKey{workload: "GUPS", scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4, noIO: true})
+	noIO, err := r.Run(runKey{workload: "GUPS", Knobs: memctrl.Knobs{Scheme: memctrl.PRA, NoPartialIO: true}, active: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,9 @@ var hammerWorkloads = []string{"HammerSingle", "HammerDouble", "RowStorm", "Hamm
 var hammerSchemes = []memctrl.Scheme{memctrl.Baseline, memctrl.PRA}
 
 func hammerKey(w string, s memctrl.Scheme, threshold int) runKey {
-	return runKey{workload: w, scheme: s, policy: memctrl.RelaxedClose, active: 1,
-		mitThreshold: threshold}
+	k := newKey(w, s, memctrl.RelaxedClose, 1)
+	k.MitThreshold = threshold
+	return k
 }
 
 func keysHammer() []runKey {

@@ -21,8 +21,9 @@ import (
 var latBreakWorkloads = benchOrder
 
 func latBreakKey(w string, s memctrl.Scheme) runKey {
-	return runKey{workload: w, scheme: s, policy: memctrl.RelaxedClose, active: 0,
-		latBreak: true}
+	k := newKey(w, s, memctrl.RelaxedClose, 0)
+	k.LatBreak = true
+	return k
 }
 
 func keysLatBreak() []runKey {

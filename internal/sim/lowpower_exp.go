@@ -15,11 +15,8 @@ import (
 
 // pdVariant is one power-management configuration of the sweep.
 type pdVariant struct {
-	name                 string
-	policy               memctrl.PDPolicy
-	pdTimeout, srTimeout int64
-	slowPD               bool
-	refMode              memctrl.RefreshMode
+	name string
+	memctrl.LowPower
 }
 
 // pdVariants is the sweep, in presentation order. Timeouts are in memory
@@ -27,14 +24,14 @@ type pdVariant struct {
 // (6.25us) a conservative self-refresh threshold.
 func pdVariants() []pdVariant {
 	return []pdVariant{
-		{name: "no-pd", policy: memctrl.PDNone},
-		{name: "immediate", policy: memctrl.PDImmediate},
-		{name: "imm-slowexit", policy: memctrl.PDImmediate, slowPD: true},
-		{name: "timeout-200", policy: memctrl.PDTimed, pdTimeout: 200},
-		{name: "queue-200", policy: memctrl.PDQueueAware, pdTimeout: 200},
-		{name: "imm+selfref", policy: memctrl.PDImmediate, srTimeout: 5000},
-		{name: "imm+perbank", policy: memctrl.PDImmediate, refMode: memctrl.RefreshPerBank},
-		{name: "imm+elastic", policy: memctrl.PDImmediate, refMode: memctrl.RefreshElastic},
+		{name: "no-pd", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDNone}},
+		{name: "immediate", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDImmediate}},
+		{name: "imm-slowexit", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDImmediate, PDSlowExit: true}},
+		{name: "timeout-200", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDTimed, PDTimeout: 200}},
+		{name: "queue-200", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDQueueAware, PDTimeout: 200}},
+		{name: "imm+selfref", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDImmediate, SRTimeout: 5000}},
+		{name: "imm+perbank", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDImmediate, RefreshMode: memctrl.RefreshPerBank}},
+		{name: "imm+elastic", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDImmediate, RefreshMode: memctrl.RefreshElastic}},
 	}
 }
 
@@ -44,9 +41,9 @@ func pdVariants() []pdVariant {
 var pdSweepWorkloads = []string{"bzip2", "GUPS", "MIX1"}
 
 func pdKey(w string, v pdVariant) runKey {
-	return runKey{workload: w, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 4,
-		pdPolicy: v.policy, pdTimeout: v.pdTimeout, srTimeout: v.srTimeout,
-		slowPD: v.slowPD, refMode: v.refMode}
+	k := newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4)
+	k.LowPower = v.LowPower
+	return k
 }
 
 func keysPDSweep() []runKey {
@@ -68,7 +65,7 @@ func ExpPDSweep(r *Runner) (string, error) {
 		"lowpow%", "selfref%", "REF", "REFpb", "post/pull",
 		"BG mW", "total mW", "dPower%", "dCycles%")
 	for _, w := range pdSweepWorkloads {
-		base, err := r.Run(pdKey(w, pdVariant{name: "no-pd", policy: memctrl.PDNone}))
+		base, err := r.Run(pdKey(w, pdVariant{name: "no-pd", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDNone}}))
 		if err != nil {
 			return "", err
 		}
@@ -98,7 +95,7 @@ func powerBandRuns() []runKey {
 	var keys []runKey
 	for _, w := range []string{"GUPS", "MIX1"} {
 		for _, s := range []memctrl.Scheme{memctrl.Baseline, memctrl.PRA} {
-			keys = append(keys, runKey{workload: w, scheme: s, policy: memctrl.RelaxedClose, active: 4})
+			keys = append(keys, newKey(w, s, memctrl.RelaxedClose, 4))
 		}
 	}
 	return keys
@@ -125,7 +122,7 @@ func ExpPowerBand(r *Runner) (string, error) {
 				return "", err
 			}
 			band := cal.Total(res.Energy).Scale(1 / res.RuntimeNs())
-			t.Row(k.workload, k.scheme.String(), spec,
+			t.Row(k.workload, k.Scheme.String(), spec,
 				band.Min, band.Nom, band.Max, 100*band.Spread())
 		}
 	}

@@ -53,7 +53,7 @@ func ExpModelCheck(r *Runner) (string, error) {
 	t := stats.NewTable("workload", "scheme", "simulated mW", "analytic mW", "ratio",
 		"ACT ratio", "I/O ratio", "BG ratio")
 	for _, c := range cases {
-		res, err := r.Run(runKey{workload: c.workload, scheme: c.scheme, policy: memctrl.RelaxedClose, active: 4})
+		res, err := r.Run(newKey(c.workload, c.scheme, memctrl.RelaxedClose, 4))
 		if err != nil {
 			return "", err
 		}

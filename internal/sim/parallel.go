@@ -128,7 +128,7 @@ func crossKeys(workloads []string, schemes []memctrl.Scheme, policy memctrl.Poli
 	keys := make([]runKey, 0, len(workloads)*len(schemes))
 	for _, w := range workloads {
 		for _, s := range schemes {
-			keys = append(keys, runKey{workload: w, scheme: s, policy: policy, active: active})
+			keys = append(keys, newKey(w, s, policy, active))
 		}
 	}
 	return keys
@@ -147,7 +147,7 @@ func aloneKeys(workloads []string, policy memctrl.Policy) []runKey {
 		for _, app := range apps {
 			if !seen[app] {
 				seen[app] = true
-				keys = append(keys, runKey{workload: app, scheme: memctrl.Baseline, policy: policy, active: 1})
+				keys = append(keys, newKey(app, memctrl.Baseline, policy, 1))
 			}
 		}
 	}
@@ -189,11 +189,12 @@ func keysFig14() []runKey {
 func keysFig15() []runKey {
 	var keys []runKey
 	for _, w := range workloadOrder() {
-		keys = append(keys,
-			runKey{workload: w, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 4},
-			runKey{workload: w, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, dbi: true, active: 4},
-			runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4},
-			runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, dbi: true, active: 4})
+		for _, s := range []memctrl.Scheme{memctrl.Baseline, memctrl.PRA} {
+			k := newKey(w, s, memctrl.RelaxedClose, 4)
+			keys = append(keys, k)
+			k.dbi = true
+			keys = append(keys, k)
+		}
 	}
 	return append(keys, aloneKeys(workloadOrder(), memctrl.RelaxedClose)...)
 }
@@ -208,15 +209,25 @@ func keysSec3Coverage() []runKey {
 // (a random-access writer, a streaming writer, and a mix).
 var ablationWorkloads = []string{"GUPS", "lbm", "MIX2"}
 
+// ablationVariants are the study's rows: the full published scheme, then
+// PRA with one design element disabled at a time.
+var ablationVariants = []struct {
+	name  string
+	knobs memctrl.Knobs
+}{
+	{"pra", memctrl.Knobs{Scheme: memctrl.PRA}},
+	{"pra-no-partial-io", memctrl.Knobs{Scheme: memctrl.PRA, NoPartialIO: true}},
+	{"pra-no-timing-relax", memctrl.Knobs{Scheme: memctrl.PRA, NoTimingRelax: true}},
+	{"pra-free-mask-cycle", memctrl.Knobs{Scheme: memctrl.PRA, NoMaskCycle: true}},
+}
+
 func keysAblation() []runKey {
 	var keys []runKey
 	for _, w := range ablationWorkloads {
-		keys = append(keys,
-			runKey{workload: w, scheme: memctrl.Baseline, policy: memctrl.RelaxedClose, active: 4},
-			runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4},
-			runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4, noIO: true},
-			runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4, noRelax: true},
-			runKey{workload: w, scheme: memctrl.PRA, policy: memctrl.RelaxedClose, active: 4, noCycle: true})
+		keys = append(keys, newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
+		for _, v := range ablationVariants {
+			keys = append(keys, runKey{workload: w, Knobs: v.knobs, active: 4})
+		}
 	}
 	return keys
 }
@@ -224,7 +235,7 @@ func keysAblation() []runKey {
 func keysModelCheck() []runKey {
 	keys := make([]runKey, 0, len(modelCheckCases))
 	for _, c := range modelCheckCases {
-		keys = append(keys, runKey{workload: c.workload, scheme: c.scheme, policy: memctrl.RelaxedClose, active: 4})
+		keys = append(keys, newKey(c.workload, c.scheme, memctrl.RelaxedClose, 4))
 	}
 	return keys
 }

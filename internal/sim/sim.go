@@ -34,57 +34,20 @@ type Config struct {
 	// Workload is a benchmark name (run as identical instances on all
 	// active cores) or a MIXn name from Table 4.
 	Workload string
-	Scheme   memctrl.Scheme
-	Policy   memctrl.Policy
+
+	// Knobs are the run's controller settings (scheme, policy, ECC, the PRA
+	// ablations, power-down and refresh management, mitigation, latency
+	// attribution), declared and documented on memctrl.Knobs and forwarded
+	// as a unit; their fields are promoted: cfg.Scheme, cfg.PDTimeout.
+	memctrl.Knobs
+
 	// DBI enables the Dirty-Block-Index proactive writeback case study.
 	DBI bool
-
-	// ECC models an x72 ECC DIMM whose ninth chip always fully activates
-	// (Section 4.2).
-	ECC bool
 
 	// Capture records the DRAM request stream (line fills and dirty
 	// writebacks with FGD masks) during the measured window; retrieve it
 	// with System.Trace and replay it with the trace package.
 	Capture bool
-
-	// Ablation knobs for the PRA design-choice studies (see
-	// memctrl.Config): each disables one element of the full scheme.
-	NoTimingRelax bool
-	NoPartialIO   bool
-	NoMaskCycle   bool
-
-	// Power-down and refresh management (DESIGN.md §4f; see
-	// memctrl.Config for the field semantics). The zero values reproduce
-	// the historical behavior: immediate fast-exit precharge power-down
-	// for idle ranks, no self-refresh, all-bank refresh.
-	PDPolicy    memctrl.PDPolicy
-	PDTimeout   int64 // idle memory cycles before PDTimed/PDQueueAware entry
-	SRTimeout   int64 // idle memory cycles before self-refresh (0 = never)
-	PDSlowExit  bool  // slow-exit (DLL-off) precharge power-down
-	APD         bool  // active power-down for idle ranks with open rows
-	RefreshMode memctrl.RefreshMode
-
-	// RowHammer mitigation (DESIGN.md §4g; see memctrl.Config). A zero
-	// MitThreshold disables mitigation and is bit-identical to builds
-	// without the feature; the other two fields take effect only when the
-	// threshold is set (0 selects the memctrl defaults).
-	MitThreshold   int
-	MitAlertCycles int64
-	MitTableCap    int
-
-	// LatBreak enables per-request latency attribution (DESIGN.md §4h):
-	// every request's arrival-to-data latency is decomposed cycle-exactly
-	// into queue / bank / timing / refresh / power-down / alert / transfer
-	// components (Result carries the aggregates and percentile
-	// histograms). Attribution observes scheduling without influencing
-	// it: simulated results are bit-identical with the flag off, and the
-	// flag is excluded from the warmup fingerprint for the same reason.
-	LatBreak bool
-	// LatSpanEvery samples every Nth completed request as a LatSpan for
-	// trace export (System.LatSpans); 0 disables sampling. Only
-	// meaningful with LatBreak set.
-	LatSpanEvery int
 
 	// PowerCal selects the measurement-informed power-model calibration
 	// ("none", "vendor", "ghose", optionally with a device-variation
@@ -147,8 +110,7 @@ type Config struct {
 func DefaultConfig(workloadName string) Config {
 	return Config{
 		Workload:     workloadName,
-		Scheme:       memctrl.Baseline,
-		Policy:       memctrl.RelaxedClose,
+		Knobs:        memctrl.Knobs{Scheme: memctrl.Baseline, Policy: memctrl.RelaxedClose},
 		Cores:        4,
 		InstrPerCore: 1_000_000,
 		Seed:         1,
@@ -156,36 +118,61 @@ func DefaultConfig(workloadName string) Config {
 	}
 }
 
-// Validate reports the first configuration problem.
+// Validate reports the first configuration problem, naming the field. It is
+// the one place run configurations are rejected: the controller's own
+// checks run here on the configuration New would hand it, so nothing is
+// discovered after half a system has been built.
 func (c Config) Validate() error {
 	switch {
 	case c.Cores <= 0:
-		return fmt.Errorf("sim: cores must be positive")
+		return fmt.Errorf("sim: Cores must be positive, got %d", c.Cores)
 	case c.ActiveCores < 0 || c.ActiveCores > c.Cores:
-		return fmt.Errorf("sim: active cores %d out of range [0,%d]", c.ActiveCores, c.Cores)
+		return fmt.Errorf("sim: ActiveCores %d out of range [0,%d]", c.ActiveCores, c.Cores)
 	case c.InstrPerCore <= 0:
-		return fmt.Errorf("sim: instruction target must be positive")
+		return fmt.Errorf("sim: InstrPerCore must be positive, got %d", c.InstrPerCore)
+	case c.WarmupPerCore < 0:
+		return fmt.Errorf("sim: WarmupPerCore must be non-negative, got %d", c.WarmupPerCore)
+	case c.MaxCycles < 0:
+		return fmt.Errorf("sim: MaxCycles must be non-negative, got %d", c.MaxCycles)
 	case c.Workload == "":
-		return fmt.Errorf("sim: workload is required")
-	case c.Channels < 0:
-		return fmt.Errorf("sim: channel count must be >= 0, got %d", c.Channels)
+		return fmt.Errorf("sim: Workload is required")
+	case c.Obs.EpochCycles < 0:
+		return fmt.Errorf("sim: Obs.EpochCycles must be non-negative, got %d", c.Obs.EpochCycles)
+	case c.Obs.EventCap < 0:
+		return fmt.Errorf("sim: Obs.EventCap must be non-negative, got %d", c.Obs.EventCap)
+	case c.Obs.EventLevel > obs.LevelCmd:
+		return fmt.Errorf("sim: unknown Obs.EventLevel %d", c.Obs.EventLevel)
 	}
-	if c.PowerCal != "" {
-		if _, err := power.ParseCalibration(c.PowerCal); err != nil {
+	if c.Generator == nil {
+		if _, err := workload.Set(c.Workload, c.Cores); err != nil {
 			return err
 		}
+	}
+	if _, err := power.ParseCalibration(c.PowerCal); err != nil {
+		return fmt.Errorf("sim: PowerCal: %w", err)
+	}
+	if err := c.ctrlConfig().Validate(); err != nil {
+		return err
 	}
 	return c.CPU.Validate()
 }
 
-// mapping returns the paper's pairing of mapping to policy: row-interleaved
-// for relaxed close-page, line-interleaved for restricted close-page
-// (Section 5.1.2).
-func (c Config) mapping() memctrl.Mapping {
-	if c.Policy == memctrl.RestrictedClose {
-		return memctrl.LineInterleaved
+// ctrlConfig returns the memory-controller configuration of the run: the
+// Table 3 system under the run's knobs, with the overrides Config carries
+// (zero keeps the default; a negative override is the controller's Validate
+// to reject).
+func (c Config) ctrlConfig() memctrl.Config {
+	mcfg := memctrl.ConfigFor(c.Knobs)
+	if c.Timing != nil {
+		mcfg.Timing = *c.Timing
 	}
-	return memctrl.RowInterleaved
+	if c.CPUPerMem != 0 {
+		mcfg.CPUPerMem = c.CPUPerMem
+	}
+	if c.Channels != 0 {
+		mcfg.Channels = c.Channels
+	}
+	return mcfg
 }
 
 // System is one assembled simulation instance.
@@ -242,44 +229,13 @@ func New(cfg Config) (*System, error) {
 	// ("gups" vs "GUPS", mix specs with stray spaces).
 	cfg.Workload = workload.Canonical(cfg.Workload)
 
-	mcfg := memctrl.DefaultConfig()
-	mcfg.Scheme = cfg.Scheme
-	mcfg.Policy = cfg.Policy
-	mcfg.Mapping = cfg.mapping()
-	mcfg.ECC = cfg.ECC
-	mcfg.NoTimingRelax = cfg.NoTimingRelax
-	mcfg.NoPartialIO = cfg.NoPartialIO
-	mcfg.NoMaskCycle = cfg.NoMaskCycle
-	mcfg.PDPolicy = cfg.PDPolicy
-	mcfg.PDTimeout = cfg.PDTimeout
-	mcfg.SRTimeout = cfg.SRTimeout
-	mcfg.PDSlowExit = cfg.PDSlowExit
-	mcfg.APD = cfg.APD
-	mcfg.RefreshMode = cfg.RefreshMode
-	mcfg.MitThreshold = cfg.MitThreshold
-	mcfg.MitAlertCycles = cfg.MitAlertCycles
-	mcfg.MitTableCap = cfg.MitTableCap
-	mcfg.LatBreak = cfg.LatBreak
-	mcfg.LatSpanEvery = cfg.LatSpanEvery
-	if cfg.Timing != nil {
-		mcfg.Timing = *cfg.Timing
-	}
-	if cfg.CPUPerMem > 0 {
-		mcfg.CPUPerMem = cfg.CPUPerMem
-	}
-	if cfg.Channels > 0 {
-		mcfg.Channels = cfg.Channels
-	}
-	ctrl, err := memctrl.New(mcfg)
+	ctrl, err := memctrl.New(cfg.ctrlConfig())
 	if err != nil {
 		return nil, err
 	}
 
-	s := &System{cfg: cfg, ctrl: ctrl, cal: power.CalNone()}
-	if cfg.PowerCal != "" {
-		// Validate() already vetted the spec; re-parse for the value.
-		s.cal, _ = power.ParseCalibration(cfg.PowerCal)
-	}
+	s := &System{cfg: cfg, ctrl: ctrl}
+	s.cal, _ = power.ParseCalibration(cfg.PowerCal) // vetted by Validate; "" is the nominal model
 	var backend cache.Backend = ctrl
 	if cfg.Capture {
 		s.cap = &trace.Capture{Inner: ctrl, Now: func() int64 { return s.now - s.capBase }}

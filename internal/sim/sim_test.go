@@ -44,11 +44,11 @@ func TestConfigValidation(t *testing.T) {
 func TestMappingFollowsPolicy(t *testing.T) {
 	t.Parallel()
 	c := DefaultConfig("GUPS")
-	if c.mapping() != memctrl.RowInterleaved {
+	if c.ctrlConfig().Mapping != memctrl.RowInterleaved {
 		t.Error("relaxed policy pairs with row-interleaved mapping")
 	}
 	c.Policy = memctrl.RestrictedClose
-	if c.mapping() != memctrl.LineInterleaved {
+	if c.ctrlConfig().Mapping != memctrl.LineInterleaved {
 		t.Error("restricted policy pairs with line-interleaved mapping")
 	}
 }

@@ -25,7 +25,7 @@ func tensorKey(w string, s memctrl.Scheme) runKey {
 	// different cores onto overlapping banks, which would break the
 	// per-bank open-row accounting the closed form relies on), and the
 	// open-page policy is where the ceil(run/MaxRowHits) law holds.
-	return runKey{workload: w, scheme: s, policy: memctrl.OpenPage, active: 1}
+	return newKey(w, s, memctrl.OpenPage, 1)
 }
 
 func keysTensor() []runKey {
