@@ -2,10 +2,8 @@ package sim
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"reflect"
 	"sort"
 	"testing"
@@ -460,13 +458,13 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	// cpu's anchor record where v5 has lanes and none: it must be refused
 	// by number before any component decodes it, and the system must then
 	// warm cold to the monolithic result.
-	old := append([]byte(nil), data[:len(data)-4]...)
+	old := append([]byte(nil), data...)
 	formatAt := 8 + len(ckptMagic) // u64 length prefix, then the magic
 	if old[formatAt] != ckptFormat {
 		t.Fatalf("format byte not at offset %d", formatAt)
 	}
 	old[formatAt] = ckptFormat - 1
-	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+	old = recrc(old)
 	s4, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -542,8 +540,9 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 
 // FuzzCheckpointRoundTrip randomizes the configuration and a corruption
 // site: the clean round trip must measure bit-identically to a monolithic
-// run, and the corrupted restore must fail cleanly and leave the system
-// able to cold-warm to the same result.
+// run, the corrupted restore must fail cleanly and leave the system able to
+// cold-warm to the same result, and the same corruption with its CRC repaired
+// must be rejected as cleanly or restore to exactly the bytes it carries.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Add(int64(2_000), uint64(1), uint8(0), uint8(0), uint16(0))
 	f.Add(int64(1_000), uint64(7), uint8(1), uint8(1), uint16(37))
@@ -612,6 +611,32 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Error("cold fallback diverged — rejected restore leaked state")
+		}
+
+		// The same flip with the CRC repaired gets past the container check
+		// to the component decoders (TestRestoreMutationSweep's contract), at
+		// the site and at its mirror image from the end of the body: the
+		// front of the file holds the header, ROBs and generators, the back
+		// the MSHRs, lanes and the controller.
+		body := len(data) - 4
+		for _, off := range []int{int(site) % body, body - 1 - int(site)%body} {
+			mutated := append([]byte(nil), data...)
+			mutated[off] ^= 0x5A
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("CRC-repaired flip at byte %d", off)
+			if checkMutatedRestore(t, sys, recrc(mutated), what) {
+				continue
+			}
+			got, err := sys.Run()
+			if err != nil {
+				t.Fatalf("%s: cold fallback failed after the rejected restore: %v", what, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: cold fallback diverged — rejected restore leaked state", what)
+			}
 		}
 	})
 }
