@@ -77,11 +77,11 @@ func saveTag(w *checkpoint.Writer, t core.DoneTag) {
 }
 
 func readTag(r *checkpoint.Reader) core.DoneTag {
-	return core.DoneTag{
-		Kind:   core.DoneKind(r.U8()),
-		Core:   int32(r.I64()),
-		Serial: r.U64(),
+	kind, coreID, serial := core.DoneKind(r.U8()), r.I64(), r.U64()
+	if coreID != int64(int32(coreID)) {
+		r.Fail("cache: completion tag core %d does not fit the tag", coreID)
 	}
+	return core.DoneTag{Kind: kind, Core: int32(coreID), Serial: serial}
 }
 
 // SaveState appends the hierarchy's dynamic state.
@@ -266,14 +266,28 @@ func (h *Hierarchy) RestoreState(r *checkpoint.Reader, resolve func(core.DoneTag
 	var dbi map[uint64]map[uint64]struct{}
 	var dbiFIFO []uint64
 	if hasDBI && r.Err() == nil {
+		// Rows and their line ids must arrive the way SaveState writes them,
+		// strictly ascending (so a duplicate cannot replace an earlier row
+		// and the bytes restore to themselves), and every row must be
+		// reachable through the FIFO — eviction finds rows nowhere else.
 		dbi = make(map[uint64]map[uint64]struct{})
 		nk := r.Count()
+		keys := make([]uint64, 0, nk)
 		for i := 0; i < nk && r.Err() == nil; i++ {
 			k := r.U64()
+			if i > 0 && k <= keys[i-1] {
+				r.Fail("cache: DBI row key %#x after %#x, want ascending", k, keys[i-1])
+			}
+			keys = append(keys, k)
 			set := make(map[uint64]struct{})
 			ni := r.Count()
-			for j := 0; j < ni; j++ {
-				set[r.U64()] = struct{}{}
+			for j, prevID := 0, uint64(0); j < ni && r.Err() == nil; j++ {
+				id := r.U64()
+				if j > 0 && id <= prevID {
+					r.Fail("cache: DBI row %#x line id %#x after %#x, want ascending", k, id, prevID)
+				}
+				prevID = id
+				set[id] = struct{}{}
 			}
 			if len(set) == 0 && r.Err() == nil {
 				r.Fail("cache: empty DBI row entry %#x", k)
@@ -281,8 +295,15 @@ func (h *Hierarchy) RestoreState(r *checkpoint.Reader, resolve func(core.DoneTag
 			dbi[k] = set
 		}
 		dbiFIFO = make([]uint64, r.Count())
+		queued := make(map[uint64]struct{}, len(dbiFIFO))
 		for i := range dbiFIFO {
 			dbiFIFO[i] = r.U64()
+			queued[dbiFIFO[i]] = struct{}{}
+		}
+		for _, k := range keys { // file order, so the error names the lowest
+			if _, ok := queued[k]; !ok {
+				r.Fail("cache: DBI row %#x is not in the eviction FIFO", k)
+			}
 		}
 	}
 	now := r.I64()

@@ -252,3 +252,24 @@ func TestDepAcrossSlotReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsSerialInDoneSlot: SaveState writes serial 0 for a done
+// slot, so any other value there is damage — accepted, it would restore to
+// different bytes than the file holds.
+func TestRestoreRejectsSerialInDoneSlot(t *testing.T) {
+	c, _ := New(3, DefaultConfig(), &scriptGen{}, &queueMem{})
+	c.Tick(0) // dispatches Width compute ops: done slots
+	data := saveCore(c)
+	if data[8] != 1 {
+		t.Fatalf("slot 0 not done in % x", data[:17])
+	}
+	data[8+1] = 7 // low byte of slot 0's serial, after the count and the done flag
+	fresh, _ := New(3, DefaultConfig(), &scriptGen{}, &queueMem{})
+	_, _, err := fresh.RestoreState(checkpoint.NewReader(data))
+	if want := "corrupt checkpoint: cpu 3: done ROB slot 0 carries serial 7"; err == nil || err.Error() != want {
+		t.Fatalf("restore: %v, want %q", err, want)
+	}
+	if fresh.count != 0 {
+		t.Error("failed restore touched the core")
+	}
+}

@@ -9,11 +9,12 @@ import (
 // (slot completion flags and in-flight load serials), the queue occupancy
 // counters, the pre-fetched pending op, and the retirement statistics. The
 // ROB is canonicalized on save — written from the head as if the head were
-// slot 0, with the stale serial of a done slot written as 0 — so two
-// identical pipeline states produce identical bytes regardless of how the
-// ring happened to be rotated or what its slots held before. The pointer-
-// chase anchor is not saved: it matters only while the last load is in
-// flight, and that load is the one in-flight serial equal to loadSerial-1.
+// slot 0, with the stale serial of a done slot written as 0 (and refused on
+// restore if it is anything else) — so two identical pipeline states produce
+// identical bytes regardless of how the ring happened to be rotated or what
+// its slots held before, and a restored file re-serializes to itself. The
+// pointer-chase anchor is not saved: it matters only while the last load is
+// in flight, and that load is the one in-flight serial equal to loadSerial-1.
 // Completion callbacks held by the cache hierarchy are not saved here —
 // they are tagged (core.DoneTag) and rebound through the resolver
 // RestoreState returns.
@@ -66,6 +67,9 @@ func (c *Core) RestoreState(r *checkpoint.Reader) (func(), func(tag core.DoneTag
 	for i := 0; i < count; i++ {
 		done[i] = r.Bool()
 		serial[i] = r.U64()
+		if done[i] && serial[i] != 0 {
+			r.Fail("cpu %d: done ROB slot %d carries serial %d", c.ID, i, serial[i])
+		}
 	}
 	ldqUsed := r.Int()
 	stqUsed := r.Int()

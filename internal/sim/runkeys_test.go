@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -29,19 +27,5 @@ func TestRunKeysGolden(t *testing.T) {
 		}
 	}
 	sort.Strings(keys)
-	got := strings.Join(keys, "\n") + "\n"
-
-	path := filepath.Join("testdata", "runkeys.golden")
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("run keys drifted from golden file (run with -update if intentional):\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "runkeys.golden", strings.Join(keys, "\n")+"\n")
 }
