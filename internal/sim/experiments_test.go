@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -66,22 +68,55 @@ func TestAnalyticExperimentsContent(t *testing.T) {
 	}
 }
 
-// Every simulation-backed experiment must run end-to-end on a tiny budget.
+// tableDigests renders all 22 experiments through RunExperiment on one runner
+// at the tinyRunner budget and returns one "id sha-256" line per table.
+func tableDigests(workers int) (string, error) {
+	opt := tinyRunner().opt
+	opt.Workers = workers
+	r := NewRunner(opt)
+	var b strings.Builder
+	for _, e := range Experiments() {
+		out, err := r.RunExperiment(e)
+		if err != nil {
+			return "", fmt.Errorf("%s at -j%d: %w", e.ID, workers, err)
+		}
+		fmt.Fprintf(&b, "%-11s %x\n", e.ID, sha256.Sum256([]byte(out)))
+	}
+	return b.String(), nil
+}
+
+// TestAllExperimentsRunTiny pins the bytes of every experiment's table as
+// testdata/experiments.golden (one digest per table; fig9, hammer and
+// powerband also have their text pinned in golden_test.go), rendered by a
+// sequential and a four-worker runner, so a change to the experiment layer
+// cannot move, reorder or reformat any published number unnoticed.
+// Regenerate with -update after an intended change and commit the diff.
 func TestAllExperimentsRunTiny(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
-		t.Skip("runs every experiment; skipped with -short")
+		t.Skip("runs every experiment twice; skipped with -short")
 	}
-	r := tinyRunner()
-	for _, e := range Experiments() {
-		out, err := e.Run(r)
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		if len(out) < 40 {
-			t.Errorf("%s: suspiciously short output (%d bytes)", e.ID, len(out))
-		}
+	type rendered struct {
+		digests string
+		err     error
 	}
+	par := make(chan rendered, 1)
+	go func() {
+		d, err := tableDigests(4)
+		par <- rendered{d, err}
+	}()
+	seq, err := tableDigests(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := <-par
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	if p.digests != seq {
+		t.Errorf("tables depend on the worker count:\n-j1:\n%s-j4:\n%s", seq, p.digests)
+	}
+	checkGolden(t, "experiments.golden", seq)
 }
 
 func TestRunnerMemoization(t *testing.T) {
