@@ -562,6 +562,33 @@ func (c *Controller) Write(addr uint64, mask core.ByteMask) bool {
 	return true
 }
 
+// Refused reports whether a request for addr would be refused right now — a
+// full read queue, or a full write queue holding no write to merge into —
+// and if so books n refusals on its channel. A driver retrying a refused
+// request every cycle uses it to account in one step the retries whose
+// outcome cannot change before the controller's NextEvent.
+func (c *Controller) Refused(addr uint64, write bool, n int64) bool {
+	l := c.am.Decompose(addr)
+	cc := c.chans[l.Channel]
+	if !write {
+		if cc.n[core.Read] < c.cfg.ReadQ {
+			return false
+		}
+		cc.stats.ReadRejects += n
+		return true
+	}
+	if cc.n[core.Write] < c.cfg.WriteQ {
+		return false
+	}
+	for _, w := range cc.banks[cc.bankOf(l)].q[core.Write] {
+		if w.loc == l {
+			return false
+		}
+	}
+	cc.stats.WriteRejects += n
+	return true
+}
+
 // ResetStats zeroes all counters and accumulated energy; queued requests
 // and device state are untouched. Used to exclude warmup from measurement.
 func (c *Controller) ResetStats() {

@@ -256,6 +256,30 @@ func TestReadQueueLimit(t *testing.T) {
 	}
 }
 
+// TestRefusedAgreesWithEnqueue holds Refused to what Read and Write would
+// answer — including the write that merges into a full queue — and to
+// booking exactly n refusals when, and only when, it says yes.
+func TestRefusedAgreesWithEnqueue(t *testing.T) {
+	t.Parallel()
+	c := newCtl(t, func(cfg *Config) { cfg.ReadQ, cfg.WriteQ, cfg.HighWM, cfg.LowWM = 2, 2, 2, 1 })
+	if c.Refused(addrAt(c, Loc{Row: 9}), false, 5) || c.Refused(addrAt(c, Loc{Row: 9}), true, 5) {
+		t.Error("empty queues refuse nothing")
+	}
+	for i := 0; i < 2; i++ {
+		c.Read(addrAt(c, Loc{Row: i}), core.Untagged(func(int64) {}))
+		c.Write(addrAt(c, Loc{Row: i}), core.FullByteMask)
+	}
+	if !c.Refused(addrAt(c, Loc{Row: 9}), false, 5) || !c.Refused(addrAt(c, Loc{Row: 9}), true, 7) {
+		t.Error("full queues must refuse a new line")
+	}
+	if c.Refused(addrAt(c, Loc{Row: 1}), true, 7) {
+		t.Error("a write to a queued line merges even into a full queue")
+	}
+	if s := c.Stats(); s.ReadRejects != 5 || s.WriteRejects != 7 {
+		t.Errorf("booked %d read and %d write refusals, want 5 and 7", s.ReadRejects, s.WriteRejects)
+	}
+}
+
 func TestWriteDrainWatermarks(t *testing.T) {
 	t.Parallel()
 	c := newCtl(t, func(cfg *Config) {

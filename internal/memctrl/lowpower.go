@@ -41,9 +41,6 @@ func (p PDPolicy) String() string {
 	return fmt.Sprintf("PDPolicy(%d)", uint8(p))
 }
 
-// PDPolicies lists the power-down entry policy names in declaration order.
-func PDPolicies() []string { return append([]string(nil), pdPolicyNames[:]...) }
-
 // ParsePDPolicy resolves a power-down policy name ("immediate", "none",
 // "timeout", "queue").
 func ParsePDPolicy(name string) (PDPolicy, error) {
@@ -85,9 +82,6 @@ func (m RefreshMode) String() string {
 	}
 	return fmt.Sprintf("RefreshMode(%d)", uint8(m))
 }
-
-// RefreshModes lists the refresh-mode names in declaration order.
-func RefreshModes() []string { return append([]string(nil), refreshModeNames[:]...) }
 
 // ParseRefreshMode resolves a refresh-mode name ("allbank", "perbank",
 // "elastic"; "postpone" is accepted as an alias for "elastic").

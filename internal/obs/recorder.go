@@ -56,9 +56,6 @@ func NewRecorder(epochCycles int64) *Recorder {
 	return &Recorder{epoch: epochCycles}
 }
 
-// EpochCycles returns the sampling period.
-func (r *Recorder) EpochCycles() int64 { return r.epoch }
-
 // Counter registers a monotonic int64 probe; its column holds per-epoch
 // deltas. Registration order fixes column order. Register before Begin.
 func (r *Recorder) Counter(name string, read func() int64) {

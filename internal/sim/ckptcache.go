@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"os"
-	"path/filepath"
-)
+import "os"
 
 // This file is the campaign half of warmup checkpointing (DESIGN.md §4e).
 // The Runner memoizes one checkpoint per warmup fingerprint: the first run
@@ -17,116 +12,68 @@ import (
 // checkpointing can change wall-clock but never results (enforced by
 // TestRunnerCheckpointIdentical).
 
-// ckptStore persists warmup checkpoints as raw System.Checkpoint payloads
-// under dir. Filenames are keyed by fingerprint and ModelVersion, so a
-// model bump orphans old entries instead of loading them; the payload
-// itself embeds both as well, and System.Restore re-checks them — the
-// store never needs to trust a filename.
-type ckptStore struct{ dir string }
-
-func newCkptStore(dir string) *ckptStore { return &ckptStore{dir: dir} }
-
-func (d *ckptStore) path(fp string) string {
-	h := sha256.Sum256([]byte("ckpt|" + ModelVersion + "|" + fp))
-	return filepath.Join(d.dir, hex.EncodeToString(h[:12])+".ckpt")
-}
-
-// load returns the stored checkpoint for a fingerprint. Any read failure
-// is simply a miss; a stale or corrupt payload is caught later by
-// System.Restore and falls back to a cold warmup.
-func (d *ckptStore) load(fp string) ([]byte, bool) {
-	raw, err := os.ReadFile(d.path(fp))
-	if err != nil || len(raw) == 0 {
-		return nil, false
-	}
-	return raw, true
-}
-
-// store writes via a unique temp file plus atomic rename (same protocol as
-// diskCache.store), so concurrent writers never interleave partial bytes.
-func (d *ckptStore) store(fp string, data []byte) error {
-	if err := os.MkdirAll(d.dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(d.dir, ".pradram-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), d.path(fp))
-}
-
-// remove drops a stored checkpoint (used when a loaded entry fails
-// Restore, so the bad bytes are not re-read forever).
-func (d *ckptStore) remove(fp string) { os.Remove(d.path(fp)) }
-
-// CheckpointStore is the exported face of the on-disk checkpoint store,
-// for drivers that manage their own systems instead of going through a
-// Runner (prasim -ckpt-dir). Load returns raw checkpoint bytes that MUST
-// still be validated by System.Restore; Remove drops an entry a restore
-// rejected so it is re-made rather than re-read forever.
-type CheckpointStore struct{ d *ckptStore }
+// CheckpointStore persists warmup checkpoints under a directory (-ckpt-dir)
+// as raw System.Checkpoint payloads, one file per fingerprint and
+// ModelVersion; the Runner uses it, and so do drivers that manage their own
+// systems (prasim). The payload embeds both as well and System.Restore
+// re-checks them, so the store never needs to trust a filename — and Load's
+// bytes MUST still go through Restore, which catches a stale or corrupt
+// payload (the caller then warms cold).
+type CheckpointStore struct{ files fileStore }
 
 // NewCheckpointStore opens (lazily creating) a checkpoint directory.
 func NewCheckpointStore(dir string) *CheckpointStore {
-	return &CheckpointStore{d: newCkptStore(dir)}
+	return &CheckpointStore{fileStore{dir, ".ckpt"}}
 }
+
+func ckptID(fp string) string { return "ckpt|" + ModelVersion + "|" + fp }
 
 // Load returns the stored checkpoint for a warmup fingerprint.
-func (s *CheckpointStore) Load(fp string) ([]byte, bool) { return s.d.load(fp) }
+func (s *CheckpointStore) Load(fp string) ([]byte, bool) { return s.files.load(ckptID(fp)) }
 
 // Store persists a checkpoint for a warmup fingerprint (atomic rename).
-func (s *CheckpointStore) Store(fp string, data []byte) error { return s.d.store(fp, data) }
-
-// Remove drops the stored checkpoint for a warmup fingerprint.
-func (s *CheckpointStore) Remove(fp string) { s.d.remove(fp) }
-
-// inflightCkpt is one in-progress warmup other runs of the same
-// fingerprint can wait on. data stays nil if the producer failed to
-// checkpoint, in which case waiters warm cold.
-type inflightCkpt struct {
-	done chan struct{}
-	data []byte
+func (s *CheckpointStore) Store(fp string, data []byte) error {
+	return s.files.store(ckptID(fp), data)
 }
 
-// ckptAcquire resolves a fingerprint against the checkpoint memo.
-// Exactly one of three outcomes:
-//
-//	data, nil    — hit: restore from data.
-//	nil, publish — this caller is the producer: warm, checkpoint, and
-//	               publish the bytes (nil on failure) exactly once.
-//	nil, nil     — the producer failed; warm cold without publishing.
-func (r *Runner) ckptAcquire(fp string) ([]byte, func([]byte)) {
-	r.ckptMu.Lock()
-	if data, ok := r.ckpts[fp]; ok {
-		r.ckptMu.Unlock()
-		return data, nil
+// Remove drops the stored checkpoint for a warmup fingerprint: an entry a
+// restore rejected is re-made rather than re-read forever.
+func (s *CheckpointStore) Remove(fp string) { os.Remove(s.files.path(ckptID(fp))) }
+
+// The checkpoint memo is bounded by what the campaign declared. Precompute
+// counts, per warmup fingerprint, the runs of its wave that have not
+// finished (ckptDeclare); the producer of a fingerprint takes a snapshot
+// only if another of them — or -ckpt-dir — can use it, and the bytes are
+// dropped when the last one finishes (ckptRelease). A run outside any wave
+// (a lazy Run or runOne) always snapshots and the memo keeps it, since
+// nothing says what will ask next.
+
+// ckptDeclare registers a run a wave is about to execute and returns its
+// warmup fingerprint ("" when it cannot be checkpointed; a key that expands
+// to no configuration is reported by the run itself).
+func (r *Runner) ckptDeclare(k runKey) string {
+	cfg, err := r.config(k)
+	fp, ok := WarmupFingerprint(cfg)
+	if r.opt.NoCheckpoint || err != nil || !ok {
+		return ""
 	}
-	if in, ok := r.ckptFlight[fp]; ok {
-		r.ckptMu.Unlock()
-		<-in.done
-		return in.data, nil
+	r.shareMu.Lock()
+	r.sharing[fp]++
+	r.shareMu.Unlock()
+	return fp
+}
+
+// ckptRelease notes that a declared run finished, however it got its
+// result; the last run of a fingerprint takes the snapshot with it.
+func (r *Runner) ckptRelease(fp string) {
+	if fp == "" {
+		return
 	}
-	in := &inflightCkpt{done: make(chan struct{})}
-	r.ckptFlight[fp] = in
-	r.ckptMu.Unlock()
-	return nil, func(data []byte) {
-		in.data = data
-		r.ckptMu.Lock()
-		if data != nil {
-			r.ckpts[fp] = data
-		}
-		delete(r.ckptFlight, fp)
-		r.ckptMu.Unlock()
-		close(in.done)
+	r.shareMu.Lock()
+	defer r.shareMu.Unlock()
+	if r.sharing[fp]--; r.sharing[fp] == 0 {
+		delete(r.sharing, fp)
+		r.ckpts.drop(fp)
 	}
 }
 
@@ -135,56 +82,65 @@ func (r *Runner) ckptAcquire(fp string) ([]byte, func([]byte)) {
 // of its fingerprint, and fall back to a monolithic run whenever the
 // configuration cannot be checkpointed or a restore is rejected.
 func (r *Runner) runOne(cfg Config) (Result, error) {
-	if r.opt.NoCheckpoint {
-		return RunOne(cfg)
-	}
 	fp, ok := WarmupFingerprint(cfg)
-	if !ok {
+	if r.opt.NoCheckpoint || !ok {
 		return RunOne(cfg)
 	}
 	s, err := New(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	data, publish := r.ckptAcquire(fp)
-	if data != nil {
-		// Restore validates everything and leaves s pristine on failure,
-		// so the fallback below warms the very same system cold.
-		if err := s.Restore(data); err == nil {
-			r.ckptHits.Add(1)
-			return s.Measure()
+	produced := false
+	data, err := r.ckpts.do(fp, func() ([]byte, error) {
+		produced = true
+		return r.warm(s, fp)
+	})
+	if produced {
+		if err != nil {
+			return Result{}, err
+		}
+		return s.Measure()
+	}
+	// Restore validates everything and leaves s pristine on failure, so the
+	// fallback warms the very same system cold — as it does when the
+	// producer failed or had no snapshot (nil) to share.
+	if err == nil && s.Restore(data) == nil {
+		r.ckptHits.Add(1)
+		return s.Measure()
+	}
+	r.ckptMisses.Add(1)
+	return s.Run()
+}
+
+// warm is the producer's half of runOne: it brings s to its warmup boundary
+// and returns the snapshot later runs of the fingerprint restore, nil when
+// nothing wants one or s cannot be checkpointed (this run proceeds
+// regardless). A persisted checkpoint from an earlier process replaces the
+// warmup if it restores; a rejected entry is deleted and re-made.
+func (r *Runner) warm(s *System, fp string) ([]byte, error) {
+	if r.ckptDisk != nil {
+		if stored, ok := r.ckptDisk.Load(fp); ok {
+			if s.Restore(stored) == nil {
+				r.ckptHits.Add(1)
+				return stored, nil
+			}
+			r.ckptDisk.Remove(fp)
 		}
 	}
 	r.ckptMisses.Add(1)
-	if publish == nil {
-		return s.Run()
-	}
-	// Producer. A persisted checkpoint from an earlier process replaces
-	// the warmup if it restores; a rejected entry is deleted and re-made.
-	if r.ckptDisk != nil {
-		if stored, ok := r.ckptDisk.load(fp); ok {
-			if err := s.Restore(stored); err == nil {
-				publish(stored)
-				// The cold warmup never ran: undo the miss above.
-				r.ckptMisses.Add(-1)
-				r.ckptHits.Add(1)
-				return s.Measure()
-			}
-			r.ckptDisk.remove(fp)
-		}
-	}
 	if err := s.Warmup(); err != nil {
-		publish(nil)
-		return Result{}, err
+		return nil, err
+	}
+	r.shareMu.Lock()
+	n, declared := r.sharing[fp]
+	r.shareMu.Unlock()
+	if declared && n == 1 && r.ckptDisk == nil {
+		return nil, nil // this run is the wave's only one left with fp: nothing could use a snapshot
 	}
 	snap, err := s.Checkpoint()
-	if err != nil {
-		snap = nil // waiters warm cold; this run proceeds regardless
-	}
-	publish(snap)
-	if snap != nil && r.ckptDisk != nil {
+	if err == nil && r.ckptDisk != nil {
 		// A failed store only costs a future re-warmup.
-		_ = r.ckptDisk.store(fp, snap)
+		_ = r.ckptDisk.Store(fp, snap)
 	}
-	return s.Measure()
+	return snap, nil
 }

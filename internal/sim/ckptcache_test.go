@@ -166,3 +166,59 @@ func TestRunnerCheckpointIneligible(t *testing.T) {
 		t.Errorf("warmupless runner counted hits=%d misses=%d, want 0/0", h, m)
 	}
 }
+
+// TestCheckpointMemoBounded proves a wave keeps a snapshot only while a run
+// that can restore it is pending. Keys with pairwise-distinct fingerprints
+// leave nothing behind (and take nothing: all four warm cold); of two keys
+// sharing one, the first leaves its snapshot for the second, whose end frees
+// it. A lazy Run outside any wave keeps its snapshot, as before.
+func TestCheckpointMemoBounded(t *testing.T) {
+	keys := ckptCampaignKeys()
+	held := func(r *Runner) int { return len(r.ckpts.vals) }
+
+	distinct := NewRunner(ckptRunnerOpts())
+	if err := distinct.Precompute([]runKey{keys[0], keys[2]}); err != nil {
+		t.Fatal(err)
+	}
+	if n := held(distinct); n != 0 {
+		t.Errorf("wave of distinct fingerprints left %d snapshots, want 0", n)
+	}
+	if h, m := distinct.CheckpointHits(), distinct.CheckpointMisses(); h != 0 || m != 2 {
+		t.Errorf("distinct wave hits=%d misses=%d, want 0/2", h, m)
+	}
+
+	// The two halves of Precompute, by hand, to look between the runs.
+	shared := NewRunner(ckptRunnerOpts())
+	pair := keys[:2]
+	fps := []string{shared.ckptDeclare(pair[0]), shared.ckptDeclare(pair[1])}
+	if fps[0] == "" || fps[0] != fps[1] {
+		t.Fatalf("fingerprints %q: the pair must share one", fps)
+	}
+	for i, want := range []int{1, 0} {
+		if _, err := shared.Run(pair[i]); err != nil {
+			t.Fatal(err)
+		}
+		shared.ckptRelease(fps[i])
+		if n := held(shared); n != want {
+			t.Errorf("after run %d of the sharing pair the runner holds %d snapshots, want %d", i+1, n, want)
+		}
+	}
+	if h, m := shared.CheckpointHits(), shared.CheckpointMisses(); h != 1 || m != 1 {
+		t.Errorf("sharing pair hits=%d misses=%d, want 1/1", h, m)
+	}
+	// And through the pool itself: both pairs, two workers.
+	if err := shared.Precompute(append(keys, keys...)); err != nil {
+		t.Fatal(err)
+	}
+	if n := held(shared); n != 0 || len(shared.sharing) != 0 {
+		t.Errorf("finished waves left %d snapshots and sharing counts %v, want none", n, shared.sharing)
+	}
+
+	lazy := NewRunner(ckptRunnerOpts())
+	if _, err := lazy.Run(keys[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n := held(lazy); n != 1 {
+		t.Errorf("lazy run holds %d snapshots, want 1", n)
+	}
+}

@@ -24,11 +24,53 @@ import (
 // field silently zero.
 const ModelVersion = "pradram-model-v3"
 
-// diskCache persists one Result per configuration as a JSON file under
-// dir, so repeated praexp invocations and CI reruns skip simulation
-// entirely. Entries are keyed by the runKey string, the experiment budget
+// fileStore is the on-disk protocol under both the result cache and the
+// checkpoint store: one file per id in dir, named by a hash of the id (the
+// ids embed ModelVersion, so a model bump orphans old files instead of
+// loading them) and replaced atomically. It never trusts a file name: what
+// load returns is verified by its caller.
+type fileStore struct{ dir, ext string }
+
+func (s fileStore) path(id string) string {
+	h := sha256.Sum256([]byte(id))
+	return filepath.Join(s.dir, hex.EncodeToString(h[:12])+s.ext)
+}
+
+// load returns the bytes stored for id; a missing, unreadable or empty file
+// is a miss.
+func (s fileStore) load(id string) ([]byte, bool) {
+	raw, err := os.ReadFile(s.path(id))
+	return raw, err == nil && len(raw) > 0
+}
+
+// store writes via a unique temp file plus atomic rename, so concurrent
+// writers (parallel workers, or two processes sharing the directory) can
+// never interleave partial bytes.
+func (s fileStore) store(id string, data []byte) error {
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(s.dir, ".pradram-*.tmp")
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return os.Rename(tmp.Name(), s.path(id))
+}
+
+// diskCache persists one Result per configuration as a JSON file, so
+// repeated praexp invocations and CI reruns skip simulation entirely.
+// Entries are keyed by the runKey string, the experiment budget
 // (Instr/Warmup/Seed), and ModelVersion; anything else is a miss.
-type diskCache struct{ dir string }
+type diskCache struct{ fileStore }
 
 // diskEntry is the on-disk format. The key fields are stored in full (not
 // just hashed into the filename) so a load can verify it found the right
@@ -42,45 +84,25 @@ type diskEntry struct {
 	Result       Result `json:"result"`
 }
 
-func newDiskCache(dir string) *diskCache {
-	return &diskCache{dir: dir}
-}
-
-// matches reports whether an entry belongs to (key, opt) at the current
-// model version.
-func (e *diskEntry) matches(key string, opt ExpOptions) bool {
-	return e.Key == key && e.ModelVersion == ModelVersion &&
-		e.Instr == opt.Instr && e.Warmup == opt.Warmup && e.Seed == opt.Seed
-}
-
-func (d *diskCache) path(key string, opt ExpOptions) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|%d|%d",
-		ModelVersion, key, opt.Instr, opt.Warmup, opt.Seed)))
-	return filepath.Join(d.dir, hex.EncodeToString(h[:12])+".json")
+func diskID(key string, opt ExpOptions) string {
+	return fmt.Sprintf("%s|%s|%d|%d|%d", ModelVersion, key, opt.Instr, opt.Warmup, opt.Seed)
 }
 
 // load returns the cached result for (key, opt), if present and valid.
 // Any read, decode, or verification failure is simply a miss — the run
 // re-simulates and overwrites the entry.
 func (d *diskCache) load(key string, opt ExpOptions) (Result, bool) {
-	raw, err := os.ReadFile(d.path(key, opt))
-	if err != nil {
-		return Result{}, false
-	}
+	raw, ok := d.fileStore.load(diskID(key, opt))
 	var e diskEntry
-	if err := json.Unmarshal(raw, &e); err != nil || !e.matches(key, opt) {
+	if !ok || json.Unmarshal(raw, &e) != nil || e.Key != key || e.ModelVersion != ModelVersion ||
+		e.Instr != opt.Instr || e.Warmup != opt.Warmup || e.Seed != opt.Seed {
 		return Result{}, false
 	}
 	return e.Result, true
 }
 
-// store writes the entry via a unique temp file plus atomic rename, so
-// concurrent writers (parallel workers, or two praexp processes sharing a
-// cache directory) can never interleave partial JSON.
+// store persists the result of (key, opt).
 func (d *diskCache) store(key string, opt ExpOptions, res Result) error {
-	if err := os.MkdirAll(d.dir, 0o755); err != nil {
-		return err
-	}
 	raw, err := json.Marshal(diskEntry{
 		Key: key, ModelVersion: ModelVersion,
 		Instr: opt.Instr, Warmup: opt.Warmup, Seed: opt.Seed,
@@ -89,18 +111,5 @@ func (d *diskCache) store(key string, opt ExpOptions, res Result) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(d.dir, ".pradram-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), d.path(key, opt))
+	return d.fileStore.store(diskID(key, opt), raw)
 }

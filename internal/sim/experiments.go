@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pradram/internal/dram"
 	"pradram/internal/memctrl"
 	"pradram/internal/obs"
 	"pradram/internal/power"
@@ -24,9 +25,9 @@ type ExpOptions struct {
 	Seed   uint64 // workload seed
 
 	// Workers bounds how many simulations execute concurrently when the
-	// runner precomputes a key set; 0 means runtime.NumCPU(). Each RunOne
-	// is a pure function of its configuration, so the worker count changes
-	// wall-clock only, never results (enforced by determinism_test.go).
+	// runner precomputes a key set; 0 means runtime.GOMAXPROCS(0). Each
+	// RunOne is a pure function of its configuration, so the worker count
+	// changes wall-clock only, never results (enforced by determinism_test.go).
 	Workers int
 
 	// Obs is the telemetry configuration applied to every run the runner
@@ -90,36 +91,26 @@ func (o ExpOptions) Validate() error {
 
 // Runner executes simulation runs with memoization, so experiments that
 // share configurations (Figures 12 and 13 use the same runs) pay once.
-// It is safe for concurrent use: the memo is mutex-guarded and duplicate
-// in-flight requests for one key are deduplicated (singleflight), so a key
-// simulates exactly once no matter how many goroutines ask for it.
+// It is safe for concurrent use: duplicate in-flight requests for one key
+// are deduplicated (memo.go), so a key simulates exactly once no matter how
+// many goroutines ask for it.
 type Runner struct {
-	opt  ExpOptions
-	disk *diskCache
+	opt      ExpOptions
+	disk     *diskCache
+	ckptDisk *CheckpointStore
 
-	mu       sync.Mutex
-	cache    map[string]Result
-	inflight map[string]*inflightRun
+	results memo[Result] // by runKey.String()
+	ckpts   memo[[]byte] // warmup checkpoints by fingerprint (ckptcache.go)
 
-	// Warmup checkpoint memo (ckptcache.go): one snapshot per warmup
-	// fingerprint, produced by the first run that needs it and reused by
-	// every later run sharing the fingerprint.
-	ckptMu     sync.Mutex
-	ckpts      map[string][]byte
-	ckptFlight map[string]*inflightCkpt
-	ckptDisk   *ckptStore
+	// sharing counts, per warmup fingerprint, the unfinished runs of the
+	// Precompute waves in progress (ckptcache.go).
+	shareMu sync.Mutex
+	sharing map[string]int
 
 	sims       atomic.Int64 // simulations actually executed
 	diskHits   atomic.Int64 // runs recalled from the on-disk cache
 	ckptHits   atomic.Int64 // simulations that reused a warmup checkpoint
 	ckptMisses atomic.Int64 // checkpoint-eligible simulations that warmed cold
-}
-
-// inflightRun is one in-progress simulation other goroutines can wait on.
-type inflightRun struct {
-	done chan struct{}
-	res  Result
-	err  error
 }
 
 // NewRunner builds a runner; results are cached inside it for the
@@ -131,18 +122,12 @@ func NewRunner(opt ExpOptions) *Runner {
 	if opt.Warmup < 0 {
 		opt.Warmup = 0
 	}
-	r := &Runner{
-		opt:        opt,
-		cache:      make(map[string]Result),
-		inflight:   make(map[string]*inflightRun),
-		ckpts:      make(map[string][]byte),
-		ckptFlight: make(map[string]*inflightCkpt),
-	}
+	r := &Runner{opt: opt, sharing: make(map[string]int)}
 	if opt.CacheDir != "" {
-		r.disk = newDiskCache(opt.CacheDir)
+		r.disk = &diskCache{fileStore{opt.CacheDir, ".json"}}
 	}
 	if opt.CkptDir != "" {
-		r.ckptDisk = newCkptStore(opt.CkptDir)
+		r.ckptDisk = NewCheckpointStore(opt.CkptDir)
 	}
 	return r
 }
@@ -169,6 +154,14 @@ type runKey struct {
 	memctrl.Knobs
 	dbi    bool
 	active int
+
+	// What the parameter sweeps vary (sensitivity.go). A non-zero synthetic
+	// runs that microbenchmark on every core, workload then only labelling
+	// the run; grade names a dram.SpeedGrades bin ("" keeps DDR3-1600);
+	// sweep selects the sweeps' budget rule (Runner.config).
+	synthetic workload.SyntheticParams
+	grade     string
+	sweep     bool
 }
 
 // newKey is the common case: a workload under a scheme and policy, every
@@ -179,10 +172,10 @@ func newKey(workload string, s memctrl.Scheme, p memctrl.Policy, active int) run
 
 // String is the memo key and, with the budget and ModelVersion, the on-disk
 // cache's file name, so its spelling is pinned (testdata/runkeys.golden).
-// The low-power and mitigation groups only grow a suffix when one of their
-// knobs is set, so historical keys for default runs are unchanged, and each
-// renders its fields in declaration order. ECC and LatSpanEvery are not
-// rendered: no experiment varies them.
+// Every group past the first only grows a suffix when one of its fields is
+// set, so historical keys for default runs are unchanged, and each renders
+// its fields in declaration order. ECC and LatSpanEvery are not rendered: no
+// experiment varies them.
 func (k runKey) String() string {
 	s := fmt.Sprintf("%s/%v/%v/dbi=%v/active=%d/abl=%v%v%v",
 		k.workload, k.Scheme, k.Policy, k.dbi, k.active, k.NoTimingRelax, k.NoPartialIO, k.NoMaskCycle)
@@ -194,6 +187,15 @@ func (k runKey) String() string {
 	}
 	if k.LatBreak {
 		s += "/latbreak"
+	}
+	if k.synthetic != (workload.SyntheticParams{}) {
+		s += fmt.Sprintf("/syn=%d,%v,%v,%d,%d", fieldsOf(k.synthetic)...)
+	}
+	if k.grade != "" {
+		s += "/grade=" + k.grade
+	}
+	if k.sweep {
+		s += "/sweep"
 	}
 	return s
 }
@@ -213,35 +215,12 @@ func fieldsOf(v any) []any {
 // on the same in-flight run and share its result.
 func (r *Runner) Run(k runKey) (Result, error) {
 	key := k.String()
-	r.mu.Lock()
-	if res, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		return res, nil
-	}
-	if in, ok := r.inflight[key]; ok {
-		r.mu.Unlock()
-		<-in.done
-		return in.res, in.err
-	}
-	in := &inflightRun{done: make(chan struct{})}
-	r.inflight[key] = in
-	r.mu.Unlock()
-
-	in.res, in.err = r.execute(k, key)
-
-	r.mu.Lock()
-	if in.err == nil {
-		r.cache[key] = in.res
-	}
-	delete(r.inflight, key)
-	r.mu.Unlock()
-	close(in.done)
-	return in.res, in.err
+	return r.results.do(key, func() (Result, error) { return r.execute(k, key) })
 }
 
 // config expands a run key into the full simulation configuration under
 // the runner's budget.
-func (r *Runner) config(k runKey) Config {
+func (r *Runner) config(k runKey) (Config, error) {
 	cfg := DefaultConfig(k.workload)
 	cfg.Knobs = k.Knobs
 	cfg.DBI = k.dbi
@@ -254,13 +233,33 @@ func (r *Runner) config(k runKey) Config {
 		// faster, so scale the per-core budget down accordingly.
 		cfg.WarmupPerCore = r.opt.Warmup / int64(k.active)
 	}
+	if k.sweep {
+		// Many points, read as ratios: half the measured budget (floored,
+		// so tiny budgets still reach steady state) after twice that warmup.
+		cfg.InstrPerCore = max(r.opt.Instr/2, 20_000)
+		cfg.WarmupPerCore = 2 * cfg.InstrPerCore
+	}
+	if k.synthetic != (workload.SyntheticParams{}) {
+		mk, err := workload.NewSynthetic(k.synthetic)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Generator = mk
+	}
+	if k.grade != "" {
+		g, ok := dram.SpeedGradeByName(k.grade)
+		if !ok {
+			return cfg, fmt.Errorf("sim: unknown speed grade %q", k.grade)
+		}
+		cfg.Timing, cfg.CPUPerMem = &g.Timing, g.CPUPerMem
+	}
 	cfg.Seed = r.opt.Seed
 	cfg.Obs = r.opt.Obs
 	cfg.NoSkip = r.opt.NoSkip
-	return cfg
+	return cfg, nil
 }
 
-// execute resolves one cache miss: disk cache first, then simulation.
+// execute resolves one memo miss: disk cache first, then simulation.
 func (r *Runner) execute(k runKey, key string) (Result, error) {
 	if r.disk != nil {
 		if res, ok := r.disk.load(key, r.opt); ok {
@@ -268,7 +267,11 @@ func (r *Runner) execute(k runKey, key string) (Result, error) {
 			return res, nil
 		}
 	}
-	res, err := r.runOne(r.config(k))
+	cfg, err := r.config(k)
+	var res Result
+	if err == nil {
+		res, err = r.runOne(cfg)
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("run %s: %w", key, err)
 	}
@@ -280,56 +283,72 @@ func (r *Runner) execute(k runKey, key string) (Result, error) {
 	return res, nil
 }
 
-// AloneIPC returns the IPC of one application running alone on the system
-// under the baseline scheme with the given policy (the Equation 3
-// denominator).
+// aloneKey is the Equation 3 denominator run: one application alone on the
+// system under the baseline scheme with the given policy.
+func aloneKey(app string, policy memctrl.Policy) runKey {
+	return newKey(app, memctrl.Baseline, policy, 1)
+}
+
+// AloneIPC returns the IPC of one application running alone (aloneKey),
+// simulating it if the runner has not yet.
 func (r *Runner) AloneIPC(app string, policy memctrl.Policy) (float64, error) {
-	res, err := r.Run(newKey(app, memctrl.Baseline, policy, 1))
+	res, err := r.Run(aloneKey(app, policy))
 	if err != nil {
 		return 0, err
 	}
 	return res.CoreIPC[0], nil
 }
 
-// AloneIPCs resolves Equation-3 denominators for every app of a workload.
-func (r *Runner) AloneIPCs(apps []string, policy memctrl.Policy) (map[string]float64, error) {
-	m := make(map[string]float64)
-	for _, app := range apps {
-		if _, ok := m[app]; ok {
-			continue
-		}
-		ipc, err := r.AloneIPC(app, policy)
-		if err != nil {
-			return nil, err
-		}
-		m[app] = ipc
-	}
-	return m, nil
+// runSet is all a formatter sees of the simulator: the finished results of
+// the runs its experiment declared. It cannot start a simulation, and get
+// cannot fail for a declared key.
+type runSet struct {
+	exp string            // experiment id, for undeclaredRead
+	res map[string]Result // by runKey.String()
 }
 
-// NormalizedWS returns WS(res) / WS(base) with shared alone-IPC
+// undeclaredRead is the panic a formatter raises by reading a run its
+// experiment's Keys did not declare — a bug in that pair, never an input —
+// and the error RunExperiment turns it into.
+type undeclaredRead struct{ error }
+
+// get returns the result of a declared run.
+func (s runSet) get(k runKey) Result {
+	res, ok := s.res[k.String()]
+	if !ok {
+		panic(undeclaredRead{fmt.Errorf("sim: experiment %s read run %s, which its Keys do not declare", s.exp, k)})
+	}
+	return res
+}
+
+// normalizedWS returns WS(res) / WS(base) with shared alone-IPC
 // denominators ("normalized performance" in the paper).
-func (r *Runner) NormalizedWS(res, base Result, policy memctrl.Policy) (float64, error) {
-	alone, err := r.AloneIPCs(res.Apps, policy)
-	if err != nil {
-		return 0, err
+func (s runSet) normalizedWS(res, base Result, policy memctrl.Policy) float64 {
+	alone := make(map[string]float64)
+	for _, app := range res.Apps {
+		alone[app] = s.get(aloneKey(app, policy)).CoreIPC[0]
 	}
-	return stats.Ratio(res.WeightedSpeedup(alone), base.WeightedSpeedup(alone)), nil
+	return stats.Ratio(res.WeightedSpeedup(alone), base.WeightedSpeedup(alone))
 }
 
-// Experiment is one regenerable paper artifact.
+// Experiment is one regenerable paper artifact: the simulations it is built
+// from, declared up front, and the formatter that turns their results into
+// its table.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(r *Runner) (string, error)
 
-	// Keys, when non-nil, enumerates every memoized simulation
-	// configuration Run will consume, so the runner can execute them
-	// across its worker pool before the (ordered, sequential) formatting
-	// pass reads the memo. Experiments without Keys either need no
-	// simulation at all or drive bespoke configurations internally.
+	format func(runSet) (string, error)
+
+	// Keys declares every simulation the table is built from; nil for the
+	// analytic experiments. RunExperiment executes the set across the
+	// worker pool and only then calls the (ordered, sequential) formatter,
+	// which can read those results and nothing else.
 	Keys func() []runKey
 }
+
+// Run renders the experiment's table on r (Runner.RunExperiment).
+func (e Experiment) Run(r *Runner) (string, error) { return r.RunExperiment(e) }
 
 // Experiments returns every experiment in paper order.
 func Experiments() []Experiment {
@@ -349,10 +368,10 @@ func Experiments() []Experiment {
 		{"sec3cov", "Section 3: PRA vs SDS coverage (activation vs chip-access granularity)", ExpSec3Coverage, keysSec3Coverage},
 		{"ablation", "Ablation: contribution of each PRA design element", ExpAblation, keysAblation},
 		{"modelcheck", "Cross-validation: analytic power model vs cycle-level simulation", ExpModelCheck, keysModelCheck},
-		{"sensitivity", "Sensitivity: PRA savings vs dirty words per line and write share", ExpSensitivity, nil},
-		{"speedgrades", "Speed grades: PRA savings across DDR3 data rates", ExpSpeedGrades, nil},
+		{"sensitivity", "Sensitivity: PRA savings vs dirty words per line and write share", ExpSensitivity, keysSensitivity},
+		{"speedgrades", "Speed grades: PRA savings across DDR3 data rates", ExpSpeedGrades, keysSpeedGrades},
 		{"pdsweep", "Power-down & refresh management: policy sweep (residency, energy)", ExpPDSweep, keysPDSweep},
-		{"powerband", "Calibrated power bands: min/nominal/max under each correction set", ExpPowerBand, keysPowerBand},
+		{"powerband", "Calibrated power bands: min/nominal/max under each correction set", ExpPowerBand, powerBandRuns},
 		{"hammer", "RowHammer mitigation overhead: Alert/RFM under attack, PRA on/off", ExpHammer, keysHammer},
 		{"latbreak", "Latency attribution: per-component read-latency breakdown and tail percentiles", ExpLatBreak, keysLatBreak},
 		{"tensor", "Tensor loop permutations: analytic vs measured activation rate, locality vs power", ExpTensor, keysTensor},
@@ -377,7 +396,7 @@ func ExperimentByID(id string) (Experiment, error) {
 // --- analytic experiments (no simulation) ---
 
 // ExpTable2 reproduces Table 2 from the MAT energy and die-area models.
-func ExpTable2(*Runner) (string, error) {
+func ExpTable2(runSet) (string, error) {
 	m := power.DefaultMATEnergy()
 	a := power.DefaultDieArea()
 	var b strings.Builder
@@ -407,7 +426,7 @@ func ExpTable2(*Runner) (string, error) {
 
 // ExpTable3 reproduces the derived Table 3 power block: Equations 1 and 2
 // plus the MAT-scaled activation power series.
-func ExpTable3(*Runner) (string, error) {
+func ExpTable3(runSet) (string, error) {
 	idd := power.DefaultIDD()
 	chip := power.DefaultChipPowers()
 	mat := power.DefaultMATEnergy()
@@ -430,7 +449,7 @@ func ExpTable3(*Runner) (string, error) {
 }
 
 // ExpFig9 reproduces the Figure 9 sweep: activation energy vs MATs.
-func ExpFig9(*Runner) (string, error) {
+func ExpFig9(runSet) (string, error) {
 	m := power.DefaultMATEnergy()
 	t := stats.NewTable("MATs activated", "energy (pJ)", "vs full row")
 	for n := 16; n >= 2; n -= 2 {

@@ -26,16 +26,13 @@ var paperTable1 = map[string][6]float64{
 
 // ExpTable1 regenerates Table 1: per-benchmark memory characteristics
 // under the baseline (single instance, as in the paper's motivation).
-func ExpTable1(r *Runner) (string, error) {
+func ExpTable1(rs runSet) (string, error) {
 	t := stats.NewTable("benchmark",
 		"hitR% (paper)", "hitW% (paper)",
 		"trafR% (paper)", "trafW% (paper)",
 		"actR% (paper)", "actW% (paper)")
 	for _, b := range benchOrder {
-		res, err := r.Run(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
-		if err != nil {
-			return "", err
-		}
+		res := rs.get(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
 		p := paperTable1[b]
 		cell := func(v float64, ref float64) string {
 			return fmt.Sprintf("%5.1f (%2.0f)", v, ref)
@@ -53,14 +50,11 @@ func ExpTable1(r *Runner) (string, error) {
 
 // ExpFig2 regenerates Figure 2: the baseline DRAM power breakdown
 // (single-core, as the paper's motivational setup).
-func ExpFig2(r *Runner) (string, error) {
+func ExpFig2(rs runSet) (string, error) {
 	t := stats.NewTable("benchmark", "ACT-PRE%", "RD%", "WR%", "I/O%", "BG%", "REF%", "total mW")
 	var actSum, ioSum float64
 	for _, b := range benchOrder {
-		res, err := r.Run(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
-		if err != nil {
-			return "", err
-		}
+		res := rs.get(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
 		e := res.Energy
 		tot := e.Total()
 		io := e.IO()
@@ -82,13 +76,10 @@ func ExpFig2(r *Runner) (string, error) {
 
 // ExpFig3 regenerates Figure 3: the distribution of dirty words per cache
 // line at LLC eviction.
-func ExpFig3(r *Runner) (string, error) {
+func ExpFig3(rs runSet) (string, error) {
 	t := stats.NewTable("benchmark", "1w%", "2w%", "3w%", "4w%", "5w%", "6w%", "7w%", "8w%", "mean")
 	for _, b := range benchOrder {
-		res, err := r.Run(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
-		if err != nil {
-			return "", err
-		}
+		res := rs.get(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
 		h := res.Cache.DirtyWords
 		row := []any{b}
 		for w := 1; w <= 8; w++ {
@@ -102,19 +93,13 @@ func ExpFig3(r *Runner) (string, error) {
 
 // ExpFig10 regenerates Figure 10: row-buffer hit rates under PRA with
 // false-hit accounting, against the baseline.
-func ExpFig10(r *Runner) (string, error) {
+func ExpFig10(rs runSet) (string, error) {
 	t := stats.NewTable("workload", "base R%", "pra R%", "base W%", "pra W%", "base tot%", "pra tot%", "falseR%", "falseW%")
 	var fr, fw float64
 	var n int
 	for _, w := range workloadOrder() {
-		base, err := r.Run(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
-		if err != nil {
-			return "", err
-		}
-		pra, err := r.Run(newKey(w, memctrl.PRA, memctrl.RelaxedClose, 4))
-		if err != nil {
-			return "", err
-		}
+		base := rs.get(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
+		pra := rs.get(newKey(w, memctrl.PRA, memctrl.RelaxedClose, 4))
 		t.Row(w,
 			100*base.RowHitRateRead(), 100*pra.RowHitRateRead(),
 			100*base.RowHitRateWrite(), 100*pra.RowHitRateWrite(),
@@ -130,7 +115,7 @@ func ExpFig10(r *Runner) (string, error) {
 
 // ExpFig11 regenerates Figure 11: activation-granularity proportions under
 // PRA for both close-page policies.
-func ExpFig11(r *Runner) (string, error) {
+func ExpFig11(rs runSet) (string, error) {
 	var b strings.Builder
 	for _, pol := range []memctrl.Policy{memctrl.RestrictedClose, memctrl.RelaxedClose} {
 		fmt.Fprintf(&b, "-- %v --\n", pol)
@@ -138,10 +123,7 @@ func ExpFig11(r *Runner) (string, error) {
 		sums := make([]float64, 9)
 		var n int
 		for _, w := range workloadOrder() {
-			res, err := r.Run(newKey(w, memctrl.PRA, pol, 4))
-			if err != nil {
-				return "", err
-			}
+			res := rs.get(newKey(w, memctrl.PRA, pol, 4))
 			row := []any{w}
 			for g := 1; g <= 8; g++ {
 				v := 100 * res.GranularityShare(g)
@@ -164,25 +146,16 @@ func ExpFig11(r *Runner) (string, error) {
 	return b.String(), nil
 }
 
-// schemeComparison runs the Figure 12/13 matrix: every workload under
-// baseline, FGA, Half-DRAM, and PRA with the relaxed close-page policy.
-func schemeComparison(r *Runner, w string) (base, fga, half, pra Result, err error) {
-	if base, err = r.Run(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4)); err != nil {
-		return
-	}
-	if fga, err = r.Run(newKey(w, memctrl.FGA, memctrl.RelaxedClose, 4)); err != nil {
-		return
-	}
-	if half, err = r.Run(newKey(w, memctrl.HalfDRAM, memctrl.RelaxedClose, 4)); err != nil {
-		return
-	}
-	pra, err = r.Run(newKey(w, memctrl.PRA, memctrl.RelaxedClose, 4))
-	return
+// schemeComparison reads one row of the Figure 12/13 matrix: a workload
+// under baseline, FGA, Half-DRAM, and PRA with the relaxed close-page policy.
+func schemeComparison(rs runSet, w string) (base, fga, half, pra Result) {
+	at := func(s memctrl.Scheme) Result { return rs.get(newKey(w, s, memctrl.RelaxedClose, 4)) }
+	return at(memctrl.Baseline), at(memctrl.FGA), at(memctrl.HalfDRAM), at(memctrl.PRA)
 }
 
 // ExpFig12 regenerates Figure 12: normalized activation, I/O, and total
 // DRAM power for FGA, Half-DRAM, and PRA.
-func ExpFig12(r *Runner) (string, error) {
+func ExpFig12(rs runSet) (string, error) {
 	var b strings.Builder
 	type row struct{ act, io, tot [3]float64 } // fga, half, pra
 	var avg row
@@ -192,10 +165,7 @@ func ExpFig12(r *Runner) (string, error) {
 		"TOT fga", "TOT half", "TOT pra")
 	var n int
 	for _, w := range workloadOrder() {
-		base, fga, half, pra, err := schemeComparison(r, w)
-		if err != nil {
-			return "", err
-		}
+		base, fga, half, pra := schemeComparison(rs, w)
 		norm := func(res Result, f func(Result) float64) float64 {
 			return stats.Ratio(f(res), f(base))
 		}
@@ -229,7 +199,7 @@ func ExpFig12(r *Runner) (string, error) {
 
 // ExpFig13 regenerates Figure 13: normalized performance (weighted
 // speedup), DRAM energy, and EDP for FGA, Half-DRAM, and PRA.
-func ExpFig13(r *Runner) (string, error) {
+func ExpFig13(rs runSet) (string, error) {
 	t := stats.NewTable("workload",
 		"perf fga", "perf half", "perf pra",
 		"energy fga", "energy half", "energy pra",
@@ -237,17 +207,8 @@ func ExpFig13(r *Runner) (string, error) {
 	var sums [9]float64
 	var n int
 	for _, w := range workloadOrder() {
-		base, fga, half, pra, err := schemeComparison(r, w)
-		if err != nil {
-			return "", err
-		}
-		perf := func(res Result) float64 {
-			v, err2 := r.NormalizedWS(res, base, memctrl.RelaxedClose)
-			if err2 != nil {
-				panic(err2) // alone runs already cached by this point
-			}
-			return v
-		}
+		base, fga, half, pra := schemeComparison(rs, w)
+		perf := func(res Result) float64 { return rs.normalizedWS(res, base, memctrl.RelaxedClose) }
 		energy := func(res Result) float64 { return stats.Ratio(res.TotalEnergyPJ(), base.TotalEnergyPJ()) }
 		edp := func(res Result) float64 { return stats.Ratio(res.EDP(), base.EDP()) }
 		vals := [9]float64{
@@ -273,24 +234,15 @@ func ExpFig13(r *Runner) (string, error) {
 
 // ExpFig14 regenerates Figure 14: Half-DRAM, PRA, and the combined scheme
 // under the restricted close-page policy (14-workload averages).
-func ExpFig14(r *Runner) (string, error) {
+func ExpFig14(rs runSet) (string, error) {
 	schemes := []memctrl.Scheme{memctrl.HalfDRAM, memctrl.PRA, memctrl.HalfDRAMPRA}
 	sums := make(map[memctrl.Scheme][4]float64)
 	var n int
 	for _, w := range workloadOrder() {
-		base, err := r.Run(newKey(w, memctrl.Baseline, memctrl.RestrictedClose, 4))
-		if err != nil {
-			return "", err
-		}
+		base := rs.get(newKey(w, memctrl.Baseline, memctrl.RestrictedClose, 4))
 		for _, s := range schemes {
-			res, err := r.Run(newKey(w, s, memctrl.RestrictedClose, 4))
-			if err != nil {
-				return "", err
-			}
-			perf, err := r.NormalizedWS(res, base, memctrl.RestrictedClose)
-			if err != nil {
-				return "", err
-			}
+			res := rs.get(newKey(w, s, memctrl.RestrictedClose, 4))
+			perf := rs.normalizedWS(res, base, memctrl.RestrictedClose)
 			v := sums[s]
 			v[0] += stats.Ratio(res.AvgPowerMW(), base.AvgPowerMW())
 			v[1] += perf
@@ -311,7 +263,7 @@ func ExpFig14(r *Runner) (string, error) {
 
 // ExpFig15 regenerates Figure 15: DBI, PRA, and DBI+PRA for the paper's
 // representative benchmarks plus the 14-workload mean.
-func ExpFig15(r *Runner) (string, error) {
+func ExpFig15(rs runSet) (string, error) {
 	type variant struct {
 		name   string
 		scheme memctrl.Scheme
@@ -327,10 +279,7 @@ func ExpFig15(r *Runner) (string, error) {
 	sums := make(map[string][4]float64)
 	var n int
 	for _, w := range workloadOrder() {
-		base, err := r.Run(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
-		if err != nil {
-			return "", err
-		}
+		base := rs.get(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
 		show := false
 		for _, p := range picks {
 			if p == w {
@@ -340,14 +289,8 @@ func ExpFig15(r *Runner) (string, error) {
 		for _, v := range variants {
 			k := newKey(w, v.scheme, memctrl.RelaxedClose, 4)
 			k.dbi = v.dbi
-			res, err := r.Run(k)
-			if err != nil {
-				return "", err
-			}
-			perf, err := r.NormalizedWS(res, base, memctrl.RelaxedClose)
-			if err != nil {
-				return "", err
-			}
+			res := rs.get(k)
+			perf := rs.normalizedWS(res, base, memctrl.RelaxedClose)
 			vals := [4]float64{
 				stats.Ratio(res.AvgPowerMW(), base.AvgPowerMW()),
 				perf,
@@ -379,18 +322,12 @@ func ExpFig15(r *Runner) (string, error) {
 // mask-transfer cycle (NoMaskCycle — removing a *cost*, so it can only
 // help). Values are normalized to the conventional baseline; "pra" is the
 // full published scheme.
-func ExpAblation(r *Runner) (string, error) {
+func ExpAblation(rs runSet) (string, error) {
 	t := stats.NewTable("workload", "variant", "power", "energy", "perf (sumIPC)")
 	for _, w := range ablationWorkloads {
-		base, err := r.Run(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
-		if err != nil {
-			return "", err
-		}
+		base := rs.get(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
 		for _, v := range ablationVariants {
-			res, err := r.Run(runKey{workload: w, Knobs: v.knobs, active: 4})
-			if err != nil {
-				return "", err
-			}
+			res := rs.get(runKey{workload: w, Knobs: v.knobs, active: 4})
 			t.Row(w, v.name,
 				stats.Ratio(res.AvgPowerMW(), base.AvgPowerMW()),
 				stats.Ratio(res.TotalEnergyPJ(), base.TotalEnergyPJ()),
@@ -407,25 +344,16 @@ func ExpAblation(r *Runner) (string, error) {
 // groups); SDS's average chip-access granularity keeps every read at 8
 // chips and scales writes by the chip mask of the dirty bytes — one dirty
 // word touches all eight byte positions, so SDS saves far less.
-func ExpSec3Coverage(r *Runner) (string, error) {
+func ExpSec3Coverage(rs runSet) (string, error) {
 	t := stats.NewTable("benchmark",
 		"PRA act-gran reduction %", "SDS chip-access reduction %",
 		"PRA power (norm)", "SDS power (norm)")
 	var pSum, sSum, ppSum, spSum float64
 	var n int
 	for _, b := range benchOrder {
-		base, err := r.Run(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
-		if err != nil {
-			return "", err
-		}
-		pra, err := r.Run(newKey(b, memctrl.PRA, memctrl.RelaxedClose, 1))
-		if err != nil {
-			return "", err
-		}
-		sds, err := r.Run(newKey(b, memctrl.SDS, memctrl.RelaxedClose, 1))
-		if err != nil {
-			return "", err
-		}
+		base := rs.get(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
+		pra := rs.get(newKey(b, memctrl.PRA, memctrl.RelaxedClose, 1))
+		sds := rs.get(newKey(b, memctrl.SDS, memctrl.RelaxedClose, 1))
 		praRed := 100 * (1 - pra.Dev.AvgGranularity()/8)
 		sdsRed := 100 * (1 - sds.Dev.AvgGranularity()/8)
 		praPow := stats.Ratio(pra.AvgPowerMW(), base.AvgPowerMW())

@@ -21,8 +21,12 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
-		if e.ID == "" || e.Title == "" || e.Run == nil {
+		if e.ID == "" || e.Title == "" || e.format == nil {
 			t.Errorf("experiment %+v incomplete", e.ID)
+		}
+		// Only the three analytic tables may declare no simulation.
+		if analytic := e.ID == "table2" || e.ID == "table3" || e.ID == "fig9"; (e.Keys == nil) != analytic {
+			t.Errorf("experiment %s: Keys == nil is %v, want %v", e.ID, e.Keys == nil, analytic)
 		}
 		if seen[e.ID] {
 			t.Errorf("duplicate experiment id %s", e.ID)
@@ -40,8 +44,7 @@ func TestExperimentRegistry(t *testing.T) {
 
 func TestAnalyticExperimentsContent(t *testing.T) {
 	t.Parallel()
-	r := tinyRunner()
-	out, err := ExpTable2(r)
+	out, err := ExpTable2(runSet{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestAnalyticExperimentsContent(t *testing.T) {
 			t.Errorf("table2 output missing %q", want)
 		}
 	}
-	out, err = ExpTable3(r)
+	out, err = ExpTable3(runSet{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func TestAnalyticExperimentsContent(t *testing.T) {
 			t.Errorf("table3 output missing %q", want)
 		}
 	}
-	out, err = ExpFig9(r)
+	out, err = ExpFig9(runSet{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +147,8 @@ func TestRunnerMemoization(t *testing.T) {
 	if c.Scheme != memctrl.PRA {
 		t.Error("second key must run the requested scheme")
 	}
-	if len(r.cache) != 2 {
-		t.Errorf("run cache holds %d entries, want 2", len(r.cache))
+	if n := len(r.results.vals); n != 2 {
+		t.Errorf("run memo holds %d entries, want 2", n)
 	}
 	if r.Simulations() != 2 {
 		t.Errorf("runner executed %d simulations, want 2", r.Simulations())
@@ -155,34 +158,56 @@ func TestRunnerMemoization(t *testing.T) {
 func TestAloneIPCs(t *testing.T) {
 	t.Parallel()
 	r := tinyRunner()
-	m, err := r.AloneIPCs([]string{"GUPS", "GUPS", "em3d"}, memctrl.RelaxedClose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 2 {
-		t.Fatalf("alone map = %v, want 2 unique apps", m)
-	}
-	for app, ipc := range m {
+	for _, app := range []string{"GUPS", "GUPS", "em3d"} {
+		ipc, err := r.AloneIPC(app, memctrl.RelaxedClose)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ipc <= 0 || ipc > 8 {
 			t.Errorf("%s alone IPC = %v out of range", app, ipc)
 		}
+	}
+	if r.Simulations() != 2 {
+		t.Errorf("runner executed %d simulations, want one per unique app", r.Simulations())
 	}
 }
 
 func TestNormalizedWSIdentity(t *testing.T) {
 	t.Parallel()
-	r := tinyRunner()
 	k := newKey("GUPS", memctrl.Baseline, memctrl.RelaxedClose, 4)
-	base, err := r.Run(k)
+	rs, err := tinyRunner().finished("test", append(aloneKeys([]string{"GUPS"}, memctrl.RelaxedClose), k))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := r.NormalizedWS(base, base, memctrl.RelaxedClose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws != 1 {
+	base := rs.get(k)
+	if ws := rs.normalizedWS(base, base, memctrl.RelaxedClose); ws != 1 {
 		t.Errorf("self-normalized WS = %v, want 1", ws)
+	}
+}
+
+// TestUndeclaredReadFails drifts an experiment's Keys from its formatter:
+// the run the formatter then reads without having declared it must end the
+// experiment with an error naming both, not be simulated on the side.
+func TestUndeclaredReadFails(t *testing.T) {
+	t.Parallel()
+	e, err := ExperimentByID("table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := e.Keys()
+	e.Keys = func() []runKey { return all[1:] }
+	r := NewRunner(tinyOpt(2))
+	_, err = r.RunExperiment(e)
+	if err == nil {
+		t.Fatal("formatter read an undeclared run and the experiment succeeded")
+	}
+	for _, want := range []string{"table1", all[0].String()} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if got, want := r.Simulations(), int64(len(all)-1); got != want {
+		t.Errorf("runner executed %d simulations, want the %d declared", got, want)
 	}
 }
 

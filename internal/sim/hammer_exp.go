@@ -52,19 +52,13 @@ func keysHammer() []runKey {
 // run is paired with the identical run with mitigation off (which is
 // bit-identical to a simulator without the feature — the identity suite
 // enforces that), so the deltas isolate the defense's cost.
-func ExpHammer(r *Runner) (string, error) {
+func ExpHammer(rs runSet) (string, error) {
 	t := stats.NewTable("workload", "scheme",
 		"alerts", "RFMs", "stall cyc", "spills", "dCycles%", "dPower%")
 	for _, w := range hammerWorkloads {
 		for _, s := range hammerSchemes {
-			base, err := r.Run(hammerKey(w, s, 0))
-			if err != nil {
-				return "", err
-			}
-			res, err := r.Run(hammerKey(w, s, hammerMitThreshold))
-			if err != nil {
-				return "", err
-			}
+			base := rs.get(hammerKey(w, s, 0))
+			res := rs.get(hammerKey(w, s, hammerMitThreshold))
 			t.Row(w, s.String(),
 				res.Ctrl.Alerts,
 				res.Dev.RFMs,

@@ -39,7 +39,7 @@ func keysLatBreak() []runKey {
 // ExpLatBreak regenerates the latency-breakdown table: per scheme and
 // workload, the mean and tail read latency in nanoseconds and each
 // component's share of the total read latency.
-func ExpLatBreak(r *Runner) (string, error) {
+func ExpLatBreak(rs runSet) (string, error) {
 	cols := []string{"workload", "scheme", "avg ns", "p50 ns", "p99 ns"}
 	for comp := memctrl.LatComponent(0); comp < memctrl.NumLatComponents; comp++ {
 		cols = append(cols, comp.String()+"%")
@@ -47,10 +47,7 @@ func ExpLatBreak(r *Runner) (string, error) {
 	t := stats.NewTable(cols...)
 	for _, w := range latBreakWorkloads {
 		for _, s := range memctrl.Schemes() {
-			res, err := r.Run(latBreakKey(w, s))
-			if err != nil {
-				return "", err
-			}
+			res := rs.get(latBreakKey(w, s))
 			if got, want := res.Ctrl.ReadLatBreak.Sum(), res.Ctrl.ReadLatencySum; got != want {
 				return "", fmt.Errorf("latbreak: %s/%s read breakdown sums to %d cycles, latency total is %d (conservation violated)",
 					w, s, got, want)

@@ -60,20 +60,14 @@ func keysPDSweep() []runKey {
 // low-power residency, refresh-management activity, and the resulting
 // background/total power for every entry policy, against the no-power-
 // down baseline of each workload.
-func ExpPDSweep(r *Runner) (string, error) {
+func ExpPDSweep(rs runSet) (string, error) {
 	t := stats.NewTable("workload", "policy",
 		"lowpow%", "selfref%", "REF", "REFpb", "post/pull",
 		"BG mW", "total mW", "dPower%", "dCycles%")
 	for _, w := range pdSweepWorkloads {
-		base, err := r.Run(pdKey(w, pdVariant{name: "no-pd", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDNone}}))
-		if err != nil {
-			return "", err
-		}
+		base := rs.get(pdKey(w, pdVariant{name: "no-pd", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDNone}}))
 		for _, v := range pdVariants() {
-			res, err := r.Run(pdKey(w, v))
-			if err != nil {
-				return "", err
-			}
+			res := rs.get(pdKey(w, v))
 			t.Row(w, v.name,
 				fmt.Sprintf("%5.1f", 100*res.LowPowerResidency()),
 				fmt.Sprintf("%5.1f", 100*res.SelfRefreshResidency()),
@@ -101,21 +95,16 @@ func powerBandRuns() []runKey {
 	return keys
 }
 
-func keysPowerBand() []runKey { return powerBandRuns() }
-
 // ExpPowerBand regenerates the calibrated power-band report: each
 // simulated energy result under every calibration preset, as the
 // min/nominal/max average-power band the correction factors imply.
 // Calibration is post-hoc, so all presets share one simulation per run.
-func ExpPowerBand(r *Runner) (string, error) {
+func ExpPowerBand(rs runSet) (string, error) {
 	specs := []string{"none", "vendor", "ghose", "ghose:10"}
 	t := stats.NewTable("workload", "scheme", "calibration",
 		"min mW", "nom mW", "max mW", "spread%")
 	for _, k := range powerBandRuns() {
-		res, err := r.Run(k)
-		if err != nil {
-			return "", err
-		}
+		res := rs.get(k)
 		for _, spec := range specs {
 			cal, err := power.ParseCalibration(spec)
 			if err != nil {

@@ -48,15 +48,12 @@ var modelCheckCases = []struct {
 
 // ExpModelCheck cross-validates the analytic calculator against the
 // cycle-level simulation on a spread of workloads and schemes.
-func ExpModelCheck(r *Runner) (string, error) {
+func ExpModelCheck(rs runSet) (string, error) {
 	cases := modelCheckCases
 	t := stats.NewTable("workload", "scheme", "simulated mW", "analytic mW", "ratio",
 		"ACT ratio", "I/O ratio", "BG ratio")
 	for _, c := range cases {
-		res, err := r.Run(newKey(c.workload, c.scheme, memctrl.RelaxedClose, 4))
-		if err != nil {
-			return "", err
-		}
+		res := rs.get(newKey(c.workload, c.scheme, memctrl.RelaxedClose, 4))
 		est, err := AnalyticEstimate(res)
 		if err != nil {
 			return "", err

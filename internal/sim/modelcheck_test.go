@@ -69,7 +69,11 @@ func TestModelCheckExperimentTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed; skipped with -short")
 	}
-	out, err := ExpModelCheck(NewRunner(ExpOptions{Instr: 20_000, Warmup: 30_000, Seed: 1}))
+	e, err := ExperimentByID("modelcheck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := e.Run(NewRunner(ExpOptions{Instr: 20_000, Warmup: 30_000, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"pradram/internal/memctrl"
 	"pradram/internal/workload"
@@ -10,101 +11,112 @@ import (
 
 // This file is the concurrent half of the experiment layer. Every RunOne
 // is a pure function of its configuration, so an experiment campaign is
-// embarrassingly parallel: the runner precomputes an experiment's full
-// runKey set across a worker pool, then the formatting pass walks the
-// (fixed, paper-order) iteration and reads the memo. Execution order can
-// therefore never reorder or perturb a table — the determinism test and
-// the fig9 golden test enforce exactly that.
-
-// workers resolves the configured pool size. The default tracks
-// runtime.GOMAXPROCS(0) rather than NumCPU so an operator capping the
-// process with the GOMAXPROCS environment variable caps the campaign too.
-func (r *Runner) workers() int {
-	if r.opt.Workers > 0 {
-		return r.opt.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// embarrassingly parallel: the runner executes an experiment's declared
+// runKey set across a worker pool, then the formatter walks its (fixed,
+// paper-order) iteration looking results up. Execution order can therefore
+// never reorder or perturb a table — the determinism test and the golden
+// tests enforce exactly that.
 
 // Precompute executes the given configurations across the runner's worker
-// pool so a subsequent formatting pass finds every result memoized.
-// Duplicate keys are collapsed before dispatch (the singleflight layer in
-// Run would dedup them anyway, but collapsing keeps pool slots busy with
-// distinct work), and keys already memoized are skipped so opt.Progress
-// sees only real pending work — repeated Precompute calls over overlapping
-// key sets ("-exp all" warms once, then each experiment re-asserts its
-// keys) must not inflate the total. The first simulation error is returned
-// after every in-flight run has finished.
+// pool, one wave. Duplicate keys are collapsed before dispatch (Run would
+// dedup them anyway, but collapsing keeps pool slots busy with distinct
+// work), and keys already memoized are skipped so opt.Progress sees only
+// real pending work — repeated Precompute calls over overlapping key sets
+// ("-exp all" warms once, then each experiment re-asserts its keys) must
+// not inflate the total. After a simulation fails, runs not yet started are
+// skipped; its error is returned once every in-flight run has finished.
 func (r *Runner) Precompute(keys []runKey) error {
 	seen := make(map[string]bool, len(keys))
-	unique := keys[:0:0]
-	r.mu.Lock()
+	var unique []runKey
+	var fps []string // each unique key's warmup fingerprint, declared
 	for _, k := range keys {
 		s := k.String()
-		if _, memoized := r.cache[s]; !memoized && !seen[s] {
+		if _, memoized := r.results.get(s); !memoized && !seen[s] {
 			seen[s] = true
 			unique = append(unique, k)
+			fps = append(fps, r.ckptDeclare(k))
 		}
 	}
-	r.mu.Unlock()
 	prog := r.opt.Progress
 	prog.AddTotal(int64(len(unique)))
-	run := func(k runKey) error {
+
+	var failure atomic.Pointer[error] // the first simulation error
+	run := func(i int) {
+		defer r.ckptRelease(fps[i])
+		if failure.Load() != nil {
+			return
+		}
 		prog.Start()
 		defer prog.Done()
-		_, err := r.Run(k)
-		return err
-	}
-
-	workers := r.workers()
-	if workers > len(unique) {
-		workers = len(unique)
-	}
-	if workers <= 1 {
-		for _, k := range unique {
-			if err := run(k); err != nil {
-				return err
-			}
+		if _, err := r.Run(unique[i]); err != nil {
+			failure.CompareAndSwap(nil, &err)
 		}
-		return nil
 	}
-
-	jobs := make(chan runKey)
+	// The default pool tracks GOMAXPROCS rather than NumCPU, so an operator
+	// capping the process caps the campaign too.
+	workers := r.opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	jobs := make(chan int)
 	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	for w := 0; w < workers; w++ {
+	for w := min(workers, len(unique)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range jobs {
-				if err := run(k); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
+			for i := range jobs {
+				run(i)
 			}
 		}()
 	}
-	for _, k := range unique {
-		jobs <- k
+	for i := range unique {
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	return firstErr
+	if err := failure.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
-// RunExperiment precomputes an experiment's key set in parallel, then
-// runs its formatting pass against the warm memo.
-func (r *Runner) RunExperiment(e Experiment) (string, error) {
-	if e.Keys != nil {
-		if err := r.Precompute(e.Keys()); err != nil {
-			return "", err
-		}
+// finished executes whichever of the keys the runner has not memoized
+// (Precompute) and returns their results as experiment exp's run set.
+func (r *Runner) finished(exp string, keys []runKey) (runSet, error) {
+	if err := r.Precompute(keys); err != nil {
+		return runSet{}, err
 	}
-	return e.Run(r)
+	rs := runSet{exp: exp, res: make(map[string]Result, len(keys))}
+	for _, k := range keys {
+		s := k.String()
+		rs.res[s], _ = r.results.get(s)
+	}
+	return rs, nil
+}
+
+// RunExperiment is the one path from an experiment to its table: execute
+// the declared runs, then hand the formatter exactly those results. A
+// formatter that reads a run its Keys did not declare ends the experiment
+// with an error naming both.
+func (r *Runner) RunExperiment(e Experiment) (out string, err error) {
+	var keys []runKey
+	if e.Keys != nil {
+		keys = e.Keys()
+	}
+	rs, err := r.finished(e.ID, keys)
+	if err != nil {
+		return "", err
+	}
+	defer func() {
+		switch p := recover().(type) {
+		case nil:
+		case undeclaredRead:
+			out, err = "", p
+		default:
+			panic(p)
+		}
+	}()
+	return e.format(rs)
 }
 
 // PrecomputeExperiments warms the memo for a batch of experiments in one
@@ -134,21 +146,15 @@ func crossKeys(workloads []string, schemes []memctrl.Scheme, policy memctrl.Poli
 	return keys
 }
 
-// aloneKeys enumerates the Equation-3 denominator runs (each unique app of
-// each workload alone on the baseline) that NormalizedWS resolves lazily.
+// aloneKeys enumerates the Equation-3 denominator runs (each app of each
+// workload alone on the baseline) that normalizedWS reads; an unknown
+// workload contributes none and fails its own run.
 func aloneKeys(workloads []string, policy memctrl.Policy) []runKey {
 	var keys []runKey
-	seen := make(map[string]bool)
 	for _, w := range workloads {
-		apps, err := workload.Set(w, DefaultConfig(w).Cores)
-		if err != nil {
-			continue // the experiment itself will surface the error
-		}
+		apps, _ := workload.Set(w, DefaultConfig(w).Cores)
 		for _, app := range apps {
-			if !seen[app] {
-				seen[app] = true
-				keys = append(keys, newKey(app, memctrl.Baseline, policy, 1))
-			}
+			keys = append(keys, aloneKey(app, policy))
 		}
 	}
 	return keys

@@ -43,7 +43,7 @@ func keysTensor() []runKey {
 // per row) under a refresh-free controller; here refresh is live, so the
 // measured rate may sit a hair above it — every REF closes the open rows
 // and the next access to each re-activates.
-func ExpTensor(r *Runner) (string, error) {
+func ExpTensor(rs runSet) (string, error) {
 	cap := memctrl.DefaultConfig().MaxRowHits
 	t := stats.NewTable("tensor", "scheme", "ACTs/kAcc analytic", "ACTs/kAcc measured",
 		"row hit%", "power mW", "cycles")
@@ -59,10 +59,7 @@ func ExpTensor(r *Runner) (string, error) {
 		// Accesses per epoch: three tensor operands touched per step.
 		analytic := 1000 * float64(acts) / float64(3*spec.StepsPerEpoch())
 		for _, s := range tensorSchemes {
-			res, err := r.Run(tensorKey(w, s))
-			if err != nil {
-				return "", err
-			}
+			res := rs.get(tensorKey(w, s))
 			served := res.Ctrl.ReadsServed + res.Ctrl.WritesServed
 			measured := 1000 * float64(res.Dev.Activations()) / float64(served)
 			t.Row(w, s.String(),

@@ -122,15 +122,19 @@ func ReplayStream(s Stream, cfg memctrl.Config, opt ReplayOpts) (ReplayResult, e
 		ctrl.Tick(cycle)
 		cycle++
 		// Fast-forward to the controller's next event or the next record
-		// arrival, whichever is sooner. A refused record pins the loop to
-		// per-cycle retries: each attempt bumps a reject counter, so
-		// skipping retries would be observable in the stats. Once all
-		// work has drained the loop is about to exit, and jumping (to the
-		// next refresh, say) would inflate the cycle count.
-		if !opt.NoSkip && !blocked &&
-			(have || outstanding > 0 || ctrl.Pending()) {
+		// arrival, whichever is sooner. A refused record would be retried,
+		// and refused again, on every cycle up to the next event — nothing
+		// frees a queue slot between events — so unless this tick freed one,
+		// those refusals are booked in one step and the retries skipped.
+		// Once all work has drained the loop is about to exit, and jumping
+		// (to the next refresh, say) would inflate the cycle count.
+		if !opt.NoSkip && (have || outstanding > 0 || ctrl.Pending()) {
 			next := ctrl.NextEvent(cycle - 1)
-			if have && cur.At < next {
+			if blocked {
+				if next > cycle && !ctrl.Refused(cur.Addr, cur.Write, next-cycle) {
+					next = cycle
+				}
+			} else if have && cur.At < next {
 				next = cur.At
 			}
 			if next > cycle {
