@@ -62,8 +62,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pradram"
@@ -170,7 +168,6 @@ func main() {
 	batch := len(systems) > 1
 
 	prog := obs.NewProgress()
-	prog.AddTotal(int64(len(systems)))
 	stopReporter := func() {}
 	if batch {
 		stopReporter = prog.Reporter(os.Stderr, time.Second, "prasim")
@@ -195,34 +192,16 @@ func main() {
 		}()
 	}
 
-	var store *pradram.CheckpointStore
-	if o.ckptDir != "" {
-		store = pradram.NewCheckpointStore(o.ckptDir)
-	}
-	var ckptHits, ckptCold atomic.Int64
-
-	// Fan the independent runs out across the pool; reports still print
-	// in the order the workloads were given.
-	results := make([]pradram.Result, len(systems))
-	errs := make([]error, len(systems))
-	sem := make(chan struct{}, max(o.workers, 1))
-	var wg sync.WaitGroup
-	for i := range systems {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			prog.Start()
-			defer prog.Done()
-			results[i], errs[i] = runSystem(systems[i], o.cfgs[i], store, &ckptHits, &ckptCold)
-		}(i)
-	}
-	wg.Wait()
+	// The runner fans the independent runs out across its pool and takes
+	// each through the warmup-checkpoint layer (-ckpt-dir); reports still
+	// print in the order the workloads were given.
+	runner := pradram.NewRunner(pradram.ExpOptions{
+		Workers: max(o.workers, 1), CkptDir: o.ckptDir, NoCheckpoint: o.ckptDir == "", Progress: prog})
+	results, errs := runner.RunSystems(systems)
 	stopReporter()
-	if store != nil {
+	if o.ckptDir != "" {
 		fmt.Fprintf(os.Stderr, "(warmup checkpoints: %d restored, %d cold)\n",
-			ckptHits.Load(), ckptCold.Load())
+			runner.CheckpointHits(), runner.CheckpointMisses())
 	}
 
 	for i, res := range results {
@@ -253,34 +232,6 @@ func main() {
 		}
 		report(os.Stdout, res)
 	}
-}
-
-// runSystem executes one run, restoring a persisted warmup checkpoint
-// (-ckpt-dir) when the store holds a snapshot matching the configuration's
-// warmup fingerprint. System.Restore validates every byte and leaves the
-// system pristine on rejection, so every failure path falls back to the
-// ordinary monolithic run: the store changes wall-clock, never results.
-func runSystem(s *pradram.System, cfg pradram.Config, store *pradram.CheckpointStore, hits, cold *atomic.Int64) (pradram.Result, error) {
-	fp, ok := pradram.WarmupFingerprint(cfg)
-	if store == nil || !ok {
-		return s.Run()
-	}
-	if data, ok := store.Load(fp); ok {
-		if err := s.Restore(data); err == nil {
-			hits.Add(1)
-			return s.Measure()
-		}
-		store.Remove(fp)
-	}
-	cold.Add(1)
-	if err := s.Warmup(); err != nil {
-		return pradram.Result{}, err
-	}
-	if data, err := s.Checkpoint(); err == nil {
-		// A failed store only costs a future re-warmup.
-		_ = store.Store(fp, data)
-	}
-	return s.Measure()
 }
 
 // batchPath inserts the run label before the path's extension when several

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -25,6 +27,26 @@ func TestHostileArgsAreRejected(t *testing.T) {
 		_, err := parseArgs(newFlagSet(), strings.Fields(c.args))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one containing %q", c.args, err, c.want)
+		}
+	}
+}
+
+// TestRetiredTraceFormatIsRejected: a trace file is outside input too. One in
+// the flat serialization this binary wrote before the chunked one must end
+// -replay and -info in the line that names the cause and the remedy.
+func TestRetiredTraceFormatIsRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.trace")
+	if err := os.WriteFile(path, []byte("PRA1\x01\x00\x00\x40"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o, err := parseArgs(newFlagSet(), []string{"-replay", path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "PRA1 traces are no longer supported; re-record with pratrace -record"
+	for mode, err := range map[string]error{"-replay": doReplay(path, o.cfg, false), "-info": doInfo(path)} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one containing %q", mode, err, want)
 		}
 	}
 }

@@ -12,15 +12,14 @@
 //	pratrace -replay gups.trace -compare          # all schemes side by side
 //
 // Traces record in the chunked, seekable v2 format ("PRA2", DESIGN.md
-// §4j); legacy v1 files still replay, identically. Replays stream records
-// straight off the file — no trace is ever materialized in memory, so
-// file size is bounded by disk, not RAM.
+// §4j), the only one. Replays stream records straight off the file — no
+// trace is ever materialized in memory, so file size is bounded by disk,
+// not RAM.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"pradram/internal/memctrl"
@@ -135,10 +134,8 @@ func doRecord(path string, cfg sim.Config) error {
 	return f.Sync()
 }
 
-// doInfo prints a trace file's header and per-chunk stats. For v2 this
-// reads only the footer index — constant work regardless of trace size;
-// v1 files have no index, so their records are scanned (not materialized)
-// for the same totals.
+// doInfo prints a trace file's header and per-chunk stats. It reads only
+// the footer index — constant work regardless of trace size.
 func doInfo(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -151,51 +148,18 @@ func doInfo(path string) error {
 	}
 	info, err := trace.ReadInfo(f, st.Size())
 	if err != nil {
-		var scanErr error
-		if info, scanErr = scanV1Info(f); scanErr != nil {
-			return fmt.Errorf("%w (and not a readable v1 trace: %v)", err, scanErr)
-		}
+		return err
 	}
 	fmt.Printf("%s: format v%d, %d bytes\n", path, info.Version, st.Size())
 	fmt.Printf("  records: %d (%d reads, %d writes)\n", info.Records, info.Records-info.Writes, info.Writes)
 	fmt.Printf("  cycles:  %d .. %d (span %d)\n", info.FirstAt, info.LastAt, info.LastAt-info.FirstAt)
-	if info.Version == 2 {
-		fmt.Printf("  chunks:  %d\n", len(info.Chunks))
-		table := stats.NewTable("chunk", "offset", "bytes", "records", "writes", "first cycle", "span")
-		for i, c := range info.Chunks {
-			table.Row(i, c.Offset, c.Bytes, c.Count, c.Writes, c.FirstAt, c.LastAt-c.FirstAt)
-		}
-		fmt.Print(table.String())
+	fmt.Printf("  chunks:  %d\n", len(info.Chunks))
+	table := stats.NewTable("chunk", "offset", "bytes", "records", "writes", "first cycle", "span")
+	for i, c := range info.Chunks {
+		table.Row(i, c.Offset, c.Bytes, c.Count, c.Writes, c.FirstAt, c.LastAt-c.FirstAt)
 	}
+	fmt.Print(table.String())
 	return nil
-}
-
-// scanV1Info decodes a v1 trace sequentially to produce the same summary
-// the v2 footer stores.
-func scanV1Info(f *os.File) (*trace.Info, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	s, err := trace.Open(f)
-	if err != nil {
-		return nil, err
-	}
-	info := &trace.Info{Version: 1}
-	var rec trace.Record
-	for s.Next(&rec) {
-		if info.Records == 0 {
-			info.FirstAt = rec.At
-		}
-		info.LastAt = rec.At
-		info.Records++
-		if rec.Write {
-			info.Writes++
-		}
-	}
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	return info, nil
 }
 
 func doReplay(path string, cfg sim.Config, compare bool) error {
@@ -205,41 +169,23 @@ func doReplay(path string, cfg sim.Config, compare bool) error {
 	}
 	defer f.Close()
 
-	// Replays stream records straight off the file; each pass re-opens a
-	// decoding stream at the start, so -compare never holds the trace in
-	// memory either.
-	openStream := func() (trace.Stream, error) {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		return trace.Open(f)
-	}
-	s, err := openStream()
+	st, err := f.Stat()
 	if err != nil {
 		return err
 	}
-	count := int64(-1)
-	if sz, ok := s.(interface{ Remaining() int64 }); ok {
-		count = sz.Remaining()
-	} else if st, err := f.Stat(); err == nil {
-		if info, err := trace.ReadInfo(f, st.Size()); err == nil {
-			count = info.Records
-		}
+	tf, err := trace.OpenV2(f, st.Size())
+	if err != nil {
+		return err
 	}
-	if count >= 0 {
-		fmt.Printf("trace %s: %d requests\n\n", path, count)
-	} else {
-		fmt.Printf("trace %s\n\n", path)
-	}
+	fmt.Printf("trace %s: %d requests\n\n", path, tf.Info().Records)
 
+	// Replays stream records straight off the file; each pass decodes from
+	// the first chunk again, so -compare never holds the trace in memory
+	// either.
 	replayOne := func(scheme memctrl.Scheme) (trace.ReplayResult, error) {
 		k := cfg.Knobs
 		k.Scheme = scheme
-		stream, err := openStream()
-		if err != nil {
-			return trace.ReplayResult{}, err
-		}
-		return trace.ReplayStream(stream, memctrl.ConfigFor(k), trace.ReplayOpts{NoSkip: cfg.NoSkip})
+		return trace.ReplayStream(tf.Stream(), memctrl.ConfigFor(k), trace.ReplayOpts{NoSkip: cfg.NoSkip})
 	}
 
 	table := stats.NewTable("scheme", "cycles", "power mW", "avg gran", "read ns", "vs baseline")

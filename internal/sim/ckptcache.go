@@ -12,47 +12,39 @@ import "os"
 // checkpointing can change wall-clock but never results (enforced by
 // TestRunnerCheckpointIdentical).
 
-// CheckpointStore persists warmup checkpoints under a directory (-ckpt-dir)
-// as raw System.Checkpoint payloads, one file per fingerprint and
-// ModelVersion; the Runner uses it, and so do drivers that manage their own
-// systems (prasim). The payload embeds both as well and System.Restore
-// re-checks them, so the store never needs to trust a filename — and Load's
-// bytes MUST still go through Restore, which catches a stale or corrupt
-// payload (the caller then warms cold).
-type CheckpointStore struct{ files fileStore }
-
-// NewCheckpointStore opens (lazily creating) a checkpoint directory.
-func NewCheckpointStore(dir string) *CheckpointStore {
-	return &CheckpointStore{fileStore{dir, ".ckpt"}}
-}
+// ckptStore persists warmup checkpoints under a directory (-ckpt-dir) as raw
+// System.Checkpoint payloads, one file per fingerprint and ModelVersion. The
+// payload embeds both as well and System.Restore re-checks them, so the store
+// never needs to trust a filename — and load's bytes MUST still go through
+// Restore, which catches a stale or corrupt payload (the caller then warms
+// cold).
+type ckptStore struct{ files fileStore }
 
 func ckptID(fp string) string { return "ckpt|" + ModelVersion + "|" + fp }
 
-// Load returns the stored checkpoint for a warmup fingerprint.
-func (s *CheckpointStore) Load(fp string) ([]byte, bool) { return s.files.load(ckptID(fp)) }
+// load returns the stored checkpoint for a warmup fingerprint.
+func (s *ckptStore) load(fp string) ([]byte, bool) { return s.files.load(ckptID(fp)) }
 
-// Store persists a checkpoint for a warmup fingerprint (atomic rename).
-func (s *CheckpointStore) Store(fp string, data []byte) error {
-	return s.files.store(ckptID(fp), data)
-}
+// store persists a checkpoint for a warmup fingerprint (atomic rename).
+func (s *ckptStore) store(fp string, data []byte) error { return s.files.store(ckptID(fp), data) }
 
-// Remove drops the stored checkpoint for a warmup fingerprint: an entry a
+// remove drops the stored checkpoint for a warmup fingerprint: an entry a
 // restore rejected is re-made rather than re-read forever.
-func (s *CheckpointStore) Remove(fp string) { os.Remove(s.files.path(ckptID(fp))) }
+func (s *ckptStore) remove(fp string) { os.Remove(s.files.path(ckptID(fp))) }
 
-// The checkpoint memo is bounded by what the campaign declared. Precompute
-// counts, per warmup fingerprint, the runs of its wave that have not
-// finished (ckptDeclare); the producer of a fingerprint takes a snapshot
-// only if another of them — or -ckpt-dir — can use it, and the bytes are
-// dropped when the last one finishes (ckptRelease). A run outside any wave
+// The checkpoint memo is bounded by what the campaign declared. A wave
+// (Precompute, RunSystems) counts, per warmup fingerprint, the runs of it
+// that have not finished (ckptDeclare); the producer of a fingerprint takes
+// a snapshot only if another of them — or -ckpt-dir — can use it, and the
+// bytes are dropped when the last one finishes (ckptRelease). A run outside any wave
 // (a lazy Run or runOne) always snapshots and the memo keeps it, since
 // nothing says what will ask next.
 
-// ckptDeclare registers a run a wave is about to execute and returns its
-// warmup fingerprint ("" when it cannot be checkpointed; a key that expands
-// to no configuration is reported by the run itself).
-func (r *Runner) ckptDeclare(k runKey) string {
-	cfg, err := r.config(k)
+// ckptDeclare registers a run a wave is about to execute, given its
+// configuration (or why it has none), and returns its warmup fingerprint
+// ("" when it cannot be checkpointed; a key that expands to no configuration
+// is reported by the run itself).
+func (r *Runner) ckptDeclare(cfg Config, err error) string {
 	fp, ok := WarmupFingerprint(cfg)
 	if r.opt.NoCheckpoint || err != nil || !ok {
 		return ""
@@ -77,18 +69,23 @@ func (r *Runner) ckptRelease(fp string) {
 	}
 }
 
-// runOne executes one configuration through the checkpoint layer: reuse a
-// warmed snapshot when one exists, produce one when this is the first run
-// of its fingerprint, and fall back to a monolithic run whenever the
-// configuration cannot be checkpointed or a restore is rejected.
+// runOne builds one configuration's system and runs it (runSystem).
 func (r *Runner) runOne(cfg Config) (Result, error) {
-	fp, ok := WarmupFingerprint(cfg)
-	if r.opt.NoCheckpoint || !ok {
-		return RunOne(cfg)
-	}
 	s, err := New(cfg)
 	if err != nil {
 		return Result{}, err
+	}
+	return r.runSystem(s)
+}
+
+// runSystem takes a freshly built system to its Result through the
+// checkpoint layer: reuse a warmed snapshot when one exists, produce one when
+// this is the first run of its fingerprint, and fall back to a monolithic run
+// whenever the configuration cannot be checkpointed or a restore is rejected.
+func (r *Runner) runSystem(s *System) (Result, error) {
+	fp, ok := WarmupFingerprint(s.cfg)
+	if r.opt.NoCheckpoint || !ok {
+		return s.Run()
 	}
 	produced := false
 	data, err := r.ckpts.do(fp, func() ([]byte, error) {
@@ -112,19 +109,19 @@ func (r *Runner) runOne(cfg Config) (Result, error) {
 	return s.Run()
 }
 
-// warm is the producer's half of runOne: it brings s to its warmup boundary
+// warm is the producer's half of runSystem: it brings s to its warmup boundary
 // and returns the snapshot later runs of the fingerprint restore, nil when
 // nothing wants one or s cannot be checkpointed (this run proceeds
 // regardless). A persisted checkpoint from an earlier process replaces the
 // warmup if it restores; a rejected entry is deleted and re-made.
 func (r *Runner) warm(s *System, fp string) ([]byte, error) {
 	if r.ckptDisk != nil {
-		if stored, ok := r.ckptDisk.Load(fp); ok {
+		if stored, ok := r.ckptDisk.load(fp); ok {
 			if s.Restore(stored) == nil {
 				r.ckptHits.Add(1)
 				return stored, nil
 			}
-			r.ckptDisk.Remove(fp)
+			r.ckptDisk.remove(fp)
 		}
 	}
 	r.ckptMisses.Add(1)
@@ -140,7 +137,7 @@ func (r *Runner) warm(s *System, fp string) ([]byte, error) {
 	snap, err := s.Checkpoint()
 	if err == nil && r.ckptDisk != nil {
 		// A failed store only costs a future re-warmup.
-		_ = r.ckptDisk.Store(fp, snap)
+		_ = r.ckptDisk.store(fp, snap)
 	}
 	return snap, nil
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pradram/internal/memctrl"
@@ -190,7 +191,7 @@ func TestCheckpointMemoBounded(t *testing.T) {
 	// The two halves of Precompute, by hand, to look between the runs.
 	shared := NewRunner(ckptRunnerOpts())
 	pair := keys[:2]
-	fps := []string{shared.ckptDeclare(pair[0]), shared.ckptDeclare(pair[1])}
+	fps := []string{shared.ckptDeclare(shared.config(pair[0])), shared.ckptDeclare(shared.config(pair[1]))}
 	if fps[0] == "" || fps[0] != fps[1] {
 		t.Fatalf("fingerprints %q: the pair must share one", fps)
 	}
@@ -220,5 +221,58 @@ func TestCheckpointMemoBounded(t *testing.T) {
 	}
 	if n := held(lazy); n != 1 {
 		t.Errorf("lazy run holds %d snapshots, want 1", n)
+	}
+}
+
+// TestRunSystems holds the driver prasim uses to the Runner's own contract:
+// pre-built systems come back with the Results a monolithic RunOne gives, in
+// input order, a failure does not stop the others, a second runner on the
+// same CkptDir restores every warmup, and the wave leaves no snapshot behind.
+func TestRunSystems(t *testing.T) {
+	opt := ckptRunnerOpts()
+	opt.CkptDir = t.TempDir()
+	var cfgs []Config
+	for _, k := range []runKey{ckptCampaignKeys()[0], ckptCampaignKeys()[2]} {
+		cfg, err := NewRunner(opt).config(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	stuck := cfgs[0]
+	stuck.MaxCycles = 10 // exhausts its tick budget during warmup
+	cfgs = append(cfgs, stuck)
+
+	for round, want := range [][2]int64{{0, 3}, {2, 1}} {
+		systems := make([]*System, len(cfgs))
+		for i, cfg := range cfgs {
+			var err error
+			if systems[i], err = New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := NewRunner(opt)
+		results, errs := r.RunSystems(systems)
+		for i, cfg := range cfgs[:2] {
+			ref, err := RunOne(cfg)
+			if err != nil || errs[i] != nil {
+				t.Fatalf("round %d run %d: %v / %v", round, i, err, errs[i])
+			}
+			if !reflect.DeepEqual(results[i], ref) {
+				t.Errorf("round %d run %d: RunSystems result differs from RunOne's", round, i)
+			}
+		}
+		if errs[2] == nil || !strings.Contains(errs[2].Error(), "warmup made no progress") {
+			t.Errorf("round %d: stuck run returned %v, want the warmup no-progress error", round, errs[2])
+		}
+		if h, m := r.CheckpointHits(), r.CheckpointMisses(); h != want[0] || m != want[1] {
+			t.Errorf("round %d: hits=%d misses=%d, want %d/%d", round, h, m, want[0], want[1])
+		}
+		if n := len(r.ckpts.vals); n != 0 || len(r.sharing) != 0 {
+			t.Errorf("round %d: finished wave left %d snapshots and sharing counts %v", round, n, r.sharing)
+		}
+		if r.Simulations() != 2 {
+			t.Errorf("round %d: %d simulations counted, want 2", round, r.Simulations())
+		}
 	}
 }

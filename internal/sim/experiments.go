@@ -30,17 +30,10 @@ type ExpOptions struct {
 	// changes wall-clock only, never results (enforced by determinism_test.go).
 	Workers int
 
-	// Obs is the telemetry configuration applied to every run the runner
-	// launches. Probes are read-only, so results are identical with or
-	// without it (enforced by determinism_test.go) — but note the on-disk
-	// cache is keyed by configuration *results*, not telemetry, so cached
-	// runs recall no time-series.
-	Obs ObsConfig
-
 	// Progress, when non-nil, receives run-level progress (total / done /
-	// in-flight) as the runner precomputes key sets — the live feed behind
-	// praexp's stderr progress line and the -http introspection endpoint.
-	// Nil-safe: a nil *obs.Progress records nothing.
+	// in-flight) as the runner executes a wave (Precompute, RunSystems) —
+	// the live feed behind the binaries' stderr progress line and the -http
+	// introspection endpoint. Nil-safe: a nil *obs.Progress records nothing.
 	Progress *obs.Progress
 
 	// CacheDir, when non-empty, enables the on-disk result cache: every
@@ -97,7 +90,7 @@ func (o ExpOptions) Validate() error {
 type Runner struct {
 	opt      ExpOptions
 	disk     *diskCache
-	ckptDisk *CheckpointStore
+	ckptDisk *ckptStore
 
 	results memo[Result] // by runKey.String()
 	ckpts   memo[[]byte] // warmup checkpoints by fingerprint (ckptcache.go)
@@ -127,7 +120,7 @@ func NewRunner(opt ExpOptions) *Runner {
 		r.disk = &diskCache{fileStore{opt.CacheDir, ".json"}}
 	}
 	if opt.CkptDir != "" {
-		r.ckptDisk = NewCheckpointStore(opt.CkptDir)
+		r.ckptDisk = &ckptStore{fileStore{opt.CkptDir, ".ckpt"}}
 	}
 	return r
 }
@@ -254,7 +247,6 @@ func (r *Runner) config(k runKey) (Config, error) {
 		cfg.Timing, cfg.CPUPerMem = &g.Timing, g.CPUPerMem
 	}
 	cfg.Seed = r.opt.Seed
-	cfg.Obs = r.opt.Obs
 	cfg.NoSkip = r.opt.NoSkip
 	return cfg, nil
 }

@@ -34,14 +34,14 @@ func (r *Runner) Precompute(keys []runKey) error {
 		if _, memoized := r.results.get(s); !memoized && !seen[s] {
 			seen[s] = true
 			unique = append(unique, k)
-			fps = append(fps, r.ckptDeclare(k))
+			fps = append(fps, r.ckptDeclare(r.config(k)))
 		}
 	}
 	prog := r.opt.Progress
 	prog.AddTotal(int64(len(unique)))
 
 	var failure atomic.Pointer[error] // the first simulation error
-	run := func(i int) {
+	r.each(len(unique), func(i int) {
 		defer r.ckptRelease(fps[i])
 		if failure.Load() != nil {
 			return
@@ -51,33 +51,62 @@ func (r *Runner) Precompute(keys []runKey) error {
 		if _, err := r.Run(unique[i]); err != nil {
 			failure.CompareAndSwap(nil, &err)
 		}
+	})
+	if err := failure.Load(); err != nil {
+		return *err
 	}
-	// The default pool tracks GOMAXPROCS rather than NumCPU, so an operator
-	// capping the process caps the campaign too.
+	return nil
+}
+
+// each calls fn(0) … fn(n-1) across the runner's worker pool and returns
+// when all have finished. The default pool tracks GOMAXPROCS rather than
+// NumCPU, so an operator capping the process caps the campaign too.
+func (r *Runner) each(n int, fn func(i int)) {
 	workers := r.opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := min(workers, len(unique)); w > 0; w-- {
+	for w := min(workers, n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				run(i)
+				fn(i)
 			}
 		}()
 	}
-	for i := range unique {
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	if err := failure.Load(); err != nil {
-		return *err
+}
+
+// RunSystems takes systems the caller built (New) and has not run through
+// the worker pool and the checkpoint layer, one wave, and returns each one's
+// result or error in input order; a failure does not stop the others. It is
+// the entry for a driver that needs the systems themselves — to publish a
+// recorder before the run starts, to export a finished run's timeline,
+// events or spans — where Run and Precompute only hand back Results.
+func (r *Runner) RunSystems(systems []*System) ([]Result, []error) {
+	fps := make([]string, len(systems))
+	for i, s := range systems {
+		fps[i] = r.ckptDeclare(s.cfg, nil)
 	}
-	return nil
+	prog := r.opt.Progress
+	prog.AddTotal(int64(len(systems)))
+	results, errs := make([]Result, len(systems)), make([]error, len(systems))
+	r.each(len(systems), func(i int) {
+		defer r.ckptRelease(fps[i])
+		prog.Start()
+		defer prog.Done()
+		if results[i], errs[i] = r.runSystem(systems[i]); errs[i] == nil {
+			r.sims.Add(1)
+		}
+	})
+	return results, errs
 }
 
 // finished executes whichever of the keys the runner has not memoized

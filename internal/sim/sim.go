@@ -313,6 +313,66 @@ func (s *System) Run() (Result, error) {
 	return s.Measure()
 }
 
+// advance is the run loop, the one place simulated time moves: it ticks the
+// hierarchy, the cores and the controller, fast-forwarding between events,
+// until every active core has retired target instructions, and returns the
+// number of cycles each core took, counted from the call. phase names the
+// caller in the no-progress error. The recorder is sampled once Measure has
+// armed recNext, never during warmup.
+func (s *System) advance(phase string, target int64) ([]int64, error) {
+	maxTicks := s.maxTicks()
+	// With skipping on, a cycle another component forces the loop to
+	// execute still need not Tick a blocked core: a quiescent core's Tick
+	// is a provable no-op (the NextEvent contract), so SkipCycles stands in
+	// for it. With skipping off every component ticks every cycle, keeping
+	// the baseline faithful to per-cycle operation.
+	skipIdle := !s.cfg.NoSkip
+	cycle, ticks := s.cycle, s.ticks
+	defer func() { s.cycle, s.ticks = cycle, ticks }()
+
+	finish := make([]int64, len(s.cores)) // 0: still running
+	remaining := len(s.cores)
+	start := cycle
+	for remaining > 0 {
+		if ticks >= maxTicks {
+			return nil, fmt.Errorf("sim: %s made no progress after %d executed ticks (cycle %d, %d cores unfinished)", phase, ticks, cycle, remaining)
+		}
+		ticks++
+		s.now = cycle
+		s.hier.Tick(cycle)
+		for i, c := range s.cores {
+			if skipIdle && c.Quiescent() {
+				c.SkipCycles(1)
+				continue // cannot retire, so the finish check is moot
+			}
+			c.Tick(cycle)
+			if finish[i] == 0 && c.Retired >= target {
+				finish[i] = cycle - start + 1
+				remaining--
+			}
+		}
+		s.ctrl.Tick(cycle)
+		cycle++
+		if remaining > 0 {
+			var err error
+			if cycle, err = s.fastForward(cycle); err != nil {
+				return nil, err
+			}
+		}
+		if s.recNext > 0 && cycle >= s.recNext {
+			// Settle lazy accrual so the sampled energy and rank-state
+			// counters match per-cycle ticking exactly (no-op there).
+			s.ctrl.CatchUp(cycle)
+			s.rec.Sample(cycle / s.cpm)
+			s.recNext += s.epochCPU
+		}
+	}
+	// Fast-forwarding defers background-energy accrual; settle it at the
+	// phase boundary, where statistics are reset or read.
+	s.ctrl.CatchUp(cycle)
+	return finish, nil
+}
+
 // Warmup runs Config.WarmupPerCore instructions per core and resets every
 // statistic, so Measure sees steady-state cache and DRAM behaviour. It is
 // the first half of Run, split out so the post-warmup state can be
@@ -322,46 +382,9 @@ func (s *System) Warmup() error {
 	if s.cfg.WarmupPerCore <= 0 || s.warmed {
 		return nil
 	}
-	maxTicks := s.maxTicks()
-	// With skipping on, a cycle another component forces the loop to
-	// execute still need not Tick a blocked core: a quiescent core's Tick
-	// is a provable no-op (the NextEvent contract), so SkipCycles stands in
-	// for it. With skipping off every component ticks every cycle, keeping
-	// the baseline faithful to per-cycle operation.
-	skipIdle := !s.cfg.NoSkip
-	warm := s.cfg.WarmupPerCore
-	remaining := len(s.cores)
-	done := make([]bool, len(s.cores))
-	for remaining > 0 {
-		if s.ticks >= maxTicks {
-			return fmt.Errorf("sim: warmup made no progress after %d executed ticks (cycle %d)", s.ticks, s.cycle)
-		}
-		s.ticks++
-		s.now = s.cycle
-		s.hier.Tick(s.cycle)
-		for i, c := range s.cores {
-			if skipIdle && c.Quiescent() {
-				c.SkipCycles(1)
-				continue // cannot retire, so the done check is moot
-			}
-			c.Tick(s.cycle)
-			if !done[i] && c.Retired >= warm {
-				done[i] = true
-				remaining--
-			}
-		}
-		s.ctrl.Tick(s.cycle)
-		s.cycle++
-		if remaining > 0 {
-			var err error
-			if s.cycle, err = s.fastForward(s.cycle); err != nil {
-				return err
-			}
-		}
+	if _, err := s.advance("warmup", s.cfg.WarmupPerCore); err != nil {
+		return err
 	}
-	// Fast-forwarding defers background-energy accrual; settle it at
-	// the boundary so the reset discards exactly the warmup share.
-	s.ctrl.CatchUp(s.cycle)
 	for _, c := range s.cores {
 		c.ResetStats()
 	}
@@ -384,65 +407,22 @@ func (s *System) Warmup() error {
 // the collected metrics. Call it after Warmup (or after Restore installed
 // a checkpointed warmup state).
 func (s *System) Measure() (Result, error) {
-	target := s.cfg.InstrPerCore
-	maxTicks := s.maxTicks()
-	skipIdle := !s.cfg.NoSkip
-	cycle, ticks := s.cycle, s.ticks
-	defer func() { s.cycle, s.ticks = cycle, ticks }()
-
-	finish := make([]int64, len(s.cores))
-	for i := range finish {
-		finish[i] = -1
-	}
-	remaining := len(s.cores)
-	start := cycle
+	start := s.cycle
 	if s.rec != nil {
 		// Snapshot counter baselines at the measurement-window start so
 		// the first epoch's deltas exclude warmup, and arm the first
 		// epoch boundary (in CPU cycles; the recorder itself runs on the
 		// DRAM clock).
-		s.rec.Begin(cycle / s.cpm)
-		s.recNext = cycle + s.epochCPU
+		s.rec.Begin(start / s.cpm)
+		s.recNext = start + s.epochCPU
 	}
-	for remaining > 0 {
-		if ticks >= maxTicks {
-			return Result{}, fmt.Errorf("sim: no progress after %d executed ticks (cycle %d, %d cores unfinished)", ticks, cycle, remaining)
-		}
-		ticks++
-		s.now = cycle
-		s.hier.Tick(cycle)
-		for i, c := range s.cores {
-			if skipIdle && c.Quiescent() {
-				c.SkipCycles(1)
-				continue // cannot retire, so the finish check is moot
-			}
-			c.Tick(cycle)
-			if finish[i] < 0 && c.Retired >= target {
-				finish[i] = cycle - start + 1
-				remaining--
-			}
-		}
-		s.ctrl.Tick(cycle)
-		cycle++
-		if remaining > 0 {
-			var err error
-			if cycle, err = s.fastForward(cycle); err != nil {
-				return Result{}, err
-			}
-		}
-		if s.rec != nil && cycle >= s.recNext {
-			// Settle lazy accrual so the sampled energy and rank-state
-			// counters match per-cycle ticking exactly (no-op there).
-			s.ctrl.CatchUp(cycle)
-			s.rec.Sample(cycle / s.cpm)
-			s.recNext += s.epochCPU
-		}
+	finish, err := s.advance("measurement", s.cfg.InstrPerCore)
+	if err != nil {
+		return Result{}, err
 	}
-	s.ctrl.CatchUp(cycle)
 	if s.rec != nil {
-		s.rec.Flush(cycle / s.cpm)
+		s.rec.Flush(s.cycle / s.cpm)
 	}
-	cycle -= start
 
 	res := Result{
 		Workload: s.cfg.Workload,
@@ -450,7 +430,7 @@ func (s *System) Measure() (Result, error) {
 		Policy:   s.cfg.Policy,
 		DBI:      s.cfg.DBI,
 		Apps:     append([]string(nil), s.apps...),
-		Cycles:   cycle,
+		Cycles:   s.cycle - start,
 		CoreIPC:  make([]float64, len(s.cores)),
 		Ctrl:     s.ctrl.Stats(),
 		Dev:      s.ctrl.DeviceStats(),
@@ -458,8 +438,8 @@ func (s *System) Measure() (Result, error) {
 		Energy:   s.ctrl.Energy(),
 		Cal:      s.cal,
 	}
-	for i := range s.cores {
-		res.CoreIPC[i] = float64(target) / float64(finish[i])
+	for i, n := range finish {
+		res.CoreIPC[i] = float64(s.cfg.InstrPerCore) / float64(n)
 	}
 	return res, nil
 }

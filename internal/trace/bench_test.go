@@ -7,33 +7,28 @@ import (
 	"pradram/internal/memctrl"
 )
 
-// benchBuf encodes a synthetic trace once per format for the decode
-// benchmarks.
-var benchBuf = func() map[int][]byte {
-	tr := synthTrace(1<<16, 1234)
-	var v1, v2 bytes.Buffer
-	if err := tr.Save(&v1); err != nil {
+// benchBuf is a synthetic trace, encoded once for the decode benchmark.
+var benchBuf = func() []byte {
+	var buf bytes.Buffer
+	if err := synthTrace(1<<16, 1234).SaveV2(&buf); err != nil {
 		panic(err)
 	}
-	if err := tr.SaveV2(&v2); err != nil {
-		panic(err)
-	}
-	return map[int][]byte{1: v1.Bytes(), 2: v2.Bytes()}
+	return buf.Bytes()
 }()
 
-// benchDecode measures per-record decode cost: one op is one record,
-// reopening the buffer as it drains so b.N is unbounded. The v2 number is
-// the Mreq/s figure tools/benchgate -ingest gates (floor: 500 ns/op,
-// i.e. 2M records/sec).
-func benchDecode(b *testing.B, data []byte) {
-	b.SetBytes(int64(len(benchBuf[2])) / (1 << 16))
+// BenchmarkIngestDecodeV2 measures per-record decode cost: one op is one
+// record, reopening the buffer as it drains so b.N is unbounded. It is the
+// Mreq/s figure tools/benchgate -ingest gates (floor: 500 ns/op, i.e. 2M
+// records/sec).
+func BenchmarkIngestDecodeV2(b *testing.B) {
+	b.SetBytes(int64(len(benchBuf)) / (1 << 16))
 	b.ReportAllocs()
 	var s Stream
 	var rec Record
 	for i := 0; i < b.N; i++ {
 		if s == nil {
 			var err error
-			s, err = Open(bytes.NewReader(data))
+			s, err = Open(bytes.NewReader(benchBuf))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -47,9 +42,6 @@ func benchDecode(b *testing.B, data []byte) {
 		}
 	}
 }
-
-func BenchmarkIngestDecodeV2(b *testing.B) { benchDecode(b, benchBuf[2]) }
-func BenchmarkIngestDecodeV1(b *testing.B) { benchDecode(b, benchBuf[1]) }
 
 // synthStream generates records on the fly (no backing buffer), isolating
 // the replay driver and controller path from decode cost: one op is one

@@ -33,7 +33,7 @@ func decodeRequests(data []byte) []Record {
 
 // FuzzCaptureReplay round-trips arbitrary request streams through the
 // full capture pipeline: live controller traffic recorded by Capture,
-// serialized with Save, parsed back with Load, and re-executed with
+// serialized with SaveV2, parsed back with Load, and re-executed with
 // Replay. The serialized form must reproduce the records exactly and the
 // replay must accept every record and drain without error.
 func FuzzCaptureReplay(f *testing.F) {
@@ -100,9 +100,9 @@ func FuzzCaptureReplay(f *testing.F) {
 			t.Fatalf("capture recorded %d of %d accepted requests", got, len(recs))
 		}
 
-		// Save -> Load must reproduce the records exactly.
+		// SaveV2 -> Load must reproduce the records exactly.
 		var buf bytes.Buffer
-		if err := cap.Trace.Save(&buf); err != nil {
+		if err := cap.Trace.SaveV2(&buf); err != nil {
 			t.Fatalf("save: %v", err)
 		}
 		loaded, err := Load(&buf)
@@ -155,7 +155,7 @@ func TestCaptureReplaySeedCorpus(t *testing.T) {
 			tr.Records = append(tr.Records, r)
 		}
 		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
+		if err := tr.SaveV2(&buf); err != nil {
 			t.Fatal(err)
 		}
 		loaded, err := Load(&buf)

@@ -18,11 +18,13 @@ type ReplayResult struct {
 	Dev       dram.Stats
 	Energy    power.Breakdown
 	AvgReadNs float64
+
+	cpuCycleNs float64 // one CPU cycle under the replayed configuration's clocks
 }
 
 // AvgPowerMW returns the average DRAM power over the replay.
 func (r ReplayResult) AvgPowerMW() float64 {
-	ns := float64(r.Cycles) * 0.3125 // 3.2 GHz CPU clock
+	ns := float64(r.Cycles) * r.cpuCycleNs
 	if ns <= 0 {
 		return 0
 	}
@@ -151,13 +153,7 @@ func ReplayStream(s Stream, cfg memctrl.Config, opt ReplayOpts) (ReplayResult, e
 	res.Ctrl = ctrl.Stats()
 	res.Dev = ctrl.DeviceStats()
 	res.Energy = ctrl.Energy()
-	res.AvgReadNs = float64(res.Ctrl.ReadLatencySum) / float64(max64(res.Ctrl.ReadsServed, 1)) * 1.25
+	res.AvgReadNs = float64(res.Ctrl.ReadLatencySum) / float64(max(res.Ctrl.ReadsServed, 1)) * cfg.Timing.TCKNs
+	res.cpuCycleNs = cfg.Timing.TCKNs / float64(cfg.CPUPerMem)
 	return res, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

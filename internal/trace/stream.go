@@ -2,11 +2,8 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-
-	"pradram/internal/core"
 )
 
 // Stream is the iterator every replay and decode path consumes: Next
@@ -42,98 +39,40 @@ func (s *sliceStream) Next(rec *Record) bool {
 
 func (s *sliceStream) Err() error { return nil }
 
-// Remaining reports how many records are left, a capacity hint for
-// materializing consumers.
-func (s *sliceStream) Remaining() int64 { return int64(len(s.recs) - s.i) }
+// checkMagic vets a trace's first four bytes. A trace file is outside input,
+// so the retired flat serialization gets a rejection that names the remedy
+// where "bad magic" would not.
+func checkMagic(m [4]byte) error {
+	switch m {
+	case magicV2:
+		return nil
+	case [4]byte{'P', 'R', 'A', '1'}:
+		return fmt.Errorf("trace: PRA1 traces are no longer supported; re-record with pratrace -record")
+	}
+	return fmt.Errorf("trace: bad magic %q", m)
+}
 
-// Open sniffs the serialized format (v1 "PRA1" or v2 "PRA2") and returns
-// a decoding Stream over r. Decoding is incremental: records are produced
-// as bytes arrive, nothing is materialized, and v2 chunk CRCs are
-// verified as each chunk is entered. The stream owns a buffered reader
-// over r; the caller keeps ownership of r itself (closing files, etc.).
+// Open returns a decoding Stream over a serialized trace read from r.
+// Decoding is incremental: records are produced as bytes arrive, nothing is
+// materialized, and chunk CRCs are verified as each chunk is entered. The
+// stream owns a buffered reader over r; the caller keeps ownership of r
+// itself (closing files, etc.).
 func Open(r io.Reader) (Stream, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	m, err := br.Peek(4)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	switch {
-	case [4]byte(m) == magic:
-		br.Discard(4)
-		count, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading count: %w", err)
-		}
-		if count > maxStreamRecords {
-			return nil, fmt.Errorf("trace: implausible record count %d", count)
-		}
-		return &v1Stream{br: br, remaining: count}, nil
-	case [4]byte(m) == magicV2:
-		br.Discard(4)
-		return &v2Stream{r: br}, nil
-	default:
-		return nil, fmt.Errorf("trace: bad magic %q", m)
+	if err := checkMagic([4]byte(m)); err != nil {
+		return nil, err
 	}
+	br.Discard(4)
+	return &v2Stream{r: br}, nil
 }
 
-// maxStreamRecords bounds the v1 header count (and any single v2 chunk)
-// against corrupt length prefixes about to drive giant allocations.
+// maxStreamRecords bounds a chunk's record count against corrupt length
+// prefixes about to drive giant allocations.
 const maxStreamRecords = 1 << 30
-
-// v1Stream decodes the v1 format progressively: a global record count,
-// then varint-delta records.
-type v1Stream struct {
-	br        *bufio.Reader
-	remaining uint64
-	at        int64
-	err       error
-}
-
-func (s *v1Stream) Err() error { return s.err }
-
-// Remaining reports how many records are left (the v1 header carries the
-// total), a capacity hint for materializing consumers.
-func (s *v1Stream) Remaining() int64 { return int64(s.remaining) }
-
-func (s *v1Stream) Next(rec *Record) bool {
-	if s.err != nil || s.remaining == 0 {
-		return false
-	}
-	delta, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		s.err = fmt.Errorf("trace: record time: %w", err)
-		return false
-	}
-	if delta > maxTimeDelta {
-		s.err = fmt.Errorf("trace: implausible time delta %d", delta)
-		return false
-	}
-	flag, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		s.err = fmt.Errorf("trace: record flag: %w", err)
-		return false
-	}
-	addr, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		s.err = fmt.Errorf("trace: record addr: %w", err)
-		return false
-	}
-	s.at += int64(delta)
-	rec.At = s.at
-	rec.Write = flag&1 != 0
-	rec.Addr = addr
-	rec.Mask = 0
-	if rec.Write {
-		mask, err := binary.ReadUvarint(s.br)
-		if err != nil {
-			s.err = fmt.Errorf("trace: record mask: %w", err)
-			return false
-		}
-		rec.Mask = core.ByteMask(mask)
-	}
-	s.remaining--
-	return true
-}
 
 // maxTimeDelta rejects time deltas that would overflow the cycle clock
 // when accumulated (corrupt varints decode to huge values long before a

@@ -5,21 +5,17 @@
 // the CPU and cache layers, so scheme/policy what-ifs on an identical
 // request sequence run an order of magnitude faster than full simulation.
 //
-// Two serializations exist (DESIGN.md §4j). The legacy v1 format ("PRA1")
-// is a flat varint-delta record stream; the default v2 format ("PRA2")
-// frames the same records into CRC-guarded chunks with a footer index, so
-// a reader can print totals without decoding (ReadInfo), seek to any
-// chunk through an io.ReaderAt (V2File.StreamAt), and detect truncation
-// or corruption instead of silently mis-decoding. Both formats decode
-// through the Stream interface (Open sniffs the magic), and ReplayStream
-// drives a replay straight off a Stream — constant memory, zero
-// steady-state allocations per record — while Replay/Load keep the
-// materialized path for callers that need Trace.Records in hand.
+// A trace serializes in one format (DESIGN.md §4j): "PRA2" frames varint-
+// delta records into CRC-guarded chunks with a footer index, so a reader can
+// print totals without decoding (ReadInfo), seek to any chunk through an
+// io.ReaderAt (V2File.StreamAt), and detect truncation or corruption instead
+// of silently mis-decoding. Every decode goes through the Stream interface
+// (Open), and ReplayStream drives a replay straight off a Stream — constant
+// memory, zero steady-state allocations per record — while Replay/Load keep
+// the materialized path for callers that need Trace.Records in hand.
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -42,13 +38,9 @@ type Trace struct {
 // Len returns the number of records.
 func (t *Trace) Len() int { return len(t.Records) }
 
-// magic identifies the serialized format.
-var magic = [4]byte{'P', 'R', 'A', '1'}
-
-// checkOrdered validates the time ordering every serializer requires.
-// Both Save and SaveV2 run it before writing a single byte, so an
-// unordered trace fails cleanly instead of aborting mid-write and leaving
-// a torn output file behind.
+// checkOrdered validates the time ordering the serializer requires. SaveV2
+// runs it before writing a single byte, so an unordered trace fails cleanly
+// instead of aborting mid-write and leaving a torn output file behind.
 func (t *Trace) checkOrdered() error {
 	prev := int64(0)
 	for _, r := range t.Records {
@@ -60,67 +52,15 @@ func (t *Trace) checkOrdered() error {
 	return nil
 }
 
-// Save writes the trace in the v1 binary format: magic, count, then per
-// record a varint time delta, a flag byte, a varint address, and (for
-// writes) the byte mask. Captures are written with SaveV2 (v2.go), which
-// adds chunk framing, CRCs, and a seek index; Save remains as the
-// reference writer the v1-decoder and v1<->v2 equivalence tests use, since
-// Open and Load still read v1 files.
-func (t *Trace) Save(w io.Writer) error {
-	if err := t.checkOrdered(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := put(uint64(len(t.Records))); err != nil {
-		return err
-	}
-	prev := int64(0)
-	for _, r := range t.Records {
-		if err := put(uint64(r.At - prev)); err != nil {
-			return err
-		}
-		prev = r.At
-		flag := uint64(0)
-		if r.Write {
-			flag = 1
-		}
-		if err := put(flag); err != nil {
-			return err
-		}
-		if err := put(r.Addr); err != nil {
-			return err
-		}
-		if r.Write {
-			if err := put(uint64(r.Mask)); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// Load reads a trace written by Save (v1) or SaveV2 (v2) — the magic
-// selects the decoder — and materializes every record. Replays that do
-// not need the whole stream in memory should use Open and ReplayStream
-// instead.
+// Load reads a trace written by SaveV2 and materializes every record.
+// Replays that do not need the whole stream in memory should use Open and
+// ReplayStream instead.
 func Load(r io.Reader) (*Trace, error) {
 	s, err := Open(r)
 	if err != nil {
 		return nil, err
 	}
 	t := &Trace{}
-	if sz, ok := s.(interface{ Remaining() int64 }); ok {
-		t.Records = make([]Record, 0, sz.Remaining())
-	}
 	var rec Record
 	for s.Next(&rec) {
 		t.Records = append(t.Records, rec)

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"pradram/internal/core"
+	"pradram/internal/dram"
 	"pradram/internal/memctrl"
 )
 
@@ -19,28 +21,11 @@ func sampleTrace() *Trace {
 	}}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("loaded %d records, want %d", got.Len(), tr.Len())
-	}
-	for i := range tr.Records {
-		if got.Records[i] != tr.Records[i] {
-			t.Errorf("record %d: %+v != %+v", i, got.Records[i], tr.Records[i])
-		}
-	}
-}
-
+// TestSaveLoadRoundTripProperty round-trips random traces — arbitrary gaps,
+// addresses and masks, at a random chunk granularity so records land on both
+// sides of chunk boundaries — through SaveV2Chunked and Load.
 func TestSaveLoadRoundTripProperty(t *testing.T) {
-	f := func(deltas []uint16, addrs []uint32, writes []bool) bool {
+	f := func(deltas []uint16, addrs []uint32, writes []bool, perChunk uint8) bool {
 		n := len(deltas)
 		if len(addrs) < n {
 			n = len(addrs)
@@ -59,7 +44,7 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 			tr.Records = append(tr.Records, rec)
 		}
 		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
+		if err := tr.SaveV2Chunked(&buf, 1+int(perChunk)); err != nil {
 			return false
 		}
 		got, err := Load(&buf)
@@ -83,7 +68,7 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 
 func TestSaveRejectsUnorderedRecords(t *testing.T) {
 	tr := &Trace{Records: []Record{{At: 10, Addr: 0}, {At: 5, Addr: 64}}}
-	if err := tr.Save(&bytes.Buffer{}); err == nil {
+	if err := tr.SaveV2(&bytes.Buffer{}); err == nil {
 		t.Error("unordered trace must fail to save")
 	}
 }
@@ -95,15 +80,37 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("")); err == nil {
 		t.Error("empty input must fail")
 	}
-	// Truncated body after valid magic.
+	// Truncated body after valid magic: the last chunk loses its tail.
 	var buf bytes.Buffer
 	tr := sampleTrace()
-	if err := tr.Save(&buf); err != nil {
+	if err := tr.SaveV2(&buf); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-3]
+	info, err := ReadInfo(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := info.Chunks[len(info.Chunks)-1]
+	trunc := buf.Bytes()[:last.Offset+8+last.Bytes-3]
 	if _, err := Load(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace must fail")
+	}
+}
+
+// TestRetiredFormatRejected: a file in the flat serialization pratrace wrote
+// before the chunked one is outside input and may still be on someone's disk;
+// every way of opening a trace must refuse it naming the cause and the remedy.
+func TestRetiredFormatRejected(t *testing.T) {
+	old := append([]byte("PRA1"), 0x01, 0x00, 0x00, 0x40) // v1: count 1, one read of line 1
+	const want = "PRA1 traces are no longer supported; re-record with pratrace -record"
+	_, openErr := Open(bytes.NewReader(old))
+	_, loadErr := Load(bytes.NewReader(old))
+	_, v2Err := OpenV2(bytes.NewReader(old), int64(len(old)))
+	_, infoErr := ReadInfo(bytes.NewReader(old), int64(len(old)))
+	for name, err := range map[string]error{"Open": openErr, "Load": loadErr, "OpenV2": v2Err, "ReadInfo": infoErr} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, want)
+		}
 	}
 }
 
@@ -237,5 +244,31 @@ func TestReplayEmptyTrace(t *testing.T) {
 	}
 	if res.Reads != 0 || res.Writes != 0 {
 		t.Error("empty trace must serve nothing")
+	}
+}
+
+// TestReplayResultUsesConfiguredClock: the ns and mW figures of a replay are
+// in the clocks of the configuration it ran under, not DDR3-1600's.
+func TestReplayResultUsesConfiguredClock(t *testing.T) {
+	tr := synthTrace(2000, 5)
+	for _, name := range []string{"DDR3-1600", "DDR3-1066"} {
+		g, ok := dram.SpeedGradeByName(name)
+		if !ok {
+			t.Fatalf("no speed grade %s", name)
+		}
+		cfg := memctrl.DefaultConfig()
+		cfg.Timing, cfg.CPUPerMem = g.Timing, g.CPUPerMem
+		res, err := Replay(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantNs := float64(res.Ctrl.ReadLatencySum) / float64(res.Ctrl.ReadsServed) * g.Timing.TCKNs
+		if res.Ctrl.ReadsServed == 0 || res.AvgReadNs != wantNs {
+			t.Errorf("%s: AvgReadNs = %v, want %v (%d reads)", name, res.AvgReadNs, wantNs, res.Ctrl.ReadsServed)
+		}
+		wantMW := res.Energy.Total() / (float64(res.Cycles) * g.Timing.TCKNs / float64(g.CPUPerMem))
+		if got := res.AvgPowerMW(); math.Abs(got-wantMW) > 1e-9*wantMW {
+			t.Errorf("%s: AvgPowerMW = %v, want %v", name, got, wantMW)
+		}
 	}
 }

@@ -10,9 +10,8 @@ import (
 	"pradram/internal/core"
 )
 
-// Format v2 ("PRA2", DESIGN.md §4j) is the at-scale trace container: the
-// same varint-delta records as v1, framed into CRC-protected chunks with
-// a footer index, so a reader can print header stats without decoding,
+// Format v2 ("PRA2", DESIGN.md §4j) is the trace container: varint-delta
+// records framed into CRC-protected chunks with a footer index, so a reader can print header stats without decoding,
 // seek to any chunk through an io.ReaderAt (a file, an mmap, a byte
 // slice), and detect truncation or corruption at chunk granularity
 // instead of silently replaying garbage.
@@ -25,9 +24,9 @@ import (
 //	footer:  u32 footerLen  | u32 crc32(footer)  | footer payload
 //	trailer: u32 footerLen  | "PRAi"
 //
-// A chunk payload is: uvarint count, then count records encoded exactly
-// as v1 encodes them (varint time delta, flag, varint address, and for
-// writes the byte mask), with the delta accumulator starting at zero —
+// A chunk payload is: uvarint count, then count records (varint time delta,
+// flag, varint address, and for writes the byte mask), with the delta
+// accumulator starting at zero —
 // the first record's delta is its absolute cycle, so every chunk decodes
 // independently of its predecessors. The footer payload (checkpoint
 // codec) carries the totals and one index entry per chunk: frame offset,
@@ -63,9 +62,9 @@ type ChunkInfo struct {
 }
 
 // Info summarizes a trace file without its records: format version,
-// totals, cycle span, and (v2 only) the per-chunk index.
+// totals, cycle span, and the per-chunk index.
 type Info struct {
-	Version int   // 1 or 2
+	Version int   // format version: 2, the only one
 	Records int64 // total records
 	Writes  int64 // total write records
 	FirstAt int64 // cycle of the first record (0 when empty)
@@ -243,8 +242,8 @@ func (v *V2Writer) Close() error {
 	return v.err
 }
 
-// SaveV2 writes the trace in format v2 with the default chunk size. Like
-// Save, ordering is validated before the first byte is written.
+// SaveV2 writes the trace in format v2 with the default chunk size.
+// Ordering is validated before the first byte is written.
 func (t *Trace) SaveV2(w io.Writer) error {
 	return t.SaveV2Chunked(w, DefaultChunkRecords)
 }
@@ -280,11 +279,8 @@ func OpenV2(ra io.ReaderAt, size int64) (*V2File, error) {
 	if _, err := ra.ReadAt(head[:], 0); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	if head == magic {
-		return nil, fmt.Errorf("trace: v1 trace has no index; use Open to stream it")
-	}
-	if head != magicV2 {
-		return nil, fmt.Errorf("trace: bad magic %q", head)
+	if err := checkMagic(head); err != nil {
+		return nil, err
 	}
 	var trailer [8]byte
 	if size < 4+12+8 {
@@ -377,9 +373,8 @@ func (f *V2File) StreamAt(chunk int) Stream {
 	return s
 }
 
-// ReadInfo decodes a v2 trace's footer index without touching the record
-// chunks (the pratrace -info fast path). v1 traces have no index; scan
-// them with Open.
+// ReadInfo decodes a trace's footer index without touching the record
+// chunks (the pratrace -info path).
 func ReadInfo(ra io.ReaderAt, size int64) (*Info, error) {
 	f, err := OpenV2(ra, size)
 	if err != nil {

@@ -126,9 +126,9 @@ type Experiment = sim.Experiment
 // ExpOptions controls experiment budgets.
 type ExpOptions = sim.ExpOptions
 
-// ObsConfig selects the telemetry a run carries (Config.Obs /
-// ExpOptions.Obs): epoch time-series recorder and structured event trace.
-// The zero value disables both.
+// ObsConfig selects the telemetry a run carries (Config.Obs): epoch
+// time-series recorder and structured event trace. The zero value disables
+// both.
 type ObsConfig = sim.ObsConfig
 
 // Runner executes experiment simulations with memoization.
@@ -178,17 +178,6 @@ func Calibrations() []string { return power.Calibrations() }
 // named workload — one of Workloads() (run as four identical instances) or
 // Mixes() (Table 4 combinations).
 func DefaultConfig(workload string) Config { return sim.DefaultConfig(workload) }
-
-// CheckpointStore persists warmup checkpoints on disk, keyed by warmup
-// fingerprint (prasim/praexp -ckpt-dir). See System.Checkpoint/Restore.
-type CheckpointStore = sim.CheckpointStore
-
-// NewCheckpointStore opens (lazily creating) a checkpoint directory.
-func NewCheckpointStore(dir string) *CheckpointStore { return sim.NewCheckpointStore(dir) }
-
-// WarmupFingerprint returns the checkpoint key of cfg's warmup phase and
-// whether the configuration supports warmup checkpointing at all.
-func WarmupFingerprint(cfg Config) (string, bool) { return sim.WarmupFingerprint(cfg) }
 
 // NewSystem assembles a simulator from a configuration.
 func NewSystem(cfg Config) (*System, error) { return sim.New(cfg) }

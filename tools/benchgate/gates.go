@@ -81,7 +81,6 @@ var gates = []gate{
 			why: "the chunked v2 trace decoder fell under its 2 Mrec/s floor (500 ns per record, >10x over the measured cost): an accidental per-record allocation or a quadratic buffer pattern"},
 		{name: "replay_allocs", num: "BenchmarkIngestReplayStream", metric: allocsOp, dir: atMost, bound: 0,
 			why: "the streaming replay loop allocates per record; it must run at zero steady-state heap allocations"},
-		{name: "decode_v1", num: "BenchmarkIngestDecodeV1", metric: nsOp, dir: info, why: "the v1 decoder, for comparison"},
 		{name: "replay", num: "BenchmarkIngestReplayStream", metric: nsOp, dir: info, why: "replay cost per record, for the trajectory"},
 	}},
 }
