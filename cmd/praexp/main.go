@@ -119,11 +119,10 @@ func main() {
 				"misses": runner.CheckpointMisses(),
 			}
 		})
-		go func() {
-			if err := srv.ListenAndServe(o.httpAddr); err != nil {
-				fmt.Fprintln(os.Stderr, "praexp: http:", err)
-			}
-		}()
+		if err := srv.Start(o.httpAddr); err != nil {
+			fmt.Fprintln(os.Stderr, "praexp: -http:", err)
+			os.Exit(1)
+		}
 	}
 
 	run := func(e sim.Experiment) error {

@@ -126,7 +126,7 @@ func TestArgsToConfig(t *testing.T) {
 		{[]string{"-power-cal", "ghose:10"}, map[string]string{"cfg.PowerCal": "ghose:10"}},
 		{[]string{"-latbreak"}, map[string]string{"cfg.LatBreak": "true", "cfg.LatSpanEvery": "0"}},
 		{[]string{"-events", "cmd"}, map[string]string{"cfg.Obs.EventLevel": "cmd"}},
-		{[]string{"-events-out", "ev.log"}, map[string]string{"eventsOut": "ev.log", "cfg.Obs.EventLevel": "off"}},
+		{[]string{"-events", "state", "-events-out", "ev.log"}, map[string]string{"eventsOut": "ev.log", "cfg.Obs.EventLevel": "state"}},
 
 		// -trace-out implies -latbreak and arms span sampling at
 		// -trace-sample; on its own -trace-sample does nothing.

@@ -21,6 +21,8 @@ func TestHostileArgsAreRejected(t *testing.T) {
 		{"-timeline f.csv -epoch 0", "-timeline needs a positive -epoch"},
 		{"-trace-out t.json -trace-sample 0", "-trace-out needs a positive -trace-sample"},
 		{"-trace-out t.json -trace-sample -3", "LatSpanEvery"},
+		{"-events-out ev.log", "-events-out needs -events state or -events cmd"},
+		{"-events off -events-out ev.log", "-events-out needs -events state or -events cmd"},
 		{"-j -1", "-j must be non-negative"},
 		{"-pd-policy timeout -pd-timeout 0", "requires PDTimeout > 0"},
 		{"-channels 3", "channels must be a positive power of two"},

@@ -64,17 +64,18 @@ import (
 	"strings"
 	"time"
 
-	"pradram"
+	"pradram/internal/memctrl"
 	"pradram/internal/obs"
 	"pradram/internal/power"
 	"pradram/internal/sim"
 	"pradram/internal/stats"
+	"pradram/internal/workload"
 )
 
 // options is a parsed command line: one validated Config per run plus the
 // settings that belong to the binary rather than to a run.
 type options struct {
-	cfgs         []pradram.Config // one per run, in report order
+	cfgs         []sim.Config // one per run, in report order
 	list, asJSON bool
 	workers      int
 
@@ -85,7 +86,7 @@ type options struct {
 // the batch's Configs. Run flags bind straight to Config fields through
 // sim's flag table; the defaults below are this binary's.
 func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
-	cfg := pradram.DefaultConfig("GUPS")
+	cfg := sim.DefaultConfig("GUPS")
 	cfg.InstrPerCore = 400_000
 	cfg.WarmupPerCore = 400_000
 	cfg.ActiveCores = 4
@@ -124,6 +125,9 @@ func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 	} else if o.timeline != "" && cfg.Obs.EpochCycles == 0 {
 		return o, fmt.Errorf("-timeline needs a positive -epoch")
 	}
+	if o.eventsOut != "" && cfg.Obs.EventLevel == obs.LevelOff {
+		return o, fmt.Errorf("-events-out needs -events state or -events cmd")
+	}
 	if o.workers < 0 {
 		return o, fmt.Errorf("-j must be non-negative, got %d", o.workers)
 	}
@@ -151,17 +155,28 @@ func main() {
 		fatal(err)
 	}
 	if o.list {
-		fmt.Println("benchmarks:", pradram.Workloads())
-		fmt.Println("hammers:   ", pradram.Hammers())
-		fmt.Println("tensors:   ", pradram.Tensors())
-		fmt.Println("mixes:     ", pradram.Mixes())
+		fmt.Println("benchmarks:", workload.Names())
+		fmt.Println("hammers:   ", workload.HammerNames())
+		fmt.Println("tensors:   ", workload.TensorNames())
+		fmt.Println("mixes:     ", workload.MixNames())
 		fmt.Println("co-runs:    any single-core names as name[:count],... via -mix")
 		return
 	}
 
-	systems := make([]*pradram.System, len(o.cfgs))
+	// -http binds before anything is built, so a bad address is an error up
+	// front; variables are published once what they read exists.
+	var srv *obs.Server
+	if o.httpAddr != "" {
+		srv = obs.NewServer()
+		if err := srv.Start(o.httpAddr); err != nil {
+			fatal(fmt.Errorf("-http: %w", err))
+		}
+		srv.Publish("build", func() any { return sim.BuildInfo() })
+	}
+
+	systems := make([]*sim.System, len(o.cfgs))
 	for i, cfg := range o.cfgs {
-		if systems[i], err = pradram.NewSystem(cfg); err != nil {
+		if systems[i], err = sim.New(cfg); err != nil {
 			fatal(err)
 		}
 	}
@@ -172,9 +187,7 @@ func main() {
 	if batch {
 		stopReporter = prog.Reporter(os.Stderr, time.Second, "prasim")
 	}
-	if o.httpAddr != "" {
-		srv := obs.NewServer()
-		srv.Publish("build", func() any { return pradram.BuildInfo() })
+	if srv != nil {
 		srv.Publish("progress", func() any { return prog.Snapshot() })
 		for i := range systems {
 			s, label := systems[i], o.cfgs[i].Workload
@@ -185,17 +198,12 @@ func main() {
 				srv.Publish("timeline/"+label, func() any { return rec.Snapshot() })
 			}
 		}
-		go func() {
-			if err := srv.ListenAndServe(o.httpAddr); err != nil {
-				fmt.Fprintln(os.Stderr, "prasim: http:", err)
-			}
-		}()
 	}
 
 	// The runner fans the independent runs out across its pool and takes
 	// each through the warmup-checkpoint layer (-ckpt-dir); reports still
 	// print in the order the workloads were given.
-	runner := pradram.NewRunner(pradram.ExpOptions{
+	runner := sim.NewRunner(sim.ExpOptions{
 		Workers: max(o.workers, 1), CkptDir: o.ckptDir, NoCheckpoint: o.ckptDir == "", Progress: prog})
 	results, errs := runner.RunSystems(systems)
 	stopReporter()
@@ -246,7 +254,7 @@ func batchPath(path, label string, batch bool) string {
 
 // dumpTelemetry writes a finished run's recorder and event log to the
 // requested files.
-func dumpTelemetry(s *pradram.System, label, timeline, eventsOut string, batch bool) error {
+func dumpTelemetry(s *sim.System, label, timeline, eventsOut string, batch bool) error {
 	if timeline != "" {
 		if rec := s.Recorder(); rec != nil {
 			path := batchPath(timeline, label, batch)
@@ -260,7 +268,7 @@ func dumpTelemetry(s *pradram.System, label, timeline, eventsOut string, batch b
 			}
 		}
 	}
-	if eventsOut != "" && s.Events() != nil {
+	if eventsOut != "" { // parseArgs refused it unless -events armed the log
 		if err := writeTo(batchPath(eventsOut, label, batch), s.Events().Dump); err != nil {
 			return err
 		}
@@ -275,12 +283,12 @@ func dumpTelemetry(s *pradram.System, label, timeline, eventsOut string, batch b
 // events (refresh, power-down, alert, ...) when -events captured them.
 // Spans are a sample (every -trace-sample-th completion, ring-buffered),
 // not a census.
-func writeTrace(s *pradram.System, label, path string, batch bool) error {
+func writeTrace(s *sim.System, label, path string, batch bool) error {
 	spans := s.LatSpans()
 	tspans := make([]obs.TraceSpan, len(spans))
 	for i, sp := range spans {
-		args := make(map[string]int64, int(pradram.NumLatComponents))
-		for c := pradram.LatComponent(0); c < pradram.NumLatComponents; c++ {
+		args := make(map[string]int64, int(memctrl.NumLatComponents))
+		for c := memctrl.LatComponent(0); c < memctrl.NumLatComponents; c++ {
 			if sp.Break[c] != 0 {
 				args[c.String()] = sp.Break[c]
 			}
@@ -309,7 +317,7 @@ func writeTrace(s *pradram.System, label, path string, batch bool) error {
 	}
 	opt := obs.ChromeTraceOptions{
 		Process:      "prasim " + label,
-		CycleNs:      pradram.MemCycleNs,
+		CycleNs:      sim.MemCycleNs,
 		InstantTrack: "dram",
 	}
 	return writeTo(batchPath(path, label, batch), func(w io.Writer) error {
@@ -331,7 +339,7 @@ func writeTo(path string, fn func(io.Writer) error) error {
 }
 
 // report renders the human-readable tables for one run.
-func report(w io.Writer, res pradram.Result) {
+func report(w io.Writer, res sim.Result) {
 	fmt.Fprintf(w, "workload %s  scheme %s  policy %s  dbi %v\n", res.Workload, res.Scheme, res.Policy, res.DBI)
 	fmt.Fprintf(w, "apps: %v\n\n", res.Apps)
 
@@ -380,7 +388,7 @@ func report(w io.Writer, res pradram.Result) {
 	// -trace-out) ran the accounting; the histogram count is the witness.
 	if res.Ctrl.ReadLatHist.N > 0 || res.Ctrl.WriteLatHist.N > 0 {
 		lat := stats.NewTable("latency component", "read", "write")
-		for c := pradram.LatComponent(0); c < pradram.NumLatComponents; c++ {
+		for c := memctrl.LatComponent(0); c < memctrl.NumLatComponents; c++ {
 			lat.Row(c.String(),
 				fmt.Sprintf("%.1f%%", 100*res.ReadLatShare(c)),
 				fmt.Sprintf("%.1f%%", 100*res.WriteLatShare(c)))
@@ -464,7 +472,7 @@ type jsonReport struct {
 	PowerBandMW *[3]float64 `json:"power_band_mw,omitempty"` // min, nominal, max
 }
 
-func emitJSON(w io.Writer, res pradram.Result) error {
+func emitJSON(w io.Writer, res sim.Result) error {
 	rep := jsonReport{
 		Workload: res.Workload,
 		Scheme:   res.Scheme.String(),
@@ -509,9 +517,9 @@ func emitJSON(w io.Writer, res pradram.Result) error {
 		rep.PowerBandMW = &[3]float64{band.Min, band.Nom, band.Max}
 	}
 	if res.Ctrl.ReadLatHist.N > 0 || res.Ctrl.WriteLatHist.N > 0 {
-		rep.ReadLatShares = make(map[string]float64, int(pradram.NumLatComponents))
-		rep.WriteLatShares = make(map[string]float64, int(pradram.NumLatComponents))
-		for c := pradram.LatComponent(0); c < pradram.NumLatComponents; c++ {
+		rep.ReadLatShares = make(map[string]float64, int(memctrl.NumLatComponents))
+		rep.WriteLatShares = make(map[string]float64, int(memctrl.NumLatComponents))
+		for c := memctrl.LatComponent(0); c < memctrl.NumLatComponents; c++ {
 			rep.ReadLatShares[c.String()] = res.ReadLatShare(c)
 			rep.WriteLatShares[c.String()] = res.WriteLatShare(c)
 		}

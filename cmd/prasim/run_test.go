@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -10,6 +11,16 @@ import (
 	"strings"
 	"testing"
 )
+
+// buildPrasim builds the binary under test into a temporary directory.
+func buildPrasim(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "prasim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // runPrasim executes the built binary and returns what it printed.
 func runPrasim(t *testing.T, bin string, args ...string) (stdout, stderr string) {
@@ -30,10 +41,7 @@ func runPrasim(t *testing.T, bin string, args ...string) (stdout, stderr string)
 // must print. Regenerate testdata/run.golden with -update after an intended
 // change of the report.
 func TestRunGolden(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "prasim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildPrasim(t)
 	batch := []string{"-workload", "GUPS,mcf", "-instr", "30000", "-warmup", "40000"}
 	with := func(extra ...string) []string { return append(append([]string{}, batch...), extra...) }
 
@@ -70,5 +78,26 @@ func TestRunGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("run output changed (rerun with -update if intended):\n--- got\n%s--- want\n%s--- stdout\n%s", got, want, plain)
+	}
+}
+
+// TestBadHTTPAddressFailsBeforeTheRun: -http binds before any system is
+// built, so an address that cannot be listened on ends the process with
+// exit 1 and one line naming the flag — not a message lost among the
+// progress lines of a run that then exits 0.
+func TestBadHTTPAddressFailsBeforeTheRun(t *testing.T) {
+	var out, errb bytes.Buffer
+	cmd := exec.Command(buildPrasim(t), "-workload", "GUPS", "-http", "127.0.0.1:99999")
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("exit %v, want exit status 1", err)
+	}
+	if !strings.HasPrefix(errb.String(), "prasim: -http: ") || strings.Count(errb.String(), "\n") != 1 {
+		t.Errorf("stderr %q, want one line starting \"prasim: -http: \"", errb.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("a report was printed:\n%s", out.String())
 	}
 }

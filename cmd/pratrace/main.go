@@ -84,11 +84,9 @@ func main() {
 	if o.httpAddr != "" {
 		srv := obs.NewServer()
 		srv.Publish("build", func() any { return sim.BuildInfo() })
-		go func() {
-			if err := srv.ListenAndServe(o.httpAddr); err != nil {
-				fmt.Fprintln(os.Stderr, "pratrace: http:", err)
-			}
-		}()
+		if err := srv.Start(o.httpAddr); err != nil {
+			fatal(fmt.Errorf("-http: %w", err))
+		}
 	}
 
 	switch {

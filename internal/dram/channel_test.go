@@ -375,7 +375,7 @@ func TestRefreshLifecycle(t *testing.T) {
 func TestPowerDownAndWake(t *testing.T) {
 	t.Parallel()
 	c := newTestChannel(t)
-	c.PowerDown(0, 0)
+	c.EnterPowerDown(0, 0)
 	if !c.PoweredDown(0) {
 		t.Error("rank should be powered down")
 	}
@@ -403,13 +403,13 @@ func TestPowerDownAndWake(t *testing.T) {
 	// Waking an awake rank is a no-op.
 	c.Wake(ready, 0)
 	// Power-down with an open bank is refused.
-	c.PowerDown(ready, 0)
+	c.EnterPowerDown(ready, 0)
 	if c.PoweredDown(0) {
 		t.Error("power-down with open bank must be refused")
 	}
 	// Refresh to a powered-down rank is rejected too.
 	c2 := newTestChannel(t)
-	c2.PowerDown(0, 0)
+	c2.EnterPowerDown(0, 0)
 	if err := c2.Refresh(int64(c2.T.TREFI), 0); err == nil {
 		t.Error("REF to powered-down rank must fail")
 	}
@@ -442,8 +442,8 @@ func TestBackgroundAccountingStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AdvanceTo(pre)
-	c.PowerDown(pre, 0)
-	c.PowerDown(pre, 1)
+	c.EnterPowerDown(pre, 0)
+	c.EnterPowerDown(pre, 1)
 	acc.Reset()
 	c.AdvanceTo(pre + 10)
 	pdnE := acc.TotalEnergy()

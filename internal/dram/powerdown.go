@@ -163,12 +163,6 @@ func (c *Channel) EnterPowerDown(now int64, r int) bool {
 	return true
 }
 
-// PowerDown puts rank r into precharge power-down. It is a no-op if banks
-// are open, a refresh is in flight, or the rank is inside the tCKE window
-// of its last wake. Kept as the compatibility entry point; EnterPowerDown
-// reports whether entry happened.
-func (c *Channel) PowerDown(now int64, r int) { c.EnterPowerDown(now, r) }
-
 // EnterActivePowerDown puts rank r into active power-down (CKE low with
 // open banks — the open-page companion state) and reports whether it
 // entered. Entry requires at least one open bank; exit costs tXP and the

@@ -204,7 +204,7 @@ func TestRFMErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AdvanceTo(pre + int64(c.T.TRP))
-	c.PowerDown(pre+int64(c.T.TRP), 0)
+	c.EnterPowerDown(pre+int64(c.T.TRP), 0)
 	if err := c.RefreshManage(pre+int64(c.T.TRP)+1, 0, 0); err == nil {
 		t.Error("RFM to a powered-down rank must fail")
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -116,14 +117,17 @@ func (s *Server) oneVar(w http.ResponseWriter, r *http.Request) {
 // Handler returns the server's root handler (useful for tests).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// ListenAndServe serves on addr until the process exits. Callers normally
-// run it on its own goroutine and only log the returned error:
-//
-//	go func() {
-//	    if err := srv.ListenAndServe(*httpAddr); err != nil {
-//	        log.Print(err)
-//	    }
-//	}()
-func (s *Server) ListenAndServe(addr string) error {
-	return http.ListenAndServe(addr, s.mux)
+// Start binds addr and serves on it in the background until the process
+// exits. The bind is synchronous, so an address that cannot be listened on
+// is an error here, before the caller has built or run anything; variables
+// may be published after Start.
+func (s *Server) Start(addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	// Serve returns only when the listener fails, and nothing closes it
+	// before the process exits.
+	go func() { _ = http.Serve(ln, s.mux) }()
+	return nil
 }

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -309,6 +311,38 @@ func TestServerVars(t *testing.T) {
 	}
 	if code, body := get("/debug/pprof/cmdline"); code != 200 || body == "" {
 		t.Fatalf("pprof: code %d", code)
+	}
+}
+
+// TestServerStartBindsSynchronously: an address that cannot be listened on
+// is Start's error, not a line a background goroutine prints mid-run; once
+// Start returns nil the server answers, including for variables published
+// afterwards.
+func TestServerStartBindsSynchronously(t *testing.T) {
+	if err := NewServer().Start("127.0.0.1:99999"); err == nil {
+		t.Error("an invalid port must fail Start")
+	}
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := held.Addr().String()
+	srv := NewServer()
+	if err := srv.Start(addr); err == nil {
+		t.Fatalf("Start on %s, which is already bound, must fail", addr)
+	}
+	held.Close()
+	if err := srv.Start(addr); err != nil {
+		t.Fatal(err)
+	}
+	srv.Publish("late", func() any { return 7 })
+	resp, err := http.Get("http://" + addr + "/vars/late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if body, _ := io.ReadAll(resp.Body); resp.StatusCode != 200 || strings.TrimSpace(string(body)) != "7" {
+		t.Errorf("GET /vars/late: code %d body %q, want 200 and 7", resp.StatusCode, body)
 	}
 }
 

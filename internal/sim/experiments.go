@@ -339,9 +339,6 @@ type Experiment struct {
 	Keys func() []runKey
 }
 
-// Run renders the experiment's table on r (Runner.RunExperiment).
-func (e Experiment) Run(r *Runner) (string, error) { return r.RunExperiment(e) }
-
 // Experiments returns every experiment in paper order.
 func Experiments() []Experiment {
 	return []Experiment{

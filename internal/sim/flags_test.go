@@ -21,7 +21,7 @@ var notFlags = map[string]string{
 	"MaxCycles":     "the no-progress budget is derived; tests override it",
 	"CPU":           "Table 3's core is fixed; sensitivity sweeps set it in code",
 	"Generator":     "a Go hook",
-	"Timing":        "a speed grade is a struct; the examples set it in code",
+	"Timing":        "a speed grade is a struct; the speedgrades experiment sets it by grade name (runKey.grade)",
 	"CPUPerMem":     "set alongside Timing",
 }
 

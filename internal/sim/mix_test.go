@@ -88,7 +88,7 @@ func TestMixDeterminismMatrix(t *testing.T) {
 			if err := tr.SaveV2(&v2); err != nil {
 				t.Fatal(err)
 			}
-			want, err := trace.Replay(tr, memctrl.DefaultConfig())
+			want, err := trace.ReplayStream(tr.Stream(), memctrl.DefaultConfig(), trace.ReplayOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

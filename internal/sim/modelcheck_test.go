@@ -73,7 +73,7 @@ func TestModelCheckExperimentTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Run(NewRunner(ExpOptions{Instr: 20_000, Warmup: 30_000, Seed: 1}))
+	out, err := NewRunner(ExpOptions{Instr: 20_000, Warmup: 30_000, Seed: 1}).RunExperiment(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,15 +134,13 @@ func (r Result) GranularityShare(g int) float64 {
 // AvgReadLatencyNs returns the mean DRAM read latency (arrival to data) in
 // nanoseconds.
 func (r Result) AvgReadLatencyNs() float64 {
-	memCycleNs := CPUCycleNs * 4
-	return stats.Ratio(float64(r.Ctrl.ReadLatencySum), float64(r.Ctrl.ReadsServed)) * memCycleNs
+	return stats.Ratio(float64(r.Ctrl.ReadLatencySum), float64(r.Ctrl.ReadsServed)) * MemCycleNs
 }
 
 // AvgWriteLatencyNs returns the mean DRAM write latency (arrival to the
 // end of the write burst) in nanoseconds.
 func (r Result) AvgWriteLatencyNs() float64 {
-	memCycleNs := CPUCycleNs * 4
-	return stats.Ratio(float64(r.Ctrl.WriteLatencySum), float64(r.Ctrl.WritesServed)) * memCycleNs
+	return stats.Ratio(float64(r.Ctrl.WriteLatencySum), float64(r.Ctrl.WritesServed)) * MemCycleNs
 }
 
 // ReadLatShare returns component comp's share of the total read latency —
@@ -162,12 +160,12 @@ func (r Result) WriteLatShare(comp memctrl.LatComponent) float64 {
 // power-of-two resolution; see stats.LogHist). Zero unless the run had
 // Config.LatBreak set.
 func (r Result) ReadLatQuantileNs(q float64) float64 {
-	return r.Ctrl.ReadLatHist.Quantile(q) * CPUCycleNs * 4
+	return r.Ctrl.ReadLatHist.Quantile(q) * MemCycleNs
 }
 
 // WriteLatQuantileNs is the write-request equivalent of ReadLatQuantileNs.
 func (r Result) WriteLatQuantileNs(q float64) float64 {
-	return r.Ctrl.WriteLatHist.Quantile(q) * CPUCycleNs * 4
+	return r.Ctrl.WriteLatHist.Quantile(q) * MemCycleNs
 }
 
 // SumIPC returns the sum of per-core IPCs.

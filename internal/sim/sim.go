@@ -29,6 +29,18 @@ const CPUClockGHz = 3.2
 // CPUCycleNs is one CPU cycle in nanoseconds.
 const CPUCycleNs = 1.0 / CPUClockGHz
 
+// MemCycleNs is one DRAM command-clock cycle in nanoseconds at the
+// DDR3-1600 ratio of four CPU cycles per memory cycle. Latency sums,
+// histograms and spans are counted in memory cycles; every ns figure on a
+// Result (AvgReadLatencyNs, the quantiles) and prasim's Perfetto export
+// convert through this constant. It hides one limitation: a run on another
+// speed grade (the speedgrades experiment's grade= keys, CPUPerMem 3-8) has
+// correct cycle counts but ns latencies scaled as if it were DDR3-1600. The
+// fix is a cycle length carried on Result, and a new Result field changes
+// the JSON digests bench/replica.go compares, so it waits for a [benchmark]
+// PR.
+const MemCycleNs = CPUCycleNs * 4
+
 // Config describes one simulation run.
 type Config struct {
 	// Workload is a benchmark name (run as identical instances on all
@@ -518,10 +530,6 @@ func (s *System) Trace() *trace.Trace {
 // Config.LatBreak and LatSpanEvery are set). The obs package's trace
 // exporter turns them into a Chrome-trace/Perfetto file.
 func (s *System) LatSpans() []memctrl.LatSpan { return s.ctrl.LatSpans() }
-
-// Hierarchy exposes the cache hierarchy (for cache-only experiments such
-// as Figure 3).
-func (s *System) Hierarchy() *cache.Hierarchy { return s.hier }
 
 // Controller exposes the memory controller.
 func (s *System) Controller() *memctrl.Controller { return s.ctrl }

@@ -115,7 +115,7 @@ func FuzzCaptureReplay(f *testing.F) {
 		}
 
 		// Replay must accept the whole stream and drain.
-		res, err := Replay(loaded, cfg)
+		res, err := ReplayStream(loaded.Stream(), cfg, ReplayOpts{})
 		if err != nil {
 			t.Fatalf("replay: %v", err)
 		}
@@ -165,7 +165,7 @@ func TestCaptureReplaySeedCorpus(t *testing.T) {
 		if loaded.Len() != tr.Len() {
 			t.Errorf("round trip: %d records, want %d", loaded.Len(), tr.Len())
 		}
-		if _, err := Replay(loaded, memctrl.DefaultConfig()); err != nil {
+		if _, err := ReplayStream(loaded.Stream(), memctrl.DefaultConfig(), ReplayOpts{}); err != nil {
 			t.Errorf("replay: %v", err)
 		}
 	}

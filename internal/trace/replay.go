@@ -40,30 +40,18 @@ type ReplayOpts struct {
 	NoSkip bool
 }
 
-// Replay feeds a recorded request stream into a fresh controller built
-// from cfg, preserving arrival times (with backpressure allowed to slip
-// them), and runs until every request completes. Request ordering and
+// ReplayStream feeds a recorded request stream into a fresh controller
+// built from cfg, preserving arrival times (with backpressure allowed to
+// slip them), and runs until every request completes. Request ordering and
 // addresses are exactly those of the capture; only the scheme/policy under
-// test differs — the fast what-if path.
-func Replay(t *Trace, cfg memctrl.Config) (ReplayResult, error) {
-	return ReplayWith(t, cfg, ReplayOpts{})
-}
-
-// ReplayWith is Replay with explicit driver options. It is ReplayStream
-// over the materialized records; a replay that should not hold the whole
-// trace in memory passes Open's decoding stream to ReplayStream directly.
-func ReplayWith(t *Trace, cfg memctrl.Config, opt ReplayOpts) (ReplayResult, error) {
-	return ReplayStream(t.Stream(), cfg, opt)
-}
-
-// ReplayStream drives a replay from a Stream with a one-record lookahead
-// window instead of a materialized slice, so memory use is O(1) in trace
-// length and the only per-record work is the varint decode and the pooled
-// controller enqueue — the steady state allocates nothing per record
-// (enforced by TestReplayStreamAllocs and the -ingest benchgate). The
-// driver loop is the same tick/skip/backpressure automaton as the
-// original slice replay, so results are bit-identical to ReplayWith on
-// the same records regardless of which format they decode from.
+// test differs — the fast what-if path. A captured Trace replays through
+// its Stream method, a trace file through OpenV2's decoding stream.
+//
+// The driver holds a one-record lookahead window, never a materialized
+// slice, so memory use is O(1) in trace length and the only per-record
+// work is the varint decode and the pooled controller enqueue — the steady
+// state allocates nothing per record (enforced by TestReplayStreamAllocs
+// and the -ingest benchgate).
 func ReplayStream(s Stream, cfg memctrl.Config, opt ReplayOpts) (ReplayResult, error) {
 	ctrl, err := memctrl.New(cfg)
 	if err != nil {

@@ -168,7 +168,7 @@ func TestReplayServesAllRequests(t *testing.T) {
 		}
 		tr.Records = append(tr.Records, rec)
 	}
-	res, err := Replay(tr, memctrl.DefaultConfig())
+	res, err := ReplayStream(tr.Stream(), memctrl.DefaultConfig(), ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +192,11 @@ func TestReplayDeterministic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Records = append(tr.Records, Record{At: int64(i * 4), Addr: uint64(i*64) % (1 << 20)})
 	}
-	a, err := Replay(tr, memctrl.DefaultConfig())
+	a, err := ReplayStream(tr.Stream(), memctrl.DefaultConfig(), ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Replay(tr, memctrl.DefaultConfig())
+	b, err := ReplayStream(tr.Stream(), memctrl.DefaultConfig(), ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,13 +219,13 @@ func TestReplaySchemeWhatIf(t *testing.T) {
 		})
 	}
 	baseCfg := memctrl.DefaultConfig()
-	base, err := Replay(tr, baseCfg)
+	base, err := ReplayStream(tr.Stream(), baseCfg, ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	praCfg := memctrl.DefaultConfig()
 	praCfg.Scheme = memctrl.PRA
-	pra, err := Replay(tr, praCfg)
+	pra, err := ReplayStream(tr.Stream(), praCfg, ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestReplaySchemeWhatIf(t *testing.T) {
 }
 
 func TestReplayEmptyTrace(t *testing.T) {
-	res, err := Replay(&Trace{}, memctrl.DefaultConfig())
+	res, err := ReplayStream((&Trace{}).Stream(), memctrl.DefaultConfig(), ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestReplayResultUsesConfiguredClock(t *testing.T) {
 		}
 		cfg := memctrl.DefaultConfig()
 		cfg.Timing, cfg.CPUPerMem = g.Timing, g.CPUPerMem
-		res, err := Replay(tr, cfg)
+		res, err := ReplayStream(tr.Stream(), cfg, ReplayOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

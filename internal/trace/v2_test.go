@@ -190,7 +190,7 @@ func TestReplayStreamIdentity(t *testing.T) {
 		for _, cfg := range []memctrl.Config{memctrl.DefaultConfig(), wide} {
 			var skip ReplayResult
 			for _, opt := range []ReplayOpts{{}, {NoSkip: true}} {
-				want, err := ReplayWith(loaded, cfg, opt)
+				want, err := ReplayStream(loaded.Stream(), cfg, opt)
 				if err != nil {
 					t.Fatal(err)
 				}

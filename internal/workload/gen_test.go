@@ -252,6 +252,9 @@ func TestMixesAndSets(t *testing.T) {
 	if got := len(SetNames()); got != 21 {
 		t.Errorf("SetNames() has %d entries, want 21 (8 benchmarks + 4 hammers + 3 tensors + 6 mixes)", got)
 	}
+	if h, x := len(HammerNames()), len(TensorNames()); h != 4 || x != 3 {
+		t.Errorf("%d hammers and %d tensors, want 4 and 3", h, x)
+	}
 	// The Set error message enumerates the registry, not a stale list.
 	if _, err := Set("nosuch", 4); err == nil || !strings.Contains(err.Error(), "HammerSingle") {
 		t.Errorf("Set error must enumerate registry names, got %v", err)
