@@ -501,7 +501,7 @@ func (c *Channel) Read(at int64, r, b, burstCycles int, frac float64, autoPre bo
 	c.perBank[r*c.G.Banks+b].Rd++
 	c.emit(CmdEvent{At: at, Kind: CmdRead, Rank: r, Bank: b, Row: bk.row, DataStart: start, DataEnd: end})
 	if autoPre {
-		c.closeBank(r, b, rk, bk, bk.preAllowed)
+		c.closeBank(r, b, rk, bk, bk.preAllowed, true)
 	}
 	return end, nil
 }
@@ -540,7 +540,7 @@ func (c *Channel) Write(at int64, r, b, burstCycles int, frac float64, autoPre b
 	c.Stats.WordBudget += core.WordsPerLine
 	c.emit(CmdEvent{At: at, Kind: CmdWrite, Rank: r, Bank: b, Row: bk.row, DataStart: start, DataEnd: end})
 	if autoPre {
-		c.closeBank(r, b, rk, bk, bk.preAllowed)
+		c.closeBank(r, b, rk, bk, bk.preAllowed, true)
 	}
 	return end, nil
 }
@@ -567,13 +567,13 @@ func (c *Channel) Precharge(at int64, r, b int) error {
 		return fmt.Errorf("dram: PRE at %d before ready %d", at, ready)
 	}
 	c.cmdFree = at + 1
-	c.closeBank(r, b, rk, bk, at)
+	c.closeBank(r, b, rk, bk, at, false)
 	return nil
 }
 
-func (c *Channel) closeBank(r, b int, rk *rankState, bk *bankState, preAt int64) {
+func (c *Channel) closeBank(r, b int, rk *rankState, bk *bankState, preAt int64, auto bool) {
 	c.flushBG(rk)
-	c.emit(CmdEvent{At: preAt, Kind: CmdPre, Rank: r, Bank: b, Row: bk.row})
+	c.emit(CmdEvent{At: preAt, Kind: CmdPre, Rank: r, Bank: b, Row: bk.row, AutoPre: auto})
 	bk.open = false
 	bk.mask = 0
 	bk.actAllowed = max(bk.actAllowed, preAt+int64(c.T.TRP))
@@ -760,6 +760,6 @@ func (c *Channel) RefreshBank(at int64, r int) error {
 	c.Acc.Refresh(float64(c.T.TRFCPB) * c.T.TCKNs / float64(c.G.Banks))
 	c.Stats.PerBankRefreshes++
 	c.rowCtrResetBank(r, b)
-	c.emit(CmdEvent{At: at, Kind: CmdRef, Rank: r, Bank: b})
+	c.emit(CmdEvent{At: at, Kind: CmdRef, Rank: r, Bank: b, PerBank: true})
 	return nil
 }

@@ -52,16 +52,24 @@ type CmdEvent struct {
 	// DataStart/DataEnd delimit the burst on the data bus for RD/WR
 	// (half-open interval [DataStart, DataEnd)); zero otherwise.
 	DataStart, DataEnd int64
+
+	// PerBank marks a refresh as a per-bank REFpb of Bank (an all-bank REF
+	// otherwise). AutoPre marks a precharge a column command issued with
+	// auto-precharge: it takes no command-bus slot, and its At (the bank's
+	// tRAS/tRTP/tWR bound) may lie past commands emitted after it.
+	PerBank, AutoPre bool
 }
 
 // String renders the event in a DRAMSim2-like one-line format.
 func (e CmdEvent) String() string {
-	switch e.Kind {
-	case CmdAct:
+	switch {
+	case e.Kind == CmdAct:
 		return fmt.Sprintf("%8d %-3s r%d b%d row %d mask %s", e.At, e.Kind, e.Rank, e.Bank, e.Row, e.Mask)
-	case CmdRead, CmdWrite:
+	case e.Kind == CmdRead || e.Kind == CmdWrite:
 		return fmt.Sprintf("%8d %-3s r%d b%d bus [%d,%d)", e.At, e.Kind, e.Rank, e.Bank, e.DataStart, e.DataEnd)
-	case CmdRef:
+	case e.Kind == CmdRef && e.PerBank:
+		return fmt.Sprintf("%8d REFpb r%d b%d", e.At, e.Rank, e.Bank)
+	case e.Kind == CmdRef:
 		return fmt.Sprintf("%8d %-3s r%d", e.At, e.Kind, e.Rank)
 	default:
 		return fmt.Sprintf("%8d %-3s r%d b%d", e.At, e.Kind, e.Rank, e.Bank)

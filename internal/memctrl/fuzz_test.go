@@ -66,9 +66,7 @@ func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64, rowP
 	// The scheduler index is re-verified after every tick that could have
 	// changed it: one that followed an accepted request or issued a command.
 	dirty := false
-	for _, cc := range c.chans {
-		cc.ch.Trace = func(dram.CmdEvent) { dirty = true }
-	}
+	c.OnCommand(func(int, dram.CmdEvent) { dirty = true })
 	tick := func(cpu int64) {
 		c.Tick(cpu)
 		if dirty {

@@ -29,6 +29,18 @@ func (c *Controller) AttachObs(rec *obs.Recorder, ev *obs.EventLog) {
 	for i, cc := range c.chans {
 		cc.attachObs(rec, ev, i)
 	}
+	if ev.Enabled(obs.LevelCmd) {
+		scopes := make([]string, len(c.chans))
+		for i := range scopes {
+			scopes[i] = fmt.Sprintf("dram.ch%d", i)
+		}
+		c.OnCommand(func(ch int, e dram.CmdEvent) {
+			ev.Emit(obs.Event{
+				Cycle: e.At, Level: obs.LevelCmd, Scope: scopes[ch],
+				Kind: e.Kind.String(), Detail: e.String(),
+			})
+		})
+	}
 	if rec == nil {
 		return
 	}
@@ -148,20 +160,27 @@ func (c *Controller) AttachObs(rec *obs.Recorder, ev *obs.EventLog) {
 	})
 }
 
-// attachObs wires one channel: its event scope, the command-level DRAM
-// trace bridge, queue-depth gauges, and the per-bank command counters.
+// OnCommand subscribes fn to every command the DRAM channels accept, in
+// issue order per channel (ch is the channel index); subscribers chain, in
+// subscription order. fn must not retain the event past the call. The
+// command-level event log (-events cmd) is one such subscriber.
+func (c *Controller) OnCommand(fn func(ch int, e dram.CmdEvent)) {
+	for i, cc := range c.chans {
+		prev := cc.ch.Trace
+		cc.ch.Trace = func(e dram.CmdEvent) {
+			if prev != nil {
+				prev(e)
+			}
+			fn(i, e)
+		}
+	}
+}
+
+// attachObs wires one channel: its event scope, queue-depth gauges, and the
+// per-bank command counters.
 func (cc *chanCtl) attachObs(rec *obs.Recorder, ev *obs.EventLog, idx int) {
 	cc.ev = ev
 	cc.scope = fmt.Sprintf("memctrl.ch%d", idx)
-	if ev.Enabled(obs.LevelCmd) {
-		scope := fmt.Sprintf("dram.ch%d", idx)
-		cc.ch.Trace = func(e dram.CmdEvent) {
-			ev.Emit(obs.Event{
-				Cycle: e.At, Level: obs.LevelCmd, Scope: scope,
-				Kind: e.Kind.String(), Detail: e.String(),
-			})
-		}
-	}
 	if rec == nil {
 		return
 	}

@@ -79,14 +79,11 @@ func (g *schedGen) put(vs ...int64) {
 
 // attach streams every DRAM command of every channel into the hash.
 func (g *schedGen) attach() {
-	for i, cc := range g.c.chans {
-		i := int64(i)
-		cc.ch.Trace = func(e dram.CmdEvent) {
-			g.cmds++
-			g.dirty = true
-			g.put(i, e.At, int64(e.Kind), int64(e.Rank), int64(e.Bank), int64(e.Row), int64(e.Mask), e.DataStart, e.DataEnd)
-		}
-	}
+	g.c.OnCommand(func(ch int, e dram.CmdEvent) {
+		g.cmds++
+		g.dirty = true
+		g.put(int64(ch), e.At, int64(e.Kind), int64(e.Rank), int64(e.Bank), int64(e.Row), int64(e.Mask), e.DataStart, e.DataEnd)
+	})
 }
 
 // done builds the completion for read id; the tag lets the request cross a
