@@ -179,7 +179,7 @@ type Channel struct {
 
 	// Trace, when non-nil, receives every issued command in issue order
 	// (see CmdEvent). Used for command-level debugging, golden-trace
-	// tests, and the global bus-occupancy invariant checks.
+	// tests, and the independent command-stream checker.
 	Trace func(CmdEvent)
 
 	ranks   []rankState
@@ -339,59 +339,34 @@ func (c *Channel) flushBG(rk *rankState) {
 	}
 }
 
-// neverRefresh is the refresh-horizon sentinel for ranks that owe no
-// external refresh (self-refreshing ranks). Far enough that it never
-// constrains a sleep horizon, small enough that adding offsets cannot
-// overflow.
-const neverRefresh = int64(1) << 62
-
-// NextRefreshAny returns the earliest scheduled refresh deadline across
-// all ranks — the channel-level bound the controller folds into its sleep
-// horizon (a sleeping channel must still wake to refresh on time).
-// Self-refreshing ranks owe no external refresh and are skipped; if every
-// rank self-refreshes the result is the neverRefresh sentinel.
-func (c *Channel) NextRefreshAny() int64 {
-	earliest := neverRefresh
-	for r := range c.ranks {
-		if c.ranks[r].pd == PDSelfRefresh {
-			continue
-		}
-		if at := c.ranks[r].nextRefresh; at < earliest {
-			earliest = at
-		}
+// admit is the one admission check of the seven issue methods: rank r must
+// be awake (the controller wakes it first), bank b open for a column command
+// or PRE and closed for the rest — every bank of the rank for b == allBanks
+// — and at no earlier than the command's ready cycle.
+func (c *Channel) admit(cmd string, at, ready int64, r, b int, wantOpen bool) error {
+	rk := c.rank(r)
+	open := rk.openCount > 0
+	if b != allBanks {
+		open = rk.banks[b].open
 	}
-	return earliest
-}
-
-// fawReadyAt returns the earliest cycle an activation of weight w fits the
-// weighted four-activation window (sum of in-window weights <= 4).
-func (c *Channel) fawReadyAt(rk *rankState, w float64) int64 {
-	sum := w
-	for _, e := range rk.faw {
-		sum += e.w
+	switch {
+	case rk.pd != PDAwake:
+		return fmt.Errorf("dram: %s to rank %d in %v (Wake it first)", cmd, r, rk.pd)
+	case open && !wantOpen:
+		return fmt.Errorf("dram: %s to rank %d bank %d with an open row", cmd, r, b)
+	case !open && wantOpen:
+		return fmt.Errorf("dram: %s to closed bank %d/%d", cmd, r, b)
+	case at < ready:
+		return fmt.Errorf("dram: %s at %d before ready %d (rank %d bank %d)", cmd, at, ready, r, b)
 	}
-	const eps = 1e-9
-	if sum <= 4+eps {
-		return 0
-	}
-	need := sum - 4
-	var at int64
-	for _, e := range rk.faw {
-		need -= e.w
-		at = e.t + int64(c.T.TFAW)
-		if need <= eps {
-			break
-		}
-	}
-	return at
+	return nil
 }
 
 // ActReadyAt returns the earliest cycle >= now at which an ACT of the given
 // mask may be issued to bank (r,b). For a rank still in power-down, the
 // result assumes a Wake issued at the query time.
 func (c *Channel) ActReadyAt(now int64, r, b int, mask core.Mask, halfDRAM bool) int64 {
-	var t LatTerms
-	return c.ActLatTerms(now, r, b, mask, halfDRAM, &t)
+	return max(now, c.BankTerms(r, b).Act, c.rankFold(now, r).Act, c.FAWReadyAt(r, mask, halfDRAM))
 }
 
 // Activate opens (part of) a row. mask selects the MAT groups; FullMask is
@@ -404,16 +379,10 @@ func (c *Channel) Activate(at int64, r, b, row int, mask core.Mask, halfDRAM boo
 	if row < 0 || row >= c.G.Rows {
 		return fmt.Errorf("dram: row %d out of range", row)
 	}
+	if err := c.admit("ACT", at, c.ActReadyAt(at, r, b, mask, halfDRAM), r, b, false); err != nil {
+		return err
+	}
 	rk, bk := c.rank(r), c.bank(r, b)
-	if rk.pd != PDAwake {
-		return fmt.Errorf("dram: ACT to rank %d in %v (Wake it first)", r, rk.pd)
-	}
-	if ready := c.ActReadyAt(at, r, b, mask, halfDRAM); at < ready {
-		return fmt.Errorf("dram: ACT at %d before ready %d (rank %d bank %d)", at, ready, r, b)
-	}
-	if bk.open {
-		return fmt.Errorf("dram: ACT to open bank %d/%d", r, b)
-	}
 	w := c.actWeight(mask, halfDRAM)
 
 	c.flushBG(rk)
@@ -451,21 +420,11 @@ func (c *Channel) Activate(at int64, r, b, row int, mask core.Mask, halfDRAM boo
 	return nil
 }
 
-// busStart returns the earliest data-bus start for a transfer in direction
-// d from rank r, given the command would put data on the bus at wantStart.
-func (c *Channel) busStart(wantStart int64, d BusDir, r int) int64 {
-	gap := int64(0)
-	if c.busDir != BusIdle && (c.busDir != d || c.busRank != r) {
-		gap = int64(c.T.TRTRS)
-	}
-	return max(wantStart, c.busFree+gap)
-}
-
 // ReadReadyAt returns the earliest command cycle >= now for a column read
-// of burstCycles from bank (r,b).
+// from bank (r,b). The burst length does not enter: only the bursts already
+// on the bus constrain the next one.
 func (c *Channel) ReadReadyAt(now int64, r, b, burstCycles int) int64 {
-	var t LatTerms
-	return c.ReadLatTerms(now, r, b, burstCycles, &t)
+	return max(now, c.BankTerms(r, b).Read, c.rankFold(now, r).Read)
 }
 
 // Read issues a column read; returns the cycle the last data beat arrives.
@@ -475,72 +434,54 @@ func (c *Channel) ReadReadyAt(now int64, r, b, burstCycles int) int64 {
 // burstCycles = 2x base with frac = 0.5 and spends the same energy moving
 // the same bits.
 func (c *Channel) Read(at int64, r, b, burstCycles int, frac float64, autoPre bool) (done int64, err error) {
-	rk, bk := c.rank(r), c.bank(r, b)
-	if rk.pd != PDAwake {
-		return 0, fmt.Errorf("dram: RD to rank %d in %v (Wake it first)", r, rk.pd)
-	}
-	if !bk.open {
-		return 0, fmt.Errorf("dram: RD to closed bank %d/%d", r, b)
-	}
-	if ready := c.ReadReadyAt(at, r, b, burstCycles); at < ready {
-		return 0, fmt.Errorf("dram: RD at %d before ready %d", at, ready)
-	}
-	start := at + int64(c.T.TCAS)
-	end := start + int64(burstCycles)
-	c.busFree, c.busDir, c.busRank = end, BusRead, r
-	rk.colAllowed = at + max(int64(c.T.TCCD), int64(burstCycles))
-	bk.preAllowed = max(bk.preAllowed, at+int64(c.T.TRTP))
-	if frac < 0 {
-		frac = 0
-	} else if frac > 1 {
-		frac = 1
-	}
-	c.cmdFree = at + 1
-	c.Acc.ReadBurst(float64(burstCycles) * c.T.TCKNs * frac)
-	c.Stats.Reads++
-	c.perBank[r*c.G.Banks+b].Rd++
-	c.emit(CmdEvent{At: at, Kind: CmdRead, Rank: r, Bank: b, Row: bk.row, DataStart: start, DataEnd: end})
-	if autoPre {
-		c.closeBank(r, b, rk, bk, bk.preAllowed, true)
-	}
-	return end, nil
+	return c.column(at, r, b, burstCycles, frac, autoPre, BusRead)
 }
 
 // WriteReadyAt returns the earliest command cycle >= now for a column write.
 func (c *Channel) WriteReadyAt(now int64, r, b, burstCycles int) int64 {
-	var t LatTerms
-	return c.WriteLatTerms(now, r, b, burstCycles, &t)
+	return max(now, c.BankTerms(r, b).Write, c.rankFold(now, r).Write)
 }
 
 // Write issues a column write. frac is the fraction of the line's words
 // actually driven (PRA transfers only dirty words). Returns the cycle the
 // burst completes on the bus.
 func (c *Channel) Write(at int64, r, b, burstCycles int, frac float64, autoPre bool) (done int64, err error) {
+	return c.column(at, r, b, burstCycles, frac, autoPre, BusWrite)
+}
+
+// column is the issue path of RD (d == BusRead) and WR. The burst starts CL
+// or CWL after the command; column returns the cycle it ends.
+func (c *Channel) column(at int64, r, b, burstCycles int, frac float64, autoPre bool, d BusDir) (int64, error) {
+	kind, lat, ready := CmdRead, c.T.TCAS, c.ReadReadyAt(at, r, b, burstCycles)
+	if d == BusWrite {
+		kind, lat, ready = CmdWrite, c.T.CWL, c.WriteReadyAt(at, r, b, burstCycles)
+	}
+	if err := c.admit(kind.String(), at, ready, r, b, true); err != nil {
+		return 0, err
+	}
 	rk, bk := c.rank(r), c.bank(r, b)
-	if rk.pd != PDAwake {
-		return 0, fmt.Errorf("dram: WR to rank %d in %v (Wake it first)", r, rk.pd)
-	}
-	if !bk.open {
-		return 0, fmt.Errorf("dram: WR to closed bank %d/%d", r, b)
-	}
-	if ready := c.WriteReadyAt(at, r, b, burstCycles); at < ready {
-		return 0, fmt.Errorf("dram: WR at %d before ready %d", at, ready)
-	}
-	start := at + int64(c.T.CWL)
+	start := at + int64(lat)
 	end := start + int64(burstCycles)
-	c.busFree, c.busDir, c.busRank = end, BusWrite, r
+	c.busFree, c.busDir, c.busRank = end, d, r
 	rk.colAllowed = at + max(int64(c.T.TCCD), int64(burstCycles))
-	rk.rdAfterWr = end + int64(c.T.TWTR)
-	bk.preAllowed = max(bk.preAllowed, end+int64(c.T.TWR))
 	c.cmdFree = at + 1
-	c.Acc.WriteBurst(float64(burstCycles)*c.T.TCKNs, frac)
-	c.Stats.Writes++
-	c.perBank[r*c.G.Banks+b].Wr++
-	c.Stats.WordsWritten += int64(frac*float64(core.WordsPerLine) + 0.5)
-	c.Stats.WordBudget += core.WordsPerLine
-	c.emit(CmdEvent{At: at, Kind: CmdWrite, Rank: r, Bank: b, Row: bk.row, DataStart: start, DataEnd: end})
+	if d == BusRead {
+		bk.preAllowed = max(bk.preAllowed, at+int64(c.T.TRTP))
+		c.Acc.ReadBurst(float64(burstCycles) * c.T.TCKNs * min(max(frac, 0), 1))
+		c.Stats.Reads++
+		c.perBank[r*c.G.Banks+b].Rd++
+	} else {
+		rk.rdAfterWr = end + int64(c.T.TWTR)
+		bk.preAllowed = max(bk.preAllowed, end+int64(c.T.TWR))
+		c.Acc.WriteBurst(float64(burstCycles)*c.T.TCKNs, frac)
+		c.Stats.Writes++
+		c.perBank[r*c.G.Banks+b].Wr++
+		c.Stats.WordsWritten += int64(frac*float64(core.WordsPerLine) + 0.5)
+		c.Stats.WordBudget += core.WordsPerLine
+	}
+	c.emit(CmdEvent{At: at, Kind: kind, Rank: r, Bank: b, Row: bk.row, DataStart: start, DataEnd: end})
 	if autoPre {
-		c.closeBank(r, b, rk, bk, bk.preAllowed, true)
+		c.closeBank(r, b, c.BankTerms(r, b).Pre, true)
 	}
 	return end, nil
 }
@@ -549,29 +490,24 @@ func (c *Channel) Write(at int64, r, b, burstCycles int, frac float64, autoPre b
 // rank in active power-down, the result assumes a Wake issued at the query
 // time.
 func (c *Channel) PreReadyAt(now int64, r, b int) int64 {
-	rk, bk := c.rank(r), c.bank(r, b)
-	return max(now, bk.preAllowed, rk.refUntil, c.cmdFree, c.pdExitAt(rk, now))
+	return max(now, c.BankTerms(r, b).Pre, c.rankFold(now, r).Pre)
 }
 
 // Precharge closes the bank's row. The ACT-PRE pair energy was charged at
 // activation (the Micron model folds both into P_ACT over tRC).
 func (c *Channel) Precharge(at int64, r, b int) error {
-	rk, bk := c.rank(r), c.bank(r, b)
-	if rk.pd != PDAwake {
-		return fmt.Errorf("dram: PRE to rank %d in %v (Wake it first)", r, rk.pd)
-	}
-	if !bk.open {
-		return fmt.Errorf("dram: PRE to closed bank %d/%d", r, b)
-	}
-	if ready := c.PreReadyAt(at, r, b); at < ready {
-		return fmt.Errorf("dram: PRE at %d before ready %d", at, ready)
+	if err := c.admit("PRE", at, c.PreReadyAt(at, r, b), r, b, true); err != nil {
+		return err
 	}
 	c.cmdFree = at + 1
-	c.closeBank(r, b, rk, bk, at, false)
+	c.closeBank(r, b, at, false)
 	return nil
 }
 
-func (c *Channel) closeBank(r, b int, rk *rankState, bk *bankState, preAt int64, auto bool) {
+// closeBank closes bank (r,b) at preAt, for an explicit PRE or (auto) a
+// column command's auto-precharge.
+func (c *Channel) closeBank(r, b int, preAt int64, auto bool) {
+	rk, bk := c.rank(r), c.bank(r, b)
 	c.flushBG(rk)
 	c.emit(CmdEvent{At: preAt, Kind: CmdPre, Rank: r, Bank: b, Row: bk.row, AutoPre: auto})
 	bk.open = false
@@ -597,34 +533,14 @@ func (c *Channel) postponeWindow() int64 {
 	return int64(c.MaxPostpone) * c.refInterval()
 }
 
-// RefreshDue reports whether rank r owes a refresh at cycle now. A
-// self-refreshing rank never owes an external refresh.
-func (c *Channel) RefreshDue(now int64, r int) bool {
-	rk := c.rank(r)
-	return rk.pd != PDSelfRefresh && rk.nextRefresh <= now
-}
+// neverRefresh is the refresh-horizon sentinel for ranks that owe no
+// external refresh (self-refreshing ranks). Far enough that it never
+// constrains a sleep horizon, small enough that adding offsets cannot
+// overflow.
+const neverRefresh = int64(1) << 62
 
-// RefreshMust reports whether rank r's refresh can no longer be postponed:
-// the nominal deadline plus the full elasticity window has passed. With
-// MaxPostpone = 0 it coincides with RefreshDue.
-func (c *Channel) RefreshMust(now int64, r int) bool {
-	rk := c.rank(r)
-	return rk.pd != PDSelfRefresh && rk.nextRefresh+c.postponeWindow() <= now
-}
-
-// CanPullIn reports whether rank r may issue a refresh ahead of its
-// nominal deadline at cycle now without exceeding the pull-in credit of
-// MaxPostpone intervals.
-func (c *Channel) CanPullIn(now int64, r int) bool {
-	if c.MaxPostpone == 0 {
-		return false
-	}
-	rk := c.rank(r)
-	return rk.pd != PDSelfRefresh && rk.nextRefresh-now < c.postponeWindow()
-}
-
-// NextRefreshAt returns the cycle rank r's next refresh falls due
-// (neverRefresh while the rank self-refreshes).
+// NextRefreshAt returns the cycle rank r's next refresh falls due. A
+// self-refreshing rank owes no external refresh: neverRefresh.
 func (c *Channel) NextRefreshAt(r int) int64 {
 	rk := c.rank(r)
 	if rk.pd == PDSelfRefresh {
@@ -635,12 +551,60 @@ func (c *Channel) NextRefreshAt(r int) int64 {
 
 // MustRefreshAt returns the cycle rank r's next refresh stops being
 // postponable — its hard deadline under the elasticity window.
-func (c *Channel) MustRefreshAt(r int) int64 {
-	rk := c.rank(r)
-	if rk.pd == PDSelfRefresh {
-		return neverRefresh
+func (c *Channel) MustRefreshAt(r int) int64 { return c.NextRefreshAt(r) + c.postponeWindow() }
+
+// RefreshDue reports whether rank r owes a refresh at cycle now.
+func (c *Channel) RefreshDue(now int64, r int) bool { return c.NextRefreshAt(r) <= now }
+
+// RefreshMust reports whether rank r's refresh can no longer be postponed:
+// the nominal deadline plus the full elasticity window has passed. With
+// MaxPostpone = 0 it coincides with RefreshDue.
+func (c *Channel) RefreshMust(now int64, r int) bool { return c.MustRefreshAt(r) <= now }
+
+// CanPullIn reports whether rank r may issue a refresh ahead of its
+// nominal deadline at cycle now without exceeding the pull-in credit of
+// MaxPostpone intervals.
+func (c *Channel) CanPullIn(now int64, r int) bool {
+	return c.MaxPostpone != 0 && c.NextRefreshAt(r)-now < c.postponeWindow()
+}
+
+// NextRefreshAny returns the earliest NextRefreshAt across all ranks — the
+// channel-level bound the controller folds into its sleep horizon (a
+// sleeping channel must still wake to refresh on time).
+func (c *Channel) NextRefreshAny() int64 {
+	at := neverRefresh
+	for r := range c.ranks {
+		at = min(at, c.NextRefreshAt(r))
 	}
-	return rk.nextRefresh + c.postponeWindow()
+	return at
+}
+
+// allBanks is the bank argument of a refresh-class command that covers the
+// whole rank: an all-bank REF.
+const allBanks = -1
+
+// banks returns the banks [lo, hi) a refresh-class command to bank b covers.
+func (c *Channel) banks(b int) (lo, hi int) {
+	if b == allBanks {
+		return 0, c.G.Banks
+	}
+	return b, b + 1
+}
+
+// refreshReadyAt is the readiness of REF, REFpb and RFM: behind the rank
+// gate, every bank the command covers must be closed (ok = false otherwise)
+// and ready for an ACT — tRP past its precharge, tRC past its activation,
+// any earlier refresh or RFM of it over.
+func (c *Channel) refreshReadyAt(now int64, r, b int) (at int64, ok bool) {
+	at = max(now, c.rankFold(now, r).Pre)
+	lo, hi := c.banks(b)
+	for i := lo; i < hi; i++ {
+		if _, _, open := c.OpenRow(r, i); open {
+			return 0, false
+		}
+		at = max(at, c.BankTerms(r, i).Act)
+	}
+	return at, true
 }
 
 // RefreshReadyAt returns the earliest cycle a REF may be issued to rank r;
@@ -648,66 +612,7 @@ func (c *Channel) MustRefreshAt(r int) int64 {
 // closing them). For a rank still in power-down, the result assumes a Wake
 // issued at the query time.
 func (c *Channel) RefreshReadyAt(now int64, r int) (int64, bool) {
-	rk := c.rank(r)
-	if rk.openCount > 0 {
-		return 0, false
-	}
-	at := max(now, rk.refUntil, c.cmdFree, c.pdExitAt(rk, now))
-	for b := range rk.banks {
-		// tRP from the last precharge must have elapsed; actAllowed
-		// tracks exactly that for a closed bank.
-		at = max(at, rk.banks[b].actAllowed)
-	}
-	return at, true
-}
-
-// refreshElasticity validates a refresh issue cycle against the pull-in
-// credit and updates the postpone/pull-in counters.
-func (c *Channel) refreshElasticity(at int64, rk *rankState) error {
-	if ahead := rk.nextRefresh - at; ahead > 0 {
-		if ahead >= c.postponeWindow() {
-			return fmt.Errorf("dram: refresh pull-in at %d exceeds the %dx interval credit (deadline %d)",
-				at, c.MaxPostpone, rk.nextRefresh)
-		}
-		c.Stats.PulledInRefreshes++
-	} else if at >= rk.nextRefresh+c.refInterval() {
-		c.Stats.PostponedRefreshes++
-	}
-	return nil
-}
-
-// Refresh issues an all-bank REF to rank r, blocking it for tRFC. The rank
-// must have been woken from power-down first, and all banks precharged.
-func (c *Channel) Refresh(at int64, r int) error {
-	rk := c.rank(r)
-	if rk.pd != PDAwake {
-		return fmt.Errorf("dram: REF to rank %d in %v (Wake it first)", r, rk.pd)
-	}
-	if c.RefMode == RefPerBank {
-		return fmt.Errorf("dram: all-bank REF on a per-bank refresh channel (use RefreshBank)")
-	}
-	ready, ok := c.RefreshReadyAt(at, r)
-	if !ok {
-		return fmt.Errorf("dram: REF to rank %d with open banks", r)
-	}
-	if at < ready {
-		return fmt.Errorf("dram: REF at %d before ready %d", at, ready)
-	}
-	if err := c.refreshElasticity(at, rk); err != nil {
-		return err
-	}
-	c.flushBG(rk)
-	rk.refUntil = at + int64(c.T.TRFC)
-	rk.nextRefresh += c.refInterval()
-	for b := range rk.banks {
-		rk.banks[b].actAllowed = max(rk.banks[b].actAllowed, rk.refUntil)
-	}
-	c.cmdFree = at + 1
-	c.Acc.Refresh(float64(c.T.TRFC) * c.T.TCKNs)
-	c.Stats.Refreshes++
-	c.rowCtrResetRank(r)
-	c.emit(CmdEvent{At: at, Kind: CmdRef, Rank: r})
-	return nil
+	return c.refreshReadyAt(now, r, allBanks)
 }
 
 // NextRefreshBank returns the bank a per-bank refresh of rank r targets
@@ -720,12 +625,16 @@ func (c *Channel) NextRefreshBank(r int) int { return c.rank(r).refBank }
 // a rank still in power-down, the result assumes a Wake issued at the
 // query time.
 func (c *Channel) RefreshBankReadyAt(now int64, r int) (int64, bool) {
-	rk := c.rank(r)
-	bk := &rk.banks[rk.refBank]
-	if bk.open {
-		return 0, false
+	return c.refreshReadyAt(now, r, c.NextRefreshBank(r))
+}
+
+// Refresh issues an all-bank REF to rank r, blocking it for tRFC. The rank
+// must have been woken from power-down first, and all banks precharged.
+func (c *Channel) Refresh(at int64, r int) error {
+	if c.RefMode == RefPerBank {
+		return fmt.Errorf("dram: all-bank REF on a per-bank refresh channel (use RefreshBank)")
 	}
-	return max(now, rk.refUntil, c.cmdFree, bk.actAllowed, c.pdExitAt(rk, now)), true
+	return c.refresh(at, r, allBanks)
 }
 
 // RefreshBank issues a per-bank REFpb to rank r's round-robin target bank,
@@ -733,33 +642,64 @@ func (c *Channel) RefreshBankReadyAt(now int64, r int) (int64, bool) {
 // tREFI/banks. The refresh energy is charged at 1/banks of the all-bank
 // refresh power over tRFCpb (one bank's rows refresh at a time).
 func (c *Channel) RefreshBank(at int64, r int) error {
-	rk := c.rank(r)
-	if rk.pd != PDAwake {
-		return fmt.Errorf("dram: REFpb to rank %d in %v (Wake it first)", r, rk.pd)
-	}
 	if c.RefMode != RefPerBank {
 		return fmt.Errorf("dram: REFpb on an all-bank refresh channel")
 	}
-	b := rk.refBank
-	ready, ok := c.RefreshBankReadyAt(at, r)
-	if !ok {
-		return fmt.Errorf("dram: REFpb to rank %d bank %d with an open row", r, b)
+	return c.refresh(at, r, c.NextRefreshBank(r))
+}
+
+// refresh issues a REF (b == allBanks) or a REFpb of bank b to rank r,
+// within the refresh elasticity window, and advances its deadline.
+func (c *Channel) refresh(at int64, r, b int) error {
+	cmd, dur := "REF", int64(c.T.TRFC)
+	if b != allBanks {
+		cmd, dur = "REFpb", int64(c.T.TRFCPB)
 	}
-	if at < ready {
-		return fmt.Errorf("dram: REFpb at %d before ready %d", at, ready)
-	}
-	if err := c.refreshElasticity(at, rk); err != nil {
+	ready, _ := c.refreshReadyAt(at, r, b)
+	if err := c.admit(cmd, at, ready, r, b, false); err != nil {
 		return err
 	}
-	c.flushBG(rk)
-	bk := &rk.banks[b]
-	bk.actAllowed = max(bk.actAllowed, at+int64(c.T.TRFCPB))
+	rk := c.rank(r)
+	if ahead := rk.nextRefresh - at; ahead > 0 {
+		if ahead >= c.postponeWindow() {
+			return fmt.Errorf("dram: refresh pull-in at %d exceeds the %dx interval credit (deadline %d)",
+				at, c.MaxPostpone, rk.nextRefresh)
+		}
+		c.Stats.PulledInRefreshes++
+	} else if at >= rk.nextRefresh+c.refInterval() {
+		c.Stats.PostponedRefreshes++
+	}
+	c.block(at, r, b, dur)
 	rk.nextRefresh += c.refInterval()
-	rk.refBank = (b + 1) % c.G.Banks
-	c.cmdFree = at + 1
-	c.Acc.Refresh(float64(c.T.TRFCPB) * c.T.TCKNs / float64(c.G.Banks))
-	c.Stats.PerBankRefreshes++
-	c.rowCtrResetBank(r, b)
-	c.emit(CmdEvent{At: at, Kind: CmdRef, Rank: r, Bank: b, PerBank: true})
+	if b == allBanks {
+		c.Stats.Refreshes++
+	} else {
+		rk.refBank = (b + 1) % c.G.Banks
+		c.Stats.PerBankRefreshes++
+	}
+	c.rowCtrReset(r, b)
+	c.emit(CmdEvent{At: at, Kind: CmdRef, Rank: r, Bank: max(b, 0), PerBank: b != allBanks})
 	return nil
+}
+
+// block is the one bank-blocking path of REF, REFpb and RFM: the banks the
+// command to bank b covers accept no ACT for dur cycles from at, and an
+// all-bank REF blocks the whole rank. The command takes the command bus and
+// charges a refresh burst of dur cycles — of one bank's rows for a per-bank
+// command.
+func (c *Channel) block(at int64, r, b int, dur int64) {
+	rk := c.rank(r)
+	c.flushBG(rk)
+	e := float64(dur) * c.T.TCKNs
+	if b == allBanks {
+		rk.refUntil = at + dur
+	} else {
+		e /= float64(c.G.Banks)
+	}
+	lo, hi := c.banks(b)
+	for i := lo; i < hi; i++ {
+		rk.banks[i].actAllowed = max(rk.banks[i].actAllowed, at+dur)
+	}
+	c.cmdFree = at + 1
+	c.Acc.Refresh(e)
 }

@@ -6,42 +6,63 @@ import (
 	"pradram/internal/core"
 )
 
-// TestLatTermsMatchReadyAt pins the lockstep contract: the ready cycle each
-// *ReadyAt method reports must equal the max over the term deadlines its
-// *LatTerms twin fills (the methods are defined that way; this test keeps a
-// future hand-rolled fast path honest), and no individual term may exceed
-// the ready cycle.
+// actTerms, readTerms and writeTerms explain an ACT (full row), a column
+// read and a column write on bank (r,b) from the channel's parts, the way
+// the scheduler does.
+func actTerms(ch *Channel, now int64, r, b int, t *LatTerms) int64 {
+	var rt RankTerms
+	ch.RankTerms(now, r, &rt)
+	return rt.ActLatTerms(now, ch.BankTerms(r, b), ch.FAWReadyAt(r, core.FullMask, false), t)
+}
+
+func readTerms(ch *Channel, now int64, r, b int, t *LatTerms) int64 {
+	var rt RankTerms
+	ch.RankTerms(now, r, &rt)
+	return rt.ReadLatTerms(now, ch.BankTerms(r, b), t)
+}
+
+func writeTerms(ch *Channel, now int64, r, b int, t *LatTerms) int64 {
+	var rt RankTerms
+	ch.RankTerms(now, r, &rt)
+	return rt.WriteLatTerms(now, ch.BankTerms(r, b), t)
+}
+
+// TestLatTermsMatchReadyAt holds the two uses of the readiness parts to each
+// other: the ready cycle each *ReadyAt folds must equal the one its
+// RankTerms.*LatTerms twin explains, and that must be the max over the
+// deadlines it fills (no term past the ready cycle). The queries follow a
+// read burst on rank 0 through the cycles where the data bus binds, for
+// both ranks.
 func TestLatTermsMatchReadyAt(t *testing.T) {
 	t.Parallel()
 	ch := newTestChannel(t)
 	mustActivate(t, ch, 0, 0, 0, 7, core.FullMask, false)
-	if _, err := ch.Read(ch.ReadReadyAt(0, 0, 0, ch.T.TBURST), 0, 0, ch.T.TBURST, 1, false); err != nil {
+	mustActivate(t, ch, 0, 1, 0, 7, core.FullMask, false)
+	rd := ch.ReadReadyAt(0, 0, 0, ch.T.TBURST)
+	if _, err := ch.Read(rd, 0, 0, ch.T.TBURST, 1, false); err != nil {
 		t.Fatal(err)
 	}
-
-	for now := int64(0); now < 64; now += 7 {
-		var at LatTerms
-		ready := ch.ActLatTerms(now, 0, 1, core.FullMask, false, &at)
-		if got := ch.ActReadyAt(now, 0, 1, core.FullMask, false); got != ready {
-			t.Fatalf("ActReadyAt(%d) = %d, terms say %d", now, got, ready)
-		}
-		if m := maxTerms(now, &at); m != ready {
-			t.Fatalf("ACT terms %v max %d != ready %d", at, m, ready)
-		}
-		var rd LatTerms
-		ready = ch.ReadLatTerms(now, 0, 0, ch.T.TBURST, &rd)
-		if got := ch.ReadReadyAt(now, 0, 0, ch.T.TBURST); got != ready {
-			t.Fatalf("ReadReadyAt(%d) = %d, terms say %d", now, got, ready)
-		}
-		for i, d := range rd {
-			if d > ready {
-				t.Fatalf("read term %d deadline %d exceeds ready %d", i, d, ready)
+	for now := rd; now < rd+32; now++ {
+		for r := 0; r < ch.G.Ranks; r++ {
+			for _, c := range []struct {
+				cmd     string
+				b       int
+				explain func(*Channel, int64, int, int, *LatTerms) int64
+				ready   int64
+			}{
+				{"ACT", 1, actTerms, ch.ActReadyAt(now, r, 1, core.FullMask, false)},
+				{"RD", 0, readTerms, ch.ReadReadyAt(now, r, 0, ch.T.TBURST)},
+				{"WR", 0, writeTerms, ch.WriteReadyAt(now, r, 0, ch.T.TBURST)},
+			} {
+				var lt LatTerms
+				got, top := c.explain(ch, now, r, c.b, &lt), now
+				for _, d := range lt {
+					top = max(top, d)
+				}
+				if got != c.ready || top != c.ready {
+					t.Fatalf("%s rank %d at %d: ready %d, terms %v explain %d (max %d)", c.cmd, r, now, c.ready, lt, got, top)
+				}
 			}
-		}
-		var wr LatTerms
-		ready = ch.WriteLatTerms(now, 0, 0, ch.T.TBURST, &wr)
-		if got := ch.WriteReadyAt(now, 0, 0, ch.T.TBURST); got != ready {
-			t.Fatalf("WriteReadyAt(%d) = %d, terms say %d", now, got, ready)
 		}
 	}
 }
@@ -59,7 +80,7 @@ func TestLatTermsBlameTheBindingConstraint(t *testing.T) {
 			t.Fatal(err)
 		}
 		var terms LatTerms
-		ready := ch.ActLatTerms(pre+1, 0, 0, core.FullMask, false, &terms)
+		ready := actTerms(ch, pre+1, 0, 0, &terms)
 		if terms[TermBank] != ready || ready <= pre+1 {
 			t.Fatalf("PRE->ACT wait not blamed on the bank term: ready %d terms %v", ready, terms)
 		}
@@ -72,7 +93,7 @@ func TestLatTermsBlameTheBindingConstraint(t *testing.T) {
 			t.Fatal(err)
 		}
 		var terms LatTerms
-		ready := ch.ActLatTerms(due+1, 0, 0, core.FullMask, false, &terms)
+		ready := actTerms(ch, due+1, 0, 0, &terms)
 		if terms[TermRefresh] != ready || ready != ch.ranks[0].refUntil {
 			t.Fatalf("refresh-blocked ACT not blamed on the refresh term: ready %d terms %v", ready, terms)
 		}
@@ -85,7 +106,7 @@ func TestLatTermsBlameTheBindingConstraint(t *testing.T) {
 		}
 		now := int64(ch.T.TCKE) * 3
 		var terms LatTerms
-		ready := ch.ActLatTerms(now, 0, 0, core.FullMask, false, &terms)
+		ready := actTerms(ch, now, 0, 0, &terms)
 		if terms[TermPD] != ready || ready < now+int64(ch.T.TXP) {
 			t.Fatalf("power-down exit not blamed on the PD term: ready %d terms %v", ready, terms)
 		}
@@ -95,7 +116,7 @@ func TestLatTermsBlameTheBindingConstraint(t *testing.T) {
 		ch := newTestChannel(t)
 		at := mustActivate(t, ch, 0, 0, 0, 1, core.FullMask, false)
 		var terms LatTerms
-		ready := ch.ActLatTerms(at+1, 0, 1, core.FullMask, false, &terms)
+		ready := actTerms(ch, at+1, 0, 1, &terms)
 		if terms[TermTiming] != ready || ready != at+int64(ch.T.TRRD) {
 			t.Fatalf("tRRD wait not blamed on the timing term: ready %d terms %v", ready, terms)
 		}
@@ -113,7 +134,7 @@ func TestLatTermsBlameTheBindingConstraint(t *testing.T) {
 		// the shared data bus; that wait belongs to the timing term.
 		var terms LatTerms
 		now := rd + int64(ch.T.TCCD)
-		ready := ch.WriteLatTerms(now, 1, 0, ch.T.TBURST, &terms)
+		ready := writeTerms(ch, now, 1, 0, &terms)
 		if ready <= now {
 			t.Skip("bus not contended at this geometry/timing")
 		}

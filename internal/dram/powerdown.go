@@ -120,30 +120,30 @@ func (c *Channel) Wake(now int64, r int) {
 	rk.pd = PDAwake
 }
 
-// PDEntryReadyAt returns the earliest cycle at which an awake rank r could
+// PDEntryReadyAt returns the earliest cycle at which awake rank r could
 // legally drop CKE again: past the tCKE high pulse since the last wake,
 // past that wake's exit window, and past any in-flight refresh. The
 // controller uses it to bound its sleep while a power-down entry decision
-// is pending; for a rank already powered down it returns the residual
-// constraint times of the last wake, which are in the past.
+// is pending; the entry methods refuse a rank that is not awake before
+// asking it.
 func (c *Channel) PDEntryReadyAt(r int) int64 {
+	var t RankTerms
+	c.RankTerms(0, r, &t)
+	return max(t.pdReady, t.pd, t.refresh)
+}
+
+// enter drops rank r's CKE into state s at cycle now if the rank may: it is
+// awake and past PDEntryReadyAt, with open rows for active power-down and
+// none for the other states. The pending background span is flushed first
+// so the new state's power starts exactly at now.
+func (c *Channel) enter(now int64, r int, s PDState) bool {
 	rk := c.rank(r)
-	return max(rk.pdReady, rk.pdExit, rk.refUntil)
-}
-
-// canEnterPD reports whether rank r may drop CKE at cycle now: it must be
-// awake, past the minimum CKE-high pulse width since the last wake, past
-// the exit window of that wake, and not mid-refresh.
-func (c *Channel) canEnterPD(now int64, rk *rankState) bool {
-	return rk.pd == PDAwake && now >= rk.pdReady && now >= rk.pdExit && rk.refUntil <= now
-}
-
-// enterPD flips rank rk into state s at cycle now, flushing the pending
-// background span first so the new state's power starts exactly at now.
-func (c *Channel) enterPD(now int64, rk *rankState, s PDState) {
+	if rk.pd != PDAwake || (rk.openCount > 0) != (s == PDActive) || now < c.PDEntryReadyAt(r) {
+		return false
+	}
 	c.flushBG(rk)
-	rk.pd = s
-	rk.pdEnteredAt = now
+	rk.pd, rk.pdEnteredAt = s, now
+	return true
 }
 
 // EnterPowerDown puts rank r into precharge power-down — fast exit, or
@@ -151,30 +151,17 @@ func (c *Channel) enterPD(now int64, rk *rankState, s PDState) {
 // reports whether it entered. Entry requires all banks closed, no refresh
 // in flight, and tCKE residency since the last wake.
 func (c *Channel) EnterPowerDown(now int64, r int) bool {
-	rk := c.rank(r)
-	if rk.openCount != 0 || !c.canEnterPD(now, rk) {
-		return false
-	}
-	s := PDPrechargeFast
 	if c.SlowExitPD {
-		s = PDPrechargeSlow
+		return c.enter(now, r, PDPrechargeSlow)
 	}
-	c.enterPD(now, rk, s)
-	return true
+	return c.enter(now, r, PDPrechargeFast)
 }
 
 // EnterActivePowerDown puts rank r into active power-down (CKE low with
 // open banks — the open-page companion state) and reports whether it
 // entered. Entry requires at least one open bank; exit costs tXP and the
 // row buffers survive.
-func (c *Channel) EnterActivePowerDown(now int64, r int) bool {
-	rk := c.rank(r)
-	if rk.openCount == 0 || !c.canEnterPD(now, rk) {
-		return false
-	}
-	c.enterPD(now, rk, PDActive)
-	return true
-}
+func (c *Channel) EnterActivePowerDown(now int64, r int) bool { return c.enter(now, r, PDActive) }
 
 // EnterSelfRefresh puts rank r into self-refresh and reports whether it
 // entered. Entry requires all banks closed, the rank refresh-current (no
@@ -183,15 +170,13 @@ func (c *Channel) EnterActivePowerDown(now int64, r int) bool {
 // command can issue). While in self-refresh the rank owes no external
 // refreshes; NextRefreshAny skips it and RefreshDue reports false.
 func (c *Channel) EnterSelfRefresh(now int64, r int) bool {
-	rk := c.rank(r)
-	if rk.openCount != 0 || !c.canEnterPD(now, rk) || rk.nextRefresh <= now {
+	if c.RefreshDue(now, r) || !c.enter(now, r, PDSelfRefresh) {
 		return false
 	}
-	c.enterPD(now, rk, PDSelfRefresh)
 	c.Stats.SelfRefEntries++
 	// The device's internal refresh engine takes over and walks every row
 	// during self-refresh, so the disturbance windows restart: clear the
 	// rank's per-row activation counters (rowcounter.go).
-	c.rowCtrResetRank(r)
+	c.rowCtrReset(r, allBanks)
 	return true
 }

@@ -121,9 +121,6 @@ func (c *Channel) TrackRows(capPerBank int) {
 	c.rowCtr = newRowCounters(capPerBank, c.G.Ranks*c.G.Banks)
 }
 
-// RowTracking reports whether per-row activation counting is enabled.
-func (c *Channel) RowTracking() bool { return c.rowCtr != nil }
-
 // RowActCount returns row's activation count since bank (r,b) was last
 // refreshed. Untracked rows report the bank's spill floor; with tracking
 // disabled every row reports 0.
@@ -167,21 +164,16 @@ func (c *Channel) rowCtrOnAct(r, b, row int) {
 	}
 }
 
-// rowCtrResetBank clears bank (r,b)'s counters (the bank was refreshed).
-func (c *Channel) rowCtrResetBank(r, b int) {
-	if c.rowCtr != nil {
-		c.rowCtr.reset(r*c.G.Banks + b)
-	}
-}
-
-// rowCtrResetRank clears every counter of rank r (all-bank refresh, or
-// self-refresh — which runs the device's internal refresh engine).
-func (c *Channel) rowCtrResetRank(r int) {
+// rowCtrReset clears the counters of the banks a refresh of bank b of rank
+// r covers (every bank for allBanks: an all-bank refresh, or self-refresh —
+// which runs the device's internal refresh engine).
+func (c *Channel) rowCtrReset(r, b int) {
 	if c.rowCtr == nil {
 		return
 	}
-	for b := 0; b < c.G.Banks; b++ {
-		c.rowCtr.reset(r*c.G.Banks + b)
+	lo, hi := c.banks(b)
+	for i := lo; i < hi; i++ {
+		c.rowCtr.reset(r*c.G.Banks + i)
 	}
 }
 
@@ -204,12 +196,7 @@ func (c *Channel) trfm() int64 {
 // open row). For a rank still in power-down, the result assumes a Wake
 // issued at the query time.
 func (c *Channel) RFMReadyAt(now int64, r, b int) (int64, bool) {
-	rk := c.rank(r)
-	bk := &rk.banks[b]
-	if bk.open {
-		return 0, false
-	}
-	return max(now, rk.refUntil, c.cmdFree, bk.actAllowed, c.pdExitAt(rk, now)), true
+	return c.refreshReadyAt(now, r, b)
 }
 
 // RefreshManage issues an RFM to bank (r,b): the device refreshes the
@@ -221,23 +208,11 @@ func (c *Channel) RefreshManage(at int64, r, b int) error {
 	if c.rowCtr == nil {
 		return fmt.Errorf("dram: RFM without row tracking enabled")
 	}
-	rk := c.rank(r)
-	if rk.pd != PDAwake {
-		return fmt.Errorf("dram: RFM to rank %d in %v (Wake it first)", r, rk.pd)
+	ready, _ := c.RFMReadyAt(at, r, b)
+	if err := c.admit("RFM", at, ready, r, b, false); err != nil {
+		return err
 	}
-	ready, ok := c.RFMReadyAt(at, r, b)
-	if !ok {
-		return fmt.Errorf("dram: RFM to rank %d bank %d with an open row", r, b)
-	}
-	if at < ready {
-		return fmt.Errorf("dram: RFM at %d before ready %d", at, ready)
-	}
-	c.flushBG(rk)
-	bk := &rk.banks[b]
-	t := c.trfm()
-	bk.actAllowed = max(bk.actAllowed, at+t)
-	c.cmdFree = at + 1
-	c.Acc.Refresh(float64(t) * c.T.TCKNs / float64(c.G.Banks))
+	c.block(at, r, b, c.trfm())
 	c.rowCtr.mitigate(r*c.G.Banks + b)
 	c.Stats.RFMs++
 	c.emit(CmdEvent{At: at, Kind: CmdRFM, Rank: r, Bank: b})

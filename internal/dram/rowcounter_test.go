@@ -34,7 +34,7 @@ func actRow(t *testing.T, c *Channel, now int64, r, b, row int) int64 {
 func TestRowCounterDisabledCostsNothing(t *testing.T) {
 	t.Parallel()
 	c := newTestChannel(t)
-	if c.RowTracking() {
+	if c.rowCtr != nil {
 		t.Error("tracking must be off by default")
 	}
 	now := actRow(t, c, 0, 0, 0, 42)
@@ -48,7 +48,7 @@ func TestRowCounterDisabledCostsNothing(t *testing.T) {
 	c.TrackRows(4)
 	now = actRow(t, c, now, 0, 0, 42)
 	c.TrackRows(0)
-	if c.RowTracking() || c.RowActCount(0, 0, 42) != 0 {
+	if (c.rowCtr != nil) || c.RowActCount(0, 0, 42) != 0 {
 		t.Error("TrackRows(0) must disable tracking")
 	}
 }

@@ -19,21 +19,13 @@ const (
 	CmdRFM                  // refresh management (RowHammer mitigation)
 )
 
+// cmdNames indexes CmdKind.
+var cmdNames = [...]string{"ACT", "RD", "WR", "PRE", "REF", "RFM"}
+
 // String returns the command's mnemonic ("ACT", "RD", ...).
 func (k CmdKind) String() string {
-	switch k {
-	case CmdAct:
-		return "ACT"
-	case CmdRead:
-		return "RD"
-	case CmdWrite:
-		return "WR"
-	case CmdPre:
-		return "PRE"
-	case CmdRef:
-		return "REF"
-	case CmdRFM:
-		return "RFM"
+	if int(k) < len(cmdNames) {
+		return cmdNames[k]
 	}
 	return fmt.Sprintf("Cmd(%d)", int(k))
 }

@@ -292,7 +292,7 @@ type bankQ struct {
 // cycle, with the weighted-tFAW term filled in per activation granularity
 // on first use (fawOK says which).
 type rankTerms struct {
-	dram.CmdTerms
+	dram.RankTerms
 	faw   [core.WordsPerLine + 1]int64
 	fawOK uint16
 }
@@ -931,7 +931,8 @@ func (cc *chanCtl) prepCand(k core.AccessKind) uint64 {
 func (cc *chanCtl) rankTerms(mem int64, r int) *rankTerms {
 	if cc.termsOK&(1<<uint(r)) == 0 {
 		cc.termsOK |= 1 << uint(r)
-		cc.terms[r] = rankTerms{CmdTerms: cc.ch.RankTerms(mem, r)}
+		cc.ch.RankTerms(mem, r, &cc.terms[r].RankTerms)
+		cc.terms[r].fawOK = 0
 	}
 	return &cc.terms[r]
 }
@@ -1099,8 +1100,9 @@ func (cc *chanCtl) writeFrac(req *request) float64 {
 // younger candidates need no evaluation.
 func (cc *chanCtl) tryColumn(mem int64, k core.AccessKind) bool {
 	var (
-		win    *request
-		winPos int
+		win     *request
+		winPos  int
+		winBank dram.CmdTerms
 	)
 	for set := cc.colCand[k]; set != 0; set &= set - 1 {
 		b := &cc.banks[bits.TrailingZeros64(set)]
@@ -1117,24 +1119,25 @@ func (cc *chanCtl) tryColumn(mem int64, k core.AccessKind) bool {
 			cc.noteReady(at)
 			continue
 		}
-		win, winPos = req, b.colPos[k]
+		win, winPos, winBank = req, b.colPos[k], bank
 	}
-	return win != nil && cc.issueColumn(mem, win, winPos)
+	return win != nil && cc.issueColumn(mem, win, winPos, winBank)
 }
 
 // issueColumn issues the column command for req, position i of its bank's
-// list, which the factored terms say is legal at mem. The full term set is
-// taken here, for the one command that issues: it feeds the attribution
-// sweep, and the device re-checks legality against it. Reports whether the
-// command issued.
-func (cc *chanCtl) issueColumn(mem int64, req *request, i int) bool {
+// list, whose bank terms say with the pass's rank terms that it is legal at
+// mem. The same parts explain the command's wait by constraint family for
+// the attribution sweep; the device re-checks legality on issue. Reports
+// whether the command issued.
+func (cc *chanCtl) issueColumn(mem int64, req *request, i int, bank dram.CmdTerms) bool {
 	l := req.loc
 	burst := cc.cfg.Scheme.burstCycles(cc.cfg.Timing.TBURST)
 	_, mask, _ := cc.ch.OpenRow(l.Rank, l.Bank)
 	autoPre := cc.autoPrecharge(req, mask)
+	rank := cc.rankTerms(mem, l.Rank)
 	var terms dram.LatTerms
 	if req.kind == core.Read {
-		cc.ch.ReadLatTerms(mem, l.Rank, l.Bank, burst, &terms)
+		rank.ReadLatTerms(mem, bank, &terms)
 		done, err := cc.ch.Read(mem, l.Rank, l.Bank, burst, cc.cfg.Scheme.ioFrac(), autoPre)
 		if err != nil {
 			return false
@@ -1145,7 +1148,7 @@ func (cc *chanCtl) issueColumn(mem int64, req *request, i int) bool {
 		cc.completeLat(req, mem, done)
 		req.done.Fn(done * cc.cfg.CPUPerMem)
 	} else {
-		cc.ch.WriteLatTerms(mem, l.Rank, l.Bank, burst, &terms)
+		rank.WriteLatTerms(mem, bank, &terms)
 		end, err := cc.ch.Write(mem, l.Rank, l.Bank, burst, cc.writeFrac(req), autoPre)
 		if err != nil {
 			return false
@@ -1233,6 +1236,7 @@ func (cc *chanCtl) tryPrep(mem int64, k core.AccessKind) bool {
 	var (
 		win     *request
 		winBank int
+		winT    dram.CmdTerms
 	)
 	for set := cc.prepCand(k); set != 0; set &= set - 1 {
 		bi := bits.TrailingZeros64(set)
@@ -1252,7 +1256,7 @@ func (cc *chanCtl) tryPrep(mem int64, k core.AccessKind) bool {
 			cc.noteReady(at)
 			continue
 		}
-		win, winBank = head, bi
+		win, winBank, winT = head, bi, bank
 	}
 	if win == nil {
 		cc.markFalseHits(k, ^uint64(0))
@@ -1263,10 +1267,10 @@ func (cc *chanCtl) tryPrep(mem int64, k core.AccessKind) bool {
 	if cc.closeCand&(1<<uint(winBank)) != 0 {
 		return cc.precharge(mem, l.Rank, l.Bank)
 	}
-	half, mask := cc.cfg.Scheme.halfDRAMOrg(), cc.banks[winBank].act[k]
+	mask, rank := cc.banks[winBank].act[k], cc.rankTerms(mem, l.Rank)
 	var terms dram.LatTerms // for the attribution sweep; Activate re-checks legality
-	cc.ch.ActLatTerms(mem, l.Rank, l.Bank, mask, half, &terms)
-	if err := cc.ch.Activate(mem, l.Rank, l.Bank, l.Row, mask, half); err != nil {
+	rank.ActLatTerms(mem, winT, cc.fawTerm(rank, l.Rank, mask), &terms)
+	if err := cc.ch.Activate(mem, l.Rank, l.Bank, l.Row, mask, cc.cfg.Scheme.halfDRAMOrg()); err != nil {
 		return false
 	}
 	cc.banks[winBank].hits = 0
