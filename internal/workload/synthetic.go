@@ -53,17 +53,16 @@ func NewSynthetic(p SyntheticParams) (Maker, error) {
 	return func(coreID int, seed uint64, region Region) cpu.Generator {
 		rng := NewRNG(mixSeed(fmt.Sprintf("synthetic-%d", p.DirtyWords), coreID, seed))
 		area := region.sub(0, p.RegionBytes)
-		g := &visitGen{name: "synthetic", rng: rng}
-		var prev uint64
+		g := newVisitGen("synthetic", rng, 1) // regs[0]: the previous line
 		g.visit = func(g *visitGen) {
 			addr := area.randLine(g.rng)
-			if g.rng.Bool(p.SeqFraction) && prev != 0 {
-				addr = prev + 128 // same-channel next line
+			if g.rng.Bool(p.SeqFraction) && g.regs[0] != 0 {
+				addr = g.regs[0] + 128 // same-channel next line
 				if addr >= area.Base+area.Bytes {
 					addr = area.Base
 				}
 			}
-			prev = addr
+			g.regs[0] = addr
 			g.load(addr)
 			g.compute(p.ComputeGap / 2)
 			if g.rng.Bool(p.WriteProb) {

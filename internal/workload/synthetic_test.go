@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"sort"
 	"testing"
 
+	"pradram/internal/checkpoint"
 	"pradram/internal/core"
 	"pradram/internal/cpu"
 )
@@ -118,5 +120,68 @@ func TestSyntheticDeterministicPerCoreSeed(t *testing.T) {
 	}
 	if !diverged {
 		t.Error("different cores must diverge")
+	}
+}
+
+// TestGeneratorCheckpointResumes saves every generator mid-stream — the
+// apps of every workload set, and the synthetic microbenchmark — restores
+// the bytes into a fresh instance from the same maker, and requires the
+// next 10 000 ops of the two to agree: all mutable state must live in what
+// SaveState writes.
+func TestGeneratorCheckpointResumes(t *testing.T) {
+	makers := map[string]Maker{}
+	for _, set := range SetNames() {
+		apps, err := Set(set, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, app := range apps {
+			if _, err := New(app, 0, 1, testRegion()); err != nil {
+				t.Fatal(err)
+			}
+			makers[app] = func(coreID int, seed uint64, region Region) cpu.Generator {
+				g, _ := New(app, coreID, seed, region)
+				return g
+			}
+		}
+	}
+	syn, err := NewSynthetic(SyntheticParams{DirtyWords: 3, WriteProb: 0.5, SeqFraction: 0.9, ComputeGap: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	makers["synthetic"] = syn
+	names := make([]string, 0, len(makers))
+	for name := range makers {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		mk := makers[name]
+		t.Run(name, func(t *testing.T) {
+			orig := mk(1, 7, testRegion())
+			var a, b cpu.Op
+			for i := 0; i < 5_000; i++ {
+				orig.Next(&a)
+			}
+			var w checkpoint.Writer
+			orig.(checkpoint.Saver).SaveState(&w)
+			restored := mk(1, 7, testRegion())
+			rd := checkpoint.NewReader(w.Bytes())
+			commit, err := restored.(checkpoint.Saver).RestoreState(rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rd.Done(); err != nil {
+				t.Fatal(err)
+			}
+			commit()
+			for i := 0; i < 10_000; i++ {
+				orig.Next(&a)
+				restored.Next(&b)
+				if a != b {
+					t.Fatalf("op %d after the restore: %+v, want %+v", i, b, a)
+				}
+			}
+		})
 	}
 }
