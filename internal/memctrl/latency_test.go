@@ -73,7 +73,7 @@ func TestSweepWaitAlertClamp(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultConfig()
 	cfg.LatBreak = true
-	cc := &chanCtl{cfg: &cfg, alertUntil: 100}
+	cc := &chanCtl{cfg: &cfg, mitigationEngine: mitigationEngine{alertUntil: 100}}
 	req := &request{arrive: 0, mark: 0}
 	var terms dram.LatTerms
 	cc.sweepWait(req, 40, &terms)

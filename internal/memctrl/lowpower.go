@@ -3,6 +3,9 @@ package memctrl
 import (
 	"fmt"
 	"strings"
+
+	"pradram/internal/core"
+	"pradram/internal/dram"
 )
 
 // PDPolicy selects when the controller drops an idle rank into a
@@ -53,47 +56,122 @@ func ParsePDPolicy(name string) (PDPolicy, error) {
 		name, strings.Join(pdPolicyNames[:], ", "))
 }
 
-// RefreshMode selects the controller's refresh management discipline.
-// The zero value is the conventional all-bank refresh of the pre-FSM
-// simulator.
-type RefreshMode uint8
-
-const (
-	// RefreshAllBank issues one all-bank REF per rank every tREFI,
-	// blocking the whole rank for tRFC.
-	RefreshAllBank RefreshMode = iota
-	// RefreshPerBank round-robins per-bank REFpb commands at a
-	// tREFI/banks cadence; only the target bank blocks, for tRFCpb.
-	RefreshPerBank
-	// RefreshElastic keeps all-bank REF but exploits the JEDEC 8x tREFI
-	// elasticity: refreshes are postponed while a rank has work and
-	// pulled in (up to the 8-interval credit) before the rank powers
-	// down, so sleeps are not cut short by refresh wakes.
-	RefreshElastic
-)
-
-// refreshModeNames indexes RefreshMode.
-var refreshModeNames = [...]string{"allbank", "perbank", "elastic"}
-
-// String names the mode as accepted by ParseRefreshMode.
-func (m RefreshMode) String() string {
-	if int(m) < len(refreshModeNames) {
-		return refreshModeNames[m]
-	}
-	return fmt.Sprintf("RefreshMode(%d)", uint8(m))
+// lowPowerEngine is the state of the low-power engine (DESIGN.md §4f),
+// which wakes powered-down ranks that have work and drops idle ones into
+// power-down or self-refresh as the LowPower knobs direct. lastWork is the
+// last pass cycle at which each rank had queued work, the idle clock the
+// timeouts count from; only passes update it (after the nextWake
+// early-return), so skip-mode and per-cycle runs see the same values.
+type lowPowerEngine struct {
+	lastWork []int64
 }
 
-// ParseRefreshMode resolves a refresh-mode name ("allbank", "perbank",
-// "elastic"; "postpone" is accepted as an alias for "elastic").
-func ParseRefreshMode(name string) (RefreshMode, error) {
-	if strings.EqualFold(name, "postpone") {
-		return RefreshElastic, nil
-	}
-	for i, n := range refreshModeNames {
-		if strings.EqualFold(name, n) {
-			return RefreshMode(i), nil
+// wakeRanks opens a scheduling pass: it stamps lastWork for every rank with
+// queued work and wakes the powered-down ranks that have work or a refresh
+// they must take (under elastic refresh a merely-due refresh is postponed
+// rather than cutting the sleep short); the wake costs the state's exit
+// latency before the first command (tXP/tXPDLL/tXS).
+func (cc *chanCtl) wakeRanks(mem int64) {
+	for r := 0; r < cc.cfg.Geom.Ranks; r++ {
+		if cc.rankHasWork(r) {
+			cc.lastWork[r] = mem
+		}
+		if cc.ch.PoweredDown(r) && (cc.rankHasWork(r) || cc.refreshWakes(mem, r)) {
+			st := cc.ch.PDStateOf(r)
+			cc.ch.Wake(mem, r)
+			if cc.tracing() {
+				cc.emit(mem, "wake", "rank %d out of %v", r, st)
+			}
 		}
 	}
-	return 0, fmt.Errorf("memctrl: unknown refresh mode %q (want one of %s)",
-		name, strings.Join(refreshModeNames[:], ", "))
+}
+
+// manageRanks is the low-power engine's share of a scheduling pass: every
+// idle rank moves toward the state its policy wants. Only an elastic
+// pull-in (refresh.go) issues a command; it reports whether one did.
+func (cc *chanCtl) manageRanks(mem int64) bool {
+	cc.run(engLowPower)
+	for r := 0; r < cc.cfg.Geom.Ranks; r++ {
+		if cc.rankHasWork(r) {
+			continue
+		}
+		if st := cc.ch.PDStateOf(r); st != dram.PDAwake {
+			// Self-refresh escalation: a rank that has slept in precharge
+			// power-down past SRTimeout is woken (paying the exit latency)
+			// so the self-refresh entry command can issue on a later pass.
+			if (st == dram.PDPrechargeFast || st == dram.PDPrechargeSlow) && cc.srDueAt(r) <= mem {
+				cc.ch.Wake(mem, r)
+				if cc.tracing() {
+					cc.emit(mem, "wake", "rank %d out of %v to escalate to self-refresh", r, st)
+				}
+				cc.noteReady(cc.ch.PDEntryReadyAt(r))
+			}
+			continue
+		}
+		if cc.ch.RefreshDue(mem, r) {
+			continue // the refresh engine owns the rank until it is current
+		}
+		pdAt, srAt := cc.pdDueAt(mem, r), cc.srDueAt(r)
+		switch {
+		case cc.ch.AnyBankOpen(r):
+			// Open rows with no queued beneficiary only persist under the
+			// open-page policy; active power-down is their companion state.
+			if cc.cfg.APD && cc.reached(mem, pdAt) && cc.enterPD(mem, r, cc.ch.EnterActivePowerDown) &&
+				cc.tracing() {
+				cc.emit(mem, "power-down", "rank %d idle, entering active power-down", r)
+			}
+		case cc.cfg.RefreshMode == RefreshElastic && pdAt <= mem && srAt > mem && cc.ch.CanPullIn(mem, r):
+			// About to sleep with refresh credit to spare: an early REF, which
+			// books as refresh. Pointless when self-refresh is imminent (the
+			// device then refreshes itself).
+			cc.run(engRefresh)
+			if cc.refreshRank(mem, r, true) {
+				return true
+			}
+			cc.run(engLowPower)
+		case cc.reached(mem, srAt):
+			if cc.enterPD(mem, r, cc.ch.EnterSelfRefresh) && cc.tracing() {
+				cc.emit(mem, "self-refresh", "rank %d idle for %d cycles, entering self-refresh", r, mem-cc.lastWork[r])
+			}
+		case cc.reached(mem, pdAt):
+			if cc.enterPD(mem, r, cc.ch.EnterPowerDown) && cc.tracing() {
+				cc.emit(mem, "power-down", "rank %d idle, entering precharge power-down", r)
+			}
+		}
+	}
+	return false
+}
+
+// enterPD drops idle rank r into a low-power state with enter (one of the
+// device's Enter* methods) once the rank's tCKE window allows an entry,
+// noting when it will otherwise. Reports whether the rank went down.
+func (cc *chanCtl) enterPD(mem int64, r int, enter func(int64, int) bool) bool {
+	return cc.reached(mem, cc.ch.PDEntryReadyAt(r)) && enter(mem, r)
+}
+
+// pdDueAt returns the cycle at which the power-down policy wants idle rank
+// r to drop CKE (core.FarFuture under PDNone; a value <= mem means "now").
+func (cc *chanCtl) pdDueAt(mem int64, r int) int64 {
+	switch cc.cfg.PDPolicy {
+	case PDNone:
+		return core.FarFuture
+	case PDTimed:
+		return cc.lastWork[r] + cc.cfg.PDTimeout
+	case PDQueueAware:
+		if cc.n[core.Read] == 0 && cc.n[core.Write] == 0 {
+			return mem
+		}
+		return cc.lastWork[r] + cc.cfg.PDTimeout
+	default: // PDImmediate
+		return mem
+	}
+}
+
+// srDueAt returns the cycle at which idle rank r should escalate to
+// self-refresh (core.FarFuture when escalation is disabled).
+func (cc *chanCtl) srDueAt(r int) int64 {
+	if cc.cfg.SRTimeout == 0 {
+		return core.FarFuture
+	}
+	return cc.lastWork[r] + cc.cfg.SRTimeout
 }

@@ -1,11 +1,6 @@
 package memctrl
 
-import (
-	"cmp"
-	"fmt"
-
-	"pradram/internal/obs"
-)
+import "cmp"
 
 // RowHammer mitigation (DESIGN.md §4g): a PRAC-style Alert/RFM scheme
 // layered on the per-row activation counters the dram package maintains
@@ -67,6 +62,15 @@ func (c *Controller) RowSpill(ch, r, b int) int64 {
 	return c.chans[ch].ch.RowSpill(r, b)
 }
 
+// mitigationEngine is the Alert/RFM FSM's state: while rfmPending, the
+// command stream is stalled until alertUntil, then an RFM issues to bank
+// (rfmRank, rfmBank). Checkpointed (state.go).
+type mitigationEngine struct {
+	rfmPending       bool
+	rfmRank, rfmBank int
+	alertUntil       int64
+}
+
 // mitOnAct runs after every successful activation: if mitigation is armed
 // and the activated row's count has reached the threshold, raise the alert.
 // The stall cost is accounted analytically here (MitAlertCycles per alert,
@@ -75,8 +79,8 @@ func (c *Controller) RowSpill(ch, r, b int) int64 {
 func (cc *chanCtl) mitOnAct(mem int64, l Loc) {
 	if cc.cfg.MitThreshold <= 0 || cc.rfmPending {
 		// While an alert is in flight no activations can issue (the gate
-		// in schedule blocks them), so rfmPending is impossible here; the
-		// check is defensive.
+		// in the scheduling pass blocks them), so rfmPending is impossible
+		// here; the check is defensive.
 		return
 	}
 	if cc.ch.RowActCount(l.Rank, l.Bank, l.Row) < int64(cc.cfg.MitThreshold) {
@@ -87,42 +91,32 @@ func (cc *chanCtl) mitOnAct(mem int64, l Loc) {
 	cc.alertUntil = mem + cc.cfg.mitAlertCycles()
 	cc.stats.Alerts++
 	cc.stats.AlertStallCycles += cc.cfg.mitAlertCycles()
-	if cc.ev.Enabled(obs.LevelState) {
-		cc.ev.Emit(obs.Event{Cycle: mem, Level: obs.LevelState, Scope: cc.scope,
-			Kind: "alert", Detail: fmt.Sprintf("rank %d bank %d row %d hit threshold %d, back-off %d",
-				l.Rank, l.Bank, l.Row, cc.cfg.MitThreshold, cc.cfg.mitAlertCycles())})
+	if cc.tracing() {
+		cc.emit(mem, "alert", "rank %d bank %d row %d hit threshold %d, back-off %d",
+			l.Rank, l.Bank, l.Row, cc.cfg.MitThreshold, cc.cfg.mitAlertCycles())
 	}
 }
 
-// issueRFM drives a pending alert to completion: wait out the back-off,
-// close the target bank if a row is open there (the triggering activation
-// left one open), then issue the RFM. Returns true when it consumed the
-// command slot. The rank cannot be powered down here: the triggering ACT
-// proves it awake, and idleManage is unreachable while rfmPending.
+// issueRFM is the mitigation engine's share of a scheduling pass while an
+// alert is pending: wait out the back-off, close the target bank if a row
+// is open there (the triggering activation left one open), then issue the
+// RFM. Returns true when it consumed the command slot. The rank cannot be
+// powered down here: the triggering ACT proves it awake, and the low-power
+// engine does not run while rfmPending.
 func (cc *chanCtl) issueRFM(mem int64) bool {
-	if mem < cc.alertUntil {
-		cc.noteReady(cc.alertUntil)
+	cc.run(engMitigation)
+	if !cc.reached(mem, cc.alertUntil) {
 		return false
 	}
 	r, b := cc.rfmRank, cc.rfmBank
-	if _, _, open := cc.ch.OpenRow(r, b); open {
-		return cc.precharge(mem, r, b)
+	slot, rfm := cc.closeThen(mem, r, b, b+1,
+		func(mem int64, r int) (int64, bool) { return cc.ch.RFMReadyAt(mem, r, b) },
+		func(mem int64, r int) error { return cc.ch.RefreshManage(mem, r, b) })
+	if rfm {
+		cc.rfmPending = false
+		if cc.tracing() {
+			cc.emit(mem, "rfm", "rank %d bank %d blocked for tRFM=%d", r, b, cc.cfg.Timing.TRFM)
+		}
 	}
-	at, ok := cc.ch.RFMReadyAt(mem, r, b)
-	if !ok {
-		return false
-	}
-	if at > mem {
-		cc.noteReady(at)
-		return false
-	}
-	if err := cc.ch.RefreshManage(mem, r, b); err != nil {
-		return false
-	}
-	cc.rfmPending = false
-	if cc.ev.Enabled(obs.LevelState) {
-		cc.ev.Emit(obs.Event{Cycle: mem, Level: obs.LevelState, Scope: cc.scope,
-			Kind: "rfm", Detail: fmt.Sprintf("rank %d bank %d blocked for tRFM=%d", r, b, cc.cfg.Timing.TRFM)})
-	}
-	return true
+	return slot
 }

@@ -47,7 +47,8 @@ type schedGen struct {
 	outstanding int
 	nextID      uint64
 	cmds        int64
-	dirty       bool // a request was accepted or a command issued since the last checkIndex
+	dirty       bool            // a request was accepted or a command issued since the last checkIndex
+	binds       [numEngines]int // passes that slept the channel, by binding engine
 
 	phase     int   // trPhased: index into the phase cycle
 	phaseEnd  int64 // CPU cycle the current phase ends
@@ -112,10 +113,30 @@ func (g *schedGen) write(addr uint64) bool {
 	return ok
 }
 
-// tick advances the controller one CPU cycle and re-verifies the scheduler
-// index whenever the cycle could have changed it.
+// tick advances the controller one CPU cycle, checks the wake decomposition
+// of every channel that ran a scheduling pass and went to sleep — nextWake
+// is max(mem+1, the min of the four engines' bounds) — and re-verifies the
+// scheduler index whenever the cycle could have changed it.
 func (g *schedGen) tick(t *testing.T, cpu int64) {
+	t.Helper()
+	var wakes [8]int64
+	for i, cc := range g.c.chans {
+		wakes[i] = cc.nextWake
+	}
+	last := g.c.MemCycle()
 	g.c.Tick(cpu)
+	if mem := g.c.MemCycle(); mem != last {
+		for i, cc := range g.c.chans {
+			if mem < wakes[i] || cc.nextWake == 0 {
+				continue // slept through this tick, or issued a command
+			}
+			wake, eng := cc.minBound()
+			if cc.nextWake != max(mem+1, wake) {
+				t.Fatalf("channel %d at cycle %d: nextWake %d, engine bounds %v", i, mem, cc.nextWake, cc.bound)
+			}
+			g.binds[eng]++
+		}
+	}
 	if g.dirty {
 		checkIndex(t, g.c)
 		g.dirty = false
@@ -364,6 +385,22 @@ func TestSchedulerCommandStreamGolden(t *testing.T) {
 				g := newSchedGen(t, cfg, cell.mode, uint64(i+1))
 				g.drain(t, g.run(t, 0, cell.cycles))
 				lines[i] = g.finish(cell.name)
+				// Each engine sets some channel's sleep somewhere: the
+				// seam a per-engine skip-blocker count reads.
+				want := []engine{engRefresh}
+				switch family, _, _ := strings.Cut(cell.name, "/"); family {
+				case "sat":
+					want = append(want, engRequests)
+				case "pdtimed-sr", "openpage-apd":
+					want = append(want, engLowPower)
+				case "mitigation":
+					want = append(want, engMitigation)
+				}
+				for _, e := range want {
+					if g.binds[e] == 0 {
+						t.Errorf("engine %d never bound a sleep (bindings by engine %v)", e, g.binds)
+					}
+				}
 			})
 		}
 	})

@@ -1,6 +1,8 @@
 package memctrl
 
 import (
+	"math"
+
 	"pradram/internal/checkpoint"
 	"pradram/internal/core"
 )
@@ -142,12 +144,10 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 		readQ, writeQ, forwards []*request
 		drain                   bool
 		hitCount                []int
-		refPending              []bool
-		lastWork                []int64
 		nextWake                int64
-		rfmPending              bool
-		rfmRank, rfmBank        int
-		alertUntil              int64
+		refreshEngine
+		lowPowerEngine
+		mitigationEngine
 	}
 	states := make([]chanState, len(c.chans))
 	for i, cc := range c.chans {
@@ -157,28 +157,21 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 			return nil, err
 		}
 		st.chCommit = chCommit
-		nq := r.Count()
-		if nq > c.cfg.ReadQ {
-			r.Fail("memctrl: read queue %d of %d", nq, c.cfg.ReadQ)
-			nq = 0
+		queue := func(kind string, limit int) []*request {
+			n := r.Count()
+			if n > limit {
+				r.Fail("memctrl: %s queue %d of %d", kind, n, limit)
+				n = 0
+			}
+			q := make([]*request, n)
+			for j := range q {
+				q[j] = cc.restoreReq(r, fillResolve)
+			}
+			return q
 		}
-		st.readQ = make([]*request, nq)
-		for j := range st.readQ {
-			st.readQ[j] = cc.restoreReq(r, fillResolve)
-		}
-		nq = r.Count()
-		if nq > c.cfg.WriteQ {
-			r.Fail("memctrl: write queue %d of %d", nq, c.cfg.WriteQ)
-			nq = 0
-		}
-		st.writeQ = make([]*request, nq)
-		for j := range st.writeQ {
-			st.writeQ[j] = cc.restoreReq(r, fillResolve)
-		}
-		st.forwards = make([]*request, r.Count())
-		for j := range st.forwards {
-			st.forwards[j] = cc.restoreReq(r, fillResolve)
-		}
+		st.readQ = queue("read", c.cfg.ReadQ)
+		st.writeQ = queue("write", c.cfg.WriteQ)
+		st.forwards = queue("forward", math.MaxInt)
 		st.drain = r.Bool()
 		st.hitCount = make([]int, c.cfg.Geom.Ranks*c.cfg.Geom.Banks)
 		for j := range st.hitCount {
@@ -218,13 +211,8 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 			st.chCommit()
 			cc.forwards = st.forwards
 			cc.drain = st.drain
-			copy(cc.refPending, st.refPending)
-			copy(cc.lastWork, st.lastWork)
 			cc.nextWake = st.nextWake
-			cc.rfmPending = st.rfmPending
-			cc.rfmRank = st.rfmRank
-			cc.rfmBank = st.rfmBank
-			cc.alertUntil = st.alertUntil
+			cc.refreshEngine, cc.lowPowerEngine, cc.mitigationEngine = st.refreshEngine, st.lowPowerEngine, st.mitigationEngine
 			cc.freeReq = nil
 			// Rebuild the bank index against the restored open rows
 			// (forwarded reads are never queued — they bypassed push on
