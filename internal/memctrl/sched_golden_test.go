@@ -113,10 +113,58 @@ func (g *schedGen) write(addr uint64) bool {
 	return ok
 }
 
+// requestsBound brute-forces the requests engine's bound after a pass at mem
+// that issued nothing: the minimum over every candidate the pass scans of its
+// full ready cycle max(mem, bank, rank[, faw]) — columns of colCand and the
+// ACT or PRE of prepCand heads outside ranks frozen by refPending, and
+// (except under open-page) every idle-row PRE of closeCand. The device and
+// the candidate sets are as the pass left them: the low-power engine, which
+// runs after the scan, only touches ranks without queued work, and enters
+// active power-down (the one entry that leaves a closeCand bank behind) only
+// in the open-page cells.
+func (cc *chanCtl) requestsBound(mem int64) int64 {
+	var rank dram.RankTerms
+	bound := int64(core.FarFuture)
+	note := func(terms ...int64) {
+		at := mem
+		for _, term := range terms {
+			at = max(at, term)
+		}
+		bound = min(bound, at)
+	}
+	for bi := range cc.banks {
+		b, bit := &cc.banks[bi], uint64(1)<<uint(bi)
+		cc.ch.RankTerms(mem, b.rank, &rank)
+		bank := cc.ch.BankTerms(b.rank, b.bank)
+		if cc.closeCand&bit != 0 && cc.cfg.Policy != OpenPage {
+			note(bank.Pre, rank.Pre)
+		}
+		if cc.refPending[b.rank] {
+			continue
+		}
+		for k := range b.q {
+			switch {
+			case cc.colCand[k]&bit != 0 && k == int(core.Read):
+				note(bank.Read, rank.Read)
+			case cc.colCand[k]&bit != 0:
+				note(bank.Write, rank.Write)
+			case cc.prepCand(core.AccessKind(k))&bit == 0:
+			case cc.closeCand&bit != 0:
+				note(bank.Pre, rank.Pre)
+			default:
+				note(bank.Act, rank.Act, cc.ch.FAWReadyAt(b.rank, b.act[k], cc.cfg.Scheme.halfDRAMOrg()))
+			}
+		}
+	}
+	return bound
+}
+
 // tick advances the controller one CPU cycle, checks the wake decomposition
 // of every channel that ran a scheduling pass and went to sleep — nextWake
-// is max(mem+1, the min of the four engines' bounds) — and re-verifies the
-// scheduler index whenever the cycle could have changed it.
+// is max(mem+1, the min of the four engines' bounds) — and, when the
+// requests engine ran in that pass, that its bound is the exhaustive one
+// (requestsBound); and it re-verifies the scheduler index whenever the cycle
+// could have changed it.
 func (g *schedGen) tick(t *testing.T, cpu int64) {
 	t.Helper()
 	var wakes [8]int64
@@ -135,6 +183,12 @@ func (g *schedGen) tick(t *testing.T, cpu int64) {
 				t.Fatalf("channel %d at cycle %d: nextWake %d, engine bounds %v", i, mem, cc.nextWake, cc.bound)
 			}
 			g.binds[eng]++
+			if cc.rfmPending {
+				continue // the requests engine did not run
+			}
+			if want := cc.requestsBound(mem); cc.bound[engRequests] != want {
+				t.Fatalf("channel %d at cycle %d: requests bound %d, exhaustive %d", i, mem, cc.bound[engRequests], want)
+			}
 		}
 	}
 	if g.dirty {
