@@ -191,8 +191,10 @@ func New(cfg Config) (*Controller, error) {
 		}
 		cc := &chanCtl{cfg: &c.cfg, ch: ch, acc: acc, am: am, idx: i}
 		cc.banks = make([]bankQ, cfg.Geom.Ranks*cfg.Geom.Banks)
+		cc.rankBanks = make([]uint64, cfg.Geom.Ranks)
 		for bi := range cc.banks {
 			cc.banks[bi].rank, cc.banks[bi].bank = bi/cfg.Geom.Banks, bi%cfg.Geom.Banks
+			cc.rankBanks[bi/cfg.Geom.Banks] |= 1 << uint(bi)
 		}
 		cc.refPending = make([]bool, cfg.Geom.Ranks)
 		cc.rankCount = make([]int, cfg.Geom.Ranks)

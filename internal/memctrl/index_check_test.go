@@ -70,7 +70,8 @@ func (cc *chanCtl) checkIndex() error {
 
 // checkDecision re-derives bank bi's scheduling decision from its lists, hit
 // count and open row, one request at a time, and compares it with the
-// cached one and with the bank's membership of every candidate set.
+// cached one (the candidates' arrival stamps included) and with the bank's
+// membership of every candidate set.
 func (cc *chanCtl) checkDecision(bi int) error {
 	b := &cc.banks[bi]
 	row, mask, open := cc.ch.OpenRow(b.rank, b.bank)
@@ -92,6 +93,13 @@ func (cc *chanCtl) checkDecision(bi int) error {
 		benefits = benefits || pos >= 0
 		if has(cc.colCand[k]) != (pos >= 0) || (pos >= 0 && b.colPos[k] != pos) {
 			return fmt.Errorf("kind %d column candidate: cached %v at %d, recomputed position %d", k, has(cc.colCand[k]), b.colPos[k], pos)
+		}
+		// The scans compare candidates by these stamps alone.
+		if pos >= 0 && b.colSeq[k] != b.q[k][pos].seq {
+			return fmt.Errorf("kind %d column candidate seq %d, cached %d", k, b.q[k][pos].seq, b.colSeq[k])
+		}
+		if len(b.q[k]) > 0 && b.headSeq[k] != b.q[k][0].seq {
+			return fmt.Errorf("kind %d head seq %d, cached %d", k, b.q[k][0].seq, b.headSeq[k])
 		}
 	}
 	// Idle close: an open row that no queued request hits within the cap.

@@ -49,91 +49,77 @@ type Loc struct {
 	Col     int // line-within-row index
 }
 
+// The coordinates of a line, indexing AddressMapper.f. Their order is the
+// row key's, from its lowest bits up (the column is not part of a key).
+const (
+	fChannel = iota
+	fRank
+	fBank
+	fRow
+	fCol
+	numFields
+)
+
+// field places one coordinate: its value is (line >> shift) & mask in a line
+// address (the byte address >> 6), and it sits at bit key of a row key.
+type field struct {
+	shift, key uint
+	mask       uint64
+}
+
 // AddressMapper decomposes physical addresses for a given organization.
 type AddressMapper struct {
-	mapping  Mapping
-	channels int
-	geom     dram.Geometry
-
-	chBits, colBits, bankBits, rankBits, rowBits uint
+	f [numFields]field
 }
 
 // NewAddressMapper validates that every field is a power of two and builds
 // the mapper.
 func NewAddressMapper(m Mapping, channels int, g dram.Geometry) (*AddressMapper, error) {
-	fields := []struct {
-		name string
-		v    int
-	}{
-		{"channels", channels}, {"ranks", g.Ranks}, {"banks", g.Banks},
-		{"rows", g.Rows}, {"lines per row", g.LinesPerRow},
-	}
-	for _, f := range fields {
-		if f.v <= 0 || f.v&(f.v-1) != 0 {
-			return nil, fmt.Errorf("memctrl: %s must be a positive power of two, got %d", f.name, f.v)
+	sizes := [numFields]int{channels, g.Ranks, g.Banks, g.Rows, g.LinesPerRow}
+	names := [numFields]string{"channels", "ranks", "banks", "rows", "lines per row"}
+	for i, v := range sizes {
+		if v <= 0 || v&(v-1) != 0 {
+			return nil, fmt.Errorf("memctrl: %s must be a positive power of two, got %d", names[i], v)
 		}
 	}
-	return &AddressMapper{
-		mapping:  m,
-		channels: channels,
-		geom:     g,
-		chBits:   uint(bits.TrailingZeros(uint(channels))),
-		colBits:  uint(bits.TrailingZeros(uint(g.LinesPerRow))),
-		bankBits: uint(bits.TrailingZeros(uint(g.Banks))),
-		rankBits: uint(bits.TrailingZeros(uint(g.Ranks))),
-		rowBits:  uint(bits.TrailingZeros(uint(g.Rows))),
-	}, nil
+	// The coordinates in a line address, from its lowest bits up.
+	order := [numFields]int{fChannel, fCol, fBank, fRank, fRow}
+	if m != RowInterleaved {
+		order = [numFields]int{fChannel, fBank, fRank, fCol, fRow}
+	}
+	am := &AddressMapper{}
+	var shift, key uint
+	for _, i := range order {
+		am.f[i].shift, am.f[i].mask = shift, uint64(sizes[i]-1)
+		shift += uint(bits.TrailingZeros(uint(sizes[i])))
+	}
+	for i := fChannel; i < fCol; i++ {
+		am.f[i].key = key
+		key += uint(bits.TrailingZeros(uint(sizes[i])))
+	}
+	return am, nil
 }
+
+// get returns the coordinate's value in line address line.
+func (f field) get(line uint64) int { return int(line >> f.shift & f.mask) }
 
 // Decompose splits a byte address into its DRAM coordinates. Addresses
 // beyond the installed capacity wrap in the row field.
 func (am *AddressMapper) Decompose(addr uint64) Loc {
 	line := addr >> 6
-	take := func(bitsN uint) int {
-		v := int(line & ((1 << bitsN) - 1))
-		line >>= bitsN
-		return v
+	return Loc{
+		Channel: am.f[fChannel].get(line),
+		Rank:    am.f[fRank].get(line),
+		Bank:    am.f[fBank].get(line),
+		Row:     am.f[fRow].get(line),
+		Col:     am.f[fCol].get(line),
 	}
-	var l Loc
-	switch am.mapping {
-	case RowInterleaved:
-		l.Channel = take(am.chBits)
-		l.Col = take(am.colBits)
-		l.Bank = take(am.bankBits)
-		l.Rank = take(am.rankBits)
-		l.Row = take(am.rowBits)
-	default: // LineInterleaved
-		l.Channel = take(am.chBits)
-		l.Bank = take(am.bankBits)
-		l.Rank = take(am.rankBits)
-		l.Col = take(am.colBits)
-		l.Row = take(am.rowBits)
-	}
-	return l
 }
 
 // Compose is the inverse of Decompose (for addresses within capacity).
 func (am *AddressMapper) Compose(l Loc) uint64 {
-	var line uint64
-	put := func(v int, bitsN, shift uint) uint {
-		line |= uint64(v) << shift
-		return shift + bitsN
-	}
-	var s uint
-	switch am.mapping {
-	case RowInterleaved:
-		s = put(l.Channel, am.chBits, 0)
-		s = put(l.Col, am.colBits, s)
-		s = put(l.Bank, am.bankBits, s)
-		s = put(l.Rank, am.rankBits, s)
-		put(l.Row, am.rowBits, s)
-	default:
-		s = put(l.Channel, am.chBits, 0)
-		s = put(l.Bank, am.bankBits, s)
-		s = put(l.Rank, am.rankBits, s)
-		s = put(l.Col, am.colBits, s)
-		put(l.Row, am.rowBits, s)
-	}
+	line := uint64(l.Channel)<<am.f[fChannel].shift | uint64(l.Rank)<<am.f[fRank].shift |
+		uint64(l.Bank)<<am.f[fBank].shift | uint64(l.Row)<<am.f[fRow].shift | uint64(l.Col)<<am.f[fCol].shift
 	return line << 6
 }
 
@@ -146,5 +132,6 @@ func (am *AddressMapper) RowKey(addr uint64) uint64 {
 
 // RowKeyOf packs already-decomposed coordinates into a row key.
 func (am *AddressMapper) RowKeyOf(l Loc) uint64 {
-	return ((uint64(l.Row)<<am.bankBits|uint64(l.Bank))<<am.rankBits|uint64(l.Rank))<<am.chBits | uint64(l.Channel)
+	return uint64(l.Channel)<<am.f[fChannel].key | uint64(l.Rank)<<am.f[fRank].key |
+		uint64(l.Bank)<<am.f[fBank].key | uint64(l.Row)<<am.f[fRow].key
 }

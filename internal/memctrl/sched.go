@@ -47,6 +47,10 @@ type requestEngine struct {
 	n         [2]int
 	nonEmpty  [2]uint64
 	rankCount []int
+	// rankBanks[r] is the set of rank r's banks: a scan visits one rank's
+	// candidates together, so the rank's terms are looked at once and can
+	// rule them all out at once.
+	rankBanks []uint64
 
 	// The cached scheduling decisions (settle): which command each bank
 	// wants, as opposed to when it is legal. stale is the set of banks whose
@@ -116,8 +120,11 @@ type bankQ struct {
 	// The bank's cached decision, valid while the bank is not stale: colPos[k]
 	// is the position in q[k] of the column candidate (bank in colCand[k]),
 	// act[k] the activation mask for q[k][0] (bank closed, q[k] non-empty).
-	colPos [2]int
-	act    [2]core.Mask
+	// colSeq[k] and headSeq[k] are the arrival stamps of q[k][colPos[k]] and
+	// q[k][0], so a scan compares candidates without dereferencing them.
+	colPos          [2]int
+	act             [2]core.Mask
+	colSeq, headSeq [2]uint64
 }
 
 // rankTerms is one rank's share of command readiness at the current pass
@@ -293,22 +300,40 @@ func (cc *chanCtl) serveRequests(mem int64) bool {
 	// Ascending bank index is rank-major, bank-minor: the first legal PRE
 	// of an idle row wins and every earlier one reports when it becomes
 	// legal.
-	for set := cc.closeCand; set != 0; set &= set - 1 {
-		b := &cc.banks[bits.TrailingZeros64(set)]
-		at := max(mem, cc.ch.BankTerms(b.rank, b.bank).Pre, cc.rankTerms(mem, b.rank).Pre)
-		if cc.reached(mem, at) && cc.precharge(mem, b.rank, b.bank) {
-			return true
+	for r, set := 0, cc.closeCand; set != 0; r++ {
+		group := set & cc.rankBanks[r]
+		set &^= group
+		if group == 0 {
+			continue
+		}
+		gate := max(mem, cc.rankTerms(mem, r).Pre)
+		if cc.pruned(mem, gate) {
+			continue
+		}
+		for ; group != 0; group &= group - 1 {
+			b := &cc.banks[bits.TrailingZeros64(group)]
+			if cc.reached(mem, max(gate, cc.ch.BankTerms(r, b.bank).Pre)) && cc.precharge(mem, r, b.bank) {
+				return true
+			}
 		}
 	}
 	return false
 }
 
+// pruned reports whether a candidate whose ready cycle is at least at (the
+// terms computed so far) can neither issue this pass nor lower the requests
+// engine's bound: the terms still to come can only raise it, and noteReady
+// keeps the smaller of two bounds. Scans evaluate terms cheapest first — the
+// rank's, once per rank (rankBanks), then the bank's, then tFAW — and stop at
+// the first that prunes, so the bound a pass notes stays exact.
+func (cc *chanCtl) pruned(mem, at int64) bool { return at > mem && at >= cc.bound[engRequests] }
+
 // settle re-derives the cached decision of every stale bank from its lists,
 // open row and hit count. Only such list-derived decisions are cached; when
 // the wanted command is legal is recomputed by every pass (rankTerms), and
-// every candidate that is not ready still reports its exact ready cycle. A
-// bank absent from a candidate set is one the pass would have evaluated to
-// "nothing to do here" without a noteReady.
+// every candidate that is not ready reports its exact ready cycle unless it
+// cannot lower the bound (pruned). A bank absent from a candidate set is one
+// the pass would have evaluated to "nothing to do here" without a noteReady.
 func (cc *chanCtl) settle() {
 	for set := cc.stale; set != 0; set &= set - 1 {
 		bi := bits.TrailingZeros64(set)
@@ -320,7 +345,7 @@ func (cc *chanCtl) settle() {
 			cc.colCand[k] &^= bit
 			if open && b.hits < cc.cfg.MaxRowHits && b.same[k] > 0 {
 				if pos := b.covered(core.AccessKind(k), row, mask, nil); pos >= 0 {
-					b.colPos[k] = pos
+					b.colPos[k], b.colSeq[k] = pos, b.q[k][pos].seq
 					cc.colCand[k] |= bit
 					benefits = true
 				}
@@ -329,8 +354,11 @@ func (cc *chanCtl) settle() {
 			if open && !mask.IsFull() && b.same[k] > 0 {
 				cc.fhCand[k] |= bit
 			}
-			if !open && len(b.q[k]) > 0 {
-				b.act[k] = cc.actMask(b, b.q[k][0])
+			if len(b.q[k]) > 0 {
+				b.headSeq[k] = b.q[k][0].seq
+				if !open {
+					b.act[k] = cc.actMask(b, b.q[k][0])
+				}
 			}
 		}
 		cc.closeCand &^= bit
@@ -388,32 +416,46 @@ func (cc *chanCtl) writeFrac(req *request) float64 {
 // same-kind requests to one bank share one readiness time, so the ready
 // candidate with the smallest seq is the one an arrival-order walk of the
 // whole queue would reach first. A not-ready candidate reports its exact
-// ready time to noteReady: those times set nextWake when the pass issues
-// nothing, and pass cycles are simulation-visible through lastWork. Once a
-// ready candidate is held the pass will issue, the bounds are discarded,
-// and younger candidates need no evaluation.
+// ready time to noteReady (unless pruned): those times set nextWake when the
+// pass issues nothing, and pass cycles are simulation-visible through
+// lastWork. Once a ready candidate is held the pass will issue, the bounds
+// are discarded, and younger candidates need no evaluation.
 func (cc *chanCtl) tryColumn(mem int64, k core.AccessKind) bool {
 	var (
-		win     *request
-		winPos  int
+		win     *bankQ
+		winSeq  = ^uint64(0)
 		winBank dram.CmdTerms
 	)
-	for set := cc.colCand[k]; set != 0; set &= set - 1 {
-		b := &cc.banks[bits.TrailingZeros64(set)]
-		req := b.q[k][b.colPos[k]]
-		if cc.refPending[b.rank] || (win != nil && req.seq > win.seq) {
+	for r, set := 0, cc.colCand[k]; set != 0; r++ {
+		group := set & cc.rankBanks[r]
+		set &^= group
+		if group == 0 || cc.refPending[r] {
 			continue
 		}
-		bank, rank := cc.ch.BankTerms(b.rank, b.bank), cc.rankTerms(mem, b.rank)
-		at := max(mem, bank.Read, rank.Read)
+		rank := cc.rankTerms(mem, r)
+		gate := max(mem, rank.Read)
 		if k == core.Write {
-			at = max(mem, bank.Write, rank.Write)
+			gate = max(mem, rank.Write)
 		}
-		if cc.reached(mem, at) {
-			win, winPos, winBank = req, b.colPos[k], bank
+		if cc.pruned(mem, gate) {
+			continue
+		}
+		for ; group != 0; group &= group - 1 {
+			b := &cc.banks[bits.TrailingZeros64(group)]
+			if b.colSeq[k] > winSeq {
+				continue
+			}
+			bank := cc.ch.BankTerms(r, b.bank)
+			at := max(gate, bank.Read)
+			if k == core.Write {
+				at = max(gate, bank.Write)
+			}
+			if cc.reached(mem, at) {
+				win, winSeq, winBank = b, b.colSeq[k], bank
+			}
 		}
 	}
-	return win != nil && cc.issueColumn(mem, win, winPos, winBank)
+	return win != nil && cc.issueColumn(mem, win.q[k][win.colPos[k]], win.colPos[k], winBank)
 }
 
 // issueColumn issues the column command for req, position i of its bank's
@@ -520,47 +562,63 @@ func (cc *chanCtl) actMask(b *bankQ, req *request) core.Mask {
 // tryColumn.
 func (cc *chanCtl) tryPrep(mem int64, k core.AccessKind) bool {
 	var (
-		win     *request
+		win     *bankQ
+		winSeq  = ^uint64(0)
 		winBank int
 		winT    dram.CmdTerms
 	)
-	for set := cc.prepCand(k); set != 0; set &= set - 1 {
-		bi := bits.TrailingZeros64(set)
-		b := &cc.banks[bi]
-		head := b.q[k][0]
-		if cc.refPending[b.rank] || (win != nil && head.seq > win.seq) {
+	for r, set := 0, cc.prepCand(k); set != 0; r++ {
+		group := set & cc.rankBanks[r]
+		set &^= group
+		if group == 0 || cc.refPending[r] {
 			continue
 		}
-		bank, rank := cc.ch.BankTerms(b.rank, b.bank), cc.rankTerms(mem, b.rank)
-		var at int64
-		if cc.closeCand&(1<<uint(bi)) != 0 { // open, no beneficiary: conflict it away
-			at = max(mem, bank.Pre, rank.Pre)
-		} else {
-			at = max(mem, bank.Act, rank.Act, cc.fawTerm(rank, b.rank, b.act[k]))
+		rank := cc.rankTerms(mem, r)
+		pre, act := max(mem, rank.Pre), max(mem, rank.Act) // pre <= act: the gate alone
+		if cc.pruned(mem, pre) {
+			continue
 		}
-		if cc.reached(mem, at) {
-			win, winBank, winT = head, bi, bank
+		if cc.pruned(mem, act) {
+			group &= cc.closeCand // only the PREs are left
+		}
+		for ; group != 0; group &= group - 1 {
+			bi := bits.TrailingZeros64(group)
+			b := &cc.banks[bi]
+			if b.headSeq[k] > winSeq {
+				continue
+			}
+			bank := cc.ch.BankTerms(r, b.bank)
+			var at int64
+			if cc.closeCand&(1<<uint(bi)) != 0 { // open, no beneficiary: conflict it away
+				at = max(pre, bank.Pre)
+			} else if at = max(act, bank.Act); !cc.pruned(mem, at) {
+				at = max(at, cc.fawTerm(rank, r, b.act[k]))
+			}
+			if cc.reached(mem, at) {
+				win, winSeq, winBank, winT = b, b.headSeq[k], bi, bank
+			}
 		}
 	}
 	if win == nil {
 		cc.markFalseHits(k, ^uint64(0))
 		return false
 	}
-	cc.markFalseHits(k, win.seq)
-	l := win.loc
+	cc.markFalseHits(k, winSeq)
+	head := win.q[k][0]
+	l := head.loc
 	if cc.closeCand&(1<<uint(winBank)) != 0 {
 		return cc.precharge(mem, l.Rank, l.Bank)
 	}
-	mask, rank := cc.banks[winBank].act[k], cc.rankTerms(mem, l.Rank)
+	mask, rank := win.act[k], cc.rankTerms(mem, l.Rank)
 	var terms dram.LatTerms // for the attribution sweep; Activate re-checks legality
 	rank.ActLatTerms(mem, winT, cc.fawTerm(rank, l.Rank, mask), &terms)
 	if err := cc.ch.Activate(mem, l.Rank, l.Bank, l.Row, mask, cc.cfg.Scheme.halfDRAMOrg()); err != nil {
 		return false
 	}
-	cc.banks[winBank].hits = 0
+	win.hits = 0
 	cc.recount(winBank, l.Row)
-	win.activated = true
-	cc.sweepWait(win, mem, &terms)
+	head.activated = true
+	cc.sweepWait(head, mem, &terms)
 	if k == core.Read {
 		cc.stats.ActsForReads++
 	} else {
