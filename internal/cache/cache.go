@@ -736,40 +736,3 @@ func (h *Hierarchy) queued() int { return h.lanes[laneL1].n + h.lanes[laneL2].n 
 func (h *Hierarchy) Drain() bool {
 	return len(h.mshr) > 0 || h.queued() > 0 || len(h.wbs) > 0 || len(h.retryFills) > 0
 }
-
-// FlushDirty writes back every dirty line (L1 merged into L2 first). Used
-// by the Figure 3 experiment so short runs account lines still resident at
-// the end. It records eviction statistics exactly like natural evictions.
-func (h *Hierarchy) FlushDirty() {
-	for _, l1 := range h.l1 {
-		// The slab is set-major, so this flat walk visits lines in the same
-		// set-then-way order the per-set loops did.
-		for wi := range l1.lines {
-			ln := &l1.lines[wi]
-			if !ln.valid || ln.dirty == 0 {
-				continue
-			}
-			if l2ln := h.l2.lookup(ln.tag, false); l2ln != nil {
-				wasClean := l2ln.dirty == 0
-				l2ln.dirty |= ln.dirty
-				if wasClean {
-					h.dbiMark(ln.tag)
-				}
-			} else {
-				h.recordEviction(ln.dirty)
-				h.queueWB(ln.tag, ln.dirty)
-			}
-			ln.dirty = 0
-		}
-	}
-	for wi := range h.l2.lines {
-		ln := &h.l2.lines[wi]
-		if !ln.valid || ln.dirty == 0 {
-			continue
-		}
-		h.recordEviction(ln.dirty)
-		h.queueWB(ln.tag, ln.dirty)
-		h.dbiUnmark(ln.tag)
-		ln.dirty = 0
-	}
-}

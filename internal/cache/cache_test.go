@@ -68,6 +68,15 @@ func smallConfig() Config {
 	return c
 }
 
+// evictLine0 loads two more lines of line 0's set in smallConfig's L2 (16
+// sets, 2 ways) at now, which evicts line 0 from the hierarchy: the L2
+// eviction pulls in the L1 copy's dirty bytes and writes them back.
+func evictLine0(h *Hierarchy, mem *fakeMem, now int64) {
+	h.Load(0, 16*64, now, core.Untagged(func(int64) {}))
+	h.Load(0, 32*64, now, core.Untagged(func(int64) {}))
+	mem.fillAll(now + 1)
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig(4)
 	if err := good.Validate(); err != nil {
@@ -362,25 +371,6 @@ func TestDBISweep(t *testing.T) {
 	ln := h.l2.lookup(lineID(0x0040), false)
 	if ln == nil || ln.dirty != 0 {
 		t.Error("swept line must remain resident and clean")
-	}
-}
-
-func TestFlushDirty(t *testing.T) {
-	h, mem := newTestHierarchy(t, smallConfig())
-	h.Store(0, 0x100, core.StoreBytes(0, 8), 0, core.Untagged(func(int64) {}))
-	h.Store(1, 0x200, core.StoreBytes(8, 8), 0, core.Untagged(func(int64) {}))
-	mem.fillAll(10)
-	h.FlushDirty()
-	if len(mem.writes) != 2 {
-		t.Fatalf("flush writebacks = %d, want 2", len(mem.writes))
-	}
-	if h.Stats.DirtyWords.N != 2 {
-		t.Errorf("flush must record histogram entries, got %d", h.Stats.DirtyWords.N)
-	}
-	// A second flush writes nothing (all clean).
-	h.FlushDirty()
-	if len(mem.writes) != 2 {
-		t.Error("second flush must be a no-op")
 	}
 }
 

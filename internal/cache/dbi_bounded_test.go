@@ -42,12 +42,15 @@ func TestBoundedDBILazyDeletion(t *testing.T) {
 	cfg.DBIEntries = 2
 	cfg.RowKey = func(addr uint64) uint64 { return addr >> 13 }
 	h, mem := newTestHierarchy(t, cfg)
-	// Mark row 0, then clean it via FlushDirty (entry becomes stale in
-	// the FIFO), then fill two new rows: no spurious eviction of live
-	// entries beyond the one needed.
+	// Mark row 0, then evict its line (entry becomes stale in the FIFO),
+	// then fill two new rows: no spurious eviction of live entries beyond
+	// the one needed.
 	h.Store(0, 0, core.StoreBytes(0, 8), 0, core.Untagged(func(int64) {}))
 	mem.fillAll(5)
-	h.FlushDirty() // row 0 cleaned, dbi entry removed, FIFO key stale
+	evictLine0(h, mem, 6) // row 0 written back, dbi entry removed, FIFO key stale
+	if len(mem.writes) != 1 || len(h.dbi) != 0 {
+		t.Fatalf("eviction left %d writebacks, %d live DBI entries; want 1, 0", len(mem.writes), len(h.dbi))
+	}
 	h.Store(0, 1*8192, core.StoreBytes(0, 8), 10, core.Untagged(func(int64) {}))
 	h.Store(0, 2*8192, core.StoreBytes(0, 8), 11, core.Untagged(func(int64) {}))
 	mem.fillAll(20)

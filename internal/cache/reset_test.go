@@ -39,7 +39,7 @@ func TestDirtyBitsSurviveReset(t *testing.T) {
 	h.Store(0, 0, m, 0, core.Untagged(func(int64) {}))
 	mem.fillAll(10)
 	h.ResetStats()
-	h.FlushDirty()
+	evictLine0(h, mem, 20)
 	if len(mem.writes) != 1 || mem.writes[0].mask != m {
 		t.Fatalf("dirty mask must survive stats reset: %+v", mem.writes)
 	}

@@ -48,22 +48,6 @@ func TestAnalyticEstimateRejectsBadCounters(t *testing.T) {
 	}
 }
 
-func TestMaxSlowdown(t *testing.T) {
-	t.Parallel()
-	res := Result{
-		Apps:    []string{"a", "b"},
-		CoreIPC: []float64{1.0, 0.5},
-	}
-	alone := map[string]float64{"a": 2.0, "b": 0.5}
-	// Core 0 slowed 2x, core 1 not at all.
-	if got := res.MaxSlowdown(alone); got != 2.0 {
-		t.Errorf("MaxSlowdown = %v, want 2.0", got)
-	}
-	if got := res.MaxSlowdown(map[string]float64{}); got != 0 {
-		t.Errorf("empty alone map must yield 0, got %v", got)
-	}
-}
-
 func TestModelCheckExperimentTiny(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {

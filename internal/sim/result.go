@@ -187,18 +187,3 @@ func (r Result) WeightedSpeedup(alone map[string]float64) float64 {
 	}
 	return ws
 }
-
-// MaxSlowdown returns the worst per-core slowdown relative to the alone
-// IPCs — the standard multiprogrammed fairness metric (larger is worse;
-// 1.0 means no core was slowed at all).
-func (r Result) MaxSlowdown(alone map[string]float64) float64 {
-	var worst float64
-	for i, app := range r.Apps {
-		if a := alone[app]; a > 0 && i < len(r.CoreIPC) && r.CoreIPC[i] > 0 {
-			if s := a / r.CoreIPC[i]; s > worst {
-				worst = s
-			}
-		}
-	}
-	return worst
-}

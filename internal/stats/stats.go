@@ -20,9 +20,6 @@ func Ratio(num, den float64) float64 {
 	return num / den
 }
 
-// Pct returns num/den as a percentage.
-func Pct(num, den float64) float64 { return 100 * Ratio(num, den) }
-
 // Hist is a fixed-bucket histogram of non-negative integer observations
 // (e.g. dirty words per line: buckets 0..8).
 type Hist struct {

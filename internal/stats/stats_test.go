@@ -6,15 +6,12 @@ import (
 	"testing/quick"
 )
 
-func TestRatioAndPct(t *testing.T) {
+func TestRatio(t *testing.T) {
 	if Ratio(1, 0) != 0 {
 		t.Error("division by zero must yield 0")
 	}
 	if Ratio(3, 4) != 0.75 {
 		t.Error("Ratio(3,4) != 0.75")
-	}
-	if Pct(1, 4) != 25 {
-		t.Error("Pct(1,4) != 25")
 	}
 }
 
