@@ -177,9 +177,10 @@ type Channel struct {
 	// pre-FSM simulator.
 	MaxPostpone int
 
-	// Trace, when non-nil, receives every issued command in issue order
-	// (see CmdEvent). Used for command-level debugging, golden-trace
-	// tests, and the independent command-stream checker.
+	// Trace, when non-nil, receives every issued command and CKE
+	// transition in issue order (see CmdEvent). Used for command-level
+	// debugging, golden-trace tests, and the independent command-stream
+	// checker and energy referee.
 	Trace func(CmdEvent)
 
 	ranks   []rankState
@@ -479,7 +480,7 @@ func (c *Channel) column(at int64, r, b, burstCycles int, frac float64, autoPre 
 		c.Stats.WordsWritten += int64(frac*float64(core.WordsPerLine) + 0.5)
 		c.Stats.WordBudget += core.WordsPerLine
 	}
-	c.emit(CmdEvent{At: at, Kind: kind, Rank: r, Bank: b, Row: bk.row, DataStart: start, DataEnd: end})
+	c.emit(CmdEvent{At: at, Kind: kind, Rank: r, Bank: b, Row: bk.row, DataStart: start, DataEnd: end, Frac: frac})
 	if autoPre {
 		c.closeBank(r, b, c.BankTerms(r, b).Pre, true)
 	}

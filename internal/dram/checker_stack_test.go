@@ -6,6 +6,7 @@ import (
 	"pradram/internal/core"
 	"pradram/internal/dram"
 	"pradram/internal/memctrl"
+	"pradram/internal/power"
 	"pradram/internal/sim"
 )
 
@@ -27,12 +28,29 @@ func referee(cfg sim.Config) *checker {
 	return newChecker(t, dram.DefaultGeometry(), half, cfg.NoTimingRelax || sds)
 }
 
-// TestCheckerOverWholeStackRuns attaches the checker to every channel of
-// cold full-system runs — the cells of sim's skip bit-identity matrix (every
-// scheme on a random, a pointer-chasing and a compute-bound workload; four
-// channels, plain and hammered under Alert/RFM mitigation; DBI) plus the
-// refresh and low-power disciplines — so the command streams the scheduler
-// actually produces are held to the rules, not only the driver's.
+// energyReferee returns the energy referee for one channel of a run: the
+// timing, activation scaling and ECC chips the run gives the device.
+func energyRefereeFor(cfg sim.Config) *energyReferee {
+	t := dram.DefaultTiming()
+	if cfg.Timing != nil {
+		t = *cfg.Timing
+	}
+	half := cfg.Scheme == memctrl.HalfDRAM || cfg.Scheme == memctrl.HalfDRAMPRA || cfg.Scheme == memctrl.FGA
+	ecc := 0
+	if cfg.ECC {
+		ecc = 1
+	}
+	return newEnergyReferee(t, dram.DefaultGeometry(), half, cfg.Scheme == memctrl.SDS, ecc)
+}
+
+// TestCheckerOverWholeStackRuns attaches the checker and the energy referee
+// to every channel of cold full-system runs — the cells of sim's skip
+// bit-identity matrix (every scheme on a random, a pointer-chasing and a
+// compute-bound workload; four channels, plain and hammered under Alert/RFM
+// mitigation; DBI), every speed grade, and the refresh and low-power
+// disciplines — so the command streams the scheduler actually produces are
+// held to the rules, not only the driver's, and the energy the controller
+// reports for the measured window is the energy its stream spent.
 func TestCheckerOverWholeStackRuns(t *testing.T) {
 	t.Parallel()
 	type cell struct {
@@ -53,10 +71,19 @@ func TestCheckerOverWholeStackRuns(t *testing.T) {
 		{"elastic", func(c *sim.Config) { c.RefreshMode = memctrl.RefreshElastic }},
 		{"pdtimed-sr", func(c *sim.Config) { c.PDPolicy, c.PDTimeout, c.SRTimeout = memctrl.PDTimed, 64, 512 }},
 		{"openpage-apd", func(c *sim.Config) { c.Policy, c.APD = memctrl.OpenPage, true }},
+		{"pdqueue", func(c *sim.Config) { c.PDPolicy, c.PDTimeout = memctrl.PDQueueAware, 64 }},
+		{"pdslow", func(c *sim.Config) { c.PDSlowExit = true }},
+		{"pdnone", func(c *sim.Config) { c.PDPolicy = memctrl.PDNone }},
 	} {
 		cells = append(cells, cell{"pra/GUPS/" + v.name, func(c *sim.Config) {
 			c.Scheme, c.Workload = memctrl.PRA, "GUPS"
 			v.mod(c)
+		}})
+	}
+	for _, g := range dram.SpeedGrades() {
+		cells = append(cells, cell{"pra/GUPS/" + g.Name, func(c *sim.Config) {
+			c.Scheme, c.Workload = memctrl.PRA, "GUPS"
+			c.Timing, c.CPUPerMem = &g.Timing, g.CPUPerMem
 		}})
 	}
 	for _, cl := range cells {
@@ -74,15 +101,23 @@ func TestCheckerOverWholeStackRuns(t *testing.T) {
 			}
 			var (
 				checkers = map[int]*checker{}
+				energy   = map[int]*energyReferee{}
 				n, part  int
 				bad      error
+				warm     = int64(-1) // the measured window's first cycle, once known
 			)
-			sys.Controller().OnCommand(func(ch int, e dram.CmdEvent) {
+			ctrl := sys.Controller()
+			ctrl.OnCommand(func(ch int, e dram.CmdEvent) {
 				ck := checkers[ch]
 				if ck == nil {
 					ck = referee(cfg)
 					checkers[ch] = ck
+					energy[ch] = energyRefereeFor(cfg)
+					if warm >= 0 {
+						energy[ch].reset(warm)
+					}
 				}
+				energy[ch].observe(e)
 				if e.Kind == dram.CmdAct && e.Mask != core.FullMask {
 					part++
 				}
@@ -90,11 +125,28 @@ func TestCheckerOverWholeStackRuns(t *testing.T) {
 					bad = ck.check(e)
 				}
 			})
-			if _, err := sys.Run(); err != nil {
+			// The controller drops the warmup's energy at the window start;
+			// its clock then stands at the window's first cycle, and at the
+			// end at the first cycle past it.
+			if err := sys.Warmup(); err != nil {
+				t.Fatal(err)
+			}
+			warm = ctrl.MemCycle()
+			for _, er := range energy {
+				er.reset(warm)
+			}
+			if _, err := sys.Measure(); err != nil {
 				t.Fatal(err)
 			}
 			if bad != nil {
 				t.Fatal(bad)
+			}
+			var want power.Breakdown
+			for _, er := range energy {
+				want = want.Add(er.energy(ctrl.MemCycle()))
+			}
+			if err := agree(ctrl.Energy(), want); err != nil {
+				t.Fatal(err)
 			}
 			if n < 1000 {
 				t.Fatalf("the run issued only %d commands", n)

@@ -25,9 +25,12 @@ import (
 // command per command-bus cycle (two for a partial ACT; an auto-precharge
 // takes none); weighted tRRD and tFAW; the rank blocked for tRFC after a REF,
 // the bank for tRFCpb after a REFpb and for tRFM after an RFM; no ACT to an
-// open bank and no column command or PRE to a closed one. Out of scope,
-// because the stream carries no power-down or self-refresh entry and exit:
-// tXP, tXPDLL, tXS, tCKE and the refresh cadence.
+// open bank and no column command or PRE to a closed one; no command while
+// CKE is low, active power-down only with a bank open and the other states
+// only with all closed; after a wake, tXP (tXPDLL from slow-exit power-down,
+// tXS from self-refresh) from the CKE rise before any command or re-entry,
+// with CKE kept low tCKE after an entry and high tCKE after a wake. Out of
+// scope: the refresh cadence.
 type checker struct {
 	t                dram.Timing
 	g                dram.Geometry
@@ -47,6 +50,10 @@ type ckRank struct {
 	lastAct *dram.CmdEvent
 	col, wr *dram.CmdEvent // last column command and last write (tCCD, tWTR)
 	ref     *dram.CmdEvent // last all-bank REF
+
+	pd       dram.PDState   // power-down state
+	down, up *dram.CmdEvent // last power-down entry and last wake
+	left     dram.PDState   // the state the last wake left
 }
 
 type ckBank struct {
@@ -119,7 +126,8 @@ func (c *checker) check(e dram.CmdEvent) error {
 		return fmt.Errorf("address: %s outside %d ranks x %d banks", show(ev), c.g.Ranks, c.g.Banks)
 	}
 	rk := &c.ranks[e.Rank]
-	if !e.AutoPre && c.cmd != nil {
+	bus := !e.AutoPre && e.Kind != dram.CmdCKE // takes a command-bus slot
+	if bus && c.cmd != nil {
 		rule := "command bus"
 		if c.cmd.Kind == dram.CmdAct && c.cmd.Mask != core.FullMask {
 			rule = "command bus (PRA mask cycle)"
@@ -132,6 +140,12 @@ func (c *checker) check(e dram.CmdEvent) error {
 		if err := early("tRFC", ev, rk.ref, e.At, rk.ref.At+int64(c.t.TRFC)); err != nil {
 			return err
 		}
+	}
+	if e.Kind == dram.CmdCKE {
+		return c.cke(ev, rk)
+	}
+	if err := c.awake(ev, rk); err != nil {
+		return err
 	}
 	var err error
 	switch e.Kind {
@@ -149,12 +163,76 @@ func (c *checker) check(e dram.CmdEvent) error {
 	if err != nil {
 		return err
 	}
-	if !e.AutoPre {
+	if bus {
 		c.cmd, c.cmdFree = ev, e.At+1
 		if e.Kind == dram.CmdAct && e.Mask != core.FullMask {
 			c.cmdFree += int64(c.t.PRAMaskCycles)
 		}
 	}
+	return nil
+}
+
+// exit returns the cycles from CKE rising to the first legal command after
+// leaving state s, and the rule's name.
+func (c *checker) exit(s dram.PDState) (int64, string) {
+	switch s {
+	case dram.PDPrechargeSlow:
+		return int64(c.t.TXPDLL), "tXPDLL"
+	case dram.PDSelfRefresh:
+		return int64(c.t.TXS), "tXS"
+	}
+	return int64(c.t.TXP), "tXP"
+}
+
+// awake checks that CKE is high for a command or power-down entry e and that
+// the exit window of the rank's last wake is over. CKE rises at the wake's
+// request or once the rank has been down tCKE, whichever is later, so a
+// command in the exit window counted from the request misses the exit rule,
+// and one past it but inside the window counted from the end of the
+// minimum CKE-low pulse misses tCKE.
+func (c *checker) awake(e *dram.CmdEvent, rk *ckRank) error {
+	if rk.pd != dram.PDAwake {
+		return fmt.Errorf("CKE low: %s to r%d in %v", show(e), e.Rank, rk.pd)
+	}
+	if rk.up == nil {
+		return nil
+	}
+	lat, rule := c.exit(rk.left)
+	if err := early(rule, e, rk.up, e.At, rk.up.At+lat); err != nil {
+		return err
+	}
+	return early("tCKE", e, rk.down, e.At, rk.down.At+int64(c.t.TCKE)+lat)
+}
+
+// cke referees a CKE transition. A wake needs a rank that is down. An entry
+// needs an awake rank past its last wake's exit window and tCKE past the
+// CKE rise, outside an all-bank refresh, and an open bank exactly when it
+// enters active power-down.
+func (c *checker) cke(e *dram.CmdEvent, rk *ckRank) error {
+	if e.PD == dram.PDAwake {
+		if rk.pd == dram.PDAwake {
+			return fmt.Errorf("CKE: %s wakes an awake rank", show(e))
+		}
+		rk.left, rk.pd, rk.up = rk.pd, dram.PDAwake, e
+		return nil
+	}
+	if err := c.awake(e, rk); err != nil {
+		return err
+	}
+	if rk.up != nil {
+		rise := max(rk.up.At, rk.down.At+int64(c.t.TCKE))
+		if err := early("tCKE", e, rk.up, e.At, rise+int64(c.t.TCKE)); err != nil {
+			return err
+		}
+	}
+	open := false
+	for _, bk := range rk.banks {
+		open = open || bk.open
+	}
+	if open != (e.PD == dram.PDActive) {
+		return fmt.Errorf("power-down state: %s with a bank open: %v", show(e), open)
+	}
+	rk.pd, rk.down = e.PD, e
 	return nil
 }
 
@@ -334,15 +412,23 @@ var seedStreams = []streamCase{
 }
 
 // driveStream issues a random stream of steps commands to a channel built
-// from the device timing dev — partial and full ACTs, reads and writes with
-// and without auto-precharge, precharges, all-bank or per-bank refresh late,
-// on time or pulled in, RFM, every power-down state and its wake, on both
-// ranks, each at the cycle the device reports ready — and referees every
-// event with a checker holding the timing ref. It returns the number of
-// commands checked and the first violation, or the device's refusal of a
-// command it had reported ready.
-func driveStream(dev, ref dram.Timing, sc streamCase, steps int) (int, error) {
-	ch, err := dram.NewChannel(dev, dram.DefaultGeometry(), power.NewAccumulator())
+// from the device timing dev and chip powers chip — partial and full ACTs,
+// reads and writes with and without auto-precharge, precharges, all-bank or
+// per-bank refresh late, on time or pulled in, RFM, every power-down state
+// and its wake, on both ranks, each at the cycle the device reports ready —
+// and referees every event with a checker holding the timing ref. At the end
+// an energy referee holding the baseline chip powers recomputes the
+// channel's energy from the stream. Odd seeds add an ECC chip, and an
+// unweighted stream without Half-DRAM scales activation energy linearly, as
+// SDS does. It returns the number of events checked and the first
+// violation, the device's refusal of a command it had reported ready, or
+// the first energy component the device booked differently.
+func driveStream(dev dram.Timing, chip power.ChipPowers, ref dram.Timing, sc streamCase, steps int) (int, error) {
+	acc := power.NewAccumulator()
+	acc.Chip = chip
+	acc.ECCChips = int(sc.seed & 1)
+	acc.LinearActScale = sc.unweighted && !sc.half
+	ch, err := dram.NewChannel(dev, dram.DefaultGeometry(), acc)
 	if err != nil {
 		return 0, err
 	}
@@ -353,8 +439,10 @@ func driveStream(dev, ref dram.Timing, sc streamCase, steps int) (int, error) {
 		ch.RefMode = dram.RefPerBank
 	}
 	ck := newChecker(ref, ch.G, sc.half, sc.unweighted)
+	er := newEnergyReferee(dev, ch.G, sc.half, acc.LinearActScale, acc.ECCChips)
 	var bad error
 	ch.Trace = func(e dram.CmdEvent) {
+		er.observe(e)
 		if bad == nil {
 			bad = ck.check(e)
 		}
@@ -367,6 +455,12 @@ func driveStream(dev, ref dram.Timing, sc streamCase, steps int) (int, error) {
 	rng := rand.New(rand.NewSource(sc.seed))
 	ch.SlowExitPD = rng.Intn(2) == 0
 	now := int64(0)
+	// down is each rank's last power-down entry. The driver wakes a rank
+	// only once it has been down the device's tCKE: a wake requested
+	// earlier would leave it to the device to hold CKE low, and a command
+	// early after it would miss tCKE and the exit rule alike, so a
+	// violation could not name which one the device got wrong.
+	down := make([]int64, ch.G.Ranks)
 	for i := 0; i < steps && bad == nil; i++ {
 		if rng.Intn(4) == 0 {
 			now += int64(rng.Intn(40)) // idle gap: constraints expire at different cycles
@@ -376,6 +470,8 @@ func driveStream(dev, ref dram.Timing, sc streamCase, steps int) (int, error) {
 			if rng.Intn(3) > 0 {
 				continue // stay down: readiness then assumes a wake at the query
 			}
+			now = max(now, down[r]+int64(ch.T.TCKE))
+			ch.Clock(now)
 			ch.Wake(now, r)
 		}
 		burst := ch.T.TBURST * (1 + rng.Intn(2))
@@ -401,13 +497,17 @@ func driveStream(dev, ref dram.Timing, sc streamCase, steps int) (int, error) {
 		case op == 1: // power down, or self-refresh, when the rank allows it
 			at := max(now, ch.PDEntryReadyAt(r))
 			ch.Clock(at)
+			var in bool
 			switch {
 			case ch.AnyBankOpen(r):
-				ch.EnterActivePowerDown(at, r)
+				in = ch.EnterActivePowerDown(at, r)
 			case rng.Intn(3) == 0:
-				ch.EnterSelfRefresh(at, r)
+				in = ch.EnterSelfRefresh(at, r)
 			default:
-				ch.EnterPowerDown(at, r)
+				in = ch.EnterPowerDown(at, r)
+			}
+			if in {
+				down[r] = at
 			}
 			now = at
 		case op == 2 && !open:
@@ -438,6 +538,10 @@ func driveStream(dev, ref dram.Timing, sc streamCase, steps int) (int, error) {
 			must(err)
 		}
 	}
+	if bad == nil {
+		ch.AdvanceTo(now)
+		bad = agree(ch.Acc.Energy(), er.energy(now))
+	}
 	return ck.n, bad
 }
 
@@ -451,7 +555,7 @@ func FuzzLegalCommandStream(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, perBank, unweighted, half bool) {
 		sc := streamCase{seed, perBank, unweighted, half}
-		n, err := driveStream(dram.DefaultTiming(), dram.DefaultTiming(), sc, 3000)
+		n, err := driveStream(dram.DefaultTiming(), power.DefaultChipPowers(), dram.DefaultTiming(), sc, 3000)
 		if err != nil {
 			t.Fatalf("command %d: %v", n, err)
 		}
@@ -471,6 +575,7 @@ func mutationBase() dram.Timing {
 	t := dram.DefaultTiming()
 	t.TRC = t.TRAS + t.TRP + 1
 	t.TCCD = t.TBURST + 1
+	t.TCKE = t.TXP + 1
 	return t
 }
 
@@ -518,6 +623,10 @@ func TestCheckerCatchesEveryShortenedTiming(t *testing.T) {
 		{"PRAMaskCycles", "tRCD+PRA mask cycle|command bus (PRA mask cycle)", func(t *dram.Timing) { t.PRAMaskCycles-- }, 200},
 		{"TCAS", "CL", func(t *dram.Timing) { t.TCAS-- }, 200},
 		{"CWL", "CWL", func(t *dram.Timing) { t.CWL-- }, 200},
+		{"TCKE", "tCKE", func(t *dram.Timing) { t.TCKE-- }, 200},
+		{"TXP", "tXP", func(t *dram.Timing) { t.TXP-- }, 200},
+		{"TXPDLL", "tXPDLL", func(t *dram.Timing) { t.TXPDLL-- }, 8000},
+		{"TXS", "tXS", func(t *dram.Timing) { t.TXS-- }, 1000},
 	}
 	ref := mutationBase()
 	for _, row := range rows {
@@ -527,7 +636,7 @@ func TestCheckerCatchesEveryShortenedTiming(t *testing.T) {
 			row.shorten(&dev)
 			total := 0
 			for _, sc := range seedStreams {
-				n, err := driveStream(dev, ref, sc, 3000)
+				n, err := driveStream(dev, power.DefaultChipPowers(), ref, sc, 3000)
 				total += n
 				switch {
 				case err != nil && row.rule == "":

@@ -118,6 +118,7 @@ func (c *Channel) Wake(now int64, r int) {
 		rk.nextRefresh = rk.pdExit + c.refInterval()
 	}
 	rk.pd = PDAwake
+	c.emit(CmdEvent{At: now, Kind: CmdCKE, Rank: r, PD: PDAwake})
 }
 
 // PDEntryReadyAt returns the earliest cycle at which awake rank r could
@@ -143,6 +144,7 @@ func (c *Channel) enter(now int64, r int, s PDState) bool {
 	}
 	c.flushBG(rk)
 	rk.pd, rk.pdEnteredAt = s, now
+	c.emit(CmdEvent{At: now, Kind: CmdCKE, Rank: r, PD: s})
 	return true
 }
 

@@ -17,10 +17,11 @@ const (
 	CmdPre                  // bank precharge
 	CmdRef                  // refresh
 	CmdRFM                  // refresh management (RowHammer mitigation)
+	CmdCKE                  // CKE transition: power-down or self-refresh entry, or wake
 )
 
 // cmdNames indexes CmdKind.
-var cmdNames = [...]string{"ACT", "RD", "WR", "PRE", "REF", "RFM"}
+var cmdNames = [...]string{"ACT", "RD", "WR", "PRE", "REF", "RFM", "CKE"}
 
 // String returns the command's mnemonic ("ACT", "RD", ...).
 func (k CmdKind) String() string {
@@ -45,6 +46,18 @@ type CmdEvent struct {
 	// (half-open interval [DataStart, DataEnd)); zero otherwise.
 	DataStart, DataEnd int64
 
+	// Frac is a RD's or WR's energy scale, as the column command was given
+	// it: the fraction of the line's words a write drives, or a read's
+	// transfer rate relative to a full-rate burst (0.5 for FGA's half-rate
+	// reads). Zero otherwise.
+	Frac float64
+
+	// PD is the rank's power-down state after a CKE transition: the state
+	// entered, or PDAwake for a wake. A CKE transition takes no
+	// command-bus slot. A wake's At is the cycle it was requested; CKE
+	// rises then, or once the rank has been down tCKE, whichever is later.
+	PD PDState
+
 	// PerBank marks a refresh as a per-bank REFpb of Bank (an all-bank REF
 	// otherwise). AutoPre marks a precharge a column command issued with
 	// auto-precharge: it takes no command-bus slot, and its At (the bank's
@@ -63,6 +76,8 @@ func (e CmdEvent) String() string {
 		return fmt.Sprintf("%8d REFpb r%d b%d", e.At, e.Rank, e.Bank)
 	case e.Kind == CmdRef:
 		return fmt.Sprintf("%8d %-3s r%d", e.At, e.Kind, e.Rank)
+	case e.Kind == CmdCKE:
+		return fmt.Sprintf("%8d %-3s r%d %v", e.At, e.Kind, e.Rank, e.PD)
 	default:
 		return fmt.Sprintf("%8d %-3s r%d b%d", e.At, e.Kind, e.Rank, e.Bank)
 	}

@@ -78,9 +78,14 @@ func (g *schedGen) put(vs ...int64) {
 	}
 }
 
-// attach streams every DRAM command of every channel into the hash.
+// attach streams every DRAM command of every channel into the hash. CKE
+// transitions stay out: the hash pins the scheduler's command choices, and
+// the power-down FSM's transitions are pinned by events.golden.
 func (g *schedGen) attach() {
 	g.c.OnCommand(func(ch int, e dram.CmdEvent) {
+		if e.Kind == dram.CmdCKE {
+			return
+		}
 		g.cmds++
 		g.dirty = true
 		g.put(int64(ch), e.At, int64(e.Kind), int64(e.Rank), int64(e.Bank), int64(e.Row), int64(e.Mask), e.DataStart, e.DataEnd)
