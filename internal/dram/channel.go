@@ -91,8 +91,8 @@ type Stats struct {
 	SelfRefCycles  int64
 	// Rank-state occupancy in rank-cycles (one count per rank per memory
 	// cycle): together with the four power-down counters above they
-	// partition total rank-cycles and feed the analytic power
-	// calculator's background fractions.
+	// partition total rank-cycles, the denominator of the residency
+	// fractions.
 	ActiveRankCycles     int64
 	PrechargedRankCycles int64
 	// WordsWritten / WordBudget track the write I/O utilization: words

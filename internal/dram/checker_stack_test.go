@@ -10,44 +10,36 @@ import (
 	"pradram/internal/sim"
 )
 
-// referee returns the checker for one channel of a run: the timing and
-// activation weighting the paper's schemes give the device. SDS delivers its
-// chip mask on the DM pins (no mask cycle) and keeps full tRRD/tFAW weights;
-// FGA and the Half-DRAM schemes use the Half-DRAM organization, which halves
-// the weight.
-func referee(cfg sim.Config) *checker {
+// referees returns the checker and the energy referee for one channel of a
+// run: the timing, activation weighting and energy scaling the paper's
+// schemes give the device. SDS delivers its chip mask on the DM pins (no
+// mask cycle), keeps full tRRD/tFAW weights and scales activation energy
+// linearly in chips; FGA and the Half-DRAM schemes use the Half-DRAM
+// organization, which halves the weight and the activated MATs. ECC adds a
+// chip to every rank.
+func referees(cfg sim.Config) (*checker, *energyReferee) {
 	t := dram.DefaultTiming()
 	if cfg.Timing != nil {
 		t = *cfg.Timing
 	}
 	sds := cfg.Scheme == memctrl.SDS
-	if cfg.NoMaskCycle || sds {
-		t.PRAMaskCycles = 0
-	}
-	half := cfg.Scheme == memctrl.HalfDRAM || cfg.Scheme == memctrl.HalfDRAMPRA || cfg.Scheme == memctrl.FGA
-	return newChecker(t, dram.DefaultGeometry(), half, cfg.NoTimingRelax || sds)
-}
-
-// energyReferee returns the energy referee for one channel of a run: the
-// timing, activation scaling and ECC chips the run gives the device.
-func energyRefereeFor(cfg sim.Config) *energyReferee {
-	t := dram.DefaultTiming()
-	if cfg.Timing != nil {
-		t = *cfg.Timing
-	}
 	half := cfg.Scheme == memctrl.HalfDRAM || cfg.Scheme == memctrl.HalfDRAMPRA || cfg.Scheme == memctrl.FGA
 	ecc := 0
 	if cfg.ECC {
 		ecc = 1
 	}
-	return newEnergyReferee(t, dram.DefaultGeometry(), half, cfg.Scheme == memctrl.SDS, ecc)
+	er := newEnergyReferee(t, dram.DefaultGeometry(), half, sds, ecc)
+	if cfg.NoMaskCycle || sds {
+		t.PRAMaskCycles = 0
+	}
+	return newChecker(t, dram.DefaultGeometry(), half, cfg.NoTimingRelax || sds), er
 }
 
 // TestCheckerOverWholeStackRuns attaches the checker and the energy referee
 // to every channel of cold full-system runs — the cells of sim's skip
 // bit-identity matrix (every scheme on a random, a pointer-chasing and a
 // compute-bound workload; four channels, plain and hammered under Alert/RFM
-// mitigation; DBI), every speed grade, and the refresh and low-power
+// mitigation; DBI), ECC, every speed grade, and the refresh and low-power
 // disciplines — so the command streams the scheduler actually produces are
 // held to the rules, not only the driver's, and the energy the controller
 // reports for the measured window is the energy its stream spent.
@@ -67,6 +59,7 @@ func TestCheckerOverWholeStackRuns(t *testing.T) {
 		{"4ch", func(c *sim.Config) { c.Channels = 4 }},
 		{"4ch-hammer", func(c *sim.Config) { c.Channels, c.Workload, c.MitThreshold = 4, "HammerDouble", 4 }},
 		{"DBI", func(c *sim.Config) { c.DBI = true }},
+		{"ECC", func(c *sim.Config) { c.ECC = true }},
 		{"perbank", func(c *sim.Config) { c.RefreshMode = memctrl.RefreshPerBank }},
 		{"elastic", func(c *sim.Config) { c.RefreshMode = memctrl.RefreshElastic }},
 		{"pdtimed-sr", func(c *sim.Config) { c.PDPolicy, c.PDTimeout, c.SRTimeout = memctrl.PDTimed, 64, 512 }},
@@ -110,9 +103,8 @@ func TestCheckerOverWholeStackRuns(t *testing.T) {
 			ctrl.OnCommand(func(ch int, e dram.CmdEvent) {
 				ck := checkers[ch]
 				if ck == nil {
-					ck = referee(cfg)
+					ck, energy[ch] = referees(cfg)
 					checkers[ch] = ck
-					energy[ch] = energyRefereeFor(cfg)
 					if warm >= 0 {
 						energy[ch].reset(warm)
 					}

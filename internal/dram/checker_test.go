@@ -73,17 +73,20 @@ func newChecker(t dram.Timing, g dram.Geometry, half, unweighted bool) *checker 
 	for r := range c.ranks {
 		c.ranks[r].banks = make([]ckBank, g.Banks)
 	}
-	// An RFM blocks its bank for tRFM; the device documents 0 as "tRFCpb,
-	// then tRFC".
+	c.trfm = trfm(t)
+	return c
+}
+
+// trfm returns how long an RFM blocks its bank: tRFM; the device documents
+// 0 as "tRFCpb, then tRFC".
+func trfm(t dram.Timing) int64 {
 	switch {
 	case t.TRFM > 0:
-		c.trfm = int64(t.TRFM)
+		return int64(t.TRFM)
 	case t.TRFCPB > 0:
-		c.trfm = int64(t.TRFCPB)
-	default:
-		c.trfm = int64(t.TRFC)
+		return int64(t.TRFCPB)
 	}
-	return c
+	return int64(t.TRFC)
 }
 
 // weight returns an ACT's tRRD/tFAW charge in sixteenths of a full-row

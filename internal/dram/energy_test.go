@@ -148,23 +148,11 @@ func (r *energyReferee) observe(e dram.CmdEvent) {
 		rk.refEnd = e.At + int64(r.t.TRFC)
 		r.refs++
 	case dram.CmdRFM:
-		r.pbCyc += r.trfm()
+		r.pbCyc += trfm(r.t)
 	case dram.CmdCKE:
 		r.advance(rk, e.At)
 		rk.pd = e.PD
 	}
-}
-
-// trfm is an RFM's blocking time: Timing.TRFM, or tRFCpb, then tRFC, when
-// unset.
-func (r *energyReferee) trfm() int64 {
-	switch {
-	case r.t.TRFM > 0:
-		return int64(r.t.TRFM)
-	case r.t.TRFCPB > 0:
-		return int64(r.t.TRFCPB)
-	}
-	return int64(r.t.TRFC)
 }
 
 // reset starts the measurement window at cycle at: what the stream spent

@@ -165,19 +165,6 @@ func (c Calibration) Total(b Breakdown) Band {
 	return t
 }
 
-// Apply returns three full breakdowns — b scaled by every component's Min,
-// Nom, and Max factor respectively — for reports that want a calibrated
-// per-component table rather than a single band.
-func (c Calibration) Apply(b Breakdown) (min, nom, max Breakdown) {
-	for i := Component(0); i < NumComponents; i++ {
-		f := c.factor(i)
-		min[i] = b[i] * f.Min
-		nom[i] = b[i] * f.Nom
-		max[i] = b[i] * f.Max
-	}
-	return min, nom, max
-}
-
 // Calibrations lists the built-in preset names accepted by
 // ParseCalibration.
 func Calibrations() []string { return []string{"none", "vendor", "ghose"} }

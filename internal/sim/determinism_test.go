@@ -103,7 +103,7 @@ func TestSingleflightDeduplicates(t *testing.T) {
 // is what guarantees `praexp -exp all` emits identical tables at any -j.
 func TestExperimentOutputIdenticalAcrossWorkers(t *testing.T) {
 	t.Parallel()
-	e, err := ExperimentByID("modelcheck")
+	e, err := ExperimentByID("powerband")
 	if err != nil {
 		t.Fatal(err)
 	}

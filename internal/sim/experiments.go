@@ -356,7 +356,6 @@ func Experiments() []Experiment {
 		{"fig15", "Figure 15: DBI + PRA combination", ExpFig15, keysFig15},
 		{"sec3cov", "Section 3: PRA vs SDS coverage (activation vs chip-access granularity)", ExpSec3Coverage, keysSec3Coverage},
 		{"ablation", "Ablation: contribution of each PRA design element", ExpAblation, keysAblation},
-		{"modelcheck", "Cross-validation: analytic power model vs cycle-level simulation", ExpModelCheck, keysModelCheck},
 		{"sensitivity", "Sensitivity: PRA savings vs dirty words per line and write share", ExpSensitivity, keysSensitivity},
 		{"speedgrades", "Speed grades: PRA savings across DDR3 data rates", ExpSpeedGrades, keysSpeedGrades},
 		{"pdsweep", "Power-down & refresh management: policy sweep (residency, energy)", ExpPDSweep, keysPDSweep},

@@ -16,8 +16,8 @@ func tinyRunner() *Runner {
 func TestExperimentRegistry(t *testing.T) {
 	t.Parallel()
 	exps := Experiments()
-	if len(exps) != 22 {
-		t.Fatalf("have %d experiments, want 22", len(exps))
+	if len(exps) != 21 {
+		t.Fatalf("have %d experiments, want 21", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -71,7 +71,7 @@ func TestAnalyticExperimentsContent(t *testing.T) {
 	}
 }
 
-// tableDigests renders all 22 experiments through RunExperiment on one runner
+// tableDigests renders all 21 experiments through RunExperiment on one runner
 // at the tinyRunner budget and returns one "id sha-256" line per table.
 func tableDigests(workers int) (string, error) {
 	opt := tinyRunner().opt

@@ -150,7 +150,7 @@ func TestTimelineColumnsConsistent(t *testing.T) {
 // the System level, above and in skip_test.go.)
 func TestExperimentOutputIdenticalWithTelemetry(t *testing.T) {
 	t.Parallel()
-	e, err := ExperimentByID("modelcheck")
+	e, err := ExperimentByID("powerband")
 	if err != nil {
 		t.Fatal(err)
 	}

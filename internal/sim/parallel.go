@@ -266,11 +266,3 @@ func keysAblation() []runKey {
 	}
 	return keys
 }
-
-func keysModelCheck() []runKey {
-	keys := make([]runKey, 0, len(modelCheckCases))
-	for _, c := range modelCheckCases {
-		keys = append(keys, newKey(c.workload, c.scheme, memctrl.RelaxedClose, 4))
-	}
-	return keys
-}
