@@ -233,7 +233,7 @@ func (c *checker) cke(e *dram.CmdEvent, rk *ckRank) error {
 		open = open || bk.open
 	}
 	if open != (e.PD == dram.PDActive) {
-		return fmt.Errorf("power-down state: %s with a bank open: %v", show(e), open)
+		return fmt.Errorf("power-down state: %s with banks open = %v", show(e), open)
 	}
 	rk.pd, rk.down = e.PD, e
 	return nil
@@ -551,7 +551,8 @@ func driveStream(dev dram.Timing, chip power.ChipPowers, ref dram.Timing, sc str
 // FuzzLegalCommandStream drives a channel through a random command stream,
 // each command at the cycle the device reports ready, and holds every
 // command it accepts to the independent checker: the device's readiness
-// rules may be no looser than the DDR3 rules they claim to implement.
+// rules may be no looser than the DDR3 rules they claim to implement. The
+// energy referee then holds the channel's energy to what the stream spent.
 func FuzzLegalCommandStream(f *testing.F) {
 	for _, sc := range seedStreams {
 		f.Add(sc.seed, sc.perBank, sc.unweighted, sc.half)
@@ -569,11 +570,12 @@ func FuzzLegalCommandStream(f *testing.F) {
 }
 
 // mutationBase is the timing the mutation table shortens: DDR3-1600 with
-// one cycle of headroom on tRC over tRAS+tRP and on tCCD over the burst. At
-// the datasheet values those two are implied by the others (an ACT-to-ACT
-// gap of tRAS+tRP already is tRC; a back-to-back burst already spaces
-// columns tCCD apart), so a device that undercut them by a cycle would
-// still be legal, and their rows could not fail.
+// one cycle of headroom on tRC over tRAS+tRP, on tCCD over the burst and on
+// tCKE over tXP. At the datasheet values those three are implied by the
+// others (an ACT-to-ACT gap of tRAS+tRP already is tRC; a back-to-back
+// burst already spaces columns tCCD apart; a re-entry past a wake's tXP
+// exit window already is tCKE after it), so a device that undercut them by
+// a cycle would still be legal, and their rows could not fail.
 func mutationBase() dram.Timing {
 	t := dram.DefaultTiming()
 	t.TRC = t.TRAS + t.TRP + 1
@@ -602,10 +604,10 @@ func TestCheckerCatchesEveryShortenedTiming(t *testing.T) {
 	rows := []struct {
 		param, rule string // rule: the accepted violation names, |-separated
 		shorten     func(*dram.Timing)
-		// budget bounds the commands, counted over the seed streams in
+		// budget bounds the events, counted over the seed streams in
 		// order, before the violation: REFpb first appears in the second
-		// stream, and a weighted tFAW window rarely fills before the
-		// third, unweighted one.
+		// stream, slow-exit power-down in the third, and a weighted tFAW
+		// window rarely fills before the third, unweighted one.
 		budget int
 	}{
 		{"none", "", func(*dram.Timing) {}, 0},

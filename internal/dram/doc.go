@@ -4,8 +4,8 @@
 // PRA masks), enforces the DDR3 command-timing constraints the paper lists
 // in Table 3 (tRCD, tRP, tCAS, tRAS, tWR, tCCD, tRRD, tFAW, tRC) plus the
 // command/data-bus structural hazards, implements the weighted tRRD/tFAW
-// relaxation for partial activations (Section 4.1.3), periodic refresh, and
-// precharge power-down, and charges the power model for every event.
+// relaxation for partial activations (Section 4.1.3), periodic refresh,
+// power-down and self-refresh, and charges the power model for every event.
 //
 // The package is deliberately policy-free: the memory controller in
 // internal/memctrl decides *what* to issue and when; this package answers

@@ -66,8 +66,7 @@ const (
 )
 
 type erRank struct {
-	open   []bool
-	nOpen  int
+	nOpen  int // open banks
 	pd     dram.PDState
 	refEnd int64 // end of the last all-bank REF's tRFC window
 	from   int64 // first cycle not yet charged
@@ -77,14 +76,10 @@ type erRank struct {
 // timing t on the baseline chip. half selects Half-DRAM activation energy,
 // linear the inter-chip (SDS) scaling, and ecc counts ECC chips per rank.
 func newEnergyReferee(t dram.Timing, g dram.Geometry, half, linear bool, ecc int) *energyReferee {
-	r := &energyReferee{
+	return &energyReferee{
 		t: t, g: g, chip: power.DefaultChipPowers(), mat: power.DefaultMATEnergy(),
 		half: half, linear: linear, ecc: ecc, ranks: make([]erRank, g.Ranks),
 	}
-	for i := range r.ranks {
-		r.ranks[i].open = make([]bool, g.Banks)
-	}
-	return r
 }
 
 // advance charges rank rk's background from its last charged cycle up to
@@ -127,12 +122,10 @@ func (r *energyReferee) observe(e dram.CmdEvent) {
 	switch e.Kind {
 	case dram.CmdAct:
 		r.advance(rk, e.At)
-		rk.open[e.Bank] = true
 		rk.nOpen++
 		r.acts[bits.OnesCount8(uint8(e.Mask))]++
 	case dram.CmdPre:
 		r.advance(rk, r.now)
-		rk.open[e.Bank] = false
 		rk.nOpen--
 	case dram.CmdRead:
 		r.rd += float64(e.DataEnd-e.DataStart) * frac
