@@ -49,11 +49,6 @@ type Config struct {
 	// line address to its DRAM row identity and must be set when DBI is on.
 	DBI    bool
 	RowKey func(addr uint64) uint64
-	// DBIEntries bounds the index to that many DRAM-row entries (the real
-	// DBI is a small SRAM structure); inserting beyond capacity evicts
-	// the oldest entry and force-writes-back its dirty blocks. Zero means
-	// unbounded (an idealized DBI).
-	DBIEntries int
 }
 
 // DefaultConfig returns the paper's Table 3 hierarchy for n cores.
@@ -83,8 +78,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: MSHRs must be positive")
 	case c.DBI && c.RowKey == nil:
 		return fmt.Errorf("cache: DBI requires a RowKey function")
-	case c.DBIEntries < 0:
-		return fmt.Errorf("cache: negative DBI capacity")
 	}
 	return nil
 }
@@ -277,7 +270,6 @@ type Stats struct {
 	L2Hits, L2Misses int64
 	Writebacks       int64
 	DBIProactive     int64
-	DBIEvictions     int64
 	// DirtyWords histograms dirty words per line at L2 dirty eviction
 	// (Figure 3). DirtyChips is the SDS chip-mask equivalent (Section 3).
 	DirtyWords *stats.Hist
@@ -304,13 +296,12 @@ type Hierarchy struct {
 	retryFills  []*missEntry
 	freeMiss    *missEntry // missEntry freelist
 
-	dbi     map[uint64]map[uint64]struct{} // rowKey -> dirty L2 line ids
-	dbiFIFO []uint64                       // insertion order (lazy deletion)
+	dbi map[uint64]map[uint64]struct{} // rowKey -> dirty L2 line ids
 
-	// Events, when non-nil, receives structured state events (DBI sweeps,
-	// bounded-DBI force writebacks) stamped with the CPU cycle of the last
-	// Tick/access. Emission is guarded by the nil-safe Enabled check, so
-	// the disabled cost is one pointer compare.
+	// Events, when non-nil, receives structured state events (DBI sweeps)
+	// stamped with the CPU cycle of the last Tick/access. Emission is
+	// guarded by the nil-safe Enabled check, so the disabled cost is one
+	// pointer compare.
 	Events *obs.EventLog
 	now    int64
 
@@ -559,28 +550,8 @@ func (h *Hierarchy) dbiMark(id uint64) {
 	k := h.rowKey(id)
 	set, ok := h.dbi[k]
 	if !ok {
-		// A bounded DBI evicts its oldest row entry to make room; the
-		// evicted entry's dirty blocks are force-written-back (they lose
-		// their index coverage, so the structure writes them out — the
-		// behaviour of Seshadri et al.'s design).
-		if h.cfg.DBIEntries > 0 {
-			for len(h.dbi) >= h.cfg.DBIEntries && len(h.dbiFIFO) > 0 {
-				victim := h.dbiFIFO[0]
-				h.dbiFIFO = h.dbiFIFO[1:]
-				if _, live := h.dbi[victim]; !live {
-					continue // lazily-deleted entry
-				}
-				h.Stats.DBIEvictions++
-				if h.Events.Enabled(obs.LevelState) {
-					h.Events.Emit(obs.Event{Cycle: h.now, Level: obs.LevelState, Scope: "cache",
-						Kind: "dbi-evict", Detail: fmt.Sprintf("row key %#x force-written-back (DBI full)", victim)})
-				}
-				h.dbiSweepKey(victim)
-			}
-		}
 		set = make(map[uint64]struct{})
 		h.dbi[k] = set
-		h.dbiFIFO = append(h.dbiFIFO, k)
 	}
 	set[id] = struct{}{}
 }
@@ -604,11 +575,7 @@ func (h *Hierarchy) dbiSweep(evictedID uint64) {
 	if h.dbi == nil {
 		return
 	}
-	h.dbiSweepKey(h.rowKey(evictedID))
-}
-
-// dbiSweepKey writes back all indexed dirty lines of one DRAM row.
-func (h *Hierarchy) dbiSweepKey(k uint64) {
+	k := h.rowKey(evictedID)
 	set, ok := h.dbi[k]
 	if !ok {
 		return
@@ -731,8 +698,3 @@ func (h *Hierarchy) NextEvent(now int64) int64 {
 // queued returns the number of scheduled completions; the empty case is
 // the common one on memory-bound runs and is kept to one test.
 func (h *Hierarchy) queued() int { return h.lanes[laneL1].n + h.lanes[laneL2].n }
-
-// Drain returns whether any miss, event, or writeback is still in flight.
-func (h *Hierarchy) Drain() bool {
-	return len(h.mshr) > 0 || h.queued() > 0 || len(h.wbs) > 0 || len(h.retryFills) > 0
-}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pradram/internal/checkpoint"
 	"pradram/internal/core"
 )
 
@@ -334,7 +335,7 @@ func TestWritebackRefusalRetried(t *testing.T) {
 	if len(mem.writes) != 0 {
 		t.Fatal("write must have been refused")
 	}
-	if !h.Drain() {
+	if !inFlight(h) {
 		t.Error("hierarchy must report in-flight writebacks")
 	}
 	mem.acceptWrite = true
@@ -388,17 +389,79 @@ func TestLRUReplacement(t *testing.T) {
 	}
 }
 
+// inFlight reports whether any miss, completion, writeback or fill retry is
+// still outstanding.
+func inFlight(h *Hierarchy) bool {
+	return len(h.mshr) > 0 || h.queued() > 0 || len(h.wbs) > 0 || len(h.retryFills) > 0
+}
+
 func TestDrainReflectsState(t *testing.T) {
 	h, mem := newTestHierarchy(t, smallConfig())
-	if h.Drain() {
+	if inFlight(h) {
 		t.Error("fresh hierarchy must be drained")
 	}
 	h.Load(0, 0xA000, 0, core.Untagged(func(int64) {}))
-	if !h.Drain() {
+	if !inFlight(h) {
 		t.Error("outstanding miss must report undrained")
 	}
 	mem.fillAll(30)
-	if h.Drain() {
+	if inFlight(h) {
 		t.Error("after fill the hierarchy must be drained")
+	}
+}
+
+// TestRestoreRejectsNonCanonicalDBI: SaveState writes DBI rows and their line
+// ids in ascending order. A payload with rows or ids out of order, or one row
+// twice, would restore to different bytes than the file carries (a duplicate
+// silently replacing the earlier row).
+func TestRestoreRejectsNonCanonicalDBI(t *testing.T) {
+	cfg := smallConfig()
+	cfg.DBI = true
+	cfg.RowKey = func(addr uint64) uint64 { return addr >> 13 } // 8KB rows
+	h, mem := newTestHierarchy(t, cfg)
+	for i, addr := range []uint64{1*8192 + 1*64, 2*8192 + 2*64, 2*8192 + 3*64} {
+		h.Store(0, addr, core.StoreBytes(0, 8), int64(i), core.Untagged(func(int64) {}))
+	}
+	mem.fillAll(10)
+	w := &checkpoint.Writer{}
+	h.SaveState(w)
+	good := w.Bytes()
+
+	// From the end: now, row 2 (key, count, two line ids), row 1 (key,
+	// count, one line id).
+	const word, row = 8, 24
+	row2 := len(good) - word - row - word
+	row1 := row2 - row
+	restore := func(edit func(b []byte)) error {
+		b := append([]byte(nil), good...)
+		edit(b)
+		fresh, _ := newTestHierarchy(t, cfg)
+		resolve := func(tag core.DoneTag) (core.Done, bool) { return core.Done{Tag: tag}, true }
+		_, _, err := fresh.RestoreState(checkpoint.NewReader(b), resolve)
+		if len(fresh.dbi) != 0 {
+			t.Error("failed restore touched the DBI")
+		}
+		return err
+	}
+	if err := restore(func([]byte) {}); err != nil {
+		t.Fatalf("unedited payload: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		edit       func(b []byte)
+	}{
+		{"rows out of order", "cache: DBI row key 0x2 after 0x3, want ascending", func(b []byte) {
+			b[row1] = 3
+		}},
+		{"duplicate row", "cache: DBI row key 0x2 after 0x2, want ascending", func(b []byte) {
+			b[row1] = 2
+		}},
+		{"line ids out of order", "cache: DBI row 0x2 line id 0x102 after 0x103, want ascending", func(b []byte) {
+			b[row2+2*word], b[row2+3*word] = b[row2+3*word], b[row2+2*word]
+		}},
+	} {
+		if err := restore(tc.edit); err == nil || err.Error() != "corrupt checkpoint: "+tc.want {
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -51,7 +51,7 @@ func residentHierarchy(t testing.TB) (*Hierarchy, *fakeMem) {
 		}
 		mem.fillAll(0)
 	}
-	if h.Drain() {
+	if inFlight(h) {
 		t.Fatal("preload left work in flight")
 	}
 	return h, mem
@@ -125,8 +125,8 @@ func TestLanesMatchReferenceHeap(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d cycle %d: delivered %v, reference heap delivers %v", seed, now, got, want)
 			}
-			if h.Drain() != (len(ref) > 0) {
-				t.Fatalf("seed %d cycle %d: Drain = %v with %d reference events queued", seed, now, h.Drain(), len(ref))
+			if inFlight(h) != (len(ref) > 0) {
+				t.Fatalf("seed %d cycle %d: in flight = %v with %d reference events queued", seed, now, inFlight(h), len(ref))
 			}
 		}
 		if perLane[laneL1] < 100 || perLane[laneL2] < 100 {
@@ -203,7 +203,7 @@ func TestLaneCheckpointIgnoresRotation(t *testing.T) {
 			want[e.done.Tag.Serial] = e.at
 		}
 	}
-	for now := int64(0); fresh.Drain(); now++ {
+	for now := int64(0); inFlight(fresh); now++ {
 		fresh.Tick(now)
 		for serial, at := range want {
 			if got, ok := delivered[serial]; ok != (at <= now) || (ok && got != at) {
@@ -234,7 +234,7 @@ func TestRestoreRejectsUnsortedLane(t *testing.T) {
 	if _, _, err := fresh.RestoreState(checkpoint.NewReader(w.Bytes()), resolve); err == nil {
 		t.Fatal("restore accepted a lane that is out of time order")
 	}
-	if fresh.Drain() {
+	if inFlight(fresh) {
 		t.Fatal("failed restore left completions behind")
 	}
 }

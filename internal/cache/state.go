@@ -153,10 +153,6 @@ func (h *Hierarchy) SaveState(w *checkpoint.Writer) {
 				w.U64(id)
 			}
 		}
-		w.Count(len(h.dbiFIFO))
-		for _, k := range h.dbiFIFO {
-			w.U64(k)
-		}
 	}
 	w.I64(h.now)
 }
@@ -264,21 +260,18 @@ func (h *Hierarchy) RestoreState(r *checkpoint.Reader, resolve func(core.DoneTag
 		r.Fail("cache: DBI presence %v, config says %v", hasDBI, h.dbi != nil)
 	}
 	var dbi map[uint64]map[uint64]struct{}
-	var dbiFIFO []uint64
 	if hasDBI && r.Err() == nil {
 		// Rows and their line ids must arrive the way SaveState writes them,
-		// strictly ascending (so a duplicate cannot replace an earlier row
-		// and the bytes restore to themselves), and every row must be
-		// reachable through the FIFO — eviction finds rows nowhere else.
+		// strictly ascending, so a duplicate cannot replace an earlier row
+		// and the bytes restore to themselves.
 		dbi = make(map[uint64]map[uint64]struct{})
 		nk := r.Count()
-		keys := make([]uint64, 0, nk)
-		for i := 0; i < nk && r.Err() == nil; i++ {
+		for i, prevKey := 0, uint64(0); i < nk && r.Err() == nil; i++ {
 			k := r.U64()
-			if i > 0 && k <= keys[i-1] {
-				r.Fail("cache: DBI row key %#x after %#x, want ascending", k, keys[i-1])
+			if i > 0 && k <= prevKey {
+				r.Fail("cache: DBI row key %#x after %#x, want ascending", k, prevKey)
 			}
-			keys = append(keys, k)
+			prevKey = k
 			set := make(map[uint64]struct{})
 			ni := r.Count()
 			for j, prevID := 0, uint64(0); j < ni && r.Err() == nil; j++ {
@@ -293,17 +286,6 @@ func (h *Hierarchy) RestoreState(r *checkpoint.Reader, resolve func(core.DoneTag
 				r.Fail("cache: empty DBI row entry %#x", k)
 			}
 			dbi[k] = set
-		}
-		dbiFIFO = make([]uint64, r.Count())
-		queued := make(map[uint64]struct{}, len(dbiFIFO))
-		for i := range dbiFIFO {
-			dbiFIFO[i] = r.U64()
-			queued[dbiFIFO[i]] = struct{}{}
-		}
-		for _, k := range keys { // file order, so the error names the lowest
-			if _, ok := queued[k]; !ok {
-				r.Fail("cache: DBI row %#x is not in the eviction FIFO", k)
-			}
 		}
 	}
 	now := r.I64()
@@ -335,7 +317,6 @@ func (h *Hierarchy) RestoreState(r *checkpoint.Reader, resolve func(core.DoneTag
 		h.freeMiss = nil
 		if h.dbi != nil {
 			h.dbi = dbi
-			h.dbiFIFO = dbiFIFO
 		}
 		h.now = now
 	}

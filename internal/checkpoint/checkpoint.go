@@ -74,7 +74,6 @@ func (w *Writer) Grow(n int) {
 func (w *Writer) Len() int { return len(w.buf) }
 
 func (w *Writer) U8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 func (w *Writer) I64(v int64)  { w.U64(uint64(v)) }
 func (w *Writer) Int(v int)    { w.I64(int64(v)) }
@@ -108,12 +107,6 @@ func (w *Writer) Count(n int) { w.U64(uint64(n)) }
 func (w *Writer) String(s string) {
 	w.Count(len(s))
 	w.buf = append(w.buf, s...)
-}
-
-// Bytes64 writes a length-prefixed byte slice.
-func (w *Writer) Bytes64(b []byte) {
-	w.Count(len(b))
-	w.buf = append(w.buf, b...)
 }
 
 // Reader decodes a checkpoint payload with a sticky error: after the
@@ -170,14 +163,6 @@ func (r *Reader) U8() uint8 {
 		return 0
 	}
 	return b[0]
-}
-
-func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
 }
 
 func (r *Reader) U64() uint64 {
@@ -266,16 +251,4 @@ func (r *Reader) String() string {
 		return ""
 	}
 	return string(b)
-}
-
-// Bytes64 reads a length-prefixed byte slice (copied out of the payload).
-func (r *Reader) Bytes64() []byte {
-	n := r.Count()
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
 }

@@ -12,7 +12,6 @@ import (
 // record is one value of every type the codec carries.
 type record struct {
 	A uint8
-	B uint32
 	C uint64
 	D int64
 	E int
@@ -21,12 +20,10 @@ type record struct {
 	H uint64
 	I int64
 	S string
-	Y []byte
 }
 
 func (v record) write(w *Writer) {
 	w.U8(v.A)
-	w.U32(v.B)
 	w.U64(v.C)
 	w.I64(v.D)
 	w.Int(v.E)
@@ -34,14 +31,12 @@ func (v record) write(w *Writer) {
 	w.Bool(v.G)
 	w.Uvarint(v.H)
 	w.Varint(v.I)
-	w.Count(len(v.Y))
+	w.Count(len(v.S))
 	w.String(v.S)
-	w.Bytes64(v.Y)
 }
 
 func read(r *Reader) (v record, count int) {
 	v.A = r.U8()
-	v.B = r.U32()
 	v.C = r.U64()
 	v.D = r.I64()
 	v.E = r.Int()
@@ -51,18 +46,17 @@ func read(r *Reader) (v record, count int) {
 	v.I = r.Varint()
 	count = r.Count()
 	v.S = r.String()
-	v.Y = r.Bytes64()
 	return v, count
 }
 
 func (v record) equal(o record) bool {
-	return v.A == o.A && v.B == o.B && v.C == o.C && v.D == o.D && v.E == o.E && v.F == o.F &&
-		v.G == o.G && v.H == o.H && v.I == o.I && v.S == o.S && bytes.Equal(v.Y, o.Y)
+	return v.A == o.A && v.C == o.C && v.D == o.D && v.E == o.E && v.F == o.F &&
+		v.G == o.G && v.H == o.H && v.I == o.I && v.S == o.S
 }
 
 // TestRoundTrip: every Writer/Reader accessor pair returns what was
-// written, the payload is consumed exactly, equal values encode to equal
-// bytes, and Bytes64 hands out a copy rather than a view of the payload.
+// written, the payload is consumed exactly, and equal values encode to
+// equal bytes.
 func TestRoundTrip(t *testing.T) {
 	check := func(v record) bool {
 		var w, again Writer
@@ -73,16 +67,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 		r := NewReader(w.Bytes())
 		got, count := read(r)
-		if r.Done() != nil || !got.equal(v) || count != len(v.Y) {
-			return false
-		}
-		if len(got.Y) > 0 {
-			got.Y[0] ^= 0xff
-			if second, _ := read(NewReader(w.Bytes())); !second.equal(v) {
-				return false
-			}
-		}
-		return true
+		return r.Done() == nil && got.equal(v) && count == len(v.S)
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
@@ -91,9 +76,9 @@ func TestRoundTrip(t *testing.T) {
 		math.Float64frombits(0x7ff8_0000_dead_beef), math.SmallestNonzeroFloat64, math.MaxFloat64} {
 		for _, v := range []record{
 			{F: math.Float64bits(f)},
-			{A: math.MaxUint8, B: math.MaxUint32, C: math.MaxUint64, D: math.MinInt64, E: math.MinInt64,
-				F: math.Float64bits(f), G: true, H: math.MaxUint64, I: math.MinInt64, S: "pradram", Y: []byte{0}},
-			{D: math.MaxInt64, E: math.MaxInt64, F: math.Float64bits(f), H: 127, I: math.MaxInt64, Y: bytes.Repeat([]byte{7}, 300)},
+			{A: math.MaxUint8, C: math.MaxUint64, D: math.MinInt64, E: math.MinInt64,
+				F: math.Float64bits(f), G: true, H: math.MaxUint64, I: math.MinInt64, S: "pradram"},
+			{D: math.MaxInt64, E: math.MaxInt64, F: math.Float64bits(f), H: 127, I: math.MaxInt64, S: strings.Repeat("7", 300)},
 		} {
 			if !check(v) {
 				t.Errorf("round trip failed for %+v", v)
@@ -118,19 +103,19 @@ func TestGrowKeepsContents(t *testing.T) {
 // wraps ErrCorrupt.
 func TestStickyError(t *testing.T) {
 	var w Writer
-	record{A: 9, S: "later", Y: []byte{1, 2, 3}}.write(&w)
-	r := NewReader(w.Bytes()[:3]) // the U8, then half a U32
+	record{A: 9, C: 5, S: "later"}.write(&w)
+	r := NewReader(w.Bytes()[:3]) // the U8, then a quarter of a U64
 	if got := r.U8(); got != 9 || r.Err() != nil {
 		t.Fatalf("U8 = %d, err %v before the short read", got, r.Err())
 	}
-	if got := r.U32(); got != 0 || r.Err() == nil {
-		t.Fatalf("short U32 = %d, err %v", got, r.Err())
+	if got := r.U64(); got != 0 || r.Err() == nil {
+		t.Fatalf("short U64 = %d, err %v", got, r.Err())
 	}
 	first := r.Err()
 	if !errors.Is(first, ErrCorrupt) || !strings.Contains(first.Error(), "truncated at offset 1") {
 		t.Errorf("first cause %q: want a truncation at offset 1 wrapping ErrCorrupt", first)
 	}
-	if got, count := read(r); !got.equal(record{}) || count != 0 || got.Y != nil {
+	if got, count := read(r); !got.equal(record{}) || count != 0 {
 		t.Errorf("accessors after a failure returned %+v / count %d, want zero values", got, count)
 	}
 	r.Fail("a later complaint")
@@ -164,7 +149,6 @@ func TestRejects(t *testing.T) {
 		{"count past the sanity bound", count(maxCount + 1), func(r *Reader) { r.Count() }, "out of range"},
 		{"count overflowing int", count(math.MaxUint64), func(r *Reader) { r.Count() }, "out of range"},
 		{"string longer than the payload", count(4), func(r *Reader) { _ = r.String() }, "count 4 out of range"},
-		{"bytes longer than the payload", count(4), func(r *Reader) { r.Bytes64() }, "count 4 out of range"},
 		{"short u64", []byte{1, 2, 3}, func(r *Reader) { r.U64() }, "truncated at offset 0 (want 8 bytes, have 3)"},
 	} {
 		r := NewReader(c.payload)
@@ -183,11 +167,11 @@ func TestRejects(t *testing.T) {
 // checkpoint it was given.
 func TestDoneRejectsTrailingBytes(t *testing.T) {
 	var w Writer
-	w.U32(7)
+	w.U64(7)
 	w.U8(1)
 	r := NewReader(w.Bytes())
-	if r.U32() != 7 {
-		t.Fatal("U32 round trip")
+	if r.U64() != 7 {
+		t.Fatal("U64 round trip")
 	}
 	if err := r.Done(); err == nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "1 trailing bytes") {
 		t.Errorf("Done with a byte left = %v, want the trailing-bytes error", err)

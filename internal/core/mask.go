@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // WordsPerLine is the number of 8-byte words in a 64-byte cache line. Each
 // word maps to one group of two MATs inside a DRAM bank (Section 4.1.2), so
@@ -70,20 +67,6 @@ func (m Mask) String() string {
 	}
 	b[WordsPerLine] = 'b'
 	return string(b[:])
-}
-
-// MaskOfWords builds a mask selecting the given word indices. Out-of-range
-// indices are an error: the caller is translating dirty-word positions and
-// must never be out of range.
-func MaskOfWords(words ...int) (Mask, error) {
-	var m Mask
-	for _, w := range words {
-		if w < 0 || w >= WordsPerLine {
-			return 0, fmt.Errorf("core: word index %d out of range [0,%d)", w, WordsPerLine)
-		}
-		m |= 1 << uint(w)
-	}
-	return m, nil
 }
 
 // ByteMask is a 64-bit per-byte dirty mask for one cache line: bit

@@ -56,22 +56,6 @@ func TestMaskBit(t *testing.T) {
 	}
 }
 
-func TestMaskOfWords(t *testing.T) {
-	m, err := MaskOfWords(0, 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != 0x83 {
-		t.Errorf("MaskOfWords(0,1,7) = %#x, want 0x83", uint8(m))
-	}
-	if _, err := MaskOfWords(8); err == nil {
-		t.Error("MaskOfWords(8) should error")
-	}
-	if _, err := MaskOfWords(-1); err == nil {
-		t.Error("MaskOfWords(-1) should error")
-	}
-}
-
 func TestCovers(t *testing.T) {
 	if !FullMask.Covers(0x81) {
 		t.Error("full mask must cover everything")

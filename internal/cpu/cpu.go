@@ -174,14 +174,6 @@ func (c *Core) ResetStats() {
 	c.Loads, c.Stores, c.ComputeOps = 0, 0, 0
 }
 
-// IPC returns retired instructions per cycle so far.
-func (c *Core) IPC() float64 {
-	if c.Cycles == 0 {
-		return 0
-	}
-	return float64(c.Retired) / float64(c.Cycles)
-}
-
 // Tick advances the core one CPU cycle: retire in order, then dispatch.
 func (c *Core) Tick(now int64) {
 	c.Cycles++

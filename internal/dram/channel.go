@@ -142,13 +142,6 @@ func (s Stats) AvgGranularity() float64 {
 	return float64(sum) / float64(n)
 }
 
-// BankCount is the always-on per-bank command tally the telemetry layer
-// samples. It lives outside Stats so Result snapshots (and the disk-cache
-// JSON) are unaffected; maintaining it costs one increment per command.
-type BankCount struct {
-	Act, Pre, Rd, Wr int64
-}
-
 // Channel is one DDR3 channel: command/address bus, data bus, and a set of
 // ranks of banks. All methods take the current absolute memory cycle.
 type Channel struct {
@@ -192,8 +185,6 @@ type Channel struct {
 
 	acctUpTo int64 // background energy accounted up to this cycle
 
-	perBank []BankCount // indexed rank*Banks+bank
-
 	// rowCtr is the optional per-row activation counter table set
 	// (rowcounter.go); nil unless TrackRows enabled it. Counter contents
 	// are simulation state: they survive ResetStats and are checkpointed.
@@ -218,8 +209,7 @@ func NewChannel(t Timing, g Geometry, acc *power.Accumulator) (*Channel, error) 
 	acc.OtherRanks = g.Ranks - 1
 	ch := &Channel{
 		T: t, G: g, Acc: acc,
-		ranks:   make([]rankState, g.Ranks),
-		perBank: make([]BankCount, g.Ranks*g.Banks),
+		ranks: make([]rankState, g.Ranks),
 	}
 	for r := range ch.ranks {
 		ch.ranks[r].banks = make([]bankState, g.Banks)
@@ -258,13 +248,7 @@ func (c *Channel) OpenBankCount() int {
 func (c *Channel) ResetStats() {
 	c.FlushBackground()
 	c.Stats = Stats{}
-	for i := range c.perBank {
-		c.perBank[i] = BankCount{}
-	}
 }
-
-// BankCounts returns the per-bank command tally of bank (r,b).
-func (c *Channel) BankCounts(r, b int) BankCount { return c.perBank[r*c.G.Banks+b] }
 
 // Clock advances the channel's accounting clock without accruing anything;
 // background spans stay pending until the next state change or flush. The
@@ -415,7 +399,6 @@ func (c *Channel) Activate(at int64, r, b, row int, mask core.Mask, halfDRAM boo
 
 	c.Acc.Activation(mask.Granularity(), halfDRAM, float64(c.T.TRC)*c.T.TCKNs)
 	c.Stats.ActsByGranularity[mask.Granularity()]++
-	c.perBank[r*c.G.Banks+b].Act++
 	c.rowCtrOnAct(r, b, row)
 	c.emit(CmdEvent{At: at, Kind: CmdAct, Rank: r, Bank: b, Row: row, Mask: mask})
 	return nil
@@ -470,13 +453,11 @@ func (c *Channel) column(at int64, r, b, burstCycles int, frac float64, autoPre 
 		bk.preAllowed = max(bk.preAllowed, at+int64(c.T.TRTP))
 		c.Acc.ReadBurst(float64(burstCycles) * c.T.TCKNs * min(max(frac, 0), 1))
 		c.Stats.Reads++
-		c.perBank[r*c.G.Banks+b].Rd++
 	} else {
 		rk.rdAfterWr = end + int64(c.T.TWTR)
 		bk.preAllowed = max(bk.preAllowed, end+int64(c.T.TWR))
 		c.Acc.WriteBurst(float64(burstCycles)*c.T.TCKNs, frac)
 		c.Stats.Writes++
-		c.perBank[r*c.G.Banks+b].Wr++
 		c.Stats.WordsWritten += int64(frac*float64(core.WordsPerLine) + 0.5)
 		c.Stats.WordBudget += core.WordsPerLine
 	}
@@ -516,7 +497,6 @@ func (c *Channel) closeBank(r, b int, preAt int64, auto bool) {
 	bk.actAllowed = max(bk.actAllowed, preAt+int64(c.T.TRP))
 	rk.openCount--
 	c.Stats.Precharges++
-	c.perBank[r*c.G.Banks+b].Pre++
 }
 
 // refInterval returns the nominal cycles between refresh commands: tREFI

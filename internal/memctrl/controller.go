@@ -208,9 +208,6 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Mapper exposes the address mapper (for experiments and the DBI RowKey).
-func (c *Controller) Mapper() *AddressMapper { return c.am }
-
 // RowKey identifies the DRAM row of an address (cache.Config.RowKey).
 func (c *Controller) RowKey(addr uint64) uint64 { return c.am.RowKey(addr) }
 
@@ -255,20 +252,21 @@ func (c *Controller) Write(addr uint64, mask core.ByteMask) bool {
 	}
 	if w := cc.queuedWrite(l); w != nil {
 		// A merge grows need(): what the open mask covers, the activation
-		// mask and the false-hit classes all change.
+		// mask and the false-hit classes all change, so a command can
+		// become legal before the channel's armed wake.
 		w.byteMask |= mask
 		w.wordMask = project(w.byteMask)
 		cc.stale |= 1 << uint(cc.bankOf(l))
-		return true
+	} else {
+		if cc.n[core.Write] >= c.cfg.WriteQ {
+			cc.stats.WriteRejects++
+			return false
+		}
+		req := cc.allocReq(core.Write, l, c.lastMem+1)
+		req.byteMask = mask
+		req.wordMask = project(mask)
+		cc.push(req)
 	}
-	if cc.n[core.Write] >= c.cfg.WriteQ {
-		cc.stats.WriteRejects++
-		return false
-	}
-	req := cc.allocReq(core.Write, l, c.lastMem+1)
-	req.byteMask = mask
-	req.wordMask = project(mask)
-	cc.push(req)
 	cc.nextWake = 0
 	c.active = true
 	return true

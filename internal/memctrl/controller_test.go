@@ -34,7 +34,7 @@ func runUntil(t *testing.T, c *Controller, start, budget int64, cond func() bool
 	return 0
 }
 
-func addrAt(c *Controller, l Loc) uint64 { return c.Mapper().Compose(l) }
+func addrAt(c *Controller, l Loc) uint64 { return compose(c.am, l) }
 
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()

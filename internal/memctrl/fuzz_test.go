@@ -80,9 +80,9 @@ func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64, rowP
 		if cpu%6 == 0 && outstanding < 40 {
 			addr := (rng.Uint64() % (4 << 30)) &^ 63
 			if rowPool > 0 {
-				l := c.Mapper().Decompose(addr)
+				l := c.am.Decompose(addr)
 				l.Row %= rowPool
-				addr = c.Mapper().Compose(l)
+				addr = compose(c.am, l)
 			}
 			if rng.Intn(3) == 0 {
 				m := core.StoreBytes(rng.Intn(8)*8, 8*(1+rng.Intn(3)))

@@ -242,13 +242,3 @@ func (c *Controller) LatSpans() []LatSpan {
 	}
 	return out
 }
-
-// BankReadLatHist returns channel ch's read-latency histogram for bank
-// (r, b) (zero-valued when LatBreak is off).
-func (c *Controller) BankReadLatHist(ch, r, b int) stats.LogHist {
-	cc := c.chans[ch]
-	if cc.latHistBank == nil {
-		return stats.LogHist{}
-	}
-	return cc.latHistBank[r*c.cfg.Geom.Banks+b]
-}

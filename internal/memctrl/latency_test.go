@@ -179,11 +179,9 @@ func TestLatConservation(t *testing.T) {
 		t.Errorf("histogram N = %d/%d, served %d/%d", s.ReadLatHist.N, s.WriteLatHist.N, s.ReadsServed, s.WritesServed)
 	}
 	var bankN int64
-	for ch := 0; ch < c.cfg.Channels; ch++ {
-		for r := 0; r < c.cfg.Geom.Ranks; r++ {
-			for b := 0; b < c.cfg.Geom.Banks; b++ {
-				bankN += c.BankReadLatHist(ch, r, b).N
-			}
+	for _, cc := range c.chans {
+		for _, h := range cc.latHistBank {
+			bankN += h.N
 		}
 	}
 	if bankN != s.ReadsServed {

@@ -116,13 +116,6 @@ func (am *AddressMapper) Decompose(addr uint64) Loc {
 	}
 }
 
-// Compose is the inverse of Decompose (for addresses within capacity).
-func (am *AddressMapper) Compose(l Loc) uint64 {
-	line := uint64(l.Channel)<<am.f[fChannel].shift | uint64(l.Rank)<<am.f[fRank].shift |
-		uint64(l.Bank)<<am.f[fBank].shift | uint64(l.Row)<<am.f[fRow].shift | uint64(l.Col)<<am.f[fCol].shift
-	return line << 6
-}
-
 // RowKey returns a value identifying the DRAM row a line maps to; two
 // addresses share a key iff they live in the same (channel, rank, bank,
 // row). Used for same-row merging and the DBI.

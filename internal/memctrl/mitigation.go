@@ -44,13 +44,6 @@ func (c Config) mitAlertCycles() int64 { return cmp.Or(c.MitAlertCycles, Default
 // mitTableCap returns the effective per-bank counter-table capacity.
 func (c Config) mitTableCap() int { return cmp.Or(c.MitTableCap, DefaultMitTableCap) }
 
-// RowActCount reports channel ch's tracked activation count for a row
-// since its bank's last refresh (the spill floor for untracked rows, 0
-// when mitigation is off). Exposed for the analytic-oracle tests.
-func (c *Controller) RowActCount(ch, r, b, row int) int64 {
-	return c.chans[ch].ch.RowActCount(r, b, row)
-}
-
 // RowCounts returns a copy of channel ch's tracked row→count table for
 // one bank (nil when mitigation is off).
 func (c *Controller) RowCounts(ch, r, b int) map[int]int64 {

@@ -15,8 +15,8 @@ import (
 // depths, row-hit and false-hit counters, activation-granularity
 // histogram, energy components) and connects the structured event log.
 // Everything registered here is a read-only view over counters the
-// controller maintains anyway, so attaching telemetry can never perturb
-// simulated numbers.
+// controller maintains anyway, or over the command stream (the per-bank
+// counts), so attaching telemetry can never perturb simulated numbers.
 
 // CPUPerMem exposes the CPU-to-memory clock ratio (the sim layer converts
 // its CPU-cycle clock into the DRAM epochs the recorder is configured in).
@@ -26,8 +26,24 @@ func (c *Controller) CPUPerMem() int64 { return c.cfg.CPUPerMem }
 // controller and its DRAM channels. Either argument may be nil. Call once,
 // before the first Tick.
 func (c *Controller) AttachObs(rec *obs.Recorder, ev *obs.EventLog) {
+	// Per-bank command counts come from the command stream, so a run
+	// without a recorder does no per-bank work. ACT, RD, WR and PRE are the
+	// first four kinds; an auto-precharge arrives as a PRE, and REF, RFM and
+	// CKE events are not counted.
+	tally := make([][]bankCmds, len(c.chans))
+	if rec != nil {
+		banks := c.cfg.Geom.Banks
+		for i := range tally {
+			tally[i] = make([]bankCmds, c.cfg.Geom.Ranks*banks)
+		}
+		c.OnCommand(func(ch int, e dram.CmdEvent) {
+			if e.Kind <= dram.CmdPre {
+				tally[ch][e.Rank*banks+e.Bank][e.Kind]++
+			}
+		})
+	}
 	for i, cc := range c.chans {
-		cc.attachObs(rec, ev, i)
+		cc.attachObs(rec, ev, i, tally[i])
 	}
 	if ev.Enabled(obs.LevelCmd) {
 		scopes := make([]string, len(c.chans))
@@ -163,7 +179,8 @@ func (c *Controller) AttachObs(rec *obs.Recorder, ev *obs.EventLog) {
 // OnCommand subscribes fn to every command the DRAM channels accept, in
 // issue order per channel (ch is the channel index); subscribers chain, in
 // subscription order. fn must not retain the event past the call. The
-// command-level event log (-events cmd) is one such subscriber.
+// command-level event log (-events cmd) and the per-bank telemetry
+// counters are such subscribers.
 func (c *Controller) OnCommand(fn func(ch int, e dram.CmdEvent)) {
 	for i, cc := range c.chans {
 		prev := cc.ch.Trace
@@ -176,9 +193,13 @@ func (c *Controller) OnCommand(fn func(ch int, e dram.CmdEvent)) {
 	}
 }
 
+// bankCmds counts one bank's commands, indexed by dram.CmdKind (ACT, RD,
+// WR, PRE).
+type bankCmds [dram.CmdPre + 1]int64
+
 // attachObs wires one channel: its event scope, queue-depth gauges, and the
-// per-bank command counters.
-func (cc *chanCtl) attachObs(rec *obs.Recorder, ev *obs.EventLog, idx int) {
+// per-bank command counters over tally (rank*Banks+bank).
+func (cc *chanCtl) attachObs(rec *obs.Recorder, ev *obs.EventLog, idx int, tally []bankCmds) {
 	cc.ev = ev
 	cc.scope = fmt.Sprintf("memctrl.ch%d", idx)
 	if rec == nil {
@@ -197,14 +218,13 @@ func (cc *chanCtl) attachObs(rec *obs.Recorder, ev *obs.EventLog, idx int) {
 	geom := cc.cfg.Geom
 	for r := 0; r < geom.Ranks; r++ {
 		for b := 0; b < geom.Banks; b++ {
-			r, b := r, b
+			hb := r*geom.Banks + b
 			name := fmt.Sprintf("%s_r%d_b%d", p, r, b)
-			rec.Counter(name+"_act", func() int64 { return cc.ch.BankCounts(r, b).Act })
-			rec.Counter(name+"_pre", func() int64 { return cc.ch.BankCounts(r, b).Pre })
-			rec.Counter(name+"_rd", func() int64 { return cc.ch.BankCounts(r, b).Rd })
-			rec.Counter(name+"_wr", func() int64 { return cc.ch.BankCounts(r, b).Wr })
+			rec.Counter(name+"_act", func() int64 { return tally[hb][dram.CmdAct] })
+			rec.Counter(name+"_pre", func() int64 { return tally[hb][dram.CmdPre] })
+			rec.Counter(name+"_rd", func() int64 { return tally[hb][dram.CmdRead] })
+			rec.Counter(name+"_wr", func() int64 { return tally[hb][dram.CmdWrite] })
 			if cc.cfg.LatBreak {
-				hb := r*geom.Banks + b
 				rec.Gauge(name+"_rdlat_p99", func() float64 { return cc.latHistBank[hb].Quantile(0.99) })
 			}
 		}

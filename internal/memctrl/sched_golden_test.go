@@ -49,6 +49,7 @@ type schedGen struct {
 	cmds        int64
 	dirty       bool            // a request was accepted or a command issued since the last checkIndex
 	binds       [numEngines]int // passes that slept the channel, by binding engine
+	lateWake    string          // a merge left its channel asleep past a legal command (write)
 
 	phase     int   // trPhased: index into the phase cycle
 	phaseEnd  int64 // CPU cycle the current phase ends
@@ -112,9 +113,21 @@ func (g *schedGen) read(addr uint64) {
 	}
 }
 
+// write offers a writeback. A merge into a queued write grows its mask, which
+// under PRA can make a command legal sooner: if the channel still sleeps
+// afterwards, no candidate may be ready before its wake.
 func (g *schedGen) write(addr uint64) bool {
+	l := g.c.am.Decompose(addr)
+	cc := g.c.chans[l.Channel]
+	merge := cc.queuedWrite(l) != nil
 	ok := g.c.Write(addr, g.partialMask())
 	g.dirty = g.dirty || ok
+	if mem := g.c.lastMem; merge && cc.nextWake > mem+1 && !cc.rfmPending {
+		cc.settle()
+		if bound := cc.requestsBound(mem + 1); bound < cc.nextWake {
+			g.lateWake = fmt.Sprintf("merge at cycle %d: a command is legal at %d, the channel sleeps until %d", mem, bound, cc.nextWake)
+		}
+	}
 	return ok
 }
 
@@ -172,6 +185,10 @@ func (cc *chanCtl) requestsBound(mem int64) int64 {
 // could have changed it.
 func (g *schedGen) tick(t *testing.T, cpu int64) {
 	t.Helper()
+	if g.lateWake != "" {
+		t.Error(g.lateWake)
+		g.lateWake = ""
+	}
 	var wakes [8]int64
 	for i, cc := range g.c.chans {
 		wakes[i] = cc.nextWake
@@ -252,7 +269,7 @@ func (g *schedGen) step(cpu int64) {
 		}
 		cl.left--
 		cl.loc.Col = int(g.next() % uint64(g.c.cfg.Geom.LinesPerRow))
-		addr := g.c.Mapper().Compose(cl.loc)
+		addr := compose(g.c.am, cl.loc)
 		if g.next()%5 < 2 {
 			if g.outstanding < 60 {
 				g.read(addr)

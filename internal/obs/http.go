@@ -114,9 +114,6 @@ func (s *Server) oneVar(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, f())
 }
 
-// Handler returns the server's root handler (useful for tests).
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // Start binds addr and serves on it in the background until the process
 // exits. The bind is synchronous, so an address that cannot be listened on
 // is an error here, before the caller has built or run anything; variables

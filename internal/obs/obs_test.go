@@ -30,40 +30,30 @@ func TestRecorderCounterDeltas(t *testing.T) {
 	acts = 95
 	r.Flush(1250) // partial tail epoch
 
-	if got := r.Column("acts"); len(got) != 3 || got[0] != 30 || got[1] != 0 || got[2] != 15 {
+	if got := column(r, "acts"); len(got) != 3 || got[0] != 30 || got[1] != 0 || got[2] != 15 {
 		t.Fatalf("acts deltas = %v, want [30 0 15]", got)
 	}
-	if got := r.Column("depth"); len(got) != 3 || got[0] != 7 || got[1] != 2 || got[2] != 2 {
+	if got := column(r, "depth"); len(got) != 3 || got[0] != 7 || got[1] != 2 || got[2] != 2 {
 		t.Fatalf("depth gauge = %v, want [7 2 2]", got)
 	}
 	if r.Rows() != 3 {
 		t.Fatalf("rows = %d, want 3", r.Rows())
 	}
+	// Flush at the same cycle again must not add an empty row.
+	r.Flush(1250)
+	if r.Rows() != 3 {
+		t.Fatalf("rows after double flush = %d, want 3", r.Rows())
+	}
 }
 
-func TestRecorderMaybeSampleBoundaries(t *testing.T) {
-	var n int64
-	r := NewRecorder(10)
-	r.Counter("n", func() int64 { return n })
-	r.Begin(0)
-	for c := int64(1); c <= 35; c++ {
-		n = c
-		r.MaybeSample(c)
+// column returns the recorded series for one probe name (nil if unknown).
+func column(r *Recorder, name string) []float64 {
+	for i := range r.probes {
+		if r.probes[i].name == name {
+			return r.cols[i]
+		}
 	}
-	// Boundaries at 10, 20, 30; cycle 35 is mid-epoch until Flush.
-	if r.Rows() != 3 {
-		t.Fatalf("rows = %d, want 3", r.Rows())
-	}
-	r.Flush(35)
-	col := r.Column("n")
-	if len(col) != 4 || col[0] != 10 || col[1] != 10 || col[2] != 10 || col[3] != 5 {
-		t.Fatalf("deltas = %v, want [10 10 10 5]", col)
-	}
-	// Flush at the same cycle again must not add an empty row.
-	r.Flush(35)
-	if r.Rows() != 4 {
-		t.Fatalf("rows after double flush = %d, want 4", r.Rows())
-	}
+	return nil
 }
 
 func TestRecorderBeginResets(t *testing.T) {
@@ -79,7 +69,7 @@ func TestRecorderBeginResets(t *testing.T) {
 	}
 	n = 8
 	r.Sample(110)
-	if col := r.Column("n"); len(col) != 1 || col[0] != 3 {
+	if col := column(r, "n"); len(col) != 1 || col[0] != 3 {
 		t.Fatalf("deltas after re-Begin = %v, want [3]", col)
 	}
 }
@@ -281,7 +271,7 @@ func TestServerVars(t *testing.T) {
 	p.AddTotal(5)
 	srv.Publish("progress", func() any { return p.Snapshot() })
 
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.mux)
 	defer ts.Close()
 
 	get := func(path string) (int, string) {
@@ -354,7 +344,7 @@ func TestServerContentTypes(t *testing.T) {
 	srv := NewServer()
 	srv.Publish("x", func() any { return 1 })
 
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv.mux)
 	defer ts.Close()
 
 	ctype := func(path string) string {

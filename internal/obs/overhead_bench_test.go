@@ -24,6 +24,9 @@ import (
 
 const innerOps = 200000
 
+// benchEpoch is the recorder's sampling period in the telemetry-on path.
+const benchEpoch = 10_000
+
 // activate issues command cycle op's ACT at the earliest legal cycle from
 // now on and returns that cycle and the bank.
 func activate(b *testing.B, ch *dram.Channel, now int64, op int) (int64, int) {
@@ -57,7 +60,7 @@ func commandCycles(b *testing.B, ch *dram.Channel, ev *obs.EventLog, rec *obs.Re
 	next := int64(-1)
 	if rec != nil {
 		rec.Begin(0)
-		next = rec.NextSample()
+		next = benchEpoch
 	}
 	for i := 0; i < b.N; i++ {
 		for op := 0; op < innerOps; op++ {
@@ -70,7 +73,7 @@ func commandCycles(b *testing.B, ch *dram.Channel, ev *obs.EventLog, rec *obs.Re
 			now = writePrecharge(b, ch, now, bank)
 			if rec != nil && now >= next {
 				rec.Sample(now)
-				next = rec.NextSample()
+				next = now + benchEpoch
 			}
 		}
 	}
@@ -109,21 +112,23 @@ func BenchmarkTelemetryOffHotPath(b *testing.B) {
 }
 
 // BenchmarkTelemetryOnHotPath attaches everything: a cmd-level event ring
-// fed by the channel's command trace, state events from the driver loop,
-// and an epoch recorder with per-bank probes.
+// and per-bank command counts fed by the channel's command trace, state
+// events from the driver loop, and an epoch recorder with per-bank probes.
 func BenchmarkTelemetryOnHotPath(b *testing.B) {
 	ch := newBenchChannel(b)
 	ev := obs.NewEventLog(obs.DefaultEventCap, obs.LevelCmd)
+	counts := make([][dram.CmdPre + 1]int64, ch.G.Ranks*ch.G.Banks)
 	ch.Trace = func(e dram.CmdEvent) {
 		ev.Emit(obs.Event{Cycle: e.At, Level: obs.LevelCmd, Scope: "dram", Kind: e.Kind.String(), Detail: e.String()})
-	}
-	rec := obs.NewRecorder(10_000)
-	for r := 0; r < ch.G.Ranks; r++ {
-		for bank := 0; bank < ch.G.Banks; bank++ {
-			r, bank := r, bank
-			rec.Counter(fmt.Sprintf("r%d_b%d_act", r, bank), func() int64 { return ch.BankCounts(r, bank).Act })
-			rec.Counter(fmt.Sprintf("r%d_b%d_wr", r, bank), func() int64 { return ch.BankCounts(r, bank).Wr })
+		if e.Kind <= dram.CmdPre {
+			counts[e.Rank*ch.G.Banks+e.Bank][e.Kind]++
 		}
+	}
+	rec := obs.NewRecorder(benchEpoch)
+	for i := range counts {
+		n := &counts[i]
+		rec.Counter(fmt.Sprintf("r%d_b%d_act", i/ch.G.Banks, i%ch.G.Banks), func() int64 { return n[dram.CmdAct] })
+		rec.Counter(fmt.Sprintf("r%d_b%d_wr", i/ch.G.Banks, i%ch.G.Banks), func() int64 { return n[dram.CmdWrite] })
 	}
 	b.ResetTimer()
 	commandCycles(b, ch, ev, rec)

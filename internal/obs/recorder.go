@@ -29,10 +29,10 @@ type probe struct {
 // values (queue depths, open-bank counts).
 //
 // Usage: register probes, call Begin(cycle) at the start of the measured
-// window (it snapshots counter baselines), then Sample/MaybeSample as the
-// clock advances and Flush at the end for the final partial epoch. All
-// methods are safe for concurrent use with Snapshot, so an HTTP goroutine
-// can read the buffer while the simulation appends to it.
+// window (it snapshots counter baselines), then Sample at each epoch
+// boundary as the clock advances and Flush at the end for the final
+// partial epoch. All methods are safe for concurrent use with Snapshot, so
+// an HTTP goroutine can read the buffer while the simulation appends to it.
 type Recorder struct {
 	mu sync.Mutex
 
@@ -42,7 +42,6 @@ type Recorder struct {
 
 	base int64 // cycle passed to Begin; row cycles are relative to it
 	last int64 // absolute cycle of the most recent sample
-	next int64 // absolute cycle of the next due sample
 
 	cycles []int64     // per-row epoch-end cycle (relative to base)
 	cols   [][]float64 // one slice per probe, parallel to probes
@@ -90,7 +89,7 @@ func (r *Recorder) Begin(cycle int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.began = true
-	r.base, r.last, r.next = cycle, cycle, cycle+r.epoch
+	r.base, r.last = cycle, cycle
 	r.cycles = r.cycles[:0]
 	for i := range r.probes {
 		r.probes[i].last = r.probes[i].read()
@@ -98,25 +97,8 @@ func (r *Recorder) Begin(cycle int64) {
 	}
 }
 
-// NextSample returns the absolute cycle of the next due sample (callers
-// keeping their own cheap inline check can mirror it).
-func (r *Recorder) NextSample() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
-}
-
-// MaybeSample samples iff the epoch boundary has been reached.
-func (r *Recorder) MaybeSample(cycle int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.began && cycle >= r.next {
-		r.sampleLocked(cycle)
-	}
-}
-
-// Sample unconditionally closes an epoch at the given cycle and appends a
-// row. The next epoch boundary is re-armed at cycle+EpochCycles.
+// Sample closes an epoch at the given cycle and appends a row. The caller
+// keeps the epoch clock: it samples every EpochCycles cycles.
 func (r *Recorder) Sample(cycle int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -147,7 +129,7 @@ func (r *Recorder) sampleLocked(cycle int64) {
 		}
 		r.cols[i] = append(r.cols[i], v)
 	}
-	r.last, r.next = cycle, cycle+r.epoch
+	r.last = cycle
 }
 
 // Header returns the column names: "epoch", "cycle", then every probe in
@@ -242,17 +224,4 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(r.Snapshot())
-}
-
-// Column returns the recorded series for one probe name (nil if unknown).
-// Intended for tests and programmatic consumers.
-func (r *Recorder) Column(name string) []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.probes {
-		if r.probes[i].name == name {
-			return append([]float64(nil), r.cols[i]...)
-		}
-	}
-	return nil
 }

@@ -76,7 +76,7 @@ func WarmupFingerprint(cfg Config) (string, bool) {
 // by ModelVersion, which is embedded alongside.
 const (
 	ckptMagic  = "pradram-ckpt"
-	ckptFormat = 5 // v5: cache completion lanes in order, each count + (at, tag); cpu ROB from head 0, serial 0 for done slots, no last-load/anchor record
+	ckptFormat = 6 // v6: no DBI eviction FIFO, no skipped-cycle count (it is cycle - ticks)
 )
 
 // Checkpoint serializes the system's complete post-warmup state. It must
@@ -101,7 +101,6 @@ func (s *System) Checkpoint() ([]byte, error) {
 	w.String(fp)
 	w.I64(s.cycle)
 	w.I64(s.ticks)
-	w.I64(s.skipped)
 	w.I64(s.now)
 	for _, c := range s.cores {
 		c.SaveState(w)
@@ -162,10 +161,9 @@ func (s *System) Restore(data []byte) error {
 
 	cycle := r.I64()
 	ticks := r.I64()
-	skipped := r.I64()
 	now := r.I64()
-	if cycle < 0 || ticks < 0 || skipped < 0 {
-		return fmt.Errorf("%w: negative clock state", checkpoint.ErrCorrupt)
+	if ticks < 0 || cycle < ticks { // cycle - ticks is the skipped count
+		return fmt.Errorf("%w: clock state cycle %d, ticks %d", checkpoint.ErrCorrupt, cycle, ticks)
 	}
 
 	commits := make([]func(), 0, 2*len(s.cores)+3)
@@ -214,7 +212,6 @@ func (s *System) Restore(data []byte) error {
 	}
 	s.cycle = cycle
 	s.ticks = ticks
-	s.skipped = skipped
 	s.now = now
 	if s.cap != nil {
 		// Same rebase Warmup performs: the measured window starts here.

@@ -657,3 +657,24 @@ func TestCheckpointErrorsWrapErrCorrupt(t *testing.T) {
 		t.Errorf("mid-payload corruption should wrap ErrCorrupt, got %v", err)
 	}
 }
+
+// TestDBICheckpointSizeBounded: the DBI checkpoints the dirty rows it
+// indexes, and the number of live rows saturates with the L2, so a four
+// times longer warmup may not grow the checkpoint much. State the DBI keeps
+// per row entry it ever made, rather than per live row, grows with the
+// warmup instead.
+func TestDBICheckpointSizeBounded(t *testing.T) {
+	t.Parallel()
+	size := func(warmup int64) int {
+		cfg := DefaultConfig("lbm")
+		cfg.Cores, cfg.Scheme, cfg.DBI = 1, memctrl.PRA, true
+		cfg.InstrPerCore, cfg.WarmupPerCore = 1_000, warmup
+		return len(warmAndCheckpoint(t, cfg))
+	}
+	short, long := size(200_000), size(800_000)
+	t.Logf("DBI checkpoint: %d bytes after a 200k warmup, %d after 800k", short, long)
+	if growth := float64(long)/float64(short) - 1; growth > 0.10 {
+		t.Errorf("DBI checkpoint grew %.0f%% from a 200k to an 800k warmup (%d -> %d bytes), want at most 10%%",
+			100*growth, short, long)
+	}
+}

@@ -22,7 +22,10 @@ import (
 // v3: Result gained always-on write-latency accounting
 // (Ctrl.WriteLatencySum), so v2 cache entries would deserialize with the
 // field silently zero.
-const ModelVersion = "pradram-model-v3"
+// v4: a write merged into a queued write wakes its channel, as an enqueue
+// does; under PRA a grown mask can make a command legal before the armed
+// wake, so PRA results can differ.
+const ModelVersion = "pradram-model-v4"
 
 // fileStore is the on-disk protocol under both the result cache and the
 // checkpoint store: one file per id in dir, named by a hash of the id (the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pradram/internal/dram"
+	"pradram/internal/memctrl"
 	"pradram/internal/workload"
 )
 
@@ -39,6 +40,17 @@ func hammerOracleCfg(name string) Config {
 	cfg.Timing = &t
 	cfg.MitThreshold = 1 << 30 // counting armed, threshold unreachable
 	return cfg
+}
+
+// oracleMapper builds the address mapper cfg's controller decodes with.
+func oracleMapper(t *testing.T, cfg Config) *memctrl.AddressMapper {
+	t.Helper()
+	mc := cfg.ctrlConfig()
+	am, err := memctrl.NewAddressMapper(mc.Mapping, mc.Channels, mc.Geom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return am
 }
 
 // oracleCompare asserts a bank's tracked counter table equals the analytic
@@ -146,13 +158,14 @@ func TestHammerAnalyticOracleMultiCore(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	am := oracleMapper(t, cfg)
 	for core := 0; core < 2; core++ {
 		region := workload.Region{Base: uint64(core) << 30, Bytes: 1 << 30}
 		rank, bank, rowBase := workload.HammerTarget(core, region)
 		// Confirm the generator's hardcoded mapping against the real
 		// address mapper: region-relative row 0 of the target bank must
 		// decompose to (channel 0, rank, bank, rowBase).
-		loc := s.Controller().Mapper().Decompose(region.Base + uint64(bank)<<14)
+		loc := am.Decompose(region.Base + uint64(bank)<<14)
 		if loc.Channel != 0 || loc.Rank != rank || loc.Bank != bank || loc.Row != rowBase {
 			t.Fatalf("core %d: mapper places region row 0 at %+v, want ch0 rank%d bank%d row%d",
 				core, loc, rank, bank, rowBase)

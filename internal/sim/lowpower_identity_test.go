@@ -71,7 +71,7 @@ func TestPDSkipBitIdentityMatrix(t *testing.T) {
 					v.mod(&cfg)
 					skip, noskip, rs, rn := runBoth(t, cfg)
 					checkIdentical(t, skip, noskip, rs, rn)
-					if wl != "bzip2" && skip.Skipped() == 0 {
+					if wl != "bzip2" && skip.cycle == skip.ticks {
 						t.Error("skip run never fast-forwarded; matrix cell is vacuous")
 					}
 				})

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,15 +78,16 @@ func TestTimelineColumnsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := s.Recorder()
+	snap := rec.Snapshot()
 
 	sumCol := func(name string) float64 {
-		var sum float64
-		col := rec.Column(name)
-		if col == nil {
+		c := slices.Index(snap.Header, name)
+		if c < 0 {
 			t.Fatalf("column %q missing", name)
 		}
-		for _, v := range col {
-			sum += v
+		var sum float64
+		for _, row := range snap.Rows {
+			sum += row[c]
 		}
 		return sum
 	}

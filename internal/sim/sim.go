@@ -209,12 +209,10 @@ type System struct {
 	epochCPU int64
 	recNext  int64
 
-	// skipped counts CPU cycles the run loop fast-forwarded over (zero
-	// under Config.NoSkip) and ticks the loop iterations it actually
-	// executed; tests use them to prove the skip path engaged and to pin
-	// the executed-ticks budget semantics.
-	skipped int64
-	ticks   int64
+	// ticks counts the loop iterations actually executed, for the
+	// executed-ticks budget; cycle - ticks is the number of CPU cycles
+	// fast-forwarded over (zero under Config.NoSkip).
+	ticks int64
 
 	// cal is the parsed power-model calibration (Config.PowerCal),
 	// stamped into every Result so energy bands travel with the numbers.
@@ -504,17 +502,11 @@ func (s *System) fastForward(next int64) (int64, error) {
 	}
 	s.ctrl.SkipTo(target)
 	delta := target - next
-	s.skipped += delta
 	for _, c := range s.cores {
 		c.SkipCycles(delta)
 	}
 	return target, nil
 }
-
-// Skipped returns the number of CPU cycles fast-forwarded over so far
-// (always zero with Config.NoSkip). Exposed so tests and benchmarks can
-// verify the event-driven path actually engaged.
-func (s *System) Skipped() int64 { return s.skipped }
 
 // Trace returns the request stream captured over the measured window, or
 // nil when Config.Capture was off. Replay it with the trace package.

@@ -131,11 +131,11 @@ func TestSkipBitIdentityMatrix(t *testing.T) {
 					if cfg.MitThreshold > 0 && rs.Ctrl.Alerts == 0 {
 						t.Error("hammer cell raised no alerts; the mitigation cell is vacuous")
 					}
-					if wl != "bzip2" && skip.Skipped() == 0 {
+					if wl != "bzip2" && skip.cycle == skip.ticks {
 						t.Error("memory-bound run never fast-forwarded; the identity check is vacuous")
 					}
-					if noskip.Skipped() != 0 {
-						t.Errorf("NoSkip run reports %d skipped cycles", noskip.Skipped())
+					if noskip.cycle != noskip.ticks {
+						t.Errorf("NoSkip run reports %d skipped cycles", noskip.cycle-noskip.ticks)
 					}
 				})
 			}
@@ -161,14 +161,14 @@ func TestSkipBudgetCountsExecutedTicks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Skipped() == 0 {
+	if s.cycle == s.ticks {
 		t.Fatal("LinkedList single-core run never skipped; budget test needs an idle-heavy run")
 	}
 	if res.Cycles <= 0 {
 		t.Fatal("run reported no cycles")
 	}
 	// Every elapsed cycle is either executed or skipped over.
-	ticks, elapsed := s.ticks, s.ticks+s.Skipped()
+	ticks, elapsed := s.ticks, s.cycle
 	budget := ticks + ticks/2 // fits executed ticks, far below elapsed cycles
 	if budget >= elapsed {
 		t.Skipf("run not idle-dominated enough to separate the measures (ticks %d, elapsed %d)", ticks, elapsed)

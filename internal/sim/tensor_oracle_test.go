@@ -96,8 +96,9 @@ func TestTensorAnalyticOracle(t *testing.T) {
 			// Confirm the generator's hardcoded mapping against the real
 			// address mapper: region-relative row 0 of each tensor bank
 			// must decompose to (channel 0, rank 0, bank, rowBase).
+			am := oracleMapper(t, cfg)
 			for _, bank := range banks {
-				loc := s.Controller().Mapper().Decompose(region.Base + uint64(bank)<<14)
+				loc := am.Decompose(region.Base + uint64(bank)<<14)
 				if loc.Channel != 0 || loc.Rank != 0 || loc.Bank != bank || loc.Row != rowBase {
 					t.Fatalf("mapper places region row 0 at %+v, want ch0 rank0 bank%d row%d",
 						loc, bank, rowBase)

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"pradram/internal/cpu"
-)
+import "pradram/internal/cpu"
 
 // Each benchmark model below states the behaviour it reproduces and the
 // published characteristics it is calibrated against (Table 1 row-buffer
@@ -274,26 +270,4 @@ func newBzip2(coreID int, seed uint64, region Region) cpu.Generator {
 		g.compute(4)
 	}
 	return g
-}
-
-// DirtyProfile summarizes a generator's intrinsic store pattern for
-// documentation and sanity tests: approximate dirty words per eviction.
-func DirtyProfile(name string) (low, high int, err error) {
-	switch name {
-	case "GUPS", "LinkedList", "mcf":
-		return 1, 1, nil
-	case "em3d":
-		return 1, 2, nil
-	case "omnetpp":
-		return 1, 3, nil
-	case "lbm":
-		return 2, 4, nil
-	case "bzip2":
-		return 1, 8, nil
-	case "libquantum":
-		return 6, 8, nil
-	case "HammerSingle", "HammerDouble", "RowStorm", "HammerDecoy":
-		return 0, 0, nil // read-only attack streams: no dirty evictions
-	}
-	return 0, 0, fmt.Errorf("workload: unknown benchmark %q", name)
 }

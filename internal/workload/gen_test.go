@@ -260,18 +260,3 @@ func TestMixesAndSets(t *testing.T) {
 		t.Errorf("Set error must enumerate registry names, got %v", err)
 	}
 }
-
-func TestDirtyProfile(t *testing.T) {
-	for _, name := range Names() {
-		lo, hi, err := DirtyProfile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lo < 1 || hi > 8 || lo > hi {
-			t.Errorf("%s: profile [%d,%d] out of range", name, lo, hi)
-		}
-	}
-	if _, _, err := DirtyProfile("nosuch"); err == nil {
-		t.Error("unknown benchmark must error")
-	}
-}

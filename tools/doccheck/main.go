@@ -85,8 +85,15 @@ func checkFile(fset *token.FileSet, file *ast.File) int {
 // exported type — methods on unexported types are not part of the godoc
 // surface, so they are exempt.
 func exportedRecv(d *ast.FuncDecl) bool {
+	name := recvName(d)
+	return name == "" || ast.IsExported(name)
+}
+
+// recvName returns the type name of a method's receiver ("" for a plain
+// function).
+func recvName(d *ast.FuncDecl) string {
 	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return true
+		return ""
 	}
 	t := d.Recv.List[0].Type
 	if star, ok := t.(*ast.StarExpr); ok {
@@ -97,9 +104,9 @@ func exportedRecv(d *ast.FuncDecl) bool {
 		t = idx.X
 	}
 	if id, ok := t.(*ast.Ident); ok {
-		return id.IsExported()
+		return id.Name
 	}
-	return true
+	return ""
 }
 
 // kindOf names a value declaration's token for the report line.
