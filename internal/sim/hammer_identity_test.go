@@ -106,6 +106,9 @@ func TestMitigationSkipBitIdentityMatrix(t *testing.T) {
 				if cell.variant == "tiny-table" && rs.Dev.RowSpills == 0 {
 					t.Error("tiny-table cell never spilled; the overflow path is untested")
 				}
+				if cell.variant != "tiny-table" && (rs.Dev.RowSpills != 0 || rn.Dev.RowSpills != 0) {
+					t.Errorf("%d/%d counter-table spills; the table is not exact here", rs.Dev.RowSpills, rn.Dev.RowSpills)
+				}
 			})
 		}
 	}
@@ -141,6 +144,9 @@ func TestMitigationCheckpointBitIdentityMatrix(t *testing.T) {
 			data := warmAndCheckpoint(t, cfg)
 			restored, rr := restoreAndMeasure(t, cfg, data)
 			checkIdentical(t, mono, restored, rm, rr)
+			if cell.variant != "tiny-table" && rm.Dev.RowSpills != 0 {
+				t.Errorf("%d counter-table spills; the table is not exact here", rm.Dev.RowSpills)
+			}
 		})
 	}
 }
