@@ -91,9 +91,9 @@ func TestArgsToConfig(t *testing.T) {
 			"cfg.Cores": "4", "cfg.ActiveCores": "4", "cfg.Seed": "1", "cfg.NoSkip": "false", "cfg.Channels": "0",
 			"cfg.PDPolicy": "immediate", "cfg.PDTimeout": "200", "cfg.SRTimeout": "0", "cfg.PDSlowExit": "false",
 			"cfg.APD": "false", "cfg.RefreshMode": "allbank",
-			"cfg.MitThreshold": "0", "cfg.MitAlertCycles": "0", "cfg.MitTableCap": "0", "cfg.PowerCal": "",
+			"cfg.MitThreshold": "0", "cfg.MitAlertCycles": "0", "cfg.PowerCal": "",
 			"cfg.LatBreak": "false", "cfg.LatSpanEvery": "0",
-			"cfg.Obs.EpochCycles": "0", "cfg.Obs.EventLevel": "off", "cfg.Obs.EventCap": "0",
+			"cfg.Obs.EpochCycles": "0", "cfg.Obs.EventLevel": "off",
 			"cfg.Capture": "false", "cfg.NoTimingRelax": "false", "cfg.NoPartialIO": "false", "cfg.NoMaskCycle": "false",
 			"cfg.MaxCycles": "0", "cfg.CPUPerMem": "0",
 			"list": "false", "asJSON": "false", "workers": strconv.Itoa(runtime.GOMAXPROCS(0)),
@@ -122,7 +122,6 @@ func TestArgsToConfig(t *testing.T) {
 		{[]string{"-refresh-mode", "elastic"}, map[string]string{"cfg.RefreshMode": "elastic"}},
 		{[]string{"-mit-threshold", "32"}, map[string]string{"cfg.MitThreshold": "32"}},
 		{[]string{"-mit-alert", "288"}, map[string]string{"cfg.MitAlertCycles": "288"}},
-		{[]string{"-mit-table", "64"}, map[string]string{"cfg.MitTableCap": "64"}},
 		{[]string{"-power-cal", "ghose:10"}, map[string]string{"cfg.PowerCal": "ghose:10"}},
 		{[]string{"-latbreak"}, map[string]string{"cfg.LatBreak": "true", "cfg.LatSpanEvery": "0"}},
 		{[]string{"-events", "cmd"}, map[string]string{"cfg.Obs.EventLevel": "cmd"}},

@@ -374,9 +374,6 @@ func report(w io.Writer, res sim.Result) {
 		mem.Row("mitigation alerts", res.Ctrl.Alerts)
 		mem.Row("RFM commands", res.Dev.RFMs)
 		mem.Row("alert stall cycles", res.Ctrl.AlertStallCycles)
-		if res.Dev.RowSpills > 0 {
-			mem.Row("counter-table spills", res.Dev.RowSpills)
-		}
 	}
 	mem.Row("low-power residency", fmt.Sprintf("%.1f%%", 100*res.LowPowerResidency()))
 	if res.Dev.SelfRefEntries > 0 {
@@ -466,7 +463,6 @@ type jsonReport struct {
 	Alerts           int64 `json:"alerts,omitempty"`
 	AlertStallCycles int64 `json:"alert_stall_cycles,omitempty"`
 	RFMs             int64 `json:"rfms,omitempty"`
-	RowSpills        int64 `json:"row_spills,omitempty"`
 
 	PowerCal    string      `json:"power_cal,omitempty"`
 	PowerBandMW *[3]float64 `json:"power_band_mw,omitempty"` // min, nominal, max
@@ -509,7 +505,6 @@ func emitJSON(w io.Writer, res sim.Result) error {
 		Alerts:           res.Ctrl.Alerts,
 		AlertStallCycles: res.Ctrl.AlertStallCycles,
 		RFMs:             res.Dev.RFMs,
-		RowSpills:        res.Dev.RowSpills,
 	}
 	if res.Cal.Name != "" && res.Cal.Name != "none" {
 		band := res.PowerBandMW()

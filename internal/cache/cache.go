@@ -105,8 +105,6 @@ type level struct {
 	ways    int
 	setMask uint64
 	tick    int64
-
-	Hits, Misses int64
 }
 
 func newLevel(nSets, ways int) *level {

@@ -70,9 +70,6 @@ func (w *Writer) Grow(n int) {
 	}
 }
 
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
 func (w *Writer) U8(v uint8)   { w.buf = append(w.buf, v) }
 func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 func (w *Writer) I64(v int64)  { w.U64(uint64(v)) }

@@ -100,11 +100,8 @@ type Stats struct {
 	// drive (8 per write).
 	WordsWritten int64
 	WordBudget   int64
-	// RFMs counts Refresh Management commands (rowcounter.go); RowSpills
-	// counts activations the bounded per-row counter table absorbed into
-	// its spill floor instead of tracking exactly.
-	RFMs      int64
-	RowSpills int64
+	// RFMs counts Refresh Management commands (rowcounter.go).
+	RFMs int64
 }
 
 // Activations returns the total number of row activations.
@@ -185,10 +182,10 @@ type Channel struct {
 
 	acctUpTo int64 // background energy accounted up to this cycle
 
-	// rowCtr is the optional per-row activation counter table set
-	// (rowcounter.go); nil unless TrackRows enabled it. Counter contents
+	// rowCtr holds the optional per-row activation counters
+	// (rowcounter.go); nil unless TrackRows enabled them. Counter contents
 	// are simulation state: they survive ResetStats and are checkpointed.
-	rowCtr *rowCounters
+	rowCtr rowCounters
 
 	Stats Stats
 }

@@ -436,7 +436,7 @@ func driveStream(dev dram.Timing, chip power.ChipPowers, ref dram.Timing, sc str
 		return 0, err
 	}
 	ch.NoWeightedFAW = sc.unweighted
-	ch.TrackRows(16)
+	ch.TrackRows()
 	ch.MaxPostpone = 8
 	if sc.perBank {
 		ch.RefMode = dram.RefPerBank

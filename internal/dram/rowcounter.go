@@ -2,165 +2,89 @@ package dram
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
 // Per-row activation counting and Refresh Management (DESIGN.md §4g).
 //
-// The channel can keep a PRAC-style per-row activation counter table,
-// windowed by refresh: every ACT increments its row's counter, and a
-// refresh of the row's bank clears the counts for that bank (the rows are
-// rewritten, so the disturbance window restarts). The table is bounded —
-// real controllers cannot afford 32K counters per bank either — using a
-// Misra-Gries-style overflow policy that can overcount but never
-// undercount a row:
-//
-//   - a tracked row's ACT increments its exact counter;
-//   - an ACT to an untracked row inserts it at spill+1 when the table has
-//     space (the row may have been evicted earlier, so spill is its
-//     conservative floor);
-//   - when the table is full, the spill counter absorbs the ACT instead
-//     (Stats.RowSpills counts these), and every untracked row reports
-//     spill as its count.
+// The channel can keep PRAC-style per-row activation counters, windowed
+// by refresh: every ACT increments its row's counter, and a refresh of
+// the row's bank clears the counts for that bank (the rows are rewritten,
+// so the disturbance window restarts). As in a PRAC device, where every
+// row carries its own counter, the count is exact: one row → ACTs map per
+// bank, holding only the rows activated since the bank's last refresh.
 //
 // RefreshManage models the RFM command: it refreshes the neighbours of
 // the bank's highest-count row, blocking the bank for tRFM, and clears
 // that row's counter. Counter state is simulation state (it survives
 // ResetStats and is checkpointed), not a statistic.
 
-// rowTable is one bank's bounded counter table.
-type rowTable struct {
-	counts map[int]int64 // row -> ACTs since this bank's last refresh
-	spill  int64         // conservative floor for untracked rows
-}
+// rowCounters holds one row → ACTs-since-refresh map per bank, indexed
+// rank*Banks+bank.
+type rowCounters []map[int]int64
 
-// rowCounters is the per-channel table set, indexed rank*Banks+bank.
-type rowCounters struct {
-	cap    int // max tracked rows per bank
-	tables []rowTable
-}
-
-func newRowCounters(capPerBank, nTables int) *rowCounters {
-	rc := &rowCounters{cap: capPerBank, tables: make([]rowTable, nTables)}
-	for i := range rc.tables {
-		rc.tables[i].counts = make(map[int]int64)
+func newRowCounters(nBanks int) rowCounters {
+	rc := make(rowCounters, nBanks)
+	for i := range rc {
+		rc[i] = make(map[int]int64)
 	}
 	return rc
 }
 
-// onAct records one activation of row in table i and reports whether the
-// table overflowed into the spill counter.
-func (rc *rowCounters) onAct(i, row int) (spilled bool) {
-	t := &rc.tables[i]
-	if n, ok := t.counts[row]; ok {
-		t.counts[row] = n + 1
-		return false
-	}
-	if len(t.counts) < rc.cap {
-		t.counts[row] = t.spill + 1
-		return false
-	}
-	t.spill++
-	return true
-}
-
-// count returns the (conservative) activation count of row in table i.
-func (rc *rowCounters) count(i, row int) int64 {
-	t := &rc.tables[i]
-	if n, ok := t.counts[row]; ok {
-		return n
-	}
-	return t.spill
-}
-
-// reset clears table i (the bank was refreshed).
-func (rc *rowCounters) reset(i int) {
-	t := &rc.tables[i]
-	clear(t.counts)
-	t.spill = 0
-}
-
-// victim returns the highest-count tracked row of table i (lowest row id
-// on ties, so the choice is deterministic under map iteration).
-func (rc *rowCounters) victim(i int) (row int, n int64, ok bool) {
-	t := &rc.tables[i]
-	row = -1
-	for r, c := range t.counts {
-		if !ok || c > n || (c == n && r < row) {
-			row, n, ok = r, c, true
+// victim returns the highest-count row of table i (lowest row id on ties,
+// so the choice is deterministic under map iteration), or -1 for an empty
+// table. Counts are at least 1, so the first row always beats n = 0.
+func (rc rowCounters) victim(i int) int {
+	row, n := -1, int64(0)
+	for r, c := range rc[i] {
+		if c > n || (c == n && r < row) {
+			row, n = r, c
 		}
 	}
-	return row, n, ok
+	return row
 }
 
-// mitigate applies one RFM to table i: the victim row's counter clears.
-// If the spill floor has caught up with (or passed) every tracked count,
-// the aggressor may be an evicted row the table can no longer name; the
-// model optimistically assumes the RFM covered it and clears the spill
-// too — otherwise a saturated table would alert on every subsequent ACT.
-func (rc *rowCounters) mitigate(i int) {
-	t := &rc.tables[i]
-	row, n, ok := rc.victim(i)
-	if ok {
-		delete(t.counts, row)
+// sortedRows returns table i's rows in ascending order (the deterministic
+// iteration order serialization needs).
+func (rc rowCounters) sortedRows(i int) []int {
+	rows := make([]int, 0, len(rc[i]))
+	for row := range rc[i] {
+		rows = append(rows, row)
 	}
-	if !ok || t.spill >= n {
-		t.spill = 0
-	}
+	sort.Ints(rows)
+	return rows
 }
 
-// TrackRows enables per-row activation counting with a bounded table of
-// capPerBank rows per bank (capPerBank <= 0 disables tracking). Call
-// before the first command; enabling costs one map operation per ACT,
-// disabled tracking costs nothing.
-func (c *Channel) TrackRows(capPerBank int) {
-	if capPerBank <= 0 {
-		c.rowCtr = nil
-		return
-	}
-	c.rowCtr = newRowCounters(capPerBank, c.G.Ranks*c.G.Banks)
+// TrackRows enables per-row activation counting. Call before the first
+// command; tracking costs one map operation per ACT, and a channel that
+// never enables it pays nothing.
+func (c *Channel) TrackRows() {
+	c.rowCtr = newRowCounters(c.G.Ranks * c.G.Banks)
 }
 
 // RowActCount returns row's activation count since bank (r,b) was last
-// refreshed. Untracked rows report the bank's spill floor; with tracking
-// disabled every row reports 0.
+// refreshed; with tracking disabled every row reports 0.
 func (c *Channel) RowActCount(r, b, row int) int64 {
 	if c.rowCtr == nil {
 		return 0
 	}
-	return c.rowCtr.count(r*c.G.Banks+b, row)
+	return c.rowCtr[r*c.G.Banks+b][row]
 }
 
-// RowCounts returns a copy of bank (r,b)'s tracked counter table (nil with
+// RowCounts returns a copy of bank (r,b)'s counter table (nil with
 // tracking disabled) — a test and telemetry dump, not a hot path.
 func (c *Channel) RowCounts(r, b int) map[int]int64 {
 	if c.rowCtr == nil {
 		return nil
 	}
-	t := &c.rowCtr.tables[r*c.G.Banks+b]
-	m := make(map[int]int64, len(t.counts))
-	for row, n := range t.counts {
-		m[row] = n
-	}
-	return m
-}
-
-// RowSpill returns bank (r,b)'s spill floor: the count every untracked
-// row is conservatively assumed to have.
-func (c *Channel) RowSpill(r, b int) int64 {
-	if c.rowCtr == nil {
-		return 0
-	}
-	return c.rowCtr.tables[r*c.G.Banks+b].spill
+	return maps.Clone(c.rowCtr[r*c.G.Banks+b])
 }
 
 // rowCtrOnAct feeds one activation into the counter table.
 func (c *Channel) rowCtrOnAct(r, b, row int) {
-	if c.rowCtr == nil {
-		return
-	}
-	if c.rowCtr.onAct(r*c.G.Banks+b, row) {
-		c.Stats.RowSpills++
+	if c.rowCtr != nil {
+		c.rowCtr[r*c.G.Banks+b][row]++
 	}
 }
 
@@ -173,7 +97,7 @@ func (c *Channel) rowCtrReset(r, b int) {
 	}
 	lo, hi := c.banks(b)
 	for i := lo; i < hi; i++ {
-		c.rowCtr.reset(r*c.G.Banks + i)
+		clear(c.rowCtr[r*c.G.Banks+i])
 	}
 }
 
@@ -213,20 +137,9 @@ func (c *Channel) RefreshManage(at int64, r, b int) error {
 		return err
 	}
 	c.block(at, r, b, c.trfm())
-	c.rowCtr.mitigate(r*c.G.Banks + b)
+	i := r*c.G.Banks + b
+	delete(c.rowCtr[i], c.rowCtr.victim(i))
 	c.Stats.RFMs++
 	c.emit(CmdEvent{At: at, Kind: CmdRFM, Rank: r, Bank: b})
 	return nil
-}
-
-// sortedRows returns table i's tracked rows in ascending order (the
-// deterministic iteration order serialization needs).
-func (rc *rowCounters) sortedRows(i int) []int {
-	t := &rc.tables[i]
-	rows := make([]int, 0, len(t.counts))
-	for row := range t.counts {
-		rows = append(rows, row)
-	}
-	sort.Ints(rows)
-	return rows
 }

@@ -51,18 +51,14 @@ func (c *Channel) SaveState(w *checkpoint.Writer) {
 	// Per-row activation counter tables (rowcounter.go): counter contents
 	// are simulation state, not statistics — a restored run must alert and
 	// RFM at exactly the cycles the monolithic run would (ckptFormat v3).
-	// Tracked rows serialize in ascending row order for determinism.
+	// Rows serialize in ascending order for determinism.
 	w.Bool(c.rowCtr != nil)
-	if c.rowCtr != nil {
-		for i := range c.rowCtr.tables {
-			t := &c.rowCtr.tables[i]
-			rows := c.rowCtr.sortedRows(i)
-			w.Count(len(rows))
-			for _, row := range rows {
-				w.Int(row)
-				w.I64(t.counts[row])
-			}
-			w.I64(t.spill)
+	for i, t := range c.rowCtr {
+		rows := c.rowCtr.sortedRows(i)
+		w.Count(len(rows))
+		for _, row := range rows {
+			w.Int(row)
+			w.I64(t[row])
 		}
 	}
 }
@@ -141,14 +137,13 @@ func (c *Channel) RestoreState(r *checkpoint.Reader) (func(), error) {
 	if tracking != (c.rowCtr != nil) {
 		r.Fail("dram: checkpoint row tracking %v, channel has %v", tracking, c.rowCtr != nil)
 	}
-	var rowCtr *rowCounters
+	var rowCtr rowCounters
 	if tracking && r.Err() == nil {
-		rowCtr = newRowCounters(c.rowCtr.cap, c.G.Ranks*c.G.Banks)
-		for i := range rowCtr.tables {
-			t := &rowCtr.tables[i]
+		rowCtr = newRowCounters(len(c.rowCtr))
+		for i, t := range rowCtr {
 			n := r.Count()
-			if n > rowCtr.cap {
-				r.Fail("dram: row counter table %d holds %d of %d rows", i, n, rowCtr.cap)
+			if n > c.G.Rows {
+				r.Fail("dram: row counter table %d holds %d of %d rows", i, n, c.G.Rows)
 				n = 0
 			}
 			prev := -1
@@ -161,11 +156,8 @@ func (c *Channel) RestoreState(r *checkpoint.Reader) (func(), error) {
 				if cnt <= 0 {
 					r.Fail("dram: row counter table %d row %d count %d", i, row, cnt)
 				}
-				t.counts[row] = cnt
+				t[row] = cnt
 				prev = row
-			}
-			if t.spill = r.I64(); t.spill < 0 {
-				r.Fail("dram: row counter table %d spill %d", i, t.spill)
 			}
 		}
 	}

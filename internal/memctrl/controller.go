@@ -177,7 +177,7 @@ func New(cfg Config) (*Controller, error) {
 		ch.NoWeightedFAW = cfg.NoTimingRelax
 		ch.SlowExitPD = cfg.PDSlowExit
 		if cfg.MitThreshold > 0 {
-			ch.TrackRows(cfg.mitTableCap())
+			ch.TrackRows()
 		}
 		switch cfg.RefreshMode {
 		case RefreshPerBank:
@@ -444,7 +444,6 @@ func (c *Controller) DeviceStats() dram.Stats {
 		s.WordsWritten += d.WordsWritten
 		s.WordBudget += d.WordBudget
 		s.RFMs += d.RFMs
-		s.RowSpills += d.RowSpills
 	}
 	return s
 }

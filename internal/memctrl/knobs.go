@@ -87,10 +87,6 @@ type Mitigation struct {
 	// RFM may issue (0 selects the default 144 cycles = 180ns, the
 	// per-alert overhead measured on real PRAC parts).
 	MitAlertCycles int64
-	// Capacity of the per-bank counter table in rows (0 selects the
-	// default 512). Overflow falls back to a Misra-Gries spill floor that
-	// may overcount but never undercounts a row (dram/rowcounter.go).
-	MitTableCap int
 }
 
 // ConfigFor returns the paper's Table 3 memory system running under k, with
@@ -115,7 +111,7 @@ func (k Knobs) Validate() error {
 	}{
 		{"PDTimeout", k.PDTimeout}, {"SRTimeout", k.SRTimeout},
 		{"MitThreshold", int64(k.MitThreshold)}, {"MitAlertCycles", k.MitAlertCycles},
-		{"MitTableCap", int64(k.MitTableCap)}, {"LatSpanEvery", int64(k.LatSpanEvery)},
+		{"LatSpanEvery", int64(k.LatSpanEvery)},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("memctrl: %s must be non-negative, got %d", f.name, f.v)

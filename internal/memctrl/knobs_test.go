@@ -20,7 +20,6 @@ func TestKnobsValidate(t *testing.T) {
 			"MitThreshold must be 0 (off) or ≥ 2: the activation that raises the alert is closed by its own RFM before its column command"},
 		{"negative threshold", func(k *Knobs) { k.MitThreshold = -1 }, "MitThreshold must be non-negative"},
 		{"negative alert", func(k *Knobs) { k.MitAlertCycles = -1 }, "MitAlertCycles must be non-negative"},
-		{"negative table", func(k *Knobs) { k.MitTableCap = -1 }, "MitTableCap must be non-negative"},
 		{"negative pd timeout", func(k *Knobs) { k.PDTimeout = -1 }, "PDTimeout must be non-negative"},
 		{"negative sr timeout", func(k *Knobs) { k.SRTimeout = -1 }, "SRTimeout must be non-negative"},
 		{"negative span sampling", func(k *Knobs) { k.LatSpanEvery = -1 }, "LatSpanEvery must be non-negative"},

@@ -120,11 +120,7 @@ func (am *AddressMapper) Decompose(addr uint64) Loc {
 // addresses share a key iff they live in the same (channel, rank, bank,
 // row). Used for same-row merging and the DBI.
 func (am *AddressMapper) RowKey(addr uint64) uint64 {
-	return am.RowKeyOf(am.Decompose(addr))
-}
-
-// RowKeyOf packs already-decomposed coordinates into a row key.
-func (am *AddressMapper) RowKeyOf(l Loc) uint64 {
+	l := am.Decompose(addr)
 	return uint64(l.Channel)<<am.f[fChannel].key | uint64(l.Rank)<<am.f[fRank].key |
 		uint64(l.Bank)<<am.f[fBank].key | uint64(l.Row)<<am.f[fRow].key
 }

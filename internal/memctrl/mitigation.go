@@ -17,42 +17,26 @@ import "cmp"
 //  3. After the back-off the controller issues an RFM (refresh management)
 //     command to the offending bank — precharging it first if a row is
 //     open, exactly like a per-bank refresh — which refreshes the
-//     neighbors of the bank's hottest tracked row and clears its counter.
+//     neighbors of the bank's hottest row and clears its counter.
 //
 // The scheme is orthogonal to the PRA/FGA/DBI/SDS activation schemes and
 // to the power-down policies; MitThreshold == 0 disables it entirely, in
 // which case no counter table exists and simulation results are
 // bit-identical to a controller built without this file.
 
-// Default mitigation parameters (used when the corresponding Config field
-// is zero and MitThreshold > 0).
-const (
-	// DefaultMitAlertCycles is the default alert back-off: 144 memory
-	// cycles = 180 ns at DDR3-1600, the order of the per-ALERT overhead
-	// PRAC DDR5 devices impose.
-	DefaultMitAlertCycles = 144
-	// DefaultMitTableCap is the default per-bank counter-table capacity.
-	// 512 tracked rows out of 32K keeps the table at SRAM-feasible size
-	// while the Misra-Gries spill floor bounds the undercount to zero.
-	DefaultMitTableCap = 512
-)
+// DefaultMitAlertCycles is the alert back-off used when MitAlertCycles is
+// zero and MitThreshold > 0: 144 memory cycles = 180 ns at DDR3-1600, the
+// order of the per-ALERT overhead PRAC DDR5 devices impose.
+const DefaultMitAlertCycles = 144
 
 // mitAlertCycles returns the effective alert back-off (Validate rejects
 // negative values, so zero is the only "unset").
 func (c Config) mitAlertCycles() int64 { return cmp.Or(c.MitAlertCycles, DefaultMitAlertCycles) }
 
-// mitTableCap returns the effective per-bank counter-table capacity.
-func (c Config) mitTableCap() int { return cmp.Or(c.MitTableCap, DefaultMitTableCap) }
-
-// RowCounts returns a copy of channel ch's tracked row→count table for
-// one bank (nil when mitigation is off).
+// RowCounts returns a copy of channel ch's row→count table for one bank
+// (nil when mitigation is off).
 func (c *Controller) RowCounts(ch, r, b int) map[int]int64 {
 	return c.chans[ch].ch.RowCounts(r, b)
-}
-
-// RowSpill reports channel ch's Misra-Gries spill floor for one bank.
-func (c *Controller) RowSpill(ch, r, b int) int64 {
-	return c.chans[ch].ch.RowSpill(r, b)
 }
 
 // mitigationEngine is the Alert/RFM FSM's state: while rfmPending, the

@@ -151,7 +151,6 @@ func (c *Controller) AttachObs(rec *obs.Recorder, ev *obs.EventLog) {
 	rec.Counter("slowpd_rank_cycles", dsum(func(s *dram.Stats) int64 { return s.SlowPDCycles }))
 	rec.Counter("selfref_rank_cycles", dsum(func(s *dram.Stats) int64 { return s.SelfRefCycles }))
 	rec.Counter("rfms", dsum(func(s *dram.Stats) int64 { return s.RFMs }))
-	rec.Counter("row_spills", dsum(func(s *dram.Stats) int64 { return s.RowSpills }))
 
 	// Energy components: activate vs background (vs refresh) attribution
 	// per epoch, plus the total.

@@ -22,14 +22,13 @@ import (
 // entries; they are rebound through the line-id resolver the hierarchy's
 // RestoreState returns.
 
-func (cc *chanCtl) saveReq(w *checkpoint.Writer, req *request) {
+func saveReq(w *checkpoint.Writer, req *request) {
 	w.U8(uint8(req.kind))
 	w.Int(req.loc.Channel)
 	w.Int(req.loc.Rank)
 	w.Int(req.loc.Bank)
 	w.Int(req.loc.Row)
 	w.Int(req.loc.Col)
-	w.U64(cc.am.RowKeyOf(req.loc)) // derived; kept so the format does not change
 	w.U64(uint64(req.byteMask))
 	w.U8(uint8(req.wordMask))
 	w.I64(req.arrive)
@@ -59,7 +58,7 @@ func (c *Controller) SaveState(w *checkpoint.Writer) {
 		for _, q := range [][]*request{cc.queued(core.Read), cc.queued(core.Write), cc.forwards} {
 			w.Count(len(q))
 			for _, req := range q {
-				cc.saveReq(w, req)
+				saveReq(w, req)
 			}
 		}
 		w.Bool(cc.drain)
@@ -96,7 +95,6 @@ func (cc *chanCtl) restoreReq(r *checkpoint.Reader, fillResolve func(lineID uint
 	req.loc.Bank = r.Int()
 	req.loc.Row = r.Int()
 	req.loc.Col = r.Int()
-	rowKey := r.U64()
 	req.byteMask = core.ByteMask(r.U64())
 	req.wordMask = core.Mask(r.U8())
 	req.arrive = r.I64()
@@ -126,8 +124,6 @@ func (cc *chanCtl) restoreReq(r *checkpoint.Reader, fillResolve func(lineID uint
 	if req.loc.Channel != cc.idx || req.loc.Rank < 0 || req.loc.Rank >= g.Ranks ||
 		req.loc.Bank < 0 || req.loc.Bank >= g.Banks || req.loc.Row < 0 || req.loc.Row >= g.Rows {
 		r.Fail("memctrl: request location %+v out of range on channel %d", req.loc, cc.idx)
-	} else if rowKey != cc.am.RowKeyOf(req.loc) {
-		r.Fail("memctrl: request row key %#x does not match location %+v", rowKey, req.loc)
 	}
 	return req
 }

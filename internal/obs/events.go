@@ -76,19 +76,15 @@ type EventLog struct {
 	buf     []Event
 	start   int    // index of the oldest entry
 	n       int    // live entries (<= cap)
-	total   uint64 // events ever emitted, including discarded ones
 	dropped uint64 // events discarded: ring overwrites + Reset flushes
 }
 
-// DefaultEventCap is the ring capacity when none is given.
+// DefaultEventCap is the ring capacity a simulation's event log uses.
 const DefaultEventCap = 4096
 
-// NewEventLog creates a ring of the given capacity (<=0 selects
-// DefaultEventCap) recording events at or below level.
+// NewEventLog creates a ring of the given capacity recording events at or
+// below level.
 func NewEventLog(capacity int, level Level) *EventLog {
-	if capacity <= 0 {
-		capacity = DefaultEventCap
-	}
 	return &EventLog{level: level, buf: make([]Event, capacity)}
 }
 
@@ -119,29 +115,7 @@ func (l *EventLog) Emit(e Event) {
 		l.start = (l.start + 1) % len(l.buf)
 		l.dropped++
 	}
-	l.total++
 	l.mu.Unlock()
-}
-
-// Len returns how many events the ring currently holds.
-func (l *EventLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-// Total returns how many events were ever emitted (including those the
-// ring has since overwritten).
-func (l *EventLog) Total() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
 }
 
 // Dropped returns how many events were discarded: ring overwrites plus
@@ -169,7 +143,7 @@ func (l *EventLog) Events() []Event {
 	return out
 }
 
-// Reset drops all buffered events (the emitted total is kept), e.g. at the
+// Reset drops all buffered events (counting them as dropped), e.g. at the
 // warmup/measurement boundary.
 func (l *EventLog) Reset() {
 	if l == nil {

@@ -36,13 +36,13 @@ func TestRecorderCounterDeltas(t *testing.T) {
 	if got := column(r, "depth"); len(got) != 3 || got[0] != 7 || got[1] != 2 || got[2] != 2 {
 		t.Fatalf("depth gauge = %v, want [7 2 2]", got)
 	}
-	if r.Rows() != 3 {
-		t.Fatalf("rows = %d, want 3", r.Rows())
+	if n := len(r.cycles); n != 3 {
+		t.Fatalf("rows = %d, want 3", n)
 	}
 	// Flush at the same cycle again must not add an empty row.
 	r.Flush(1250)
-	if r.Rows() != 3 {
-		t.Fatalf("rows after double flush = %d, want 3", r.Rows())
+	if n := len(r.cycles); n != 3 {
+		t.Fatalf("rows after double flush = %d, want 3", n)
 	}
 }
 
@@ -64,8 +64,8 @@ func TestRecorderBeginResets(t *testing.T) {
 	n = 5
 	r.Sample(10)
 	r.Begin(100) // e.g. restart after warmup
-	if r.Rows() != 0 {
-		t.Fatalf("rows after re-Begin = %d, want 0", r.Rows())
+	if n := len(r.cycles); n != 0 {
+		t.Fatalf("rows after re-Begin = %d, want 0", n)
 	}
 	n = 8
 	r.Sample(110)
@@ -137,13 +137,10 @@ func TestEventLogRingWraparound(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Emit(Event{Cycle: int64(i), Level: LevelState, Kind: "k"})
 	}
-	if l.Len() != 4 {
-		t.Fatalf("len = %d, want 4", l.Len())
-	}
-	if l.Total() != 10 || l.Dropped() != 6 {
-		t.Fatalf("total/dropped = %d/%d, want 10/6", l.Total(), l.Dropped())
-	}
 	ev := l.Events()
+	if len(ev) != 4 || l.Dropped() != 6 {
+		t.Fatalf("len/dropped = %d/%d, want 4/6", len(ev), l.Dropped())
+	}
 	for i, e := range ev {
 		if want := int64(6 + i); e.Cycle != want {
 			t.Fatalf("event %d cycle = %d, want %d (oldest-first)", i, e.Cycle, want)
@@ -158,7 +155,7 @@ func TestEventLogLevelGating(t *testing.T) {
 	}
 	nilLog.Emit(Event{Level: LevelState}) // must not panic
 	nilLog.Reset()
-	if nilLog.Len() != 0 || nilLog.Total() != 0 {
+	if len(nilLog.Events()) != 0 || nilLog.Dropped() != 0 {
 		t.Fatal("nil log must be empty")
 	}
 
@@ -168,12 +165,12 @@ func TestEventLogLevelGating(t *testing.T) {
 	}
 	l.Emit(Event{Level: LevelCmd, Kind: "cmd"}) // above level: dropped
 	l.Emit(Event{Level: LevelState, Kind: "state"})
-	if l.Len() != 1 {
-		t.Fatalf("len = %d, want 1 (cmd event must be gated out)", l.Len())
+	if n := len(l.Events()); n != 1 {
+		t.Fatalf("len = %d, want 1 (cmd event must be gated out)", n)
 	}
 	l.Reset()
-	if l.Len() != 0 || l.Total() != 1 || l.Dropped() != 1 {
-		t.Fatalf("after reset len=%d total=%d dropped=%d, want 0/1/1", l.Len(), l.Total(), l.Dropped())
+	if n := len(l.Events()); n != 0 || l.Dropped() != 1 {
+		t.Fatalf("after reset len=%d dropped=%d, want 0/1", n, l.Dropped())
 	}
 }
 

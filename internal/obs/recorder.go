@@ -132,26 +132,6 @@ func (r *Recorder) sampleLocked(cycle int64) {
 	r.last = cycle
 }
 
-// Header returns the column names: "epoch", "cycle", then every probe in
-// registration order.
-func (r *Recorder) Header() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := make([]string, 0, len(r.probes)+2)
-	h = append(h, "epoch", "cycle")
-	for i := range r.probes {
-		h = append(h, r.probes[i].name)
-	}
-	return h
-}
-
-// Rows returns how many epochs have been recorded.
-func (r *Recorder) Rows() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cycles)
-}
-
 // formatCell renders a value compactly: integral values print without a
 // decimal point so counter columns stay readable.
 func formatCell(v float64) string {

@@ -233,14 +233,5 @@ func (a *Accumulator) Component(c Component) float64 {
 // TotalEnergy returns the total accumulated energy in pJ.
 func (a *Accumulator) TotalEnergy() float64 { return a.energy.Total() }
 
-// AvgPowerMW returns the average power over a runtime in nanoseconds
-// (pJ / ns = mW).
-func (a *Accumulator) AvgPowerMW(runtimeNs float64) float64 {
-	if runtimeNs <= 0 {
-		return 0
-	}
-	return a.energy.Total() / runtimeNs
-}
-
 // Reset clears the accumulated energy.
 func (a *Accumulator) Reset() { a.energy = Breakdown{} }

@@ -144,12 +144,9 @@ func TestRefreshCharge(t *testing.T) {
 func TestAvgPower(t *testing.T) {
 	a := NewAccumulator()
 	a.Background(RankPrecharged, 100)
-	// 27 mW x 8 chips for the whole interval.
-	if got := a.AvgPowerMW(100); math.Abs(got-216) > 1e-9 {
+	// 27 mW x 8 chips for the whole interval (pJ / ns = mW).
+	if got := a.TotalEnergy() / 100; math.Abs(got-216) > 1e-9 {
 		t.Errorf("avg power = %v mW, want 216", got)
-	}
-	if a.AvgPowerMW(0) != 0 {
-		t.Error("zero runtime yields zero power")
 	}
 }
 

@@ -76,7 +76,7 @@ func WarmupFingerprint(cfg Config) (string, bool) {
 // by ModelVersion, which is embedded alongside.
 const (
 	ckptMagic  = "pradram-ckpt"
-	ckptFormat = 6 // v6: no DBI eviction FIFO, no skipped-cycle count (it is cycle - ticks)
+	ckptFormat = 7 // v7: row counter tables without a spill floor, request records without a row key
 )
 
 // Checkpoint serializes the system's complete post-warmup state. It must

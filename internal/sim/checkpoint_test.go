@@ -286,11 +286,9 @@ func TestWarmupFingerprintFields(t *testing.T) {
 		// the flag, so a checkpoint serves both settings.
 		"LatBreak":     {mutate: func(c *Config) { c.LatBreak = true }, wantChange: false},
 		"LatSpanEvery": {mutate: func(c *Config) { c.LatBreak = true; c.LatSpanEvery = 16 }, wantChange: false},
-		// Mitigation steers alert/RFM scheduling during warmup, and the
-		// table capacity shapes the checkpointed counter tables.
+		// Mitigation steers alert/RFM scheduling during warmup.
 		"MitThreshold":   {mutate: func(c *Config) { c.MitThreshold = 32 }, wantChange: true},
 		"MitAlertCycles": {mutate: func(c *Config) { c.MitThreshold = 32; c.MitAlertCycles = 288 }, wantChange: true},
-		"MitTableCap":    {mutate: func(c *Config) { c.MitThreshold = 32; c.MitTableCap = 64 }, wantChange: true},
 	}
 
 	var ignored []string

@@ -66,7 +66,7 @@ func checkMutatedRestore(t *testing.T, s *System, mutated []byte, what string) b
 //
 // and never a panic. A field that is derived on restore rather than trusted
 // from the payload must therefore be *checked* against the payload (as the
-// request row key and the DBI order are), not silently recomputed.
+// DBI order is), not silently recomputed.
 func TestRestoreMutationSweep(t *testing.T) {
 	t.Parallel()
 	cfg := quickCheckpointCfg("GUPS")
@@ -107,7 +107,7 @@ func TestRestoreMutationSweep(t *testing.T) {
 	size := func(save func(*checkpoint.Writer)) int {
 		var w checkpoint.Writer
 		save(&w)
-		return w.Len()
+		return len(w.Bytes())
 	}
 	add("controller", size(src.ctrl.SaveState), 131)
 	// A fresh hierarchy writes the same line arrays and an empty tail, so the

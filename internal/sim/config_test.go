@@ -29,7 +29,6 @@ func TestValidateNamesTheField(t *testing.T) {
 		{func(c *Config) { c.Channels = 3 }, "channels must be a positive power of two"},
 		{func(c *Config) { c.CPUPerMem = -4 }, "CPUPerMem"},
 		{func(c *Config) { c.Obs.EpochCycles = -7 }, "Obs.EpochCycles"},
-		{func(c *Config) { c.Obs.EventCap = -1 }, "Obs.EventCap"},
 		{func(c *Config) { c.Obs.EventLevel = obs.LevelCmd + 1 }, "Obs.EventLevel"},
 		{func(c *Config) { c.PowerCal = "bogus" }, "PowerCal"},
 		{func(c *Config) { c.Workload = "nosuch" }, `unknown workload set "nosuch"`},
@@ -105,7 +104,6 @@ const (
 	kRefreshMode
 	kMitThreshold
 	kMitAlert
-	kMitTable
 	kLatBreak
 	kLatSpan
 	kCores
@@ -116,7 +114,6 @@ const (
 	kChannels
 	kEpoch
 	kEventLevel
-	kEventCap
 	kPowerCal
 	numKnobBytes
 )
@@ -158,7 +155,6 @@ func fuzzConfig(knobs []byte) Config {
 	cfg.RefreshMode = memctrl.RefreshMode(pick(kRefreshMode, 0, 1, 2, 3))
 	cfg.MitThreshold = int(pick(kMitThreshold, 0, 2, 3, 4, 32, 1<<30, 1, -1))
 	cfg.MitAlertCycles = pick(kMitAlert, 0, 1, 144, 1000, -1)
-	cfg.MitTableCap = int(pick(kMitTable, 0, 1, 2, 64, -1))
 	cfg.LatBreak = bit(kLatBreak)
 	cfg.LatSpanEvery = int(pick(kLatSpan, 0, 1, 16, -1))
 	cfg.Cores = int(pick(kCores, 4, 1, 2, 0))
@@ -169,7 +165,6 @@ func fuzzConfig(knobs []byte) Config {
 	cfg.Channels = int(pick(kChannels, 0, 1, 2, 4, 8, 3, -1))
 	cfg.Obs.EpochCycles = pick(kEpoch, 0, 1, 64, 100_000, -7)
 	cfg.Obs.EventLevel = obs.Level(pick(kEventLevel, 0, 1, 2, 3))
-	cfg.Obs.EventCap = int(pick(kEventCap, 0, 1, 16, -1))
 	cfg.PowerCal = []string{"", "ghose", "ghose:10", "vendor", "bogus", "ghose:x"}[at(kPowerCal)%6]
 	return cfg
 }
@@ -188,13 +183,13 @@ func FuzzConfig(f *testing.F) {
 	f.Add(knobsAt(kScheme, 3, kChannels, 3, kNoSkip, 1, kEpoch, 2, kEventLevel, 2))
 	f.Add(knobsAt(kScheme, 4, kPDPolicy, 3, kPDTimeout, 3, kSRTimeout, 3, kPDSlowExit, 1))
 	f.Add(knobsAt(kScheme, 5, kWorkload, 4, kRefreshMode, 2, kPowerCal, 2))
-	f.Add(knobsAt(kScheme, 3, kWorkload, 3, kCores, 1, kMitThreshold, 1, kMitAlert, 3, kMitTable, 1, kLatBreak, 1, kLatSpan, 1))
+	f.Add(knobsAt(kScheme, 3, kWorkload, 3, kCores, 1, kMitThreshold, 1, kMitAlert, 3, kLatBreak, 1, kLatSpan, 1))
 	// The hostile inputs this contract was written against.
 	f.Add(knobsAt(kWorkload, 3, kMitThreshold, 6)) // -mit-threshold 1: the livelock
 	f.Add(knobsAt(kWarmup, 3))                     // -warmup -5
 	f.Add(knobsAt(kEpoch, 4))                      // -epoch -7
-	f.Add(knobsAt(kEventCap, 3))
-	f.Add(knobsAt(kPDPolicy, 2)) // timeout policy, PDTimeout 0
+	f.Add(knobsAt(kMitAlert, 4))                   // -mit-alert -1
+	f.Add(knobsAt(kPDPolicy, 2))                   // timeout policy, PDTimeout 0
 	f.Add(knobsAt(kWorkload, 6))
 	f.Add(knobsAt(kWorkload, 4, kCores, 2)) // MIX1 on two cores
 	f.Add(knobsAt(kChannels, 5))

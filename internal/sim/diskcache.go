@@ -25,7 +25,11 @@ import (
 // v4: a write merged into a queued write wakes its channel, as an enqueue
 // does; under PRA a grown mask can make a command legal before the armed
 // wake, so PRA results can differ.
-const ModelVersion = "pradram-model-v4"
+// v5: the per-row activation counters are exact (one map per bank, as in
+// PRAC); the bounded table's spill floor, which raised alerts on benign
+// traffic under elastic refresh, is gone, so mitigation runs that spilled
+// can differ.
+const ModelVersion = "pradram-model-v5"
 
 // fileStore is the on-disk protocol under both the result cache and the
 // checkpoint store: one file per id in dir, named by a hash of the id (the

@@ -176,7 +176,7 @@ func (k runKey) String() string {
 		s += fmt.Sprintf("/pd=%v,%d,%d,slow=%v,apd=%v,ref=%v", fieldsOf(k.LowPower)...)
 	}
 	if k.Mitigation != (memctrl.Mitigation{}) {
-		s += fmt.Sprintf("/mit=%d,%d,%d", fieldsOf(k.Mitigation)...)
+		s += fmt.Sprintf("/mit=%d,%d", fieldsOf(k.Mitigation)...)
 	}
 	if k.LatBreak {
 		s += "/latbreak"

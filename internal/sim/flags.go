@@ -41,7 +41,6 @@ var flagTable = []struct {
 
 	{"mit-threshold", func(c *Config) any { return &c.MitThreshold }, "RowHammer Alert/RFM mitigation: per-row activation threshold (0 = off)"},
 	{"mit-alert", func(c *Config) any { return &c.MitAlertCycles }, "alert back-off in memory cycles before the RFM issues (0 = default 144)"},
-	{"mit-table", func(c *Config) any { return &c.MitTableCap }, "per-bank activation-counter table capacity (0 = default 512)"},
 
 	{"power-cal", func(c *Config) any { return &c.PowerCal }, "report calibrated energy bands: none | vendor | ghose[:pct] (empty = nominal only)"},
 

@@ -93,14 +93,14 @@ func TestBindFlags(t *testing.T) {
 		}
 	}
 	err := fs.Parse([]string{"-scheme", "halfdram+pra", "-policy", "open", "-pd-policy", "queue",
-		"-refresh-mode", "postpone", "-events", "cmd", "-mit-table", "64", "-seed", "7", "-apd", "-epoch", "9"})
+		"-refresh-mode", "postpone", "-events", "cmd", "-mit-alert", "300", "-seed", "7", "-apd", "-epoch", "9"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := DefaultConfig("em3d")
 	want.Scheme, want.Policy = memctrl.HalfDRAMPRA, memctrl.OpenPage
 	want.PDPolicy, want.PDTimeout, want.APD, want.RefreshMode = memctrl.PDQueueAware, 123, true, memctrl.RefreshElastic
-	want.MitTableCap, want.Seed = 64, 7
+	want.MitAlertCycles, want.Seed = 300, 7
 	want.Obs = ObsConfig{EpochCycles: 9, EventLevel: obs.LevelCmd}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Errorf("parsed config\n got %+v\nwant %+v", cfg, want)

@@ -76,16 +76,7 @@ func TestFig9Golden(t *testing.T) {
 // to this small budget.
 func TestHammerGolden(t *testing.T) {
 	t.Parallel()
-	r := checkExperimentGolden(t, "hammer", ExpOptions{Instr: 4_000, Seed: 1})
-	for _, k := range keysHammer() {
-		res, err := r.Run(k) // memoized by the table above
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Dev.RowSpills != 0 {
-			t.Errorf("%s: %d counter-table spills; the table is not exact here", k, res.Dev.RowSpills)
-		}
-	}
+	checkExperimentGolden(t, "hammer", ExpOptions{Instr: 4_000, Seed: 1})
 }
 
 // TestPowerBandGolden is the energy-accounting gate: the powerband

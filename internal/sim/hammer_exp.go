@@ -54,7 +54,7 @@ func keysHammer() []runKey {
 // enforces that), so the deltas isolate the defense's cost.
 func ExpHammer(rs runSet) (string, error) {
 	t := stats.NewTable("workload", "scheme",
-		"alerts", "RFMs", "stall cyc", "spills", "dCycles%", "dPower%")
+		"alerts", "RFMs", "stall cyc", "dCycles%", "dPower%")
 	for _, w := range hammerWorkloads {
 		for _, s := range hammerSchemes {
 			base := rs.get(hammerKey(w, s, 0))
@@ -63,7 +63,6 @@ func ExpHammer(rs runSet) (string, error) {
 				res.Ctrl.Alerts,
 				res.Dev.RFMs,
 				res.Ctrl.AlertStallCycles,
-				res.Dev.RowSpills,
 				fmt.Sprintf("%+.2f", 100*(float64(res.Cycles)/float64(base.Cycles)-1)),
 				fmt.Sprintf("%+.2f", 100*(res.AvgPowerMW()/base.AvgPowerMW()-1)))
 		}

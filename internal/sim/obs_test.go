@@ -36,7 +36,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 		}
 
 		cfg := tinyObsConfig("GUPS", scheme)
-		cfg.Obs = ObsConfig{EpochCycles: 5_000, EventLevel: obs.LevelCmd, EventCap: 256}
+		cfg.Obs = ObsConfig{EpochCycles: 5_000, EventLevel: obs.LevelCmd}
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -52,10 +52,10 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 		}
 		// The telemetry must actually have recorded something, or the
 		// comparison above proves nothing.
-		if s.Recorder() == nil || s.Recorder().Rows() == 0 {
+		if s.Recorder() == nil || len(s.Recorder().Snapshot().Rows) == 0 {
 			t.Errorf("%v: recorder captured no epochs", scheme)
 		}
-		if s.Events() == nil || s.Events().Total() == 0 {
+		if len(s.Events().Events()) == 0 {
 			t.Errorf("%v: event log captured nothing at cmd level", scheme)
 		}
 	}
@@ -94,7 +94,7 @@ func TestTimelineColumnsConsistent(t *testing.T) {
 
 	bankAct := regexp.MustCompile(`^ch\d+_r\d+_b\d+_act$`)
 	var actTotal, bankCols float64
-	for _, name := range rec.Header() {
+	for _, name := range snap.Header {
 		if bankAct.MatchString(name) {
 			actTotal += sumCol(name)
 			bankCols++
@@ -135,12 +135,12 @@ func TestTimelineColumnsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CSV not parseable: %v", err)
 	}
-	if len(rows) != rec.Rows()+1 {
-		t.Errorf("CSV has %d rows, want %d epochs + header", len(rows), rec.Rows())
+	if len(rows) != len(snap.Rows)+1 {
+		t.Errorf("CSV has %d rows, want %d epochs + header", len(rows), len(snap.Rows))
 	}
 	for i, r := range rows {
-		if len(r) != len(rec.Header()) {
-			t.Fatalf("CSV row %d has %d cells, header has %d", i, len(r), len(rec.Header()))
+		if len(r) != len(snap.Header) {
+			t.Fatalf("CSV row %d has %d cells, header has %d", i, len(r), len(snap.Header))
 		}
 	}
 }

@@ -27,9 +27,6 @@ type ObsConfig struct {
 	// EventLevel enables the structured event trace at the given
 	// verbosity; obs.LevelOff (the zero value) disables it.
 	EventLevel obs.Level
-
-	// EventCap overrides the event ring capacity (0 = obs.DefaultEventCap).
-	EventCap int
 }
 
 func (o ObsConfig) enabled() bool {
@@ -42,7 +39,7 @@ func (o ObsConfig) enabled() bool {
 func (s *System) attachObs() {
 	o := s.cfg.Obs
 	if o.EventLevel != obs.LevelOff {
-		s.ev = obs.NewEventLog(o.EventCap, o.EventLevel)
+		s.ev = obs.NewEventLog(obs.DefaultEventCap, o.EventLevel)
 	}
 	s.cpm = s.ctrl.CPUPerMem()
 	if o.EpochCycles > 0 {

@@ -150,8 +150,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: Workload is required")
 	case c.Obs.EpochCycles < 0:
 		return fmt.Errorf("sim: Obs.EpochCycles must be non-negative, got %d", c.Obs.EpochCycles)
-	case c.Obs.EventCap < 0:
-		return fmt.Errorf("sim: Obs.EventCap must be non-negative, got %d", c.Obs.EventCap)
 	case c.Obs.EventLevel > obs.LevelCmd:
 		return fmt.Errorf("sim: unknown Obs.EventLevel %d", c.Obs.EventLevel)
 	}

@@ -69,43 +69,6 @@ func (h *Hist) Mean() float64 {
 	return Ratio(float64(sum), float64(h.N))
 }
 
-// Merge adds other's buckets into h; histograms must have the same size.
-func (h *Hist) Merge(other *Hist) {
-	for i, c := range other.Buckets {
-		h.Buckets[i] += c
-	}
-	h.N += other.N
-	h.Overflow += other.Overflow
-	h.Underflow += other.Underflow
-}
-
-// Quantile returns the smallest bucket value whose cumulative count reaches
-// the q-th fraction of all observations (q clamped to [0, 1]; 0 with no
-// observations). Clamped observations participate at the edge they were
-// clamped to, so a quantile landing in the top bucket with Overflow > 0 is
-// a lower bound on the true value, and one landing in bucket 0 with
-// Underflow > 0 is an upper bound.
-func (h *Hist) Quantile(q float64) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.N)
-	var cum int64
-	for v, c := range h.Buckets {
-		cum += c
-		if float64(cum) >= target && cum > 0 {
-			return float64(v)
-		}
-	}
-	return float64(len(h.Buckets) - 1)
-}
-
 // LogHist is a log2-bucketed histogram of non-negative int64 observations
 // (latencies in cycles, sizes in bytes). Bucket 0 counts zeros; bucket i
 // counts values in [2^(i-1), 2^i). The bucket array is a fixed-size value —

@@ -10,14 +10,12 @@
 // print totals without decoding (ReadInfo), seek to any chunk through an
 // io.ReaderAt (V2File.StreamAt), and detect truncation or corruption instead
 // of silently mis-decoding. Every decode goes through the Stream interface
-// (Open), and ReplayStream drives a replay straight off a Stream — constant
-// memory, zero steady-state allocations per record — while Replay/Load keep
-// the materialized path for callers that need Trace.Records in hand.
+// (Open, V2File.Stream), and ReplayStream drives a replay straight off a
+// Stream — constant memory, zero steady-state allocations per record.
 package trace
 
 import (
 	"fmt"
-	"io"
 
 	"pradram/internal/core"
 )
@@ -50,25 +48,6 @@ func (t *Trace) checkOrdered() error {
 		prev = r.At
 	}
 	return nil
-}
-
-// Load reads a trace written by SaveV2 and materializes every record.
-// Replays that do not need the whole stream in memory should use Open and
-// ReplayStream instead.
-func Load(r io.Reader) (*Trace, error) {
-	s, err := Open(r)
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{}
-	var rec Record
-	for s.Next(&rec) {
-		t.Records = append(t.Records, rec)
-	}
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // Backend is the controller-facing interface the capture tees into (a

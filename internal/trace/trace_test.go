@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -11,6 +12,25 @@ import (
 	"pradram/internal/dram"
 	"pradram/internal/memctrl"
 )
+
+// Load reads a trace written by SaveV2 and materializes every record: the
+// in-memory reference the round-trip and stream-identity tests compare the
+// streaming decoder against.
+func Load(r io.Reader) (*Trace, error) {
+	s, err := Open(r)
+	if err != nil {
+		return nil, err
+	}
+	t := &Trace{}
+	var rec Record
+	for s.Next(&rec) {
+		t.Records = append(t.Records, rec)
+	}
+	if err := s.Err(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
 
 func sampleTrace() *Trace {
 	return &Trace{Records: []Record{
