@@ -48,6 +48,16 @@ func TestConfigValidation(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("TREFI <= TRFC must fail validation")
 	}
+	bad = DefaultTiming()
+	bad.TXS = bad.TRFC
+	if bad.Validate() == nil {
+		t.Error("TXS <= TRFC must fail validation")
+	}
+	bad = DefaultTiming()
+	bad.TRFM = bad.TRFC + 1
+	if bad.Validate() == nil {
+		t.Error("TRFM > TRFC must fail validation")
+	}
 	g := DefaultGeometry()
 	g.Banks = 0
 	if g.Validate() == nil {

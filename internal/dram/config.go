@@ -2,8 +2,8 @@ package dram
 
 import "fmt"
 
-// Timing holds the DDR3 timing parameters in memory-clock cycles, matching
-// the paper's Table 3 for a 2Gb x8 DDR3-1600 device.
+// Timing holds a DRAM timing set in memory-clock cycles, as a device
+// (speedgrades.go) derives it for one speed bin from picoseconds and floors.
 type Timing struct {
 	TCKNs float64 // clock period in ns (1.25 for DDR3-1600)
 
@@ -37,38 +37,9 @@ type Timing struct {
 	PRAMaskCycles int
 }
 
-// DefaultTiming returns the DDR3-1600 parameters from Table 3, with the
-// secondary parameters (CWL, tRTP, tWTR, tRTRS, tREFI, tRFC, tXP, and the
-// power-down/self-refresh set tXPDLL, tXS, tCKE, tRFCpb) set to standard
-// DDR3-1600 datasheet values the paper does not list explicitly.
-func DefaultTiming() Timing {
-	return Timing{
-		TCKNs:         1.25,
-		TRCD:          11,
-		TRP:           11,
-		TCAS:          11,
-		TRAS:          28,
-		TWR:           12,
-		TCCD:          4,
-		TRRD:          5,
-		TFAW:          24,
-		TRC:           39,
-		TBURST:        4,
-		CWL:           8,
-		TRTP:          6,
-		TWTR:          6,
-		TRTRS:         2,
-		TREFI:         6240, // 7.8 us
-		TRFC:          128,  // 160 ns for a 2Gb device
-		TRFCPB:        72,   // 90 ns: per-bank refresh blocks one bank
-		TXP:           5,    // 6 ns fast power-down exit
-		TXPDLL:        20,   // 24 ns slow (DLL-off) precharge power-down exit
-		TXS:           136,  // tRFC + 10 ns: self-refresh exit
-		TCKE:          4,    // 5 ns minimum CKE pulse width
-		TRFM:          72,   // 90 ns refresh-management burst (a few victim rows)
-		PRAMaskCycles: 1,
-	}
-}
+// DefaultTiming returns the paper's DDR3-1600 timing set (Table 3, and the
+// datasheet for what it leaves out), as ddr3 states it.
+func DefaultTiming() Timing { return ddr3.timing(ddr3.bins[3]) }
 
 // Validate reports the first inconsistency in the timing set.
 func (t Timing) Validate() error {
@@ -89,6 +60,10 @@ func (t Timing) Validate() error {
 		return fmt.Errorf("dram: TXPDLL (%d) < TXP (%d): slow exit cannot beat fast exit", t.TXPDLL, t.TXP)
 	case t.TXS != 0 && t.TXS < t.TXP:
 		return fmt.Errorf("dram: TXS (%d) < TXP (%d): self-refresh exit cannot beat power-down exit", t.TXS, t.TXP)
+	case t.TXS != 0 && t.TXS <= t.TRFC:
+		return fmt.Errorf("dram: TXS (%d) <= TRFC (%d): self-refresh exit must outlast a refresh", t.TXS, t.TRFC)
+	case t.TRFM != 0 && t.TRFM > t.TRFC:
+		return fmt.Errorf("dram: TRFM (%d) > TRFC (%d): refresh management cannot outlast a refresh", t.TRFM, t.TRFC)
 	case t.TRFCPB != 0 && t.TRFCPB > t.TRFC:
 		return fmt.Errorf("dram: TRFCPB (%d) > TRFC (%d): per-bank refresh cannot outlast all-bank", t.TRFCPB, t.TRFC)
 	}

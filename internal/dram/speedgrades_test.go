@@ -21,7 +21,7 @@ func TestDefaultTimingIsDDR31600(t *testing.T) {
 }
 
 // TestSpeedGradeTimings pins every bin's timing set. Each row states the
-// fields a bin sets; every other field must equal DDR3-1600's.
+// fields that vary by bin; every other field must equal DDR3-1600's.
 func TestSpeedGradeTimings(t *testing.T) {
 	t.Parallel()
 	type row struct {
@@ -29,14 +29,15 @@ func TestSpeedGradeTimings(t *testing.T) {
 		tck                                                    float64
 		cl, ras, wr, rrd, faw, cwl, rtp, wtr, rfc, rfcpb, refi int
 		cpuPerMem                                              int64
+		xp, xpdll, xs, cke, rfm                                int
 	}
 	rows := []row{
-		{"DDR3-800", 2.5, 6, 15, 6, 4, 16, 5, 4, 4, 64, 36, 3120, 8},
-		{"DDR3-1066", 1.875, 7, 20, 8, 4, 20, 6, 4, 4, 86, 48, 4160, 6},
-		{"DDR3-1333", 1.5, 9, 24, 10, 4, 20, 7, 5, 5, 107, 60, 5200, 5},
-		{"DDR3-1600", 1.25, 11, 28, 12, 5, 24, 8, 6, 6, 128, 72, 6240, 4},
-		{"DDR3-1866", 1.071, 13, 32, 14, 5, 26, 9, 7, 7, 150, 85, 7280, 3},
-		{"DDR3-2133", 0.938, 14, 36, 16, 6, 27, 10, 8, 8, 171, 96, 8320, 3},
+		{"DDR3-800", 2.5, 6, 15, 6, 4, 16, 5, 4, 4, 64, 36, 3120, 8, 3, 10, 68, 3, 36},
+		{"DDR3-1066", 1.875, 7, 20, 8, 4, 20, 6, 4, 4, 86, 48, 4160, 6, 4, 13, 91, 3, 48},
+		{"DDR3-1333", 1.5, 9, 24, 10, 4, 20, 7, 5, 5, 107, 60, 5200, 5, 4, 16, 114, 4, 60},
+		{"DDR3-1600", 1.25, 11, 28, 12, 5, 24, 8, 6, 6, 128, 72, 6240, 4, 5, 20, 136, 4, 72},
+		{"DDR3-1866", 1.071, 13, 32, 14, 5, 26, 9, 7, 7, 150, 85, 7282, 3, 6, 23, 159, 5, 85},
+		{"DDR3-2133", 0.938, 14, 36, 16, 6, 27, 10, 8, 8, 171, 96, 8315, 3, 7, 26, 182, 6, 96},
 	}
 	grades := SpeedGrades()
 	if len(grades) != len(rows) {
@@ -48,6 +49,7 @@ func TestSpeedGradeTimings(t *testing.T) {
 		want.TCAS, want.TRCD, want.TRP, want.TRAS, want.TRC = r.cl, r.cl, r.cl, r.ras, r.ras+r.cl
 		want.TWR, want.TRRD, want.TFAW, want.CWL = r.wr, r.rrd, r.faw, r.cwl
 		want.TRTP, want.TWTR, want.TRFC, want.TRFCPB, want.TREFI = r.rtp, r.wtr, r.rfc, r.rfcpb, r.refi
+		want.TXP, want.TXPDLL, want.TXS, want.TCKE, want.TRFM = r.xp, r.xpdll, r.xs, r.cke, r.rfm
 		g := grades[i]
 		if g.Name != r.name || g.CPUPerMem != r.cpuPerMem {
 			t.Errorf("grade %d = %s CPUPerMem %d, want %s CPUPerMem %d", i, g.Name, g.CPUPerMem, r.name, r.cpuPerMem)
@@ -61,5 +63,16 @@ func TestSpeedGradeTimings(t *testing.T) {
 	}
 	if _, ok := SpeedGradeByName("DDR3-9999"); ok {
 		t.Error("an unknown grade must not resolve")
+	}
+}
+
+// TestSpeedGradesValidate: every bin's derived timing set passes
+// Timing.Validate, the couplings between parameters included.
+func TestSpeedGradesValidate(t *testing.T) {
+	t.Parallel()
+	for _, g := range SpeedGrades() {
+		if err := g.Timing.Validate(); err != nil {
+			t.Errorf("%s: %v", g.Name, err)
+		}
 	}
 }

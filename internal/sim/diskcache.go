@@ -29,7 +29,9 @@ import (
 // PRAC); the bounded table's spill floor, which raised alerts on benign
 // traffic under elastic refresh, is gone, so mitigation runs that spilled
 // can differ.
-const ModelVersion = "pradram-model-v5"
+// v6: speed grades derive from one device spec; outside DDR3-1600, tXP,
+// tXPDLL, tXS, tCKE, tRFM (and tREFI at 1866/2133) moved, so grade= runs differ.
+const ModelVersion = "pradram-model-v6"
 
 // fileStore is the on-disk protocol under both the result cache and the
 // checkpoint store: one file per id in dir, named by a hash of the id (the

@@ -536,5 +536,3 @@ func RunOne(cfg Config) (Result, error) {
 // interface checks
 var _ cache.Backend = (*memctrl.Controller)(nil)
 var _ cpu.MemPort = (*cache.Hierarchy)(nil)
-var _ = dram.DefaultTiming
-var _ = power.DefaultChipPowers
