@@ -37,8 +37,8 @@ type Timing struct {
 	PRAMaskCycles int
 }
 
-// DefaultTiming returns the paper's DDR3-1600 timing set (Table 3, and the
-// datasheet for what it leaves out), as ddr3 states it.
+// DefaultTiming returns the paper's DDR3-1600 timing set, ddr3.bins[3]:
+// Table 3, and the datasheet for what the table leaves out.
 func DefaultTiming() Timing { return ddr3.timing(ddr3.bins[3]) }
 
 // Validate reports the first inconsistency in the timing set.

@@ -10,7 +10,7 @@ type SpeedGrade struct {
 	CPUPerMem int64
 }
 
-// ck is a timing parameter as datasheets state it: at least nCK cycles and ps.
+// ck is a timing parameter as datasheets state it: ≥ nCK cycles and ≥ ps picoseconds.
 type ck struct{ nCK, ps int }
 
 // bin is what a datasheet states per speed bin: tCK in ps, CL (= tRCD =

@@ -72,26 +72,47 @@ var ckptFields = map[reflect.Type]map[string]string{
 	},
 }
 
-// TestEveryCheckpointFieldIsClassified fails naming any field of a
-// checkpointed struct that ckptFields does not classify, and any entry that
-// names no field.
+// TestEveryCheckpointFieldIsClassified walks from Channel through every
+// saved or derived field and fails naming any field that ckptFields does
+// not classify, any struct type it reaches that ckptFields does not list,
+// and any entry that names no field or a type nothing reaches.
 func TestEveryCheckpointFieldIsClassified(t *testing.T) {
 	t.Parallel()
-	for typ, classes := range ckptFields {
-		seen := make(map[string]bool)
+	reached := make(map[reflect.Type]bool)
+	var walk func(typ reflect.Type, from string)
+	walk = func(typ reflect.Type, from string) {
+		for typ.Kind() == reflect.Slice || typ.Kind() == reflect.Array || typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Map {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct || reached[typ] {
+			return
+		}
+		reached[typ] = true
+		classes, ok := ckptFields[typ]
+		if !ok {
+			t.Errorf("%s (reached through %s) is not in ckptFields: classify its fields", typ, from)
+			return
+		}
 		for i := 0; i < typ.NumField(); i++ {
 			name := typ.Field(i).Name
-			seen[name] = true
 			switch classes[name] {
-			case saved, derived, excluded:
+			case saved, derived:
+				walk(typ.Field(i).Type, typ.Name()+"."+name)
+			case excluded:
 			default:
 				t.Errorf("%s.%s is not classified: add it to ckptFields as saved, derived or excluded (and save it in state.go if it is state)", typ.Name(), name)
 			}
 		}
 		for name := range classes {
-			if !seen[name] {
+			if _, ok := typ.FieldByName(name); !ok {
 				t.Errorf("ckptFields names %s.%s, which is not a field", typ.Name(), name)
 			}
+		}
+	}
+	walk(reflect.TypeOf(Channel{}), "Channel")
+	for typ := range ckptFields {
+		if !reached[typ] {
+			t.Errorf("ckptFields lists %s, which no saved or derived field reaches", typ)
 		}
 	}
 }
