@@ -82,33 +82,26 @@ func (c Config) Validate() error {
 	return nil
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty core.ByteMask
-}
-
 // invalidTag marks an empty way in level.tags. It cannot collide with a
 // real line id: ids are addresses shifted right by 6, so all-ones would
 // need an address past 2^63.
 const invalidTag = ^uint64(0)
 
 type level struct {
-	// lines holds every way of every set in one contiguous slab (set-major).
-	// tags mirrors lines[i].tag for valid ways (invalidTag otherwise) and
-	// lasts the LRU timestamps, in packed parallel arrays, so the
-	// associative scans touch a couple of host cache lines instead of
-	// striding through the full line structs.
-	lines   []line
+	// Every way of every set (set-major) in packed parallel arrays: the
+	// line id (invalidTag for an empty way), the FGD dirty byte mask (zero
+	// for an empty way) and the LRU timestamp, so the associative scans
+	// touch a couple of host cache lines.
 	tags    []uint64
+	dirty   []core.ByteMask
 	lasts   []int64
 	ways    int
 	setMask uint64
-	tick    int64
+	tick    int64 // the latest LRU timestamp handed out: the maximum of lasts
 }
 
 func newLevel(nSets, ways int) *level {
-	l := &level{lines: make([]line, nSets*ways), tags: make([]uint64, nSets*ways),
+	l := &level{tags: make([]uint64, nSets*ways), dirty: make([]core.ByteMask, nSets*ways),
 		lasts: make([]int64, nSets*ways), ways: ways, setMask: uint64(nSets - 1)}
 	for i := range l.tags {
 		l.tags[i] = invalidTag
@@ -129,18 +122,15 @@ func (l *level) index(id uint64) int {
 	return -1
 }
 
-// lookup returns the line if present, bumping LRU when touch is set.
-func (l *level) lookup(id uint64, touch bool) *line {
+// touch returns the slab index of id's line, or -1 when absent, making a
+// present line the most recently used.
+func (l *level) touch(id uint64) int {
 	i := l.index(id)
-	if i < 0 {
-		return nil
-	}
-	ln := &l.lines[i]
-	if touch {
+	if i >= 0 {
 		l.tick++
 		l.lasts[i] = l.tick
 	}
-	return ln
+	return i
 }
 
 // victimIdx returns the slab index of the way to replace in id's set (an
@@ -160,22 +150,19 @@ func (l *level) victimIdx(id uint64) int {
 	return v
 }
 
-// install places id into the cache, returning the evicted line (valid=false
-// in the return when the way was free).
-func (l *level) install(id uint64, dirty core.ByteMask) (evicted line) {
+// install places id into the cache, returning the evicted line's id
+// (invalidTag when the way was free) and dirty mask.
+func (l *level) install(id uint64, dirty core.ByteMask) (evicted uint64, evictedDirty core.ByteMask) {
 	i := l.victimIdx(id)
-	evicted = l.lines[i]
+	evicted, evictedDirty = l.tags[i], l.dirty[i]
 	l.tick++
-	l.lines[i] = line{tag: id, valid: true, dirty: dirty}
-	l.lasts[i] = l.tick
-	l.tags[i] = id
-	return evicted
+	l.tags[i], l.dirty[i], l.lasts[i] = id, dirty, l.tick
+	return evicted, evictedDirty
 }
 
 // invalidate drops the line at slab index i (from index()).
 func (l *level) invalidate(i int) {
-	l.lines[i].valid = false
-	l.tags[i] = invalidTag
+	l.tags[i], l.dirty[i] = invalidTag, 0
 }
 
 // event is a scheduled completion callback.
@@ -361,9 +348,10 @@ func (h *Hierarchy) access(coreID int, addr uint64, now int64, storeMask core.By
 	}
 
 	// L1.
-	if ln := h.l1[coreID].lookup(id, true); ln != nil {
+	l1 := h.l1[coreID]
+	if i := l1.touch(id); i >= 0 {
 		h.Stats.L1Hits++
-		ln.dirty |= storeMask
+		l1.dirty[i] |= storeMask
 		if storeMask != 0 {
 			h.dbiMark(id)
 		}
@@ -373,7 +361,7 @@ func (h *Hierarchy) access(coreID int, addr uint64, now int64, storeMask core.By
 	h.Stats.L1Misses++
 
 	// L2.
-	if ln := h.l2.lookup(id, true); ln != nil {
+	if h.l2.touch(id) >= 0 {
 		h.Stats.L2Hits++
 		h.fillL1(coreID, id, storeMask)
 		h.lanes[laneL2].push(event{at: now + h.cfg.L1Lat + h.cfg.L2Lat, done: done})
@@ -473,52 +461,51 @@ func (h *Hierarchy) fill(e *missEntry, at int64) {
 // fillL1 installs id into coreID's L1 with the store mask applied, merging
 // any dirty victim's mask down into L2.
 func (h *Hierarchy) fillL1(coreID int, id uint64, storeMask core.ByteMask) {
-	ev := h.l1[coreID].install(id, storeMask)
+	ev, dirty := h.l1[coreID].install(id, storeMask)
 	if storeMask != 0 {
 		// The DBI tracks dirtiness anywhere in the hierarchy, so a store
 		// that dirties an L1 line indexes immediately.
 		h.dbiMark(id)
 	}
-	if !ev.valid || ev.dirty == 0 {
+	if dirty == 0 { // an empty way carries no dirty bytes
 		return
 	}
-	if ln := h.l2.lookup(ev.tag, false); ln != nil {
-		wasClean := ln.dirty == 0
-		ln.dirty |= ev.dirty
+	if i := h.l2.index(ev); i >= 0 {
+		wasClean := h.l2.dirty[i] == 0
+		h.l2.dirty[i] |= dirty
 		if wasClean {
-			h.dbiMark(ev.tag)
+			h.dbiMark(ev)
 		}
 		return
 	}
 	// Inclusion violation shouldn't happen (L2 evictions invalidate L1
 	// copies), but write the data back rather than lose it.
-	h.queueWB(ev.tag, ev.dirty)
+	h.queueWB(ev, dirty)
 }
 
 // installL2 places a line in the L2, handling the eviction cascade.
 func (h *Hierarchy) installL2(id uint64, dirty core.ByteMask) {
-	ev := h.l2.install(id, dirty)
+	ev, mask := h.l2.install(id, dirty)
 	if dirty != 0 {
 		h.dbiMark(id)
 	}
-	if !ev.valid {
+	if ev == invalidTag {
 		return
 	}
 	// Enforce inclusion: pull dirty bits from (and invalidate) L1 copies.
-	mask := ev.dirty
 	for _, l1 := range h.l1 {
-		if i := l1.index(ev.tag); i >= 0 {
-			mask |= l1.lines[i].dirty
+		if i := l1.index(ev); i >= 0 {
+			mask |= l1.dirty[i]
 			l1.invalidate(i)
 		}
 	}
-	h.dbiUnmark(ev.tag)
+	h.dbiUnmark(ev)
 	if mask == 0 {
 		return
 	}
 	h.recordEviction(mask)
-	h.queueWB(ev.tag, mask)
-	h.dbiSweep(ev.tag)
+	h.queueWB(ev, mask)
+	h.dbiSweep(ev)
 }
 
 // recordEviction logs the Figure-3 / Section-3 dirtiness of a line headed
@@ -588,23 +575,23 @@ func (h *Hierarchy) dbiSweep(evictedID uint64) {
 	slices.Sort(ids)
 	swept := 0
 	for _, id := range ids {
-		ln := h.l2.lookup(id, false)
-		if ln == nil {
+		i := h.l2.index(id)
+		if i < 0 {
 			continue
 		}
 		// Dirtiness may live in L2, in an L1 copy, or both; merge all of
 		// it so the writeback carries every dirty byte.
-		mask := ln.dirty
+		mask := h.l2.dirty[i]
 		for _, l1 := range h.l1 {
-			if l1ln := l1.lookup(id, false); l1ln != nil {
-				mask |= l1ln.dirty
-				l1ln.dirty = 0
+			if j := l1.index(id); j >= 0 {
+				mask |= l1.dirty[j]
+				l1.dirty[j] = 0
 			}
 		}
 		if mask == 0 {
 			continue
 		}
-		ln.dirty = 0
+		h.l2.dirty[i] = 0
 		h.Stats.DBIProactive++
 		swept++
 		h.recordEviction(mask)

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -199,13 +201,13 @@ func TestStoreDirtyPropagation(t *testing.T) {
 	mask := core.StoreBytes(8, 8) // word 1
 	h.Store(0, 0x5000, mask, 0, core.Untagged(func(int64) {}))
 	mem.fillAll(30)
-	ln := h.l1[0].lookup(lineID(0x5000), false)
-	if ln == nil || ln.dirty != mask {
+	i := h.l1[0].index(lineID(0x5000))
+	if i < 0 || h.l1[0].dirty[i] != mask {
 		t.Fatal("store must dirty the L1 line with its byte mask")
 	}
 	// A second store widens the mask.
 	h.Store(0, 0x5000+16, core.StoreBytes(16, 4), 50, core.Untagged(func(int64) {}))
-	if ln.dirty != mask|core.StoreBytes(16, 4) {
+	if h.l1[0].dirty[i] != mask|core.StoreBytes(16, 4) {
 		t.Error("second store must OR into the dirty mask")
 	}
 }
@@ -214,8 +216,8 @@ func TestStoreZeroMaskDefaultsToOneByte(t *testing.T) {
 	h, mem := newTestHierarchy(t, smallConfig())
 	h.Store(0, 0x7008, 0, 0, core.Untagged(func(int64) {}))
 	mem.fillAll(10)
-	ln := h.l1[0].lookup(lineID(0x7008), false)
-	if ln == nil || ln.dirty.DirtyBytes() != 1 {
+	i := h.l1[0].index(lineID(0x7008))
+	if i < 0 || h.l1[0].dirty[i].DirtyBytes() != 1 {
 		t.Error("zero-mask store must dirty one byte")
 	}
 }
@@ -236,12 +238,12 @@ func TestL1EvictionMergesFGDIntoL2(t *testing.T) {
 	// them. Its mask must now be in L2.
 	h.Load(0, 0x0300, 40, core.Untagged(func(int64) {}))
 	mem.fillAll(80)
-	l2ln := h.l2.lookup(lineID(0x0000), false)
-	if l2ln == nil {
+	i := h.l2.index(lineID(0x0000))
+	if i < 0 {
 		t.Fatal("line must be resident in L2")
 	}
-	if l2ln.dirty != m1 {
-		t.Errorf("L2 dirty mask = %v, want %v", l2ln.dirty, m1)
+	if h.l2.dirty[i] != m1 {
+		t.Errorf("L2 dirty mask = %v, want %v", h.l2.dirty[i], m1)
 	}
 }
 
@@ -290,7 +292,7 @@ func TestL2EvictionInvalidatesAndMergesL1(t *testing.T) {
 	mem.fillAll(30)
 	h.Load(1, 2*stride, 40, core.Untagged(func(int64) {}))
 	mem.fillAll(50) // evicts line 0 from L2 while core 0's L1 still has it dirty
-	if ln := h.l1[0].lookup(0, false); ln != nil {
+	if h.l1[0].index(0) >= 0 {
 		t.Error("L1 copy must be invalidated on L2 eviction")
 	}
 	if len(mem.writes) != 1 || mem.writes[0].mask != m {
@@ -369,8 +371,7 @@ func TestDBISweep(t *testing.T) {
 		t.Errorf("DBI proactive writebacks = %d, want 1", h.Stats.DBIProactive)
 	}
 	// The swept line stays resident but clean.
-	ln := h.l2.lookup(lineID(0x0040), false)
-	if ln == nil || ln.dirty != 0 {
+	if i := h.l2.index(lineID(0x0040)); i < 0 || h.l2.dirty[i] != 0 {
 		t.Error("swept line must remain resident and clean")
 	}
 }
@@ -379,12 +380,11 @@ func TestLRUReplacement(t *testing.T) {
 	l := newLevel(1, 2)
 	l.install(1, 0)
 	l.install(2, 0)
-	l.lookup(1, true) // make 1 MRU
-	ev := l.install(3, 0)
-	if !ev.valid || ev.tag != 2 {
-		t.Errorf("LRU victim = %+v, want tag 2", ev)
+	l.touch(1) // make 1 MRU
+	if ev, _ := l.install(3, 0); ev != 2 {
+		t.Errorf("LRU victim = %d, want 2", ev)
 	}
-	if l.lookup(1, false) == nil || l.lookup(3, false) == nil {
+	if l.index(1) < 0 || l.index(3) < 0 {
 		t.Error("lines 1 and 3 must be resident")
 	}
 }
@@ -411,9 +411,10 @@ func TestDrainReflectsState(t *testing.T) {
 }
 
 // TestRestoreRejectsNonCanonicalDBI: SaveState writes DBI rows and their line
-// ids in ascending order. A payload with rows or ids out of order, or one row
-// twice, would restore to different bytes than the file carries (a duplicate
-// silently replacing the earlier row).
+// ids in ascending order, and no dirty bytes for an empty way. A payload with
+// rows or ids out of order, or one row twice, would restore to different
+// bytes than the file carries (a duplicate silently replacing the earlier
+// row); dirty bytes on an empty way belong to no line.
 func TestRestoreRejectsNonCanonicalDBI(t *testing.T) {
 	cfg := smallConfig()
 	cfg.DBI = true
@@ -427,11 +428,14 @@ func TestRestoreRejectsNonCanonicalDBI(t *testing.T) {
 	h.SaveState(w)
 	good := w.Bytes()
 
-	// From the end: now, row 2 (key, count, two line ids), row 1 (key,
-	// count, one line id).
+	// From the end: row 2 (key, count, two line ids), row 1 (key, count,
+	// one line id).
 	const word, row = 8, 24
-	row2 := len(good) - word - row - word
+	row2 := len(good) - row - word
 	row1 := row2 - row
+	// From the start: L1 0's way count, tags and dirty masks.
+	empty := slices.Index(h.l1[0].tags, invalidTag)
+	emptyDirty := word + (len(h.l1[0].tags)+empty)*word
 	restore := func(edit func(b []byte)) error {
 		b := append([]byte(nil), good...)
 		edit(b)
@@ -458,6 +462,9 @@ func TestRestoreRejectsNonCanonicalDBI(t *testing.T) {
 		}},
 		{"line ids out of order", "cache: DBI row 0x2 line id 0x102 after 0x103, want ascending", func(b []byte) {
 			b[row2+2*word], b[row2+3*word] = b[row2+3*word], b[row2+2*word]
+		}},
+		{"dirty empty way", fmt.Sprintf("cache L1.0: empty way %d carries dirty bytes 0x1", empty), func(b []byte) {
+			b[emptyDirty] = 1
 		}},
 	} {
 		if err := restore(tc.edit); err == nil || err.Error() != "corrupt checkpoint: "+tc.want {

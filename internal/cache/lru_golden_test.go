@@ -28,7 +28,7 @@ func TestLRUGoldenReference(t *testing.T) {
 		set := int(id % sets)
 		ref := reference[set]
 
-		if ln := l.lookup(id, true); ln != nil {
+		if l.touch(id) >= 0 {
 			// Hit: reference must agree it is resident.
 			found := false
 			for _, v := range ref {
@@ -48,19 +48,16 @@ func TestLRUGoldenReference(t *testing.T) {
 				t.Fatalf("step %d: level missed id %d but reference says resident", i, id)
 			}
 		}
-		ev := l.install(id, 0)
+		ev, _ := l.install(id, 0)
 		if len(ref) < ways {
-			if ev.valid {
+			if ev != invalidTag {
 				t.Fatalf("step %d: eviction from non-full set", i)
 			}
 			reference[set] = append(ref, id)
 			continue
 		}
-		if !ev.valid {
-			t.Fatalf("step %d: full set produced no eviction", i)
-		}
-		if ev.tag != ref[0] {
-			t.Fatalf("step %d: evicted %d, reference LRU is %d (set %v)", i, ev.tag, ref[0], ref)
+		if ev != ref[0] {
+			t.Fatalf("step %d: evicted %d, reference LRU is %d (set %v)", i, ev, ref[0], ref)
 		}
 		reference[set] = append(ref[1:], id)
 	}

@@ -10,14 +10,17 @@ import (
 )
 
 // Checkpointing (DESIGN.md §4e). The hierarchy serializes cache contents
-// (lines, LRU state), the miss machinery (MSHRs, waiters, the completion
-// lanes, refused-operation retry lists), and the DBI index. Slices are
-// written verbatim and each lane in delivery order from its head —
-// restoring them in the stored order preserves delivery order exactly, so
-// a restored run is bit-identical to the monolithic one, and the bytes do
-// not depend on how a ring happened to be rotated. Map contents (the DBI)
-// are written in sorted key order so identical states produce identical
-// bytes.
+// (line ids, dirty masks, LRU timestamps), the miss machinery (MSHRs,
+// waiters, the completion lanes, refused-operation retry lists), and the
+// DBI index. Slices are written verbatim and each lane in delivery order
+// from its head — restoring them in the stored order preserves delivery
+// order exactly, so a restored run is bit-identical to the monolithic one,
+// and the bytes do not depend on how a ring happened to be rotated. Map
+// contents (the DBI) are written in sorted key order so identical states
+// produce identical bytes. What follows from those is rebuilt on restore,
+// not saved: each level's LRU clock (the largest timestamp) and the
+// per-core MSHR counts (each entry counts against its first waiter's
+// core).
 //
 // Statistics are NOT serialized: checkpoints are taken at the warmup
 // boundary, immediately after ResetStats, so a freshly built hierarchy
@@ -27,46 +30,42 @@ import (
 // resolver RestoreState returns.
 
 func saveLevel(w *checkpoint.Writer, l *level) {
-	w.Count(len(l.lines))
-	for i := range l.lines {
-		ln := &l.lines[i]
-		w.U64(ln.tag)
-		w.Bool(ln.valid)
-		w.U64(uint64(ln.dirty))
+	w.Count(len(l.tags))
+	for _, t := range l.tags {
+		w.U64(t)
+	}
+	for _, d := range l.dirty {
+		w.U64(uint64(d))
 	}
 	for _, t := range l.lasts {
 		w.I64(t)
 	}
-	w.I64(l.tick)
 }
 
 // restoreLevel decodes one level into temporaries and returns its commit.
 func restoreLevel(r *checkpoint.Reader, l *level, name string) func() {
-	if n := r.Count(); n != len(l.lines) {
-		r.Fail("cache %s: %d lines, want %d", name, n, len(l.lines))
+	if n := r.Count(); n != len(l.tags) {
+		r.Fail("cache %s: %d ways, want %d", name, n, len(l.tags))
 		return func() {}
 	}
-	lines := make([]line, len(l.lines))
-	for i := range lines {
-		lines[i] = line{tag: r.U64(), valid: r.Bool(), dirty: core.ByteMask(r.U64())}
+	tags := make([]uint64, len(l.tags))
+	for i := range tags {
+		tags[i] = r.U64()
+	}
+	dirty := make([]core.ByteMask, len(l.dirty))
+	for i := range dirty {
+		dirty[i] = core.ByteMask(r.U64())
+		if tags[i] == invalidTag && dirty[i] != 0 && r.Err() == nil {
+			r.Fail("cache %s: empty way %d carries dirty bytes %#x", name, i, dirty[i])
+		}
 	}
 	lasts := make([]int64, len(l.lasts))
 	for i := range lasts {
 		lasts[i] = r.I64()
 	}
-	tick := r.I64()
 	return func() {
-		l.lines = lines
-		l.lasts = lasts
-		l.tick = tick
-		// tags mirror lines; rebuild rather than trust the payload.
-		for i := range lines {
-			if lines[i].valid {
-				l.tags[i] = lines[i].tag
-			} else {
-				l.tags[i] = invalidTag
-			}
-		}
+		l.tags, l.dirty, l.lasts = tags, dirty, lasts
+		l.tick = slices.Max(lasts)
 	}
 }
 
@@ -101,9 +100,6 @@ func (h *Hierarchy) SaveState(w *checkpoint.Writer) {
 			w.U64(uint64(wt.storeMask))
 			w.Int(wt.core)
 		}
-	}
-	for _, n := range h.mshrPerCore {
-		w.Int(n)
 	}
 	for i := range h.lanes {
 		l := &h.lanes[i]
@@ -154,7 +150,6 @@ func (h *Hierarchy) SaveState(w *checkpoint.Writer) {
 			}
 		}
 	}
-	w.I64(h.now)
 }
 
 // RestoreState decodes a SaveState payload. resolve maps the CPU-side
@@ -217,10 +212,13 @@ func (h *Hierarchy) RestoreState(r *checkpoint.Reader, resolve func(core.DoneTag
 		entries[i] = e
 	}
 	perCore := make([]int, len(h.mshrPerCore))
-	for i := range perCore {
-		perCore[i] = r.Int()
-		if perCore[i] < 0 || perCore[i] > h.cfg.MSHRs {
-			r.Fail("cache: core %d MSHR count %d of %d", i, perCore[i], h.cfg.MSHRs)
+	for _, e := range entries {
+		if len(e.waiters) == 0 {
+			continue // rejected above
+		}
+		c := e.waiters[0].core
+		if perCore[c]++; perCore[c] > h.cfg.MSHRs {
+			r.Fail("cache: core %d holds more than %d MSHR entries", c, h.cfg.MSHRs)
 		}
 	}
 	var lanes [numLanes]lane
@@ -288,7 +286,6 @@ func (h *Hierarchy) RestoreState(r *checkpoint.Reader, resolve func(core.DoneTag
 			dbi[k] = set
 		}
 	}
-	now := r.I64()
 	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -318,7 +315,6 @@ func (h *Hierarchy) RestoreState(r *checkpoint.Reader, resolve func(core.DoneTag
 		if h.dbi != nil {
 			h.dbi = dbi
 		}
-		h.now = now
 	}
 	return commit, fillResolve, nil
 }

@@ -6,8 +6,10 @@ import (
 )
 
 // Checkpointing (DESIGN.md §4e). The core's dynamic state is the ROB ring
-// (slot completion flags and in-flight load serials), the queue occupancy
-// counters, the pre-fetched pending op, and the retirement statistics. The
+// (slot completion flags and in-flight load serials), the store queue
+// occupancy and the pre-fetched pending op. Neither the load queue
+// occupancy (the slots still waiting for their load) nor the retirement
+// statistics (zero at the warmup boundary) is saved. The
 // ROB is canonicalized on save — written from the head as if the head were
 // slot 0, with the stale serial of a done slot written as 0 (and refused on
 // restore if it is anything else) — so two identical pipeline states produce
@@ -31,7 +33,6 @@ func (c *Core) SaveState(w *checkpoint.Writer) {
 			w.U64(c.serial[slot])
 		}
 	}
-	w.Int(c.ldqUsed)
 	w.Int(c.stqUsed)
 	w.U64(c.loadSerial)
 	w.Bool(c.hasPending)
@@ -42,11 +43,6 @@ func (c *Core) SaveState(w *checkpoint.Writer) {
 		w.Bool(c.pending.Dep)
 	}
 	w.Bool(c.idle)
-	w.I64(c.Retired)
-	w.I64(c.Cycles)
-	w.I64(c.Loads)
-	w.I64(c.Stores)
-	w.I64(c.ComputeOps)
 }
 
 // RestoreState decodes a SaveState payload. It returns a commit that
@@ -64,14 +60,17 @@ func (c *Core) RestoreState(r *checkpoint.Reader) (func(), func(tag core.DoneTag
 	}
 	done := make([]bool, c.cfg.ROB)
 	serial := make([]uint64, c.cfg.ROB)
+	ldqUsed := 0
 	for i := 0; i < count; i++ {
 		done[i] = r.Bool()
 		serial[i] = r.U64()
 		if done[i] && serial[i] != 0 {
 			r.Fail("cpu %d: done ROB slot %d carries serial %d", c.ID, i, serial[i])
 		}
+		if !done[i] {
+			ldqUsed++
+		}
 	}
-	ldqUsed := r.Int()
 	stqUsed := r.Int()
 	loadSerial := r.U64()
 	hasPending := r.Bool()
@@ -85,12 +84,7 @@ func (c *Core) RestoreState(r *checkpoint.Reader) (func(), func(tag core.DoneTag
 		}
 	}
 	idle := r.Bool()
-	retired := r.I64()
-	cycles := r.I64()
-	loads := r.I64()
-	stores := r.I64()
-	computeOps := r.I64()
-	if ldqUsed < 0 || ldqUsed > c.cfg.LDQ || stqUsed < 0 || stqUsed > c.cfg.STQ {
+	if ldqUsed > c.cfg.LDQ || stqUsed < 0 || stqUsed > c.cfg.STQ {
 		r.Fail("cpu %d: queue occupancy LDQ=%d STQ=%d", c.ID, ldqUsed, stqUsed)
 	}
 	if err := r.Err(); err != nil {
@@ -135,11 +129,6 @@ func (c *Core) RestoreState(r *checkpoint.Reader) (func(), func(tag core.DoneTag
 		c.pending = pending
 		c.hasPending = hasPending
 		c.idle = idle
-		c.Retired = retired
-		c.Cycles = cycles
-		c.Loads = loads
-		c.Stores = stores
-		c.ComputeOps = computeOps
 	}
 	return commit, resolve, nil
 }

@@ -73,6 +73,16 @@ func (c Config) Validate() error {
 	return c.Geom.Validate()
 }
 
+// writeMask projects a write's dirty bytes onto the mask it needs open,
+// which depends on the scheme: PRA selects MAT groups (words), SDS selects
+// chips (byte positions).
+func (c *Config) writeMask(b core.ByteMask) core.Mask {
+	if c.Scheme.chipMasks() {
+		return b.ChipMask()
+	}
+	return b.WordMask()
+}
+
 // Stats aggregates controller-level counters (per channel, summed by the
 // Controller accessor).
 type Stats struct {
@@ -244,18 +254,12 @@ func (c *Controller) Write(addr uint64, mask core.ByteMask) bool {
 	if mask == 0 {
 		mask = core.FullByteMask
 	}
-	// The write mask projection depends on the scheme: PRA selects MAT
-	// groups (words), SDS selects chips (byte positions).
-	project := core.ByteMask.WordMask
-	if c.cfg.Scheme.chipMasks() {
-		project = core.ByteMask.ChipMask
-	}
 	if w := cc.queuedWrite(l); w != nil {
 		// A merge grows need(): what the open mask covers, the activation
 		// mask and the false-hit classes all change, so a command can
 		// become legal before the channel's armed wake.
 		w.byteMask |= mask
-		w.wordMask = project(w.byteMask)
+		w.wordMask = c.cfg.writeMask(w.byteMask)
 		cc.stale |= 1 << uint(cc.bankOf(l))
 	} else {
 		if cc.n[core.Write] >= c.cfg.WriteQ {
@@ -264,7 +268,7 @@ func (c *Controller) Write(addr uint64, mask core.ByteMask) bool {
 		}
 		req := cc.allocReq(core.Write, l, c.lastMem+1)
 		req.byteMask = mask
-		req.wordMask = project(mask)
+		req.wordMask = c.cfg.writeMask(mask)
 		cc.push(req)
 	}
 	cc.nextWake = 0
@@ -334,6 +338,13 @@ func (c *Controller) Tick(cpu int64) {
 	for _, cc := range c.chans {
 		cc.tick(mem)
 	}
+	c.settleWake()
+}
+
+// settleWake refreshes the NextEvent cache from the channels: active while
+// any channel has forwards to complete or a disarmed wake, otherwise
+// minWake is the earliest channel wake-up.
+func (c *Controller) settleWake() {
 	c.active = false
 	min := int64(core.FarFuture)
 	for _, cc := range c.chans {

@@ -7,14 +7,19 @@ import (
 	"pradram/internal/core"
 )
 
-// Checkpointing (DESIGN.md §4e). The controller serializes the clock
-// stride, the NextEvent cache, and per channel: the DRAM channel state,
-// the request queues (each queue in arrival order — FR-FCFS picks the
-// oldest candidate, so order is simulation-visible), the forward list,
-// drain/refresh/hit bookkeeping, and the wake time. The bank index (lists,
-// arrival stamps, open-row summaries, rankCount) is rebuilt by re-pushing
-// the restored queues in file order, and every bank's cached scheduling
-// decision is invalidated.
+// Checkpointing (DESIGN.md §4e). The controller serializes the DRAM clock
+// and per channel: the DRAM channel state, the request queues (each queue
+// in arrival order — FR-FCFS picks the oldest candidate, so order is
+// simulation-visible), the forward list, drain, hit and idle-clock
+// bookkeeping, the mitigation FSM, and the wake time. What follows from
+// those is rebuilt, not saved: the clock stride (the CPU cycle of the next
+// DRAM tick), the NextEvent cache (settleWake, as after every tick), each
+// write's projected mask, and the bank index (lists, arrival stamps,
+// open-row summaries, rankCount), by re-pushing the restored queues in file
+// order with every bank's cached scheduling decision invalidated. The
+// refresh engine's pending flags are per-pass scratch: issueRefresh sets
+// every rank's before a pass reads one, and all are false while no rank is
+// due, so restore clears them.
 // Statistics and energy are not serialized: checkpoints are taken at the
 // warmup boundary, immediately after ResetStats.
 //
@@ -30,7 +35,6 @@ func saveReq(w *checkpoint.Writer, req *request) {
 	w.Int(req.loc.Row)
 	w.Int(req.loc.Col)
 	w.U64(uint64(req.byteMask))
-	w.U8(uint8(req.wordMask))
 	w.I64(req.arrive)
 	if req.kind == core.Read {
 		w.U8(uint8(req.done.Tag.Kind))
@@ -50,9 +54,6 @@ func saveReq(w *checkpoint.Writer, req *request) {
 // SaveState appends the controller's dynamic state.
 func (c *Controller) SaveState(w *checkpoint.Writer) {
 	w.I64(c.lastMem)
-	w.I64(c.nextMemAt)
-	w.Bool(c.active)
-	w.I64(c.minWake)
 	for _, cc := range c.chans {
 		cc.ch.SaveState(w)
 		for _, q := range [][]*request{cc.queued(core.Read), cc.queued(core.Write), cc.forwards} {
@@ -64,9 +65,6 @@ func (c *Controller) SaveState(w *checkpoint.Writer) {
 		w.Bool(cc.drain)
 		for bi := range cc.banks {
 			w.Int(cc.banks[bi].hits)
-		}
-		for _, p := range cc.refPending {
-			w.Bool(p)
 		}
 		for _, t := range cc.lastWork {
 			w.I64(t)
@@ -96,7 +94,10 @@ func (cc *chanCtl) restoreReq(r *checkpoint.Reader, fillResolve func(lineID uint
 	req.loc.Row = r.Int()
 	req.loc.Col = r.Int()
 	req.byteMask = core.ByteMask(r.U64())
-	req.wordMask = core.Mask(r.U8())
+	req.wordMask = core.FullMask
+	if req.kind == core.Write {
+		req.wordMask = cc.cfg.writeMask(req.byteMask)
+	}
 	req.arrive = r.I64()
 	if req.kind == core.Read {
 		kind := core.DoneKind(r.U8())
@@ -132,16 +133,12 @@ func (cc *chanCtl) restoreReq(r *checkpoint.Reader, fillResolve func(lineID uint
 // commit that installs it; on error the controller is untouched.
 func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID uint64) (core.Done, bool)) (func(), error) {
 	lastMem := r.I64()
-	nextMemAt := r.I64()
-	active := r.Bool()
-	minWake := r.I64()
 	type chanState struct {
 		chCommit                func()
 		readQ, writeQ, forwards []*request
 		drain                   bool
 		hitCount                []int
 		nextWake                int64
-		refreshEngine
 		lowPowerEngine
 		mitigationEngine
 	}
@@ -173,10 +170,6 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 		for j := range st.hitCount {
 			st.hitCount[j] = r.Int()
 		}
-		st.refPending = make([]bool, c.cfg.Geom.Ranks)
-		for j := range st.refPending {
-			st.refPending[j] = r.Bool()
-		}
 		st.lastWork = make([]int64, c.cfg.Geom.Ranks)
 		for j := range st.lastWork {
 			st.lastWork[j] = r.I64()
@@ -199,16 +192,15 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 	}
 	return func() {
 		c.lastMem = lastMem
-		c.nextMemAt = nextMemAt
-		c.active = active
-		c.minWake = minWake
+		c.nextMemAt = (lastMem + 1) * c.cpm
 		for i, cc := range c.chans {
 			st := &states[i]
 			st.chCommit()
 			cc.forwards = st.forwards
 			cc.drain = st.drain
 			cc.nextWake = st.nextWake
-			cc.refreshEngine, cc.lowPowerEngine, cc.mitigationEngine = st.refreshEngine, st.lowPowerEngine, st.mitigationEngine
+			cc.lowPowerEngine, cc.mitigationEngine = st.lowPowerEngine, st.mitigationEngine
+			clear(cc.refPending)
 			cc.freeReq = nil
 			// Rebuild the bank index against the restored open rows
 			// (forwarded reads are never queued — they bypassed push on
@@ -233,5 +225,6 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 				cc.push(req)
 			}
 		}
+		c.settleWake()
 	}, nil
 }

@@ -76,32 +76,35 @@ func WarmupFingerprint(cfg Config) (string, bool) {
 // by ModelVersion, which is embedded alongside.
 const (
 	ckptMagic  = "pradram-ckpt"
-	ckptFormat = 7 // v7: row counter tables without a spill floor, request records without a row key
+	ckptFormat = 8 // v8: cache ways as tags and dirty masks; no scratch clocks, statistics or caches of other fields
 )
 
 // Checkpoint serializes the system's complete post-warmup state. It must
 // be called at the warmup boundary — after Warmup returned nil and before
 // Measure — because the encoding relies on all statistics and energy
 // accumulators being freshly reset there (they are omitted from the
-// payload). The bytes are self-describing: magic, format version, model
-// version, warmup fingerprint, component payloads, CRC32 trailer.
+// payload); it refuses otherwise. The bytes are self-describing: magic,
+// format version, model version, warmup fingerprint, component payloads,
+// CRC32 trailer.
 func (s *System) Checkpoint() ([]byte, error) {
 	if !s.warmed {
 		return nil, fmt.Errorf("sim: checkpoint requires a completed warmup")
+	}
+	if s.measured {
+		return nil, fmt.Errorf("sim: checkpoint after Measure: it must be taken at the warmup boundary")
 	}
 	fp, ok := WarmupFingerprint(s.cfg)
 	if !ok {
 		return nil, fmt.Errorf("sim: config does not support checkpointing")
 	}
 	w := &checkpoint.Writer{}
-	w.Grow(2 << 20) // cache line arrays dominate: ~1.7 MB on the default geometry
+	w.Grow(2 << 20) // cache tags, dirty masks and LRU stamps dominate: ~1.65 MB on the default geometry
 	w.String(ckptMagic)
 	w.U8(ckptFormat)
 	w.String(ModelVersion)
 	w.String(fp)
 	w.I64(s.cycle)
 	w.I64(s.ticks)
-	w.I64(s.now)
 	for _, c := range s.cores {
 		c.SaveState(w)
 	}
@@ -161,7 +164,6 @@ func (s *System) Restore(data []byte) error {
 
 	cycle := r.I64()
 	ticks := r.I64()
-	now := r.I64()
 	if ticks < 0 || cycle < ticks { // cycle - ticks is the skipped count
 		return fmt.Errorf("%w: clock state cycle %d, ticks %d", checkpoint.ErrCorrupt, cycle, ticks)
 	}
@@ -212,7 +214,6 @@ func (s *System) Restore(data []byte) error {
 	}
 	s.cycle = cycle
 	s.ticks = ticks
-	s.now = now
 	if s.cap != nil {
 		// Same rebase Warmup performs: the measured window starts here.
 		s.cap.Trace.Records = s.cap.Trace.Records[:0]

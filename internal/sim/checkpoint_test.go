@@ -409,8 +409,9 @@ func TestCheckpointNormalization(t *testing.T) {
 }
 
 // TestRestoreRejectsMismatches covers the guard rails: wrong fingerprint,
-// wrong model/format headers, and reuse of a warmed system must all be
-// refused with a clear error, leaving the target untouched.
+// wrong model/format headers, reuse of a warmed system, and a checkpoint
+// after Measure must all be refused with a clear error, leaving the target
+// untouched.
 func TestRestoreRejectsMismatches(t *testing.T) {
 	t.Parallel()
 	cfg := quickCheckpointCfg("GUPS")
@@ -439,6 +440,17 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	}
 	if err := s2.Restore(data); err == nil {
 		t.Error("restoring into an already-warmed system must fail")
+	}
+	// A checkpoint holds the warmup boundary's state without the measured
+	// window's statistics; one taken after Measure restored to a run that
+	// counted its cycles from the wrong point (GUPS at 5k + 5k instructions
+	// per core: 104 cycles against the cold run's 31 235).
+	if _, err := s2.Measure(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s2.Checkpoint()
+	if want := "sim: checkpoint after Measure: it must be taken at the warmup boundary"; err == nil || err.Error() != want {
+		t.Errorf("checkpoint after Measure: %v, want %q", err, want)
 	}
 
 	unck := cfg

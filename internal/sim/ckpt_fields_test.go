@@ -29,7 +29,7 @@ var ckptFields = map[string]map[string]string{
 		"hier":     saved,
 		"cores":    saved,
 		"apps":     excluded, // configuration: workload labels
-		"now":      saved,
+		"now":      excluded, // per-tick scratch: advance sets it before anything reads it
 		"capBase":  derived,  // Restore rebases the capture to the boundary cycle, as Warmup does
 		"cap":      excluded, // wiring; the boundary drops its records
 		"rec":      excluded, // telemetry
@@ -40,7 +40,8 @@ var ckptFields = map[string]map[string]string{
 		"ticks":    saved,
 		"cal":      excluded, // configuration
 		"cycle":    saved,
-		"warmed":   derived, // Restore sets it
+		"warmed":   derived,  // Restore sets it
+		"measured": excluded, // false in every checkpoint: Checkpoint refuses once Measure ran
 	},
 
 	"cpu.Core": {
@@ -54,7 +55,7 @@ var ckptFields = map[string]map[string]string{
 		"head":       derived,  // RestoreState rotates the ring to start at slot 0
 		"tail":       derived,
 		"count":      saved,
-		"ldqUsed":    saved,
+		"ldqUsed":    derived, // the ROB slots still waiting for their load
 		"stqUsed":    saved,
 		"loadSerial": saved,
 		"lastSlot":   derived, // the in-flight slot holding serial loadSerial-1
@@ -62,11 +63,11 @@ var ckptFields = map[string]map[string]string{
 		"hasPending": saved,
 		"storeDone":  excluded, // wiring
 		"idle":       saved,
-		"Retired":    saved,
-		"Cycles":     saved,
-		"Loads":      saved,
-		"Stores":     saved,
-		"ComputeOps": saved,
+		"Retired":    excluded, // statistics, reset by Warmup before a checkpoint
+		"Cycles":     excluded,
+		"Loads":      excluded,
+		"Stores":     excluded,
+		"ComputeOps": excluded,
 	},
 	"cpu.Op": {"Kind": saved, "Addr": saved, "Bytes": saved, "Dep": saved},
 	// Every generator is a visitGen; reflection cannot see the state a
@@ -90,25 +91,24 @@ var ckptFields = map[string]map[string]string{
 		"l1":          saved,
 		"l2":          saved,
 		"mshr":        saved,
-		"mshrPerCore": saved,
+		"mshrPerCore": derived, // each MSHR entry counts against its first waiter's core
 		"lanes":       saved,
 		"wbs":         saved,
 		"retryFills":  saved,    // as positions in mshr
 		"freeMiss":    excluded, // free-list pool
 		"dbi":         saved,
 		"Events":      excluded, // wiring
-		"now":         saved,
+		"now":         excluded, // per-tick scratch: Tick sets it before anything reads it
 		"Stats":       excluded, // statistics, reset at the warmup boundary
 	},
 	"cache.level": {
-		"lines":   saved,
-		"tags":    derived, // mirrors lines' valid tags
+		"tags":    saved,
+		"dirty":   saved,
 		"lasts":   saved,
 		"ways":    excluded, // geometry
 		"setMask": excluded,
-		"tick":    saved,
+		"tick":    derived, // the largest of lasts
 	},
-	"cache.line": {"tag": saved, "valid": saved, "dirty": saved},
 	"cache.missEntry": {
 		"id":      saved,
 		"waiters": saved,
@@ -132,9 +132,9 @@ var ckptFields = map[string]map[string]string{
 		"chans":     saved,
 		"lastMem":   saved,
 		"cpm":       excluded,
-		"nextMemAt": saved,
-		"active":    saved,
-		"minWake":   saved,
+		"nextMemAt": derived, // (lastMem+1)·cpm
+		"active":    derived, // settleWake, as after every DRAM tick
+		"minWake":   derived,
 	},
 	"memctrl.chanCtl": {
 		"cfg":              excluded, // configuration
@@ -190,7 +190,7 @@ var ckptFields = map[string]map[string]string{
 		"loc":       saved,
 		"seq":       derived, // push
 		"byteMask":  saved,
-		"wordMask":  saved,
+		"wordMask":  derived, // restoreReq projects byteMask as Write does
 		"arrive":    saved,
 		"done":      saved,
 		"activated": saved,
@@ -199,8 +199,10 @@ var ckptFields = map[string]map[string]string{
 		"brk":       saved,
 		"nextFree":  excluded, // free-list link
 	},
-	"memctrl.Loc":              {"Channel": saved, "Rank": saved, "Bank": saved, "Row": saved, "Col": saved},
-	"memctrl.refreshEngine":    {"refPending": saved},
+	"memctrl.Loc": {"Channel": saved, "Rank": saved, "Bank": saved, "Row": saved, "Col": saved},
+	// Per-pass scratch: issueRefresh sets every rank's flag before a pass
+	// reads one, and all are false while no rank is due; restore clears them.
+	"memctrl.refreshEngine":    {"refPending": excluded},
 	"memctrl.lowPowerEngine":   {"lastWork": saved},
 	"memctrl.mitigationEngine": {"rfmPending": saved, "rfmRank": saved, "rfmBank": saved, "alertUntil": saved},
 }

@@ -193,7 +193,7 @@ type System struct {
 	cores []*cpu.Core
 	apps  []string
 
-	now     int64 // current CPU cycle, for the trace capture
+	now     int64 // the CPU cycle being ticked, for the trace capture
 	capBase int64 // capture timebase (reset to the warmup boundary)
 	cap     *trace.Capture
 
@@ -219,9 +219,11 @@ type System struct {
 	// cycle is the run loop's position. It lives on the System (not as a
 	// Run local) so Warmup and Measure can run as separate phases with a
 	// checkpoint in between; ticks carries the executed-tick budget across
-	// the same boundary.
-	cycle  int64
-	warmed bool
+	// the same boundary. measured records that Measure has run: the
+	// warmup boundary, where a checkpoint must be taken, lies behind.
+	cycle    int64
+	warmed   bool
+	measured bool
 }
 
 // New assembles a system from the configuration.
@@ -416,6 +418,7 @@ func (s *System) Warmup() error {
 // a checkpointed warmup state).
 func (s *System) Measure() (Result, error) {
 	start := s.cycle
+	s.measured = true
 	if s.rec != nil {
 		// Snapshot counter baselines at the measurement-window start so
 		// the first epoch's deltas exclude warmup, and arm the first
