@@ -149,12 +149,10 @@ type Controller struct {
 	cpm       int64
 	nextMemAt int64
 
-	// NextEvent cache, refreshed after every DRAM tick and invalidated
-	// (active=true) by enqueues: active means some channel must be scanned
-	// at the next DRAM tick; otherwise minWake is the earliest channel
-	// wake-up in memory cycles. NextEvent is on the run loop's
-	// per-executed-cycle path, so it must not walk the channels itself.
-	active  bool
+	// minWake is the NextEvent cache: the earliest channel nextWake in
+	// memory cycles (0 while some channel is disarmed), refreshed after
+	// every DRAM tick and lowered to 0 by enqueues. NextEvent is on the run
+	// loop's per-executed-cycle path, so it must not walk the channels.
 	minWake int64
 }
 
@@ -177,7 +175,7 @@ func New(cfg Config) (*Controller, error) {
 		cfg.Timing.PRAMaskCycles = 0
 		cfg.NoTimingRelax = true
 	}
-	c := &Controller{cfg: cfg, am: am, lastMem: -1, cpm: cfg.CPUPerMem, active: true}
+	c := &Controller{cfg: cfg, am: am, lastMem: -1, cpm: cfg.CPUPerMem}
 	for i := 0; i < cfg.Channels; i++ {
 		acc := power.NewAccumulator()
 		ch, err := dram.NewChannel(cfg.Timing, cfg.Geom, acc)
@@ -233,8 +231,7 @@ func (c *Controller) Read(addr uint64, done core.Done) bool {
 	req := cc.allocReq(core.Read, l, c.lastMem+1)
 	req.wordMask = core.FullMask
 	req.done = done // invoked with the CPU cycle: call sites scale by CPUPerMem
-	cc.nextWake = 0
-	c.active = true
+	cc.nextWake, c.minWake = 0, 0
 	// Forward from the write queue: the queued write to the line has the data.
 	if cc.queuedWrite(l) != nil {
 		cc.forwards = append(cc.forwards, req)
@@ -271,8 +268,7 @@ func (c *Controller) Write(addr uint64, mask core.ByteMask) bool {
 		req.wordMask = c.cfg.writeMask(mask)
 		cc.push(req)
 	}
-	cc.nextWake = 0
-	c.active = true
+	cc.nextWake, c.minWake = 0, 0
 	return true
 }
 
@@ -341,22 +337,15 @@ func (c *Controller) Tick(cpu int64) {
 	c.settleWake()
 }
 
-// settleWake refreshes the NextEvent cache from the channels: active while
-// any channel has forwards to complete or a disarmed wake, otherwise
-// minWake is the earliest channel wake-up.
+// settleWake refreshes the NextEvent cache: minWake is the earliest of the
+// channels' nextWake. Pending forwards need no term of their own: only an
+// enqueue adds one, and it disarms its channel's wake (0) until the next
+// DRAM tick completes them.
 func (c *Controller) settleWake() {
-	c.active = false
-	min := int64(core.FarFuture)
+	c.minWake = int64(core.FarFuture)
 	for _, cc := range c.chans {
-		if len(cc.forwards) > 0 || cc.nextWake == 0 {
-			c.active = true
-			return
-		}
-		if cc.nextWake < min {
-			min = cc.nextWake
-		}
+		c.minWake = min(c.minWake, cc.nextWake)
 	}
-	c.minWake = min
 }
 
 // SkipTo realigns the DRAM clock after the run loop jumps the CPU cycle
@@ -387,22 +376,18 @@ func (c *Controller) SkipTo(target int64) {
 func (c *Controller) MemCycle() int64 { return c.lastMem }
 
 // NextEvent reports the earliest CPU cycle at which the controller can do
-// observable work, assuming nothing new is enqueued before then: the next
-// DRAM tick while any channel is active (pending forwards, or a disarmed
-// wake meaning the scheduler must scan again), otherwise the earliest
-// channel wake-up (readiness or refresh deadline) converted to the CPU
-// clock. Skipped cycles in between are exactly the ticks that per-cycle
-// operation would spend in the "mem < nextWake" sleep path, whose only
-// effect — lazy background-energy accrual — is caught up jump-exactly by
+// observable work, assuming nothing new is enqueued before then: the
+// earliest channel wake-up converted to the CPU clock, and no earlier than
+// the next DRAM tick (a disarmed wake, 0, means that tick). Skipped cycles
+// in between are exactly the ticks that per-cycle operation would spend in
+// the "mem < nextWake" sleep path, whose only effect — lazy
+// background-energy accrual — is caught up jump-exactly by
 // AdvanceTo/CatchUp.
 func (c *Controller) NextEvent(now int64) int64 {
-	if c.active {
-		return c.nextMemAt
-	}
 	if c.minWake >= core.FarFuture/c.cpm {
 		return core.FarFuture // avoid overflowing the sentinel
 	}
-	return c.minWake * c.cpm
+	return max(c.minWake*c.cpm, c.nextMemAt)
 }
 
 // CatchUp brings the lazy per-channel background-energy accounting to the
@@ -490,10 +475,11 @@ type chanCtl struct {
 	bound   [numEngines]int64
 	running *int64
 
-	// nextWake is the earliest memory cycle at which scheduling could
-	// possibly issue a command; between now and then ticks only accrue
-	// background energy. It is re-armed whenever a scheduling pass issues
-	// nothing and disarmed (0) on every enqueue or issued command.
+	// nextWake is the channel's one statement of when a scheduling pass
+	// runs: a pass before it would be a no-op (the golden tests' every-tick
+	// oracle holds every cell to that), so ticks until then only accrue
+	// background energy. It is re-armed whenever a pass issues nothing and
+	// disarmed (0) on every enqueue or issued command.
 	nextWake int64
 
 	// ev/scope are the structured event hook (nil/"" when tracing is off);

@@ -33,6 +33,11 @@ var stateEventSites = []struct{ name, kind, detail, not string }{
 // LevelState event (cycle, scope, kind, detail) in emission order and the
 // count of each kind (testdata/events.golden). Every emission site must be
 // reached by some cell, and the log must be large enough to drop nothing.
+//
+// It also holds each cell to the wake contract: a scheduling pass at a cycle
+// where nothing is due is a no-op, so the cell run again with a pass on every
+// DRAM tick (schedGen.everyTick) must render the same sched.golden and
+// events.golden lines.
 func TestStateEventStreamGolden(t *testing.T) {
 	t.Parallel()
 	cells := schedCells()
@@ -43,39 +48,12 @@ func TestStateEventStreamGolden(t *testing.T) {
 			i, cell := i, cell
 			t.Run(cell.name, func(t *testing.T) {
 				t.Parallel()
-				cfg := DefaultConfig()
-				cell.mod(&cfg)
-				g := newSchedGen(t, cfg, cell.mode, uint64(i+1))
-				ev := obs.NewEventLog(1<<14, obs.LevelState)
-				g.c.AttachObs(nil, ev)
-				g.drain(t, g.run(t, 0, cell.cycles))
-				if n := ev.Dropped(); n != 0 {
-					t.Fatalf("event log dropped %d events", n)
+				var sched string
+				sched, lines[i], seen[i] = runEventCell(t, i, cell, false)
+				if s, e, _ := runEventCell(t, i, cell, true); s != sched || e != lines[i] {
+					t.Errorf("a pass on every tick changed the cell:\n sleeping   %s\n            %s\n every tick %s\n            %s",
+						sched, lines[i], s, e)
 				}
-				h := sha256.New()
-				counts := map[string]int{}
-				seen[i] = make([]bool, len(stateEventSites))
-				for _, e := range ev.Events() {
-					fmt.Fprintf(h, "%d\x00%s\x00%s\x00%s\n", e.Cycle, e.Scope, e.Kind, e.Detail)
-					counts[e.Kind]++
-					for s, site := range stateEventSites {
-						if e.Kind == site.kind && strings.Contains(e.Detail, site.detail) &&
-							(site.not == "" || !strings.Contains(e.Detail, site.not)) {
-							seen[i][s] = true
-						}
-					}
-				}
-				kinds := make([]string, 0, len(counts))
-				for k := range counts {
-					kinds = append(kinds, k)
-				}
-				sort.Strings(kinds)
-				var b strings.Builder
-				fmt.Fprintf(&b, "%-28s %x", cell.name, h.Sum(nil)[:12])
-				for _, k := range kinds {
-					fmt.Fprintf(&b, " %s=%d", k, counts[k])
-				}
-				lines[i] = b.String()
 			})
 		}
 	})
@@ -89,4 +67,45 @@ func TestStateEventStreamGolden(t *testing.T) {
 		}
 	}
 	compareGolden(t, "events.golden", strings.Join(lines, "\n")+"\n")
+}
+
+// runEventCell drives scheduler-golden cell i with the state-event log
+// attached and returns its sched.golden and events.golden lines and which
+// stateEventSites it reached.
+func runEventCell(t *testing.T, i int, cell schedCell, everyTick bool) (sched, events string, seen []bool) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cell.mod(&cfg)
+	g := newSchedGen(t, cfg, cell.mode, uint64(i+1))
+	g.everyTick = everyTick
+	ev := obs.NewEventLog(1<<14, obs.LevelState)
+	g.c.AttachObs(nil, ev)
+	g.drain(t, g.run(t, 0, cell.cycles))
+	if n := ev.Dropped(); n != 0 {
+		t.Fatalf("event log dropped %d events", n)
+	}
+	h := sha256.New()
+	counts := map[string]int{}
+	seen = make([]bool, len(stateEventSites))
+	for _, e := range ev.Events() {
+		fmt.Fprintf(h, "%d\x00%s\x00%s\x00%s\n", e.Cycle, e.Scope, e.Kind, e.Detail)
+		counts[e.Kind]++
+		for s, site := range stateEventSites {
+			if e.Kind == site.kind && strings.Contains(e.Detail, site.detail) &&
+				(site.not == "" || !strings.Contains(e.Detail, site.not)) {
+				seen[s] = true
+			}
+		}
+	}
+	kinds := make([]string, 0, len(counts))
+	for k := range counts {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-28s %x", cell.name, h.Sum(nil)[:12])
+	for _, k := range kinds {
+		fmt.Fprintf(&b, " %s=%d", k, counts[k])
+	}
+	return g.finish(cell.name), b.String(), seen
 }

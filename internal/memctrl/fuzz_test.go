@@ -1,6 +1,8 @@
 package memctrl
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -52,9 +54,11 @@ func checkConservation(t *testing.T, c *Controller, acceptedReads, acceptedWrite
 // false hits, mask unions, the hit cap, forwards and merges). remerge of
 // every 256 writes re-target one of the last eight written lines with a
 // fresh partial mask: a merge while the first write is still queued, which
-// grows its need() under a row that may be partially open. The shared
-// harness behind both the deterministic matrix test and the fuzz target.
-func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64, rowPool, remerge int) {
+// grows its need() under a row that may be partially open. everyTick calls
+// disarmWakes before each Tick. It returns a digest of the command stream
+// and the final statistics. The shared harness behind both the
+// deterministic matrix test and the fuzz target.
+func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64, rowPool, remerge int, everyTick bool) string {
 	t.Helper()
 	c, err := New(cfg)
 	if err != nil {
@@ -66,8 +70,15 @@ func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64, rowP
 	// The scheduler index is re-verified after every tick that could have
 	// changed it: one that followed an accepted request or issued a command.
 	dirty := false
-	c.OnCommand(func(int, dram.CmdEvent) { dirty = true })
+	h := sha256.New()
+	c.OnCommand(func(ch int, e dram.CmdEvent) {
+		dirty = true
+		fmt.Fprintf(h, "%d %+v\n", ch, e)
+	})
 	tick := func(cpu int64) {
+		if everyTick {
+			disarmWakes(c)
+		}
 		c.Tick(cpu)
 		if dirty {
 			checkIndex(t, c)
@@ -116,6 +127,8 @@ func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64, rowP
 		t.Fatal("controller failed to drain")
 	}
 	checkConservation(t, c, acceptedReads, acceptedWrites, completions)
+	fmt.Fprintf(h, "%+v\n%+v\n%+v\n", c.Stats(), c.DeviceStats(), c.Energy())
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // Conservation fuzz: under random traffic, the conservation invariants
@@ -134,7 +147,7 @@ func TestTrafficConservationMatrix(t *testing.T) {
 				if policy == RestrictedClose {
 					cfg.Mapping = LineInterleaved
 				}
-				driveRandomTraffic(t, cfg, int64(scheme)*10+int64(policy), 4*60_000, 0, 0)
+				driveRandomTraffic(t, cfg, int64(scheme)*10+int64(policy), 4*60_000, 0, 0, false)
 			})
 		}
 	}
@@ -188,7 +201,11 @@ func FuzzTrafficConservation(f *testing.F) {
 			cfg.Mapping = LineInterleaved
 		}
 		// A shorter window than the matrix test keeps fuzz iterations
-		// fast; the drain bound and invariants are identical.
-		driveRandomTraffic(t, cfg, seed, 4*12_000, int(rowPool), int(remerge))
+		// fast; the drain bound and invariants are identical. The wake
+		// contract: a pass on every DRAM tick changes nothing.
+		sleeping := driveRandomTraffic(t, cfg, seed, 4*12_000, int(rowPool), int(remerge), false)
+		if every := driveRandomTraffic(t, cfg, seed, 4*12_000, int(rowPool), int(remerge), true); every != sleeping {
+			t.Error("a scheduling pass on every DRAM tick changed the command stream or the statistics")
+		}
 	})
 }

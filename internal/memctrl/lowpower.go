@@ -59,23 +59,20 @@ func ParsePDPolicy(name string) (PDPolicy, error) {
 // lowPowerEngine is the state of the low-power engine (DESIGN.md §4f),
 // which wakes powered-down ranks that have work and drops idle ones into
 // power-down or self-refresh as the LowPower knobs direct. lastWork is the
-// last pass cycle at which each rank had queued work, the idle clock the
-// timeouts count from; only passes update it (after the nextWake
-// early-return), so skip-mode and per-cycle runs see the same values.
+// cycle each rank last emptied, the idle clock the timeouts count from. A
+// rank only empties through a column command (issueColumn stamps it), and
+// lastWork is only read while the rank is idle, so it does not depend on
+// which cycles run a pass.
 type lowPowerEngine struct {
 	lastWork []int64
 }
 
-// wakeRanks opens a scheduling pass: it stamps lastWork for every rank with
-// queued work and wakes the powered-down ranks that have work or a refresh
-// they must take (under elastic refresh a merely-due refresh is postponed
-// rather than cutting the sleep short); the wake costs the state's exit
-// latency before the first command (tXP/tXPDLL/tXS).
+// wakeRanks opens a scheduling pass: it wakes the powered-down ranks that
+// have work or a refresh they must take (under elastic refresh a merely-due
+// refresh is postponed rather than cutting the sleep short); the wake costs
+// the state's exit latency before the first command (tXP/tXPDLL/tXS).
 func (cc *chanCtl) wakeRanks(mem int64) {
 	for r := 0; r < cc.cfg.Geom.Ranks; r++ {
-		if cc.rankHasWork(r) {
-			cc.lastWork[r] = mem
-		}
 		if cc.ch.PoweredDown(r) && (cc.rankHasWork(r) || cc.refreshWakes(mem, r)) {
 			st := cc.ch.PDStateOf(r)
 			cc.ch.Wake(mem, r)
@@ -98,8 +95,9 @@ func (cc *chanCtl) manageRanks(mem int64) bool {
 		if st := cc.ch.PDStateOf(r); st != dram.PDAwake {
 			// Self-refresh escalation: a rank that has slept in precharge
 			// power-down past SRTimeout is woken (paying the exit latency)
-			// so the self-refresh entry command can issue on a later pass.
-			if (st == dram.PDPrechargeFast || st == dram.PDPrechargeSlow) && cc.srDueAt(r) <= mem {
+			// so the self-refresh entry command can issue on a later pass;
+			// until then the deadline bounds the channel's sleep.
+			if (st == dram.PDPrechargeFast || st == dram.PDPrechargeSlow) && cc.reached(mem, cc.srDueAt(r)) {
 				cc.ch.Wake(mem, r)
 				if cc.tracing() {
 					cc.emit(mem, "wake", "rank %d out of %v to escalate to self-refresh", r, st)

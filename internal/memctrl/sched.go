@@ -417,8 +417,8 @@ func (cc *chanCtl) writeFrac(req *request) float64 {
 // candidate with the smallest seq is the one an arrival-order walk of the
 // whole queue would reach first. A not-ready candidate reports its exact
 // ready time to noteReady (unless pruned): those times set nextWake when the
-// pass issues nothing, and pass cycles are simulation-visible through
-// lastWork. Once a ready candidate is held the pass will issue, the bounds
+// pass issues nothing, and a wake later than the true one would delay a
+// command. Once a ready candidate is held the pass will issue, the bounds
 // are discarded, and younger candidates need no evaluation.
 func (cc *chanCtl) tryColumn(mem int64, k core.AccessKind) bool {
 	var (
@@ -498,6 +498,9 @@ func (cc *chanCtl) issueColumn(mem int64, req *request, i int, bank dram.CmdTerm
 		}
 	}
 	cc.remove(req, i, autoPre)
+	if !cc.rankHasWork(l.Rank) {
+		cc.lastWork[l.Rank] = mem // the rank's idle clock starts
+	}
 	cc.sweepWait(req, mem, &terms)
 	cc.completeLat(req, mem, done)
 	if req.kind == core.Read {

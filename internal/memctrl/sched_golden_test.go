@@ -50,6 +50,7 @@ type schedGen struct {
 	dirty       bool            // a request was accepted or a command issued since the last checkIndex
 	binds       [numEngines]int // passes that slept the channel, by binding engine
 	lateWake    string          // a merge left its channel asleep past a legal command (write)
+	everyTick   bool            // disarmWakes before each Tick: the wake contract's oracle
 
 	phase     int   // trPhased: index into the phase cycle
 	phaseEnd  int64 // CPU cycle the current phase ends
@@ -177,17 +178,30 @@ func (cc *chanCtl) requestsBound(mem int64) int64 {
 	return bound
 }
 
-// tick advances the controller one CPU cycle, checks the wake decomposition
-// of every channel that ran a scheduling pass and went to sleep — nextWake
-// is max(mem+1, the min of the four engines' bounds) — and, when the
-// requests engine ran in that pass, that its bound is the exhaustive one
-// (requestsBound); and it re-verifies the scheduler index whenever the cycle
-// could have changed it.
+// disarmWakes disarms every channel's wake, so the next DRAM tick runs a
+// scheduling pass on each. Called before every Tick it is the wake
+// contract's oracle: a pass at a cycle where nothing is due must be a no-op,
+// so the run must not change.
+func disarmWakes(c *Controller) {
+	for _, cc := range c.chans {
+		cc.nextWake = 0
+	}
+}
+
+// tick advances the controller one CPU cycle (under everyTick, after
+// disarmWakes), checks the wake decomposition of every channel that ran a
+// scheduling pass and went to sleep — nextWake is max(mem+1, the min of the
+// four engines' bounds) — and, when the requests engine ran in that pass,
+// that its bound is the exhaustive one (requestsBound); and it re-verifies
+// the scheduler index whenever the cycle could have changed it.
 func (g *schedGen) tick(t *testing.T, cpu int64) {
 	t.Helper()
 	if g.lateWake != "" {
 		t.Error(g.lateWake)
 		g.lateWake = ""
+	}
+	if g.everyTick {
+		disarmWakes(g.c)
 	}
 	var wakes [8]int64
 	for i, cc := range g.c.chans {
@@ -565,6 +579,34 @@ func TestCheckpointQueueBytes(t *testing.T) {
 	}
 	if s1, s2 := fmt.Sprintf("%+v", g.c.Stats()), fmt.Sprintf("%+v", g2.c.Stats()); s1 != s2 {
 		t.Errorf("restored statistics diverged:\n %s\n %s", s1, s2)
+	}
+}
+
+// TestRestoreRejectsForwardsUnderArmedWake: a forward completes at its
+// channel's next DRAM tick only because its enqueue disarmed the channel's
+// wake, so a payload holding forwards under an armed wake is refused.
+func TestRestoreRejectsForwardsUnderArmedWake(t *testing.T) {
+	t.Parallel()
+	g := newSchedGen(t, DefaultConfig(), trForward, 5)
+	addr := g.randomAddr()
+	if !g.write(addr) {
+		t.Fatal("write rejected")
+	}
+	g.read(addr)
+	cc := g.c.chans[g.c.am.Decompose(addr).Channel]
+	for _, wake := range []int64{0, 7} {
+		cc.nextWake = wake
+		var w checkpoint.Writer
+		g.c.SaveState(&w)
+		fresh, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = fresh.RestoreState(checkpoint.NewReader(w.Bytes()),
+			func(id uint64) (core.Done, bool) { return g.done(id), true })
+		if want := wake != 0; (err != nil) != want || want && !strings.Contains(err.Error(), "armed wake") {
+			t.Errorf("wake %d: restore error %v, want one: %v", wake, err, want)
+		}
 	}
 }
 

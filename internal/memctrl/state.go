@@ -175,6 +175,9 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 			st.lastWork[j] = r.I64()
 		}
 		st.nextWake = r.I64()
+		if len(st.forwards) > 0 && st.nextWake != 0 {
+			r.Fail("memctrl: channel %d has forwards pending under an armed wake %d", i, st.nextWake)
+		}
 		st.rfmPending = r.Bool()
 		st.rfmRank = r.Int()
 		st.rfmBank = r.Int()

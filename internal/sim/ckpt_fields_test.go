@@ -133,8 +133,7 @@ var ckptFields = map[string]map[string]string{
 		"lastMem":   saved,
 		"cpm":       excluded,
 		"nextMemAt": derived, // (lastMem+1)·cpm
-		"active":    derived, // settleWake, as after every DRAM tick
-		"minWake":   derived,
+		"minWake":   derived, // settleWake, as after every DRAM tick
 	},
 	"memctrl.chanCtl": {
 		"cfg":              excluded, // configuration
@@ -202,7 +201,9 @@ var ckptFields = map[string]map[string]string{
 	"memctrl.Loc": {"Channel": saved, "Rank": saved, "Bank": saved, "Row": saved, "Col": saved},
 	// Per-pass scratch: issueRefresh sets every rank's flag before a pass
 	// reads one, and all are false while no rank is due; restore clears them.
-	"memctrl.refreshEngine":    {"refPending": excluded},
+	"memctrl.refreshEngine": {"refPending": excluded},
+	// lastWork is the cycle each rank last emptied (stamped by the column
+	// that empties it), the idle clock the power-down timeouts count from.
 	"memctrl.lowPowerEngine":   {"lastWork": saved},
 	"memctrl.mitigationEngine": {"rfmPending": saved, "rfmRank": saved, "rfmBank": saved, "alertUntil": saved},
 }

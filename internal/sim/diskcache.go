@@ -31,7 +31,11 @@ import (
 // can differ.
 // v6: speed grades derive from one device spec; outside DDR3-1600, tXP,
 // tXPDLL, tXS, tCKE, tRFM (and tREFI at 1866/2133) moved, so grade= runs differ.
-const ModelVersion = "pradram-model-v6"
+// v7: a powered-down rank's self-refresh deadline bounds its channel's
+// sleep, so escalation happens when the rank's idle time reaches SRTimeout
+// rather than at the next pass some other event causes; runs with
+// SRTimeout > 0 can differ.
+const ModelVersion = "pradram-model-v7"
 
 // fileStore is the on-disk protocol under both the result cache and the
 // checkpoint store: one file per id in dir, named by a hash of the id (the
