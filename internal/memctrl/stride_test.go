@@ -1,6 +1,11 @@
 package memctrl
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"pradram/internal/dram"
+)
 
 // The controller derives its DRAM clock from the CPU clock with a stride
 // counter (nextMemAt) instead of a per-Tick division. These tests pin the
@@ -98,5 +103,24 @@ func TestTickResynchronizesAfterOvershoot(t *testing.T) {
 	c.Tick(jump)
 	if got, want := c.MemCycle(), jump/cpm; got != want {
 		t.Fatalf("Tick(%d) after overshoot: MemCycle = %d, want %d", jump, got, want)
+	}
+}
+
+// TestSpeedGradeClockRatio pins the CPU:memory clock ratio every speed
+// grade runs at: round(tCK · 3.2 GHz), the paper's cores over the bin's
+// command clock.
+func TestSpeedGradeClockRatio(t *testing.T) {
+	t.Parallel()
+	want := map[string]int64{"DDR3-800": 8, "DDR3-1066": 6, "DDR3-1333": 5, "DDR3-1600": 4, "DDR3-1866": 3, "DDR3-2133": 3}
+	for _, g := range dram.SpeedGrades() {
+		cfg := DefaultConfig()
+		cfg.Timing, cfg.CPUPerMem = g.Timing, g.CPUPerMem
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.CPUPerMem(); got != want[g.Name] || got != int64(math.Round(g.Timing.TCKNs*3.2)) {
+			t.Errorf("%s (tCK %g ns) runs at ratio %d, want %d", g.Name, g.Timing.TCKNs, got, want[g.Name])
+		}
 	}
 }
