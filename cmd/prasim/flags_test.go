@@ -95,8 +95,8 @@ func TestArgsToConfig(t *testing.T) {
 			"cfg.LatBreak": "false", "cfg.LatSpanEvery": "0",
 			"cfg.Obs.EpochCycles": "0", "cfg.Obs.EventLevel": "off",
 			"cfg.Capture": "false", "cfg.NoTimingRelax": "false", "cfg.NoPartialIO": "false", "cfg.NoMaskCycle": "false",
-			"cfg.MaxCycles": "0", "cfg.CPUPerMem": "0",
-			"list": "false", "asJSON": "false", "workers": strconv.Itoa(runtime.GOMAXPROCS(0)),
+			"cfg.MaxCycles": "0",
+			"list":          "false", "asJSON": "false", "workers": strconv.Itoa(runtime.GOMAXPROCS(0)),
 			"ckptDir": "", "traceOut": "", "timeline": "", "eventsOut": "", "httpAddr": "",
 		}},
 		{[]string{"-workload", "em3d"}, map[string]string{"cfg.Workload": "em3d"}},

@@ -158,14 +158,9 @@ type Channel struct {
 	// precharge power-down state: lower standby power, tXPDLL exit.
 	SlowExitPD bool
 
-	// RefMode selects the refresh discipline (all-bank vs per-bank).
+	// RefMode selects the refresh discipline: all-bank, per-bank, or
+	// elastic (all-bank with JEDEC's postpone/pull-in window).
 	RefMode RefreshMode
-
-	// MaxPostpone is how many refresh intervals a refresh may be postponed
-	// or pulled in (the JEDEC DDR3 elasticity is 8). 0 disables both:
-	// refreshes are due exactly at their nominal deadline, as in the
-	// pre-FSM simulator.
-	MaxPostpone int
 
 	// Trace, when non-nil, receives every issued command and CKE
 	// transition in issue order (see CmdEvent). Used for command-level
@@ -506,9 +501,13 @@ func (c *Channel) refInterval() int64 {
 }
 
 // postponeWindow returns the refresh elasticity in cycles: how far past
-// (or ahead of) its nominal deadline a refresh may issue.
+// (or ahead of) its nominal deadline a refresh may issue. Only elastic
+// refresh has one; elsewhere a refresh is due exactly at its deadline.
 func (c *Channel) postponeWindow() int64 {
-	return int64(c.MaxPostpone) * c.refInterval()
+	if c.RefMode != RefElastic {
+		return 0
+	}
+	return refreshCredit * c.refInterval()
 }
 
 // neverRefresh is the refresh-horizon sentinel for ranks that owe no
@@ -535,15 +534,15 @@ func (c *Channel) MustRefreshAt(r int) int64 { return c.NextRefreshAt(r) + c.pos
 func (c *Channel) RefreshDue(now int64, r int) bool { return c.NextRefreshAt(r) <= now }
 
 // RefreshMust reports whether rank r's refresh can no longer be postponed:
-// the nominal deadline plus the full elasticity window has passed. With
-// MaxPostpone = 0 it coincides with RefreshDue.
+// the nominal deadline plus the full elasticity window has passed. Outside
+// elastic refresh it coincides with RefreshDue.
 func (c *Channel) RefreshMust(now int64, r int) bool { return c.MustRefreshAt(r) <= now }
 
 // CanPullIn reports whether rank r may issue a refresh ahead of its
 // nominal deadline at cycle now without exceeding the pull-in credit of
-// MaxPostpone intervals.
+// refreshCredit intervals; never outside elastic refresh.
 func (c *Channel) CanPullIn(now int64, r int) bool {
-	return c.MaxPostpone != 0 && c.NextRefreshAt(r)-now < c.postponeWindow()
+	return c.RefMode == RefElastic && c.NextRefreshAt(r)-now < c.postponeWindow()
 }
 
 // NextRefreshAny returns the earliest NextRefreshAt across all ranks — the
@@ -640,8 +639,8 @@ func (c *Channel) refresh(at int64, r, b int) error {
 	rk := c.rank(r)
 	if ahead := rk.nextRefresh - at; ahead > 0 {
 		if ahead >= c.postponeWindow() {
-			return fmt.Errorf("dram: refresh pull-in at %d exceeds the %dx interval credit (deadline %d)",
-				at, c.MaxPostpone, rk.nextRefresh)
+			return fmt.Errorf("dram: refresh pull-in at %d exceeds the %d-cycle %v credit (deadline %d)",
+				at, c.postponeWindow(), c.RefMode, rk.nextRefresh)
 		}
 		c.Stats.PulledInRefreshes++
 	} else if at >= rk.nextRefresh+c.refInterval() {

@@ -60,8 +60,8 @@ func TestCheckerOverWholeStackRuns(t *testing.T) {
 		{"4ch-hammer", func(c *sim.Config) { c.Channels, c.Workload, c.MitThreshold = 4, "HammerDouble", 4 }},
 		{"DBI", func(c *sim.Config) { c.DBI = true }},
 		{"ECC", func(c *sim.Config) { c.ECC = true }},
-		{"perbank", func(c *sim.Config) { c.RefreshMode = memctrl.RefreshPerBank }},
-		{"elastic", func(c *sim.Config) { c.RefreshMode = memctrl.RefreshElastic }},
+		{"perbank", func(c *sim.Config) { c.RefreshMode = dram.RefPerBank }},
+		{"elastic", func(c *sim.Config) { c.RefreshMode = dram.RefElastic }},
 		{"pdtimed-sr", func(c *sim.Config) { c.PDPolicy, c.PDTimeout, c.SRTimeout = memctrl.PDTimed, 64, 512 }},
 		{"openpage-apd", func(c *sim.Config) { c.Policy, c.APD = memctrl.OpenPage, true }},
 		{"pdqueue", func(c *sim.Config) { c.PDPolicy, c.PDTimeout = memctrl.PDQueueAware, 64 }},
@@ -76,7 +76,7 @@ func TestCheckerOverWholeStackRuns(t *testing.T) {
 	for _, g := range dram.SpeedGrades() {
 		cells = append(cells, cell{"pra/GUPS/" + g.Name, func(c *sim.Config) {
 			c.Scheme, c.Workload = memctrl.PRA, "GUPS"
-			c.Timing, c.CPUPerMem = &g.Timing, g.CPUPerMem
+			c.Timing = &g.Timing
 		}})
 	}
 	for _, cl := range cells {

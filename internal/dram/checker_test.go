@@ -437,7 +437,7 @@ func driveStream(dev dram.Timing, chip power.ChipPowers, ref dram.Timing, sc str
 	}
 	ch.NoWeightedFAW = sc.unweighted
 	ch.TrackRows()
-	ch.MaxPostpone = 8
+	ch.RefMode = dram.RefElastic
 	if sc.perBank {
 		ch.RefMode = dram.RefPerBank
 	}

@@ -1,6 +1,9 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // PDState is a rank's power-down FSM state (DESIGN.md §4f). The zero value
 // is the fully-awake state, so zero-initialized and legacy checkpointed
@@ -36,28 +39,54 @@ func (s PDState) String() string {
 	return fmt.Sprintf("PDState(%d)", uint8(s))
 }
 
-// RefreshMode selects the refresh management discipline of a channel.
+// RefreshMode selects the refresh management discipline of a channel. It
+// is the run's refresh knob (memctrl.Knobs.RefreshMode) as the device
+// reads it.
 type RefreshMode uint8
 
 const (
 	// RefAllBank is the conventional discipline: one all-bank REF per rank
-	// every tREFI, blocking the whole rank for tRFC. The zero value, and
-	// the only mode the pre-FSM simulator had.
+	// every tREFI, blocking the whole rank for tRFC, due exactly at its
+	// nominal deadline. The zero value, and the only mode the pre-FSM
+	// simulator had.
 	RefAllBank RefreshMode = iota
 	// RefPerBank round-robins REFpb commands across banks at a tREFI/banks
 	// cadence; each blocks only its target bank, for the shorter tRFCpb.
 	RefPerBank
+	// RefElastic keeps all-bank REF but uses JEDEC DDR3's elasticity: a
+	// refresh may be postponed, or pulled in, by up to refreshCredit
+	// intervals (the controller postpones while a rank has work and pulls
+	// in before it powers down).
+	RefElastic
 )
 
-// String names the refresh mode.
+// refreshCredit is JEDEC DDR3's refresh elasticity in refresh intervals.
+const refreshCredit = 8
+
+// refreshModeNames indexes RefreshMode.
+var refreshModeNames = [...]string{"allbank", "perbank", "elastic"}
+
+// String names the mode as accepted by ParseRefreshMode.
 func (m RefreshMode) String() string {
-	switch m {
-	case RefAllBank:
-		return "allbank"
-	case RefPerBank:
-		return "perbank"
+	if int(m) < len(refreshModeNames) {
+		return refreshModeNames[m]
 	}
 	return fmt.Sprintf("RefreshMode(%d)", uint8(m))
+}
+
+// ParseRefreshMode resolves a refresh-mode name ("allbank", "perbank",
+// "elastic"; "postpone" is accepted as an alias for "elastic").
+func ParseRefreshMode(name string) (RefreshMode, error) {
+	if strings.EqualFold(name, "postpone") {
+		return RefElastic, nil
+	}
+	for i, n := range refreshModeNames {
+		if strings.EqualFold(name, n) {
+			return RefreshMode(i), nil
+		}
+	}
+	return 0, fmt.Errorf("dram: unknown refresh mode %q (want one of %s)",
+		name, strings.Join(refreshModeNames[:], ", "))
 }
 
 // PDStateOf reports rank r's power-down FSM state.

@@ -204,7 +204,7 @@ func TestPerBankRefreshBlocksOnlyTargetBank(t *testing.T) {
 func TestRefreshPostponeWindowBounds(t *testing.T) {
 	t.Parallel()
 	ch := newTestChannel(t)
-	ch.MaxPostpone = 8
+	ch.RefMode = RefElastic
 	iv := int64(ch.T.TREFI)
 	due := ch.NextRefreshAt(0)
 	if ch.RefreshMust(due, 0) {
@@ -256,11 +256,11 @@ func TestPostponeZeroKeepsSeedDiscipline(t *testing.T) {
 	t.Parallel()
 	ch := newTestChannel(t)
 	if ch.CanPullIn(0, 0) {
-		t.Fatal("pull-in allowed with MaxPostpone = 0")
+		t.Fatal("pull-in allowed under all-bank refresh")
 	}
 	due := ch.NextRefreshAt(0)
 	if !ch.RefreshMust(due, 0) {
-		t.Fatal("with MaxPostpone = 0, due must imply mandatory")
+		t.Fatal("under all-bank refresh, due must imply mandatory")
 	}
 	if err := ch.Refresh(due-1, 0); err == nil {
 		t.Fatal("early refresh accepted with no pull-in credit")

@@ -206,24 +206,22 @@ func TestRowCounterRefreshResets(t *testing.T) {
 }
 
 // FuzzRowCounterWindow drives a random legal command stream — activations,
-// precharges, refreshes (all-bank or per-bank, with and without elastic
-// postpone credit), and RFMs — against a shadow model that counts every
+// precharges, refreshes (under each refresh mode: all-bank, per-bank, or
+// all-bank with elastic postpone and pull-in credit), and RFMs — against a shadow model that counts every
 // activation exactly, and requires the counters to equal it at every step:
 // a refresh clears its banks and nothing else, and an RFM clears exactly
 // the bank's highest-count row (the lowest row on ties). The row set is
 // small so that rows collide and RFM ties are common.
 func FuzzRowCounterWindow(f *testing.F) {
-	f.Add(uint64(1), uint8(4), false, uint8(0))
-	f.Add(uint64(7), uint8(1), true, uint8(4))
-	f.Add(uint64(42), uint8(15), false, uint8(8))
-	f.Add(uint64(9), uint8(2), true, uint8(1))
-	f.Fuzz(func(t *testing.T, seed uint64, rows8 uint8, perBank bool, postpone uint8) {
+	f.Add(uint64(1), uint8(4), uint8(RefAllBank))
+	f.Add(uint64(7), uint8(1), uint8(RefPerBank))
+	f.Add(uint64(42), uint8(15), uint8(RefElastic))
+	f.Add(uint64(9), uint8(2), uint8(RefPerBank))
+	f.Fuzz(func(t *testing.T, seed uint64, rows8 uint8, mode uint8) {
 		rowSet := 3 * (int(rows8%16) + 1)
 		c := newTestChannel(t)
-		if perBank {
-			c.RefMode = RefPerBank
-		}
-		c.MaxPostpone = int(postpone % 9)
+		c.RefMode = RefreshMode(mode % 3)
+		perBank := c.RefMode == RefPerBank
 		c.TrackRows()
 		rng := rand.New(rand.NewSource(int64(seed)))
 
@@ -244,20 +242,12 @@ func FuzzRowCounterWindow(f *testing.F) {
 			now = at
 		}
 		// refreshAt picks a legal issue cycle within the pull-in credit
-		// (the elasticity window scales with the per-bank interval in
-		// REFpb mode).
-		interval := int64(c.T.TREFI)
-		if perBank {
-			interval /= int64(c.G.Banks)
-		}
+		// (JEDEC's eight tREFI under elastic refresh, none otherwise).
 		refreshAt := func(ready int64, r int) int64 {
-			at := ready
-			if win := int64(c.MaxPostpone) * interval; win > 0 {
-				at = max(at, c.NextRefreshAt(r)-rng.Int63n(win))
-			} else {
-				at = max(at, c.NextRefreshAt(r))
+			if c.RefMode == RefElastic {
+				return max(ready, c.NextRefreshAt(r)-rng.Int63n(8*int64(c.T.TREFI)))
 			}
-			return at
+			return max(ready, c.NextRefreshAt(r))
 		}
 		checkBank := func(r, b int) {
 			i := r*c.G.Banks + b

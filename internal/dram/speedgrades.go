@@ -2,12 +2,11 @@ package dram
 
 // SpeedGrade is a DDR3 bin and the timing ddr3 derives for it. Chip powers
 // stay at Table 3's DDR3-1600 values, so a sweep isolates the timing effect.
+// The clock ratio to the cores follows from Timing.TCKNs (memctrl derives
+// it).
 type SpeedGrade struct {
 	Name   string
 	Timing Timing
-	// CPUPerMem is the integer CPU:memory clock ratio used with the
-	// paper's 3.2 GHz cores (rounded where the true ratio is fractional).
-	CPUPerMem int64
 }
 
 // ck is a timing parameter as datasheets state it: ≥ nCK cycles and ≥ ps picoseconds.
@@ -19,7 +18,6 @@ type bin struct {
 	name             string
 	tCK, cl, cwl     int
 	tRAS, tRRD, tFAW ck
-	cpuPerMem        int64
 }
 
 // device states a part's timing once: its bins, then what every bin
@@ -33,12 +31,12 @@ type device struct {
 // ddr3 is the paper's 2Gb x8 part (Table 3, then the datasheet), slowest bin first.
 var ddr3 = device{
 	bins: []bin{
-		{"DDR3-800", 2500, 6, 5, ck{0, 37500}, ck{4, 10000}, ck{0, 40000}, 8},
-		{"DDR3-1066", 1875, 7, 6, ck{0, 37500}, ck{4, 7500}, ck{0, 37500}, 6},
-		{"DDR3-1333", 1500, 9, 7, ck{0, 36000}, ck{4, 6000}, ck{0, 30000}, 5},
-		{"DDR3-1600", 1250, 11, 8, ck{0, 35000}, ck{4, 6000}, ck{0, 30000}, 4},
-		{"DDR3-1866", 1071, 13, 9, ck{0, 34000}, ck{4, 5000}, ck{0, 27000}, 3},
-		{"DDR3-2133", 938, 14, 10, ck{0, 33000}, ck{4, 5000}, ck{0, 25000}, 3},
+		{"DDR3-800", 2500, 6, 5, ck{0, 37500}, ck{4, 10000}, ck{0, 40000}},
+		{"DDR3-1066", 1875, 7, 6, ck{0, 37500}, ck{4, 7500}, ck{0, 37500}},
+		{"DDR3-1333", 1500, 9, 7, ck{0, 36000}, ck{4, 6000}, ck{0, 30000}},
+		{"DDR3-1600", 1250, 11, 8, ck{0, 35000}, ck{4, 6000}, ck{0, 30000}},
+		{"DDR3-1866", 1071, 13, 9, ck{0, 34000}, ck{4, 5000}, ck{0, 27000}},
+		{"DDR3-2133", 938, 14, 10, ck{0, 33000}, ck{4, 5000}, ck{0, 25000}},
 	},
 	tWR: ck{0, 15000}, tRTP: ck{4, 7500}, tWTR: ck{4, 7500}, tCKE: ck{3, 5000},
 	tRFC: ck{0, 160000}, tRFCPB: ck{0, 90000}, tRFM: ck{0, 90000}, tREFI: ck{0, 7800000},
@@ -64,7 +62,7 @@ func (d device) timing(b bin) Timing {
 func SpeedGrades() []SpeedGrade {
 	gs := make([]SpeedGrade, len(ddr3.bins))
 	for i, b := range ddr3.bins {
-		gs[i] = SpeedGrade{b.name, ddr3.timing(b), b.cpuPerMem}
+		gs[i] = SpeedGrade{b.name, ddr3.timing(b)}
 	}
 	return gs
 }

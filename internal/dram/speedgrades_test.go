@@ -28,16 +28,15 @@ func TestSpeedGradeTimings(t *testing.T) {
 		name                                                   string
 		tck                                                    float64
 		cl, ras, wr, rrd, faw, cwl, rtp, wtr, rfc, rfcpb, refi int
-		cpuPerMem                                              int64
 		xp, xpdll, xs, cke, rfm                                int
 	}
 	rows := []row{
-		{"DDR3-800", 2.5, 6, 15, 6, 4, 16, 5, 4, 4, 64, 36, 3120, 8, 3, 10, 68, 3, 36},
-		{"DDR3-1066", 1.875, 7, 20, 8, 4, 20, 6, 4, 4, 86, 48, 4160, 6, 4, 13, 91, 3, 48},
-		{"DDR3-1333", 1.5, 9, 24, 10, 4, 20, 7, 5, 5, 107, 60, 5200, 5, 4, 16, 114, 4, 60},
-		{"DDR3-1600", 1.25, 11, 28, 12, 5, 24, 8, 6, 6, 128, 72, 6240, 4, 5, 20, 136, 4, 72},
-		{"DDR3-1866", 1.071, 13, 32, 14, 5, 26, 9, 7, 7, 150, 85, 7282, 3, 6, 23, 159, 5, 85},
-		{"DDR3-2133", 0.938, 14, 36, 16, 6, 27, 10, 8, 8, 171, 96, 8315, 3, 7, 26, 182, 6, 96},
+		{"DDR3-800", 2.5, 6, 15, 6, 4, 16, 5, 4, 4, 64, 36, 3120, 3, 10, 68, 3, 36},
+		{"DDR3-1066", 1.875, 7, 20, 8, 4, 20, 6, 4, 4, 86, 48, 4160, 4, 13, 91, 3, 48},
+		{"DDR3-1333", 1.5, 9, 24, 10, 4, 20, 7, 5, 5, 107, 60, 5200, 4, 16, 114, 4, 60},
+		{"DDR3-1600", 1.25, 11, 28, 12, 5, 24, 8, 6, 6, 128, 72, 6240, 5, 20, 136, 4, 72},
+		{"DDR3-1866", 1.071, 13, 32, 14, 5, 26, 9, 7, 7, 150, 85, 7282, 6, 23, 159, 5, 85},
+		{"DDR3-2133", 0.938, 14, 36, 16, 6, 27, 10, 8, 8, 171, 96, 8315, 7, 26, 182, 6, 96},
 	}
 	grades := SpeedGrades()
 	if len(grades) != len(rows) {
@@ -51,8 +50,8 @@ func TestSpeedGradeTimings(t *testing.T) {
 		want.TRTP, want.TWTR, want.TRFC, want.TRFCPB, want.TREFI = r.rtp, r.wtr, r.rfc, r.rfcpb, r.refi
 		want.TXP, want.TXPDLL, want.TXS, want.TCKE, want.TRFM = r.xp, r.xpdll, r.xs, r.cke, r.rfm
 		g := grades[i]
-		if g.Name != r.name || g.CPUPerMem != r.cpuPerMem {
-			t.Errorf("grade %d = %s CPUPerMem %d, want %s CPUPerMem %d", i, g.Name, g.CPUPerMem, r.name, r.cpuPerMem)
+		if g.Name != r.name {
+			t.Errorf("grade %d = %s, want %s", i, g.Name, r.name)
 		}
 		if g.Timing != want {
 			t.Errorf("%s timing =\n%+v\nwant\n%+v", r.name, g.Timing, want)

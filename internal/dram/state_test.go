@@ -30,7 +30,6 @@ var ckptFields = map[reflect.Type]map[string]string{
 		"NoWeightedFAW": excluded,
 		"SlowExitPD":    excluded,
 		"RefMode":       excluded,
-		"MaxPostpone":   excluded,
 		"Trace":         excluded, // wiring
 		"ranks":         saved,
 		"cmdFree":       saved,

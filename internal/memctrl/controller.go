@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math"
 
 	"pradram/internal/core"
 	"pradram/internal/dram"
@@ -28,11 +29,16 @@ type Config struct {
 	HighWM     int // write-drain start watermark
 	LowWM      int // write-drain stop watermark
 	MaxRowHits int // open-row access cap (fairness, Section 5.1.2)
-
-	// CPUPerMem is the CPU-to-memory clock ratio (4 for 3.2GHz over
-	// DDR3-1600's 800MHz command clock).
-	CPUPerMem int64
 }
+
+// CPUClockGHz is the core clock (Table 3). The controller runs the DRAM
+// command clock at Timing.TCKNs against it.
+const CPUClockGHz = 3.2
+
+// cpuPerMem is the integer CPU:memory clock ratio of timing set t: tCK in
+// core cycles, rounded where the true ratio is fractional (4 for
+// DDR3-1600's 1.25 ns, 8 for DDR3-800, 3 for DDR3-1866's 3.43).
+func cpuPerMem(t dram.Timing) int64 { return int64(math.Round(t.TCKNs * CPUClockGHz)) }
 
 // DefaultConfig returns the paper's Table 3 memory system.
 func DefaultConfig() Config {
@@ -44,7 +50,6 @@ func DefaultConfig() Config {
 		Timing:   dram.DefaultTiming(),
 		ReadQ:    64, WriteQ: 64, HighWM: 48, LowWM: 16,
 		MaxRowHits: 4,
-		CPUPerMem:  4,
 	}
 }
 
@@ -59,8 +64,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("memctrl: watermarks must satisfy low < high <= writeQ")
 	case c.MaxRowHits <= 0:
 		return fmt.Errorf("memctrl: MaxRowHits must be positive")
-	case c.CPUPerMem <= 0:
-		return fmt.Errorf("memctrl: CPUPerMem must be positive")
+	case cpuPerMem(c.Timing) < 1:
+		return fmt.Errorf("memctrl: Timing.TCKNs %g ns is under half a %g GHz core cycle: no CPU:memory clock ratio", c.Timing.TCKNs, CPUClockGHz)
 	case c.Geom.Ranks*c.Geom.Banks > 64:
 		return fmt.Errorf("memctrl: at most 64 banks per channel supported (have %d)", c.Geom.Ranks*c.Geom.Banks)
 	}
@@ -143,9 +148,10 @@ type Controller struct {
 	chans []*chanCtl
 
 	lastMem int64
-	// cpm caches cfg.CPUPerMem and nextMemAt the CPU cycle of the next
-	// DRAM tick, replacing the per-Tick modulo/division pair on the clock
-	// ratio with a stride counter (one compare, one add per DRAM tick).
+	// cpm is the clock ratio, cpuPerMem(cfg.Timing), and nextMemAt the CPU
+	// cycle of the next DRAM tick, replacing the per-Tick modulo/division
+	// pair on the clock ratio with a stride counter (one compare, one add
+	// per DRAM tick).
 	cpm       int64
 	nextMemAt int64
 
@@ -175,7 +181,7 @@ func New(cfg Config) (*Controller, error) {
 		cfg.Timing.PRAMaskCycles = 0
 		cfg.NoTimingRelax = true
 	}
-	c := &Controller{cfg: cfg, am: am, lastMem: -1, cpm: cfg.CPUPerMem}
+	c := &Controller{cfg: cfg, am: am, lastMem: -1, cpm: cpuPerMem(cfg.Timing)}
 	for i := 0; i < cfg.Channels; i++ {
 		acc := power.NewAccumulator()
 		ch, err := dram.NewChannel(cfg.Timing, cfg.Geom, acc)
@@ -187,12 +193,7 @@ func New(cfg Config) (*Controller, error) {
 		if cfg.MitThreshold > 0 {
 			ch.TrackRows()
 		}
-		switch cfg.RefreshMode {
-		case RefreshPerBank:
-			ch.RefMode = dram.RefPerBank
-		case RefreshElastic:
-			ch.MaxPostpone = 8
-		}
+		ch.RefMode = cfg.RefreshMode
 		acc.LinearActScale = cfg.Scheme == SDS
 		if cfg.ECC {
 			acc.ECCChips = 1

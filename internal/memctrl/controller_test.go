@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"strings"
 	"testing"
 
 	"pradram/internal/core"
@@ -53,9 +54,9 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("inverted watermarks must fail")
 	}
 	bad = good
-	bad.CPUPerMem = 0
-	if bad.Validate() == nil {
-		t.Error("zero clock ratio must fail")
+	bad.Timing.TCKNs = 0.1
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "TCKNs") {
+		t.Errorf("a command clock under half a core cycle must fail naming TCKNs, got %v", err)
 	}
 	bad = good
 	bad.MaxRowHits = 0

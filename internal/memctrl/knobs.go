@@ -1,6 +1,10 @@
 package memctrl
 
-import "fmt"
+import (
+	"fmt"
+
+	"pradram/internal/dram"
+)
 
 // Knobs is the part of a controller configuration a run chooses and every
 // layer above the controller forwards unchanged. It is declared once, here,
@@ -64,8 +68,9 @@ type LowPower struct {
 	// queued beneficiary).
 	APD bool
 	// RefreshMode selects all-bank, per-bank, or elastic (postpone and
-	// pull-in within the JEDEC 8x tREFI window) refresh management.
-	RefreshMode RefreshMode
+	// pull-in within the JEDEC 8x tREFI window) refresh management; the
+	// device enforces it, elastic's window included.
+	RefreshMode dram.RefreshMode
 }
 
 // Mitigation is the RowHammer defence (DESIGN.md §4g): PRAC-style per-row
@@ -124,7 +129,7 @@ func (k Knobs) Validate() error {
 		return fmt.Errorf("memctrl: unknown Policy %d", k.Policy)
 	case k.PDPolicy > PDQueueAware:
 		return fmt.Errorf("memctrl: unknown PDPolicy %d", k.PDPolicy)
-	case k.RefreshMode > RefreshElastic:
+	case k.RefreshMode > dram.RefElastic:
 		return fmt.Errorf("memctrl: unknown RefreshMode %d", k.RefreshMode)
 	case (k.PDPolicy == PDTimed || k.PDPolicy == PDQueueAware) && k.PDTimeout == 0:
 		return fmt.Errorf("memctrl: PDPolicy %v requires PDTimeout > 0", k.PDPolicy)

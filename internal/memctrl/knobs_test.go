@@ -3,6 +3,8 @@ package memctrl
 import (
 	"strings"
 	"testing"
+
+	"pradram/internal/dram"
 )
 
 // TestKnobsValidate holds every rejection to naming the field (or the
@@ -30,7 +32,7 @@ func TestKnobsValidate(t *testing.T) {
 		{"negative scheme", func(k *Knobs) { k.Scheme = -1 }, "unknown Scheme"},
 		{"unknown policy", func(k *Knobs) { k.Policy = OpenPage + 1 }, "unknown Policy"},
 		{"unknown pd policy", func(k *Knobs) { k.PDPolicy = PDQueueAware + 1 }, "unknown PDPolicy"},
-		{"unknown refresh mode", func(k *Knobs) { k.RefreshMode = RefreshElastic + 1 }, "unknown RefreshMode"},
+		{"unknown refresh mode", func(k *Knobs) { k.RefreshMode = dram.RefElastic + 1 }, "unknown RefreshMode"},
 	}
 	for _, c := range cases {
 		var k Knobs

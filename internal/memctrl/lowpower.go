@@ -73,7 +73,7 @@ type lowPowerEngine struct {
 // the state's exit latency before the first command (tXP/tXPDLL/tXS).
 func (cc *chanCtl) wakeRanks(mem int64) {
 	for r := 0; r < cc.cfg.Geom.Ranks; r++ {
-		if cc.ch.PoweredDown(r) && (cc.rankHasWork(r) || cc.refreshWakes(mem, r)) {
+		if cc.ch.PoweredDown(r) && (cc.rankHasWork(r) || cc.ch.RefreshMust(mem, r)) {
 			st := cc.ch.PDStateOf(r)
 			cc.ch.Wake(mem, r)
 			if cc.tracing() {
@@ -118,7 +118,7 @@ func (cc *chanCtl) manageRanks(mem int64) bool {
 				cc.tracing() {
 				cc.emit(mem, "power-down", "rank %d idle, entering active power-down", r)
 			}
-		case cc.cfg.RefreshMode == RefreshElastic && pdAt <= mem && srAt > mem && cc.ch.CanPullIn(mem, r):
+		case pdAt <= mem && srAt > mem && cc.ch.CanPullIn(mem, r):
 			// About to sleep with refresh credit to spare: an early REF, which
 			// books as refresh. Pointless when self-refresh is imminent (the
 			// device then refreshes itself).

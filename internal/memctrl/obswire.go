@@ -20,7 +20,7 @@ import (
 
 // CPUPerMem exposes the CPU-to-memory clock ratio (the sim layer converts
 // its CPU-cycle clock into the DRAM epochs the recorder is configured in).
-func (c *Controller) CPUPerMem() int64 { return c.cfg.CPUPerMem }
+func (c *Controller) CPUPerMem() int64 { return c.cpm }
 
 // AttachObs registers telemetry probes on rec and threads ev through the
 // controller and its DRAM channels. Either argument may be nil. Call once,

@@ -1,56 +1,9 @@
 package memctrl
 
 import (
-	"fmt"
-	"strings"
-
 	"pradram/internal/core"
+	"pradram/internal/dram"
 )
-
-// RefreshMode selects the controller's refresh management discipline.
-// The zero value is the conventional all-bank refresh of the pre-FSM
-// simulator.
-type RefreshMode uint8
-
-const (
-	// RefreshAllBank issues one all-bank REF per rank every tREFI,
-	// blocking the whole rank for tRFC.
-	RefreshAllBank RefreshMode = iota
-	// RefreshPerBank round-robins per-bank REFpb commands at a
-	// tREFI/banks cadence; only the target bank blocks, for tRFCpb.
-	RefreshPerBank
-	// RefreshElastic keeps all-bank REF but exploits the JEDEC 8x tREFI
-	// elasticity: refreshes are postponed while a rank has work and
-	// pulled in (up to the 8-interval credit) before the rank powers
-	// down, so sleeps are not cut short by refresh wakes.
-	RefreshElastic
-)
-
-// refreshModeNames indexes RefreshMode.
-var refreshModeNames = [...]string{"allbank", "perbank", "elastic"}
-
-// String names the mode as accepted by ParseRefreshMode.
-func (m RefreshMode) String() string {
-	if int(m) < len(refreshModeNames) {
-		return refreshModeNames[m]
-	}
-	return fmt.Sprintf("RefreshMode(%d)", uint8(m))
-}
-
-// ParseRefreshMode resolves a refresh-mode name ("allbank", "perbank",
-// "elastic"; "postpone" is accepted as an alias for "elastic").
-func ParseRefreshMode(name string) (RefreshMode, error) {
-	if strings.EqualFold(name, "postpone") {
-		return RefreshElastic, nil
-	}
-	for i, n := range refreshModeNames {
-		if strings.EqualFold(name, n) {
-			return RefreshMode(i), nil
-		}
-	}
-	return 0, fmt.Errorf("memctrl: unknown refresh mode %q (want one of %s)",
-		name, strings.Join(refreshModeNames[:], ", "))
-}
 
 // refreshEngine is the state of the refresh engine (DESIGN.md §4f), which
 // pushes due refreshes ahead of every other command — all-bank REF,
@@ -62,36 +15,23 @@ type refreshEngine struct {
 	refPending []bool
 }
 
-// refreshWakes reports whether a refresh obligation justifies waking
-// powered-down rank r: any due refresh under the conventional modes, only
-// a must-issue one (postponement credit exhausted) under elastic refresh.
-func (cc *chanCtl) refreshWakes(mem int64, r int) bool {
-	if cc.cfg.RefreshMode == RefreshElastic {
-		return cc.ch.RefreshMust(mem, r)
-	}
-	return cc.ch.RefreshDue(mem, r)
-}
-
 // refreshWanted reports whether this pass should push a refresh toward
 // rank r. Powered-down ranks never want one here: the wake loop at the top
 // of the pass decides when a refresh is worth a wake, so a still-sleeping
-// rank is by definition one whose refreshes are being deferred. Under
-// elastic refresh an awake busy rank postpones due refreshes until either
-// the 8x tREFI credit runs out or the rank goes idle.
+// rank is by definition one whose refreshes are being deferred. An awake
+// busy rank postpones due refreshes until the device's elasticity window
+// runs out (at once outside elastic refresh) or the rank goes idle.
 func (cc *chanCtl) refreshWanted(mem int64, r int) bool {
-	return !cc.ch.PoweredDown(r) && (cc.refreshWakes(mem, r) ||
-		cc.cfg.RefreshMode == RefreshElastic && cc.ch.RefreshDue(mem, r) && !cc.rankHasWork(r))
+	return !cc.ch.PoweredDown(r) && (cc.ch.RefreshMust(mem, r) ||
+		cc.ch.RefreshDue(mem, r) && !cc.rankHasWork(r))
 }
 
 // refreshHorizon returns the earliest cycle a refresh obligation can force
-// scheduling work, for the channel sleep computation. Under elastic
-// refresh a powered-down or busy rank only matters at its must-refresh
-// deadline (its merely-due refreshes are being postponed); elsewhere the
-// plain next-due time stands.
+// scheduling work, for the channel sleep computation. A powered-down or
+// busy rank only matters at its must-refresh deadline (its merely-due
+// refreshes are being postponed; outside elastic refresh the two
+// coincide); an idle awake rank at its next-due time.
 func (cc *chanCtl) refreshHorizon() int64 {
-	if cc.cfg.RefreshMode != RefreshElastic {
-		return cc.ch.NextRefreshAny()
-	}
 	h := int64(core.FarFuture)
 	for r := 0; r < cc.cfg.Geom.Ranks; r++ {
 		at := cc.ch.NextRefreshAt(r)
@@ -116,7 +56,7 @@ func (cc *chanCtl) issueRefresh(mem int64) bool {
 		return false
 	}
 	for r := 0; r < cc.cfg.Geom.Ranks; r++ {
-		if cc.cfg.RefreshMode == RefreshPerBank {
+		if cc.cfg.RefreshMode == dram.RefPerBank {
 			// REFpb blocks only its target bank, so the rank-wide
 			// refPending column freeze does not apply.
 			if cc.refreshWanted(mem, r) && cc.issueRefreshBank(mem, r) {

@@ -390,13 +390,13 @@ func schedCells() []schedCell {
 			c.Policy, c.Mapping = RestrictedClose, LineInterleaved
 		}},
 		{name: "4ch", mode: trPhased, cycles: 160_000, mod: func(c *Config) { c.Channels = 4 }},
-		{name: "refpb", mode: trPhased, cycles: 200_000, mod: func(c *Config) { c.RefreshMode = RefreshPerBank }},
-		{name: "elastic", mode: trPhased, cycles: 200_000, mod: func(c *Config) { c.RefreshMode = RefreshElastic }},
+		{name: "refpb", mode: trPhased, cycles: 200_000, mod: func(c *Config) { c.RefreshMode = dram.RefPerBank }},
+		{name: "elastic", mode: trPhased, cycles: 200_000, mod: func(c *Config) { c.RefreshMode = dram.RefElastic }},
 		{name: "pdtimed-sr", mode: trPhased, cycles: 200_000, mod: func(c *Config) {
 			c.PDPolicy, c.PDTimeout, c.SRTimeout = PDTimed, 40, 1800
 		}},
 		{name: "pdqueue-elastic", mode: trPhased, cycles: 200_000, mod: func(c *Config) {
-			c.PDPolicy, c.PDTimeout, c.SRTimeout, c.RefreshMode = PDQueueAware, 60, 2500, RefreshElastic
+			c.PDPolicy, c.PDTimeout, c.SRTimeout, c.RefreshMode = PDQueueAware, 60, 2500, dram.RefElastic
 		}},
 		{name: "openpage-apd", mode: trPhased, cycles: 160_000, mod: func(c *Config) {
 			c.Policy, c.APD, c.PDPolicy, c.PDTimeout = OpenPage, true, PDTimed, 30

@@ -114,7 +114,7 @@ func TestSpeedGradeClockRatio(t *testing.T) {
 	want := map[string]int64{"DDR3-800": 8, "DDR3-1066": 6, "DDR3-1333": 5, "DDR3-1600": 4, "DDR3-1866": 3, "DDR3-2133": 3}
 	for _, g := range dram.SpeedGrades() {
 		cfg := DefaultConfig()
-		cfg.Timing, cfg.CPUPerMem = g.Timing, g.CPUPerMem
+		cfg.Timing = g.Timing
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

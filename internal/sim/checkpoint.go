@@ -53,12 +53,12 @@ func WarmupFingerprint(cfg Config) (string, bool) {
 		return "", false
 	}
 	// Normalise, so spellings of the same effective warmup share a key: the
-	// canonical workload name, the effective core count, and the clock ratio
-	// and timing set the controller will run with (the timing by value,
+	// canonical workload name, the effective core count, and the timing set
+	// the controller will run with, which fixes its clock ratio (by value,
 	// beside the Config, whose pointer is cleared — an address is not a
 	// configuration).
 	mc := cfg.ctrlConfig()
-	cfg.Timing, cfg.CPUPerMem = nil, mc.CPUPerMem
+	cfg.Timing = nil
 	cfg.Workload = workload.Canonical(cfg.Workload)
 	if cfg.ActiveCores == 0 {
 		cfg.ActiveCores = cfg.Cores

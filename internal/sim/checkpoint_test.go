@@ -271,14 +271,13 @@ func TestWarmupFingerprintFields(t *testing.T) {
 		"CPU":           {mutate: func(c *Config) { c.CPU.ROB = 64 }, wantChange: true},
 		"Generator":     {unsupported: true},
 		"Timing":        {mutate: func(c *Config) { t := c.timingOrDefault(); t.TRCD = 99; c.Timing = &t }, wantChange: true},
-		"CPUPerMem":     {mutate: func(c *Config) { c.CPUPerMem = 8 }, wantChange: true},
 		"Obs":           {mutate: func(c *Config) { c.Obs = ObsConfig{EpochCycles: 64} }, wantChange: false},
 		"PDPolicy":      {mutate: func(c *Config) { c.PDPolicy = memctrl.PDNone }, wantChange: true},
 		"PDTimeout":     {mutate: func(c *Config) { c.PDPolicy = memctrl.PDTimed; c.PDTimeout = 100 }, wantChange: true},
 		"SRTimeout":     {mutate: func(c *Config) { c.SRTimeout = 10_000 }, wantChange: true},
 		"PDSlowExit":    {mutate: func(c *Config) { c.PDSlowExit = true }, wantChange: true},
 		"APD":           {mutate: func(c *Config) { c.APD = true }, wantChange: true},
-		"RefreshMode":   {mutate: func(c *Config) { c.RefreshMode = memctrl.RefreshPerBank }, wantChange: true},
+		"RefreshMode":   {mutate: func(c *Config) { c.RefreshMode = dram.RefPerBank }, wantChange: true},
 		"PowerCal":      {mutate: func(c *Config) { c.PowerCal = "ghose" }, wantChange: false},
 		// Latency attribution observes scheduling without influencing it
 		// (latency.go's bit-identity tests), and the sweep frontier each
@@ -402,9 +401,8 @@ func TestCheckpointNormalization(t *testing.T) {
 	spelled = base
 	tm := spelled.timingOrDefault()
 	spelled.Timing = &tm // explicit default timing == nil
-	spelled.CPUPerMem = 4
 	if fp, _ := WarmupFingerprint(spelled); fp != fp0 {
-		t.Error("explicit default Timing/CPUPerMem must match the nil/0 defaults")
+		t.Error("explicit default Timing must match the nil default")
 	}
 }
 

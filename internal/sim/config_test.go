@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pradram/internal/dram"
 	"pradram/internal/memctrl"
 	"pradram/internal/obs"
 	"pradram/internal/power"
@@ -27,7 +28,7 @@ func TestValidateNamesTheField(t *testing.T) {
 		{func(c *Config) { c.ActiveCores = -1 }, "ActiveCores"},
 		{func(c *Config) { c.Channels = -2 }, "channels must be a positive power of two"},
 		{func(c *Config) { c.Channels = 3 }, "channels must be a positive power of two"},
-		{func(c *Config) { c.CPUPerMem = -4 }, "CPUPerMem"},
+		{func(c *Config) { t := dram.DefaultTiming(); t.TCKNs = 0.1; c.Timing = &t }, "TCKNs"},
 		{func(c *Config) { c.Obs.EpochCycles = -7 }, "Obs.EpochCycles"},
 		{func(c *Config) { c.Obs.EventLevel = obs.LevelCmd + 1 }, "Obs.EventLevel"},
 		{func(c *Config) { c.PowerCal = "bogus" }, "PowerCal"},
@@ -57,6 +58,23 @@ func TestValidateNamesTheField(t *testing.T) {
 	}
 	if err := (ExpOptions{}).Validate(); err != nil {
 		t.Errorf("zero ExpOptions select the defaults: %v", err)
+	}
+}
+
+// TestTimingAloneSetsTheClock: a Config that only swaps the timing set runs
+// at that grade's clock ratio. DDR3-800's 2.5 ns command clock is eight
+// 3.2 GHz core cycles; nothing else has to be said for the run to know it.
+func TestTimingAloneSetsTheClock(t *testing.T) {
+	t.Parallel()
+	g, _ := dram.SpeedGradeByName("DDR3-800")
+	cfg := DefaultConfig("GUPS")
+	cfg.Timing = &g.Timing
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.ctrl.CPUPerMem(); got != 8 {
+		t.Errorf("DDR3-800 runs at %d CPU cycles per memory cycle, want 8", got)
 	}
 }
 
@@ -152,7 +170,7 @@ func fuzzConfig(knobs []byte) Config {
 	cfg.PDTimeout = pick(kPDTimeout, 0, 1, 7, 200, 1<<40, -1)
 	cfg.SRTimeout = pick(kSRTimeout, 0, 1, 50, 5000, 1<<40, -1)
 	cfg.PDSlowExit, cfg.APD = bit(kPDSlowExit), bit(kAPD)
-	cfg.RefreshMode = memctrl.RefreshMode(pick(kRefreshMode, 0, 1, 2, 3))
+	cfg.RefreshMode = dram.RefreshMode(pick(kRefreshMode, 0, 1, 2, 3))
 	cfg.MitThreshold = int(pick(kMitThreshold, 0, 2, 3, 4, 32, 1<<30, 1, -1))
 	cfg.MitAlertCycles = pick(kMitAlert, 0, 1, 144, 1000, -1)
 	cfg.LatBreak = bit(kLatBreak)

@@ -244,7 +244,7 @@ func (r *Runner) config(k runKey) (Config, error) {
 		if !ok {
 			return cfg, fmt.Errorf("sim: unknown speed grade %q", k.grade)
 		}
-		cfg.Timing, cfg.CPUPerMem = &g.Timing, g.CPUPerMem
+		cfg.Timing = &g.Timing
 	}
 	cfg.Seed = r.opt.Seed
 	cfg.NoSkip = r.opt.NoSkip
@@ -418,12 +418,13 @@ func ExpTable3(runSet) (string, error) {
 	idd := power.DefaultIDD()
 	chip := power.DefaultChipPowers()
 	mat := power.DefaultMATEnergy()
-	const tCK = 1.25
+	tm := dram.DefaultTiming()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Equation 1/2: I_ACT = IDD0 - (IDD3N*tRAS + IDD2N*(tRC-tRAS))/tRC\n")
-	fmt.Fprintf(&b, "  IDD0=%.0fmA IDD3N=%.0fmA IDD2N=%.0fmA VDD=%.1fV tRAS=28ck tRC=39ck\n",
-		idd.IDD0, idd.IDD3N, idd.IDD2N, idd.VDD)
-	fmt.Fprintf(&b, "  => P_ACT(full) = %.2f mW (paper: 22.2)\n\n", idd.ActPower(28*tCK, 39*tCK))
+	fmt.Fprintf(&b, "  IDD0=%.0fmA IDD3N=%.0fmA IDD2N=%.0fmA VDD=%.1fV tRAS=%dck tRC=%dck\n",
+		idd.IDD0, idd.IDD3N, idd.IDD2N, idd.VDD, tm.TRAS, tm.TRC)
+	fmt.Fprintf(&b, "  => P_ACT(full) = %.2f mW (paper: 22.2)\n\n",
+		idd.ActPower(float64(tm.TRAS)*tm.TCKNs, float64(tm.TRC)*tm.TCKNs))
 	t := stats.NewTable("granularity", "P_ACT derived (mW)", "P_ACT published (mW)", "scale")
 	for g := 8; g >= 1; g-- {
 		scale := mat.ScaleGranularity(g, false)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"pradram/internal/dram"
 	"pradram/internal/memctrl"
 	"pradram/internal/obs"
 )
@@ -82,8 +83,8 @@ func BindFlags(fs *flag.FlagSet, cfg *Config, names ...string) {
 			fs.Lookup(row.name).DefValue = strings.TrimSuffix(p.String(), "-close")
 		case *memctrl.PDPolicy:
 			bindEnum(fs, row.name, row.help, p, memctrl.ParsePDPolicy)
-		case *memctrl.RefreshMode:
-			bindEnum(fs, row.name, row.help, p, memctrl.ParseRefreshMode)
+		case *dram.RefreshMode:
+			bindEnum(fs, row.name, row.help, p, dram.ParseRefreshMode)
 		case *obs.Level:
 			bindEnum(fs, row.name, row.help, p, obs.ParseLevel)
 		default:

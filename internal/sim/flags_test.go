@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pradram/internal/dram"
 	"pradram/internal/memctrl"
 	"pradram/internal/obs"
 )
@@ -22,7 +23,6 @@ var notFlags = map[string]string{
 	"CPU":           "Table 3's core is fixed; sensitivity sweeps set it in code",
 	"Generator":     "a Go hook",
 	"Timing":        "a speed grade is a struct; the speedgrades experiment sets it by grade name (runKey.grade)",
-	"CPUPerMem":     "set alongside Timing",
 }
 
 // TestEveryFieldIsDecided makes adding a knob a decision: every field a
@@ -99,7 +99,7 @@ func TestBindFlags(t *testing.T) {
 	}
 	want := DefaultConfig("em3d")
 	want.Scheme, want.Policy = memctrl.HalfDRAMPRA, memctrl.OpenPage
-	want.PDPolicy, want.PDTimeout, want.APD, want.RefreshMode = memctrl.PDQueueAware, 123, true, memctrl.RefreshElastic
+	want.PDPolicy, want.PDTimeout, want.APD, want.RefreshMode = memctrl.PDQueueAware, 123, true, dram.RefElastic
 	want.MitAlertCycles, want.Seed = 300, 7
 	want.Obs = ObsConfig{EpochCycles: 9, EventLevel: obs.LevelCmd}
 	if !reflect.DeepEqual(cfg, want) {

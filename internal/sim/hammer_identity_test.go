@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"pradram/internal/dram"
 	"pradram/internal/memctrl"
 )
 
@@ -31,10 +32,10 @@ func mitIdentityVariants() []struct {
 	}{
 		{"alert-rfm", arm},
 		{"long-backoff", func(c *Config) { arm(c); c.MitAlertCycles = 600 }},
-		{"perbank", func(c *Config) { arm(c); c.RefreshMode = memctrl.RefreshPerBank }},
+		{"perbank", func(c *Config) { arm(c); c.RefreshMode = dram.RefPerBank }},
 		{"elastic", func(c *Config) {
 			arm(c)
-			c.RefreshMode = memctrl.RefreshElastic
+			c.RefreshMode = dram.RefElastic
 			// Enough four-core traffic that postponed refreshes let one
 			// bank's window collect more than 512 distinct rows: the
 			// overflow that made a bounded counter table alert on GUPS.
@@ -42,7 +43,7 @@ func mitIdentityVariants() []struct {
 		}},
 		{"elastic-pd", func(c *Config) {
 			arm(c)
-			c.RefreshMode = memctrl.RefreshElastic
+			c.RefreshMode = dram.RefElastic
 			c.PDSlowExit = true
 			c.APD = true
 		}},

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pradram/internal/dram"
 	"pradram/internal/memctrl"
 	"pradram/internal/stats"
 )
@@ -148,7 +149,7 @@ func FuzzLatAttribution(f *testing.F) {
 			cfg.PDSlowExit = true
 		case 2: // self-refresh plus per-bank refresh
 			cfg.SRTimeout = 2_000
-			cfg.RefreshMode = memctrl.RefreshPerBank
+			cfg.RefreshMode = dram.RefPerBank
 		case 3: // RowHammer mitigation with a hair-trigger threshold
 			cfg.MitThreshold = 4
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"pradram/internal/dram"
 	"pradram/internal/memctrl"
 	"pradram/internal/power"
 	"pradram/internal/stats"
@@ -30,8 +31,8 @@ func pdVariants() []pdVariant {
 		{name: "timeout-200", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDTimed, PDTimeout: 200}},
 		{name: "queue-200", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDQueueAware, PDTimeout: 200}},
 		{name: "imm+selfref", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDImmediate, SRTimeout: 5000}},
-		{name: "imm+perbank", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDImmediate, RefreshMode: memctrl.RefreshPerBank}},
-		{name: "imm+elastic", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDImmediate, RefreshMode: memctrl.RefreshElastic}},
+		{name: "imm+perbank", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDImmediate, RefreshMode: dram.RefPerBank}},
+		{name: "imm+elastic", LowPower: memctrl.LowPower{PDPolicy: memctrl.PDImmediate, RefreshMode: dram.RefElastic}},
 	}
 }
 

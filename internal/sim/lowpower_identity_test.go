@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"pradram/internal/dram"
 	"pradram/internal/memctrl"
 )
 
@@ -25,8 +26,8 @@ func pdIdentityVariants() []struct {
 		{"timeout", func(c *Config) { c.PDPolicy = memctrl.PDTimed; c.PDTimeout = 64 }},
 		{"queue", func(c *Config) { c.PDPolicy = memctrl.PDQueueAware; c.PDTimeout = 64 }},
 		{"selfref", func(c *Config) { c.SRTimeout = 512 }},
-		{"perbank", func(c *Config) { c.RefreshMode = memctrl.RefreshPerBank }},
-		{"elastic", func(c *Config) { c.RefreshMode = memctrl.RefreshElastic }},
+		{"perbank", func(c *Config) { c.RefreshMode = dram.RefPerBank }},
+		{"elastic", func(c *Config) { c.RefreshMode = dram.RefElastic }},
 	}
 }
 

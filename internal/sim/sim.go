@@ -23,22 +23,18 @@ import (
 	"pradram/internal/workload"
 )
 
-// CPUClockGHz is the core clock (Table 3).
-const CPUClockGHz = 3.2
-
 // CPUCycleNs is one CPU cycle in nanoseconds.
-const CPUCycleNs = 1.0 / CPUClockGHz
+const CPUCycleNs = 1.0 / memctrl.CPUClockGHz
 
-// MemCycleNs is one DRAM command-clock cycle in nanoseconds at the
-// DDR3-1600 ratio of four CPU cycles per memory cycle. Latency sums,
-// histograms and spans are counted in memory cycles; every ns figure on a
-// Result (AvgReadLatencyNs, the quantiles) and prasim's Perfetto export
-// convert through this constant. It hides one limitation: a run on another
-// speed grade (the speedgrades experiment's grade= keys, CPUPerMem 3-8) has
-// correct cycle counts but ns latencies scaled as if it were DDR3-1600. The
-// fix is a cycle length carried on Result, and a new Result field changes
-// the JSON digests bench/replica.go compares, so it waits for a [benchmark]
-// PR.
+// MemCycleNs is one DRAM command-clock cycle in nanoseconds at DDR3-1600's
+// 1.25 ns, four CPU cycles. Latency sums, histograms and spans are counted
+// in memory cycles; every ns figure on a Result (AvgReadLatencyNs, the
+// quantiles) and prasim's Perfetto export convert through this constant.
+// It hides one limitation: a run on another speed grade (the speedgrades
+// experiment's grade= keys, whose clock ratios run from 3 to 8) has correct
+// cycle counts but ns latencies scaled as if it were DDR3-1600. The fix is
+// a cycle length carried on Result, and a new Result field changes the
+// JSON digests bench/replica.go compares, so it waits for a [benchmark] PR.
 const MemCycleNs = CPUCycleNs * 4
 
 // Config describes one simulation run.
@@ -107,10 +103,9 @@ type Config struct {
 	Generator workload.Maker
 
 	// Timing overrides the DDR3 timing set (e.g. a dram.SpeedGrades
-	// entry); CPUPerMem must be set alongside it when the clock ratio
-	// changes. Nil keeps the DDR3-1600 default.
-	Timing    *dram.Timing
-	CPUPerMem int64
+	// entry); the CPU:memory clock ratio follows from its TCKNs. Nil keeps
+	// the DDR3-1600 default.
+	Timing *dram.Timing
 
 	// Obs selects the telemetry the run carries (epoch time-series
 	// recorder, structured event trace); the zero value disables both.
@@ -175,9 +170,6 @@ func (c Config) ctrlConfig() memctrl.Config {
 	mcfg := memctrl.ConfigFor(c.Knobs)
 	if c.Timing != nil {
 		mcfg.Timing = *c.Timing
-	}
-	if c.CPUPerMem != 0 {
-		mcfg.CPUPerMem = c.CPUPerMem
 	}
 	if c.Channels != 0 {
 		mcfg.Channels = c.Channels

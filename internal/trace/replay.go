@@ -142,6 +142,6 @@ func ReplayStream(s Stream, cfg memctrl.Config, opt ReplayOpts) (ReplayResult, e
 	res.Dev = ctrl.DeviceStats()
 	res.Energy = ctrl.Energy()
 	res.AvgReadNs = float64(res.Ctrl.ReadLatencySum) / float64(max(res.Ctrl.ReadsServed, 1)) * cfg.Timing.TCKNs
-	res.cpuCycleNs = cfg.Timing.TCKNs / float64(cfg.CPUPerMem)
+	res.cpuCycleNs = cfg.Timing.TCKNs / float64(ctrl.CPUPerMem())
 	return res, nil
 }

@@ -277,7 +277,7 @@ func TestReplayResultUsesConfiguredClock(t *testing.T) {
 			t.Fatalf("no speed grade %s", name)
 		}
 		cfg := memctrl.DefaultConfig()
-		cfg.Timing, cfg.CPUPerMem = g.Timing, g.CPUPerMem
+		cfg.Timing = g.Timing
 		res, err := ReplayStream(tr.Stream(), cfg, ReplayOpts{})
 		if err != nil {
 			t.Fatal(err)
@@ -286,7 +286,7 @@ func TestReplayResultUsesConfiguredClock(t *testing.T) {
 		if res.Ctrl.ReadsServed == 0 || res.AvgReadNs != wantNs {
 			t.Errorf("%s: AvgReadNs = %v, want %v (%d reads)", name, res.AvgReadNs, wantNs, res.Ctrl.ReadsServed)
 		}
-		wantMW := res.Energy.Total() / (float64(res.Cycles) * g.Timing.TCKNs / float64(g.CPUPerMem))
+		wantMW := res.Energy.Total() / (float64(res.Cycles) * g.Timing.TCKNs / math.Round(g.Timing.TCKNs*3.2))
 		if got := res.AvgPowerMW(); math.Abs(got-wantMW) > 1e-9*wantMW {
 			t.Errorf("%s: AvgPowerMW = %v, want %v", name, got, wantMW)
 		}
