@@ -2,9 +2,11 @@ package sim
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pradram/internal/power"
@@ -111,4 +113,33 @@ func TestPowerBandGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSpeedGradeRowsGolden pins the speedgrades experiment's runs on the
+// bins whose CPU:memory clock ratio is an integer (DDR3-800/1066/1600/2133)
+// as testdata/speedgrades.golden, one line per run with its cycles, power
+// and sum-IPC at full precision. A change to how the clock crosses between
+// cores and DRAM must leave these lines byte-identical even where it moves
+// the other bins, and with them experiments.golden's speedgrades digest.
+func TestSpeedGradeRowsGolden(t *testing.T) {
+	t.Parallel()
+	var keys []runKey
+	for _, g := range []string{"DDR3-800", "DDR3-1066", "DDR3-1600", "DDR3-2133"} {
+		for _, s := range sweepSchemes {
+			keys = append(keys, speedGradeKey(s, g))
+		}
+	}
+	r := NewRunner(tinyOpt(2))
+	if err := r.Precompute(keys); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, k := range keys {
+		res, err := r.Run(k) // memoized by Precompute
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %s cycles %d power %v mW sumIPC %v\n", k.grade, k.Scheme, res.Cycles, res.AvgPowerMW(), res.SumIPC())
+	}
+	checkGolden(t, "speedgrades.golden", b.String())
 }
