@@ -34,9 +34,9 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("TRC < TRAS+TRP must fail validation")
 	}
 	bad = DefaultTiming()
-	bad.TCKNs = 0
+	bad.Rate = Rate{}
 	if bad.Validate() == nil {
-		t.Error("zero tCK must fail validation")
+		t.Error("a zero data rate must fail validation")
 	}
 	bad = DefaultTiming()
 	bad.TFAW = 2

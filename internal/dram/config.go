@@ -5,7 +5,7 @@ import "fmt"
 // Timing holds a DRAM timing set in memory-clock cycles, as a device
 // (speedgrades.go) derives it for one speed bin from picoseconds and floors.
 type Timing struct {
-	TCKNs float64 // clock period in ns (1.25 for DDR3-1600)
+	Rate Rate // data rate, exactly (1600/1 MT/s for DDR3-1600); the clock is half of it
 
 	TRCD   int // ACT to column command
 	TRP    int // PRE to ACT
@@ -37,6 +37,15 @@ type Timing struct {
 	PRAMaskCycles int
 }
 
+// Rate is a data rate in MT/s, the exact fraction Num/Den (5600/3 at DDR3-1866).
+type Rate struct{ Num, Den int64 }
+
+// tckPs is the datasheet tCK in ps: 2·10⁶/rate, rounded half up (938 at 6400/3).
+func (r Rate) tckPs() int { return int((4_000_000*r.Den + r.Num) / (2 * r.Num)) }
+
+// TCKNs is the datasheet tCK in ns, the period energy and ns figures scale by.
+func (t Timing) TCKNs() float64 { return float64(t.Rate.tckPs()) / 1000 }
+
 // DefaultTiming returns the paper's DDR3-1600 timing set, ddr3.bins[3]:
 // Table 3, and the datasheet for what the table leaves out.
 func DefaultTiming() Timing { return ddr3.timing(ddr3.bins[3]) }
@@ -44,8 +53,8 @@ func DefaultTiming() Timing { return ddr3.timing(ddr3.bins[3]) }
 // Validate reports the first inconsistency in the timing set.
 func (t Timing) Validate() error {
 	switch {
-	case t.TCKNs <= 0:
-		return fmt.Errorf("dram: TCKNs must be positive, got %v", t.TCKNs)
+	case t.Rate.Num <= 0 || t.Rate.Den <= 0:
+		return fmt.Errorf("dram: Rate must be a positive fraction, got %d/%d MT/s", t.Rate.Num, t.Rate.Den)
 	case t.TRC < t.TRAS+t.TRP:
 		return fmt.Errorf("dram: TRC (%d) < TRAS+TRP (%d)", t.TRC, t.TRAS+t.TRP)
 	case t.TRCD <= 0 || t.TRP <= 0 || t.TCAS <= 0 || t.TBURST <= 0:

@@ -178,7 +178,7 @@ func (r *energyReferee) energy(end int64) power.Breakdown {
 	for i := range r.ranks {
 		r.advance(&r.ranks[i], end)
 	}
-	c, tck := r.chip, r.t.TCKNs
+	c, tck := r.chip, r.t.TCKNs()
 	data, all := float64(r.g.ChipsPerRank), float64(r.g.ChipsPerRank+r.ecc)
 	others := float64(r.g.Ranks - 1)
 	var b power.Breakdown

@@ -2,7 +2,6 @@ package memctrl
 
 import (
 	"fmt"
-	"math"
 
 	"pradram/internal/core"
 	"pradram/internal/dram"
@@ -31,14 +30,38 @@ type Config struct {
 	MaxRowHits int // open-row access cap (fairness, Section 5.1.2)
 }
 
-// CPUClockGHz is the core clock (Table 3). The controller runs the DRAM
-// command clock at Timing.TCKNs against it.
-const CPUClockGHz = 3.2
+// CPUClockGHz is the core clock (Table 3), and CPUCycleNs one of its cycles.
+const CPUClockGHz, CPUCycleNs = 3.2, 1 / CPUClockGHz
 
-// cpuPerMem is the integer CPU:memory clock ratio of timing set t: tCK in
-// core cycles, rounded where the true ratio is fractional (4 for
-// DDR3-1600's 1.25 ns, 8 for DDR3-800, 3 for DDR3-1866's 3.43).
-func cpuPerMem(t dram.Timing) int64 { return int64(math.Round(t.TCKNs * CPUClockGHz)) }
+// crossing is the exact ratio p/q, reduced, of CPU cycles to memory cycles
+// (4/1 at DDR3-1600, 24/7 at DDR3-1866): the cores' clock over the command
+// clock, half of Timing.Rate. It is the one place the two clocks meet.
+type crossing struct{ p, q int64 }
+
+func crossingOf(r dram.Rate) crossing {
+	p, q := int64(2000*CPUClockGHz)*r.Den, r.Num
+	g := p
+	for b := q; b != 0; g, b = b, g%b {
+	}
+	return crossing{p / g, q / g}
+}
+
+// CPUAt is the CPU cycle memory cycle m starts at, ⌈m·p/q⌉; Tick and
+// settleWake call it every DRAM tick, so an integer ratio skips the divide.
+// Validate keeps p under 2²³, so m·p cannot overflow below 2³⁹ memory
+// cycles (minutes of simulated time); a wake past that is core.FarFuture.
+func (x crossing) CPUAt(m int64) int64 {
+	switch {
+	case m >= core.FarFuture>>23:
+		return core.FarFuture
+	case x.q == 1:
+		return m * x.p
+	}
+	return (m*x.p + x.q - 1) / x.q
+}
+
+// MemAt is the last memory cycle started by CPU cycle c ≥ 0, ⌊c·q/p⌋.
+func (x crossing) MemAt(c int64) int64 { return c * x.q / x.p }
 
 // DefaultConfig returns the paper's Table 3 memory system.
 func DefaultConfig() Config {
@@ -64,8 +87,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("memctrl: watermarks must satisfy low < high <= writeQ")
 	case c.MaxRowHits <= 0:
 		return fmt.Errorf("memctrl: MaxRowHits must be positive")
-	case cpuPerMem(c.Timing) < 1:
-		return fmt.Errorf("memctrl: Timing.TCKNs %g ns is under half a %g GHz core cycle: no CPU:memory clock ratio", c.Timing.TCKNs, CPUClockGHz)
+	case c.Timing.Rate.Num > 2000*CPUClockGHz*c.Timing.Rate.Den || c.Timing.Rate.Den > 1000:
+		return fmt.Errorf("memctrl: Timing.Rate %d/%d MT/s: the command clock may not outrun the %g GHz cores, and is stated to 1/1000 MT/s", c.Timing.Rate.Num, c.Timing.Rate.Den, CPUClockGHz)
 	case c.Geom.Ranks*c.Geom.Banks > 64:
 		return fmt.Errorf("memctrl: at most 64 banks per channel supported (have %d)", c.Geom.Ranks*c.Geom.Banks)
 	}
@@ -148,17 +171,15 @@ type Controller struct {
 	chans []*chanCtl
 
 	lastMem int64
-	// cpm is the clock ratio, cpuPerMem(cfg.Timing), and nextMemAt the CPU
-	// cycle of the next DRAM tick, replacing the per-Tick modulo/division
-	// pair on the clock ratio with a stride counter (one compare, one add
-	// per DRAM tick).
-	cpm       int64
+	// clk is the clock crossing, and nextMemAt the CPU cycle of the next
+	// DRAM tick, clk.CPUAt(lastMem+1), which Tick compares against.
+	clk       crossing
 	nextMemAt int64
 
-	// minWake is the NextEvent cache: the earliest channel nextWake in
-	// memory cycles (0 while some channel is disarmed), refreshed after
-	// every DRAM tick and lowered to 0 by enqueues. NextEvent is on the run
-	// loop's per-executed-cycle path, so it must not walk the channels.
+	// minWake is the NextEvent cache: the CPU cycle the earliest channel
+	// nextWake starts at (0 while some channel is disarmed), set by every
+	// DRAM tick and zeroed by enqueues. NextEvent is on the run loop's
+	// per-executed-cycle path, so it must not walk the channels or divide.
 	minWake int64
 }
 
@@ -181,7 +202,7 @@ func New(cfg Config) (*Controller, error) {
 		cfg.Timing.PRAMaskCycles = 0
 		cfg.NoTimingRelax = true
 	}
-	c := &Controller{cfg: cfg, am: am, lastMem: -1, cpm: cpuPerMem(cfg.Timing)}
+	c := &Controller{cfg: cfg, am: am, lastMem: -1, clk: crossingOf(cfg.Timing.Rate)}
 	for i := 0; i < cfg.Channels; i++ {
 		acc := power.NewAccumulator()
 		ch, err := dram.NewChannel(cfg.Timing, cfg.Geom, acc)
@@ -198,7 +219,7 @@ func New(cfg Config) (*Controller, error) {
 		if cfg.ECC {
 			acc.ECCChips = 1
 		}
-		cc := &chanCtl{cfg: &c.cfg, ch: ch, acc: acc, am: am, idx: i}
+		cc := &chanCtl{cfg: &c.cfg, clk: c.clk, ch: ch, acc: acc, am: am, idx: i}
 		cc.banks = make([]bankQ, cfg.Geom.Ranks*cfg.Geom.Banks)
 		cc.rankBanks = make([]uint64, cfg.Geom.Ranks)
 		for bi := range cc.banks {
@@ -231,7 +252,7 @@ func (c *Controller) Read(addr uint64, done core.Done) bool {
 	}
 	req := cc.allocReq(core.Read, l, c.lastMem+1)
 	req.wordMask = core.FullMask
-	req.done = done // invoked with the CPU cycle: call sites scale by CPUPerMem
+	req.done = done // invoked with the CPU cycle: call sites convert through clk
 	cc.nextWake, c.minWake = 0, 0
 	// Forward from the write queue: the queued write to the line has the data.
 	if cc.queuedWrite(l) != nil {
@@ -314,66 +335,55 @@ func (c *Controller) Pending() bool {
 }
 
 // Tick advances the controller at CPU-cycle granularity; DRAM work happens
-// every CPUPerMem-th cycle. The stride counter nextMemAt stands in for a
-// modulo on the clock ratio: between DRAM ticks the call is one compare.
-// A caller that fast-forwarded past nextMemAt without SkipTo is
-// resynchronized here (the overshoot is only legal when every skipped
-// DRAM tick was a provable no-op, which is what NextEvent guarantees).
+// at nextMemAt, the CPU cycle the next memory cycle starts at, so between
+// DRAM ticks the call is two compares. A caller that fast-forwarded past
+// nextMemAt without SkipTo is resynchronized here (the overshoot is only
+// legal when every skipped DRAM tick was a provable no-op, which is what
+// NextEvent guarantees).
 func (c *Controller) Tick(cpu int64) {
-	if cpu != c.nextMemAt {
-		if cpu < c.nextMemAt {
-			return
-		}
+	if cpu > c.nextMemAt {
 		c.SkipTo(cpu)
-		if cpu != c.nextMemAt {
-			return
-		}
+	}
+	if cpu != c.nextMemAt {
+		return
 	}
 	mem := c.lastMem + 1
 	c.lastMem = mem
-	c.nextMemAt = cpu + c.cpm
+	c.nextMemAt = c.clk.CPUAt(mem + 1)
 	for _, cc := range c.chans {
 		cc.tick(mem)
 	}
 	c.settleWake()
 }
 
-// settleWake refreshes the NextEvent cache: minWake is the earliest of the
-// channels' nextWake. Pending forwards need no term of their own: only an
-// enqueue adds one, and it disarms its channel's wake (0) until the next
-// DRAM tick completes them.
+// settleWake refreshes the NextEvent cache: minWake is the CPU cycle the
+// earliest of the channels' nextWake starts at. Pending forwards need no
+// term of their own: only an enqueue adds one, and it disarms its
+// channel's wake (0) until the next DRAM tick completes them.
 func (c *Controller) settleWake() {
-	c.minWake = int64(core.FarFuture)
+	w := int64(core.FarFuture)
 	for _, cc := range c.chans {
-		c.minWake = min(c.minWake, cc.nextWake)
+		w = min(w, cc.nextWake)
 	}
+	c.minWake = c.clk.CPUAt(w)
 }
 
-// SkipTo realigns the DRAM clock after the run loop jumps the CPU cycle
-// to target (the next cycle it will execute). It restores the invariant
-// per-cycle ticking maintains — lastMem is the DRAM cycle of the last
-// tick at or before the previous CPU cycle — so request arrival stamps
-// taken between DRAM ticks (lastMem+1) match the unskipped run exactly.
+// SkipTo realigns the DRAM clock after the run loop jumps the CPU cycle to
+// target (the next cycle it will execute). It restores the invariant
+// per-cycle ticking maintains — lastMem is the DRAM cycle of the last tick at
+// or before the previous CPU cycle — so request arrival stamps taken between
+// DRAM ticks (lastMem+1) match the unskipped run exactly. Time only moves
+// forward, so a target at or before nextMemAt needs no change (or division).
 func (c *Controller) SkipTo(target int64) {
-	if target > c.nextMemAt-c.cpm && target <= c.nextMemAt {
-		// Still inside the current DRAM-tick window (nextMemAt is always a
-		// clock-ratio multiple, so the window floor is nextMemAt-cpm): the
-		// division below would reproduce the state unchanged.
+	if target <= c.nextMemAt {
 		return
 	}
-	mem := target / c.cpm
-	if target == mem*c.cpm {
-		c.lastMem = mem - 1
-		c.nextMemAt = target
-	} else {
-		c.lastMem = mem
-		c.nextMemAt = (mem + 1) * c.cpm
-	}
+	c.lastMem = c.clk.MemAt(target - 1)
+	c.nextMemAt = c.clk.CPUAt(c.lastMem + 1)
 }
 
-// MemCycle returns the DRAM cycle of the most recent DRAM tick (-1 before
-// the first), i.e. the value per-cycle ticking would have derived as
-// floor(cpu/CPUPerMem). Exposed for the clock-stride regression tests.
+// MemCycle returns the DRAM cycle of the most recent DRAM tick (-1 before the
+// first): CPUPerMem().MemAt(cpu) after Tick(cpu). Exposed for the tests.
 func (c *Controller) MemCycle() int64 { return c.lastMem }
 
 // NextEvent reports the earliest CPU cycle at which the controller can do
@@ -384,12 +394,7 @@ func (c *Controller) MemCycle() int64 { return c.lastMem }
 // the "mem < nextWake" sleep path, whose only effect — lazy
 // background-energy accrual — is caught up jump-exactly by
 // AdvanceTo/CatchUp.
-func (c *Controller) NextEvent(now int64) int64 {
-	if c.minWake >= core.FarFuture/c.cpm {
-		return core.FarFuture // avoid overflowing the sentinel
-	}
-	return max(c.minWake*c.cpm, c.nextMemAt)
-}
+func (c *Controller) NextEvent(now int64) int64 { return max(c.minWake, c.nextMemAt) }
 
 // CatchUp brings the lazy per-channel background-energy accounting to the
 // point per-cycle ticking would have reached just before CPU cycle cpu —
@@ -398,7 +403,7 @@ func (c *Controller) NextEvent(now int64) int64 {
 // end-of-run results) so fast-forwarding never leaves them stale; under
 // per-cycle ticking it is a no-op.
 func (c *Controller) CatchUp(cpu int64) {
-	mem := (cpu - 1) / c.cpm
+	mem := c.clk.MemAt(cpu - 1)
 	for _, cc := range c.chans {
 		cc.ch.AdvanceTo(mem)
 	}
@@ -500,6 +505,7 @@ type chanCtl struct {
 	spanSeq     int64
 
 	stats Stats
+	clk   crossing // the controller's, for the CPU cycle a read completes at
 }
 
 // engine names one of a channel's four engines, in the order minBound
@@ -516,11 +522,7 @@ const (
 
 // noteReady records a future readiness time observed during a scheduling
 // pass in the running engine's bound.
-func (cc *chanCtl) noteReady(at int64) {
-	if at < *cc.running {
-		*cc.running = at
-	}
-}
+func (cc *chanCtl) noteReady(at int64) { *cc.running = min(*cc.running, at) }
 
 // run hands the pass to engine e: noteReady books into e's bound.
 func (cc *chanCtl) run(e engine) { cc.running = &cc.bound[e] }

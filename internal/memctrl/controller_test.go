@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pradram/internal/core"
+	"pradram/internal/dram"
 	"pradram/internal/power"
 )
 
@@ -54,9 +55,11 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("inverted watermarks must fail")
 	}
 	bad = good
-	bad.Timing.TCKNs = 0.1
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "TCKNs") {
-		t.Errorf("a command clock under half a core cycle must fail naming TCKNs, got %v", err)
+	for _, r := range []dram.Rate{{Num: 6401, Den: 1}, {Num: 1600_001, Den: 1001}} {
+		bad.Timing.Rate = r
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "Timing.Rate") {
+			t.Errorf("rate %v (faster than the cores, or finer than 1/1000 MT/s) must fail naming Timing.Rate, got %v", r, err)
+		}
 	}
 	bad = good
 	bad.MaxRowHits = 0
@@ -476,14 +479,15 @@ func TestCrossChannelCompletionOrder(t *testing.T) {
 	if len(log) != 6 {
 		t.Fatalf("got %d completions, want 6: %+v", len(log), log)
 	}
-	t0, at0, cpm := log[0].cpu, log[0].at, c.CPUPerMem()
+	t0, at0, clk := log[0].cpu, log[0].at, c.CPUPerMem()
+	next := clk.CPUAt(clk.MemAt(t0) + 1)
 	want := []completion{
 		{"read", 0, t0, at0},
 		{"read", 1, t0, at0},
 		{"read", 2, t0, at0},
 		{"fwd", 3, t0, t0}, // j > i: same tick, before channel 3's own read
 		{"read", 3, t0, at0},
-		{"fwd", 0, t0 + cpm, t0 + cpm}, // j <= i: next tick
+		{"fwd", 0, next, next}, // j <= i: next tick
 	}
 	for i := range want {
 		if log[i] != want[i] {

@@ -153,8 +153,8 @@ func TestTrafficConservationMatrix(t *testing.T) {
 	}
 }
 
-// FuzzTrafficConservation lets the fuzzer pick the scheme, policy, and
-// traffic seed. The seed corpus pins the configurations the parallel
+// FuzzTrafficConservation lets the fuzzer pick the scheme, policy, speed
+// grade and traffic seed. The seed corpus pins the configurations the parallel
 // experiment runner exercises hardest: under the concurrent cache every
 // distinct (workload, scheme, policy) key simulates exactly once, so the
 // PRA and baseline relaxed-close controllers see the densest shared-row
@@ -165,38 +165,45 @@ func FuzzTrafficConservation(f *testing.F) {
 	// One seed per scheme at the default relaxed-close/row-interleaved
 	// pairing, plus restricted and open-page variants of PRA.
 	for _, s := range Schemes() {
-		f.Add(uint8(s), uint8(RelaxedClose), int64(1), uint8(0), uint8(0))
+		f.Add(uint8(s), uint8(RelaxedClose), int64(1), uint8(0), uint8(0), uint8(3))
 	}
-	f.Add(uint8(PRA), uint8(RestrictedClose), int64(2), uint8(0), uint8(0))
-	f.Add(uint8(PRA), uint8(OpenPage), int64(3), uint8(0), uint8(0))
+	f.Add(uint8(PRA), uint8(RestrictedClose), int64(2), uint8(0), uint8(0), uint8(3))
+	f.Add(uint8(PRA), uint8(OpenPage), int64(3), uint8(0), uint8(0), uint8(3))
 	// The dedup-heavy interleavings: same seed, differing only in scheme,
 	// as produced when the worker pool runs a baseline/PRA pair of one
 	// workload concurrently.
-	f.Add(uint8(Baseline), uint8(RelaxedClose), int64(77), uint8(0), uint8(0))
-	f.Add(uint8(PRA), uint8(RelaxedClose), int64(77), uint8(0), uint8(0))
+	f.Add(uint8(Baseline), uint8(RelaxedClose), int64(77), uint8(0), uint8(0), uint8(3))
+	f.Add(uint8(PRA), uint8(RelaxedClose), int64(77), uint8(0), uint8(0), uint8(3))
 	// Row-clustered addresses (one to three rows per bank): the traffic
 	// that keeps the per-bank open-row summaries busy.
 	for _, policy := range []Policy{RelaxedClose, RestrictedClose, OpenPage} {
-		f.Add(uint8(PRA), uint8(policy), int64(5), uint8(1), uint8(0))
-		f.Add(uint8(HalfDRAMPRA), uint8(policy), int64(6), uint8(3), uint8(0))
+		f.Add(uint8(PRA), uint8(policy), int64(5), uint8(1), uint8(0), uint8(3))
+		f.Add(uint8(HalfDRAMPRA), uint8(policy), int64(6), uint8(3), uint8(0), uint8(3))
 		// Write merges under partially open rows: the merged write's grown
 		// mask must reach the cached column pick, activation mask and
 		// false-hit class of its bank. The open-page cell keeps partial
 		// rows open longest.
-		f.Add(uint8(PRA), uint8(policy), int64(8), uint8(1), uint8(96))
-		f.Add(uint8(SDS), uint8(policy), int64(9), uint8(2), uint8(200))
+		f.Add(uint8(PRA), uint8(policy), int64(8), uint8(1), uint8(96), uint8(3))
+		f.Add(uint8(SDS), uint8(policy), int64(9), uint8(2), uint8(200), uint8(3))
 	}
-	f.Add(uint8(Baseline), uint8(RelaxedClose), int64(7), uint8(2), uint8(0))
-	f.Add(uint8(PRA), uint8(RelaxedClose), int64(10), uint8(0), uint8(255))
+	f.Add(uint8(Baseline), uint8(RelaxedClose), int64(7), uint8(2), uint8(0), uint8(3))
+	f.Add(uint8(PRA), uint8(RelaxedClose), int64(10), uint8(0), uint8(255), uint8(3))
+	// The fractional clocks, where DRAM ticks fall unevenly between CPU
+	// cycles: 24:5 at DDR3-1333 and 24:7 at DDR3-1866.
+	f.Add(uint8(PRA), uint8(RelaxedClose), int64(11), uint8(1), uint8(96), uint8(2))
+	f.Add(uint8(PRA), uint8(OpenPage), int64(12), uint8(1), uint8(96), uint8(4))
+	f.Add(uint8(Baseline), uint8(RelaxedClose), int64(13), uint8(0), uint8(0), uint8(4))
 
-	f.Fuzz(func(t *testing.T, schemeByte, policyByte uint8, seed int64, rowPool, remerge uint8) {
+	f.Fuzz(func(t *testing.T, schemeByte, policyByte uint8, seed int64, rowPool, remerge, grade uint8) {
 		schemes := Schemes()
 		scheme := schemes[int(schemeByte)%len(schemes)]
 		policies := []Policy{RelaxedClose, RestrictedClose, OpenPage}
 		policy := policies[int(policyByte)%len(policies)]
+		grades := dram.SpeedGrades()
 		cfg := DefaultConfig()
 		cfg.Scheme = scheme
 		cfg.Policy = policy
+		cfg.Timing = grades[int(grade)%len(grades)].Timing
 		if policy == RestrictedClose {
 			cfg.Mapping = LineInterleaved
 		}

@@ -247,7 +247,7 @@ func (cc *chanCtl) completeForwards(mem int64) {
 		cc.stats.RowHitRead++ // served without any DRAM activity
 		cc.stats.ReadLatencySum += mem - f.arrive
 		cc.completeLat(f, mem, mem) // no DRAM command: all queue time
-		f.done.Fn(mem * cpuPerMem(cc.cfg.Timing))
+		f.done.Fn(cc.clk.CPUAt(mem))
 		cc.forwards[i] = nil
 		cc.releaseReq(f)
 	}
@@ -504,7 +504,7 @@ func (cc *chanCtl) issueColumn(mem int64, req *request, i int, bank dram.CmdTerm
 	cc.sweepWait(req, mem, &terms)
 	cc.completeLat(req, mem, done)
 	if req.kind == core.Read {
-		req.done.Fn(done * cpuPerMem(cc.cfg.Timing))
+		req.done.Fn(cc.clk.CPUAt(done))
 	}
 	cc.releaseReq(req)
 	return true

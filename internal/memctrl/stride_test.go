@@ -1,7 +1,6 @@
 package memctrl
 
 import (
-	"math"
 	"testing"
 
 	"pradram/internal/dram"
@@ -16,12 +15,12 @@ import (
 // same-window fast path, so fast-forwarded runs stamp request arrivals
 // exactly as per-cycle runs do.
 
-// strideBins are the speed grades the stride tests run, with the reduced
+// strideBins are the speed grades, slowest first, with the reduced
 // CPU:memory clock ratio p/q each must run at.
 var strideBins = []struct {
 	name string
 	p, q int64
-}{{"DDR3-800", 8, 1}, {"DDR3-1066", 6, 1}, {"DDR3-1600", 4, 1}, {"DDR3-2133", 3, 1}}
+}{{"DDR3-800", 8, 1}, {"DDR3-1066", 6, 1}, {"DDR3-1333", 24, 5}, {"DDR3-1600", 4, 1}, {"DDR3-1866", 24, 7}, {"DDR3-2133", 3, 1}}
 
 // strideClock is one bin's controller with its ratio's two directions:
 // memOf(cpu) is the last memory cycle started by CPU cycle cpu, and
@@ -88,6 +87,11 @@ func TestSkipToRealignsStride(t *testing.T) {
 			c.cpuOf(2000) + 2, // far jump, unaligned
 		} {
 			c.SkipTo(target)
+			// The next DRAM tick is the first memory-cycle start at or
+			// after target: one on target itself must not be lost.
+			if got, want := c.nextMemAt, c.cpuOf(c.memOf(target-1)+1); got != want {
+				t.Fatalf("after SkipTo(%d) the next DRAM tick is at %d, want %d", target, got, want)
+			}
 			for cpu := target; cpu < c.cpuOf(c.memOf(target)+3); cpu++ {
 				c.Tick(cpu)
 				if got, want := c.MemCycle(), c.memOf(cpu); got != want {
@@ -142,21 +146,26 @@ func TestTickResynchronizesAfterOvershoot(t *testing.T) {
 	})
 }
 
-// TestSpeedGradeClockRatio pins the CPU:memory clock ratio every speed
-// grade runs at: round(tCK · 3.2 GHz), the paper's cores over the bin's
-// command clock.
+// TestSpeedGradeClockRatio pins the reduced CPU:memory clock ratio p/q
+// every speed grade runs at: the paper's 3.2 GHz cores over the bin's
+// command clock, half its exact data rate (24/7 at DDR3-1866's 1866⅔ MT/s).
+// strideBins must list every grade.
 func TestSpeedGradeClockRatio(t *testing.T) {
 	t.Parallel()
-	want := map[string]int64{"DDR3-800": 8, "DDR3-1066": 6, "DDR3-1333": 5, "DDR3-1600": 4, "DDR3-1866": 3, "DDR3-2133": 3}
-	for _, g := range dram.SpeedGrades() {
+	grades := dram.SpeedGrades()
+	if len(grades) != len(strideBins) {
+		t.Fatalf("%d speed grades, %d in strideBins", len(grades), len(strideBins))
+	}
+	for i, g := range grades {
 		cfg := DefaultConfig()
 		cfg.Timing = g.Timing
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := c.CPUPerMem(); got != want[g.Name] || got != int64(math.Round(g.Timing.TCKNs*3.2)) {
-			t.Errorf("%s (tCK %g ns) runs at ratio %d, want %d", g.Name, g.Timing.TCKNs, got, want[g.Name])
+		b := strideBins[i]
+		if got := c.CPUPerMem(); g.Name != b.name || got != (crossing{b.p, b.q}) {
+			t.Errorf("%s (%d/%d MT/s) runs at %d/%d, want %s at %d/%d", g.Name, g.Timing.Rate.Num, g.Timing.Rate.Den, got.p, got.q, b.name, b.p, b.q)
 		}
 	}
 }

@@ -79,6 +79,7 @@ func TestCheckpointBitIdentityMatrix(t *testing.T) {
 					{"noskip", func(c *Config) { c.NoSkip = true }},
 					{"4ch", fourChannels},
 					{"4ch-hammer", fourChannelHammer},
+					{"DDR3-1866", ddr31866},
 				}
 			}
 			for _, v := range vs {

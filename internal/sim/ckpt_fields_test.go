@@ -34,8 +34,7 @@ var ckptFields = map[string]map[string]string{
 		"cap":      excluded, // wiring; the boundary drops its records
 		"rec":      excluded, // telemetry
 		"ev":       excluded,
-		"cpm":      excluded, // configuration
-		"epochCPU": excluded,
+		"recStart": excluded, // armed by Measure
 		"recNext":  excluded, // armed by Measure
 		"ticks":    saved,
 		"cal":      excluded, // configuration
@@ -131,12 +130,13 @@ var ckptFields = map[string]map[string]string{
 		"am":        excluded,
 		"chans":     saved,
 		"lastMem":   saved,
-		"cpm":       excluded,
-		"nextMemAt": derived, // (lastMem+1)·cpm
+		"clk":       excluded,
+		"nextMemAt": derived, // clk.CPUAt(lastMem+1)
 		"minWake":   derived, // settleWake, as after every DRAM tick
 	},
 	"memctrl.chanCtl": {
 		"cfg":              excluded, // configuration
+		"clk":              excluded,
 		"ch":               saved,    // dram.Channel: classified by internal/dram's table
 		"acc":              excluded, // energy is a statistic
 		"am":               excluded,

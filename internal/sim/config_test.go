@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"pradram/internal/dram"
@@ -28,7 +30,7 @@ func TestValidateNamesTheField(t *testing.T) {
 		{func(c *Config) { c.ActiveCores = -1 }, "ActiveCores"},
 		{func(c *Config) { c.Channels = -2 }, "channels must be a positive power of two"},
 		{func(c *Config) { c.Channels = 3 }, "channels must be a positive power of two"},
-		{func(c *Config) { t := dram.DefaultTiming(); t.TCKNs = 0.1; c.Timing = &t }, "TCKNs"},
+		{func(c *Config) { t := dram.DefaultTiming(); t.Rate.Num = 64000; c.Timing = &t }, "Timing.Rate"},
 		{func(c *Config) { c.Obs.EpochCycles = -7 }, "Obs.EpochCycles"},
 		{func(c *Config) { c.Obs.EventLevel = obs.LevelCmd + 1 }, "Obs.EventLevel"},
 		{func(c *Config) { c.PowerCal = "bogus" }, "PowerCal"},
@@ -73,8 +75,76 @@ func TestTimingAloneSetsTheClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.ctrl.CPUPerMem(); got != 8 {
-		t.Errorf("DDR3-800 runs at %d CPU cycles per memory cycle, want 8", got)
+	if got := sys.ctrl.CPUPerMem().CPUAt(1); got != 8 {
+		t.Errorf("DDR3-800's memory cycle 1 starts at CPU cycle %d, want 8", got)
+	}
+}
+
+// gradeRuns runs 1-core GUPS once at every speed grade, slowest first, for
+// the two clock traps below; q/p is each bin's ratio of memory to CPU
+// cycles, stated here apart from the code under test.
+var gradeRuns = sync.OnceValues(func() ([]gradeRun, error) {
+	bins := []gradeRun{{"DDR3-800", 8, 1, nil, Result{}}, {"DDR3-1066", 6, 1, nil, Result{}},
+		{"DDR3-1333", 24, 5, nil, Result{}}, {"DDR3-1600", 4, 1, nil, Result{}},
+		{"DDR3-1866", 24, 7, nil, Result{}}, {"DDR3-2133", 3, 1, nil, Result{}}}
+	for i := range bins {
+		g, ok := dram.SpeedGradeByName(bins[i].name)
+		if !ok {
+			return nil, fmt.Errorf("no speed grade %s", bins[i].name)
+		}
+		cfg := DefaultConfig("GUPS")
+		cfg.Cores, cfg.InstrPerCore, cfg.WarmupPerCore = 1, 20_000, 5_000
+		cfg.Timing = &g.Timing
+		sys, err := New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if bins[i].res, err = sys.Run(); err != nil {
+			return nil, err
+		}
+		bins[i].sys = sys
+	}
+	return bins, nil
+})
+
+type gradeRun struct {
+	name string
+	p, q int64
+	sys  *System
+	res  Result
+}
+
+// TestRunKeepsExactMemoryTime: the DRAM clock keeps exact time against the
+// cores. After a run's last CPU cycle c, the last memory cycle started is
+// ⌊c·q/p⌋ at every bin, 24:5 (DDR3-1333) and 24:7 (DDR3-1866) included,
+// where a rounded integer ratio drifts by a sixth and an eighth.
+func TestRunKeepsExactMemoryTime(t *testing.T) {
+	t.Parallel()
+	runs, err := gradeRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		c := r.sys.cycle - 1
+		if got, want := r.sys.ctrl.MemCycle(), c*r.q/r.p; got != want {
+			t.Errorf("%s: after CPU cycle %d the DRAM is at memory cycle %d, want ⌊%d·%d/%d⌋ = %d", r.name, c, got, c, r.q, r.p, want)
+		}
+	}
+}
+
+// TestFasterGradeIsNoSlower: 1-core GUPS, bound by DRAM latency, takes no
+// more cycles at a faster bin. A part clocked faster than its cycle counts
+// assume (DDR3-1866 run at DDR3-2133's clock) overtakes the next bin.
+func TestFasterGradeIsNoSlower(t *testing.T) {
+	t.Parallel()
+	runs, err := gradeRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(runs); i++ {
+		if prev, r := runs[i-1], runs[i]; r.res.Cycles > prev.res.Cycles {
+			t.Errorf("%s takes %d cycles, more than %s's %d", r.name, r.res.Cycles, prev.name, prev.res.Cycles)
+		}
 	}
 }
 

@@ -35,7 +35,9 @@ import (
 // sleep, so escalation happens when the rank's idle time reaches SRTimeout
 // rather than at the next pass some other event causes; runs with
 // SRTimeout > 0 can differ.
-const ModelVersion = "pradram-model-v7"
+// v8: the DRAM runs at each bin's exact clock, 24:5 at DDR3-1333 and 24:7 at
+// DDR3-1866 (5 and 3 CPU cycles before), so grade= runs at those bins differ.
+const ModelVersion = "pradram-model-v8"
 
 // fileStore is the on-disk protocol under both the result cache and the
 // checkpoint store: one file per id in dir, named by a hash of the id (the

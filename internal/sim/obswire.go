@@ -41,10 +41,8 @@ func (s *System) attachObs() {
 	if o.EventLevel != obs.LevelOff {
 		s.ev = obs.NewEventLog(obs.DefaultEventCap, o.EventLevel)
 	}
-	s.cpm = s.ctrl.CPUPerMem()
 	if o.EpochCycles > 0 {
 		s.rec = obs.NewRecorder(o.EpochCycles)
-		s.epochCPU = o.EpochCycles * s.cpm
 	}
 	s.ctrl.AttachObs(s.rec, s.ev)
 	s.hier.Events = s.ev

@@ -41,7 +41,7 @@ func (r Result) calibration() power.Calibration {
 }
 
 // RuntimeNs returns the run's wall time in DRAM-visible nanoseconds.
-func (r Result) RuntimeNs() float64 { return float64(r.Cycles) * CPUCycleNs }
+func (r Result) RuntimeNs() float64 { return float64(r.Cycles) * memctrl.CPUCycleNs }
 
 // AvgPowerMW returns the average total DRAM power over the run.
 func (r Result) AvgPowerMW() float64 {

@@ -23,19 +23,11 @@ import (
 	"pradram/internal/workload"
 )
 
-// CPUCycleNs is one CPU cycle in nanoseconds.
-const CPUCycleNs = 1.0 / memctrl.CPUClockGHz
-
-// MemCycleNs is one DRAM command-clock cycle in nanoseconds at DDR3-1600's
-// 1.25 ns, four CPU cycles. Latency sums, histograms and spans are counted
-// in memory cycles; every ns figure on a Result (AvgReadLatencyNs, the
-// quantiles) and prasim's Perfetto export convert through this constant.
-// It hides one limitation: a run on another speed grade (the speedgrades
-// experiment's grade= keys, whose clock ratios run from 3 to 8) has correct
-// cycle counts but ns latencies scaled as if it were DDR3-1600. The fix is
-// a cycle length carried on Result, and a new Result field changes the
-// JSON digests bench/replica.go compares, so it waits for a [benchmark] PR.
-const MemCycleNs = CPUCycleNs * 4
+// MemCycleNs is DDR3-1600's 1.25 ns datasheet tCK. Every ns latency on
+// a Result and in prasim's Perfetto export converts memory cycles through it,
+// so at another speed grade those read as DDR3-1600 nanoseconds; a cycle
+// length on Result would change the digests bench/replica.go compares.
+var MemCycleNs = dram.DefaultTiming().TCKNs()
 
 // Config describes one simulation run.
 type Config struct {
@@ -103,7 +95,7 @@ type Config struct {
 	Generator workload.Maker
 
 	// Timing overrides the DDR3 timing set (e.g. a dram.SpeedGrades
-	// entry); the CPU:memory clock ratio follows from its TCKNs. Nil keeps
+	// entry); the CPU:memory clock crossing follows from its Rate. Nil keeps
 	// the DDR3-1600 default.
 	Timing *dram.Timing
 
@@ -189,14 +181,13 @@ type System struct {
 	capBase int64 // capture timebase (reset to the warmup boundary)
 	cap     *trace.Capture
 
-	// Telemetry (nil when Config.Obs is zero; see obswire.go). The
-	// recorder epoch is configured in DRAM cycles, so the CPU-cycle run
-	// loop keeps the boundary pre-converted: epochCPU = epoch * cpm and
-	// recNext is the next sample point in CPU cycles.
+	// Telemetry (nil when Config.Obs is zero; see obswire.go). The recorder
+	// epoch is configured in DRAM cycles, so the CPU-cycle run loop keeps the
+	// next sample point pre-converted: recNext is the CPU cycle at which a
+	// whole number of epochs after recStart starts.
 	rec      *obs.Recorder
 	ev       *obs.EventLog
-	cpm      int64
-	epochCPU int64
+	recStart int64
 	recNext  int64
 
 	// ticks counts the loop iterations actually executed, for the
@@ -365,8 +356,9 @@ func (s *System) advance(phase string, target int64) ([]int64, error) {
 			// Settle lazy accrual so the sampled energy and rank-state
 			// counters match per-cycle ticking exactly (no-op there).
 			s.ctrl.CatchUp(cycle)
-			s.rec.Sample(cycle / s.cpm)
-			s.recNext += s.epochCPU
+			clk := s.ctrl.CPUPerMem()
+			s.rec.Sample(clk.MemAt(cycle))
+			s.recNext = s.recStart + clk.CPUAt(clk.MemAt(s.recNext-s.recStart)+s.cfg.Obs.EpochCycles)
 		}
 	}
 	// Fast-forwarding defers background-energy accrual; settle it at the
@@ -416,15 +408,15 @@ func (s *System) Measure() (Result, error) {
 		// the first epoch's deltas exclude warmup, and arm the first
 		// epoch boundary (in CPU cycles; the recorder itself runs on the
 		// DRAM clock).
-		s.rec.Begin(start / s.cpm)
-		s.recNext = start + s.epochCPU
+		s.rec.Begin(s.ctrl.CPUPerMem().MemAt(start))
+		s.recStart, s.recNext = start, start+s.ctrl.CPUPerMem().CPUAt(s.cfg.Obs.EpochCycles)
 	}
 	finish, err := s.advance("measurement", s.cfg.InstrPerCore)
 	if err != nil {
 		return Result{}, err
 	}
 	if s.rec != nil {
-		s.rec.Flush(s.cycle / s.cpm)
+		s.rec.Flush(s.ctrl.CPUPerMem().MemAt(s.cycle))
 	}
 
 	res := Result{

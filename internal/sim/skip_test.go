@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pradram/internal/dram"
 	"pradram/internal/memctrl"
 	"pradram/internal/obs"
 )
@@ -28,7 +29,14 @@ func skipCfg(workload string) Config {
 // of the skip and checkpoint identity matrices (the default controller
 // has two channels): plain traffic, and the double-sided hammer with
 // Alert/RFM mitigation armed (per-channel alert deadlines and RFM state).
+// ddr31866 is their fractional-clock cell: 24 CPU cycles per 7 memory
+// cycles, so DRAM ticks fall three and four CPU cycles apart.
 func fourChannels(c *Config) { c.Channels = 4 }
+
+func ddr31866(c *Config) {
+	g, _ := dram.SpeedGradeByName("DDR3-1866")
+	c.Timing = &g.Timing
+}
 
 func fourChannelHammer(c *Config) {
 	c.Channels = 4
@@ -113,6 +121,7 @@ func TestSkipBitIdentityMatrix(t *testing.T) {
 					{"ECC", func(c *Config) { c.ECC = true }},
 					{"4ch", fourChannels},
 					{"4ch-hammer", fourChannelHammer},
+					{"DDR3-1866", ddr31866},
 				}
 			}
 			for _, v := range vs {

@@ -7,6 +7,7 @@ import (
 	"pradram/internal/dram"
 	"pradram/internal/memctrl"
 	"pradram/internal/power"
+	"pradram/internal/stats"
 )
 
 // ReplayResult carries the metrics of one trace replay.
@@ -18,17 +19,11 @@ type ReplayResult struct {
 	Dev       dram.Stats
 	Energy    power.Breakdown
 	AvgReadNs float64
-
-	cpuCycleNs float64 // one CPU cycle under the replayed configuration's clocks
 }
 
-// AvgPowerMW returns the average DRAM power over the replay.
+// AvgPowerMW returns the average DRAM power over the replay's CPU time.
 func (r ReplayResult) AvgPowerMW() float64 {
-	ns := float64(r.Cycles) * r.cpuCycleNs
-	if ns <= 0 {
-		return 0
-	}
-	return r.Energy.Total() / ns
+	return stats.Ratio(r.Energy.Total(), float64(r.Cycles)*memctrl.CPUCycleNs)
 }
 
 // ReplayOpts tunes the replay driver.
@@ -141,7 +136,6 @@ func ReplayStream(s Stream, cfg memctrl.Config, opt ReplayOpts) (ReplayResult, e
 	res.Ctrl = ctrl.Stats()
 	res.Dev = ctrl.DeviceStats()
 	res.Energy = ctrl.Energy()
-	res.AvgReadNs = float64(res.Ctrl.ReadLatencySum) / float64(max(res.Ctrl.ReadsServed, 1)) * cfg.Timing.TCKNs
-	res.cpuCycleNs = cfg.Timing.TCKNs / float64(ctrl.CPUPerMem())
+	res.AvgReadNs = float64(res.Ctrl.ReadLatencySum) / float64(max(res.Ctrl.ReadsServed, 1)) * cfg.Timing.TCKNs()
 	return res, nil
 }

@@ -268,25 +268,39 @@ func TestReplayEmptyTrace(t *testing.T) {
 }
 
 // TestReplayResultUsesConfiguredClock: the ns and mW figures of a replay are
-// in the clocks of the configuration it ran under, not DDR3-1600's.
+// in the clocks of the configuration it ran under, not DDR3-1600's. Its
+// runtime is Cycles CPU cycles of p/q memory cycles each: the exact tCK,
+// 2000/rate ns, times q/p.
 func TestReplayResultUsesConfiguredClock(t *testing.T) {
 	tr := synthTrace(2000, 5)
-	for _, name := range []string{"DDR3-1600", "DDR3-1066"} {
+	for _, b := range []struct {
+		name string
+		p, q int64
+	}{{"DDR3-1600", 4, 1}, {"DDR3-1066", 6, 1}, {"DDR3-1866", 24, 7}} {
+		name := b.name
 		g, ok := dram.SpeedGradeByName(name)
 		if !ok {
 			t.Fatalf("no speed grade %s", name)
 		}
 		cfg := memctrl.DefaultConfig()
 		cfg.Timing = g.Timing
+		ctrl, err := memctrl.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if clk := ctrl.CPUPerMem(); clk.CPUAt(b.q) != b.p || clk.CPUAt(1) != (b.p+b.q-1)/b.q {
+			t.Fatalf("%s: the crossing is not %d/%d", name, b.p, b.q)
+		}
 		res, err := ReplayStream(tr.Stream(), cfg, ReplayOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantNs := float64(res.Ctrl.ReadLatencySum) / float64(res.Ctrl.ReadsServed) * g.Timing.TCKNs
+		wantNs := float64(res.Ctrl.ReadLatencySum) / float64(res.Ctrl.ReadsServed) * g.Timing.TCKNs()
 		if res.Ctrl.ReadsServed == 0 || res.AvgReadNs != wantNs {
 			t.Errorf("%s: AvgReadNs = %v, want %v (%d reads)", name, res.AvgReadNs, wantNs, res.Ctrl.ReadsServed)
 		}
-		wantMW := res.Energy.Total() / (float64(res.Cycles) * g.Timing.TCKNs / math.Round(g.Timing.TCKNs*3.2))
+		tCK := 2000 * float64(g.Timing.Rate.Den) / float64(g.Timing.Rate.Num)
+		wantMW := res.Energy.Total() / (float64(res.Cycles) * tCK * float64(b.q) / float64(b.p))
 		if got := res.AvgPowerMW(); math.Abs(got-wantMW) > 1e-9*wantMW {
 			t.Errorf("%s: AvgPowerMW = %v, want %v", name, got, wantMW)
 		}
