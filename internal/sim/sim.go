@@ -23,8 +23,8 @@ import (
 	"pradram/internal/workload"
 )
 
-// MemCycleNs is DDR3-1600's 1.25 ns datasheet tCK. Every ns latency on
-// a Result and in prasim's Perfetto export converts memory cycles through it,
+// MemCycleNs is DDR3-1600's 1.25 ns datasheet tCK. Every ns latency on a
+// Result and in prasim's Perfetto export converts memory cycles through it,
 // so at another speed grade those read as DDR3-1600 nanoseconds; a cycle
 // length on Result would change the digests bench/replica.go compares.
 var MemCycleNs = dram.DefaultTiming().TCKNs()
