@@ -175,8 +175,7 @@ type Channel struct {
 	busDir  BusDir
 	busRank int
 
-	acctUpTo int64   // background energy accounted up to this cycle
-	tck      float64 // T.TCKNs(), which every command's energy is scaled by
+	acctUpTo int64 // background energy accounted up to this cycle
 
 	// rowCtr holds the optional per-row activation counters
 	// (rowcounter.go); nil unless TrackRows enabled them. Counter contents
@@ -202,7 +201,7 @@ func NewChannel(t Timing, g Geometry, acc *power.Accumulator) (*Channel, error) 
 	acc.OtherRanks = g.Ranks - 1
 	ch := &Channel{
 		T: t, G: g, Acc: acc,
-		ranks: make([]rankState, g.Ranks), tck: t.TCKNs(),
+		ranks: make([]rankState, g.Ranks),
 	}
 	for r := range ch.ranks {
 		ch.ranks[r].banks = make([]bankState, g.Banks)
@@ -283,11 +282,12 @@ func (c *Channel) flushBG(rk *rankState) {
 		return
 	}
 	rk.bgFrom = end
+	tck := c.T.TCKNs()
 	if rk.refUntil > t {
 		stop := min(rk.refUntil, end)
 		n := stop - t
 		c.Stats.ActiveRankCycles += n
-		c.Acc.Background(power.RankActive, c.tck*float64(n))
+		c.Acc.Background(power.RankActive, tck*float64(n))
 		t = stop
 	}
 	if t >= end {
@@ -297,22 +297,22 @@ func (c *Channel) flushBG(rk *rankState) {
 	switch {
 	case rk.pd == PDPrechargeFast:
 		c.Stats.PowerDownCycles += n
-		c.Acc.Background(power.RankPoweredDown, c.tck*float64(n))
+		c.Acc.Background(power.RankPoweredDown, tck*float64(n))
 	case rk.pd == PDActive:
 		c.Stats.ActivePDCycles += n
-		c.Acc.Background(power.RankActivePD, c.tck*float64(n))
+		c.Acc.Background(power.RankActivePD, tck*float64(n))
 	case rk.pd == PDPrechargeSlow:
 		c.Stats.SlowPDCycles += n
-		c.Acc.Background(power.RankPoweredDownSlow, c.tck*float64(n))
+		c.Acc.Background(power.RankPoweredDownSlow, tck*float64(n))
 	case rk.pd == PDSelfRefresh:
 		c.Stats.SelfRefCycles += n
-		c.Acc.Background(power.RankSelfRefresh, c.tck*float64(n))
+		c.Acc.Background(power.RankSelfRefresh, tck*float64(n))
 	case rk.openCount > 0:
 		c.Stats.ActiveRankCycles += n
-		c.Acc.Background(power.RankActive, c.tck*float64(n))
+		c.Acc.Background(power.RankActive, tck*float64(n))
 	default:
 		c.Stats.PrechargedRankCycles += n
-		c.Acc.Background(power.RankPrecharged, c.tck*float64(n))
+		c.Acc.Background(power.RankPrecharged, tck*float64(n))
 	}
 }
 
@@ -389,7 +389,7 @@ func (c *Channel) Activate(at int64, r, b, row int, mask core.Mask, halfDRAM boo
 	rk.openCount++
 	c.cmdFree = at + cmdCycles
 
-	c.Acc.Activation(mask.Granularity(), halfDRAM, float64(c.T.TRC)*c.tck)
+	c.Acc.Activation(mask.Granularity(), halfDRAM, float64(c.T.TRC)*c.T.TCKNs())
 	c.Stats.ActsByGranularity[mask.Granularity()]++
 	c.rowCtrOnAct(r, b, row)
 	c.emit(CmdEvent{At: at, Kind: CmdAct, Rank: r, Bank: b, Row: row, Mask: mask})
@@ -443,12 +443,12 @@ func (c *Channel) column(at int64, r, b, burstCycles int, frac float64, autoPre 
 	c.cmdFree = at + 1
 	if d == BusRead {
 		bk.preAllowed = max(bk.preAllowed, at+int64(c.T.TRTP))
-		c.Acc.ReadBurst(float64(burstCycles) * c.tck * min(max(frac, 0), 1))
+		c.Acc.ReadBurst(float64(burstCycles) * c.T.TCKNs() * min(max(frac, 0), 1))
 		c.Stats.Reads++
 	} else {
 		rk.rdAfterWr = end + int64(c.T.TWTR)
 		bk.preAllowed = max(bk.preAllowed, end+int64(c.T.TWR))
-		c.Acc.WriteBurst(float64(burstCycles)*c.tck, frac)
+		c.Acc.WriteBurst(float64(burstCycles)*c.T.TCKNs(), frac)
 		c.Stats.Writes++
 		c.Stats.WordsWritten += int64(frac*float64(core.WordsPerLine) + 0.5)
 		c.Stats.WordBudget += core.WordsPerLine
@@ -667,7 +667,7 @@ func (c *Channel) refresh(at int64, r, b int) error {
 func (c *Channel) block(at int64, r, b int, dur int64) {
 	rk := c.rank(r)
 	c.flushBG(rk)
-	e := float64(dur) * c.tck
+	e := float64(dur) * c.T.TCKNs()
 	if b == allBanks {
 		rk.refUntil = at + dur
 	} else {

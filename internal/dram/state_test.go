@@ -25,7 +25,6 @@ const (
 var ckptFields = map[reflect.Type]map[string]string{
 	reflect.TypeOf(Channel{}): {
 		"T":             excluded, // configuration: the restoring channel is built with it
-		"tck":           excluded, // T.TCKNs(), cached
 		"G":             excluded,
 		"Acc":           excluded, // energy is a statistic, reset at the warmup boundary
 		"NoWeightedFAW": excluded,

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/big"
 
 	"pradram/internal/core"
 	"pradram/internal/dram"
@@ -39,23 +40,16 @@ const CPUClockGHz, CPUCycleNs = 3.2, 1 / CPUClockGHz
 type crossing struct{ p, q int64 }
 
 func crossingOf(r dram.Rate) crossing {
-	p, q := int64(2000*CPUClockGHz)*r.Den, r.Num
-	g := p
-	for b := q; b != 0; g, b = b, g%b {
-	}
-	return crossing{p / g, q / g}
+	x := big.NewRat(int64(2000*CPUClockGHz)*r.Den, r.Num)
+	return crossing{x.Num().Int64(), x.Denom().Int64()}
 }
 
-// CPUAt is the CPU cycle memory cycle m starts at, ⌈m·p/q⌉; Tick and
-// settleWake call it every DRAM tick, so an integer ratio skips the divide.
-// Validate keeps p under 2²³, so m·p cannot overflow below 2³⁹ memory
-// cycles (minutes of simulated time); a wake past that is core.FarFuture.
+// CPUAt is the CPU cycle memory cycle m starts at, ⌈m·p/q⌉. Validate keeps
+// p under 2²³, so m·p cannot overflow below 2³⁹ memory cycles (minutes of
+// simulated time); a wake past that is core.FarFuture.
 func (x crossing) CPUAt(m int64) int64 {
-	switch {
-	case m >= core.FarFuture>>23:
+	if m >= core.FarFuture>>23 {
 		return core.FarFuture
-	case x.q == 1:
-		return m * x.p
 	}
 	return (m*x.p + x.q - 1) / x.q
 }
@@ -171,9 +165,9 @@ type Controller struct {
 	chans []*chanCtl
 
 	lastMem int64
-	// clk is the clock crossing, and nextMemAt the CPU cycle of the next
-	// DRAM tick, clk.CPUAt(lastMem+1), which Tick compares against.
-	clk       crossing
+	// The crossing's CPUAt and MemAt are the Controller's; nextMemAt is the
+	// CPU cycle of the next DRAM tick, CPUAt(lastMem+1), for Tick's compare.
+	crossing
 	nextMemAt int64
 
 	// minWake is the NextEvent cache: the CPU cycle the earliest channel
@@ -202,7 +196,7 @@ func New(cfg Config) (*Controller, error) {
 		cfg.Timing.PRAMaskCycles = 0
 		cfg.NoTimingRelax = true
 	}
-	c := &Controller{cfg: cfg, am: am, lastMem: -1, clk: crossingOf(cfg.Timing.Rate)}
+	c := &Controller{cfg: cfg, am: am, lastMem: -1, crossing: crossingOf(cfg.Timing.Rate)}
 	for i := 0; i < cfg.Channels; i++ {
 		acc := power.NewAccumulator()
 		ch, err := dram.NewChannel(cfg.Timing, cfg.Geom, acc)
@@ -219,7 +213,7 @@ func New(cfg Config) (*Controller, error) {
 		if cfg.ECC {
 			acc.ECCChips = 1
 		}
-		cc := &chanCtl{cfg: &c.cfg, clk: c.clk, ch: ch, acc: acc, am: am, idx: i}
+		cc := &chanCtl{cfg: &c.cfg, clk: c.crossing, ch: ch, acc: acc, am: am, idx: i}
 		cc.banks = make([]bankQ, cfg.Geom.Ranks*cfg.Geom.Banks)
 		cc.rankBanks = make([]uint64, cfg.Geom.Ranks)
 		for bi := range cc.banks {
@@ -349,7 +343,7 @@ func (c *Controller) Tick(cpu int64) {
 	}
 	mem := c.lastMem + 1
 	c.lastMem = mem
-	c.nextMemAt = c.clk.CPUAt(mem + 1)
+	c.nextMemAt = c.CPUAt(mem + 1)
 	for _, cc := range c.chans {
 		cc.tick(mem)
 	}
@@ -365,7 +359,7 @@ func (c *Controller) settleWake() {
 	for _, cc := range c.chans {
 		w = min(w, cc.nextWake)
 	}
-	c.minWake = c.clk.CPUAt(w)
+	c.minWake = c.CPUAt(w)
 }
 
 // SkipTo realigns the DRAM clock after the run loop jumps the CPU cycle to
@@ -378,12 +372,12 @@ func (c *Controller) SkipTo(target int64) {
 	if target <= c.nextMemAt {
 		return
 	}
-	c.lastMem = c.clk.MemAt(target - 1)
-	c.nextMemAt = c.clk.CPUAt(c.lastMem + 1)
+	c.lastMem = c.MemAt(target - 1)
+	c.nextMemAt = c.CPUAt(c.lastMem + 1)
 }
 
 // MemCycle returns the DRAM cycle of the most recent DRAM tick (-1 before the
-// first): CPUPerMem().MemAt(cpu) after Tick(cpu). Exposed for the tests.
+// first): MemAt(cpu) after Tick(cpu). Exposed for the tests.
 func (c *Controller) MemCycle() int64 { return c.lastMem }
 
 // NextEvent reports the earliest CPU cycle at which the controller can do
@@ -403,7 +397,7 @@ func (c *Controller) NextEvent(now int64) int64 { return max(c.minWake, c.nextMe
 // end-of-run results) so fast-forwarding never leaves them stale; under
 // per-cycle ticking it is a no-op.
 func (c *Controller) CatchUp(cpu int64) {
-	mem := c.clk.MemAt(cpu - 1)
+	mem := c.MemAt(cpu - 1)
 	for _, cc := range c.chans {
 		cc.ch.AdvanceTo(mem)
 	}
@@ -522,7 +516,11 @@ const (
 
 // noteReady records a future readiness time observed during a scheduling
 // pass in the running engine's bound.
-func (cc *chanCtl) noteReady(at int64) { *cc.running = min(*cc.running, at) }
+func (cc *chanCtl) noteReady(at int64) {
+	if at < *cc.running {
+		*cc.running = at
+	}
+}
 
 // run hands the pass to engine e: noteReady books into e's bound.
 func (cc *chanCtl) run(e engine) { cc.running = &cc.bound[e] }

@@ -479,8 +479,8 @@ func TestCrossChannelCompletionOrder(t *testing.T) {
 	if len(log) != 6 {
 		t.Fatalf("got %d completions, want 6: %+v", len(log), log)
 	}
-	t0, at0, clk := log[0].cpu, log[0].at, c.CPUPerMem()
-	next := clk.CPUAt(clk.MemAt(t0) + 1)
+	t0, at0 := log[0].cpu, log[0].at
+	next := c.CPUAt(c.MemAt(t0) + 1)
 	want := []completion{
 		{"read", 0, t0, at0},
 		{"read", 1, t0, at0},

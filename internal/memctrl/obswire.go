@@ -18,9 +18,6 @@ import (
 // controller maintains anyway, or over the command stream (the per-bank
 // counts), so attaching telemetry can never perturb simulated numbers.
 
-// CPUPerMem exposes the clock crossing, for the sim layer's DRAM-clock epochs.
-func (c *Controller) CPUPerMem() crossing { return c.clk }
-
 // AttachObs registers telemetry probes on rec and threads ev through the
 // controller and its DRAM channels. Either argument may be nil. Call once,
 // before the first Tick.

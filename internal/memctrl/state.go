@@ -195,7 +195,7 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 	}
 	return func() {
 		c.lastMem = lastMem
-		c.nextMemAt = c.clk.CPUAt(lastMem + 1)
+		c.nextMemAt = c.CPUAt(lastMem + 1)
 		for i, cc := range c.chans {
 			st := &states[i]
 			st.chCommit()

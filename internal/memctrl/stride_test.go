@@ -164,7 +164,7 @@ func TestSpeedGradeClockRatio(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := strideBins[i]
-		if got := c.CPUPerMem(); g.Name != b.name || got != (crossing{b.p, b.q}) {
+		if got := c.crossing; g.Name != b.name || got != (crossing{b.p, b.q}) {
 			t.Errorf("%s (%d/%d MT/s) runs at %d/%d, want %s at %d/%d", g.Name, g.Timing.Rate.Num, g.Timing.Rate.Den, got.p, got.q, b.name, b.p, b.q)
 		}
 	}

@@ -34,7 +34,7 @@ var ckptFields = map[string]map[string]string{
 		"cap":      excluded, // wiring; the boundary drops its records
 		"rec":      excluded, // telemetry
 		"ev":       excluded,
-		"recStart": excluded, // armed by Measure
+		"recShift": excluded, // armed by Measure
 		"recNext":  excluded, // armed by Measure
 		"ticks":    saved,
 		"cal":      excluded, // configuration
@@ -130,8 +130,8 @@ var ckptFields = map[string]map[string]string{
 		"am":        excluded,
 		"chans":     saved,
 		"lastMem":   saved,
-		"clk":       excluded,
-		"nextMemAt": derived, // clk.CPUAt(lastMem+1)
+		"crossing":  excluded,
+		"nextMemAt": derived, // CPUAt(lastMem+1)
 		"minWake":   derived, // settleWake, as after every DRAM tick
 	},
 	"memctrl.chanCtl": {

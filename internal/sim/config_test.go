@@ -75,7 +75,7 @@ func TestTimingAloneSetsTheClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.ctrl.CPUPerMem().CPUAt(1); got != 8 {
+	if got := sys.ctrl.CPUAt(1); got != 8 {
 		t.Errorf("DDR3-800's memory cycle 1 starts at CPU cycle %d, want 8", got)
 	}
 }

@@ -181,13 +181,11 @@ type System struct {
 	capBase int64 // capture timebase (reset to the warmup boundary)
 	cap     *trace.Capture
 
-	// Telemetry (nil when Config.Obs is zero; see obswire.go). The recorder
-	// epoch is configured in DRAM cycles, so the CPU-cycle run loop keeps the
-	// next sample point pre-converted: recNext is the CPU cycle at which a
-	// whole number of epochs after recStart starts.
+	// Telemetry (nil when Config.Obs is zero; see obswire.go). Epochs are in
+	// DRAM cycles; recNext is the next sample point in CPU cycles (sampleAt).
 	rec      *obs.Recorder
 	ev       *obs.EventLog
-	recStart int64
+	recShift int64
 	recNext  int64
 
 	// ticks counts the loop iterations actually executed, for the
@@ -356,15 +354,22 @@ func (s *System) advance(phase string, target int64) ([]int64, error) {
 			// Settle lazy accrual so the sampled energy and rank-state
 			// counters match per-cycle ticking exactly (no-op there).
 			s.ctrl.CatchUp(cycle)
-			clk := s.ctrl.CPUPerMem()
-			s.rec.Sample(clk.MemAt(cycle))
-			s.recNext = s.recStart + clk.CPUAt(clk.MemAt(s.recNext-s.recStart)+s.cfg.Obs.EpochCycles)
+			m := s.ctrl.MemAt(cycle)
+			s.rec.Sample(m)
+			s.recNext = s.sampleAt(m + s.cfg.Obs.EpochCycles)
 		}
 	}
 	// Fast-forwarding defers background-energy accrual; settle it at the
 	// phase boundary, where statistics are reset or read.
 	s.ctrl.CatchUp(cycle)
 	return finish, nil
+}
+
+// sampleAt is the CPU cycle the recorder samples memory cycle m at: as far into
+// m's window as the measured window started into its own, but still inside it,
+// so each epoch runs exactly EpochCycles DRAM ticks (at p/q ≥ 2) and reads m.
+func (s *System) sampleAt(m int64) int64 {
+	return min(s.ctrl.CPUAt(m)+s.recShift, s.ctrl.CPUAt(m+1)-1)
 }
 
 // Warmup runs Config.WarmupPerCore instructions per core and resets every
@@ -404,19 +409,19 @@ func (s *System) Measure() (Result, error) {
 	start := s.cycle
 	s.measured = true
 	if s.rec != nil {
-		// Snapshot counter baselines at the measurement-window start so
-		// the first epoch's deltas exclude warmup, and arm the first
-		// epoch boundary (in CPU cycles; the recorder itself runs on the
-		// DRAM clock).
-		s.rec.Begin(s.ctrl.CPUPerMem().MemAt(start))
-		s.recStart, s.recNext = start, start+s.ctrl.CPUPerMem().CPUAt(s.cfg.Obs.EpochCycles)
+		// Snapshot counter baselines at the window start, so epoch 0
+		// excludes warmup, and arm the first sample point.
+		base := s.ctrl.MemAt(start)
+		s.rec.Begin(base)
+		s.recShift = start - s.ctrl.CPUAt(base)
+		s.recNext = s.sampleAt(base + s.cfg.Obs.EpochCycles)
 	}
 	finish, err := s.advance("measurement", s.cfg.InstrPerCore)
 	if err != nil {
 		return Result{}, err
 	}
 	if s.rec != nil {
-		s.rec.Flush(s.ctrl.CPUPerMem().MemAt(s.cycle))
+		s.rec.Flush(s.ctrl.MemAt(s.cycle))
 	}
 
 	res := Result{

@@ -93,6 +93,65 @@ func checkIdentical(t *testing.T, skip, noskip *System, rs, rn Result) {
 	}
 }
 
+// checkEpochRows asserts a timeline's rows close consecutive whole epochs of
+// the DRAM clock; only the final, flushed row may be shorter.
+func checkEpochRows(t *testing.T, snap obs.TimelineSnapshot) {
+	t.Helper()
+	if len(snap.Rows) < 2 {
+		t.Fatalf("timeline has %d rows; the epoch check needs at least two", len(snap.Rows))
+	}
+	e := float64(snap.EpochCycles)
+	last := len(snap.Rows) - 1
+	for i, row := range snap.Rows[:last] {
+		if row[1] != float64(i+1)*e {
+			t.Fatalf("timeline row %d closes at DRAM cycle %v, want %v (epoch %v)", i, row[1], float64(i+1)*e, e)
+		}
+	}
+	if end := snap.Rows[last][1]; end <= float64(last)*e || end > float64(last+1)*e {
+		t.Errorf("final timeline row closes at DRAM cycle %v, want within (%v, %v]", end, float64(last)*e, float64(last+1)*e)
+	}
+}
+
+// TestEpochsSpanWholeDRAMTicks pins sampleAt at the fractional clocks: from
+// any CPU cycle a measured window starts at, the k-th sample point has run
+// exactly k·E more DRAM ticks than the window's start and reads memory cycle
+// base + k·E, so no epoch is a tick long or short and no row repeats.
+func TestEpochsSpanWholeDRAMTicks(t *testing.T) {
+	t.Parallel()
+	for _, bin := range []string{"DDR3-1333", "DDR3-1866"} {
+		g, _ := dram.SpeedGradeByName(bin)
+		cfg := DefaultConfig("GUPS")
+		cfg.Timing = &g.Timing
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// ticksBefore counts the DRAM ticks run at CPU cycles below c.
+		ticksBefore := func(c int64) int64 {
+			n := int64(0)
+			for s.ctrl.CPUAt(n) < c {
+				n++
+			}
+			return n
+		}
+		for start := int64(0); start < 48; start++ {
+			base := s.ctrl.MemAt(start)
+			s.recShift = start - s.ctrl.CPUAt(base)
+			for _, e := range []int64{1, 2, 3, 7} {
+				for k := int64(1); k <= 8; k++ {
+					at := s.sampleAt(base + k*e)
+					if got, want := ticksBefore(at)-ticksBefore(start), k*e; got != want {
+						t.Fatalf("%s, start %d, epoch %d: sample %d at CPU cycle %d follows %d DRAM ticks, want %d", bin, start, e, k, at, got, want)
+					}
+					if got := s.ctrl.MemAt(at); got != base+k*e {
+						t.Fatalf("%s, start %d, epoch %d: sample %d at CPU cycle %d reads memory cycle %d, want %d", bin, start, e, k, at, got, base+k*e)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSkipBitIdentityMatrix is the tentpole's correctness contract: for
 // every activation scheme crossed with representative workloads (plus the
 // DBI, ECC, and four-channel variants), a fast-forwarded run must be
@@ -137,6 +196,7 @@ func TestSkipBitIdentityMatrix(t *testing.T) {
 					v.mod(&cfg)
 					skip, noskip, rs, rn := runBoth(t, cfg)
 					checkIdentical(t, skip, noskip, rs, rn)
+					checkEpochRows(t, skip.Recorder().Snapshot())
 					if cfg.MitThreshold > 0 && rs.Ctrl.Alerts == 0 {
 						t.Error("hammer cell raised no alerts; the mitigation cell is vacuous")
 					}

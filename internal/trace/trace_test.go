@@ -288,7 +288,7 @@ func TestReplayResultUsesConfiguredClock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if clk := ctrl.CPUPerMem(); clk.CPUAt(b.q) != b.p || clk.CPUAt(1) != (b.p+b.q-1)/b.q {
+		if ctrl.CPUAt(b.q) != b.p || ctrl.CPUAt(1) != (b.p+b.q-1)/b.q {
 			t.Fatalf("%s: the crossing is not %d/%d", name, b.p, b.q)
 		}
 		res, err := ReplayStream(tr.Stream(), cfg, ReplayOpts{})
