@@ -17,6 +17,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"pradram/internal/core"
@@ -222,8 +223,18 @@ func (l *lane) pop() event {
 	return e
 }
 
-// nth returns the i-th earliest event.
-func (l *lane) nth(i int) event { return l.buf[(l.head+i)&(len(l.buf)-1)] }
+// ref returns the i-th earliest event in place.
+func (l *lane) ref(i int) *event { return &l.buf[(l.head+i)&(len(l.buf)-1)] }
+
+// resize readies the lane to hold n events for a restore to decode into:
+// a lane holding a different count (the empty lane of a restore) becomes a
+// ring of n zero events from slot 0, and one already holding n (a save) is
+// left as it is.
+func (l *lane) resize(n int) {
+	if n != l.n {
+		*l = lane{buf: make([]event, max(16, 1<<bits.Len(uint(n)))), n: n}
+	}
+}
 
 type waiter struct {
 	done      core.Done

@@ -410,6 +410,48 @@ func TestDrainReflectsState(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsBadRetryList: the retry list holds exactly the MSHR
+// entries the backend refused. A list naming one entry twice would send it
+// to the backend twice, and the second fill would complete a recycled
+// entry; an unissued entry on no list would never be sent, so its waiters
+// would never complete. Restore refuses both, naming the cause.
+func TestRestoreRejectsBadRetryList(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		edit       func(h *Hierarchy)
+	}{
+		{"as refused", "", func(*Hierarchy) {}},
+		{"entry listed twice", "cache: retry entry 0x240 listed twice", func(h *Hierarchy) {
+			h.retryFills = append(h.retryFills, h.retryFills[0])
+		}},
+		{"unissued entry unlisted", "cache: unissued MSHR entry 0x240 is on no retry list", func(h *Hierarchy) {
+			h.retryFills = nil
+		}},
+	} {
+		h, mem := newTestHierarchy(t, smallConfig())
+		mem.acceptRead = false
+		tag := core.DoneTag{Kind: core.DoneLoad, Serial: 1}
+		if !h.Load(0, 0x9000, 0, core.Done{Fn: func(int64) {}, Tag: tag}) || len(h.retryFills) != 1 {
+			t.Fatal("the refused miss is not on the retry list")
+		}
+		tc.edit(h)
+		w := &checkpoint.Writer{}
+		h.SaveState(w)
+		fresh, _ := newTestHierarchy(t, smallConfig())
+		resolve := func(tag core.DoneTag) (core.Done, bool) { return core.Done{Tag: tag}, true }
+		_, _, err := fresh.RestoreState(checkpoint.NewReader(w.Bytes()), resolve)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || err.Error() != "corrupt checkpoint: "+tc.want):
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
+		}
+		if len(fresh.mshr) != 0 || len(fresh.retryFills) != 0 {
+			t.Errorf("%s: restore touched the hierarchy before its commit", tc.name)
+		}
+	}
+}
+
 // TestRestoreRejectsNonCanonicalDBI: SaveState writes DBI rows and their line
 // ids in ascending order, and no dirty bytes for an empty way. A payload with
 // rows or ids out of order, or one row twice, would restore to different

@@ -199,7 +199,7 @@ func TestLaneCheckpointIgnoresRotation(t *testing.T) {
 	want := map[uint64]int64{}
 	for i := range a.lanes {
 		for j := 0; j < a.lanes[i].n; j++ {
-			e := a.lanes[i].nth(j)
+			e := a.lanes[i].ref(j)
 			want[e.done.Tag.Serial] = e.at
 		}
 	}
@@ -225,7 +225,7 @@ func TestRestoreRejectsUnsortedLane(t *testing.T) {
 	h.lanes[laneL2].push(event{at: 50, done: core.Done{Tag: tag}})
 	// Swap the two in place, behind push's back.
 	l := &h.lanes[laneL2]
-	l.buf[l.head], l.buf[(l.head+1)&(len(l.buf)-1)] = l.nth(1), l.nth(0)
+	l.buf[l.head], l.buf[(l.head+1)&(len(l.buf)-1)] = *l.ref(1), *l.ref(0)
 	w := &checkpoint.Writer{}
 	h.SaveState(w)
 

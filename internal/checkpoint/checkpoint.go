@@ -1,8 +1,9 @@
 // Package checkpoint is the binary encoding layer for warmup
-// checkpointing (DESIGN.md §4e). Each stateful simulator component
-// serializes itself through a Writer and restores through a Reader; the
-// sim layer frames the concatenated payloads with a magic number, format
-// version, model version, warmup fingerprint, and CRC32 trailer.
+// checkpointing (DESIGN.md §4e). Each stateful simulator component states
+// its saved fields once, through a Codec that writes them to a Writer or
+// reads them back from a Reader; the sim layer frames the concatenated
+// payloads with a magic number, format version, model version, warmup
+// fingerprint, and CRC32 trailer.
 //
 // The encoding is deliberately dumb: fixed-width little-endian integers,
 // IEEE-754 bit-pattern floats, length-prefixed byte strings. Determinism

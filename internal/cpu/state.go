@@ -21,29 +21,45 @@ import (
 // they are tagged (core.DoneTag) and rebound through the resolver
 // RestoreState returns.
 
-// SaveState appends the core's dynamic state.
-func (c *Core) SaveState(w *checkpoint.Writer) {
-	w.Int(c.count)
+// state states the core's saved fields once, in payload order. A done
+// slot's serial is stale (nothing reads it), so it is stated as 0; saving
+// clears it in the live ring.
+func (c *Core) state(k *checkpoint.Codec) {
+	k.Int(&c.count)
+	if c.count < 0 || c.count > c.cfg.ROB {
+		k.Fail("cpu %d: ROB count %d of %d", c.ID, c.count, c.cfg.ROB)
+		return
+	}
 	for i := 0; i < c.count; i++ {
 		slot := (c.head + i) % c.cfg.ROB
-		w.Bool(c.done[slot])
+		k.Bool(&c.done[slot])
 		if c.done[slot] {
-			w.U64(0)
-		} else {
-			w.U64(c.serial[slot])
+			c.serial[slot] = 0
+		}
+		k.U64(&c.serial[slot])
+		if c.done[slot] && c.serial[slot] != 0 {
+			k.Fail("cpu %d: done ROB slot %d carries serial %d", c.ID, i, c.serial[slot])
 		}
 	}
-	w.Int(c.stqUsed)
-	w.U64(c.loadSerial)
-	w.Bool(c.hasPending)
+	k.Int(&c.stqUsed)
+	k.U64(&c.loadSerial)
+	k.Bool(&c.hasPending)
 	if c.hasPending {
-		w.U8(uint8(c.pending.Kind))
-		w.U64(c.pending.Addr)
-		w.U64(uint64(c.pending.Bytes))
-		w.Bool(c.pending.Dep)
+		c.pending.State(k)
 	}
-	w.Bool(c.idle)
+	k.Bool(&c.idle)
 }
+
+// State states the op's fields once for checkpoint codec k.
+func (op *Op) State(k *checkpoint.Codec) {
+	checkpoint.U8(k, &op.Kind)
+	k.U64(&op.Addr)
+	checkpoint.Word(k, &op.Bytes)
+	k.Bool(&op.Dep)
+}
+
+// SaveState appends the core's dynamic state.
+func (c *Core) SaveState(w *checkpoint.Writer) { c.state(checkpoint.Saving(w)) }
 
 // RestoreState decodes a SaveState payload. It returns a commit that
 // installs the state (head canonicalized to 0) and a resolver mapping the
@@ -53,39 +69,23 @@ func (c *Core) SaveState(w *checkpoint.Writer) {
 // immediately; the commit must still run for the decoded flags to become
 // the live ROB. On error the core is untouched.
 func (c *Core) RestoreState(r *checkpoint.Reader) (func(), func(tag core.DoneTag) (core.Done, bool), error) {
-	count := r.Int()
-	if count < 0 || count > c.cfg.ROB {
-		r.Fail("cpu %d: ROB count %d of %d", c.ID, count, c.cfg.ROB)
-		count = 0
-	}
-	done := make([]bool, c.cfg.ROB)
-	serial := make([]uint64, c.cfg.ROB)
-	ldqUsed := 0
-	for i := 0; i < count; i++ {
-		done[i] = r.Bool()
-		serial[i] = r.U64()
-		if done[i] && serial[i] != 0 {
-			r.Fail("cpu %d: done ROB slot %d carries serial %d", c.ID, i, serial[i])
-		}
-		if !done[i] {
-			ldqUsed++
+	t := *c
+	t.head, t.done, t.serial, t.pending = 0, make([]bool, c.cfg.ROB), make([]uint64, c.cfg.ROB), Op{}
+	t.state(checkpoint.Restoring(r))
+	t.tail = t.count % c.cfg.ROB
+	// The last load matters only while it is in flight, and then it is the
+	// in-flight load with the newest serial.
+	t.ldqUsed, t.lastSlot = 0, -1
+	for i := 0; i < t.count; i++ {
+		if !t.done[i] {
+			t.ldqUsed++
+			if t.serial[i] == t.loadSerial-1 {
+				t.lastSlot = i
+			}
 		}
 	}
-	stqUsed := r.Int()
-	loadSerial := r.U64()
-	hasPending := r.Bool()
-	var pending Op
-	if hasPending {
-		pending = Op{
-			Kind:  OpKind(r.U8()),
-			Addr:  r.U64(),
-			Bytes: core.ByteMask(r.U64()),
-			Dep:   r.Bool(),
-		}
-	}
-	idle := r.Bool()
-	if ldqUsed > c.cfg.LDQ || stqUsed < 0 || stqUsed > c.cfg.STQ {
-		r.Fail("cpu %d: queue occupancy LDQ=%d STQ=%d", c.ID, ldqUsed, stqUsed)
+	if t.ldqUsed > c.cfg.LDQ || t.stqUsed < 0 || t.stqUsed > c.cfg.STQ {
+		r.Fail("cpu %d: queue occupancy LDQ=%d STQ=%d", c.ID, t.ldqUsed, t.stqUsed)
 	}
 	if err := r.Err(); err != nil {
 		return nil, nil, err
@@ -99,36 +99,15 @@ func (c *Core) RestoreState(r *checkpoint.Reader) (func(), func(tag core.DoneTag
 			// Serials are unique among in-flight loads (assigned at
 			// dispatch, and a slot is only reused after completion), so a
 			// linear scan is unambiguous.
-			for i := 0; i < count; i++ {
-				if !done[i] && serial[i] == tag.Serial {
+			for i := 0; i < t.count; i++ {
+				if !t.done[i] && t.serial[i] == tag.Serial {
 					return core.Done{Fn: c.onDone[i], Tag: tag}, true
 				}
 			}
 		}
 		return core.Done{}, false
 	}
-
-	commit := func() {
-		// The per-slot callbacks write c.done through the field, so
-		// replacing the arrays rebinds them to the restored ring.
-		c.done, c.serial = done, serial
-		c.head = 0
-		c.tail = count % c.cfg.ROB
-		c.count = count
-		// The last load matters only while it is in flight, and then it
-		// is the in-flight load with the newest serial.
-		c.lastSlot = -1
-		for i := 0; i < count; i++ {
-			if !done[i] && serial[i] == loadSerial-1 {
-				c.lastSlot = i
-			}
-		}
-		c.ldqUsed = ldqUsed
-		c.stqUsed = stqUsed
-		c.loadSerial = loadSerial
-		c.pending = pending
-		c.hasPending = hasPending
-		c.idle = idle
-	}
-	return commit, resolve, nil
+	// The per-slot callbacks write c.done through the field, so installing
+	// the new arrays rebinds them to the restored ring.
+	return func() { *c = t }, resolve, nil
 }

@@ -3,7 +3,6 @@ package dram
 import (
 	"fmt"
 	"maps"
-	"sort"
 )
 
 // Per-row activation counting and Refresh Management (DESIGN.md §4g).
@@ -43,17 +42,6 @@ func (rc rowCounters) victim(i int) int {
 		}
 	}
 	return row
-}
-
-// sortedRows returns table i's rows in ascending order (the deterministic
-// iteration order serialization needs).
-func (rc rowCounters) sortedRows(i int) []int {
-	rows := make([]int, 0, len(rc[i]))
-	for row := range rc[i] {
-		rows = append(rows, row)
-	}
-	sort.Ints(rows)
-	return rows
 }
 
 // TrackRows enables per-row activation counting. Call before the first

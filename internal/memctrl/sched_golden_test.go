@@ -517,7 +517,7 @@ func forkRestored(t *testing.T, g *schedGen, c *Controller, saved []byte) *sched
 	g2.h, g2.c = sha256.New(), c
 	g2.attach()
 	rd := checkpoint.NewReader(saved)
-	commit, err := c.RestoreState(rd, func(id uint64) (core.Done, bool) { return g2.done(id), true })
+	commit, err := c.RestoreState(rd, func(id uint64) (core.Done, error) { return g2.done(id), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +603,7 @@ func TestRestoreRejectsForwardsUnderArmedWake(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = fresh.RestoreState(checkpoint.NewReader(w.Bytes()),
-			func(id uint64) (core.Done, bool) { return g.done(id), true })
+			func(id uint64) (core.Done, error) { return g.done(id), nil })
 		if want := wake != 0; (err != nil) != want || want && !strings.Contains(err.Error(), "armed wake") {
 			t.Errorf("wake %d: restore error %v, want one: %v", wake, err, want)
 		}

@@ -24,208 +24,169 @@ import (
 // warmup boundary, immediately after ResetStats.
 //
 // Read-request completions point back into the cache hierarchy's MSHR
-// entries; they are rebound through the line-id resolver the hierarchy's
-// RestoreState returns.
+// entries; each restored read claims its entry's fill through the claim
+// function RestoreState is given (the hierarchy's restored Fills).
 
-func saveReq(w *checkpoint.Writer, req *request) {
-	w.U8(uint8(req.kind))
-	w.Int(req.loc.Channel)
-	w.Int(req.loc.Rank)
-	w.Int(req.loc.Bank)
-	w.Int(req.loc.Row)
-	w.Int(req.loc.Col)
-	w.U64(uint64(req.byteMask))
-	w.I64(req.arrive)
-	if req.kind == core.Read {
-		w.U8(uint8(req.done.Tag.Kind))
-		w.U64(req.done.Tag.Serial)
-	}
-	w.Bool(req.activated)
-	w.Bool(req.falseHit)
-	// Attribution state (latency.go), ckptFormat v4: the sweep frontier
-	// and the blame accumulated so far, so a restored run's completed
-	// requests report the same breakdowns as the monolithic run's.
-	w.I64(req.mark)
-	for _, v := range req.brk {
-		w.I64(v)
-	}
-}
-
-// SaveState appends the controller's dynamic state.
-func (c *Controller) SaveState(w *checkpoint.Writer) {
-	w.I64(c.lastMem)
-	for _, cc := range c.chans {
-		cc.ch.SaveState(w)
-		for _, q := range [][]*request{cc.queued(core.Read), cc.queued(core.Write), cc.forwards} {
-			w.Count(len(q))
-			for _, req := range q {
-				saveReq(w, req)
-			}
-		}
-		w.Bool(cc.drain)
-		for bi := range cc.banks {
-			w.Int(cc.banks[bi].hits)
-		}
-		for _, t := range cc.lastWork {
-			w.I64(t)
-		}
-		w.I64(cc.nextWake)
-		// Alert/RFM mitigation FSM (mitigation.go), ckptFormat v3: a
-		// restored run must wait out an in-flight back-off and issue the
-		// pending RFM exactly like the monolithic run.
-		w.Bool(cc.rfmPending)
-		w.Int(cc.rfmRank)
-		w.Int(cc.rfmBank)
-		w.I64(cc.alertUntil)
-	}
-}
-
-// restoreReq decodes one request for channel cc; fillResolve rebinds read
-// completions to the restored MSHR entries.
-func (cc *chanCtl) restoreReq(r *checkpoint.Reader, fillResolve func(lineID uint64) (core.Done, bool)) *request {
-	req := &request{}
-	req.kind = core.AccessKind(r.U8())
+// reqState states one request's saved fields once. A read's completion
+// travels as its fill tag, and restoring claims that fill back; a write's
+// projected mask is derived from its byte mask.
+func (cc *chanCtl) reqState(k *checkpoint.Codec, req *request, claim func(lineID uint64) (core.Done, error)) {
+	checkpoint.U8(k, &req.kind)
 	if req.kind != core.Read && req.kind != core.Write {
-		r.Fail("memctrl: request kind %d", req.kind)
+		k.Fail("memctrl: request kind %d", req.kind)
 	}
-	req.loc.Channel = r.Int()
-	req.loc.Rank = r.Int()
-	req.loc.Bank = r.Int()
-	req.loc.Row = r.Int()
-	req.loc.Col = r.Int()
-	req.byteMask = core.ByteMask(r.U64())
-	req.wordMask = core.FullMask
-	if req.kind == core.Write {
-		req.wordMask = cc.cfg.writeMask(req.byteMask)
-	}
-	req.arrive = r.I64()
+	k.Int(&req.loc.Channel)
+	k.Int(&req.loc.Rank)
+	k.Int(&req.loc.Bank)
+	k.Int(&req.loc.Row)
+	k.Int(&req.loc.Col)
+	checkpoint.Word(k, &req.byteMask)
+	k.I64(&req.arrive)
 	if req.kind == core.Read {
-		kind := core.DoneKind(r.U8())
-		serial := r.U64()
-		if kind != core.DoneFill {
-			r.Fail("memctrl: read completion tag kind %d", kind)
-		} else if r.Err() == nil {
-			d, ok := fillResolve(serial)
-			if !ok {
-				r.Fail("memctrl: no in-flight miss for line %#x", serial)
+		checkpoint.U8(k, &req.done.Tag.Kind)
+		k.U64(&req.done.Tag.Serial)
+		if req.done.Tag.Kind != core.DoneFill {
+			k.Fail("memctrl: read completion tag kind %d", req.done.Tag.Kind)
+		} else if k.Restores() && k.Err() == nil {
+			d, err := claim(req.done.Tag.Serial)
+			if err != nil {
+				k.Fail("memctrl: read of line %#x: %v", req.done.Tag.Serial, err)
 			}
 			req.done = d
 		}
 	}
-	req.activated = r.Bool()
-	req.falseHit = r.Bool()
-	req.mark = r.I64()
+	if k.Restores() {
+		req.wordMask = core.FullMask
+		if req.kind == core.Write {
+			req.wordMask = cc.cfg.writeMask(req.byteMask)
+		}
+	}
+	k.Bool(&req.activated)
+	k.Bool(&req.falseHit)
+	// Attribution state (latency.go), ckptFormat v4: the sweep frontier
+	// and the blame accumulated so far, so a restored run's completed
+	// requests report the same breakdowns as the monolithic run's.
+	k.I64(&req.mark)
 	for i := range req.brk {
-		req.brk[i] = r.I64()
+		k.I64(&req.brk[i])
 	}
 	if req.mark < req.arrive {
-		r.Fail("memctrl: attribution mark %d before arrival %d", req.mark, req.arrive)
+		k.Fail("memctrl: attribution mark %d before arrival %d", req.mark, req.arrive)
 	}
 	g := cc.cfg.Geom
 	if req.loc.Channel != cc.idx || req.loc.Rank < 0 || req.loc.Rank >= g.Ranks ||
 		req.loc.Bank < 0 || req.loc.Bank >= g.Banks || req.loc.Row < 0 || req.loc.Row >= g.Rows {
-		r.Fail("memctrl: request location %+v out of range on channel %d", req.loc, cc.idx)
+		k.Fail("memctrl: request location %+v out of range on channel %d", req.loc, cc.idx)
 	}
-	return req
 }
 
-// RestoreState decodes a SaveState payload into temporaries and returns a
-// commit that installs it; on error the controller is untouched.
-func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID uint64) (core.Done, bool)) (func(), error) {
-	lastMem := r.I64()
-	type chanState struct {
-		chCommit                func()
-		readQ, writeQ, forwards []*request
-		drain                   bool
-		hitCount                []int
-		nextWake                int64
-		lowPowerEngine
-		mitigationEngine
+// queue states a request list in order and refuses one longer than limit.
+func (cc *chanCtl) queue(k *checkpoint.Codec, q []*request, kind string, limit int, claim func(uint64) (core.Done, error)) []*request {
+	q = checkpoint.Slice(k, q, func(p **request) {
+		if *p == nil {
+			*p = &request{}
+		}
+		cc.reqState(k, *p, claim)
+	})
+	if len(q) > limit {
+		k.Fail("memctrl: %s queue %d of %d", kind, len(q), limit)
 	}
-	states := make([]chanState, len(c.chans))
+	return q
+}
+
+// state states one channel's saved fields once, in payload order: the DRAM
+// channel, the read and write queues (returned, in arrival order: the bank
+// index holds them), the forwards, and the engines' state.
+func (cc *chanCtl) state(k *checkpoint.Codec, claim func(uint64) (core.Done, error)) (reads, writes []*request) {
+	k.Part(cc.ch)
+	reads = cc.queue(k, cc.queued(core.Read), "read", cc.cfg.ReadQ, claim)
+	writes = cc.queue(k, cc.queued(core.Write), "write", cc.cfg.WriteQ, claim)
+	cc.forwards = cc.queue(k, cc.forwards, "forward", math.MaxInt, claim)
+	k.Bool(&cc.drain)
+	for bi := range cc.banks {
+		k.Int(&cc.banks[bi].hits)
+	}
+	for ri := range cc.lastWork {
+		k.I64(&cc.lastWork[ri])
+	}
+	k.I64(&cc.nextWake)
+	if len(cc.forwards) > 0 && cc.nextWake != 0 {
+		k.Fail("memctrl: channel %d has forwards pending under an armed wake %d", cc.idx, cc.nextWake)
+	}
+	// Alert/RFM mitigation FSM (mitigation.go), ckptFormat v3: a restored
+	// run must wait out an in-flight back-off and issue the pending RFM
+	// exactly like the monolithic run.
+	k.Bool(&cc.rfmPending)
+	k.Int(&cc.rfmRank)
+	k.Int(&cc.rfmBank)
+	k.I64(&cc.alertUntil)
+	if cc.rfmPending && (cc.rfmRank < 0 || cc.rfmRank >= cc.cfg.Geom.Ranks ||
+		cc.rfmBank < 0 || cc.rfmBank >= cc.cfg.Geom.Banks) {
+		k.Fail("memctrl: pending RFM target rank %d bank %d out of range", cc.rfmRank, cc.rfmBank)
+	}
+	if cc.rfmPending && cc.cfg.MitThreshold <= 0 {
+		k.Fail("memctrl: pending RFM with mitigation disabled")
+	}
+	return reads, writes
+}
+
+// state states the controller's saved fields once: the DRAM clock, then
+// every channel's. It returns each channel's read and write queues.
+func (c *Controller) state(k *checkpoint.Codec, claim func(uint64) (core.Done, error)) [][2][]*request {
+	k.I64(&c.lastMem)
+	queues := make([][2][]*request, len(c.chans))
 	for i, cc := range c.chans {
-		st := &states[i]
-		chCommit, err := cc.ch.RestoreState(r)
-		if err != nil {
-			return nil, err
-		}
-		st.chCommit = chCommit
-		queue := func(kind string, limit int) []*request {
-			n := r.Count()
-			if n > limit {
-				r.Fail("memctrl: %s queue %d of %d", kind, n, limit)
-				n = 0
-			}
-			q := make([]*request, n)
-			for j := range q {
-				q[j] = cc.restoreReq(r, fillResolve)
-			}
-			return q
-		}
-		st.readQ = queue("read", c.cfg.ReadQ)
-		st.writeQ = queue("write", c.cfg.WriteQ)
-		st.forwards = queue("forward", math.MaxInt)
-		st.drain = r.Bool()
-		st.hitCount = make([]int, c.cfg.Geom.Ranks*c.cfg.Geom.Banks)
-		for j := range st.hitCount {
-			st.hitCount[j] = r.Int()
-		}
-		st.lastWork = make([]int64, c.cfg.Geom.Ranks)
-		for j := range st.lastWork {
-			st.lastWork[j] = r.I64()
-		}
-		st.nextWake = r.I64()
-		if len(st.forwards) > 0 && st.nextWake != 0 {
-			r.Fail("memctrl: channel %d has forwards pending under an armed wake %d", i, st.nextWake)
-		}
-		st.rfmPending = r.Bool()
-		st.rfmRank = r.Int()
-		st.rfmBank = r.Int()
-		st.alertUntil = r.I64()
-		if st.rfmPending && (st.rfmRank < 0 || st.rfmRank >= c.cfg.Geom.Ranks ||
-			st.rfmBank < 0 || st.rfmBank >= c.cfg.Geom.Banks) {
-			r.Fail("memctrl: pending RFM target rank %d bank %d out of range", st.rfmRank, st.rfmBank)
-		}
-		if st.rfmPending && c.cfg.MitThreshold <= 0 {
-			r.Fail("memctrl: pending RFM with mitigation disabled")
-		}
+		queues[i][core.Read], queues[i][core.Write] = cc.state(k, claim)
 	}
+	return queues
+}
+
+// SaveState appends the controller's dynamic state.
+func (c *Controller) SaveState(w *checkpoint.Writer) { c.state(checkpoint.Saving(w), nil) }
+
+// RestoreState decodes a SaveState payload into a copy of the controller
+// and returns a commit that installs it; on error the controller is
+// untouched. claim rebinds each restored read (queued or forwarded) to the
+// fill of the in-flight miss it serves.
+func (c *Controller) RestoreState(r *checkpoint.Reader, claim func(lineID uint64) (core.Done, error)) (func(), error) {
+	k := checkpoint.Restoring(r)
+	t := &Controller{cfg: c.cfg, chans: make([]*chanCtl, len(c.chans))}
+	for i, cc := range c.chans {
+		t.chans[i] = &chanCtl{cfg: cc.cfg, ch: cc.ch, idx: cc.idx,
+			requestEngine:  requestEngine{banks: make([]bankQ, len(cc.banks))},
+			lowPowerEngine: lowPowerEngine{lastWork: make([]int64, len(cc.lastWork))}}
+	}
+	queues := t.state(k, claim)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return func() {
-		c.lastMem = lastMem
-		c.nextMemAt = c.CPUAt(lastMem + 1)
+		k.Commit()
+		c.lastMem = t.lastMem
+		c.nextMemAt = c.CPUAt(t.lastMem + 1)
 		for i, cc := range c.chans {
-			st := &states[i]
-			st.chCommit()
-			cc.forwards = st.forwards
-			cc.drain = st.drain
-			cc.nextWake = st.nextWake
-			cc.lowPowerEngine, cc.mitigationEngine = st.lowPowerEngine, st.mitigationEngine
+			tc := t.chans[i]
+			cc.forwards, cc.drain, cc.nextWake = tc.forwards, tc.drain, tc.nextWake
+			cc.lowPowerEngine, cc.mitigationEngine = tc.lowPowerEngine, tc.mitigationEngine
 			clear(cc.refPending)
 			cc.freeReq = nil
 			// Rebuild the bank index against the restored open rows
 			// (forwarded reads are never queued — they bypassed push on
 			// enqueue).
 			for bi := range cc.banks {
-				cc.banks[bi].q = [2][]*request{}
-				cc.banks[bi].same = [2]int{}
-				cc.banks[bi].hits = st.hitCount[bi]
+				b := &cc.banks[bi]
+				b.q, b.same, b.hits = [2][]*request{}, [2]int{}, tc.banks[bi].hits
 			}
 			cc.seq, cc.n, cc.nonEmpty = 0, [2]int{}, [2]uint64{}
 			// Every cached decision predates the restored lists and open
 			// rows: all banks are stale (also the ones nothing is pushed
 			// to), and the next settle rebuilds every candidate set.
 			cc.stale = 1<<uint(len(cc.banks)) - 1
-			for ri := range cc.rankCount {
-				cc.rankCount[ri] = 0
-			}
-			for _, req := range st.readQ {
-				cc.push(req)
-			}
-			for _, req := range st.writeQ {
-				cc.push(req)
+			clear(cc.rankCount)
+			for _, q := range queues[i] {
+				for _, req := range q {
+					cc.push(req)
+				}
 			}
 		}
 		c.settleWake()

@@ -184,29 +184,30 @@ func (s *System) Restore(data []byte) error {
 		}
 		return resolvers[tag.Core](tag)
 	}
+	gens := checkpoint.Restoring(r)
 	for _, c := range s.cores {
 		sv, ok := c.Generator().(checkpoint.Saver)
 		if !ok {
 			return fmt.Errorf("sim: generator %T is not checkpointable", c.Generator())
 		}
-		commit, err := sv.RestoreState(r)
-		if err != nil {
-			return err
-		}
-		commits = append(commits, commit)
+		gens.Part(sv)
 	}
-	hierCommit, fillResolve, err := s.hier.RestoreState(r, resolve)
+	commits = append(commits, gens.Commit)
+	hierCommit, fills, err := s.hier.RestoreState(r, resolve)
 	if err != nil {
 		return err
 	}
 	commits = append(commits, hierCommit)
-	ctrlCommit, err := s.ctrl.RestoreState(r, fillResolve)
+	ctrlCommit, err := s.ctrl.RestoreState(r, fills.Claim)
 	if err != nil {
 		return err
 	}
 	commits = append(commits, ctrlCommit)
 	if err := r.Done(); err != nil {
 		return err
+	}
+	if err := fills.Unclaimed(); err != nil {
+		return fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
 	}
 
 	for _, commit := range commits {

@@ -3,11 +3,13 @@ package sim
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"pradram/internal/checkpoint"
 	"pradram/internal/core"
 	"pradram/internal/memctrl"
 )
@@ -51,6 +53,42 @@ func sectionSizes(s *System) map[string]int {
 	return n
 }
 
+// holds reports whether cache level tags (a reflected []uint64) holds line id.
+func holds(tags reflect.Value, id uint64) bool {
+	for i := 0; i < tags.Len(); i++ {
+		if tags.Index(i).Uint() == id {
+			return true
+		}
+	}
+	return false
+}
+
+// cachedLines returns the tags of core 0's L1 and of the L2.
+func cachedLines(s *System) (l1, l2 reflect.Value) {
+	h := reflect.ValueOf(s.hier)
+	return field(field(h, "l1").Index(0), "tags"), field(field(h, "l2"), "tags")
+}
+
+// uncachedLine returns a line id at or above 1<<24 that no cache of core 0
+// holds.
+func uncachedLine(s *System) uint64 {
+	l1, l2 := cachedLines(s)
+	id := uint64(1) << 24
+	for holds(l1, id) || holds(l2, id) {
+		id++
+	}
+	return id
+}
+
+// storeLine stores to line id from core 0 at the current cycle.
+func storeLine(t *testing.T, s *System, id uint64) {
+	t.Helper()
+	done := core.Done{Fn: func(int64) {}, Tag: core.DoneTag{Kind: core.DoneStore}}
+	if !s.hier.Store(0, id<<6, core.StoreBytes(0, 8), s.cycle, done) {
+		t.Fatalf("store to line %#x refused", id)
+	}
+}
+
 // stirBoundary adds, after the warmup, the traffic no natural boundary
 // leaves behind (completion lanes drain before the last core retires, and a
 // forwarded read completes at its channel's next DRAM tick): core 0 stores
@@ -59,22 +97,7 @@ func sectionSizes(s *System) map[string]int {
 // read is forwarded.
 func stirBoundary(t *testing.T, s *System) {
 	t.Helper()
-	h := reflect.ValueOf(s.hier)
-	l1, l2 := field(field(h, "l1").Index(0), "tags"), field(field(h, "l2"), "tags")
-	holds := func(tags reflect.Value, id uint64) bool {
-		for i := 0; i < tags.Len(); i++ {
-			if tags.Index(i).Uint() == id {
-				return true
-			}
-		}
-		return false
-	}
-	store := func(id uint64) {
-		done := core.Done{Fn: func(int64) {}, Tag: core.DoneTag{Kind: core.DoneStore}}
-		if !s.hier.Store(0, id<<6, core.StoreBytes(0, 8), s.cycle, done) {
-			t.Fatalf("store to line %#x refused", id)
-		}
-	}
+	l1, l2 := cachedLines(s)
 	const empty = ^uint64(0)
 	var inL1, inL2 uint64 = empty, empty
 	for i := 0; i < l2.Len(); i++ {
@@ -89,19 +112,89 @@ func stirBoundary(t *testing.T, s *System) {
 			break
 		}
 	}
-	uncached := uint64(1) << 24
-	for holds(l1, uncached) || holds(l2, uncached) {
-		uncached++
-	}
 	if inL1 == empty || inL2 == empty {
 		t.Fatal("warmup left no L1 line or no L2-only line")
 	}
-	store(inL1)
-	store(inL2)
+	storeLine(t, s, inL1)
+	storeLine(t, s, inL2)
+	uncached := uncachedLine(s)
 	if !s.ctrl.Write(uncached<<6, core.FullByteMask) {
 		t.Fatal("controller refused the write-back")
 	}
-	store(uncached)
+	storeLine(t, s, uncached)
+}
+
+// TestRestoreRejectsUnmatchedFills: every issued MSHR entry has exactly one
+// restored read (queued or forwarded) carrying its fill. Two reads of one
+// line would both bind to the entry, and the second completion would fill a
+// recycled entry; an issued entry no read carries would never complete.
+// System.Restore refuses both, naming the line.
+func TestRestoreRejectsUnmatchedFills(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultConfig("LinkedList")
+	cfg.Cores = 1
+	cfg.WarmupPerCore = 2_000
+	warm := func() *System {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Warmup(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ctrlBytes := func(s *System) []byte {
+		var w checkpoint.Writer
+		s.ctrl.SaveState(&w)
+		return w.Bytes()
+	}
+	checkpointOf := func(s *System) []byte {
+		data, err := s.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	// Two reads of one line: the miss's own and a second one.
+	s := warm()
+	line := uncachedLine(s)
+	storeLine(t, s, line)
+	if !s.ctrl.Read(line<<6, core.Done{Fn: func(int64) {}, Tag: core.DoneTag{Kind: core.DoneFill, Serial: line}}) {
+		t.Fatal("controller refused the second read")
+	}
+	twice := checkpointOf(s)
+
+	// No read: the controller section of the same system before the miss.
+	s = warm()
+	before := ctrlBytes(s)
+	storeLine(t, s, line)
+	after := checkpointOf(s)
+	body := after[:len(after)-4-len(ctrlBytes(s))]
+	unclaimed := recrc(append(append(append([]byte(nil), body...), before...), 0, 0, 0, 0))
+
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"as stored", after, ""},
+		{"two reads", twice, fmt.Sprintf("memctrl: read of line %#x: cache: two reads claim the fill of line %#x", line, line)},
+		{"no read", unclaimed, fmt.Sprintf("cache: no read carries the fill of line %#x", line)},
+	} {
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = r.Restore(tc.data)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || err.Error() != "corrupt checkpoint: "+tc.want || !errors.Is(err, checkpoint.ErrCorrupt)):
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
+		}
+	}
 }
 
 // TestCheckpointPayloadGolden pins the length and sha256 of the whole

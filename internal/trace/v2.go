@@ -72,6 +72,32 @@ type Info struct {
 	Chunks  []ChunkInfo
 }
 
+// state states the footer index once: the totals, then each chunk as
+// varints relative to its predecessor (the first chunk's offset relative to
+// the 4-byte magic).
+func (info *Info) state(k *checkpoint.Codec) {
+	checkpoint.Word(k, &info.Records)
+	k.I64(&info.FirstAt)
+	k.I64(&info.LastAt)
+	checkpoint.Word(k, &info.Writes)
+	prev := ChunkInfo{Offset: 4}
+	info.Chunks = checkpoint.Slice(k, info.Chunks, func(c *ChunkInfo) {
+		off, first, span := uint64(c.Offset-prev.Offset), c.FirstAt-prev.FirstAt, uint64(c.LastAt-c.FirstAt)
+		k.Uvarint(&off)
+		uvarint(k, &c.Bytes)
+		uvarint(k, &c.Count)
+		k.Varint(&first)
+		k.Uvarint(&span)
+		uvarint(k, &c.Writes)
+		c.Offset, c.FirstAt = prev.Offset+int64(off), prev.FirstAt+first
+		c.LastAt = c.FirstAt + int64(span)
+		prev = *c
+	})
+}
+
+// uvarint codes a non-negative count as an unsigned varint.
+func uvarint(k *checkpoint.Codec, p *int64) { v := uint64(*p); k.Uvarint(&v); *p = int64(v) }
+
 // V2Writer encodes a v2 trace incrementally: records append one at a
 // time (in non-decreasing At order), chunks flush as they fill, and Close
 // writes the end sentinel, footer index, and trailer. Nothing but the
@@ -87,15 +113,11 @@ type V2Writer struct {
 	first   int64 // At of the chunk's first record
 	prev    int64 // At of the chunk's last record
 
-	total       int64
-	totalWrites int64
-	firstAt     int64
-	lastAt      int64
-	any         bool
-	off         int64
-	chunks      []ChunkInfo
-	err         error
-	closed      bool
+	info   Info // the footer index: totals and chunks so far
+	any    bool
+	off    int64
+	err    error
+	closed bool
 }
 
 // NewV2Writer starts a v2 encoding onto w with the given records per
@@ -124,7 +146,7 @@ func (v *V2Writer) Append(rec Record) error {
 		v.err = fmt.Errorf("trace: append after Close")
 		return v.err
 	}
-	if rec.At < v.lastAt {
+	if rec.At < v.info.LastAt {
 		v.err = fmt.Errorf("trace: records not time-ordered at cycle %d", rec.At)
 		return v.err
 	}
@@ -145,13 +167,13 @@ func (v *V2Writer) Append(rec Record) error {
 		v.writes++
 	}
 	v.prev = rec.At
-	v.lastAt = rec.At
+	v.info.LastAt = rec.At
 	if !v.any {
-		v.firstAt = rec.At
+		v.info.FirstAt = rec.At
 		v.any = true
 	}
 	v.count++
-	v.total++
+	v.info.Records++
 	if v.count >= int64(v.perChunk) {
 		v.flush()
 	}
@@ -176,7 +198,7 @@ func (v *V2Writer) flush() {
 		v.err = err
 		return
 	}
-	v.chunks = append(v.chunks, ChunkInfo{
+	v.info.Chunks = append(v.info.Chunks, ChunkInfo{
 		Offset:  v.off,
 		Bytes:   int64(len(body)),
 		Count:   v.count,
@@ -184,7 +206,7 @@ func (v *V2Writer) flush() {
 		LastAt:  v.prev,
 		Writes:  v.writes,
 	})
-	v.totalWrites += v.writes
+	v.info.Writes += v.writes
 	v.off += 8 + int64(len(body))
 	v.payload = v.payload[:0]
 	v.count, v.writes = 0, 0
@@ -205,21 +227,7 @@ func (v *V2Writer) Close() error {
 		return v.err
 	}
 	var w checkpoint.Writer
-	w.U64(uint64(v.total))
-	w.I64(v.firstAt)
-	w.I64(v.lastAt)
-	w.U64(uint64(v.totalWrites))
-	w.Count(len(v.chunks))
-	prevOff, prevFirst := int64(4), int64(0)
-	for _, c := range v.chunks {
-		w.Uvarint(uint64(c.Offset - prevOff))
-		w.Uvarint(uint64(c.Bytes))
-		w.Uvarint(uint64(c.Count))
-		w.Varint(c.FirstAt - prevFirst)
-		w.Uvarint(uint64(c.LastAt - c.FirstAt))
-		w.Uvarint(uint64(c.Writes))
-		prevOff, prevFirst = c.Offset, c.FirstAt
-	}
+	v.info.state(checkpoint.Saving(&w))
 	footer := w.Bytes()
 	var frame [12]byte
 	binary.LittleEndian.PutUint32(frame[0:], 0) // end-of-chunks sentinel
@@ -313,34 +321,18 @@ func OpenV2(ra io.ReaderAt, size int64) (*V2File, error) {
 	}
 	r := checkpoint.NewReader(footer)
 	info := Info{Version: 2}
-	info.Records = int64(r.U64())
-	info.FirstAt = r.I64()
-	info.LastAt = r.I64()
-	info.Writes = int64(r.U64())
-	nchunks := r.Count()
-	info.Chunks = make([]ChunkInfo, 0, nchunks)
-	off, firstAt := int64(4), int64(0)
+	info.state(checkpoint.Restoring(r))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("trace: footer: %w", err)
+	}
 	var sum, sumW int64
-	for i := 0; i < nchunks; i++ {
-		c := ChunkInfo{}
-		off += int64(r.Uvarint())
-		c.Offset = off
-		c.Bytes = int64(r.Uvarint())
-		c.Count = int64(r.Uvarint())
-		firstAt += r.Varint()
-		c.FirstAt = firstAt
-		c.LastAt = firstAt + int64(r.Uvarint())
-		c.Writes = int64(r.Uvarint())
+	for i, c := range info.Chunks {
 		if c.Bytes <= 0 || c.Bytes > maxChunkPayload || c.Count <= 0 ||
 			c.Offset+8+c.Bytes > frameOff || c.Writes > c.Count {
 			return nil, fmt.Errorf("trace: corrupt index entry %d: %+v", i, c)
 		}
 		sum += c.Count
 		sumW += c.Writes
-		info.Chunks = append(info.Chunks, c)
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("trace: footer: %w", err)
 	}
 	if sum != info.Records || sumW != info.Writes {
 		return nil, fmt.Errorf("trace: index totals (%d records, %d writes) disagree with chunks (%d, %d)",

@@ -106,75 +106,58 @@ func (g *visitGen) stream(r Region, strideLines uint64) *seqStream {
 	return s
 }
 
-// SaveState serializes the generator's complete dynamic state: RNG
-// position, the op queue with its drain cursor, scalar registers, and
-// stream positions. Static structure (regions, strides, the visit
-// function) is rebuilt by constructing the same benchmark from the same
-// config, so it is not written.
-func (g *visitGen) SaveState(w *checkpoint.Writer) {
-	w.U64(g.rng.State())
-	w.Count(len(g.queue))
-	for _, op := range g.queue {
-		w.U8(uint8(op.Kind))
-		w.U64(op.Addr)
-		w.U64(uint64(op.Bytes))
-		w.Bool(op.Dep)
+// state states the generator's complete dynamic state once, in payload
+// order: RNG position, the op queue with its drain cursor, scalar
+// registers, and stream positions. Static structure (regions, strides, the
+// visit function) is rebuilt by constructing the same benchmark from the
+// same config, so it is not written.
+func (g *visitGen) state(k *checkpoint.Codec) {
+	k.U64(&g.rng.s)
+	g.queue = checkpoint.Slice(k, g.queue, func(op *cpu.Op) { op.State(k) })
+	k.Int(&g.head)
+	if n := k.Len(len(g.regs)); n != len(g.regs) {
+		k.Fail("workload %s: %d registers, want %d", g.name, n, len(g.regs))
+		return
 	}
-	w.Int(g.head)
-	w.Count(len(g.regs))
-	for _, v := range g.regs {
-		w.U64(v)
+	checkpoint.Words(k, g.regs)
+	if n := k.Len(len(g.streams)); n != len(g.streams) {
+		k.Fail("workload %s: %d streams, want %d", g.name, n, len(g.streams))
+		return
 	}
-	w.Count(len(g.streams))
-	for _, s := range g.streams {
-		w.U64(s.pos)
+	for i, s := range g.streams {
+		k.U64(&s.pos)
+		if s.pos >= s.region.lines() {
+			k.Fail("workload %s: stream %d position %d out of range", g.name, i, s.pos)
+		}
+	}
+	if g.head < 0 || g.head > len(g.queue) {
+		k.Fail("workload %s: queue head %d of %d", g.name, g.head, len(g.queue))
 	}
 }
 
-// RestoreState decodes a SaveState payload into temporaries and returns a
-// commit that installs it; on error the generator is untouched.
+// SaveState appends the generator's dynamic state.
+func (g *visitGen) SaveState(w *checkpoint.Writer) { g.state(checkpoint.Saving(w)) }
+
+// RestoreState decodes a SaveState payload into a copy of the generator
+// and returns a commit that installs it; on error the generator is
+// untouched. The visit closure holds the live RNG and streams, so the
+// commit copies into them rather than replacing them.
 func (g *visitGen) RestoreState(r *checkpoint.Reader) (func(), error) {
-	rngState := r.U64()
-	queue := make([]cpu.Op, r.Count())
-	for i := range queue {
-		queue[i] = cpu.Op{
-			Kind:  cpu.OpKind(r.U8()),
-			Addr:  r.U64(),
-			Bytes: core.ByteMask(r.U64()),
-			Dep:   r.Bool(),
-		}
+	t := *g
+	t.rng, t.regs, t.streams = &RNG{}, make([]uint64, len(g.regs)), make([]*seqStream, len(g.streams))
+	for i, s := range g.streams {
+		t.streams[i] = &seqStream{region: s.region, strideLines: s.strideLines}
 	}
-	head := r.Int()
-	if n := r.Count(); n != len(g.regs) {
-		r.Fail("workload %s: %d registers, want %d", g.name, n, len(g.regs))
-	}
-	regs := make([]uint64, len(g.regs))
-	for i := range regs {
-		regs[i] = r.U64()
-	}
-	if n := r.Count(); n != len(g.streams) {
-		r.Fail("workload %s: %d streams, want %d", g.name, n, len(g.streams))
-	}
-	pos := make([]uint64, len(g.streams))
-	for i := range pos {
-		pos[i] = r.U64()
-		if i < len(g.streams) && pos[i] >= g.streams[i].region.lines() {
-			r.Fail("workload %s: stream %d position %d out of range", g.name, i, pos[i])
-		}
-	}
-	if head < 0 || head > len(queue) {
-		r.Fail("workload %s: queue head %d of %d", g.name, head, len(queue))
-	}
+	t.state(checkpoint.Restoring(r))
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return func() {
-		g.rng.SetState(rngState)
-		g.queue = queue
-		g.head = head
-		copy(g.regs, regs)
+		*g.rng = *t.rng
+		g.queue, g.head = t.queue, t.head
+		copy(g.regs, t.regs)
 		for i, s := range g.streams {
-			s.pos = pos[i]
+			*s = *t.streams[i]
 		}
 	}, nil
 }

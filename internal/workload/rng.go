@@ -36,9 +36,3 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
-// State returns the generator's internal position for checkpointing.
-func (r *RNG) State() uint64 { return r.s }
-
-// SetState restores a position previously returned by State.
-func (r *RNG) SetState(s uint64) { r.s = s }
