@@ -47,7 +47,7 @@ func (c *Channel) state(k *checkpoint.Codec) {
 		k.I64(&rk.pdExit)
 		k.I64(&rk.pdReady)
 		k.I64(&rk.bgFrom)
-		open := 0
+		open := 0 // openCount, derived from the banks, not saved
 		for bi := range rk.banks {
 			bk := &rk.banks[bi]
 			k.Bool(&bk.open)
@@ -66,6 +66,9 @@ func (c *Channel) state(k *checkpoint.Codec) {
 				}
 				open++
 			}
+		}
+		if k.Restores() {
+			rk.openCount = open
 		}
 		switch rk.pd {
 		case PDPrechargeFast, PDPrechargeSlow, PDSelfRefresh:
@@ -103,8 +106,6 @@ func (c *Channel) SaveState(w *checkpoint.Writer) { c.state(checkpoint.Saving(w)
 
 // RestoreState decodes a SaveState payload into a copy of the channel and
 // returns a commit that installs it; on error the channel is untouched.
-// openCount is recomputed from the bank states rather than trusted from the
-// payload.
 func (c *Channel) RestoreState(r *checkpoint.Reader) (func(), error) {
 	t := *c
 	t.ranks = make([]rankState, len(c.ranks))
@@ -117,14 +118,6 @@ func (c *Channel) RestoreState(r *checkpoint.Reader) (func(), error) {
 	t.state(checkpoint.Restoring(r))
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	for ri := range t.ranks {
-		rk := &t.ranks[ri]
-		for _, bk := range rk.banks {
-			if bk.open {
-				rk.openCount++
-			}
-		}
 	}
 	return func() { *c = t }, nil
 }
