@@ -2,8 +2,12 @@ package sim
 
 import (
 	"flag"
+	"fmt"
 	"io"
+	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"pradram/internal/dram"
@@ -120,4 +124,112 @@ func TestBindFlags(t *testing.T) {
 		}
 	}()
 	BindFlags(newFS(), &cfg, "no-such-flag")
+}
+
+// TestEnumFlagSpellings pins the five enumerated knobs at the flag surface.
+// For each value, in value order, it lists String's name first and then
+// every other spelling the flag accepts (aliases, case-folded forms). Every
+// String must parse back to its value, every listed spelling must parse,
+// the rejects must fail and leave the field alone (the case-sensitive
+// enums stay case-sensitive), Validate must reject the first value past
+// the end naming the field, and prasim's help (testdata/flags.golden, the
+// flag table's own text) must list a spelling of every value.
+func TestEnumFlagSpellings(t *testing.T) {
+	golden, err := os.ReadFile("../../cmd/prasim/testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	help := make(map[string]string)
+	for _, line := range strings.Split(string(golden), "\n") {
+		if f := strings.SplitN(line, "\t", 3); len(f) == 3 {
+			help[strings.TrimPrefix(f[0], "-")] = f[2]
+		}
+	}
+	target := func(cfg *Config, name string) reflect.Value {
+		for _, row := range flagTable {
+			if row.name == name {
+				return reflect.ValueOf(row.target(cfg)).Elem()
+			}
+		}
+		t.Fatalf("no flag-table row -%s", name)
+		return reflect.Value{}
+	}
+	setRaw := func(v reflect.Value, i int) {
+		if v.CanInt() {
+			v.SetInt(int64(i))
+		} else {
+			v.SetUint(uint64(i))
+		}
+	}
+	raw := func(v reflect.Value) int {
+		if v.CanInt() {
+			return int(v.Int())
+		}
+		return int(v.Uint())
+	}
+	for _, c := range []struct {
+		flag, field string
+		values      [][]string
+		rejects     []string
+	}{
+		{"scheme", "Scheme",
+			[][]string{{"baseline"}, {"fga"}, {"halfdram"}, {"pra"}, {"halfdram+pra"}, {"sds"}},
+			[]string{"PRA", "Baseline", "nosuch", ""}},
+		{"policy", "Policy",
+			[][]string{{"relaxed-close", "relaxed"}, {"restricted-close", "restricted"}, {"open-page", "open"}},
+			[]string{"Relaxed", "OPEN", "open-close", ""}},
+		{"pd-policy", "PDPolicy",
+			[][]string{{"immediate", "Immediate"}, {"none", "NONE"}, {"timeout", "TimeOut"}, {"queue", "Queue"}},
+			[]string{"timed", "queue-aware", ""}},
+		{"refresh-mode", "RefreshMode",
+			[][]string{{"allbank", "AllBank"}, {"perbank", "PERBANK"}, {"elastic", "Elastic", "postpone", "POSTPONE"}},
+			[]string{"all-bank", "postponed", ""}},
+		{"events", "EventLevel",
+			[][]string{{"off", ""}, {"state"}, {"cmd"}},
+			[]string{"Off", "CMD", "verbose"}},
+	} {
+		n := len(c.values)
+		parse := func(s string, before int) (int, error) {
+			cfg := DefaultConfig("GUPS")
+			fs := flag.NewFlagSet("t", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			BindFlags(fs, &cfg, c.flag)
+			setRaw(target(&cfg, c.flag), before)
+			err := fs.Set(c.flag, s)
+			return raw(target(&cfg, c.flag)), err
+		}
+		for i, spellings := range c.values {
+			cfg := DefaultConfig("GUPS")
+			setRaw(target(&cfg, c.flag), i)
+			if s := fmt.Sprint(target(&cfg, c.flag).Interface()); s != spellings[0] {
+				t.Errorf("-%s: value %d prints %q, want %q", c.flag, i, s, spellings[0])
+			}
+			for _, s := range spellings {
+				if got, err := parse(s, (i+1)%n); err != nil || got != i {
+					t.Errorf("-%s %q parses to %d (%v), want %d", c.flag, s, got, err, i)
+				}
+			}
+		}
+		for _, s := range c.rejects {
+			if got, err := parse(s, n-1); err == nil || got != n-1 {
+				t.Errorf("-%s %q: accepted (now %d), want an error that leaves the field at %d", c.flag, s, got, n-1)
+			}
+		}
+
+		cfg := DefaultConfig("GUPS")
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		setRaw(target(&cfg, c.flag), n)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s = %d: Validate says %v, want an error naming %s", c.field, n, err, c.field)
+		}
+
+		words := strings.FieldsFunc(help[c.flag], func(r rune) bool { return strings.ContainsRune(" |:,()", r) })
+		for i, spellings := range c.values {
+			if !slices.ContainsFunc(spellings, func(s string) bool { return slices.Contains(words, s) }) {
+				t.Errorf("-%s help %q lists no spelling of value %d (%s)", c.flag, help[c.flag], i, spellings[0])
+			}
+		}
+	}
 }
