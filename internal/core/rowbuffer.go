@@ -10,12 +10,9 @@ const (
 	Write
 )
 
-func (k AccessKind) String() string {
-	if k == Read {
-		return "read"
-	}
-	return "write"
-}
+var accessKindNames = Enum[AccessKind]{Names: []string{"read", "write"}}
+
+func (k AccessKind) String() string { return accessKindNames.Name(k) }
 
 // RowHitOutcome classifies what happens when a request finds its target row
 // already open in a bank under PRA (Section 5.2.1).
@@ -34,16 +31,9 @@ const (
 	Miss
 )
 
-func (o RowHitOutcome) String() string {
-	switch o {
-	case Hit:
-		return "hit"
-	case FalseHit:
-		return "false-hit"
-	default:
-		return "miss"
-	}
-}
+var rowHitNames = Enum[RowHitOutcome]{Names: []string{"hit", "false-hit", "miss"}}
+
+func (o RowHitOutcome) String() string { return rowHitNames.Name(o) }
 
 // ClassifyAccess applies the PRA row-buffer rules: given whether a row is
 // open, whether it is the row the request targets, the open mask, the

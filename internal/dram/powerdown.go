@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"fmt"
-	"strings"
-)
+import "pradram/internal/core"
 
 // PDState is a rank's power-down FSM state (DESIGN.md §4f). The zero value
 // is the fully-awake state, so zero-initialized and legacy checkpointed
@@ -28,16 +25,12 @@ const (
 	PDSelfRefresh
 )
 
-// pdStateNames indexes PDState. Kept in sync with the constants above.
-var pdStateNames = [...]string{"awake", "active-pd", "pre-pd-fast", "pre-pd-slow", "self-refresh"}
+var pdStateNames = core.Enum[PDState]{
+	Names: []string{"awake", "active-pd", "pre-pd-fast", "pre-pd-slow", "self-refresh"},
+}
 
 // String names the state for events and reports.
-func (s PDState) String() string {
-	if int(s) < len(pdStateNames) {
-		return pdStateNames[s]
-	}
-	return fmt.Sprintf("PDState(%d)", uint8(s))
-}
+func (s PDState) String() string { return pdStateNames.Name(s) }
 
 // RefreshMode selects the refresh management discipline of a channel. It
 // is the run's refresh knob (memctrl.Knobs.RefreshMode) as the device
@@ -63,31 +56,19 @@ const (
 // refreshCredit is JEDEC DDR3's refresh elasticity in refresh intervals.
 const refreshCredit = 8
 
-// refreshModeNames indexes RefreshMode.
-var refreshModeNames = [...]string{"allbank", "perbank", "elastic"}
-
-// String names the mode as accepted by ParseRefreshMode.
-func (m RefreshMode) String() string {
-	if int(m) < len(refreshModeNames) {
-		return refreshModeNames[m]
-	}
-	return fmt.Sprintf("RefreshMode(%d)", uint8(m))
+// RefreshModeNames spells each RefreshMode once (case-insensitive on
+// parse; "postpone" is an alias of "elastic").
+var RefreshModeNames = core.Enum[RefreshMode]{
+	Names:   []string{"allbank", "perbank", "elastic"},
+	Aliases: map[string]RefreshMode{"postpone": RefElastic},
+	Fold:    true,
 }
 
-// ParseRefreshMode resolves a refresh-mode name ("allbank", "perbank",
-// "elastic"; "postpone" is accepted as an alias for "elastic").
-func ParseRefreshMode(name string) (RefreshMode, error) {
-	if strings.EqualFold(name, "postpone") {
-		return RefElastic, nil
-	}
-	for i, n := range refreshModeNames {
-		if strings.EqualFold(name, n) {
-			return RefreshMode(i), nil
-		}
-	}
-	return 0, fmt.Errorf("dram: unknown refresh mode %q (want one of %s)",
-		name, strings.Join(refreshModeNames[:], ", "))
-}
+// String names the mode as the -refresh-mode flag spells it.
+func (m RefreshMode) String() string { return RefreshModeNames.Name(m) }
+
+// Set parses a refresh-mode name into m (*RefreshMode is a flag.Value).
+func (m *RefreshMode) Set(name string) error { return RefreshModeNames.Set(m, name) }
 
 // PDStateOf reports rank r's power-down FSM state.
 func (c *Channel) PDStateOf(r int) PDState { return c.rank(r).pd }

@@ -20,16 +20,10 @@ const (
 	CmdCKE                  // CKE transition: power-down or self-refresh entry, or wake
 )
 
-// cmdNames indexes CmdKind.
-var cmdNames = [...]string{"ACT", "RD", "WR", "PRE", "REF", "RFM", "CKE"}
+var cmdNames = core.Enum[CmdKind]{Names: []string{"ACT", "RD", "WR", "PRE", "REF", "RFM", "CKE"}}
 
 // String returns the command's mnemonic ("ACT", "RD", ...).
-func (k CmdKind) String() string {
-	if int(k) < len(cmdNames) {
-		return cmdNames[k]
-	}
-	return fmt.Sprintf("Cmd(%d)", int(k))
-}
+func (k CmdKind) String() string { return cmdNames.Name(k) }
 
 // CmdEvent is one command as issued on the channel, with its data-bus
 // occupancy when applicable. Events stream to Channel.Trace in issue

@@ -27,7 +27,7 @@ func TestCmdKindAndEventStrings(t *testing.T) {
 	if s := events[4].String(); strings.Contains(s, "REFpb") || strings.Contains(s, " b") {
 		t.Errorf("all-bank REF rendered as %q: it must name no bank", s)
 	}
-	if CmdKind(99).String() != "Cmd(99)" {
+	if CmdKind(99).String() != "CmdKind(99)" {
 		t.Error("unknown kind string wrong")
 	}
 	if !strings.Contains(events[0].String(), "10000001b") {

@@ -123,13 +123,13 @@ func (k Knobs) Validate() error {
 		}
 	}
 	switch {
-	case k.Scheme < Baseline || k.Scheme > SDS:
+	case !SchemeNames.Valid(k.Scheme):
 		return fmt.Errorf("memctrl: unknown Scheme %d", k.Scheme)
-	case k.Policy < RelaxedClose || k.Policy > OpenPage:
+	case !PolicyNames.Valid(k.Policy):
 		return fmt.Errorf("memctrl: unknown Policy %d", k.Policy)
-	case k.PDPolicy > PDQueueAware:
+	case !PDPolicyNames.Valid(k.PDPolicy):
 		return fmt.Errorf("memctrl: unknown PDPolicy %d", k.PDPolicy)
-	case k.RefreshMode > dram.RefElastic:
+	case !dram.RefreshModeNames.Valid(k.RefreshMode):
 		return fmt.Errorf("memctrl: unknown RefreshMode %d", k.RefreshMode)
 	case (k.PDPolicy == PDTimed || k.PDPolicy == PDQueueAware) && k.PDTimeout == 0:
 		return fmt.Errorf("memctrl: PDPolicy %v requires PDTimeout > 0", k.PDPolicy)

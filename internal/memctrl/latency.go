@@ -60,17 +60,12 @@ const (
 
 // latComponentNames are the short names used in reports, CSV headers, and
 // telemetry variable names.
-var latComponentNames = [NumLatComponents]string{
-	"queue", "bank", "timing", "refresh", "pd", "alert", "xfer",
+var latComponentNames = core.Enum[LatComponent]{
+	Names: []string{"queue", "bank", "timing", "refresh", "pd", "alert", "xfer"},
 }
 
 // String returns the component's short report name.
-func (c LatComponent) String() string {
-	if c < NumLatComponents {
-		return latComponentNames[c]
-	}
-	return "unknown"
-}
+func (c LatComponent) String() string { return latComponentNames.Name(c) }
 
 // LatBreakdown is one latency decomposition in memory cycles, indexed by
 // LatComponent.

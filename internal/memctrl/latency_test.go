@@ -17,8 +17,8 @@ func TestLatComponentNames(t *testing.T) {
 			t.Errorf("component %d = %q, want %q", c, c.String(), want[c])
 		}
 	}
-	if NumLatComponents.String() != "unknown" {
-		t.Error("out-of-range component must stringify as unknown")
+	if NumLatComponents.String() != "LatComponent(7)" {
+		t.Error("out-of-range component must stringify as LatComponent(7)")
 	}
 }
 

@@ -1,9 +1,6 @@
 package memctrl
 
 import (
-	"fmt"
-	"strings"
-
 	"pradram/internal/core"
 	"pradram/internal/dram"
 )
@@ -33,28 +30,17 @@ const (
 	PDQueueAware
 )
 
-// pdPolicyNames indexes PDPolicy.
-var pdPolicyNames = [...]string{"immediate", "none", "timeout", "queue"}
-
-// String names the policy as accepted by ParsePDPolicy.
-func (p PDPolicy) String() string {
-	if int(p) < len(pdPolicyNames) {
-		return pdPolicyNames[p]
-	}
-	return fmt.Sprintf("PDPolicy(%d)", uint8(p))
+// PDPolicyNames spells each PDPolicy once (case-insensitive on parse).
+var PDPolicyNames = core.Enum[PDPolicy]{
+	Names: []string{"immediate", "none", "timeout", "queue"},
+	Fold:  true,
 }
 
-// ParsePDPolicy resolves a power-down policy name ("immediate", "none",
-// "timeout", "queue").
-func ParsePDPolicy(name string) (PDPolicy, error) {
-	for i, n := range pdPolicyNames {
-		if strings.EqualFold(name, n) {
-			return PDPolicy(i), nil
-		}
-	}
-	return 0, fmt.Errorf("memctrl: unknown power-down policy %q (want one of %s)",
-		name, strings.Join(pdPolicyNames[:], ", "))
-}
+// String names the policy as the -pd-policy flag spells it.
+func (p PDPolicy) String() string { return PDPolicyNames.Name(p) }
+
+// Set parses a power-down policy name into p (*PDPolicy is a flag.Value).
+func (p *PDPolicy) Set(name string) error { return PDPolicyNames.Set(p, name) }
 
 // lowPowerEngine is the state of the low-power engine (DESIGN.md §4f),
 // which wakes powered-down ranks that have work and drops idle ones into

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"pradram/internal/core"
 	"pradram/internal/dram"
 )
 
@@ -32,13 +33,10 @@ const (
 	LineInterleaved
 )
 
+var mappingNames = core.Enum[Mapping]{Names: []string{"row-interleaved", "line-interleaved"}}
+
 // String returns the mapping's canonical name.
-func (m Mapping) String() string {
-	if m == RowInterleaved {
-		return "row-interleaved"
-	}
-	return "line-interleaved"
-}
+func (m Mapping) String() string { return mappingNames.Name(m) }
 
 // Loc is a fully decomposed line address.
 type Loc struct {

@@ -104,20 +104,23 @@ func TestRowKeyDistinguishesCoordinates(t *testing.T) {
 func TestSchemePolicyParsing(t *testing.T) {
 	t.Parallel()
 	for _, s := range Schemes() {
-		got, err := ParseScheme(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseScheme(%q) = %v, %v", s.String(), got, err)
+		var got Scheme
+		if err := got.Set(s.String()); err != nil || got != s {
+			t.Errorf("Set(%q) = %v, %v", s.String(), got, err)
 		}
 	}
-	if _, err := ParseScheme("nosuch"); err == nil {
+	var s Scheme
+	if err := s.Set("nosuch"); err == nil {
 		t.Error("unknown scheme must error")
 	}
 	for _, name := range []string{"relaxed", "restricted", "relaxed-close", "restricted-close"} {
-		if _, err := ParsePolicy(name); err != nil {
-			t.Errorf("ParsePolicy(%q): %v", name, err)
+		var p Policy
+		if err := p.Set(name); err != nil {
+			t.Errorf("Set(%q): %v", name, err)
 		}
 	}
-	if _, err := ParsePolicy("nosuch"); err == nil {
+	var p Policy
+	if err := p.Set("nosuch"); err == nil {
 		t.Error("unknown policy must error")
 	}
 	if Scheme(99).String() == "" {

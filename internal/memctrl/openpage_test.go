@@ -71,9 +71,9 @@ func TestOpenPagePRAFalseHitsPersist(t *testing.T) {
 
 func TestOpenPageParsing(t *testing.T) {
 	t.Parallel()
-	p, err := ParsePolicy("open")
-	if err != nil || p != OpenPage {
-		t.Fatalf("ParsePolicy(open) = %v, %v", p, err)
+	var p Policy
+	if err := p.Set("open"); err != nil || p != OpenPage {
+		t.Fatalf("Set(open) = %v, %v", p, err)
 	}
 	if OpenPage.String() != "open-page" {
 		t.Error("OpenPage string wrong")

@@ -1,6 +1,6 @@
 package memctrl
 
-import "fmt"
+import "pradram/internal/core"
 
 // Scheme selects the row-activation architecture under study (Section 5.2).
 type Scheme int
@@ -34,31 +34,19 @@ const (
 	SDS
 )
 
-var schemeNames = map[Scheme]string{
-	Baseline: "baseline", FGA: "fga", HalfDRAM: "halfdram",
-	PRA: "pra", HalfDRAMPRA: "halfdram+pra", SDS: "sds",
+// SchemeNames spells each Scheme once (the -scheme flag's names).
+var SchemeNames = core.Enum[Scheme]{
+	Names: []string{"baseline", "fga", "halfdram", "pra", "halfdram+pra", "sds"},
 }
 
-// String returns the scheme's canonical name (the one ParseScheme accepts).
-func (s Scheme) String() string {
-	if n, ok := schemeNames[s]; ok {
-		return n
-	}
-	return fmt.Sprintf("Scheme(%d)", int(s))
-}
+// String returns the scheme's canonical name.
+func (s Scheme) String() string { return SchemeNames.Name(s) }
 
-// ParseScheme resolves a scheme name used by the CLIs.
-func ParseScheme(name string) (Scheme, error) {
-	for s, n := range schemeNames {
-		if n == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("memctrl: unknown scheme %q (baseline, fga, halfdram, pra, halfdram+pra, sds)", name)
-}
+// Set parses a scheme name into s (*Scheme is a flag.Value).
+func (s *Scheme) Set(name string) error { return SchemeNames.Set(s, name) }
 
 // Schemes lists all schemes in presentation order.
-func Schemes() []Scheme { return []Scheme{Baseline, FGA, HalfDRAM, PRA, HalfDRAMPRA, SDS} }
+func Schemes() []Scheme { return SchemeNames.Values() }
 
 // halfDRAMOrg reports whether the scheme uses the Half-DRAM cell
 // organization (halved activation energy and tRRD/tFAW weight per mask
@@ -117,27 +105,15 @@ const (
 	OpenPage
 )
 
-// String returns the policy's canonical name (the one ParsePolicy accepts).
-func (p Policy) String() string {
-	switch p {
-	case RelaxedClose:
-		return "relaxed-close"
-	case RestrictedClose:
-		return "restricted-close"
-	default:
-		return "open-page"
-	}
+// PolicyNames spells each Policy once; the flag also takes the names
+// without "-close"/"-page".
+var PolicyNames = core.Enum[Policy]{
+	Names:   []string{"relaxed-close", "restricted-close", "open-page"},
+	Aliases: map[string]Policy{"relaxed": RelaxedClose, "restricted": RestrictedClose, "open": OpenPage},
 }
 
-// ParsePolicy resolves a policy name used by the CLIs.
-func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case "relaxed", "relaxed-close":
-		return RelaxedClose, nil
-	case "restricted", "restricted-close":
-		return RestrictedClose, nil
-	case "open", "open-page":
-		return OpenPage, nil
-	}
-	return 0, fmt.Errorf("memctrl: unknown policy %q (relaxed, restricted, open)", name)
-}
+// String returns the policy's canonical name.
+func (p Policy) String() string { return PolicyNames.Name(p) }
+
+// Set parses a policy name into p (*Policy is a flag.Value).
+func (p *Policy) Set(name string) error { return PolicyNames.Set(p, name) }

@@ -82,9 +82,9 @@ func TestSDSNoExtraMaskCycle(t *testing.T) {
 
 func TestSDSParsesAndLists(t *testing.T) {
 	t.Parallel()
-	s, err := ParseScheme("sds")
-	if err != nil || s != SDS {
-		t.Fatalf("ParseScheme(sds) = %v, %v", s, err)
+	var s Scheme
+	if err := s.Set("sds"); err != nil || s != SDS {
+		t.Fatalf("Set(sds) = %v, %v", s, err)
 	}
 	found := false
 	for _, sc := range Schemes() {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"pradram/internal/core"
 )
 
 // Level orders event verbosity. A log at LevelCmd records state events too.
@@ -19,31 +21,17 @@ const (
 	LevelCmd
 )
 
-// String returns the level's flag name ("off", "state", "cmd").
-func (l Level) String() string {
-	switch l {
-	case LevelOff:
-		return "off"
-	case LevelState:
-		return "state"
-	case LevelCmd:
-		return "cmd"
-	}
-	return fmt.Sprintf("Level(%d)", int(l))
+// LevelNames spells each Level once; the empty string is off.
+var LevelNames = core.Enum[Level]{
+	Names:   []string{"off", "state", "cmd"},
+	Aliases: map[string]Level{"": LevelOff},
 }
 
-// ParseLevel resolves a level name ("off", "state", "cmd").
-func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "off", "":
-		return LevelOff, nil
-	case "state":
-		return LevelState, nil
-	case "cmd":
-		return LevelCmd, nil
-	}
-	return LevelOff, fmt.Errorf("obs: unknown event level %q (off | state | cmd)", s)
-}
+// String returns the level's flag name ("off", "state", "cmd").
+func (l Level) String() string { return LevelNames.Name(l) }
+
+// Set parses a level name into l (*Level is a flag.Value).
+func (l *Level) Set(name string) error { return LevelNames.Set(l, name) }
 
 // Event is one structured trace entry. Cycle is in the emitting component's
 // clock domain (memory cycles for memctrl/dram scopes, CPU cycles for the

@@ -176,12 +176,13 @@ func TestEventLogLevelGating(t *testing.T) {
 
 func TestParseLevel(t *testing.T) {
 	for in, want := range map[string]Level{"off": LevelOff, "": LevelOff, "state": LevelState, "cmd": LevelCmd} {
-		got, err := ParseLevel(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseLevel(%q) = %v, %v", in, got, err)
+		got := LevelCmd
+		if err := got.Set(in); err != nil || got != want {
+			t.Fatalf("Set(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := ParseLevel("verbose"); err == nil {
+	var l Level
+	if err := l.Set("verbose"); err == nil {
 		t.Fatal("expected error for unknown level")
 	}
 }

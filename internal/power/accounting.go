@@ -1,6 +1,6 @@
 package power
 
-import "fmt"
+import "pradram/internal/core"
 
 // Component identifies one slice of the DRAM power breakdown, following the
 // legend of Figure 2 (with the I/O slice kept at its natural finer grain:
@@ -24,17 +24,12 @@ const (
 	NumComponents
 )
 
-var componentNames = [NumComponents]string{
-	"ACT-PRE", "RD", "WR", "RD I/O", "WR ODT", "RD TERM", "WR TERM", "BG", "REF",
+var componentNames = core.Enum[Component]{
+	Names: []string{"ACT-PRE", "RD", "WR", "RD I/O", "WR ODT", "RD TERM", "WR TERM", "BG", "REF"},
 }
 
 // String returns the component's table label (e.g. "ACT-PRE", "BG").
-func (c Component) String() string {
-	if c < 0 || c >= NumComponents {
-		return fmt.Sprintf("Component(%d)", int(c))
-	}
-	return componentNames[c]
-}
+func (c Component) String() string { return componentNames.Name(c) }
 
 // Breakdown is an energy breakdown in picojoules.
 type Breakdown [NumComponents]float64

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"slices"
-	"strings"
 
 	"pradram/internal/dram"
 	"pradram/internal/memctrl"
@@ -22,8 +21,8 @@ var flagTable = []struct {
 	help   string
 }{
 	{"workload", func(c *Config) any { return &c.Workload }, "benchmark or MIXn (comma-separated for a batch; see -list)"},
-	{"scheme", func(c *Config) any { return &c.Scheme }, "baseline | fga | halfdram | pra | halfdram+pra"},
-	{"policy", func(c *Config) any { return &c.Policy }, "relaxed | restricted"},
+	{"scheme", func(c *Config) any { return &c.Scheme }, "row-activation scheme: " + memctrl.SchemeNames.List()},
+	{"policy", func(c *Config) any { return &c.Policy }, "row-buffer policy: " + memctrl.PolicyNames.List()},
 	{"dbi", func(c *Config) any { return &c.DBI }, "enable Dirty-Block-Index proactive writeback"},
 	{"instr", func(c *Config) any { return &c.InstrPerCore }, "measured instructions per core"},
 	{"warmup", func(c *Config) any { return &c.WarmupPerCore }, "warmup instructions per core"},
@@ -33,12 +32,12 @@ var flagTable = []struct {
 	{"noskip", func(c *Config) any { return &c.NoSkip }, "disable event-driven cycle skipping (tick every CPU cycle; results are identical, runs are slower)"},
 	{"channels", func(c *Config) any { return &c.Channels }, "memory channels, power of two (0 = controller default; changes address decomposition, hence results)"},
 
-	{"pd-policy", func(c *Config) any { return &c.PDPolicy }, "power-down entry policy: immediate | none | timeout | queue"},
+	{"pd-policy", func(c *Config) any { return &c.PDPolicy }, "power-down entry policy: " + memctrl.PDPolicyNames.List()},
 	{"pd-timeout", func(c *Config) any { return &c.PDTimeout }, "idle memory cycles before power-down entry (timeout/queue policies)"},
 	{"sr-timeout", func(c *Config) any { return &c.SRTimeout }, "idle memory cycles before self-refresh entry (0 = never)"},
 	{"pd-slow", func(c *Config) any { return &c.PDSlowExit }, "use slow-exit (DLL-off) precharge power-down: lower IDD2P, tXPDLL exit"},
-	{"apd", func(c *Config) any { return &c.APD }, "allow active power-down (CKE low with banks open) under the relaxed-close policy"},
-	{"refresh-mode", func(c *Config) any { return &c.RefreshMode }, "refresh management: allbank | perbank | elastic"},
+	{"apd", func(c *Config) any { return &c.APD }, "allow active power-down (CKE low with banks open) under the open-page policy"},
+	{"refresh-mode", func(c *Config) any { return &c.RefreshMode }, "refresh management: " + dram.RefreshModeNames.List()},
 
 	{"mit-threshold", func(c *Config) any { return &c.MitThreshold }, "RowHammer Alert/RFM mitigation: per-row activation threshold (0 = off)"},
 	{"mit-alert", func(c *Config) any { return &c.MitAlertCycles }, "alert back-off in memory cycles before the RFM issues (0 = default 144)"},
@@ -49,7 +48,7 @@ var flagTable = []struct {
 	{"trace-sample", func(c *Config) any { return &c.LatSpanEvery }, "with -trace-out, sample every Nth completed request into the span ring"},
 
 	{"epoch", func(c *Config) any { return &c.Obs.EpochCycles }, "telemetry sampling epoch in DRAM cycles (used with -timeline / -http)"},
-	{"events", func(c *Config) any { return &c.Obs.EventLevel }, "structured event trace: off | state | cmd"},
+	{"events", func(c *Config) any { return &c.Obs.EventLevel }, "structured event trace: " + obs.LevelNames.List()},
 }
 
 // BindFlags registers the named flags of the flag table on fs (all of them
@@ -75,18 +74,8 @@ func BindFlags(fs *flag.FlagSet, cfg *Config, names ...string) {
 			fs.Int64Var(p, row.name, *p, row.help)
 		case *uint64:
 			fs.Uint64Var(p, row.name, *p, row.help)
-		case *memctrl.Scheme:
-			bindEnum(fs, row.name, row.help, p, memctrl.ParseScheme)
-		case *memctrl.Policy:
-			bindEnum(fs, row.name, row.help, p, memctrl.ParsePolicy)
-			// The flag spells policies without String's "-close" suffix.
-			fs.Lookup(row.name).DefValue = strings.TrimSuffix(p.String(), "-close")
-		case *memctrl.PDPolicy:
-			bindEnum(fs, row.name, row.help, p, memctrl.ParsePDPolicy)
-		case *dram.RefreshMode:
-			bindEnum(fs, row.name, row.help, p, dram.ParseRefreshMode)
-		case *obs.Level:
-			bindEnum(fs, row.name, row.help, p, obs.ParseLevel)
+		case flag.Value: // an enumerated knob, spelled by its core.Enum table
+			fs.Var(p, row.name, row.help)
 		default:
 			panic(fmt.Sprintf("sim: flag -%s: no binding for %T", row.name, p))
 		}
@@ -94,17 +83,4 @@ func BindFlags(fs *flag.FlagSet, cfg *Config, names ...string) {
 	if len(names) > 0 && bound != len(names) {
 		panic(fmt.Sprintf("sim: flags %q are not all in the flag table", names))
 	}
-}
-
-// bindEnum registers an enumerated knob: parsed by its Parse function, its
-// current value's name shown as the default.
-func bindEnum[T fmt.Stringer](fs *flag.FlagSet, name, help string, p *T, parse func(string) (T, error)) {
-	fs.Func(name, help, func(s string) error {
-		v, err := parse(s)
-		if err == nil {
-			*p = v
-		}
-		return err
-	})
-	fs.Lookup(name).DefValue = (*p).String()
 }

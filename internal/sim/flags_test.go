@@ -68,8 +68,8 @@ func TestEveryFieldIsDecided(t *testing.T) {
 }
 
 // TestBindFlags covers the binding contract: defaults come from the Config
-// handed in, values parse into it (enumerations through their Parse
-// functions, with the parse error surfacing from fs.Parse), a subset
+// handed in, values parse into it (enumerations through their Set
+// methods, with the parse error surfacing from fs.Parse), a subset
 // registers only what it names, and a name the table lacks panics.
 func TestBindFlags(t *testing.T) {
 	newFS := func() *flag.FlagSet {
@@ -89,7 +89,7 @@ func TestBindFlags(t *testing.T) {
 		t.Errorf("no names must bind all %d rows, bound %d", len(flagTable), n)
 	}
 	for name, want := range map[string]string{
-		"workload": "em3d", "policy": "restricted", "pd-timeout": "123",
+		"workload": "em3d", "policy": "restricted-close", "pd-timeout": "123",
 		"scheme": "baseline", "events": "off", "instr": "1000000",
 	} {
 		if got := fs.Lookup(name).DefValue; got != want {

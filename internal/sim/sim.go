@@ -137,7 +137,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: Workload is required")
 	case c.Obs.EpochCycles < 0:
 		return fmt.Errorf("sim: Obs.EpochCycles must be non-negative, got %d", c.Obs.EpochCycles)
-	case c.Obs.EventLevel > obs.LevelCmd:
+	case !obs.LevelNames.Valid(c.Obs.EventLevel):
 		return fmt.Errorf("sim: unknown Obs.EventLevel %d", c.Obs.EventLevel)
 	}
 	if c.Generator == nil {
