@@ -9,7 +9,8 @@ import (
 
 // pdIdentityVariants spans the power-management feature space for the
 // bit-identity matrices below: every entry policy, the slow-exit and APD
-// toggles, self-refresh, and both alternative refresh modes. Each variant
+// toggles (APD under each row-buffer policy), self-refresh, and both
+// alternative refresh modes. Each variant
 // must preserve the two determinism contracts this repo guarantees —
 // fast-forwarding and checkpoint restore change nothing observable.
 func pdIdentityVariants() []struct {
@@ -28,6 +29,18 @@ func pdIdentityVariants() []struct {
 		{"selfref", func(c *Config) { c.SRTimeout = 512 }},
 		{"perbank", func(c *Config) { c.RefreshMode = dram.RefPerBank }},
 		{"elastic", func(c *Config) { c.RefreshMode = dram.RefElastic }},
+		{"restricted-apd", func(c *Config) { c.Policy = memctrl.RestrictedClose; c.APD = true }},
+		{"openpage-apd", func(c *Config) { c.Policy = memctrl.OpenPage; c.APD = true }},
+	}
+}
+
+// checkAPDSplit pins where active power-down engages: only open-page leaves
+// rows open on an idle rank, so with APD on a run spends active power-down
+// cycles under open-page and none under either close-page policy.
+func checkAPDSplit(t *testing.T, cfg Config, r Result) {
+	t.Helper()
+	if cfg.APD && (r.Dev.ActivePDCycles > 0) != (cfg.Policy == memctrl.OpenPage) {
+		t.Errorf("APD under %v: %d active power-down rank-cycles", cfg.Policy, r.Dev.ActivePDCycles)
 	}
 }
 
@@ -57,6 +70,7 @@ func TestPDSkipBitIdentityMatrix(t *testing.T) {
 				v.mod(&cfg)
 				skip, noskip, rs, rn := runBoth(t, cfg)
 				checkIdentical(t, skip, noskip, rs, rn)
+				checkAPDSplit(t, cfg, rs)
 			})
 		}
 		return
@@ -72,6 +86,7 @@ func TestPDSkipBitIdentityMatrix(t *testing.T) {
 					v.mod(&cfg)
 					skip, noskip, rs, rn := runBoth(t, cfg)
 					checkIdentical(t, skip, noskip, rs, rn)
+					checkAPDSplit(t, cfg, rs)
 					if wl != "bzip2" && skip.cycle == skip.ticks {
 						t.Error("skip run never fast-forwarded; matrix cell is vacuous")
 					}
