@@ -197,16 +197,18 @@ func TestRestoreRejectsUnmatchedFills(t *testing.T) {
 	}
 }
 
-// TestCheckpointPayloadGolden pins the length and sha256 of the whole
-// System.Checkpoint payload (testdata/ckpt.golden) for warmed
-// configurations that, between them, populate every section of
-// ckptSections, and requires each payload to restore into a fresh system
-// that checkpoints to the same bytes. A change to how any component
-// encodes its state must leave the file byte-identical unless the format is
-// meant to change (then ckptFormat moves too; regenerate with -update).
-func TestCheckpointPayloadGolden(t *testing.T) {
-	t.Parallel()
-	sweep := quickCheckpointCfg("GUPS") // TestRestoreMutationSweep's configuration
+// ckptCell is one warmed configuration of the checkpoint golden.
+type ckptCell struct {
+	name string
+	cfg  Config
+	stir bool // stirBoundary after the warmup
+}
+
+// ckptCells returns the checkpoint golden's configurations, which between
+// them populate every section of ckptSections. The first is
+// TestRestoreMutationSweep's original configuration.
+func ckptCells() []ckptCell {
+	sweep := quickCheckpointCfg("GUPS")
 	sweep.Scheme = memctrl.PRA
 	sweep.DBI = true
 	sweep.MitThreshold = hammerMitThreshold
@@ -232,29 +234,43 @@ func TestCheckpointPayloadGolden(t *testing.T) {
 	stirred.Cores = 1
 	stirred.WarmupPerCore = 1_678
 
-	cells := []struct {
-		name string
-		cfg  Config
-		stir bool
-	}{
+	return []ckptCell{
 		{"gups-pra-dbi-mit", sweep, false},
 		{"gups-8core-1ch", retrying, false},
 		{"mix1-1ch-alert", stalled, false},
 		{"bzip2-stirred", stirred, true},
 	}
+}
+
+// warmed builds the cell's system and brings it to its checkpoint boundary.
+func (c ckptCell) warmed(t *testing.T) *System {
+	t.Helper()
+	s, err := New(c.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Warmup(); err != nil {
+		t.Fatal(err)
+	}
+	if c.stir {
+		stirBoundary(t, s)
+	}
+	return s
+}
+
+// TestCheckpointPayloadGolden pins the length and sha256 of the whole
+// System.Checkpoint payload (testdata/ckpt.golden) for the warmed
+// configurations of ckptCells, and requires each payload to restore into a
+// fresh system that checkpoints to the same bytes. A change to how any
+// component encodes its state must leave the file byte-identical unless the
+// format is meant to change (then ckptFormat moves too; regenerate with
+// -update).
+func TestCheckpointPayloadGolden(t *testing.T) {
+	t.Parallel()
 	var out strings.Builder
 	covered := map[string]bool{}
-	for _, c := range cells {
-		s, err := New(c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Warmup(); err != nil {
-			t.Fatal(err)
-		}
-		if c.stir {
-			stirBoundary(t, s)
-		}
+	for _, c := range ckptCells() {
+		s := c.warmed(t)
 		data, err := s.Checkpoint()
 		if err != nil {
 			t.Fatal(err)

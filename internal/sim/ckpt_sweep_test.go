@@ -9,15 +9,15 @@ import (
 	"testing"
 
 	"pradram/internal/checkpoint"
-	"pradram/internal/memctrl"
 )
 
-// recrc returns payload with its CRC32 trailer recomputed, so a mutated
-// checkpoint gets past the container check and reaches the component
-// decoders.
+// recrc recomputes payload's CRC32 trailer in place and returns payload,
+// so a mutated checkpoint gets past the container check and reaches the
+// component decoders.
 func recrc(payload []byte) []byte {
 	body := payload[:len(payload)-4]
-	return binary.LittleEndian.AppendUint32(body[:len(body):len(body)], crc32.ChecksumIEEE(body))
+	binary.LittleEndian.PutUint32(payload[len(body):], crc32.ChecksumIEEE(body))
+	return payload
 }
 
 // checkMutatedRestore holds one CRC-valid mutated checkpoint to the restore
@@ -51,16 +51,21 @@ func checkMutatedRestore(t *testing.T, s *System, mutated []byte, what string) b
 // The other corruption tests flip a byte and leave the trailer stale, so
 // every case dies at the CRC compare; here the trailer is recomputed after
 // each single-bit flip, so the component decoders' own validation is what
-// stands between the mutation and the live system. Offsets are sampled from
-// every region of the file — the header, both cores' ROBs and counters, the
-// generators, the hierarchy's tail (MSHRs, lanes, write-backs, retries,
-// DBI), and the controller with its row-counter tables — on the PRA/GUPS
-// configuration with DBI and mitigation armed, so all of them are
-// populated. Each mutated payload must be either
+// stands between the mutation and the live system. It runs on every cell of
+// the checkpoint golden (ckptCells). On the first — PRA/GUPS with DBI and
+// mitigation armed — offsets are sampled from every region of the file: the
+// header, both cores' ROBs and counters, the generators, the cache lines,
+// the hierarchy's tail (MSHRs, write-backs, DBI) and the controller with
+// its row-counter tables. That cell leaves the retry list, the completion
+// lanes, the write-backs, the queued writes and the forwards empty, so on
+// the other cells, which populate them, the hierarchy's tail ahead of its
+// DBI rows and the controller are sampled densely: every fifth byte, or as
+// densely as 300 flips per region allow (each flip restores the whole
+// ~1.7 MB payload). Each mutated payload must be either
 //
-//   - rejected with the system pristine: one long-lived system takes every
-//     rejected payload in turn and must afterwards cold-run to the
-//     monolithic Result, or
+//   - rejected with the system pristine: one long-lived system per cell
+//     takes every rejected payload in turn and must afterwards cold-run to
+//     the monolithic Result, or
 //   - accepted, and then Checkpoint() reproduces the mutated bytes exactly
 //     (checkMutatedRestore) —
 //
@@ -69,31 +74,43 @@ func checkMutatedRestore(t *testing.T, s *System, mutated []byte, what string) b
 // DBI order is), not silently recomputed.
 func TestRestoreMutationSweep(t *testing.T) {
 	t.Parallel()
-	cfg := quickCheckpointCfg("GUPS")
-	cfg.Scheme = memctrl.PRA
-	cfg.DBI = true
-	cfg.MitThreshold = hammerMitThreshold
+	for i, c := range ckptCells() {
+		c.cfg.InstrPerCore = 2_000 // each cell's rejecter cold-runs to the end
+		// Strides per region, coprime to the record sizes (9-byte ROB slots,
+		// 18-byte queued ops, 24-byte DBI rows, 8-byte words), so the samples
+		// walk through every byte position of a record; a region with no
+		// stride is skipped.
+		strides := map[string]int{"controller": 5, "hierarchy tail": 5}
+		if i == 0 {
+			strides = map[string]int{"controller": 131, "hierarchy tail": 97, "DBI rows": 97,
+				"cache lines": 99_991, "generator": 7, "core": 37, "header": 3}
+		}
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			sweepCell(t, c, strides)
+		})
+	}
+}
+
+// sweepCell runs the mutation sweep on one warmed cell, flipping one bit
+// every strides[region] bytes of each region named there, the stride
+// widened where the region would take more than 300 flips.
+func sweepCell(t *testing.T, c ckptCell, strides map[string]int) {
 	fresh := func() *System {
-		s, err := New(cfg)
+		s, err := New(c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	src := fresh()
-	if err := src.Warmup(); err != nil {
-		t.Fatal(err)
-	}
+	src := c.warmed(t)
 	data, err := src.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The regions, walking back from the trailer: each component's section
 	// is as long as what the component writes on its own, and the header is
-	// what is left. Every region is sampled at a stride coprime to its
-	// record sizes (9-byte ROB slots, 18-byte queued ops, 24-byte DBI rows,
-	// 8-byte words), so the samples walk through every byte position of a
-	// record; the flipped bit rotates with the sample index.
+	// what is left. The flipped bit rotates with the sample index.
 	type region struct {
 		name           string
 		lo, hi, stride int
@@ -101,7 +118,13 @@ func TestRestoreMutationSweep(t *testing.T) {
 	var regions []region
 	end := len(data) - 4
 	add := func(name string, n, stride int) {
-		regions = append(regions, region{name, end - n, end, stride})
+		if stride > 0 {
+			if n/stride > 300 { // widened, still coprime to 2 and 3
+				for stride = n/300 + 1; stride%2 == 0 || stride%3 == 0; stride++ {
+				}
+			}
+			regions = append(regions, region{name, end - n, end, stride})
+		}
 		end -= n
 	}
 	size := func(save func(*checkpoint.Writer)) int {
@@ -109,26 +132,36 @@ func TestRestoreMutationSweep(t *testing.T) {
 		save(&w)
 		return len(w.Bytes())
 	}
-	add("controller", size(src.ctrl.SaveState), 131)
+	add("controller", size(src.ctrl.SaveState), strides["controller"])
+	// The hierarchy's section ends with its DBI rows, each a key, a count
+	// and its line ids, after their own count (8 bytes apiece).
+	dbi, dbiBytes := field(reflect.ValueOf(src.hier), "dbi"), 0
+	if !dbi.IsNil() {
+		dbiBytes = 8
+		for it := dbi.MapRange(); it.Next(); {
+			dbiBytes += 16 + 8*it.Value().Len()
+		}
+	}
+	add("DBI rows", dbiBytes, strides["DBI rows"])
 	// A fresh hierarchy writes the same line arrays and an empty tail, so the
 	// length difference, plus slack for the empty tail itself, covers the
-	// populated tail (MSHRs, lanes, write-backs, retries, DBI).
-	hier := size(src.hier.SaveState)
+	// populated tail (MSHRs, lanes, write-backs, retries).
+	hier := size(src.hier.SaveState) - dbiBytes
 	tail := hier - size(fresh().hier.SaveState) + 128
-	add("hierarchy tail", tail, 97)
-	add("cache lines", hier-tail, (hier-tail)/16+1)
+	add("hierarchy tail", tail, strides["hierarchy tail"])
+	add("cache lines", hier-tail, strides["cache lines"])
 	for i := len(src.cores) - 1; i >= 0; i-- {
-		add(fmt.Sprintf("generator %d", i), size(src.cores[i].Generator().(checkpoint.Saver).SaveState), 7)
+		add(fmt.Sprintf("generator %d", i), size(src.cores[i].Generator().(checkpoint.Saver).SaveState), strides["generator"])
 	}
 	for i := len(src.cores) - 1; i >= 0; i-- {
-		add(fmt.Sprintf("core %d", i), size(src.cores[i].SaveState), 37)
+		add(fmt.Sprintf("core %d", i), size(src.cores[i].SaveState), strides["core"])
 	}
 	if end <= 0 || tail <= 128 || tail >= hier {
 		t.Fatalf("sections %+v leave a %d-byte header (hierarchy %d, tail %d)", regions, end, hier, tail)
 	}
-	add("header", end, 3)
+	add("header", end, strides["header"])
 
-	want, err := src.Measure()
+	want, err := fresh().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +191,7 @@ func TestRestoreMutationSweep(t *testing.T) {
 			mutated[off] ^= bit
 		}
 	}
-	t.Logf("%d rejected, %d accepted", rejected, accepted)
+	t.Logf("%d rejected, %d accepted; sections %v", rejected, accepted, sectionSizes(src))
 	if rejected == 0 || accepted == 0 {
 		t.Errorf("%d rejected, %d accepted: the sweep must exercise both outcomes", rejected, accepted)
 	}
