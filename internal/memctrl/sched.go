@@ -468,17 +468,20 @@ func (cc *chanCtl) issueColumn(mem int64, req *request, i int, bank dram.CmdTerm
 	burst := cc.cfg.Scheme.burstCycles(cc.cfg.Timing.TBURST)
 	_, mask, _ := cc.ch.OpenRow(l.Rank, l.Bank)
 	autoPre := cc.autoPrecharge(req, mask)
-	rank := cc.rankTerms(mem, l.Rank)
 	var (
-		terms dram.LatTerms
-		done  int64 // end of the data phase
+		terms dram.LatTerms // for the attribution sweep, taken before the command
+		done  int64         // end of the data phase
 		err   error
 	)
 	if req.kind == core.Read {
-		rank.ReadLatTerms(mem, bank, &terms)
+		if cc.cfg.LatBreak {
+			cc.rankTerms(mem, l.Rank).ReadLatTerms(mem, bank, &terms)
+		}
 		done, err = cc.ch.Read(mem, l.Rank, l.Bank, burst, cc.cfg.Scheme.ioFrac(), autoPre)
 	} else {
-		rank.WriteLatTerms(mem, bank, &terms)
+		if cc.cfg.LatBreak {
+			cc.rankTerms(mem, l.Rank).WriteLatTerms(mem, bank, &terms)
+		}
 		done, err = cc.ch.Write(mem, l.Rank, l.Bank, burst, cc.writeFrac(req), autoPre)
 	}
 	if err != nil {
@@ -612,9 +615,12 @@ func (cc *chanCtl) tryPrep(mem int64, k core.AccessKind) bool {
 	if cc.closeCand&(1<<uint(winBank)) != 0 {
 		return cc.precharge(mem, l.Rank, l.Bank)
 	}
-	mask, rank := win.act[k], cc.rankTerms(mem, l.Rank)
+	mask := win.act[k]
 	var terms dram.LatTerms // for the attribution sweep; Activate re-checks legality
-	rank.ActLatTerms(mem, winT, cc.fawTerm(rank, l.Rank, mask), &terms)
+	if cc.cfg.LatBreak {
+		rank := cc.rankTerms(mem, l.Rank)
+		rank.ActLatTerms(mem, winT, cc.fawTerm(rank, l.Rank, mask), &terms)
+	}
 	if err := cc.ch.Activate(mem, l.Rank, l.Bank, l.Row, mask, cc.cfg.Scheme.halfDRAMOrg()); err != nil {
 		return false
 	}
