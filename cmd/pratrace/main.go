@@ -52,8 +52,8 @@ func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 		"pd-policy", "pd-timeout", "sr-timeout", "pd-slow", "apd", "refresh-mode")
 	// Three of the shared flags mean something narrower here.
 	fs.Lookup("workload").Usage = "workload to record (a name or a name[:count],... mix spec)"
-	fs.Lookup("scheme").Usage = "scheme for -replay"
-	fs.Lookup("policy").Usage = "policy for -replay"
+	fs.Lookup("scheme").Usage = "scheme for -replay: " + memctrl.SchemeNames.List()
+	fs.Lookup("policy").Usage = "policy for -replay: " + memctrl.PolicyNames.List()
 
 	fs.StringVar(&o.record, "record", "", "record a trace from -workload into this file")
 	fs.StringVar(&o.replay, "replay", "", "replay the trace in this file")
