@@ -27,7 +27,7 @@ var LevelNames = core.Enum[Level]{
 	Aliases: map[string]Level{"": LevelOff},
 }
 
-// String returns the level's flag name ("off", "state", "cmd").
+// String returns the level's flag name.
 func (l Level) String() string { return LevelNames.Name(l) }
 
 // Set parses a level name into l (*Level is a flag.Value).

@@ -55,8 +55,8 @@ func checkMutatedRestore(t *testing.T, s *System, mutated []byte, what string) b
 // the checkpoint golden (ckptCells). On the first — PRA/GUPS with DBI and
 // mitigation armed — offsets are sampled from every region of the file: the
 // header, both cores' ROBs and counters, the generators, the cache lines,
-// the hierarchy's tail (MSHRs, write-backs, DBI) and the controller with
-// its row-counter tables. That cell leaves the retry list, the completion
+// the hierarchy's tail (MSHRs, DBI rows) and the controller with its
+// row-counter tables. That cell leaves the retry list, the completion
 // lanes, the write-backs, the queued writes and the forwards empty, so on
 // the other cells, which populate them, the hierarchy's tail ahead of its
 // DBI rows and the controller are sampled densely: every fifth byte, or as
