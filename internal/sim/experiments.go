@@ -291,78 +291,91 @@ func (r *Runner) AloneIPC(app string, policy memctrl.Policy) (float64, error) {
 	return res.CoreIPC[0], nil
 }
 
-// runSet is all a formatter sees of the simulator: the finished results of
-// the runs its experiment declared. It cannot start a simulation, and get
-// cannot fail for a declared key.
+// runSet is all a formatter sees of the simulator. An experiment's
+// formatter runs twice on one: first in the declaration pass (runs), where
+// get records each run it is asked for and returns a zero Result, then on
+// the finished results of exactly those runs. It cannot start a simulation,
+// and get cannot fail for a declared key.
 type runSet struct {
-	exp string            // experiment id, for undeclaredRead
-	res map[string]Result // by runKey.String()
+	exp  string            // experiment id, for undeclaredRead
+	res  map[string]Result // by runKey.String()
+	read *[]runKey         // non-nil in the declaration pass: the runs read
 }
 
 // undeclaredRead is the panic a formatter raises by reading a run its
-// experiment's Keys did not declare — a bug in that pair, never an input —
-// and the error RunExperiment turns it into.
+// declaration pass did not — one whose reads depend on result values, a bug
+// in that formatter, never an input — and the error RunExperiment turns it
+// into.
 type undeclaredRead struct{ error }
 
 // get returns the result of a declared run.
 func (s runSet) get(k runKey) Result {
+	if s.read != nil {
+		*s.read = append(*s.read, k)
+		return Result{}
+	}
 	res, ok := s.res[k.String()]
 	if !ok {
-		panic(undeclaredRead{fmt.Errorf("sim: experiment %s read run %s, which its Keys do not declare", s.exp, k)})
+		panic(undeclaredRead{fmt.Errorf("sim: experiment %s read run %s, which its declaration pass did not read", s.exp, k)})
 	}
 	return res
 }
 
-// normalizedWS returns WS(res) / WS(base) with shared alone-IPC
-// denominators ("normalized performance" in the paper).
-func (s runSet) normalizedWS(res, base Result, policy memctrl.Policy) float64 {
+// normalizedWS returns workload w's WS(res) / WS(base) with shared alone-IPC
+// denominators ("normalized performance" in the paper). The apps come from
+// w's name rather than from res, so the declaration pass reads the same
+// alone runs as the real one.
+func (s runSet) normalizedWS(w string, res, base Result, policy memctrl.Policy) float64 {
+	apps, _ := workload.Set(w, DefaultConfig(w).Cores)
 	alone := make(map[string]float64)
-	for _, app := range res.Apps {
-		alone[app] = s.get(aloneKey(app, policy)).CoreIPC[0]
+	for _, app := range apps {
+		alone[app] = s.get(aloneKey(app, policy)).SumIPC() // one active core
 	}
 	return stats.Ratio(res.WeightedSpeedup(alone), base.WeightedSpeedup(alone))
 }
 
-// Experiment is one regenerable paper artifact: the simulations it is built
-// from, declared up front, and the formatter that turns their results into
-// its table.
+// Experiment is one regenerable paper artifact: the formatter that turns
+// the results of its runs into its table. The runs are the ones the
+// formatter reads (Experiment.runs); the analytic experiments read none.
 type Experiment struct {
 	ID    string
 	Title string
 
 	format func(runSet) (string, error)
+}
 
-	// Keys declares every simulation the table is built from; nil for the
-	// analytic experiments. RunExperiment executes the set across the
-	// worker pool and only then calls the (ordered, sequential) formatter,
-	// which can read those results and nothing else.
-	Keys func() []runKey
+// runs is the declaration pass: the runs e's formatter reads when every
+// result is zero, in reading order, duplicates included.
+func (e Experiment) runs() []runKey {
+	var keys []runKey
+	_, _ = e.format(runSet{exp: e.ID, read: &keys}) // a table of zeros; the real pass reports any error
+	return keys
 }
 
 // Experiments returns every experiment in paper order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"table1", "Table 1: memory characteristics of the benchmarks", ExpTable1, keysBenchBaseline},
-		{"table2", "Table 2: DRAM die area and activation energy breakdown", ExpTable2, nil},
-		{"table3", "Table 3: derived activation power at each granularity (Eq. 1/2)", ExpTable3, nil},
-		{"fig2", "Figure 2: baseline DRAM power consumption breakdown", ExpFig2, keysBenchBaseline},
-		{"fig3", "Figure 3: dirty words per cache line at LLC eviction", ExpFig3, keysBenchBaseline},
-		{"fig9", "Figure 9: activation energy vs number of MATs activated", ExpFig9, nil},
-		{"fig10", "Figure 10: PRA impact on row-buffer hit rates (false hits)", ExpFig10, keysFig10},
-		{"fig11", "Figure 11: proportion of row-activation granularities under PRA", ExpFig11, keysFig11},
-		{"fig12", "Figure 12: normalized DRAM activation/IO/total power (FGA, Half-DRAM, PRA)", ExpFig12, keysFig12},
-		{"fig13", "Figure 13: normalized performance, DRAM energy, EDP", ExpFig13, keysFig13},
-		{"fig14", "Figure 14: Half-DRAM + PRA combination (restricted close-page)", ExpFig14, keysFig14},
-		{"fig15", "Figure 15: DBI + PRA combination", ExpFig15, keysFig15},
-		{"sec3cov", "Section 3: PRA vs SDS coverage (activation vs chip-access granularity)", ExpSec3Coverage, keysSec3Coverage},
-		{"ablation", "Ablation: contribution of each PRA design element", ExpAblation, keysAblation},
-		{"sensitivity", "Sensitivity: PRA savings vs dirty words per line and write share", ExpSensitivity, keysSensitivity},
-		{"speedgrades", "Speed grades: PRA savings across DDR3 data rates", ExpSpeedGrades, keysSpeedGrades},
-		{"pdsweep", "Power-down & refresh management: policy sweep (residency, energy)", ExpPDSweep, keysPDSweep},
-		{"powerband", "Calibrated power bands: min/nominal/max under each correction set", ExpPowerBand, powerBandRuns},
-		{"hammer", "RowHammer mitigation overhead: Alert/RFM under attack, PRA on/off", ExpHammer, keysHammer},
-		{"latbreak", "Latency attribution: per-component read-latency breakdown and tail percentiles", ExpLatBreak, keysLatBreak},
-		{"tensor", "Tensor loop permutations: analytic vs measured activation rate, locality vs power", ExpTensor, keysTensor},
+		{"table1", "Table 1: memory characteristics of the benchmarks", ExpTable1},
+		{"table2", "Table 2: DRAM die area and activation energy breakdown", ExpTable2},
+		{"table3", "Table 3: derived activation power at each granularity (Eq. 1/2)", ExpTable3},
+		{"fig2", "Figure 2: baseline DRAM power consumption breakdown", ExpFig2},
+		{"fig3", "Figure 3: dirty words per cache line at LLC eviction", ExpFig3},
+		{"fig9", "Figure 9: activation energy vs number of MATs activated", ExpFig9},
+		{"fig10", "Figure 10: PRA impact on row-buffer hit rates (false hits)", ExpFig10},
+		{"fig11", "Figure 11: proportion of row-activation granularities under PRA", ExpFig11},
+		{"fig12", "Figure 12: normalized DRAM activation/IO/total power (FGA, Half-DRAM, PRA)", ExpFig12},
+		{"fig13", "Figure 13: normalized performance, DRAM energy, EDP", ExpFig13},
+		{"fig14", "Figure 14: Half-DRAM + PRA combination (restricted close-page)", ExpFig14},
+		{"fig15", "Figure 15: DBI + PRA combination", ExpFig15},
+		{"sec3cov", "Section 3: PRA vs SDS coverage (activation vs chip-access granularity)", ExpSec3Coverage},
+		{"ablation", "Ablation: contribution of each PRA design element", ExpAblation},
+		{"sensitivity", "Sensitivity: PRA savings vs dirty words per line and write share", ExpSensitivity},
+		{"speedgrades", "Speed grades: PRA savings across DDR3 data rates", ExpSpeedGrades},
+		{"pdsweep", "Power-down & refresh management: policy sweep (residency, energy)", ExpPDSweep},
+		{"powerband", "Calibrated power bands: min/nominal/max under each correction set", ExpPowerBand},
+		{"hammer", "RowHammer mitigation overhead: Alert/RFM under attack, PRA on/off", ExpHammer},
+		{"latbreak", "Latency attribution: per-component read-latency breakdown and tail percentiles", ExpLatBreak},
+		{"tensor", "Tensor loop permutations: analytic vs measured activation rate, locality vs power", ExpTensor},
 	}
 }
 

@@ -208,7 +208,7 @@ func ExpFig13(rs runSet) (string, error) {
 	var n int
 	for _, w := range workloadOrder() {
 		base, fga, half, pra := schemeComparison(rs, w)
-		perf := func(res Result) float64 { return rs.normalizedWS(res, base, memctrl.RelaxedClose) }
+		perf := func(res Result) float64 { return rs.normalizedWS(w, res, base, memctrl.RelaxedClose) }
 		energy := func(res Result) float64 { return stats.Ratio(res.TotalEnergyPJ(), base.TotalEnergyPJ()) }
 		edp := func(res Result) float64 { return stats.Ratio(res.EDP(), base.EDP()) }
 		vals := [9]float64{
@@ -242,7 +242,7 @@ func ExpFig14(rs runSet) (string, error) {
 		base := rs.get(newKey(w, memctrl.Baseline, memctrl.RestrictedClose, 4))
 		for _, s := range schemes {
 			res := rs.get(newKey(w, s, memctrl.RestrictedClose, 4))
-			perf := rs.normalizedWS(res, base, memctrl.RestrictedClose)
+			perf := rs.normalizedWS(w, res, base, memctrl.RestrictedClose)
 			v := sums[s]
 			v[0] += stats.Ratio(res.AvgPowerMW(), base.AvgPowerMW())
 			v[1] += perf
@@ -290,7 +290,7 @@ func ExpFig15(rs runSet) (string, error) {
 			k := newKey(w, v.scheme, memctrl.RelaxedClose, 4)
 			k.dbi = v.dbi
 			res := rs.get(k)
-			perf := rs.normalizedWS(res, base, memctrl.RelaxedClose)
+			perf := rs.normalizedWS(w, res, base, memctrl.RelaxedClose)
 			vals := [4]float64{
 				stats.Ratio(res.AvgPowerMW(), base.AvgPowerMW()),
 				perf,
@@ -314,6 +314,22 @@ func ExpFig15(rs runSet) (string, error) {
 		t.Row("MEAN", v.name, s[0]/fn, s[1]/fn, s[2]/fn, s[3]/fn)
 	}
 	return t.String() + "\nPaper: DBI helps performance, PRA helps power; combined sits between\n(extra false hits from DBI's write bursts cost PRA some of its saving).\n", nil
+}
+
+// ablationWorkloads is the representative spread the ablation study runs
+// (a random-access writer, a streaming writer, and a mix).
+var ablationWorkloads = []string{"GUPS", "lbm", "MIX2"}
+
+// ablationVariants are the study's rows: the full published scheme, then
+// PRA with one design element disabled at a time.
+var ablationVariants = []struct {
+	name  string
+	knobs memctrl.Knobs
+}{
+	{"pra", memctrl.Knobs{Scheme: memctrl.PRA}},
+	{"pra-no-partial-io", memctrl.Knobs{Scheme: memctrl.PRA, NoPartialIO: true}},
+	{"pra-no-timing-relax", memctrl.Knobs{Scheme: memctrl.PRA, NoTimingRelax: true}},
+	{"pra-free-mask-cycle", memctrl.Knobs{Scheme: memctrl.PRA, NoMaskCycle: true}},
 }
 
 // ExpAblation quantifies the contribution of each PRA design element by

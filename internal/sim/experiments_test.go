@@ -24,9 +24,9 @@ func TestExperimentRegistry(t *testing.T) {
 		if e.ID == "" || e.Title == "" || e.format == nil {
 			t.Errorf("experiment %+v incomplete", e.ID)
 		}
-		// Only the three analytic tables may declare no simulation.
-		if analytic := e.ID == "table2" || e.ID == "table3" || e.ID == "fig9"; (e.Keys == nil) != analytic {
-			t.Errorf("experiment %s: Keys == nil is %v, want %v", e.ID, e.Keys == nil, analytic)
+		// Only the three analytic tables may read no simulation.
+		if analytic := e.ID == "table2" || e.ID == "table3" || e.ID == "fig9"; (len(e.runs()) == 0) != analytic {
+			t.Errorf("experiment %s: declaration pass reads %d runs, analytic is %v", e.ID, len(e.runs()), analytic)
 		}
 		if seen[e.ID] {
 			t.Errorf("duplicate experiment id %s", e.ID)
@@ -175,39 +175,42 @@ func TestAloneIPCs(t *testing.T) {
 func TestNormalizedWSIdentity(t *testing.T) {
 	t.Parallel()
 	k := newKey("GUPS", memctrl.Baseline, memctrl.RelaxedClose, 4)
-	rs, err := tinyRunner().finished("test", append(aloneKeys([]string{"GUPS"}, memctrl.RelaxedClose), k))
+	rs, err := tinyRunner().finished("test", []runKey{aloneKey("GUPS", memctrl.RelaxedClose), k})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := rs.get(k)
-	if ws := rs.normalizedWS(base, base, memctrl.RelaxedClose); ws != 1 {
+	if ws := rs.normalizedWS("GUPS", base, base, memctrl.RelaxedClose); ws != 1 {
 		t.Errorf("self-normalized WS = %v, want 1", ws)
 	}
 }
 
-// TestUndeclaredReadFails drifts an experiment's Keys from its formatter:
-// the run the formatter then reads without having declared it must end the
-// experiment with an error naming both, not be simulated on the side.
+// TestUndeclaredReadFails runs an experiment whose formatter reads a second
+// run only once the first has a result: the declaration pass, on zero
+// Results, never reads it, so the real pass must end the experiment with an
+// error naming both, not simulate the run on the side.
 func TestUndeclaredReadFails(t *testing.T) {
 	t.Parallel()
-	e, err := ExperimentByID("table1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := e.Keys()
-	e.Keys = func() []runKey { return all[1:] }
+	first := newKey("GUPS", memctrl.Baseline, memctrl.RelaxedClose, 1)
+	second := newKey("GUPS", memctrl.PRA, memctrl.RelaxedClose, 1)
+	e := Experiment{ID: "drift", Title: "reads that depend on results", format: func(rs runSet) (string, error) {
+		if rs.get(first).Cycles != 0 {
+			rs.get(second)
+		}
+		return "", nil
+	}}
 	r := NewRunner(tinyOpt(2))
-	_, err = r.RunExperiment(e)
+	_, err := r.RunExperiment(e)
 	if err == nil {
 		t.Fatal("formatter read an undeclared run and the experiment succeeded")
 	}
-	for _, want := range []string{"table1", all[0].String()} {
+	for _, want := range []string{"drift", second.String()} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)
 		}
 	}
-	if got, want := r.Simulations(), int64(len(all)-1); got != want {
-		t.Errorf("runner executed %d simulations, want the %d declared", got, want)
+	if got := r.Simulations(); got != 1 {
+		t.Errorf("runner executed %d simulations, want only the declared one", got)
 	}
 }
 

@@ -93,7 +93,11 @@ func TestHammerGolden(t *testing.T) {
 func TestPowerBandGolden(t *testing.T) {
 	t.Parallel()
 	r := checkExperimentGolden(t, "powerband", ExpOptions{Instr: 60_000, Warmup: 20_000, Seed: 1})
-	for _, k := range powerBandRuns() {
+	e, err := ExperimentByID("powerband")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range e.runs() {
 		res, err := r.Run(k) // memoized by the table above
 		if err != nil {
 			t.Fatal(err)

@@ -38,16 +38,6 @@ func hammerKey(w string, s memctrl.Scheme, threshold int) runKey {
 	return k
 }
 
-func keysHammer() []runKey {
-	var keys []runKey
-	for _, w := range hammerWorkloads {
-		for _, s := range hammerSchemes {
-			keys = append(keys, hammerKey(w, s, 0), hammerKey(w, s, hammerMitThreshold))
-		}
-	}
-	return keys
-}
-
 // ExpHammer regenerates the mitigation-overhead table. Every mitigation-on
 // run is paired with the identical run with mitigation off (which is
 // bit-identical to a simulator without the feature — the identity suite

@@ -26,16 +26,6 @@ func latBreakKey(w string, s memctrl.Scheme) runKey {
 	return k
 }
 
-func keysLatBreak() []runKey {
-	var keys []runKey
-	for _, w := range latBreakWorkloads {
-		for _, s := range memctrl.Schemes() {
-			keys = append(keys, latBreakKey(w, s))
-		}
-	}
-	return keys
-}
-
 // ExpLatBreak regenerates the latency-breakdown table: per scheme and
 // workload, the mean and tail read latency in nanoseconds and each
 // component's share of the total read latency.

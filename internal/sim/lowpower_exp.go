@@ -47,16 +47,6 @@ func pdKey(w string, v pdVariant) runKey {
 	return k
 }
 
-func keysPDSweep() []runKey {
-	var keys []runKey
-	for _, w := range pdSweepWorkloads {
-		for _, v := range pdVariants() {
-			keys = append(keys, pdKey(w, v))
-		}
-	}
-	return keys
-}
-
 // ExpPDSweep regenerates the power-down & refresh management sweep:
 // low-power residency, refresh-management activity, and the resulting
 // background/total power for every entry policy, against the no-power-
@@ -85,17 +75,6 @@ func ExpPDSweep(rs runSet) (string, error) {
 		"dPower/dCycles are relative to the no-pd row of the same workload.\n", nil
 }
 
-// powerBandRuns are the (workload, scheme) pairs the band report covers.
-func powerBandRuns() []runKey {
-	var keys []runKey
-	for _, w := range []string{"GUPS", "MIX1"} {
-		for _, s := range []memctrl.Scheme{memctrl.Baseline, memctrl.PRA} {
-			keys = append(keys, newKey(w, s, memctrl.RelaxedClose, 4))
-		}
-	}
-	return keys
-}
-
 // ExpPowerBand regenerates the calibrated power-band report: each
 // simulated energy result under every calibration preset, as the
 // min/nominal/max average-power band the correction factors imply.
@@ -104,16 +83,18 @@ func ExpPowerBand(rs runSet) (string, error) {
 	specs := []string{"none", "vendor", "ghose", "ghose:10"}
 	t := stats.NewTable("workload", "scheme", "calibration",
 		"min mW", "nom mW", "max mW", "spread%")
-	for _, k := range powerBandRuns() {
-		res := rs.get(k)
-		for _, spec := range specs {
-			cal, err := power.ParseCalibration(spec)
-			if err != nil {
-				return "", err
+	for _, w := range []string{"GUPS", "MIX1"} {
+		for _, s := range []memctrl.Scheme{memctrl.Baseline, memctrl.PRA} {
+			res := rs.get(newKey(w, s, memctrl.RelaxedClose, 4))
+			for _, spec := range specs {
+				cal, err := power.ParseCalibration(spec)
+				if err != nil {
+					return "", err
+				}
+				band := cal.Total(res.Energy).Scale(1 / res.RuntimeNs())
+				t.Row(w, s.String(), spec,
+					band.Min, band.Nom, band.Max, 100*band.Spread())
 			}
-			band := cal.Total(res.Energy).Scale(1 / res.RuntimeNs())
-			t.Row(k.workload, k.Scheme.String(), spec,
-				band.Min, band.Nom, band.Max, 100*band.Spread())
 		}
 	}
 	return t.String() + "\nBands combine per-component correction-factor extremes (conservative);\n" +

@@ -180,7 +180,7 @@ func TestExperimentOutputIdenticalWithTelemetry(t *testing.T) {
 	// Re-asserting the same keys (praexp warms the whole campaign, then
 	// each experiment precomputes its own set again) must not inflate the
 	// progress total: everything is memoized.
-	if err := r.Precompute(e.Keys()); err != nil {
+	if err := r.Precompute(e.runs()); err != nil {
 		t.Fatal(err)
 	}
 	if again := opt.Progress.Snapshot(); again.Total != snap.Total {

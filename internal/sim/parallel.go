@@ -4,16 +4,14 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"pradram/internal/memctrl"
-	"pradram/internal/workload"
 )
 
 // This file is the concurrent half of the experiment layer. Every RunOne
 // is a pure function of its configuration, so an experiment campaign is
-// embarrassingly parallel: the runner executes an experiment's declared
-// runKey set across a worker pool, then the formatter walks its (fixed,
-// paper-order) iteration looking results up. Execution order can therefore
+// embarrassingly parallel: the runner executes the runKey set an
+// experiment's formatter reads (Experiment.runs) across a worker pool, then
+// the formatter walks the same (fixed, paper-order) iteration looking
+// results up. Execution order can therefore
 // never reorder or perturb a table — the determinism test and the golden
 // tests enforce exactly that.
 
@@ -124,15 +122,11 @@ func (r *Runner) finished(exp string, keys []runKey) (runSet, error) {
 }
 
 // RunExperiment is the one path from an experiment to its table: execute
-// the declared runs, then hand the formatter exactly those results. A
-// formatter that reads a run its Keys did not declare ends the experiment
-// with an error naming both.
+// the runs its declaration pass read, then hand the formatter exactly those
+// results. A formatter that then reads another run ends the experiment with
+// an error naming both.
 func (r *Runner) RunExperiment(e Experiment) (out string, err error) {
-	var keys []runKey
-	if e.Keys != nil {
-		keys = e.Keys()
-	}
-	rs, err := r.finished(e.ID, keys)
+	rs, err := r.finished(e.ID, e.runs())
 	if err != nil {
 		return "", err
 	}
@@ -154,115 +148,7 @@ func (r *Runner) RunExperiment(e Experiment) (out string, err error) {
 func (r *Runner) PrecomputeExperiments(exps []Experiment) error {
 	var keys []runKey
 	for _, e := range exps {
-		if e.Keys != nil {
-			keys = append(keys, e.Keys()...)
-		}
+		keys = append(keys, e.runs()...)
 	}
 	return r.Precompute(keys)
-}
-
-// --- per-experiment key enumeration ---
-
-// crossKeys builds the workload x scheme product at one policy and active
-// core count.
-func crossKeys(workloads []string, schemes []memctrl.Scheme, policy memctrl.Policy, active int) []runKey {
-	keys := make([]runKey, 0, len(workloads)*len(schemes))
-	for _, w := range workloads {
-		for _, s := range schemes {
-			keys = append(keys, newKey(w, s, policy, active))
-		}
-	}
-	return keys
-}
-
-// aloneKeys enumerates the Equation-3 denominator runs (each app of each
-// workload alone on the baseline) that normalizedWS reads; an unknown
-// workload contributes none and fails its own run.
-func aloneKeys(workloads []string, policy memctrl.Policy) []runKey {
-	var keys []runKey
-	for _, w := range workloads {
-		apps, _ := workload.Set(w, DefaultConfig(w).Cores)
-		for _, app := range apps {
-			keys = append(keys, aloneKey(app, policy))
-		}
-	}
-	return keys
-}
-
-// keysBenchBaseline covers the single-core motivational runs shared by
-// Table 1, Figure 2, and Figure 3.
-func keysBenchBaseline() []runKey {
-	return crossKeys(benchOrder, []memctrl.Scheme{memctrl.Baseline}, memctrl.RelaxedClose, 1)
-}
-
-func keysFig10() []runKey {
-	return crossKeys(workloadOrder(), []memctrl.Scheme{memctrl.Baseline, memctrl.PRA}, memctrl.RelaxedClose, 4)
-}
-
-func keysFig11() []runKey {
-	keys := crossKeys(workloadOrder(), []memctrl.Scheme{memctrl.PRA}, memctrl.RestrictedClose, 4)
-	return append(keys, crossKeys(workloadOrder(), []memctrl.Scheme{memctrl.PRA}, memctrl.RelaxedClose, 4)...)
-}
-
-func keysFig12() []runKey {
-	return crossKeys(workloadOrder(),
-		[]memctrl.Scheme{memctrl.Baseline, memctrl.FGA, memctrl.HalfDRAM, memctrl.PRA},
-		memctrl.RelaxedClose, 4)
-}
-
-func keysFig13() []runKey {
-	return append(keysFig12(), aloneKeys(workloadOrder(), memctrl.RelaxedClose)...)
-}
-
-func keysFig14() []runKey {
-	keys := crossKeys(workloadOrder(),
-		[]memctrl.Scheme{memctrl.Baseline, memctrl.HalfDRAM, memctrl.PRA, memctrl.HalfDRAMPRA},
-		memctrl.RestrictedClose, 4)
-	return append(keys, aloneKeys(workloadOrder(), memctrl.RestrictedClose)...)
-}
-
-func keysFig15() []runKey {
-	var keys []runKey
-	for _, w := range workloadOrder() {
-		for _, s := range []memctrl.Scheme{memctrl.Baseline, memctrl.PRA} {
-			k := newKey(w, s, memctrl.RelaxedClose, 4)
-			keys = append(keys, k)
-			k.dbi = true
-			keys = append(keys, k)
-		}
-	}
-	return append(keys, aloneKeys(workloadOrder(), memctrl.RelaxedClose)...)
-}
-
-func keysSec3Coverage() []runKey {
-	return crossKeys(benchOrder,
-		[]memctrl.Scheme{memctrl.Baseline, memctrl.PRA, memctrl.SDS},
-		memctrl.RelaxedClose, 1)
-}
-
-// ablationWorkloads is the representative spread the ablation study runs
-// (a random-access writer, a streaming writer, and a mix).
-var ablationWorkloads = []string{"GUPS", "lbm", "MIX2"}
-
-// ablationVariants are the study's rows: the full published scheme, then
-// PRA with one design element disabled at a time.
-var ablationVariants = []struct {
-	name  string
-	knobs memctrl.Knobs
-}{
-	{"pra", memctrl.Knobs{Scheme: memctrl.PRA}},
-	{"pra-no-partial-io", memctrl.Knobs{Scheme: memctrl.PRA, NoPartialIO: true}},
-	{"pra-no-timing-relax", memctrl.Knobs{Scheme: memctrl.PRA, NoTimingRelax: true}},
-	{"pra-free-mask-cycle", memctrl.Knobs{Scheme: memctrl.PRA, NoMaskCycle: true}},
-}
-
-func keysAblation() []runKey {
-	var keys []runKey
-	for _, w := range ablationWorkloads {
-		keys = append(keys, newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
-		for _, v := range ablationVariants {
-			keys = append(keys, runKey{workload: w, Knobs: v.knobs, active: 4})
-		}
-	}
-	return keys
 }

@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// TestRunKeysGolden pins the run-key strings of every experiment's key set.
+// TestRunKeysGolden pins the run-key strings of every experiment's run set
+// (the runs its declaration pass reads).
 // The strings are the memo keys and — with the budget and ModelVersion —
 // the on-disk result cache's file names, so a changed string silently
 // orphans every -cache directory; a refactor of runKey must leave this file
@@ -16,10 +17,7 @@ func TestRunKeysGolden(t *testing.T) {
 	seen := make(map[string]bool)
 	var keys []string
 	for _, e := range Experiments() {
-		if e.Keys == nil {
-			continue
-		}
-		for _, k := range e.Keys() {
+		for _, k := range e.runs() {
 			if s := k.String(); !seen[s] {
 				seen[s] = true
 				keys = append(keys, s)

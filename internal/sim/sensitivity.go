@@ -25,19 +25,6 @@ func sensitivityKey(s memctrl.Scheme, dirtyWords int, writeProb float64) runKey 
 	return k
 }
 
-func keysSensitivity() []runKey {
-	var keys []runKey
-	for _, s := range sweepSchemes {
-		for d := 1; d <= 8; d++ {
-			keys = append(keys, sensitivityKey(s, d, 0.9))
-		}
-		for _, wp := range writeShares {
-			keys = append(keys, sensitivityKey(s, 1, wp))
-		}
-	}
-	return keys
-}
-
 // ExpSensitivity sweeps the fundamental PRA variable — dirty words per
 // written line — on a controlled synthetic workload, plus a write-share
 // sweep. It answers "how much saving is left as lines get dirtier", the
@@ -76,16 +63,6 @@ func speedGradeKey(s memctrl.Scheme, grade string) runKey {
 	k := newKey("GUPS", s, memctrl.RelaxedClose, 0)
 	k.grade, k.sweep = grade, true
 	return k
-}
-
-func keysSpeedGrades() []runKey {
-	var keys []runKey
-	for _, g := range dram.SpeedGrades() {
-		for _, s := range sweepSchemes {
-			keys = append(keys, speedGradeKey(s, g.Name))
-		}
-	}
-	return keys
 }
 
 // ExpSpeedGrades sweeps DDR3 data-rate bins on GUPS: PRA's relative saving

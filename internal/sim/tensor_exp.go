@@ -28,16 +28,6 @@ func tensorKey(w string, s memctrl.Scheme) runKey {
 	return newKey(w, s, memctrl.OpenPage, 1)
 }
 
-func keysTensor() []runKey {
-	var keys []runKey
-	for _, w := range workload.TensorNames() {
-		for _, s := range tensorSchemes {
-			keys = append(keys, tensorKey(w, s))
-		}
-	}
-	return keys
-}
-
 // ExpTensor regenerates the loop-permutation locality table. The analytic
 // column is the oracle the correctness suite checks exactly (per bank,
 // per row) under a refresh-free controller; here refresh is live, so the

@@ -52,16 +52,20 @@ func (h *Hist) Add(v int) {
 	h.N++
 }
 
-// Share returns bucket b's fraction of all observations.
+// Share returns bucket b's fraction of all observations; a nil Hist reads
+// as empty.
 func (h *Hist) Share(b int) float64 {
-	if b < 0 || b >= len(h.Buckets) {
+	if h == nil || b < 0 || b >= len(h.Buckets) {
 		return 0
 	}
 	return Ratio(float64(h.Buckets[b]), float64(h.N))
 }
 
-// Mean returns the average observed value.
+// Mean returns the average observed value; a nil Hist reads as empty.
 func (h *Hist) Mean() float64 {
+	if h == nil {
+		return 0
+	}
 	var sum int64
 	for v, c := range h.Buckets {
 		sum += int64(v) * c
