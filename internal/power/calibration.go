@@ -2,6 +2,7 @@ package power
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -165,28 +166,37 @@ func (c Calibration) Total(b Breakdown) Band {
 	return t
 }
 
+// calPresets is the one table of built-in presets, in listing order; a
+// preset's Name is its spelling, so ParseCalibration, Calibrations and the
+// flag help all read it here.
+var calPresets = []func() Calibration{CalNone, CalVendor, CalGhose}
+
 // Calibrations lists the built-in preset names accepted by
 // ParseCalibration.
-func Calibrations() []string { return []string{"none", "vendor", "ghose"} }
+func Calibrations() []string {
+	names := make([]string, len(calPresets))
+	for i, preset := range calPresets {
+		names[i] = preset().Name
+	}
+	return names
+}
 
 // ParseCalibration resolves a calibration spec: a preset name ("none",
-// "vendor", "ghose"), optionally suffixed with ":P" where P is a
-// per-device variation percentage, e.g. "ghose:5" for the Ghose preset
+// "vendor", "ghose"; "" is "none"), optionally suffixed with ":P" where P is
+// a per-device variation percentage, e.g. "ghose:5" for the Ghose preset
 // widened by +/-5% device sigma.
 func ParseCalibration(spec string) (Calibration, error) {
 	name, sig, hasSigma := strings.Cut(spec, ":")
-	var c Calibration
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "none":
-		c = CalNone()
-	case "vendor":
-		c = CalVendor()
-	case "ghose":
-		c = CalGhose()
-	default:
+	preset := strings.ToLower(strings.TrimSpace(name))
+	if preset == "" {
+		preset = "none"
+	}
+	i := slices.Index(Calibrations(), preset)
+	if i < 0 {
 		return Calibration{}, fmt.Errorf("unknown power calibration %q (want one of %s)",
 			name, strings.Join(Calibrations(), ", "))
 	}
+	c := calPresets[i]()
 	if hasSigma {
 		pct, err := strconv.ParseFloat(strings.TrimSpace(sig), 64)
 		if err != nil || pct < 0 || pct > 100 {

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -116,6 +117,32 @@ func TestParseCalibration(t *testing.T) {
 			t.Errorf("ParseCalibration(%q) = {%s sigma=%v}, want {%s sigma=%v}",
 				tc.spec, c.Name, c.Sigma, tc.name, tc.sigma)
 		}
+	}
+}
+
+// TestCalibrationPresetsNamedOnce holds the preset table to its three
+// readers: every listed name parses to the preset of that Name, "" is
+// "none", and an unknown name's error lists every preset.
+func TestCalibrationPresetsNamedOnce(t *testing.T) {
+	names := Calibrations()
+	if len(names) != len(calPresets) {
+		t.Fatalf("Calibrations() lists %d presets, the table has %d", len(names), len(calPresets))
+	}
+	for _, name := range names {
+		c, err := ParseCalibration(name)
+		if err != nil || c.Name != name {
+			t.Errorf("ParseCalibration(%q) = %q, %v", name, c.Name, err)
+		}
+	}
+	if c, err := ParseCalibration(""); err != nil || c.Name != "none" {
+		t.Errorf(`ParseCalibration("") = %q, %v; want none`, c.Name, err)
+	}
+	_, err := ParseCalibration("nosuch:5")
+	if err == nil {
+		t.Fatal("unknown preset parsed")
+	}
+	if want := strings.Join(names, ", "); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not list the presets %q", err, want)
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"flag"
 	"fmt"
 	"slices"
+	"strings"
 
 	"pradram/internal/dram"
 	"pradram/internal/memctrl"
 	"pradram/internal/obs"
+	"pradram/internal/power"
 )
 
 // flagTable is the one binding of command-line flags to Config fields: flag
@@ -42,7 +44,7 @@ var flagTable = []struct {
 	{"mit-threshold", func(c *Config) any { return &c.MitThreshold }, "RowHammer Alert/RFM mitigation: per-row activation threshold (0 = off)"},
 	{"mit-alert", func(c *Config) any { return &c.MitAlertCycles }, "alert back-off in memory cycles before the RFM issues (0 = default 144)"},
 
-	{"power-cal", func(c *Config) any { return &c.PowerCal }, "report calibrated energy bands: none | vendor | ghose[:pct] (empty = nominal only)"},
+	{"power-cal", func(c *Config) any { return &c.PowerCal }, "report calibrated energy bands: " + strings.Join(power.Calibrations(), " | ") + "[:pct] (empty = nominal only)"},
 
 	{"latbreak", func(c *Config) any { return &c.LatBreak }, "attribute per-request latency to components (queue/bank/timing/refresh/pd/alert/xfer) and report the breakdown and tail percentiles (results are identical)"},
 	{"trace-sample", func(c *Config) any { return &c.LatSpanEvery }, "with -trace-out, sample every Nth completed request into the span ring"},
