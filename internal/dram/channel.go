@@ -282,7 +282,7 @@ func (c *Channel) flushBG(rk *rankState) {
 		return
 	}
 	rk.bgFrom = end
-	tck := c.T.TCKNs()
+	tck := c.T.Rate.tckNs()
 	if rk.refUntil > t {
 		stop := min(rk.refUntil, end)
 		n := stop - t
@@ -319,8 +319,9 @@ func (c *Channel) flushBG(rk *rankState) {
 // admit is the one admission check of the seven issue methods: rank r must
 // be awake (the controller wakes it first), bank b open for a column command
 // or PRE and closed for the rest — every bank of the rank for b == allBanks
-// — and at no earlier than the command's ready cycle.
-func (c *Channel) admit(cmd string, at, ready int64, r, b int, wantOpen bool) error {
+// — and at no earlier than the command's ready cycle. cmd, a mnemonic or a
+// CmdKind, is formatted only into an error.
+func (c *Channel) admit(cmd any, at, ready int64, r, b int, wantOpen bool) error {
 	rk := c.rank(r)
 	open := rk.openCount > 0
 	if b != allBanks {
@@ -389,7 +390,7 @@ func (c *Channel) Activate(at int64, r, b, row int, mask core.Mask, halfDRAM boo
 	rk.openCount++
 	c.cmdFree = at + cmdCycles
 
-	c.Acc.Activation(mask.Granularity(), halfDRAM, float64(c.T.TRC)*c.T.TCKNs())
+	c.Acc.Activation(mask.Granularity(), halfDRAM, float64(c.T.TRC)*c.T.Rate.tckNs())
 	c.Stats.ActsByGranularity[mask.Granularity()]++
 	c.rowCtrOnAct(r, b, row)
 	c.emit(CmdEvent{At: at, Kind: CmdAct, Rank: r, Bank: b, Row: row, Mask: mask})
@@ -432,7 +433,7 @@ func (c *Channel) column(at int64, r, b, burstCycles int, frac float64, autoPre 
 	if d == BusWrite {
 		kind, lat, ready = CmdWrite, c.T.CWL, c.WriteReadyAt(at, r, b, burstCycles)
 	}
-	if err := c.admit(kind.String(), at, ready, r, b, true); err != nil {
+	if err := c.admit(kind, at, ready, r, b, true); err != nil {
 		return 0, err
 	}
 	rk, bk := c.rank(r), c.bank(r, b)
@@ -443,12 +444,12 @@ func (c *Channel) column(at int64, r, b, burstCycles int, frac float64, autoPre 
 	c.cmdFree = at + 1
 	if d == BusRead {
 		bk.preAllowed = max(bk.preAllowed, at+int64(c.T.TRTP))
-		c.Acc.ReadBurst(float64(burstCycles) * c.T.TCKNs() * min(max(frac, 0), 1))
+		c.Acc.ReadBurst(float64(burstCycles) * c.T.Rate.tckNs() * min(max(frac, 0), 1))
 		c.Stats.Reads++
 	} else {
 		rk.rdAfterWr = end + int64(c.T.TWTR)
 		bk.preAllowed = max(bk.preAllowed, end+int64(c.T.TWR))
-		c.Acc.WriteBurst(float64(burstCycles)*c.T.TCKNs(), frac)
+		c.Acc.WriteBurst(float64(burstCycles)*c.T.Rate.tckNs(), frac)
 		c.Stats.Writes++
 		c.Stats.WordsWritten += int64(frac*float64(core.WordsPerLine) + 0.5)
 		c.Stats.WordBudget += core.WordsPerLine
@@ -667,7 +668,7 @@ func (c *Channel) refresh(at int64, r, b int) error {
 func (c *Channel) block(at int64, r, b int, dur int64) {
 	rk := c.rank(r)
 	c.flushBG(rk)
-	e := float64(dur) * c.T.TCKNs()
+	e := float64(dur) * c.T.Rate.tckNs()
 	if b == allBanks {
 		rk.refUntil = at + dur
 	} else {
