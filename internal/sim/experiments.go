@@ -308,7 +308,8 @@ type runSet struct {
 // into.
 type undeclaredRead struct{ error }
 
-// get returns the result of a declared run.
+// get returns the result of a declared run; in the declaration pass it
+// records k and returns a zero Result.
 func (s runSet) get(k runKey) Result {
 	if s.read != nil {
 		*s.read = append(*s.read, k)

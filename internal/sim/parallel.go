@@ -11,9 +11,8 @@ import (
 // embarrassingly parallel: the runner executes the runKey set an
 // experiment's formatter reads (Experiment.runs) across a worker pool, then
 // the formatter walks the same (fixed, paper-order) iteration looking
-// results up. Execution order can therefore
-// never reorder or perturb a table — the determinism test and the golden
-// tests enforce exactly that.
+// results up. Execution order can therefore never reorder or perturb a
+// table — the determinism test and the golden tests enforce exactly that.
 
 // Precompute executes the given configurations across the runner's worker
 // pool, one wave. Duplicate keys are collapsed before dispatch (Run would
