@@ -30,6 +30,7 @@ func TestHostileArgsAreRejected(t *testing.T) {
 		{"-power-cal bogus", "PowerCal"},
 		{"-workload GUPS,nosuch", `unknown workload set "nosuch"`},
 		{"-mix gups:3", "names 3 instances, have 4 cores"},
+		{"-mix gups:2.5,linkedlist:2", "bad instance count"},
 		{"-scheme nosuch", `invalid value "nosuch" for flag -scheme`},
 		{"-events loud", `invalid value "loud" for flag -events`},
 	} {

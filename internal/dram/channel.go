@@ -182,7 +182,10 @@ type Channel struct {
 	// are simulation state: they survive ResetStats and are checkpointed.
 	rowCtr rowCounters
 
-	Stats Stats
+	// Stats receives the channel's event counts. NewChannel gives the
+	// channel its own block; a memory controller points all its channels
+	// at one, so the block holds the system totals.
+	Stats *Stats
 }
 
 // NewChannel builds a channel with validated parameters. The accumulator's
@@ -202,6 +205,7 @@ func NewChannel(t Timing, g Geometry, acc *power.Accumulator) (*Channel, error) 
 	ch := &Channel{
 		T: t, G: g, Acc: acc,
 		ranks: make([]rankState, g.Ranks),
+		Stats: new(Stats),
 	}
 	for r := range ch.ranks {
 		ch.ranks[r].banks = make([]bankState, g.Banks)
@@ -236,10 +240,11 @@ func (c *Channel) OpenBankCount() int {
 // ResetStats zeroes the event counters (energy is reset via the
 // accumulator). Used to exclude warmup from measurements. Pending
 // background spans are flushed first so they land in the discarded
-// pre-reset tallies, not the fresh ones.
+// pre-reset tallies, not the fresh ones; channels sharing one Stats each
+// flush before they zero it, so none of their spans survive the reset.
 func (c *Channel) ResetStats() {
 	c.FlushBackground()
-	c.Stats = Stats{}
+	*c.Stats = Stats{}
 }
 
 // Clock advances the channel's accounting clock without accruing anything;

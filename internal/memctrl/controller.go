@@ -105,8 +105,8 @@ func (c *Config) writeMask(b core.ByteMask) core.Mask {
 	return b.WordMask()
 }
 
-// Stats aggregates controller-level counters (per channel, summed by the
-// Controller accessor).
+// Stats aggregates controller-level counters. A Controller keeps one,
+// and every channel counts into it.
 type Stats struct {
 	ReadsServed, WritesServed   int64
 	RowHitRead, RowHitWrite     int64
@@ -133,29 +133,6 @@ type Stats struct {
 	AlertStallCycles int64
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(o Stats) {
-	s.ReadsServed += o.ReadsServed
-	s.WritesServed += o.WritesServed
-	s.RowHitRead += o.RowHitRead
-	s.RowHitWrite += o.RowHitWrite
-	s.FalseHitRead += o.FalseHitRead
-	s.FalseHitWrite += o.FalseHitWrite
-	s.Forwarded += o.Forwarded
-	s.ReadRejects += o.ReadRejects
-	s.WriteRejects += o.WriteRejects
-	s.ReadLatencySum += o.ReadLatencySum
-	s.WriteLatencySum += o.WriteLatencySum
-	s.ActsForReads += o.ActsForReads
-	s.ActsForWrites += o.ActsForWrites
-	s.Alerts += o.Alerts
-	s.AlertStallCycles += o.AlertStallCycles
-	s.ReadLatBreak.Accum(&o.ReadLatBreak)
-	s.WriteLatBreak.Accum(&o.WriteLatBreak)
-	s.ReadLatHist.Merge(&o.ReadLatHist)
-	s.WriteLatHist.Merge(&o.WriteLatHist)
-}
-
 // Controller is the full multi-channel memory controller. It implements
 // the cache.Backend contract in the CPU clock domain and steps the DRAM
 // channels in the memory clock domain.
@@ -175,9 +152,17 @@ type Controller struct {
 	// DRAM tick and zeroed by enqueues. NextEvent is on the run loop's
 	// per-executed-cycle path, so it must not walk the channels or divide.
 	minWake int64
+
+	// stats and dev are the system totals: every channel's chanCtl and
+	// dram.Channel count into them. Energy stays per channel, because the
+	// results hold each accumulator's float sums added in channel order;
+	// so does the sampled latency state (latHistBank, spans).
+	stats Stats
+	dev   dram.Stats
 }
 
-// New builds a controller; each channel gets its own power accumulator.
+// New builds a controller; each channel gets its own power accumulator
+// and counts into the controller's stats and dev.
 func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -209,11 +194,12 @@ func New(cfg Config) (*Controller, error) {
 			ch.TrackRows()
 		}
 		ch.RefMode = cfg.RefreshMode
+		ch.Stats = &c.dev
 		acc.LinearActScale = cfg.Scheme == SDS
 		if cfg.ECC {
 			acc.ECCChips = 1
 		}
-		cc := &chanCtl{cfg: &c.cfg, clk: c.crossing, ch: ch, acc: acc, am: am, idx: i}
+		cc := &chanCtl{cfg: &c.cfg, clk: c.crossing, ch: ch, acc: acc, am: am, idx: i, stats: &c.stats}
 		cc.banks = make([]bankQ, cfg.Geom.Ranks*cfg.Geom.Banks)
 		cc.rankBanks = make([]uint64, cfg.Geom.Ranks)
 		for bi := range cc.banks {
@@ -310,8 +296,8 @@ func (c *Controller) Refused(addr uint64, write bool, n int64) bool {
 // ResetStats zeroes all counters and accumulated energy; queued requests
 // and device state are untouched. Used to exclude warmup from measurement.
 func (c *Controller) ResetStats() {
+	c.stats = Stats{}
 	for _, cc := range c.chans {
-		cc.stats = Stats{}
 		cc.ch.ResetStats()
 		cc.acc.Reset()
 		cc.resetLat()
@@ -403,45 +389,17 @@ func (c *Controller) CatchUp(cpu int64) {
 	}
 }
 
-// Stats returns the channel-summed controller statistics.
-func (c *Controller) Stats() Stats {
-	var s Stats
-	for _, cc := range c.chans {
-		s.Add(cc.stats)
-	}
-	return s
-}
+// Stats returns the controller statistics, totalled over the channels.
+func (c *Controller) Stats() Stats { return c.stats }
 
-// DeviceStats returns the channel-summed DRAM event statistics. As a probe
-// it flushes pending background spans first, so the rank-cycle counters are
-// current through the last clocked cycle.
+// DeviceStats returns the DRAM event statistics, totalled over the
+// channels. As a probe it flushes pending background spans first, so the
+// rank-cycle counters are current through the last clocked cycle.
 func (c *Controller) DeviceStats() dram.Stats {
-	var s dram.Stats
 	for _, cc := range c.chans {
 		cc.ch.FlushBackground()
-		d := cc.ch.Stats
-		for g := range s.ActsByGranularity {
-			s.ActsByGranularity[g] += d.ActsByGranularity[g]
-		}
-		s.Reads += d.Reads
-		s.Writes += d.Writes
-		s.Precharges += d.Precharges
-		s.Refreshes += d.Refreshes
-		s.PerBankRefreshes += d.PerBankRefreshes
-		s.PostponedRefreshes += d.PostponedRefreshes
-		s.PulledInRefreshes += d.PulledInRefreshes
-		s.SelfRefEntries += d.SelfRefEntries
-		s.PowerDownCycles += d.PowerDownCycles
-		s.ActivePDCycles += d.ActivePDCycles
-		s.SlowPDCycles += d.SlowPDCycles
-		s.SelfRefCycles += d.SelfRefCycles
-		s.ActiveRankCycles += d.ActiveRankCycles
-		s.PrechargedRankCycles += d.PrechargedRankCycles
-		s.WordsWritten += d.WordsWritten
-		s.WordBudget += d.WordBudget
-		s.RFMs += d.RFMs
 	}
-	return s
+	return c.dev
 }
 
 // Energy returns the channel-summed energy breakdown in pJ. As a probe it
@@ -498,7 +456,7 @@ type chanCtl struct {
 	spanHead    int
 	spanSeq     int64
 
-	stats Stats
+	stats *Stats   // the controller's totals
 	clk   crossing // the controller's, for the CPU cycle a read completes at
 }
 

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -411,6 +412,14 @@ func TestPendingReflectsQueues(t *testing.T) {
 func TestChannelsSplitTraffic(t *testing.T) {
 	t.Parallel()
 	c := newCtl(t, nil)
+	// The channels count into one Stats, so the split is read off the
+	// command stream.
+	reads := make([]int, len(c.chans))
+	c.OnCommand(func(ch int, e dram.CmdEvent) {
+		if e.Kind == dram.CmdRead {
+			reads[ch]++
+		}
+	})
 	served := 0
 	for i := 0; i < 16; i++ {
 		c.Read(uint64(i)*64, core.Untagged(func(int64) { served++ }))
@@ -418,10 +427,59 @@ func TestChannelsSplitTraffic(t *testing.T) {
 	runUntil(t, c, 0, 100000, func() bool { return served == 16 })
 	// Row-interleaved: even lines channel 0, odd lines channel 1. Both
 	// channels must have served reads.
-	for i, cc := range c.chans {
-		if cc.ch.Stats.Reads == 0 {
+	for i, n := range reads {
+		if n == 0 {
 			t.Errorf("channel %d served no reads", i)
 		}
+	}
+}
+
+// TestDeviceStatsTotalTheChannels pins that every channel counts into the
+// controller's one dram.Stats: on four channels under PRA, DeviceStats'
+// column, precharge and per-granularity activation counts equal the
+// commands all the channels issued.
+func TestDeviceStatsTotalTheChannels(t *testing.T) {
+	t.Parallel()
+	c := newCtl(t, func(cfg *Config) { cfg.Channels, cfg.Scheme = 4, PRA })
+	var want dram.Stats
+	cmds := make([]int, len(c.chans))
+	c.OnCommand(func(ch int, e dram.CmdEvent) {
+		cmds[ch]++
+		switch e.Kind {
+		case dram.CmdAct:
+			want.ActsByGranularity[e.Mask.Granularity()]++
+		case dram.CmdRead:
+			want.Reads++
+		case dram.CmdWrite:
+			want.Writes++
+		case dram.CmdPre:
+			want.Precharges++
+		}
+	})
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 128; i++ {
+		addr := uint64(rng.Intn(1<<18)) * 64
+		if i%3 == 0 {
+			c.Write(addr, core.ByteMask(1)<<rng.Intn(64))
+		} else {
+			c.Read(addr, core.Untagged(func(int64) {}))
+		}
+	}
+	runUntil(t, c, 0, 1_000_000, func() bool { return !c.Pending() })
+	for i, n := range cmds {
+		if n == 0 {
+			t.Errorf("channel %d issued no commands", i)
+		}
+	}
+	got := c.DeviceStats()
+	if got.Reads != want.Reads || got.Writes != want.Writes || got.Precharges != want.Precharges ||
+		got.ActsByGranularity != want.ActsByGranularity {
+		t.Errorf("DeviceStats RD %d WR %d PRE %d ACT %v, want the channels' %d %d %d %v",
+			got.Reads, got.Writes, got.Precharges, got.ActsByGranularity,
+			want.Reads, want.Writes, want.Precharges, want.ActsByGranularity)
+	}
+	if want.Writes == 0 || want.Activations() == want.ActsByGranularity[8] {
+		t.Errorf("traffic too tame: %d writes, activations %v", want.Writes, want.ActsByGranularity)
 	}
 }
 

@@ -30,7 +30,7 @@ func TestSweepWaitPartition(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultConfig()
 	cfg.LatBreak = true
-	cc := &chanCtl{cfg: &cfg}
+	cc := &chanCtl{cfg: &cfg, stats: new(Stats)}
 	cc.latHistBank = make([]stats.LogHist, cfg.Geom.Ranks*cfg.Geom.Banks)
 
 	req := &request{kind: core.Read, arrive: 10, mark: 10}
@@ -73,7 +73,7 @@ func TestSweepWaitAlertClamp(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultConfig()
 	cfg.LatBreak = true
-	cc := &chanCtl{cfg: &cfg, mitigationEngine: mitigationEngine{alertUntil: 100}}
+	cc := &chanCtl{cfg: &cfg, stats: new(Stats), mitigationEngine: mitigationEngine{alertUntil: 100}}
 	req := &request{arrive: 0, mark: 0}
 	var terms dram.LatTerms
 	cc.sweepWait(req, 40, &terms)
@@ -82,7 +82,7 @@ func TestSweepWaitAlertClamp(t *testing.T) {
 	}
 
 	cfg2 := DefaultConfig()
-	off := &chanCtl{cfg: &cfg2}
+	off := &chanCtl{cfg: &cfg2, stats: new(Stats)}
 	req2 := &request{arrive: 0, mark: 0}
 	off.sweepWait(req2, 40, &terms)
 	if req2.mark != 40 || req2.brk != (LatBreakdown{}) {
@@ -97,7 +97,7 @@ func TestSpanRingWraps(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LatBreak = true
 	cfg.LatSpanEvery = 1
-	cc := &chanCtl{cfg: &cfg}
+	cc := &chanCtl{cfg: &cfg, stats: new(Stats)}
 	req := &request{kind: core.Read}
 	for i := 0; i < latSpanCap+10; i++ {
 		req.arrive = int64(i)

@@ -57,96 +57,65 @@ func (c *Controller) AttachObs(rec *obs.Recorder, ev *obs.EventLog) {
 		return
 	}
 
-	// Channel-summed request counters: deltas of these per epoch give the
-	// served bandwidth, row-hit rate, and false-hit rate time-series.
-	sum := func(f func(*Stats) int64) func() int64 {
-		return func() int64 {
-			var n int64
-			for _, cc := range c.chans {
-				n += f(&cc.stats)
-			}
-			return n
-		}
-	}
-	rec.Counter("reads_served", sum(func(s *Stats) int64 { return s.ReadsServed }))
-	rec.Counter("writes_served", sum(func(s *Stats) int64 { return s.WritesServed }))
-	rec.Counter("row_hit_read", sum(func(s *Stats) int64 { return s.RowHitRead }))
-	rec.Counter("row_hit_write", sum(func(s *Stats) int64 { return s.RowHitWrite }))
-	rec.Counter("false_hit_read", sum(func(s *Stats) int64 { return s.FalseHitRead }))
-	rec.Counter("false_hit_write", sum(func(s *Stats) int64 { return s.FalseHitWrite }))
-	rec.Counter("acts_for_reads", sum(func(s *Stats) int64 { return s.ActsForReads }))
-	rec.Counter("acts_for_writes", sum(func(s *Stats) int64 { return s.ActsForWrites }))
+	// Request counters, totalled over the channels: deltas of these per
+	// epoch give the served bandwidth, row-hit rate, and false-hit rate
+	// time-series.
+	st := &c.stats
+	rec.Counter("reads_served", func() int64 { return st.ReadsServed })
+	rec.Counter("writes_served", func() int64 { return st.WritesServed })
+	rec.Counter("row_hit_read", func() int64 { return st.RowHitRead })
+	rec.Counter("row_hit_write", func() int64 { return st.RowHitWrite })
+	rec.Counter("false_hit_read", func() int64 { return st.FalseHitRead })
+	rec.Counter("false_hit_write", func() int64 { return st.FalseHitWrite })
+	rec.Counter("acts_for_reads", func() int64 { return st.ActsForReads })
+	rec.Counter("acts_for_writes", func() int64 { return st.ActsForWrites })
 	// RowHammer mitigation (mitigation.go): alert and back-off overhead.
-	rec.Counter("alerts", sum(func(s *Stats) int64 { return s.Alerts }))
-	rec.Counter("alert_stall_cycles", sum(func(s *Stats) int64 { return s.AlertStallCycles }))
+	rec.Counter("alerts", func() int64 { return st.Alerts })
+	rec.Counter("alert_stall_cycles", func() int64 { return st.AlertStallCycles })
 
 	// Latency accounting (latency.go): the always-on sums, and — only when
 	// attribution is enabled — the per-component breakdown counters and the
-	// percentile gauges over the channel-merged histograms.
-	rec.Counter("read_lat_sum", sum(func(s *Stats) int64 { return s.ReadLatencySum }))
-	rec.Counter("write_lat_sum", sum(func(s *Stats) int64 { return s.WriteLatencySum }))
+	// percentile gauges over the controller's histograms.
+	rec.Counter("read_lat_sum", func() int64 { return st.ReadLatencySum })
+	rec.Counter("write_lat_sum", func() int64 { return st.WriteLatencySum })
 	if c.cfg.LatBreak {
 		for comp := LatComponent(0); comp < NumLatComponents; comp++ {
 			comp := comp
-			rec.Counter("readlat_"+comp.String(), sum(func(s *Stats) int64 { return s.ReadLatBreak[comp] }))
-			rec.Counter("writelat_"+comp.String(), sum(func(s *Stats) int64 { return s.WriteLatBreak[comp] }))
+			rec.Counter("readlat_"+comp.String(), func() int64 { return st.ReadLatBreak[comp] })
+			rec.Counter("writelat_"+comp.String(), func() int64 { return st.WriteLatBreak[comp] })
 		}
-		quant := func(write bool, q float64) func() float64 {
-			return func() float64 {
-				var h stats.LogHist
-				for _, cc := range c.chans {
-					if write {
-						h.Merge(&cc.stats.WriteLatHist)
-					} else {
-						h.Merge(&cc.stats.ReadLatHist)
-					}
-				}
-				return h.Quantile(q)
-			}
+		quant := func(h *stats.LogHist, q float64) func() float64 {
+			return func() float64 { return h.Quantile(q) }
 		}
-		rec.Gauge("readlat_p50", quant(false, 0.50))
-		rec.Gauge("readlat_p95", quant(false, 0.95))
-		rec.Gauge("readlat_p99", quant(false, 0.99))
-		rec.Gauge("readlat_p999", quant(false, 0.999))
-		rec.Gauge("writelat_p50", quant(true, 0.50))
-		rec.Gauge("writelat_p99", quant(true, 0.99))
+		rec.Gauge("readlat_p50", quant(&st.ReadLatHist, 0.50))
+		rec.Gauge("readlat_p95", quant(&st.ReadLatHist, 0.95))
+		rec.Gauge("readlat_p99", quant(&st.ReadLatHist, 0.99))
+		rec.Gauge("readlat_p999", quant(&st.ReadLatHist, 0.999))
+		rec.Gauge("writelat_p50", quant(&st.WriteLatHist, 0.50))
+		rec.Gauge("writelat_p99", quant(&st.WriteLatHist, 0.99))
 	}
 
 	// Partial-activation fraction-opened histogram (Figure 11 over time):
 	// act_gran_g counts activations that opened g/8 of a row this epoch.
+	dev := &c.dev
 	for g := 1; g <= 8; g++ {
 		g := g
-		rec.Counter(fmt.Sprintf("act_gran_%d", g), func() int64 {
-			var n int64
-			for _, cc := range c.chans {
-				n += cc.ch.Stats.ActsByGranularity[g]
-			}
-			return n
-		})
+		rec.Counter(fmt.Sprintf("act_gran_%d", g), func() int64 { return dev.ActsByGranularity[g] })
 	}
 	// Refresh-management and power-down FSM counters (DESIGN.md §4f). The
 	// rank-cycle residency counters are lazily accrued, so epoch deltas
 	// are exact only after the recorder's CatchUp hook has run; the sim
 	// layer samples after CatchUp.
-	dsum := func(f func(*dram.Stats) int64) func() int64 {
-		return func() int64 {
-			var n int64
-			for _, cc := range c.chans {
-				n += f(&cc.ch.Stats)
-			}
-			return n
-		}
-	}
-	rec.Counter("refreshes", dsum(func(s *dram.Stats) int64 { return s.Refreshes }))
-	rec.Counter("perbank_refreshes", dsum(func(s *dram.Stats) int64 { return s.PerBankRefreshes }))
-	rec.Counter("postponed_refreshes", dsum(func(s *dram.Stats) int64 { return s.PostponedRefreshes }))
-	rec.Counter("pulledin_refreshes", dsum(func(s *dram.Stats) int64 { return s.PulledInRefreshes }))
-	rec.Counter("selfref_entries", dsum(func(s *dram.Stats) int64 { return s.SelfRefEntries }))
-	rec.Counter("powerdown_rank_cycles", dsum(func(s *dram.Stats) int64 { return s.PowerDownCycles }))
-	rec.Counter("activepd_rank_cycles", dsum(func(s *dram.Stats) int64 { return s.ActivePDCycles }))
-	rec.Counter("slowpd_rank_cycles", dsum(func(s *dram.Stats) int64 { return s.SlowPDCycles }))
-	rec.Counter("selfref_rank_cycles", dsum(func(s *dram.Stats) int64 { return s.SelfRefCycles }))
-	rec.Counter("rfms", dsum(func(s *dram.Stats) int64 { return s.RFMs }))
+	rec.Counter("refreshes", func() int64 { return dev.Refreshes })
+	rec.Counter("perbank_refreshes", func() int64 { return dev.PerBankRefreshes })
+	rec.Counter("postponed_refreshes", func() int64 { return dev.PostponedRefreshes })
+	rec.Counter("pulledin_refreshes", func() int64 { return dev.PulledInRefreshes })
+	rec.Counter("selfref_entries", func() int64 { return dev.SelfRefEntries })
+	rec.Counter("powerdown_rank_cycles", func() int64 { return dev.PowerDownCycles })
+	rec.Counter("activepd_rank_cycles", func() int64 { return dev.ActivePDCycles })
+	rec.Counter("slowpd_rank_cycles", func() int64 { return dev.SlowPDCycles })
+	rec.Counter("selfref_rank_cycles", func() int64 { return dev.SelfRefCycles })
+	rec.Counter("rfms", func() int64 { return dev.RFMs })
 
 	// Energy components: activate vs background (vs refresh) attribution
 	// per epoch, plus the total.

@@ -131,8 +131,10 @@ var ckptFields = map[string]map[string]string{
 		"chans":     saved,
 		"lastMem":   saved,
 		"crossing":  excluded,
-		"nextMemAt": derived, // CPUAt(lastMem+1)
-		"minWake":   derived, // settleWake, as after every DRAM tick
+		"nextMemAt": derived,  // CPUAt(lastMem+1)
+		"minWake":   derived,  // settleWake, as after every DRAM tick
+		"stats":     excluded, // statistics: every channel's totals
+		"dev":       excluded,
 	},
 	"memctrl.chanCtl": {
 		"cfg":              excluded, // configuration
@@ -154,7 +156,7 @@ var ckptFields = map[string]map[string]string{
 		"spans":            excluded,
 		"spanHead":         excluded,
 		"spanSeq":          excluded,
-		"stats":            excluded,
+		"stats":            excluded, // the controller's, shared by every channel
 	},
 	"memctrl.requestEngine": {
 		"banks":     saved,

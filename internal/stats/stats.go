@@ -77,7 +77,7 @@ func (h *Hist) Mean() float64 {
 // (latencies in cycles, sizes in bytes). Bucket 0 counts zeros; bucket i
 // counts values in [2^(i-1), 2^i). The bucket array is a fixed-size value —
 // no allocation on Add — so one can live inside a hot-path stats struct and
-// be merged or snapshotted by plain assignment.
+// be snapshotted by plain assignment.
 type LogHist struct {
 	// N counts all observations; Underflow counts the negative ones, which
 	// clamp into bucket 0 (same visibility rule as Hist).
@@ -95,15 +95,6 @@ func (h *LogHist) Add(v int64) {
 	}
 	h.Buckets[bits.Len64(uint64(v))]++
 	h.N++
-}
-
-// Merge adds other's observations into h.
-func (h *LogHist) Merge(other *LogHist) {
-	for i, c := range other.Buckets {
-		h.Buckets[i] += c
-	}
-	h.N += other.N
-	h.Underflow += other.Underflow
 }
 
 // Quantile returns an upper-bound estimate of the q-th quantile: the

@@ -127,17 +127,6 @@ func TestLogHistQuantile(t *testing.T) {
 	}
 }
 
-func TestLogHistMerge(t *testing.T) {
-	var a, b LogHist
-	a.Add(1)
-	b.Add(16)
-	b.Add(-2)
-	a.Merge(&b)
-	if a.N != 3 || a.Underflow != 1 || a.Buckets[5] != 1 || a.Buckets[1] != 1 {
-		t.Errorf("merge failed: %+v", a)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("name", "value")
 	tb.Row("alpha", 1.5)

@@ -13,6 +13,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pradram/internal/checkpoint"
@@ -336,10 +337,11 @@ func parseMixSpec(spec string) ([]mixEntry, error) {
 			return nil, fmt.Errorf("workload: mix component %q is not a benchmark, hammer, or tensor generator", name)
 		}
 		if hasCount {
-			n, err := fmt.Sscanf(strings.TrimSpace(countStr), "%d", &e.count)
-			if n != 1 || err != nil || e.count < 1 || e.count > 1024 {
+			n, err := strconv.Atoi(strings.TrimSpace(countStr))
+			if err != nil || n < 1 || n > 1024 {
 				return nil, fmt.Errorf("workload: bad instance count %q in mix spec %q", countStr, spec)
 			}
+			e.count = n
 		}
 		entries = append(entries, e)
 	}

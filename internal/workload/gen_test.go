@@ -249,6 +249,13 @@ func TestMixesAndSets(t *testing.T) {
 	if _, err := Set("nosuch", 4); err == nil {
 		t.Error("unknown set must error")
 	}
+	// A mix count is a whole number and nothing else: no trailing
+	// letters, fraction or second number.
+	for _, spec := range []string{"gups:2abc,linkedlist:2", "gups:2.5,linkedlist:2", "gups:2 3,linkedlist:2"} {
+		if _, err := Set(spec, 4); err == nil || !strings.Contains(err.Error(), "bad instance count") {
+			t.Errorf("Set(%q) = %v, want a bad instance count", spec, err)
+		}
+	}
 	if got := len(SetNames()); got != 21 {
 		t.Errorf("SetNames() has %d entries, want 21 (8 benchmarks + 4 hammers + 3 tensors + 6 mixes)", got)
 	}
