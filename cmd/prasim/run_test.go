@@ -36,10 +36,11 @@ func runPrasim(t *testing.T, bin string, args ...string) (stdout, stderr string)
 
 // TestRunGolden pins the binary's run path end to end on a two-workload
 // batch: stdout by digest (tables and -json), byte-identical for every -j
-// and whether the warmups ran cold or were restored from a -ckpt-dir, and
-// the checkpoint summary line the second invocation against one directory
-// must print. Regenerate testdata/run.golden with -update after an intended
-// change of the report.
+// and whether the warmups ran cold or were restored from a -ckpt-dir, the
+// checkpoint summary line the second invocation against one directory
+// must print, and each workload's -trace-out Perfetto file by digest.
+// Regenerate testdata/run.golden with -update after an intended change of
+// the report.
 func TestRunGolden(t *testing.T) {
 	bin := buildPrasim(t)
 	batch := []string{"-workload", "GUPS,mcf", "-instr", "30000", "-warmup", "40000"}
@@ -66,6 +67,15 @@ func TestRunGolden(t *testing.T) {
 	}
 
 	got := fmt.Sprintf("plain %x\njson %x\n", sha256.Sum256([]byte(plain)), sha256.Sum256([]byte(asJSON)))
+	traceOut := filepath.Join(t.TempDir(), "spans.json")
+	runPrasim(t, bin, with("-j", "2", "-trace-out", traceOut)...)
+	for _, w := range []string{"GUPS", "mcf"} {
+		b, err := os.ReadFile(filepath.Join(filepath.Dir(traceOut), "spans."+w+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += fmt.Sprintf("trace-out %s %x\n", w, sha256.Sum256(b))
+	}
 	const path = "testdata/run.golden"
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {

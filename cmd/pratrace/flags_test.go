@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/flags.golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 func newFlagSet() *flag.FlagSet {
 	fs := flag.NewFlagSet("pratrace", flag.ContinueOnError)
