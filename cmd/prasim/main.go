@@ -225,7 +225,7 @@ func main() {
 			fatal(err)
 		}
 		if o.traceOut != "" {
-			if err := writeTrace(systems[i], o.cfgs[i].Workload, o.traceOut, batch); err != nil {
+			if err := writeTrace(systems[i], res, o.cfgs[i].Workload, o.traceOut, batch); err != nil {
 				fatal(err)
 			}
 		}
@@ -282,8 +282,8 @@ func dumpTelemetry(s *sim.System, label, timeline, eventsOut string, batch bool)
 // arguments, plus an instant track with the controller's episodic state
 // events (refresh, power-down, alert, ...) when -events captured them.
 // Spans are a sample (every -trace-sample-th completion, ring-buffered),
-// not a census.
-func writeTrace(s *sim.System, label, path string, batch bool) error {
+// not a census. Cycles convert to time at the run's own DRAM clock.
+func writeTrace(s *sim.System, res sim.Result, label, path string, batch bool) error {
 	spans := s.LatSpans()
 	tspans := make([]obs.TraceSpan, len(spans))
 	for i, sp := range spans {
@@ -317,7 +317,7 @@ func writeTrace(s *sim.System, label, path string, batch bool) error {
 	}
 	opt := obs.ChromeTraceOptions{
 		Process:      "prasim " + label,
-		CycleNs:      sim.MemCycleNs,
+		CycleNs:      res.MemCycleNs(),
 		InstantTrack: "dram",
 	}
 	return writeTo(batchPath(path, label, batch), func(w io.Writer) error {

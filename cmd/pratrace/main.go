@@ -144,10 +144,11 @@ func doInfo(path string) error {
 	if err != nil {
 		return err
 	}
-	info, err := trace.ReadInfo(f, st.Size())
+	tf, err := trace.OpenV2(f, st.Size())
 	if err != nil {
 		return err
 	}
+	info := tf.Info()
 	fmt.Printf("%s: format v%d, %d bytes\n", path, info.Version, st.Size())
 	fmt.Printf("  records: %d (%d reads, %d writes)\n", info.Records, info.Records-info.Writes, info.Writes)
 	fmt.Printf("  cycles:  %d .. %d (span %d)\n", info.FirstAt, info.LastAt, info.LastAt-info.FirstAt)

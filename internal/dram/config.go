@@ -43,12 +43,8 @@ type Rate struct{ Num, Den int64 }
 // tckPs is the datasheet tCK in ps: 2·10⁶/rate, rounded half up (938 at 6400/3).
 func (r Rate) tckPs() int { return int((4_000_000*r.Den + r.Num) / (2 * r.Num)) }
 
-// tckNs is the datasheet tCK in ns. The issue path books energy through it
-// rather than TCKNs, whose value receiver copies the whole Timing.
-func (r Rate) tckNs() float64 { return float64(r.tckPs()) / 1000 }
-
 // TCKNs is the datasheet tCK in ns, the period energy and ns figures scale by.
-func (t Timing) TCKNs() float64 { return t.Rate.tckNs() }
+func (r Rate) TCKNs() float64 { return float64(r.tckPs()) / 1000 }
 
 // DefaultTiming returns the paper's DDR3-1600 timing set, ddr3.bins[3]:
 // Table 3, and the datasheet for what the table leaves out.

@@ -58,8 +58,8 @@ func TestSpeedGradeTimings(t *testing.T) {
 		if g.Timing != want {
 			t.Errorf("%s timing =\n%+v\nwant\n%+v", r.name, g.Timing, want)
 		}
-		if g.Timing.TCKNs() != r.tck {
-			t.Errorf("%s: datasheet tCK %v ns, want %v", r.name, g.Timing.TCKNs(), r.tck)
+		if g.Timing.Rate.TCKNs() != r.tck {
+			t.Errorf("%s: datasheet tCK %v ns, want %v", r.name, g.Timing.Rate.TCKNs(), r.tck)
 		}
 		if byName, ok := SpeedGradeByName(r.name); !ok || byName != g {
 			t.Errorf("SpeedGradeByName(%q) = %+v, %v; want the listed grade", r.name, byName, ok)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -81,12 +83,14 @@ func TestTimingAloneSetsTheClock(t *testing.T) {
 }
 
 // gradeRuns runs 1-core GUPS once at every speed grade, slowest first, for
-// the two clock traps below; q/p is each bin's ratio of memory to CPU
-// cycles, stated here apart from the code under test.
+// the clock traps below; q/p is each bin's ratio of memory to CPU cycles
+// and tck its datasheet tCK in ns, both stated here apart from the code
+// under test. LatBreak fills the latency histograms without changing the
+// run.
 var gradeRuns = sync.OnceValues(func() ([]gradeRun, error) {
-	bins := []gradeRun{{name: "DDR3-800", p: 8, q: 1}, {name: "DDR3-1066", p: 6, q: 1},
-		{name: "DDR3-1333", p: 24, q: 5}, {name: "DDR3-1600", p: 4, q: 1},
-		{name: "DDR3-1866", p: 24, q: 7}, {name: "DDR3-2133", p: 3, q: 1}}
+	bins := []gradeRun{{name: "DDR3-800", p: 8, q: 1, tck: 2.5}, {name: "DDR3-1066", p: 6, q: 1, tck: 1.875},
+		{name: "DDR3-1333", p: 24, q: 5, tck: 1.5}, {name: "DDR3-1600", p: 4, q: 1, tck: 1.25},
+		{name: "DDR3-1866", p: 24, q: 7, tck: 1.071}, {name: "DDR3-2133", p: 3, q: 1, tck: 0.938}}
 	for i := range bins {
 		g, ok := dram.SpeedGradeByName(bins[i].name)
 		if !ok {
@@ -95,6 +99,7 @@ var gradeRuns = sync.OnceValues(func() ([]gradeRun, error) {
 		cfg := DefaultConfig("GUPS")
 		cfg.Cores, cfg.InstrPerCore, cfg.WarmupPerCore = 1, 20_000, 5_000
 		cfg.Timing = &g.Timing
+		cfg.LatBreak = true
 		sys, err := New(cfg)
 		if err != nil {
 			return nil, err
@@ -110,6 +115,7 @@ var gradeRuns = sync.OnceValues(func() ([]gradeRun, error) {
 type gradeRun struct {
 	name string
 	p, q int64
+	tck  float64
 	sys  *System
 	res  Result
 }
@@ -144,6 +150,59 @@ func TestFasterGradeIsNoSlower(t *testing.T) {
 	for i := 1; i < len(runs); i++ {
 		if prev, r := runs[i-1], runs[i]; r.res.Cycles > prev.res.Cycles {
 			t.Errorf("%s takes %d cycles, more than %s's %d", r.name, r.res.Cycles, prev.name, prev.res.Cycles)
+		}
+	}
+}
+
+// TestResultNsUseTheRunsClock: every ns latency on a Result is its cycle
+// figure times the run's own datasheet tCK, not DDR3-1600's at every bin.
+// 1-core GUPS writes nothing back at this budget, so the write methods are
+// held to the read figures moved into the write fields. The clock survives
+// the disk cache's encoding, and a DDR3-1600 Result encodes without it,
+// byte for byte as before the clock was carried.
+func TestResultNsUseTheRunsClock(t *testing.T) {
+	t.Parallel()
+	runs, err := gradeRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := &diskCache{fileStore{t.TempDir(), ".json"}}
+	for _, r := range runs {
+		c := r.res.Ctrl
+		if c.ReadsServed == 0 || c.ReadLatHist.N == 0 {
+			t.Fatalf("%s: no read latency was sampled", r.name)
+		}
+		w := r.res
+		w.Ctrl.WriteLatencySum, w.Ctrl.WritesServed, w.Ctrl.WriteLatHist = c.ReadLatencySum, c.ReadsServed, c.ReadLatHist
+		avg, p90 := float64(c.ReadLatencySum)/float64(c.ReadsServed), c.ReadLatHist.Quantile(0.9)
+		for _, m := range []struct {
+			name       string
+			ns, cycles float64
+		}{
+			{"average read", r.res.AvgReadLatencyNs(), avg},
+			{"average write", w.AvgWriteLatencyNs(), avg},
+			{"read p90", r.res.ReadLatQuantileNs(0.9), p90},
+			{"write p90", w.WriteLatQuantileNs(0.9), p90},
+		} {
+			if want := m.cycles * r.tck; m.ns != want {
+				t.Errorf("%s: %s latency %v ns, want %v cycles × %v ns = %v", r.name, m.name, m.ns, m.cycles, r.tck, want)
+			}
+		}
+
+		opt := ExpOptions{Instr: 1, Warmup: 1, Seed: 1}
+		if err := cache.store(r.name, opt, r.res); err != nil {
+			t.Fatal(err)
+		}
+		back, ok := cache.load(r.name, opt)
+		if !ok || back.MemCycleNs() != r.tck || back.AvgReadLatencyNs() != r.res.AvgReadLatencyNs() {
+			t.Errorf("%s: the disk cache's round trip reads tCK %v ns, want %v", r.name, back.MemCycleNs(), r.tck)
+		}
+		raw, err := json.Marshal(r.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hasKey, want := bytes.Contains(raw, []byte(`"Rate"`)), r.name != "DDR3-1600"; hasKey != want {
+			t.Errorf("%s: the Result's JSON has a clock key: %v, want %v", r.name, hasKey, want)
 		}
 	}
 }

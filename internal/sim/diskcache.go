@@ -37,7 +37,9 @@ import (
 // SRTimeout > 0 can differ.
 // v8: the DRAM runs at each bin's exact clock, 24:5 at DDR3-1333 and 24:7 at
 // DDR3-1866 (5 and 3 CPU cycles before), so grade= runs at those bins differ.
-const ModelVersion = "pradram-model-v8"
+// v9: Result carries its run's DRAM clock (Rate), so a v8 entry of a grade=
+// run would decode with the clock silently DDR3-1600's.
+const ModelVersion = "pradram-model-v9"
 
 // fileStore is the on-disk protocol under both the result cache and the
 // checkpoint store: one file per id in dir, named by a hash of the id (the

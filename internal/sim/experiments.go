@@ -438,7 +438,7 @@ func ExpTable3(runSet) (string, error) {
 	fmt.Fprintf(&b, "  IDD0=%.0fmA IDD3N=%.0fmA IDD2N=%.0fmA VDD=%.1fV tRAS=%dck tRC=%dck\n",
 		idd.IDD0, idd.IDD3N, idd.IDD2N, idd.VDD, tm.TRAS, tm.TRC)
 	fmt.Fprintf(&b, "  => P_ACT(full) = %.2f mW (paper: 22.2)\n\n",
-		idd.ActPower(float64(tm.TRAS)*tm.TCKNs(), float64(tm.TRC)*tm.TCKNs()))
+		idd.ActPower(float64(tm.TRAS)*tm.Rate.TCKNs(), float64(tm.TRC)*tm.Rate.TCKNs()))
 	t := stats.NewTable("granularity", "P_ACT derived (mW)", "P_ACT published (mW)", "scale")
 	for g := 8; g >= 1; g-- {
 		scale := mat.ScaleGranularity(g, false)

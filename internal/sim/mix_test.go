@@ -92,11 +92,11 @@ func TestMixDeterminismMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := trace.Open(bytes.NewReader(v2.Bytes()))
+			f, err := trace.OpenV2(bytes.NewReader(v2.Bytes()), int64(v2.Len()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := trace.ReplayStream(s, memctrl.DefaultConfig(), trace.ReplayOpts{})
+			got, err := trace.ReplayStream(f.Stream(), memctrl.DefaultConfig(), trace.ReplayOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

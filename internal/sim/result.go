@@ -29,6 +29,22 @@ type Result struct {
 	// (Config.PowerCal); EnergyBand and PowerBandMW apply it. A zero Cal
 	// (e.g. a Result decoded from an old cache entry) behaves as "none".
 	Cal power.Calibration
+
+	// Rate is the run's DRAM data rate, nil at DDR3-1600's, so a DDR3-1600
+	// Result encodes without it. MemCycleNs reads the clock from it.
+	Rate *dram.Rate `json:",omitempty"`
+}
+
+// defaultRate is DDR3-1600's data rate, the one a nil Result.Rate stands for.
+var defaultRate = dram.DefaultTiming().Rate
+
+// MemCycleNs returns the run's datasheet tCK in ns, the length of the
+// memory cycle every ns latency on the Result converts through.
+func (r Result) MemCycleNs() float64 {
+	if r.Rate == nil {
+		return defaultRate.TCKNs()
+	}
+	return r.Rate.TCKNs()
 }
 
 // calibration returns the effective calibration, defaulting a zero value
@@ -134,13 +150,13 @@ func (r Result) GranularityShare(g int) float64 {
 // AvgReadLatencyNs returns the mean DRAM read latency (arrival to data) in
 // nanoseconds.
 func (r Result) AvgReadLatencyNs() float64 {
-	return stats.Ratio(float64(r.Ctrl.ReadLatencySum), float64(r.Ctrl.ReadsServed)) * MemCycleNs
+	return stats.Ratio(float64(r.Ctrl.ReadLatencySum), float64(r.Ctrl.ReadsServed)) * r.MemCycleNs()
 }
 
 // AvgWriteLatencyNs returns the mean DRAM write latency (arrival to the
 // end of the write burst) in nanoseconds.
 func (r Result) AvgWriteLatencyNs() float64 {
-	return stats.Ratio(float64(r.Ctrl.WriteLatencySum), float64(r.Ctrl.WritesServed)) * MemCycleNs
+	return stats.Ratio(float64(r.Ctrl.WriteLatencySum), float64(r.Ctrl.WritesServed)) * r.MemCycleNs()
 }
 
 // ReadLatShare returns component comp's share of the total read latency —
@@ -160,12 +176,12 @@ func (r Result) WriteLatShare(comp memctrl.LatComponent) float64 {
 // power-of-two resolution; see stats.LogHist). Zero unless the run had
 // Config.LatBreak set.
 func (r Result) ReadLatQuantileNs(q float64) float64 {
-	return r.Ctrl.ReadLatHist.Quantile(q) * MemCycleNs
+	return r.Ctrl.ReadLatHist.Quantile(q) * r.MemCycleNs()
 }
 
 // WriteLatQuantileNs is the write-request equivalent of ReadLatQuantileNs.
 func (r Result) WriteLatQuantileNs(q float64) float64 {
-	return r.Ctrl.WriteLatHist.Quantile(q) * MemCycleNs
+	return r.Ctrl.WriteLatHist.Quantile(q) * r.MemCycleNs()
 }
 
 // SumIPC returns the sum of per-core IPCs.

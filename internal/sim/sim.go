@@ -23,12 +23,6 @@ import (
 	"pradram/internal/workload"
 )
 
-// MemCycleNs is DDR3-1600's 1.25 ns datasheet tCK. Every ns latency on a
-// Result and in prasim's Perfetto export converts memory cycles through it,
-// so at another speed grade those read as DDR3-1600 nanoseconds; a cycle
-// length on Result would change the digests bench/replica.go compares.
-var MemCycleNs = dram.DefaultTiming().TCKNs()
-
 // Config describes one simulation run.
 type Config struct {
 	// Workload is a benchmark name (run as identical instances on all
@@ -437,6 +431,10 @@ func (s *System) Measure() (Result, error) {
 		Cache:    s.hier.Stats,
 		Energy:   s.ctrl.Energy(),
 		Cal:      s.cal,
+	}
+	if t := s.cfg.Timing; t != nil && t.Rate != defaultRate {
+		rate := t.Rate
+		res.Rate = &rate
 	}
 	for i, n := range finish {
 		res.CoreIPC[i] = float64(s.cfg.InstrPerCore) / float64(n)

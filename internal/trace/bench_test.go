@@ -27,11 +27,11 @@ func BenchmarkIngestDecodeV2(b *testing.B) {
 	var rec Record
 	for i := 0; i < b.N; i++ {
 		if s == nil {
-			var err error
-			s, err = Open(bytes.NewReader(benchBuf))
+			f, err := OpenV2(bytes.NewReader(benchBuf), int64(len(benchBuf)))
 			if err != nil {
 				b.Fatal(err)
 			}
+			s = f.Stream()
 		}
 		if !s.Next(&rec) {
 			if err := s.Err(); err != nil {

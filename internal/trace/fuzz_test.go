@@ -105,7 +105,7 @@ func FuzzCaptureReplay(f *testing.F) {
 		if err := cap.Trace.SaveV2(&buf); err != nil {
 			t.Fatalf("save: %v", err)
 		}
-		loaded, err := Load(&buf)
+		loaded, err := Load(buf.Bytes())
 		if err != nil {
 			t.Fatalf("load: %v", err)
 		}
@@ -158,7 +158,7 @@ func TestCaptureReplaySeedCorpus(t *testing.T) {
 		if err := tr.SaveV2(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := Load(&buf)
+		loaded, err := Load(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,6 +136,6 @@ func ReplayStream(s Stream, cfg memctrl.Config, opt ReplayOpts) (ReplayResult, e
 	res.Ctrl = ctrl.Stats()
 	res.Dev = ctrl.DeviceStats()
 	res.Energy = ctrl.Energy()
-	res.AvgReadNs = float64(res.Ctrl.ReadLatencySum) / float64(max(res.Ctrl.ReadsServed, 1)) * cfg.Timing.TCKNs()
+	res.AvgReadNs = stats.Ratio(float64(res.Ctrl.ReadLatencySum), float64(res.Ctrl.ReadsServed)) * cfg.Timing.Rate.TCKNs()
 	return res, nil
 }

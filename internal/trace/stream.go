@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Stream is the iterator every replay and decode path consumes: Next
 // fills the caller's Record and reports whether one was produced, so a
@@ -51,28 +47,6 @@ func checkMagic(m [4]byte) error {
 	}
 	return fmt.Errorf("trace: bad magic %q", m)
 }
-
-// Open returns a decoding Stream over a serialized trace read from r.
-// Decoding is incremental: records are produced as bytes arrive, nothing is
-// materialized, and chunk CRCs are verified as each chunk is entered. The
-// stream owns a buffered reader over r; the caller keeps ownership of r
-// itself (closing files, etc.).
-func Open(r io.Reader) (Stream, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	m, err := br.Peek(4)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if err := checkMagic([4]byte(m)); err != nil {
-		return nil, err
-	}
-	br.Discard(4)
-	return &v2Stream{r: br}, nil
-}
-
-// maxStreamRecords bounds a chunk's record count against corrupt length
-// prefixes about to drive giant allocations.
-const maxStreamRecords = 1 << 30
 
 // maxTimeDelta rejects time deltas that would overflow the cycle clock
 // when accumulated (corrupt varints decode to huge values long before a

@@ -6,12 +6,14 @@
 // request sequence run an order of magnitude faster than full simulation.
 //
 // A trace serializes in one format (DESIGN.md §4j): "PRA2" frames varint-
-// delta records into CRC-guarded chunks with a footer index, so a reader can
-// print totals without decoding (ReadInfo), seek to any chunk through an
-// io.ReaderAt (V2File.StreamAt), and detect truncation or corruption instead
-// of silently mis-decoding. Every decode goes through the Stream interface
-// (Open, V2File.Stream), and ReplayStream drives a replay straight off a
-// Stream — constant memory, zero steady-state allocations per record.
+// delta records into CRC-guarded chunks with a footer index. OpenV2 reads
+// the index through an io.ReaderAt, so V2File.Info prints totals without
+// decoding, and V2File.Stream, the one decoder, reads the chunks the index
+// lists. The stream ends after the last of them; a chunk that disagrees
+// with its index entry or its CRC ends it with an error naming the chunk,
+// so truncation or corruption never reads as a shorter trace. ReplayStream
+// drives a replay straight off a Stream — constant memory, zero
+// steady-state allocations per record.
 package trace
 
 import (

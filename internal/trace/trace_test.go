@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"strings"
 	"testing"
@@ -13,14 +12,15 @@ import (
 	"pradram/internal/memctrl"
 )
 
-// Load reads a trace written by SaveV2 and materializes every record: the
-// in-memory reference the round-trip and stream-identity tests compare the
-// streaming decoder against.
-func Load(r io.Reader) (*Trace, error) {
-	s, err := Open(r)
+// Load reads an encoded trace and materializes every record: the in-memory
+// reference the round-trip and stream-identity tests compare the streaming
+// decoder against.
+func Load(data []byte) (*Trace, error) {
+	f, err := OpenV2(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return nil, err
 	}
+	s := f.Stream()
 	t := &Trace{}
 	var rec Record
 	for s.Next(&rec) {
@@ -67,7 +67,7 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 		if err := tr.SaveV2Chunked(&buf, 1+int(perChunk)); err != nil {
 			return false
 		}
-		got, err := Load(&buf)
+		got, err := Load(buf.Bytes())
 		if err != nil {
 			return false
 		}
@@ -94,10 +94,10 @@ func TestSaveRejectsUnorderedRecords(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a trace")); err == nil {
+	if _, err := Load([]byte("not a trace")); err == nil {
 		t.Error("bad magic must fail")
 	}
-	if _, err := Load(strings.NewReader("")); err == nil {
+	if _, err := Load(nil); err == nil {
 		t.Error("empty input must fail")
 	}
 	// Truncated body after valid magic: the last chunk loses its tail.
@@ -106,31 +106,26 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if err := tr.SaveV2(&buf); err != nil {
 		t.Fatal(err)
 	}
-	info, err := ReadInfo(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	f, err := OpenV2(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := info.Chunks[len(info.Chunks)-1]
+	last := f.Info().Chunks[len(f.Info().Chunks)-1]
 	trunc := buf.Bytes()[:last.Offset+8+last.Bytes-3]
-	if _, err := Load(bytes.NewReader(trunc)); err == nil {
+	if _, err := Load(trunc); err == nil {
 		t.Error("truncated trace must fail")
 	}
 }
 
 // TestRetiredFormatRejected: a file in the flat serialization pratrace wrote
 // before the chunked one is outside input and may still be on someone's disk;
-// every way of opening a trace must refuse it naming the cause and the remedy.
+// OpenV2, the one way of opening a trace, must refuse it naming the cause and
+// the remedy.
 func TestRetiredFormatRejected(t *testing.T) {
 	old := append([]byte("PRA1"), 0x01, 0x00, 0x00, 0x40) // v1: count 1, one read of line 1
 	const want = "PRA1 traces are no longer supported; re-record with pratrace -record"
-	_, openErr := Open(bytes.NewReader(old))
-	_, loadErr := Load(bytes.NewReader(old))
-	_, v2Err := OpenV2(bytes.NewReader(old), int64(len(old)))
-	_, infoErr := ReadInfo(bytes.NewReader(old), int64(len(old)))
-	for name, err := range map[string]error{"Open": openErr, "Load": loadErr, "OpenV2": v2Err, "ReadInfo": infoErr} {
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: error %v, want one containing %q", name, err, want)
-		}
+	if _, err := OpenV2(bytes.NewReader(old), int64(len(old))); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("error %v, want one containing %q", err, want)
 	}
 }
 
@@ -276,7 +271,8 @@ func TestReplayResultUsesConfiguredClock(t *testing.T) {
 	for _, b := range []struct {
 		name string
 		p, q int64
-	}{{"DDR3-1600", 4, 1}, {"DDR3-1066", 6, 1}, {"DDR3-1866", 24, 7}} {
+		tck  float64 // datasheet tCK, ns
+	}{{"DDR3-1600", 4, 1, 1.25}, {"DDR3-1066", 6, 1, 1.875}, {"DDR3-1866", 24, 7, 1.071}} {
 		name := b.name
 		g, ok := dram.SpeedGradeByName(name)
 		if !ok {
@@ -295,7 +291,7 @@ func TestReplayResultUsesConfiguredClock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantNs := float64(res.Ctrl.ReadLatencySum) / float64(res.Ctrl.ReadsServed) * g.Timing.TCKNs()
+		wantNs := float64(res.Ctrl.ReadLatencySum) / float64(res.Ctrl.ReadsServed) * b.tck
 		if res.Ctrl.ReadsServed == 0 || res.AvgReadNs != wantNs {
 			t.Errorf("%s: AvgReadNs = %v, want %v (%d reads)", name, res.AvgReadNs, wantNs, res.Ctrl.ReadsServed)
 		}

@@ -11,10 +11,10 @@ import (
 )
 
 // Format v2 ("PRA2", DESIGN.md §4j) is the trace container: varint-delta
-// records framed into CRC-protected chunks with a footer index, so a reader can print header stats without decoding,
-// seek to any chunk through an io.ReaderAt (a file, an mmap, a byte
-// slice), and detect truncation or corruption at chunk granularity
-// instead of silently replaying garbage.
+// records framed into CRC-protected chunks with a footer index, so a reader
+// can print header stats without decoding, find each chunk through an
+// io.ReaderAt (a file, an mmap, a byte slice), and detect truncation or
+// corruption at chunk granularity instead of silently replaying garbage.
 //
 // Layout:
 //
@@ -271,9 +271,8 @@ func (t *Trace) SaveV2Chunked(w io.Writer, perChunk int) error {
 }
 
 // V2File is a v2 trace opened through an io.ReaderAt: the footer index is
-// decoded up front (Info), and record access streams chunk by chunk with
-// per-chunk CRC verification — from the start (Stream) or from any index
-// entry (StreamAt), which is what makes the format seekable.
+// decoded up front (Info), and Stream reads the records chunk by chunk at
+// the offsets the index gives, verifying each chunk as it is entered.
 type V2File struct {
 	ra   io.ReaderAt
 	info Info
@@ -344,96 +343,67 @@ func OpenV2(ra io.ReaderAt, size int64) (*V2File, error) {
 // Info returns the decoded footer index.
 func (f *V2File) Info() *Info { return &f.info }
 
-// Stream returns a Stream over every record, decoding chunks lazily.
-func (f *V2File) Stream() Stream { return f.StreamAt(0) }
+// Stream returns a Stream over every record, decoding the chunks the index
+// lists lazily and in order. It ends after the last indexed chunk; a frame
+// that disagrees with its index entry ends it with an error naming the
+// chunk instead.
+func (f *V2File) Stream() Stream { return &v2Stream{ra: f.ra, chunks: f.info.Chunks} }
 
-// StreamAt returns a Stream starting at the given chunk index — the seek
-// primitive: Info's chunk table maps a target cycle or record ordinal to
-// a chunk, and StreamAt starts decoding there without touching the bytes
-// before it. Records then flow to the end of the trace.
-func (f *V2File) StreamAt(chunk int) Stream {
-	if chunk < 0 || chunk > len(f.info.Chunks) {
-		return &v2Stream{err: fmt.Errorf("trace: chunk %d out of range [0,%d]", chunk, len(f.info.Chunks))}
-	}
-	if chunk == len(f.info.Chunks) {
-		return &sliceStream{} // past the last chunk: an empty stream
-	}
-	start := f.info.Chunks[chunk].Offset
-	end := f.info.Chunks[len(f.info.Chunks)-1].Offset + 8 + f.info.Chunks[len(f.info.Chunks)-1].Bytes
-	s := &v2Stream{r: io.NewSectionReader(f.ra, start, end-start)}
-	s.prevAt = f.info.Chunks[chunk].FirstAt // chunks are self-contained; ordering resumes here
-	return s
-}
-
-// ReadInfo decodes a trace's footer index without touching the record
-// chunks (the pratrace -info path).
-func ReadInfo(ra io.ReaderAt, size int64) (*Info, error) {
-	f, err := OpenV2(ra, size)
-	if err != nil {
-		return nil, err
-	}
-	return f.Info(), nil
-}
-
-// v2Stream decodes v2 chunk frames sequentially from an io.Reader,
-// verifying each chunk's CRC on entry and reusing one payload buffer for
-// the whole stream, so steady-state decode allocates nothing per record.
-// The end of the chunk sequence is either the zero sentinel (full-file
-// streams) or a clean EOF (section streams produced by StreamAt, which
-// end before the footer).
+// v2Stream decodes the indexed chunk frames of a v2 file one at a time,
+// verifying each frame against its index entry and its CRC on entry and
+// reusing one payload buffer for the whole stream, so steady-state decode
+// allocates nothing per record.
 type v2Stream struct {
-	r       io.Reader
-	payload []byte // reused frame buffer
-	pos     int    // decode cursor within payload
-	n       int64  // records left in the current chunk
-	at      int64  // delta accumulator, reset per chunk
-	prevAt  int64  // last record cycle seen, for cross-chunk order checks
-	done    bool
+	ra      io.ReaderAt
+	chunks  []ChunkInfo // the footer index: where each frame is and what it holds
+	next    int         // index of the next chunk to load
+	payload []byte      // reused frame buffer
+	pos     int         // decode cursor within payload
+	n       int64       // records left in the current chunk
+	at      int64       // delta accumulator, reset per chunk
+	prevAt  int64       // last record cycle seen, for cross-chunk order checks
 	err     error
 }
 
 func (s *v2Stream) Err() error { return s.err }
 
-// readChunk loads and verifies the next chunk frame. It returns false at
-// the end of the chunk sequence or on error.
+// fail ends the stream with an error naming chunk k.
+func (s *v2Stream) fail(k int, format string, args ...any) bool {
+	s.err = fmt.Errorf("trace: chunk %d: "+format, append([]any{k}, args...)...)
+	return false
+}
+
+// readChunk loads and verifies the next indexed chunk frame: its length and
+// record count must be the ones the index holds (a zeroed length would
+// otherwise read as the end of the chunks), and its payload must match its
+// CRC. It returns false on error.
 func (s *v2Stream) readChunk() bool {
+	k := s.next
+	c := s.chunks[k]
+	s.next++
 	var hdr [8]byte
-	if _, err := io.ReadFull(s.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			s.done = true // section streams end exactly at the last chunk
-			return false
-		}
-		s.err = fmt.Errorf("trace: chunk header: %w", err)
-		return false
+	if _, err := s.ra.ReadAt(hdr[:], c.Offset); err != nil {
+		return s.fail(k, "header: %v", err)
 	}
-	size := binary.LittleEndian.Uint32(hdr[0:4])
-	if size == 0 {
-		s.done = true // full-file streams end at the sentinel
-		return false
+	if size := int64(binary.LittleEndian.Uint32(hdr[0:4])); size != c.Bytes {
+		return s.fail(k, "frame length %d, index says %d", size, c.Bytes)
 	}
-	if size > maxChunkPayload {
-		s.err = fmt.Errorf("trace: implausible chunk size %d", size)
-		return false
+	if cap(s.payload) < int(c.Bytes) {
+		s.payload = make([]byte, c.Bytes)
 	}
-	if cap(s.payload) < int(size) {
-		s.payload = make([]byte, size)
-	}
-	s.payload = s.payload[:size]
-	if _, err := io.ReadFull(s.r, s.payload); err != nil {
-		s.err = fmt.Errorf("trace: chunk payload: %w", err)
-		return false
+	s.payload = s.payload[:c.Bytes]
+	if _, err := s.ra.ReadAt(s.payload, c.Offset+8); err != nil {
+		return s.fail(k, "payload: %v", err)
 	}
 	if crc := crc32.ChecksumIEEE(s.payload); crc != binary.LittleEndian.Uint32(hdr[4:8]) {
-		s.err = fmt.Errorf("trace: chunk CRC mismatch")
-		return false
+		return s.fail(k, "CRC mismatch")
 	}
 	count, n := binary.Uvarint(s.payload)
-	if n <= 0 || count == 0 || count > maxStreamRecords || count > uint64(size) {
-		s.err = fmt.Errorf("trace: bad chunk record count")
-		return false
+	if n <= 0 || count != uint64(c.Count) {
+		return s.fail(k, "frame holds %d records, index says %d", count, c.Count)
 	}
 	s.pos = n
-	s.n = int64(count)
+	s.n = c.Count
 	s.at = 0 // chunk deltas are self-contained
 	return true
 }
@@ -442,23 +412,21 @@ func (s *v2Stream) readChunk() bool {
 func (s *v2Stream) uvarint() (uint64, bool) {
 	v, n := binary.Uvarint(s.payload[s.pos:])
 	if n <= 0 {
-		s.err = fmt.Errorf("trace: truncated record in chunk")
-		return 0, false
+		return 0, s.fail(s.next-1, "truncated record")
 	}
 	s.pos += n
 	return v, true
 }
 
 func (s *v2Stream) Next(rec *Record) bool {
-	if s.err != nil || s.done {
+	if s.err != nil {
 		return false
 	}
 	for s.n == 0 {
-		if s.pos != len(s.payload) && len(s.payload) > 0 {
-			s.err = fmt.Errorf("trace: %d trailing bytes in chunk", len(s.payload)-s.pos)
-			return false
+		if s.pos != len(s.payload) {
+			return s.fail(s.next-1, "%d trailing bytes", len(s.payload)-s.pos)
 		}
-		if !s.readChunk() {
+		if s.next == len(s.chunks) || !s.readChunk() {
 			return false
 		}
 	}
@@ -467,8 +435,7 @@ func (s *v2Stream) Next(rec *Record) bool {
 		return false
 	}
 	if delta > maxTimeDelta {
-		s.err = fmt.Errorf("trace: implausible time delta %d", delta)
-		return false
+		return s.fail(s.next-1, "implausible time delta %d", delta)
 	}
 	flag, ok := s.uvarint()
 	if !ok {
@@ -480,8 +447,7 @@ func (s *v2Stream) Next(rec *Record) bool {
 	}
 	s.at += int64(delta)
 	if s.at < s.prevAt {
-		s.err = fmt.Errorf("trace: records not time-ordered at cycle %d", s.at)
-		return false
+		return s.fail(s.next-1, "records not time-ordered at cycle %d", s.at)
 	}
 	s.prevAt = s.at
 	rec.At = s.at

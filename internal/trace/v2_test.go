@@ -48,7 +48,7 @@ func TestSaveV2LoadRoundTrip(t *testing.T) {
 		if err := tr.SaveV2Chunked(&buf, 512); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Load(bytes.NewReader(buf.Bytes()))
+		got, err := Load(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,39 +103,6 @@ func TestOpenV2Info(t *testing.T) {
 	}
 }
 
-// TestStreamAt seeks to every chunk boundary and requires the stream to
-// produce exactly the record suffix starting there.
-func TestStreamAt(t *testing.T) {
-	tr := synthTrace(1700, 5)
-	var buf bytes.Buffer
-	if err := tr.SaveV2Chunked(&buf, 500); err != nil {
-		t.Fatal(err)
-	}
-	f, err := OpenV2(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := 0
-	for ci := 0; ci <= len(f.Info().Chunks); ci++ {
-		s := f.StreamAt(ci)
-		var got []Record
-		var rec Record
-		for s.Next(&rec) {
-			got = append(got, rec)
-		}
-		if err := s.Err(); err != nil {
-			t.Fatalf("chunk %d: %v", ci, err)
-		}
-		recordsEqual(t, got, tr.Records[start:])
-		if ci < len(f.Info().Chunks) {
-			start += int(f.Info().Chunks[ci].Count)
-		}
-	}
-	if s := f.StreamAt(99); s.Next(new(Record)) || s.Err() == nil {
-		t.Error("out-of-range chunk index should error")
-	}
-}
-
 func TestSaveV2RejectsUnorderedWithoutWriting(t *testing.T) {
 	tr := &Trace{Records: []Record{{At: 10, Addr: 64}, {At: 5, Addr: 128}}}
 	var buf bytes.Buffer
@@ -183,7 +150,7 @@ func TestReplayStreamIdentity(t *testing.T) {
 		if err := tr.SaveV2Chunked(&v2, 512); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := Load(bytes.NewReader(v2.Bytes()))
+		loaded, err := Load(v2.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,28 +169,16 @@ func TestReplayStreamIdentity(t *testing.T) {
 				if rejects := want.Ctrl.ReadRejects + want.Ctrl.WriteRejects; tr == saturated && 10*rejects < 9*want.Cycles {
 					t.Errorf("%d channels: saturated trace refused on %d of %d cycles, want at least 90%%", cfg.Channels, rejects, want.Cycles)
 				}
-				s, err := Open(bytes.NewReader(v2.Bytes()))
+				f, err := OpenV2(bytes.NewReader(v2.Bytes()), int64(v2.Len()))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ReplayStream(s, cfg, opt)
+				got, err := ReplayStream(f.Stream(), cfg, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
 					t.Errorf("%d channels, opt %+v: streaming v2 replay diverged:\n got %+v\nwant %+v", cfg.Channels, opt, got, want)
-				}
-				// The seekable path must replay identically too.
-				f, err := OpenV2(bytes.NewReader(v2.Bytes()), int64(v2.Len()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got2, err := ReplayStream(f.Stream(), cfg, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got2 != want {
-					t.Errorf("%d channels, opt %+v: V2File replay diverged", cfg.Channels, opt)
 				}
 			}
 		}
@@ -241,11 +196,11 @@ func TestReplayStreamDecodeError(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[len(raw)/2] ^= 0x40 // corrupt a mid-file chunk
-	s, err := Open(bytes.NewReader(raw))
+	f, err := OpenV2(bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayStream(s, memctrl.DefaultConfig(), ReplayOpts{}); err == nil {
+	if _, err := ReplayStream(f.Stream(), memctrl.DefaultConfig(), ReplayOpts{}); err == nil {
 		t.Fatal("replay of corrupt stream succeeded")
 	}
 }

@@ -25,10 +25,8 @@ var reachAllowed = map[string]string{
 	"workload.TensorCounts":        "TestTensorAnalyticOracle",
 	"memctrl.Controller.RowCounts": "TestHammerAnalyticOracle",
 	// The materialized replay the streaming decoder must match record for
-	// record, and the io.Reader decoder the tests load traces with
-	// (internal/trace/v2_test.go, internal/sim/mix_test.go).
+	// record (internal/trace/v2_test.go, internal/sim/mix_test.go).
 	"trace.Trace.Stream": "TestReplayStreamIdentity",
-	"trace.Open":         "TestReplayStreamIdentity",
 	// The package dram_test checker reaches the controller, and through it
 	// where the measured window starts, only through the System: the
 	// controller's DRAM clock after Warmup
