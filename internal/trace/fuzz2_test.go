@@ -26,23 +26,6 @@ func v2Corpus() [][]byte {
 	return out
 }
 
-// drainAll opens data as a v2 file and decodes every record. It gives the
-// fuzzer full coverage of the one decode path; all errors are acceptable
-// outcomes, panics are not.
-func drainAll(data []byte) ([]Record, error) {
-	f, err := OpenV2(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	s := f.Stream()
-	var recs []Record
-	var rec Record
-	for s.Next(&rec) {
-		recs = append(recs, rec)
-	}
-	return recs, s.Err()
-}
-
 // FuzzTraceV2Chunks hammers the chunked reader with arbitrary bytes:
 // truncated frames, corrupt varints, CRC mismatches, lying length
 // prefixes, mangled footers. The contract under fuzz is (a) never panic,
@@ -60,12 +43,12 @@ func FuzzTraceV2Chunks(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := drainAll(data)
+		tr, err := Load(data)
 		if err != nil {
 			return
 		}
 		prev := int64(0)
-		for i, r := range recs {
+		for i, r := range tr.Records {
 			if r.At < prev {
 				t.Fatalf("record %d time-travels: %d after %d", i, r.At, prev)
 			}
@@ -76,7 +59,7 @@ func FuzzTraceV2Chunks(f *testing.F) {
 
 // TestV2SingleByteCorruption flips every byte of a valid v2 encoding, one
 // at a time, and requires each corrupted file to either fail decoding or
-// still yield exactly the original records (bytes the decoders never read
+// still yield exactly the original records (bytes the decoder never reads
 // cannot matter) — a chunk CRC catches every single-byte payload flip, so
 // corruption can never silently alter a replay.
 func TestV2SingleByteCorruption(t *testing.T) {
@@ -89,10 +72,11 @@ func TestV2SingleByteCorruption(t *testing.T) {
 	for pos := 0; pos < len(orig); pos++ {
 		mut := bytes.Clone(orig)
 		mut[pos] ^= 0xA5
-		recs, err := drainAll(mut)
+		got, err := Load(mut)
 		if err != nil {
 			continue
 		}
+		recs := got.Records
 		if len(recs) != len(tr.Records) {
 			t.Fatalf("flip at %d: silently decoded %d records, want error or %d",
 				pos, len(recs), len(tr.Records))
@@ -124,9 +108,9 @@ func TestV2ZeroedChunkLength(t *testing.T) {
 	for k, c := range f.Info().Chunks {
 		mut := bytes.Clone(buf.Bytes())
 		clear(mut[c.Offset : c.Offset+4])
-		recs, err := drainAll(mut)
+		_, err := Load(mut)
 		if want := fmt.Sprintf("chunk %d:", k); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("chunk %d's length zeroed: %d records, error %v, want one containing %q", k, len(recs), err, want)
+			t.Errorf("chunk %d's length zeroed: error %v, want one containing %q", k, err, want)
 		}
 	}
 }
@@ -135,10 +119,10 @@ func TestV2ZeroedChunkLength(t *testing.T) {
 // exercises them even without -fuzz.
 func TestFuzzV2SeedCorpus(t *testing.T) {
 	for _, seed := range v2Corpus() {
-		if _, err := drainAll(seed); err != nil {
+		if _, err := Load(seed); err != nil {
 			t.Fatalf("valid seed failed to decode: %v", err)
 		}
-		if _, err := drainAll(seed[:len(seed)-8]); err == nil {
+		if _, err := Load(seed[:len(seed)-8]); err == nil {
 			t.Fatal("a trace with the trailer torn off decoded")
 		}
 	}
