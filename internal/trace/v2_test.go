@@ -2,13 +2,19 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
 	"pradram/internal/core"
 	"pradram/internal/memctrl"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/v2_encoding.golden")
 
 // synthTrace builds a deterministic pseudo-random trace of n records:
 // bursty arrivals across a spread of rows and banks, ~30% writes.
@@ -103,29 +109,54 @@ func TestOpenV2Info(t *testing.T) {
 	}
 }
 
+// TestSaveV2RejectsUnorderedWithoutWriting steps back in time at the
+// second record and after more than one chunk of ordered records: either
+// way the whole trace is refused before its first byte, not after the
+// chunks ahead of the fault.
 func TestSaveV2RejectsUnorderedWithoutWriting(t *testing.T) {
-	tr := &Trace{Records: []Record{{At: 10, Addr: 64}, {At: 5, Addr: 128}}}
-	var buf bytes.Buffer
-	err := tr.SaveV2(&buf)
-	if err == nil || !strings.Contains(err.Error(), "not time-ordered") {
-		t.Fatalf("err = %v, want ordering error", err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("wrote %d bytes before failing; torn output", buf.Len())
+	late := synthTrace(40, 11)
+	late.Records = append(late.Records, Record{At: late.Records[39].At - 1, Addr: 64})
+	for _, tr := range []*Trace{{Records: []Record{{At: 10, Addr: 64}, {At: 5, Addr: 128}}}, late} {
+		var buf bytes.Buffer
+		err := tr.SaveV2Chunked(&buf, 16)
+		if err == nil || !strings.Contains(err.Error(), "not time-ordered") {
+			t.Fatalf("err = %v, want ordering error", err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("wrote %d bytes before failing; torn output", buf.Len())
+		}
 	}
 }
 
-func TestV2WriterRejectsOutOfOrderAppend(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewV2Writer(&buf, 16)
-	if err := w.Append(Record{At: 100, Addr: 64}); err != nil {
+// TestV2EncodingGolden pins the bytes the writer emits: the sha256 of
+// SaveV2Chunked's output for synthTrace lengths crossed with chunk sizes
+// (0 selects DefaultChunkRecords), so any change to the framing, the
+// delta coding or the footer shows. Regenerate testdata/v2_encoding.golden
+// with -update only for an intended format change.
+func TestV2EncodingGolden(t *testing.T) {
+	var got strings.Builder
+	for _, n := range []int{0, 1, 7, 4000, 9001} {
+		tr := synthTrace(n, 1)
+		for _, perChunk := range []int{0, 1, 3, 512, 4096} {
+			var buf bytes.Buffer
+			if err := tr.SaveV2Chunked(&buf, perChunk); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "records=%d perChunk=%d %x\n", n, perChunk, sha256.Sum256(buf.Bytes()))
+		}
+	}
+	const golden = "testdata/v2_encoding.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(Record{At: 99, Addr: 64}); err == nil {
-		t.Fatal("out-of-order append accepted")
-	}
-	if err := w.Close(); err == nil {
-		t.Fatal("Close after failed append should report the error")
+	if got.String() != string(want) {
+		t.Errorf("v2 encoding changed (rerun with -update if intended):\n--- got\n%s--- want\n%s", got.String(), want)
 	}
 }
 
