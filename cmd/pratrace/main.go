@@ -127,8 +127,14 @@ func doRecord(path string, cfg sim.Config) error {
 	if err := tr.SaveV2(f); err != nil {
 		return err
 	}
+	writes := 0
+	for _, r := range tr.Records {
+		if r.Write {
+			writes++
+		}
+	}
 	fmt.Printf("recorded %d requests (%d reads, %d writes) from %s over %d cycles -> %s (v2)\n",
-		tr.Len(), res.Ctrl.ReadsServed, res.Ctrl.WritesServed, cfg.Workload, res.Cycles, path)
+		tr.Len(), tr.Len()-writes, writes, cfg.Workload, res.Cycles, path)
 	return f.Sync()
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -15,7 +16,8 @@ import (
 // then -info and -replay -compare over it. Each mode's stdout is digested
 // with the trace's path replaced by a placeholder, so the golden does not
 // depend on where the file was written. Regenerate testdata/run.golden with
-// -update after an intended change of the report.
+// -update after an intended change of the report. The split -record
+// reports must be the one -info reads back from the file's index.
 func TestRunGolden(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "pratrace")
@@ -24,6 +26,8 @@ func TestRunGolden(t *testing.T) {
 	}
 	path := filepath.Join(dir, "gups.trace")
 	var got strings.Builder
+	split := map[string][]string{}
+	splitRE := regexp.MustCompile(`(\d+)(?: requests)? \((\d+) reads, (\d+) writes\)`)
 	for _, mode := range [][]string{
 		{"-record", path, "-workload", "GUPS", "-instr", "20000", "-warmup", "20000"},
 		{"-info", path},
@@ -36,7 +40,13 @@ func TestRunGolden(t *testing.T) {
 			t.Fatalf("pratrace %s: %v\n%s", strings.Join(mode, " "), err, errb.String())
 		}
 		stdout := strings.ReplaceAll(out.String(), path, "TRACE")
+		if m := splitRE.FindStringSubmatch(stdout); m != nil {
+			split[mode[0]] = m[1:]
+		}
 		fmt.Fprintf(&got, "%s %x\n", mode[0], sha256.Sum256([]byte(stdout)))
+	}
+	if rec, info := split["-record"], split["-info"]; rec == nil || fmt.Sprint(rec) != fmt.Sprint(info) {
+		t.Errorf("-record reports records, reads, writes %v; -info reads back %v", rec, info)
 	}
 	const golden = "testdata/run.golden"
 	if *update {

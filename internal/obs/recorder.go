@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -141,33 +142,23 @@ func formatCell(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteCSV dumps the buffered time-series as CSV: a header row, then one
-// row per epoch.
+// WriteCSV dumps the buffered time-series as CSV: Snapshot's header row,
+// then one row per epoch.
 func (r *Recorder) WriteCSV(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var err error
-	write := func(s string) {
-		if err == nil {
-			_, err = io.WriteString(w, s)
+	s := r.Snapshot()
+	var b strings.Builder
+	b.WriteString(strings.Join(s.Header, ","))
+	b.WriteString("\n")
+	for _, row := range s.Rows {
+		for i, v := range row {
+			if i > 0 {
+				b.WriteString(",")
+			}
+			b.WriteString(formatCell(v))
 		}
+		b.WriteString("\n")
 	}
-	write("epoch,cycle")
-	for i := range r.probes {
-		write(",")
-		write(r.probes[i].name)
-	}
-	write("\n")
-	for row := range r.cycles {
-		write(strconv.Itoa(row))
-		write(",")
-		write(strconv.FormatInt(r.cycles[row], 10))
-		for c := range r.cols {
-			write(",")
-			write(formatCell(r.cols[c][row]))
-		}
-		write("\n")
-	}
+	_, err := io.WriteString(w, b.String())
 	return err
 }
 

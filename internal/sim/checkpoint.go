@@ -215,12 +215,6 @@ func (s *System) Restore(data []byte) error {
 	}
 	s.cycle = cycle
 	s.ticks = ticks
-	if s.cap != nil {
-		// Same rebase Warmup performs: the measured window starts here.
-		s.cap.Trace.Records = s.cap.Trace.Records[:0]
-		s.capBase = cycle
-	}
-	s.ev.Reset()
-	s.warmed = true
+	s.endWarmup()
 	return nil
 }

@@ -87,11 +87,11 @@ func ExpPowerBand(rs runSet) (string, error) {
 		for _, s := range []memctrl.Scheme{memctrl.Baseline, memctrl.PRA} {
 			res := rs.get(newKey(w, s, memctrl.RelaxedClose, 4))
 			for _, spec := range specs {
-				cal, err := power.ParseCalibration(spec)
-				if err != nil {
+				var err error
+				if res.Cal, err = power.ParseCalibration(spec); err != nil {
 					return "", err
 				}
-				band := cal.Total(res.Energy).Scale(1 / res.RuntimeNs())
+				band := res.PowerBandMW()
 				t.Row(w, s.String(), spec,
 					band.Min, band.Nom, band.Max, 100*band.Spread())
 			}

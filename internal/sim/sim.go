@@ -383,17 +383,21 @@ func (s *System) Warmup() error {
 	}
 	s.hier.ResetStats()
 	s.ctrl.ResetStats()
+	s.endWarmup()
+	return nil
+}
+
+// endWarmup marks the warmup boundary at the current cycle, after Warmup
+// or Restore: the capture drops warmup traffic and rebases its time to the
+// measured window, so replays start at cycle zero, and the event ring
+// drops warmup events, so it holds only measured-window activity.
+func (s *System) endWarmup() {
 	if s.cap != nil {
-		// Drop warmup traffic and rebase capture time to the measured
-		// window so replays start at cycle zero.
 		s.cap.Trace.Records = s.cap.Trace.Records[:0]
 		s.capBase = s.cycle
 	}
-	// Drop warmup events so the ring holds only measured-window
-	// activity.
 	s.ev.Reset()
 	s.warmed = true
-	return nil
 }
 
 // Measure runs the measured window — the second half of Run — and returns

@@ -6,14 +6,15 @@
 // request sequence run an order of magnitude faster than full simulation.
 //
 // A trace serializes in one format (DESIGN.md §4j): "PRA2" frames varint-
-// delta records into CRC-guarded chunks with a footer index. OpenV2 reads
-// the index through an io.ReaderAt, so V2File.Info prints totals without
-// decoding, and V2File.Stream, the one decoder, reads the chunks the index
-// lists. The stream ends after the last of them; a chunk that disagrees
-// with its index entry or its CRC ends it with an error naming the chunk,
-// so truncation or corruption never reads as a shorter trace. ReplayStream
-// drives a replay straight off a Stream — constant memory, zero
-// steady-state allocations per record.
+// delta records into CRC-guarded chunks with a footer index.
+// Trace.SaveV2Chunked, the one writer, encodes a held trace whole and writes
+// it at once. OpenV2 reads the index through an io.ReaderAt, so V2File.Info
+// prints totals without decoding, and V2File.Stream, the one decoder, reads
+// the chunks the index lists. The stream ends after the last of them; a
+// chunk that disagrees with its index entry or its CRC ends it with an
+// error naming the chunk, so truncation or corruption never reads as a
+// shorter trace. ReplayStream drives a replay straight off a Stream —
+// constant memory, zero steady-state allocations per record.
 package trace
 
 import (
@@ -38,9 +39,9 @@ type Trace struct {
 // Len returns the number of records.
 func (t *Trace) Len() int { return len(t.Records) }
 
-// checkOrdered validates the time ordering the serializer requires. SaveV2
-// runs it before writing a single byte, so an unordered trace fails cleanly
-// instead of aborting mid-write and leaving a torn output file behind.
+// checkOrdered validates the time ordering the serializer's unsigned cycle
+// deltas require. SaveV2Chunked runs it before encoding, so an unordered
+// trace fails without writing a byte.
 func (t *Trace) checkOrdered() error {
 	prev := int64(0)
 	for _, r := range t.Records {

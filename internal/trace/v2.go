@@ -98,176 +98,69 @@ func (info *Info) state(k *checkpoint.Codec) {
 // uvarint codes a non-negative count as an unsigned varint.
 func uvarint(k *checkpoint.Codec, p *int64) { v := uint64(*p); k.Uvarint(&v); *p = int64(v) }
 
-// V2Writer encodes a v2 trace incrementally: records append one at a
-// time (in non-decreasing At order), chunks flush as they fill, and Close
-// writes the end sentinel, footer index, and trailer. Nothing but the
-// current chunk is buffered, so writing is O(chunk) in memory regardless
-// of trace length.
-type V2Writer struct {
-	w        io.Writer
-	perChunk int
-
-	payload []byte // current chunk, reused between flushes
-	count   int64
-	writes  int64
-	first   int64 // At of the chunk's first record
-	prev    int64 // At of the chunk's last record
-
-	info   Info // the footer index: totals and chunks so far
-	any    bool
-	off    int64
-	err    error
-	closed bool
-}
-
-// NewV2Writer starts a v2 encoding onto w with the given records per
-// chunk (<= 0 selects DefaultChunkRecords). The magic is written
-// immediately; call Append for each record and Close to finish.
-func NewV2Writer(w io.Writer, perChunk int) *V2Writer {
-	if perChunk <= 0 {
-		perChunk = DefaultChunkRecords
-	}
-	v := &V2Writer{w: w, perChunk: perChunk}
-	if _, err := w.Write(magicV2[:]); err != nil {
-		v.err = err
-	}
-	v.off = 4
-	return v
-}
-
-// Append encodes one record. Records must arrive in non-decreasing At
-// order; a violation fails the writer before any byte of the record is
-// emitted.
-func (v *V2Writer) Append(rec Record) error {
-	if v.err != nil {
-		return v.err
-	}
-	if v.closed {
-		v.err = fmt.Errorf("trace: append after Close")
-		return v.err
-	}
-	if rec.At < v.info.LastAt {
-		v.err = fmt.Errorf("trace: records not time-ordered at cycle %d", rec.At)
-		return v.err
-	}
-	prev := v.prev
-	if v.count == 0 {
-		v.first = rec.At
-		prev = 0 // first delta is the absolute cycle
-	}
-	v.payload = binary.AppendUvarint(v.payload, uint64(rec.At-prev))
-	flag := uint64(0)
-	if rec.Write {
-		flag = 1
-	}
-	v.payload = binary.AppendUvarint(v.payload, flag)
-	v.payload = binary.AppendUvarint(v.payload, rec.Addr)
-	if rec.Write {
-		v.payload = binary.AppendUvarint(v.payload, uint64(rec.Mask))
-		v.writes++
-	}
-	v.prev = rec.At
-	v.info.LastAt = rec.At
-	if !v.any {
-		v.info.FirstAt = rec.At
-		v.any = true
-	}
-	v.count++
-	v.info.Records++
-	if v.count >= int64(v.perChunk) {
-		v.flush()
-	}
-	return v.err
-}
-
-// flush frames and writes the pending chunk.
-func (v *V2Writer) flush() {
-	if v.err != nil || v.count == 0 {
-		return
-	}
-	body := binary.AppendUvarint(nil, uint64(v.count))
-	body = append(body, v.payload...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
-	if _, err := v.w.Write(hdr[:]); err != nil {
-		v.err = err
-		return
-	}
-	if _, err := v.w.Write(body); err != nil {
-		v.err = err
-		return
-	}
-	v.info.Chunks = append(v.info.Chunks, ChunkInfo{
-		Offset:  v.off,
-		Bytes:   int64(len(body)),
-		Count:   v.count,
-		FirstAt: v.first,
-		LastAt:  v.prev,
-		Writes:  v.writes,
-	})
-	v.info.Writes += v.writes
-	v.off += 8 + int64(len(body))
-	v.payload = v.payload[:0]
-	v.count, v.writes = 0, 0
-}
-
-// Close flushes the final chunk and writes the end sentinel, the footer
-// index, and the trailer. The writer is unusable afterwards.
-func (v *V2Writer) Close() error {
-	if v.err != nil {
-		return v.err
-	}
-	if v.closed {
-		return nil
-	}
-	v.closed = true
-	v.flush()
-	if v.err != nil {
-		return v.err
-	}
-	var w checkpoint.Writer
-	v.info.state(checkpoint.Saving(&w))
-	footer := w.Bytes()
-	var frame [12]byte
-	binary.LittleEndian.PutUint32(frame[0:], 0) // end-of-chunks sentinel
-	binary.LittleEndian.PutUint32(frame[4:], uint32(len(footer)))
-	binary.LittleEndian.PutUint32(frame[8:], crc32.ChecksumIEEE(footer))
-	if _, err := v.w.Write(frame[:]); err != nil {
-		v.err = err
-		return v.err
-	}
-	if _, err := v.w.Write(footer); err != nil {
-		v.err = err
-		return v.err
-	}
-	var trailer [8]byte
-	binary.LittleEndian.PutUint32(trailer[0:], uint32(len(footer)))
-	copy(trailer[4:], tailMagic[:])
-	if _, err := v.w.Write(trailer[:]); err != nil {
-		v.err = err
-	}
-	return v.err
-}
-
 // SaveV2 writes the trace in format v2 with the default chunk size.
-// Ordering is validated before the first byte is written.
 func (t *Trace) SaveV2(w io.Writer) error {
 	return t.SaveV2Chunked(w, DefaultChunkRecords)
 }
 
-// SaveV2Chunked is SaveV2 with an explicit records-per-chunk granularity.
+// SaveV2Chunked is SaveV2 with an explicit records-per-chunk granularity
+// (<= 0 selects DefaultChunkRecords), and the one v2 writer. It checks the
+// ordering, encodes the whole file in memory (about half the size of the
+// records it holds) and writes it with one Write, so an unordered trace
+// writes nothing.
 func (t *Trace) SaveV2Chunked(w io.Writer, perChunk int) error {
 	if err := t.checkOrdered(); err != nil {
 		return err
 	}
-	vw := NewV2Writer(w, perChunk)
-	for _, r := range t.Records {
-		if err := vw.Append(r); err != nil {
-			return err
-		}
+	if perChunk <= 0 {
+		perChunk = DefaultChunkRecords
 	}
-	return vw.Close()
+	buf := append([]byte(nil), magicV2[:]...)
+	info := Info{Records: int64(len(t.Records))}
+	if n := len(t.Records); n > 0 {
+		info.FirstAt, info.LastAt = t.Records[0].At, t.Records[n-1].At
+	}
+	var payload []byte
+	for rest := t.Records; len(rest) > 0; {
+		chunk := rest[:min(perChunk, len(rest))]
+		rest = rest[len(chunk):]
+		c := ChunkInfo{Offset: int64(len(buf)), Count: int64(len(chunk)),
+			FirstAt: chunk[0].At, LastAt: chunk[len(chunk)-1].At}
+		payload = binary.AppendUvarint(payload[:0], uint64(len(chunk)))
+		prev := int64(0) // the first delta is the absolute cycle
+		for _, r := range chunk {
+			flag := uint64(0)
+			if r.Write {
+				flag = 1
+			}
+			payload = binary.AppendUvarint(payload, uint64(r.At-prev))
+			payload = binary.AppendUvarint(payload, flag)
+			payload = binary.AppendUvarint(payload, r.Addr)
+			if r.Write {
+				payload = binary.AppendUvarint(payload, uint64(r.Mask))
+				c.Writes++
+			}
+			prev = r.At
+		}
+		c.Bytes = int64(len(payload))
+		buf = appendFrame(buf, payload)
+		info.Chunks = append(info.Chunks, c)
+		info.Writes += c.Writes
+	}
+	var footer checkpoint.Writer
+	info.state(checkpoint.Saving(&footer))
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // end-of-chunks sentinel
+	buf = appendFrame(buf, footer.Bytes())
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(footer.Bytes())))
+	_, err := w.Write(append(buf, tailMagic[:]...))
+	return err
+}
+
+// appendFrame appends p framed as u32 len(p) | u32 crc32(p) | p.
+func appendFrame(buf, p []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(p))
+	return append(buf, p...)
 }
 
 // V2File is a v2 trace opened through an io.ReaderAt: the footer index is
