@@ -110,21 +110,33 @@ func TestOpenV2Info(t *testing.T) {
 }
 
 // TestSaveV2RejectsUnorderedWithoutWriting steps back in time at the
-// second record and after more than one chunk of ordered records: either
-// way the whole trace is refused before its first byte, not after the
-// chunks ahead of the fault.
+// second record: the whole trace is refused before its first byte.
 func TestSaveV2RejectsUnorderedWithoutWriting(t *testing.T) {
+	wantOrderingRefusal(t, &Trace{Records: []Record{{At: 10, Addr: 64}, {At: 5, Addr: 128}}}, 0)
+}
+
+// TestV2WriterRejectsOutOfOrderAppend appends one record earlier than its
+// predecessor, both inside the first chunk and after more than one chunk
+// of ordered records: SaveV2Chunked refuses the trace before its first
+// byte, not after the chunks ahead of the fault.
+func TestV2WriterRejectsOutOfOrderAppend(t *testing.T) {
+	wantOrderingRefusal(t, &Trace{Records: []Record{{At: 100, Addr: 64}, {At: 99, Addr: 64}}}, 16)
 	late := synthTrace(40, 11)
 	late.Records = append(late.Records, Record{At: late.Records[39].At - 1, Addr: 64})
-	for _, tr := range []*Trace{{Records: []Record{{At: 10, Addr: 64}, {At: 5, Addr: 128}}}, late} {
-		var buf bytes.Buffer
-		err := tr.SaveV2Chunked(&buf, 16)
-		if err == nil || !strings.Contains(err.Error(), "not time-ordered") {
-			t.Fatalf("err = %v, want ordering error", err)
-		}
-		if buf.Len() != 0 {
-			t.Fatalf("wrote %d bytes before failing; torn output", buf.Len())
-		}
+	wantOrderingRefusal(t, late, 16)
+}
+
+// wantOrderingRefusal saves tr in perChunk-record chunks and fails unless
+// the save reports the ordering error and writes nothing.
+func wantOrderingRefusal(t *testing.T, tr *Trace, perChunk int) {
+	t.Helper()
+	var buf bytes.Buffer
+	err := tr.SaveV2Chunked(&buf, perChunk)
+	if err == nil || !strings.Contains(err.Error(), "not time-ordered") {
+		t.Fatalf("err = %v, want ordering error", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("wrote %d bytes before failing; torn output", buf.Len())
 	}
 }
 
