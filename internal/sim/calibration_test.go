@@ -88,6 +88,40 @@ func TestCalibrationTable1(t *testing.T) {
 	}
 }
 
+// TestCalibrationWarmMethod holds the Runner's single-core warm to a fully
+// detailed warm of the same budget: each Table 1 benchmark's baseline
+// cycles agree within 2 % and every Table 1 cell within 0.5 pp.
+func TestCalibrationWarmMethod(t *testing.T) {
+	t.Parallel()
+	r := calibrationRunner(t)
+	cells := func(res Result) [4]float64 { // the write columns are 100 minus the read ones
+		return [4]float64{100 * res.RowHitRateRead(), 100 * res.RowHitRateWrite(),
+			100 * res.ReadTrafficShare(), 100 * res.ReadActShare()}
+	}
+	names := [4]string{"read hit rate", "write hit rate", "read traffic share", "read activation share"}
+	for _, b := range benchOrder {
+		got, err := r.Run(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(b)
+		cfg.ActiveCores, cfg.InstrPerCore, cfg.WarmupPerCore, cfg.Seed = 1, 250_000, 800_000, 1
+		want, err := RunOne(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := float64(got.Cycles)/float64(want.Cycles) - 1; math.Abs(d) > 0.02 {
+			t.Errorf("%s: cycles %d, detailed warm %d (%+.2f%%, want within 2%%)", b, got.Cycles, want.Cycles, 100*d)
+		}
+		g, w := cells(got), cells(want)
+		for i, name := range names {
+			if math.Abs(g[i]-w[i]) > 0.5 {
+				t.Errorf("%s: %s %.2f%%, detailed warm %.2f%% (want within 0.5 pp)", b, name, g[i], w[i])
+			}
+		}
+	}
+}
+
 func TestCalibrationFig3DirtyWords(t *testing.T) {
 	t.Parallel()
 	r := calibrationRunner(t)
