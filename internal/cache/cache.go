@@ -694,3 +694,65 @@ func (h *Hierarchy) NextEvent(now int64) int64 {
 // queued returns the number of scheduled completions; the empty case is
 // the common one on memory-bound runs and is kept to one test.
 func (h *Hierarchy) queued() int { return h.lanes[laneL1].n + h.lanes[laneL2].n }
+
+// Functional is a functional warm of the hierarchy: accesses take the
+// detailed lookup, fill and eviction paths (FGD masks and the DBI included),
+// but no time passes. While open it is the hierarchy's backend: it accepts
+// every write-back and holds each fill until its access has returned.
+type Functional struct {
+	h    *Hierarchy
+	mem  Backend
+	fill core.Done // the fill Read holds, if any
+}
+
+// Functional opens a functional warm on a hierarchy with nothing in flight.
+func (h *Hierarchy) Functional() *Functional {
+	f := &Functional{h: h, mem: h.mem}
+	h.mem = f
+	return f
+}
+
+// Read holds the fill for Access to deliver.
+func (f *Functional) Read(_ uint64, done core.Done) bool {
+	f.fill = done
+	return true
+}
+
+// Write accepts the write-back.
+func (f *Functional) Write(uint64, core.ByteMask) bool { return true }
+
+// Access performs a load, or a store of mask, and completes it at once: a
+// hit's scheduled completion is dropped, a miss's fill delivered.
+func (f *Functional) Access(coreID int, addr uint64, store bool, mask core.ByteMask) {
+	h, done := f.h, core.Done{Fn: func(int64) {}}
+	if store {
+		h.Store(coreID, addr, mask, h.now, done)
+	} else {
+		h.Load(coreID, addr, h.now, done)
+	}
+	for i := range h.lanes {
+		h.lanes[i].head, h.lanes[i].n = 0, 0
+	}
+	if fill := f.fill; fill.Fn != nil {
+		f.fill = core.Done{}
+		fill.Fn(h.now)
+	}
+}
+
+// Close hands the backend back. It fails if anything is left in flight, or
+// if a recycled MSHR entry is marked issued, as a fill completed inside Read
+// leaves it (issueFill marks the entry once Read returns).
+func (f *Functional) Close() error {
+	h := f.h
+	h.mem = f.mem
+	for e := h.freeMiss; e != nil; e = e.next {
+		if e.issued {
+			return fmt.Errorf("cache: functional warm recycled MSHR entry %#x marked issued", e.id)
+		}
+	}
+	if len(h.mshr)+h.queued()+len(h.retryFills)+len(h.wbs) > 0 {
+		return fmt.Errorf("cache: functional warm left %d MSHR entries, %d completions, %d fill retries and %d write-backs",
+			len(h.mshr), h.queued(), len(h.retryFills), len(h.wbs))
+	}
+	return nil
+}

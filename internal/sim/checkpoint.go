@@ -49,7 +49,7 @@ var warmupExcluded = []string{
 // of warmup behaviour cannot be established), as are configs without a
 // warmup phase (there is no boundary to checkpoint).
 func WarmupFingerprint(cfg Config) (string, bool) {
-	if cfg.Generator != nil || cfg.WarmupPerCore <= 0 {
+	if cfg.Generator != nil || cfg.FunctionalWarmupPerCore+cfg.WarmupPerCore <= 0 {
 		return "", false
 	}
 	// Normalise, so spellings of the same effective warmup share a key: the

@@ -80,6 +80,8 @@ func TestCheckpointBitIdentityMatrix(t *testing.T) {
 					{"4ch", fourChannels},
 					{"4ch-hammer", fourChannelHammer},
 					{"DDR3-1866", ddr31866},
+					{"functional-1core", functionalWarm(1)},
+					{"functional-4core", functionalWarm(4)},
 				}
 			}
 			for _, v := range vs {
@@ -280,6 +282,10 @@ func TestWarmupFingerprintFields(t *testing.T) {
 		"APD":           {mutate: func(c *Config) { c.APD = true }, wantChange: true},
 		"RefreshMode":   {mutate: func(c *Config) { c.RefreshMode = dram.RefPerBank }, wantChange: true},
 		"PowerCal":      {mutate: func(c *Config) { c.PowerCal = "ghose" }, wantChange: false},
+
+		// The functional part of the warmup steers it as the detailed part does.
+		"FunctionalWarmupPerCore": {mutate: func(c *Config) { c.FunctionalWarmupPerCore = 4_321 }, wantChange: true},
+
 		// Latency attribution observes scheduling without influencing it
 		// (latency.go's bit-identity tests), and the sweep frontier each
 		// request carries is maintained — and checkpointed — regardless of

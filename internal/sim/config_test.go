@@ -26,6 +26,7 @@ func TestValidateNamesTheField(t *testing.T) {
 		want string
 	}{
 		{func(c *Config) { c.WarmupPerCore = -5 }, "WarmupPerCore"},
+		{func(c *Config) { c.FunctionalWarmupPerCore = -5 }, "FunctionalWarmupPerCore"},
 		{func(c *Config) { c.InstrPerCore = -1 }, "InstrPerCore"},
 		{func(c *Config) { c.MaxCycles = -1 }, "MaxCycles"},
 		{func(c *Config) { c.Cores = -1 }, "Cores"},
@@ -262,6 +263,7 @@ const (
 	kEpoch
 	kEventLevel
 	kPowerCal
+	kFunctionalWarmup
 	numKnobBytes
 )
 
@@ -308,6 +310,7 @@ func fuzzConfig(knobs []byte) Config {
 	cfg.ActiveCores = int(pick(kActiveCores, 0, 1, 2, 5, -1))
 	cfg.InstrPerCore = pick(kInstr, 1500, 1, 300, 0, -1)
 	cfg.WarmupPerCore = pick(kWarmup, 0, 1, 700, -5)
+	cfg.FunctionalWarmupPerCore = pick(kFunctionalWarmup, 0, 1, 700, -5)
 	cfg.Seed = uint64(at(kSeed))
 	cfg.Channels = int(pick(kChannels, 0, 1, 2, 4, 8, 3, -1))
 	cfg.Obs.EpochCycles = pick(kEpoch, 0, 1, 64, 100_000, -7)
@@ -334,6 +337,7 @@ func FuzzConfig(f *testing.F) {
 	// The hostile inputs this contract was written against.
 	f.Add(knobsAt(kWorkload, 3, kMitThreshold, 6)) // -mit-threshold 1: the livelock
 	f.Add(knobsAt(kWarmup, 3))                     // -warmup -5
+	f.Add(knobsAt(kFunctionalWarmup, 3))           // FunctionalWarmupPerCore -5
 	f.Add(knobsAt(kEpoch, 4))                      // -epoch -7
 	f.Add(knobsAt(kMitAlert, 4))                   // -mit-alert -1
 	f.Add(knobsAt(kPDPolicy, 2))                   // timeout policy, PDTimeout 0

@@ -39,7 +39,9 @@ import (
 // DDR3-1866 (5 and 3 CPU cycles before), so grade= runs at those bins differ.
 // v9: Result carries its run's DRAM clock (Rate), so a v8 entry of a grade=
 // run would decode with the clock silently DDR3-1600's.
-const ModelVersion = "pradram-model-v9"
+// v10: single-core experiment runs warm functionally up to a 50 k detailed
+// tail (Runner.config), so their Results differ.
+const ModelVersion = "pradram-model-v10"
 
 // fileStore is the on-disk protocol under both the result cache and the
 // checkpoint store: one file per id in dir, named by a hash of the id (the

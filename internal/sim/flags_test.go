@@ -27,6 +27,8 @@ var notFlags = map[string]string{
 	"CPU":           "Table 3's core is fixed; sensitivity sweeps set it in code",
 	"Generator":     "a Go hook",
 	"Timing":        "a speed grade is a struct; the speedgrades experiment sets it by grade name (runKey.grade)",
+
+	"FunctionalWarmupPerCore": "the Runner derives it from single-core runs' warmup; prasim stays detailed until its runs are weighed (ROADMAP 3(b))",
 }
 
 // TestEveryFieldIsDecided makes adding a knob a decision: every field a

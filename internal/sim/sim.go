@@ -60,7 +60,11 @@ type Config struct {
 	// main use is populating the 4MB L2 so dirty evictions — the traffic
 	// PRA acts on — flow at their steady-state rate.
 	WarmupPerCore int64
-	Seed          uint64
+	// FunctionalWarmupPerCore runs this many instructions per core before
+	// WarmupPerCore, from the generators straight into the cache hierarchy
+	// with no core, controller or DRAM timing (System.warmFunctional).
+	FunctionalWarmupPerCore int64
+	Seed                    uint64
 
 	// MaxCycles aborts a run that stopped making progress; 0 derives a
 	// generous bound from InstrPerCore. The bound is spent in ticks
@@ -125,6 +129,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: InstrPerCore must be positive, got %d", c.InstrPerCore)
 	case c.WarmupPerCore < 0:
 		return fmt.Errorf("sim: WarmupPerCore must be non-negative, got %d", c.WarmupPerCore)
+	case c.FunctionalWarmupPerCore < 0:
+		return fmt.Errorf("sim: FunctionalWarmupPerCore must be non-negative, got %d", c.FunctionalWarmupPerCore)
 	case c.MaxCycles < 0:
 		return fmt.Errorf("sim: MaxCycles must be non-negative, got %d", c.MaxCycles)
 	case c.Workload == "":
@@ -366,16 +372,21 @@ func (s *System) sampleAt(m int64) int64 {
 	return min(s.ctrl.CPUAt(m)+s.recShift, s.ctrl.CPUAt(m+1)-1)
 }
 
-// Warmup runs Config.WarmupPerCore instructions per core and resets every
+// Warmup runs Config.FunctionalWarmupPerCore instructions per core
+// functionally, then Config.WarmupPerCore in detail, and resets every
 // statistic, so Measure sees steady-state cache and DRAM behaviour. It is
 // the first half of Run, split out so the post-warmup state can be
 // checkpointed (Checkpoint) and reused (Restore) across runs that share a
 // warmup fingerprint. With no warmup configured it is a no-op.
 func (s *System) Warmup() error {
-	if s.cfg.WarmupPerCore <= 0 || s.warmed {
+	if s.cfg.FunctionalWarmupPerCore+s.cfg.WarmupPerCore <= 0 || s.warmed {
 		return nil
 	}
-	if _, err := s.advance("warmup", s.cfg.WarmupPerCore); err != nil {
+	err := s.warmFunctional()
+	if err == nil && s.cfg.WarmupPerCore > 0 {
+		_, err = s.advance("warmup", s.cfg.WarmupPerCore)
+	}
+	if err != nil {
 		return err
 	}
 	for _, c := range s.cores {
@@ -385,6 +396,22 @@ func (s *System) Warmup() error {
 	s.ctrl.ResetStats()
 	s.endWarmup()
 	return nil
+}
+
+// warmFunctional drives Config.FunctionalWarmupPerCore ops per core from
+// the generators straight into the cache hierarchy, one op per core in turn;
+// every op, compute included, counts as one instruction.
+func (s *System) warmFunctional() error {
+	f := s.hier.Functional()
+	var op cpu.Op
+	for n := s.cfg.FunctionalWarmupPerCore; n > 0; n-- {
+		for i, c := range s.cores {
+			if c.Generator().Next(&op); op.Kind != cpu.Compute {
+				f.Access(i, op.Addr, op.Kind == cpu.Store, op.Bytes)
+			}
+		}
+	}
+	return f.Close()
 }
 
 // endWarmup marks the warmup boundary at the current cycle, after Warmup

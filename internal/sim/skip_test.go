@@ -38,6 +38,17 @@ func ddr31866(c *Config) {
 	c.Timing = &g.Timing
 }
 
+// functionalWarm is the split-warmup cell of both matrices: a functional
+// warm, DBI on, before skipCfg's detailed warmup, on active of four cores.
+// 240 k functional instructions over the active cores make ~40 k L2 misses
+// of GUPS, enough for dirty evictions and DBI sweeps to reach the sink.
+func functionalWarm(active int) func(*Config) {
+	return func(c *Config) {
+		c.Cores, c.ActiveCores, c.DBI = 4, active, true
+		c.FunctionalWarmupPerCore = 240_000 / int64(active)
+	}
+}
+
 func fourChannelHammer(c *Config) {
 	c.Channels = 4
 	c.Workload = "HammerDouble"
@@ -181,6 +192,8 @@ func TestSkipBitIdentityMatrix(t *testing.T) {
 					{"4ch", fourChannels},
 					{"4ch-hammer", fourChannelHammer},
 					{"DDR3-1866", ddr31866},
+					{"functional-1core", functionalWarm(1)},
+					{"functional-4core", functionalWarm(4)},
 				}
 			}
 			for _, v := range vs {
