@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -61,6 +62,53 @@ func TestParallelPoolMatchesSequential(t *testing.T) {
 	}
 	if got, want := par.Simulations(), int64(len(keys)); got != want {
 		t.Errorf("parallel pool executed %d simulations, want %d (no duplicates, no drops)", got, want)
+	}
+}
+
+// TestRunSystems holds the driver prasim uses to the Runner's own contract:
+// pre-built systems come back with the Results a monolithic RunOne gives, in
+// input order, and a failure does not stop the others.
+func TestRunSystems(t *testing.T) {
+	t.Parallel()
+	opt := ExpOptions{Instr: 3000, Warmup: 3000, Seed: 1, Workers: 2}
+	var cfgs []Config
+	for _, k := range []runKey{
+		newKey("GUPS", memctrl.PRA, memctrl.RelaxedClose, 1),
+		newKey("LinkedList", memctrl.Baseline, memctrl.RelaxedClose, 1),
+	} {
+		cfg, err := NewRunner(opt).config(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	stuck := cfgs[0]
+	stuck.MaxCycles = 10 // exhausts its tick budget during warmup
+	cfgs = append(cfgs, stuck)
+
+	systems := make([]*System, len(cfgs))
+	for i, cfg := range cfgs {
+		var err error
+		if systems[i], err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewRunner(opt)
+	results, errs := r.RunSystems(systems)
+	for i, cfg := range cfgs[:2] {
+		ref, err := RunOne(cfg)
+		if err != nil || errs[i] != nil {
+			t.Fatalf("run %d: %v / %v", i, err, errs[i])
+		}
+		if !reflect.DeepEqual(results[i], ref) {
+			t.Errorf("run %d: RunSystems result differs from RunOne's", i)
+		}
+	}
+	if errs[2] == nil || !strings.Contains(errs[2].Error(), "warmup made no progress") {
+		t.Errorf("stuck run returned %v, want the warmup no-progress error", errs[2])
+	}
+	if r.Simulations() != 2 {
+		t.Errorf("%d simulations counted, want 2", r.Simulations())
 	}
 }
 
