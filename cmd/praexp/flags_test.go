@@ -83,7 +83,6 @@ func TestArgsToOptions(t *testing.T) {
 			"exp": "all", "list": "false", "quiet": "false", "httpAddr": "",
 			"run.Instr": "400000", "run.Warmup": "400000", "run.Seed": "1",
 			"run.Workers": strconv.Itoa(runtime.GOMAXPROCS(0)), "run.CacheDir": "", "run.NoSkip": "false",
-			"run.CkptDir": "", "run.NoCheckpoint": "false",
 		}},
 		{[]string{"-exp", "fig12"}, map[string]string{"exp": "fig12"}},
 		{[]string{"-list"}, map[string]string{"list": "true"}},
@@ -95,8 +94,6 @@ func TestArgsToOptions(t *testing.T) {
 		{[]string{"-q"}, map[string]string{"quiet": "true"}},
 		{[]string{"-noskip"}, map[string]string{"run.NoSkip": "true"}},
 		{[]string{"-http", ":6060"}, map[string]string{"httpAddr": ":6060"}},
-		{[]string{"-ckpt-dir", "/tmp/k"}, map[string]string{"run.CkptDir": "/tmp/k"}},
-		{[]string{"-nockpt"}, map[string]string{"run.NoCheckpoint": "true"}},
 	}
 	for _, c := range cases {
 		o, err := parseArgs(newFlagSet(), c.args)

@@ -11,7 +11,6 @@
 //	praexp -exp fig13 -instr 2000000 -warmup 1000000
 //	praexp -exp all -j 8           # 8 simulations in flight
 //	praexp -exp all -cache ~/.cache/pradram   # reuse results across runs
-//	praexp -exp all -ckpt-dir ~/.cache/pradram-ckpt   # reuse warmups too
 //	praexp -exp all -http :6060    # live progress JSON + pprof
 //	praexp -exp tensor             # analytic vs measured tensor-stream ACT rates
 //
@@ -31,13 +30,7 @@
 // on stdout are byte-identical for every -j (timings go to stderr).
 // With -cache, results also persist on disk keyed by configuration,
 // budget, and model version, so repeated invocations skip simulation.
-//
-// Runs that still have to simulate reuse warmup checkpoints (DESIGN.md
-// §4e): configurations sharing a warmup fingerprint warm once and restore
-// the snapshot thereafter, with bit-identical results. -ckpt-dir persists
-// the snapshots across invocations; -nockpt disables reuse entirely. The
-// closing summary and the -http /vars/checkpoints endpoint report how many
-// warmups were reused versus paid cold.
+// Every run that still has to simulate warms itself (DESIGN.md §4e).
 package main
 
 import (
@@ -74,8 +67,6 @@ func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 	fs.BoolVar(&o.quiet, "q", false, "suppress the stderr progress line")
 	fs.BoolVar(&o.run.NoSkip, "noskip", false, "disable event-driven cycle skipping (identical results, slower campaign)")
 	fs.StringVar(&o.httpAddr, "http", "", "serve live campaign progress and pprof on this address (e.g. :6060)")
-	fs.StringVar(&o.run.CkptDir, "ckpt-dir", "", "persist warmup checkpoints in this directory so later invocations restore instead of re-warming (empty = in-memory reuse only)")
-	fs.BoolVar(&o.run.NoCheckpoint, "nockpt", false, "disable warmup checkpoint reuse (identical results, every run warms from scratch)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -113,12 +104,6 @@ func main() {
 		srv := obs.NewServer()
 		srv.Publish("build", func() any { return sim.BuildInfo() })
 		srv.Publish("progress", func() any { return prog.Snapshot() })
-		srv.Publish("checkpoints", func() any {
-			return map[string]int64{
-				"hits":   runner.CheckpointHits(),
-				"misses": runner.CheckpointMisses(),
-			}
-		})
 		if err := srv.Start(o.httpAddr); err != nil {
 			fmt.Fprintln(os.Stderr, "praexp: -http:", err)
 			os.Exit(1)
@@ -162,7 +147,6 @@ func main() {
 		}
 	}
 	stopReporter()
-	fmt.Fprintf(os.Stderr, "(total: %v, %d simulations run, %d disk-cache hits, %d warmups reused / %d cold, -j %d)\n",
-		time.Since(start).Round(time.Millisecond), runner.Simulations(), runner.DiskHits(),
-		runner.CheckpointHits(), runner.CheckpointMisses(), o.run.Workers)
+	fmt.Fprintf(os.Stderr, "(total: %v, %d simulations run, %d disk-cache hits, -j %d)\n",
+		time.Since(start).Round(time.Millisecond), runner.Simulations(), runner.DiskHits(), o.run.Workers)
 }

@@ -97,7 +97,7 @@ func TestArgsToConfig(t *testing.T) {
 			"cfg.Capture": "false", "cfg.NoTimingRelax": "false", "cfg.NoPartialIO": "false", "cfg.NoMaskCycle": "false",
 			"cfg.MaxCycles": "0",
 			"list":          "false", "asJSON": "false", "workers": strconv.Itoa(runtime.GOMAXPROCS(0)),
-			"ckptDir": "", "traceOut": "", "timeline": "", "eventsOut": "", "httpAddr": "",
+			"traceOut": "", "timeline": "", "eventsOut": "", "httpAddr": "",
 		}},
 		{[]string{"-workload", "em3d"}, map[string]string{"cfg.Workload": "em3d"}},
 		{[]string{"-scheme", "halfdram+pra"}, map[string]string{"cfg.Scheme": "halfdram+pra"}},
@@ -113,7 +113,6 @@ func TestArgsToConfig(t *testing.T) {
 		{[]string{"-j", "7"}, map[string]string{"workers": "7"}},
 		{[]string{"-noskip"}, map[string]string{"cfg.NoSkip": "true"}},
 		{[]string{"-channels", "4"}, map[string]string{"cfg.Channels": "4"}},
-		{[]string{"-ckpt-dir", "/tmp/c"}, map[string]string{"ckptDir": "/tmp/c"}},
 		{[]string{"-pd-policy", "queue"}, map[string]string{"cfg.PDPolicy": "queue"}},
 		{[]string{"-pd-timeout", "77"}, map[string]string{"cfg.PDTimeout": "77"}},
 		{[]string{"-sr-timeout", "5000"}, map[string]string{"cfg.SRTimeout": "5000"}},

@@ -19,10 +19,6 @@
 // streams) whose counts sum to -cores, with per-core attribution in the
 // report.
 //
-// -ckpt-dir persists warmup checkpoints (DESIGN.md §4e): a later
-// invocation whose configuration shares a warmup fingerprint restores the
-// snapshot instead of re-warming, with bit-identical results.
-//
 // Telemetry (see internal/obs and DESIGN.md "Observability"):
 //
 //	prasim -workload gups -timeline tl.csv -epoch 50000
@@ -79,7 +75,7 @@ type options struct {
 	list, asJSON bool
 	workers      int
 
-	ckptDir, traceOut, timeline, eventsOut, httpAddr string
+	traceOut, timeline, eventsOut, httpAddr string
 }
 
 // parseArgs registers the flags on fs, parses args and expands them into
@@ -100,7 +96,6 @@ func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 	fs.BoolVar(&o.list, "list", false, "list workloads and exit")
 	fs.BoolVar(&o.asJSON, "json", false, "emit machine-readable JSON instead of tables")
 	fs.IntVar(&o.workers, "j", runtime.GOMAXPROCS(0), "max simulations in flight for workload batches")
-	fs.StringVar(&o.ckptDir, "ckpt-dir", "", "persist warmup checkpoints in this directory and restore matching ones instead of re-warming (results are identical)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write sampled request spans as a Chrome/Perfetto trace JSON to this file (implies -latbreak)")
 	fs.StringVar(&o.timeline, "timeline", "", "write the per-epoch time-series to this file (.json for JSON, else CSV)")
 	fs.StringVar(&o.eventsOut, "events-out", "", "write the event trace to this file (otherwise dumped to stderr only on error)")
@@ -200,17 +195,11 @@ func main() {
 		}
 	}
 
-	// The runner fans the independent runs out across its pool and takes
-	// each through the warmup-checkpoint layer (-ckpt-dir); reports still
-	// print in the order the workloads were given.
-	runner := sim.NewRunner(sim.ExpOptions{
-		Workers: max(o.workers, 1), CkptDir: o.ckptDir, NoCheckpoint: o.ckptDir == "", Progress: prog})
+	// The runner fans the independent runs out across its pool; reports
+	// still print in the order the workloads were given.
+	runner := sim.NewRunner(sim.ExpOptions{Workers: max(o.workers, 1), Progress: prog})
 	results, errs := runner.RunSystems(systems)
 	stopReporter()
-	if o.ckptDir != "" {
-		fmt.Fprintf(os.Stderr, "(warmup checkpoints: %d restored, %d cold)\n",
-			runner.CheckpointHits(), runner.CheckpointMisses())
-	}
 
 	for i, res := range results {
 		if errs[i] != nil {

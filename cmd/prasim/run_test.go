@@ -35,10 +35,8 @@ func runPrasim(t *testing.T, bin string, args ...string) (stdout, stderr string)
 }
 
 // TestRunGolden pins the binary's run path end to end on a two-workload
-// batch: stdout by digest (tables and -json), byte-identical for every -j
-// and whether the warmups ran cold or were restored from a -ckpt-dir, the
-// checkpoint summary line the second invocation against one directory
-// must print, and each workload's -trace-out Perfetto file by digest.
+// batch: stdout by digest (tables and -json), byte-identical for every -j,
+// and each workload's -trace-out Perfetto file by digest.
 // Regenerate testdata/run.golden with -update after an intended change of
 // the report.
 func TestRunGolden(t *testing.T) {
@@ -46,24 +44,10 @@ func TestRunGolden(t *testing.T) {
 	batch := []string{"-workload", "GUPS,mcf", "-instr", "30000", "-warmup", "40000"}
 	with := func(extra ...string) []string { return append(append([]string{}, batch...), extra...) }
 
-	plain, stderr := runPrasim(t, bin, with("-j", "2")...)
-	if strings.Contains(stderr, "warmup checkpoints") {
-		t.Errorf("checkpoint summary printed without -ckpt-dir:\n%s", stderr)
-	}
+	plain, _ := runPrasim(t, bin, with("-j", "2")...)
 	asJSON, _ := runPrasim(t, bin, with("-j", "2", "-json")...)
 	if serial, _ := runPrasim(t, bin, with("-j", "1")...); serial != plain {
 		t.Error("stdout differs between -j 1 and -j 2")
-	}
-
-	dir := t.TempDir()
-	for i, want := range []string{"0 restored, 2 cold", "2 restored, 0 cold"} {
-		out, stderr := runPrasim(t, bin, with("-j", "2", "-ckpt-dir", dir)...)
-		if out != plain {
-			t.Errorf("-ckpt-dir run %d: stdout differs from the run without a checkpoint directory", i+1)
-		}
-		if !strings.Contains(stderr, "(warmup checkpoints: "+want+")") {
-			t.Errorf("-ckpt-dir run %d: stderr %q, want the summary %q", i+1, stderr, want)
-		}
 	}
 
 	got := fmt.Sprintf("plain %x\njson %x\n", sha256.Sum256([]byte(plain)), sha256.Sum256([]byte(asJSON)))

@@ -15,8 +15,8 @@ import (
 
 // Warmup checkpointing (DESIGN.md §4e). A checkpoint captures the full
 // simulator state at the warmup boundary — the instant Warmup returns,
-// immediately after every statistic was reset — so a campaign can warm a
-// configuration once and measure many variants from the same state.
+// immediately after every statistic was reset — so a warmed system can be
+// saved and measured later from the same state (bench/'s round trip).
 // Restore-then-Measure is bit-identical to a monolithic Run: the bit-
 // identity matrix in checkpoint_test.go enforces it per scheme, workload,
 // and variant.

@@ -12,13 +12,11 @@ import (
 // ModelVersion stamps disk-cached results AND warmup checkpoints with the
 // simulation model's semantic version. Bump it whenever a change alters
 // simulated numbers, so stale caches invalidate instead of silently
-// resurfacing old results — for checkpoints the stakes are higher than a
-// wrong table: restoring a snapshot taken under different model semantics
-// would silently contaminate every run warmed from it. A bump orphans old
-// checkpoint files (their names hash the version) and System.Restore
-// additionally rejects any payload whose embedded version disagrees.
-// Container-format changes to the checkpoint encoding itself are versioned
-// separately by ckptFormat (checkpoint.go).
+// resurfacing old results. System.Restore rejects any checkpoint payload
+// whose embedded version disagrees, since restoring a snapshot taken under
+// different model semantics would silently contaminate the run warmed from
+// it. Container-format changes to the checkpoint encoding itself are
+// versioned separately by ckptFormat (checkpoint.go).
 // v3: Result gained always-on write-latency accounting
 // (Ctrl.WriteLatencySum), so v2 cache entries would deserialize with the
 // field silently zero.
@@ -43,16 +41,15 @@ import (
 // tail (Runner.config), so their Results differ.
 const ModelVersion = "pradram-model-v10"
 
-// fileStore is the on-disk protocol under both the result cache and the
-// checkpoint store: one file per id in dir, named by a hash of the id (the
-// ids embed ModelVersion, so a model bump orphans old files instead of
-// loading them) and replaced atomically. It never trusts a file name: what
-// load returns is verified by its caller.
-type fileStore struct{ dir, ext string }
+// fileStore is the result cache's on-disk protocol: one file per id in dir,
+// named by a hash of the id (the ids embed ModelVersion, so a model bump
+// orphans old files instead of loading them) and replaced atomically. It
+// never trusts a file name: what load returns is verified by its caller.
+type fileStore struct{ dir string }
 
 func (s fileStore) path(id string) string {
 	h := sha256.Sum256([]byte(id))
-	return filepath.Join(s.dir, hex.EncodeToString(h[:12])+s.ext)
+	return filepath.Join(s.dir, hex.EncodeToString(h[:12])+".json")
 }
 
 // load returns the bytes stored for id; a missing, unreadable or empty file

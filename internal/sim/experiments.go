@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"pradram/internal/dram"
@@ -47,19 +46,6 @@ type ExpOptions struct {
 	// (enforced by the determinism suite), which is also why the on-disk
 	// cache deliberately does not key on it.
 	NoSkip bool
-
-	// CkptDir, when non-empty, persists warmup checkpoints on disk so
-	// later invocations sharing the directory restore instead of
-	// re-warming (praexp/prasim -ckpt-dir). Independent of CacheDir: the
-	// result cache skips whole runs, the checkpoint store skips warmups of
-	// runs that still have to simulate their measured window.
-	CkptDir string
-
-	// NoCheckpoint disables warmup checkpoint reuse entirely; every run
-	// warms from scratch. Results are bit-identical either way (enforced
-	// by the checkpoint bit-identity suite) — this exists for A/B
-	// benchmarking and as an escape hatch.
-	NoCheckpoint bool
 }
 
 // DefaultExpOptions returns the standard experiment budget.
@@ -88,22 +74,13 @@ func (o ExpOptions) Validate() error {
 // are deduplicated (memo.go), so a key simulates exactly once no matter how
 // many goroutines ask for it.
 type Runner struct {
-	opt      ExpOptions
-	disk     *diskCache
-	ckptDisk *ckptStore
+	opt  ExpOptions
+	disk *diskCache
 
 	results memo[Result] // by runKey.String()
-	ckpts   memo[[]byte] // warmup checkpoints by fingerprint (ckptcache.go)
 
-	// sharing counts, per warmup fingerprint, the unfinished runs of the
-	// Precompute waves in progress (ckptcache.go).
-	shareMu sync.Mutex
-	sharing map[string]int
-
-	sims       atomic.Int64 // simulations actually executed
-	diskHits   atomic.Int64 // runs recalled from the on-disk cache
-	ckptHits   atomic.Int64 // simulations that reused a warmup checkpoint
-	ckptMisses atomic.Int64 // checkpoint-eligible simulations that warmed cold
+	sims     atomic.Int64 // simulations actually executed
+	diskHits atomic.Int64 // runs recalled from the on-disk cache
 }
 
 // NewRunner builds a runner; results are cached inside it for the
@@ -115,12 +92,9 @@ func NewRunner(opt ExpOptions) *Runner {
 	if opt.Warmup < 0 {
 		opt.Warmup = 0
 	}
-	r := &Runner{opt: opt, sharing: make(map[string]int)}
+	r := &Runner{opt: opt}
 	if opt.CacheDir != "" {
-		r.disk = &diskCache{fileStore{opt.CacheDir, ".json"}}
-	}
-	if opt.CkptDir != "" {
-		r.ckptDisk = &ckptStore{fileStore{opt.CkptDir, ".ckpt"}}
+		r.disk = &diskCache{fileStore{opt.CacheDir}}
 	}
 	return r
 }
@@ -132,13 +106,9 @@ func (r *Runner) Simulations() int64 { return r.sims.Load() }
 // DiskHits returns how many runs were recalled from the on-disk cache.
 func (r *Runner) DiskHits() int64 { return r.diskHits.Load() }
 
-// CheckpointHits returns how many simulations skipped their warmup by
-// restoring a memoized (or persisted) warmup checkpoint.
-func (r *Runner) CheckpointHits() int64 { return r.ckptHits.Load() }
-
-// CheckpointMisses returns how many checkpoint-eligible simulations had to
-// warm from scratch (first run of a fingerprint, or a rejected restore).
-func (r *Runner) CheckpointMisses() int64 { return r.ckptMisses.Load() }
+// CheckpointHits is always 0: the Runner restores no warmups, every run
+// warms itself. It is kept only for bench/layers.go until ROADMAP 3(b).
+func (r *Runner) CheckpointHits() int64 { return 0 }
 
 // runKey identifies one memoized simulation: a workload under a set of
 // controller knobs, plus the few run-level settings experiments vary.
@@ -271,7 +241,7 @@ func (r *Runner) execute(k runKey, key string) (Result, error) {
 	cfg, err := r.config(k)
 	var res Result
 	if err == nil {
-		res, err = r.runOne(cfg)
+		res, err = RunOne(cfg)
 	}
 	if err != nil {
 		return Result{}, fmt.Errorf("run %s: %w", key, err)

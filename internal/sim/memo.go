@@ -2,12 +2,12 @@ package sim
 
 import "sync"
 
-// memo is the Runner's singleflight map, used twice: results by run key and
-// warmup checkpoints by fingerprint. The first caller of do for a key runs
-// fn while later callers of that key block and share its outcome, so a key
-// is computed once however many goroutines ask. A value stays until dropped;
-// a failure goes to the callers already waiting and is then forgotten, so
-// the next caller tries again. The zero value is ready to use.
+// memo is the Runner's singleflight map: one memo, results by run key. The
+// first caller of do for a key runs fn while later callers of that key block
+// and share its outcome, so a key is computed once however many goroutines
+// ask. A value stays for the memo's lifetime; a failure goes to the callers
+// already waiting and is then forgotten, so the next caller tries again. The
+// zero value is ready to use.
 type memo[V any] struct {
 	mu     sync.Mutex
 	vals   map[string]V
@@ -59,11 +59,4 @@ func (m *memo[V]) get(key string) (V, bool) {
 	defer m.mu.Unlock()
 	v, ok := m.vals[key]
 	return v, ok
-}
-
-// drop forgets key's finished value.
-func (m *memo[V]) drop(key string) {
-	m.mu.Lock()
-	delete(m.vals, key)
-	m.mu.Unlock()
 }

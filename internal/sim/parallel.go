@@ -25,13 +25,11 @@ import (
 func (r *Runner) Precompute(keys []runKey) error {
 	seen := make(map[string]bool, len(keys))
 	var unique []runKey
-	var fps []string // each unique key's warmup fingerprint, declared
 	for _, k := range keys {
 		s := k.String()
 		if _, memoized := r.results.get(s); !memoized && !seen[s] {
 			seen[s] = true
 			unique = append(unique, k)
-			fps = append(fps, r.ckptDeclare(r.config(k)))
 		}
 	}
 	prog := r.opt.Progress
@@ -39,7 +37,6 @@ func (r *Runner) Precompute(keys []runKey) error {
 
 	var failure atomic.Pointer[error] // the first simulation error
 	r.each(len(unique), func(i int) {
-		defer r.ckptRelease(fps[i])
 		if failure.Load() != nil {
 			return
 		}
@@ -81,25 +78,20 @@ func (r *Runner) each(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// RunSystems takes systems the caller built (New) and has not run through
-// the worker pool and the checkpoint layer, one wave, and returns each one's
-// result or error in input order; a failure does not stop the others. It is
+// RunSystems runs systems the caller built (New) and has not run across the
+// worker pool, one wave, and returns each one's result or error in input
+// order; a failure does not stop the others. It is
 // the entry for a driver that needs the systems themselves — to publish a
 // recorder before the run starts, to export a finished run's timeline,
 // events or spans — where Run and Precompute only hand back Results.
 func (r *Runner) RunSystems(systems []*System) ([]Result, []error) {
-	fps := make([]string, len(systems))
-	for i, s := range systems {
-		fps[i] = r.ckptDeclare(s.cfg, nil)
-	}
 	prog := r.opt.Progress
 	prog.AddTotal(int64(len(systems)))
 	results, errs := make([]Result, len(systems)), make([]error, len(systems))
 	r.each(len(systems), func(i int) {
-		defer r.ckptRelease(fps[i])
 		prog.Start()
 		defer prog.Done()
-		if results[i], errs[i] = r.runSystem(systems[i]); errs[i] == nil {
+		if results[i], errs[i] = systems[i].Run(); errs[i] == nil {
 			r.sims.Add(1)
 		}
 	})

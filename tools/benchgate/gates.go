@@ -50,15 +50,6 @@ var gates = []gate{
 		{name: "compute_bound_overhead", num: "BenchmarkSpeedComputeBoundSkip", den: "BenchmarkSpeedComputeBoundNoSkip", metric: nsOp, dir: atMost, bound: 1.05,
 			why: "the NextEvent bookkeeping taxes the compute-bound run (4-core bzip2), where there is nothing to skip and both runs share every instruction of the simulation proper"},
 	}},
-	{name: "warm", title: "warmup-checkpointing", pkg: "./internal/sim", pattern: "BenchmarkWarm", benchtime: "1x", checks: []check{
-		{name: "campaign_speedup", num: "BenchmarkWarmCampaignCold", den: "BenchmarkWarmCampaignCheckpoint", metric: nsOp, dir: atLeast, bound: 1.3,
-			why: "restoring a warmed snapshot no longer beats re-warming a campaign of four configurations that share one warmup fingerprint"},
-		// Looser than the speed ceiling: the producer pair carries a real
-		// constant cost, serializing the ~1.7 MB snapshot (1-3 ms whatever
-		// the run length), that sits near the host noise floor.
-		{name: "single_run_overhead", num: "BenchmarkWarmSingleCheckpoint", den: "BenchmarkWarmSingleCold", metric: nsOp, dir: atMost, bound: 1.10,
-			why: "producing a snapshot (warm, serialize, measure) taxes a single run against the monolithic one: serialization grew with the run"},
-	}},
 	{name: "hammer", title: "RowHammer mitigation-overhead", pkg: "./internal/sim", pattern: "BenchmarkHammer", benchtime: "1x", checks: []check{
 		// A defended attack legitimately simulates more cycles (hammer.golden
 		// records about +4% at this threshold); the ceiling catches the

@@ -225,7 +225,7 @@ func TestParseArgs(t *testing.T) {
 	if _, _, out, err := parse("-lat", "-out", "x.json"); err != nil || out != "x.json" {
 		t.Errorf("-out x.json: out %s err %v", out, err)
 	}
-	if _, _, _, err := parse("-speed", "-warm"); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+	if _, _, _, err := parse("-speed", "-hammer"); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Errorf("two modes: %v, want a mutual-exclusion error", err)
 	}
 	for _, removed := range []string{"-power", "-update-power", "-golden=x"} {

@@ -19,7 +19,7 @@
 // noise only inflates a timing, so the minimum is the best estimate of true
 // cost — and serve the reader, not the verdict.
 //
-// Usage: go run ./tools/benchgate [-speed|-warm|-hammer|-lat|-ingest] [-count N] [-out FILE]
+// Usage: go run ./tools/benchgate [-speed|-hammer|-lat|-ingest] [-count N] [-out FILE]
 package main
 
 import (
