@@ -82,6 +82,7 @@ func TestCheckpointBitIdentityMatrix(t *testing.T) {
 					{"DDR3-1866", ddr31866},
 					{"functional-1core", functionalWarm(1)},
 					{"functional-4core", functionalWarm(4)},
+					{"functional-only", functionalOnly},
 				}
 			}
 			for _, v := range vs {

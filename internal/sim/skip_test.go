@@ -49,6 +49,13 @@ func functionalWarm(active int) func(*Config) {
 	}
 }
 
+// functionalOnly is the shape the Runner builds for a single-core run: the
+// functional warm alone, with no detailed warmup after it.
+func functionalOnly(c *Config) {
+	functionalWarm(1)(c)
+	c.WarmupPerCore = 0
+}
+
 func fourChannelHammer(c *Config) {
 	c.Channels = 4
 	c.Workload = "HammerDouble"
@@ -194,6 +201,7 @@ func TestSkipBitIdentityMatrix(t *testing.T) {
 					{"DDR3-1866", ddr31866},
 					{"functional-1core", functionalWarm(1)},
 					{"functional-4core", functionalWarm(4)},
+					{"functional-only", functionalOnly},
 				}
 			}
 			for _, v := range vs {
