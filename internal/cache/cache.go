@@ -343,10 +343,16 @@ func (h *Hierarchy) Load(coreID int, addr uint64, now int64, done core.Done) boo
 // Store issues a store of the given dirty byte mask (write-allocate).
 // Returns false when the core's MSHRs are exhausted.
 func (h *Hierarchy) Store(coreID int, addr uint64, mask core.ByteMask, now int64, done core.Done) bool {
+	return h.access(coreID, addr, now, storeDirty(addr, mask), done)
+}
+
+// storeDirty is the dirty mask a store writes: its own mask, or the one
+// byte at addr when it carries none.
+func storeDirty(addr uint64, mask core.ByteMask) core.ByteMask {
 	if mask == 0 {
-		mask = core.StoreBytes(int(addr&63), 1)
+		return core.StoreBytes(int(addr&63), 1)
 	}
-	return h.access(coreID, addr, now, mask, done)
+	return mask
 }
 
 func (h *Hierarchy) access(coreID int, addr uint64, now int64, storeMask core.ByteMask, done core.Done) bool {
@@ -362,10 +368,7 @@ func (h *Hierarchy) access(coreID int, addr uint64, now int64, storeMask core.By
 	l1 := h.l1[coreID]
 	if i := l1.touch(id); i >= 0 {
 		h.Stats.L1Hits++
-		l1.dirty[i] |= storeMask
-		if storeMask != 0 {
-			h.dbiMark(id)
-		}
+		h.hitL1(l1, i, id, storeMask)
 		h.lanes[laneL1].push(event{at: now + h.cfg.L1Lat, done: done})
 		return true
 	}
@@ -467,6 +470,14 @@ func (h *Hierarchy) fill(e *missEntry, at int64) {
 	e.issued = false
 	e.next = h.freeMiss
 	h.freeMiss = e
+}
+
+// hitL1 applies an access's store mask to the L1 line id at slab index i.
+func (h *Hierarchy) hitL1(l1 *level, i int, id uint64, storeMask core.ByteMask) {
+	l1.dirty[i] |= storeMask
+	if storeMask != 0 {
+		h.dbiMark(id)
+	}
 }
 
 // fillL1 installs id into coreID's L1 with the store mask applied, merging
@@ -695,14 +706,14 @@ func (h *Hierarchy) NextEvent(now int64) int64 {
 // the common one on memory-bound runs and is kept to one test.
 func (h *Hierarchy) queued() int { return h.lanes[laneL1].n + h.lanes[laneL2].n }
 
-// Functional is a functional warm of the hierarchy: accesses take the
-// detailed lookup, fill and eviction paths (FGD masks and the DBI included),
-// but no time passes. While open it is the hierarchy's backend: it accepts
-// every write-back and holds each fill until its access has returned.
+// Functional is a functional warm of the hierarchy: each access makes the
+// detailed path's state transitions — LRU order, L2 and L1 fills, the
+// eviction cascade, FGD masks and the DBI — at once, with no MSHR entry,
+// completion event or backend read, and no time passes. While open it is the
+// hierarchy's backend, sinking the write-backs that evictions make.
 type Functional struct {
-	h    *Hierarchy
-	mem  Backend
-	fill core.Done // the fill Read holds, if any
+	h   *Hierarchy
+	mem Backend
 }
 
 // Functional opens a functional warm on a hierarchy with nothing in flight.
@@ -712,44 +723,36 @@ func (h *Hierarchy) Functional() *Functional {
 	return f
 }
 
-// Read holds the fill for Access to deliver.
-func (f *Functional) Read(_ uint64, done core.Done) bool {
-	f.fill = done
-	return true
-}
+// Read refuses: the warm issues no fills, so a fill retried while it is open
+// stays in flight for Close to report.
+func (f *Functional) Read(uint64, core.Done) bool { return false }
 
 // Write accepts the write-back.
 func (f *Functional) Write(uint64, core.ByteMask) bool { return true }
 
-// Access performs a load, or a store of mask, and completes it at once: a
-// hit's scheduled completion is dropped, a miss's fill delivered.
+// Access performs a load, or a store of mask, and completes it at once.
 func (f *Functional) Access(coreID int, addr uint64, store bool, mask core.ByteMask) {
-	h, done := f.h, core.Done{Fn: func(int64) {}}
+	h, id := f.h, lineID(addr)
+	var storeMask core.ByteMask
 	if store {
-		h.Store(coreID, addr, mask, h.now, done)
-	} else {
-		h.Load(coreID, addr, h.now, done)
+		storeMask = storeDirty(addr, mask)
 	}
-	for i := range h.lanes {
-		h.lanes[i].head, h.lanes[i].n = 0, 0
+	l1 := h.l1[coreID]
+	if i := l1.touch(id); i >= 0 {
+		h.hitL1(l1, i, id, storeMask)
+		return
 	}
-	if fill := f.fill; fill.Fn != nil {
-		f.fill = core.Done{}
-		fill.Fn(h.now)
+	if h.l2.touch(id) < 0 {
+		h.installL2(id, 0)
 	}
+	h.fillL1(coreID, id, storeMask)
 }
 
-// Close hands the backend back. It fails if anything is left in flight, or
-// if a recycled MSHR entry is marked issued, as a fill completed inside Read
-// leaves it (issueFill marks the entry once Read returns).
+// Close hands the backend back. It fails if anything is in flight, which the
+// warm itself never leaves.
 func (f *Functional) Close() error {
 	h := f.h
 	h.mem = f.mem
-	for e := h.freeMiss; e != nil; e = e.next {
-		if e.issued {
-			return fmt.Errorf("cache: functional warm recycled MSHR entry %#x marked issued", e.id)
-		}
-	}
 	if len(h.mshr)+h.queued()+len(h.retryFills)+len(h.wbs) > 0 {
 		return fmt.Errorf("cache: functional warm left %d MSHR entries, %d completions, %d fill retries and %d write-backs",
 			len(h.mshr), h.queued(), len(h.retryFills), len(h.wbs))

@@ -216,19 +216,21 @@ func (r *Runner) config(k runKey) (Config, error) {
 		}
 		cfg.Timing = &g.Timing
 	}
-	if k.active == 1 && cfg.WarmupPerCore > detailedTail {
-		// One core warms functionally up to a detailed tail that settles the
-		// core, queues and DRAM; four cores stay detailed (DESIGN.md §5.2).
-		cfg.FunctionalWarmupPerCore = cfg.WarmupPerCore - detailedTail
-		cfg.WarmupPerCore = detailedTail
+	if k.active == 1 && cfg.WarmupPerCore > functionalWarmMin {
+		// One core warms wholly functionally; four cores stay detailed
+		// (DESIGN.md §5.2).
+		cfg.FunctionalWarmupPerCore = cfg.WarmupPerCore
+		cfg.WarmupPerCore = 0
 	}
 	cfg.Seed = r.opt.Seed
 	cfg.NoSkip = r.opt.NoSkip
 	return cfg, nil
 }
 
-// detailedTail is the detailed end of a split single-core warmup.
-const detailedTail = 50_000
+// functionalWarmMin bounds the single-core warmups the Runner makes
+// functional: warmups of at most this many instructions, those of the
+// tiny-budget goldens, stay detailed (ROADMAP 19(d)).
+const functionalWarmMin = 50_000
 
 // execute resolves one memo miss: disk cache first, then simulation.
 func (r *Runner) execute(k runKey, key string) (Result, error) {

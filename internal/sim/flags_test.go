@@ -28,7 +28,7 @@ var notFlags = map[string]string{
 	"Generator":     "a Go hook",
 	"Timing":        "a speed grade is a struct; the speedgrades experiment sets it by grade name (runKey.grade)",
 
-	"FunctionalWarmupPerCore": "the Runner derives it from single-core runs' warmup; prasim stays detailed until its runs are weighed (ROADMAP 3(b))",
+	"FunctionalWarmupPerCore": "the Runner sets it to a single-core run's whole warmup; prasim stays detailed until its runs are weighed (ROADMAP 3(b))",
 }
 
 // TestEveryFieldIsDecided makes adding a knob a decision: every field a

@@ -62,7 +62,9 @@ type Config struct {
 	WarmupPerCore int64
 	// FunctionalWarmupPerCore runs this many instructions per core before
 	// WarmupPerCore, from the generators straight into the cache hierarchy
-	// with no core, controller or DRAM timing (System.warmFunctional).
+	// with no core, controller or DRAM timing (System.warmFunctional). With
+	// WarmupPerCore zero, as the Runner sets single-core runs, the measured
+	// window starts from that state at cycle zero.
 	FunctionalWarmupPerCore int64
 	Seed                    uint64
 
