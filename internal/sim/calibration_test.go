@@ -88,6 +88,42 @@ func TestCalibrationTable1(t *testing.T) {
 	}
 }
 
+// TestCalibrationScoreboard holds every banded scoreboard row, one subtest
+// per artifact. Each row reads exactly the runs its declaration pass names,
+// from the shared calibration runner, and is judged by the scoreboard's own
+// verdict.
+func TestCalibrationScoreboard(t *testing.T) {
+	t.Parallel()
+	r := calibrationRunner(t)
+	var artifacts []string
+	banded := make(map[string][]target)
+	for _, tg := range targets() {
+		if tg.band == nil {
+			continue
+		}
+		if banded[tg.artifact] == nil {
+			artifacts = append(artifacts, tg.artifact)
+		}
+		banded[tg.artifact] = append(banded[tg.artifact], tg)
+	}
+	for _, a := range artifacts {
+		t.Run(a, func(t *testing.T) {
+			t.Parallel()
+			for _, tg := range banded[a] {
+				var keys []runKey
+				tg.measure(runSet{exp: "scoreboard", read: &keys})
+				rs, err := r.finished("scoreboard", keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v := tg.measure(rs); tg.verdict(v) != "holds" {
+					t.Errorf("%s = %.4g, want %s (paper %.4g)", tg.quantity, v, tg.band.text, tg.paper)
+				}
+			}
+		})
+	}
+}
+
 // TestCalibrationWarmMethod holds the Runner's single-core warm to a fully
 // detailed warm of the same budget: each Table 1 benchmark's baseline
 // cycles agree within 2 % and every Table 1 cell within 0.5 pp.

@@ -334,7 +334,7 @@ func (e Experiment) runs() []runKey {
 	return keys
 }
 
-// Experiments returns every experiment in paper order.
+// Experiments returns every experiment in paper order, the scoreboard last.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"table1", "Table 1: memory characteristics of the benchmarks", ExpTable1},
@@ -358,6 +358,7 @@ func Experiments() []Experiment {
 		{"hammer", "RowHammer mitigation overhead: Alert/RFM under attack, PRA on/off", ExpHammer},
 		{"latbreak", "Latency attribution: per-component read-latency breakdown and tail percentiles", ExpLatBreak},
 		{"tensor", "Tensor loop permutations: analytic vs measured activation rate, locality vs power", ExpTensor},
+		{"scoreboard", "Scoreboard: each paper target, its measured value, band and verdict", ExpScoreboard},
 	}
 }
 

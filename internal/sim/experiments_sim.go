@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pradram/internal/memctrl"
@@ -10,7 +11,7 @@ import (
 )
 
 // paperTable1 holds the published Table 1 values for side-by-side
-// reporting and the calibration tests: row-buffer hit rates and traffic /
+// reporting and the scoreboard: row-buffer hit rates and traffic /
 // activation shares, in percent.
 var paperTable1 = map[string][6]float64{
 	//            hitR hitW trafR trafW actR actW
@@ -22,6 +23,52 @@ var paperTable1 = map[string][6]float64{
 	"em3d":       {5, 1, 51, 49, 50, 50},
 	"GUPS":       {3, 1, 53, 47, 52, 48},
 	"LinkedList": {4, 1, 65, 35, 64, 36},
+}
+
+// The per-workload helpers below return one row of values per workload (or
+// benchmark), in presentation order. A formatter prints the rows and their
+// means; the scoreboard reads the same means, so each average is computed
+// in one place.
+
+// means returns the column averages of rows, each column summed in row
+// order: every "average" row and footer of the experiment tables.
+func means(rows [][]float64) []float64 {
+	var sums []float64
+	for _, r := range rows {
+		if sums == nil {
+			sums = make([]float64, len(r))
+		}
+		for c, v := range r {
+			sums[c] += v
+		}
+	}
+	for c := range sums {
+		sums[c] /= float64(len(rows))
+	}
+	return sums
+}
+
+// column returns column c of rows.
+func column(rows [][]float64, c int) []float64 {
+	col := make([]float64, len(rows))
+	for i, r := range rows {
+		col[i] = r[c]
+	}
+	return col
+}
+
+// addRow appends one row to t: the labels, then vals.
+func addRow(t *stats.Table, vals []float64, labels ...any) {
+	for _, v := range vals {
+		labels = append(labels, v)
+	}
+	t.Row(labels...)
+}
+
+// schemeKey returns the four-core run of a workload under scheme s and
+// policy pol.
+func schemeKey(s memctrl.Scheme, pol memctrl.Policy) func(w string) runKey {
+	return func(w string) runKey { return newKey(w, s, pol, 4) }
 }
 
 // ExpTable1 regenerates Table 1: per-benchmark memory characteristics
@@ -48,30 +95,36 @@ func ExpTable1(rs runSet) (string, error) {
 	return t.String(), nil
 }
 
-// ExpFig2 regenerates Figure 2: the baseline DRAM power breakdown
-// (single-core, as the paper's motivational setup).
-func ExpFig2(rs runSet) (string, error) {
-	t := stats.NewTable("benchmark", "ACT-PRE%", "RD%", "WR%", "I/O%", "BG%", "REF%", "total mW")
-	var actSum, ioSum float64
+// fig2Breakdown returns each benchmark's baseline DRAM power breakdown
+// (single-core, as the paper's motivational setup): the ACT-PRE, RD, WR,
+// I/O, BG and REF shares in percent, then the average power in mW.
+func fig2Breakdown(rs runSet) [][]float64 {
+	var rows [][]float64
 	for _, b := range benchOrder {
 		res := rs.get(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
 		e := res.Energy
-		tot := e.Total()
-		io := e.IO()
-		t.Row(b,
-			100*e.Share(power.CompActPre),
-			100*e.Share(power.CompRd),
-			100*e.Share(power.CompWr),
-			100*stats.Ratio(io, tot),
-			100*e.Share(power.CompBG),
-			100*e.Share(power.CompRef),
-			res.AvgPowerMW())
-		actSum += e.Share(power.CompActPre)
-		ioSum += stats.Ratio(io, tot)
+		rows = append(rows, []float64{
+			100 * e.Share(power.CompActPre),
+			100 * e.Share(power.CompRd),
+			100 * e.Share(power.CompWr),
+			100 * stats.Ratio(e.IO(), e.Total()),
+			100 * e.Share(power.CompBG),
+			100 * e.Share(power.CompRef),
+			res.AvgPowerMW()})
 	}
-	n := float64(len(benchOrder))
+	return rows
+}
+
+// ExpFig2 regenerates Figure 2: the baseline DRAM power breakdown.
+func ExpFig2(rs runSet) (string, error) {
+	t := stats.NewTable("benchmark", "ACT-PRE%", "RD%", "WR%", "I/O%", "BG%", "REF%", "total mW")
+	rows := fig2Breakdown(rs)
+	for i, b := range benchOrder {
+		addRow(t, rows[i], b)
+	}
+	avg := means(rows)
 	return t.String() + fmt.Sprintf("\nACT-PRE average %.0f%% (paper: ~25%%, up to 33%%); I/O average %.0f%% (paper: ~14%%, up to 19%%)\n",
-		100*actSum/n, 100*ioSum/n), nil
+		avg[0], avg[3]), nil
 }
 
 // ExpFig3 regenerates Figure 3: the distribution of dirty words per cache
@@ -91,26 +144,49 @@ func ExpFig3(rs runSet) (string, error) {
 	return t.String() + "\nPaper shape: pointer/update codes (GUPS, LinkedList, mcf, em3d) cluster at 1 word;\nstreaming writers (libquantum, lbm) dirty most of the line.\n", nil
 }
 
+// fig10HitRates returns each workload's row-buffer hit rates under the
+// baseline and PRA (read, write and total, baseline then PRA for each),
+// then PRA's false read and write hit rates, all in percent.
+func fig10HitRates(rs runSet) [][]float64 {
+	var rows [][]float64
+	for _, w := range workloadOrder() {
+		base := rs.get(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
+		pra := rs.get(newKey(w, memctrl.PRA, memctrl.RelaxedClose, 4))
+		rows = append(rows, []float64{
+			100 * base.RowHitRateRead(), 100 * pra.RowHitRateRead(),
+			100 * base.RowHitRateWrite(), 100 * pra.RowHitRateWrite(),
+			100 * base.RowHitRateTotal(), 100 * pra.RowHitRateTotal(),
+			100 * pra.FalseHitRateRead(), 100 * pra.FalseHitRateWrite()})
+	}
+	return rows
+}
+
 // ExpFig10 regenerates Figure 10: row-buffer hit rates under PRA with
 // false-hit accounting, against the baseline.
 func ExpFig10(rs runSet) (string, error) {
 	t := stats.NewTable("workload", "base R%", "pra R%", "base W%", "pra W%", "base tot%", "pra tot%", "falseR%", "falseW%")
-	var fr, fw float64
-	var n int
-	for _, w := range workloadOrder() {
-		base := rs.get(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
-		pra := rs.get(newKey(w, memctrl.PRA, memctrl.RelaxedClose, 4))
-		t.Row(w,
-			100*base.RowHitRateRead(), 100*pra.RowHitRateRead(),
-			100*base.RowHitRateWrite(), 100*pra.RowHitRateWrite(),
-			100*base.RowHitRateTotal(), 100*pra.RowHitRateTotal(),
-			100*pra.FalseHitRateRead(), 100*pra.FalseHitRateWrite())
-		fr += pra.FalseHitRateRead()
-		fw += pra.FalseHitRateWrite()
-		n++
+	rows := fig10HitRates(rs)
+	for i, w := range workloadOrder() {
+		addRow(t, rows[i], w)
 	}
+	avg := means(rows)
 	return t.String() + fmt.Sprintf("\nAverage false hit rate: reads %.2f%% (paper avg 0.04%%, max 0.26%%), writes %.2f%%\n",
-		100*fr/float64(n), 100*fw/float64(n)), nil
+		avg[6], avg[7]), nil
+}
+
+// fig11Shares returns each workload's share of activations opening 1/8,
+// 2/8, … 8/8 of a row under PRA and policy pol, in percent.
+func fig11Shares(rs runSet, pol memctrl.Policy) [][]float64 {
+	var rows [][]float64
+	for _, w := range workloadOrder() {
+		res := rs.get(newKey(w, memctrl.PRA, pol, 4))
+		row := make([]float64, 8)
+		for g := 1; g <= 8; g++ {
+			row[g-1] = 100 * res.GranularityShare(g)
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 // ExpFig11 regenerates Figure 11: activation-granularity proportions under
@@ -120,24 +196,11 @@ func ExpFig11(rs runSet) (string, error) {
 	for _, pol := range []memctrl.Policy{memctrl.RestrictedClose, memctrl.RelaxedClose} {
 		fmt.Fprintf(&b, "-- %v --\n", pol)
 		t := stats.NewTable("workload", "1/8%", "2/8%", "3/8%", "4/8%", "5/8%", "6/8%", "7/8%", "full%")
-		sums := make([]float64, 9)
-		var n int
-		for _, w := range workloadOrder() {
-			res := rs.get(newKey(w, memctrl.PRA, pol, 4))
-			row := []any{w}
-			for g := 1; g <= 8; g++ {
-				v := 100 * res.GranularityShare(g)
-				row = append(row, v)
-				sums[g] += v
-			}
-			n++
-			t.Row(row...)
+		rows := fig11Shares(rs, pol)
+		for i, w := range workloadOrder() {
+			addRow(t, rows[i], w)
 		}
-		row := []any{"average"}
-		for g := 1; g <= 8; g++ {
-			row = append(row, sums[g]/float64(n))
-		}
-		t.Row(row...)
+		addRow(t, means(rows), "average")
 		b.WriteString(t.String())
 		b.WriteString("\n")
 	}
@@ -146,55 +209,79 @@ func ExpFig11(rs runSet) (string, error) {
 	return b.String(), nil
 }
 
-// schemeComparison reads one row of the Figure 12/13 matrix: a workload
-// under baseline, FGA, Half-DRAM, and PRA with the relaxed close-page policy.
-func schemeComparison(rs runSet, w string) (base, fga, half, pra Result) {
-	at := func(s memctrl.Scheme) Result { return rs.get(newKey(w, s, memctrl.RelaxedClose, 4)) }
-	return at(memctrl.Baseline), at(memctrl.FGA), at(memctrl.HalfDRAM), at(memctrl.PRA)
+// comparedSchemes are the schemes Figures 12 and 13 set against the
+// baseline, in column order.
+var comparedSchemes = []memctrl.Scheme{memctrl.FGA, memctrl.HalfDRAM, memctrl.PRA}
+
+// sideBySide adds to t one row per workload, then the average row: for each
+// metric in turn, every scheme's value of it. per holds, for each scheme,
+// one per-workload helper's rows.
+func sideBySide(t *stats.Table, per [][][]float64, metrics ...int) {
+	row := func(label string, pick func([][]float64) []float64) {
+		var vals []float64
+		for _, m := range metrics {
+			for _, p := range per {
+				vals = append(vals, pick(p)[m])
+			}
+		}
+		addRow(t, vals, label)
+	}
+	for i, w := range workloadOrder() {
+		row(w, func(p [][]float64) []float64 { return p[i] })
+	}
+	row("average", means)
+}
+
+// fig12Power returns scheme s's activation, I/O and total DRAM power per
+// workload, each normalized to the baseline's (relaxed close-page).
+func fig12Power(rs runSet, s memctrl.Scheme) [][]float64 {
+	var rows [][]float64
+	for _, w := range workloadOrder() {
+		base := rs.get(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
+		res := rs.get(newKey(w, s, memctrl.RelaxedClose, 4))
+		norm := func(f func(Result) float64) float64 { return stats.Ratio(f(res), f(base)) }
+		rows = append(rows, []float64{
+			norm(func(r Result) float64 { return r.Energy[power.CompActPre] / r.RuntimeNs() }),
+			norm(func(r Result) float64 { return r.Energy.IO() / r.RuntimeNs() }),
+			norm(Result.AvgPowerMW)})
+	}
+	return rows
 }
 
 // ExpFig12 regenerates Figure 12: normalized activation, I/O, and total
 // DRAM power for FGA, Half-DRAM, and PRA.
 func ExpFig12(rs runSet) (string, error) {
 	var b strings.Builder
-	type row struct{ act, io, tot [3]float64 } // fga, half, pra
-	var avg row
 	t := stats.NewTable("workload",
 		"ACT fga", "ACT half", "ACT pra",
 		"I/O fga", "I/O half", "I/O pra",
 		"TOT fga", "TOT half", "TOT pra")
-	var n int
-	for _, w := range workloadOrder() {
-		base, fga, half, pra := schemeComparison(rs, w)
-		norm := func(res Result, f func(Result) float64) float64 {
-			return stats.Ratio(f(res), f(base))
-		}
-		actOf := func(res Result) float64 { return res.Energy[power.CompActPre] / res.RuntimeNs() }
-		ioOf := func(res Result) float64 { return res.Energy.IO() / res.RuntimeNs() }
-		totOf := func(res Result) float64 { return res.AvgPowerMW() }
-		vals := row{
-			act: [3]float64{norm(fga, actOf), norm(half, actOf), norm(pra, actOf)},
-			io:  [3]float64{norm(fga, ioOf), norm(half, ioOf), norm(pra, ioOf)},
-			tot: [3]float64{norm(fga, totOf), norm(half, totOf), norm(pra, totOf)},
-		}
-		t.Row(w, vals.act[0], vals.act[1], vals.act[2],
-			vals.io[0], vals.io[1], vals.io[2],
-			vals.tot[0], vals.tot[1], vals.tot[2])
-		for i := 0; i < 3; i++ {
-			avg.act[i] += vals.act[i]
-			avg.io[i] += vals.io[i]
-			avg.tot[i] += vals.tot[i]
-		}
-		n++
+	var per [][][]float64
+	for _, s := range comparedSchemes {
+		per = append(per, fig12Power(rs, s))
 	}
-	fn := float64(n)
-	t.Row("average", avg.act[0]/fn, avg.act[1]/fn, avg.act[2]/fn,
-		avg.io[0]/fn, avg.io[1]/fn, avg.io[2]/fn,
-		avg.tot[0]/fn, avg.tot[1]/fn, avg.tot[2]/fn)
+	sideBySide(t, per, 0, 1, 2)
 	b.WriteString(t.String())
 	fmt.Fprintf(&b, "\nPaper: PRA ACT power -34%% avg (-43%% max); PRA I/O power -45%% avg (-58%% max);\n")
 	fmt.Fprintf(&b, "PRA total power -23%% avg (-32%% max); FGA total -15%%; Half-DRAM total -11%%.\n")
 	return b.String(), nil
+}
+
+// versusBase returns, per workload, the run key(w) against the four-core
+// baseline under pol: average power, performance (weighted speedup), DRAM
+// energy and EDP, each normalized to the baseline's.
+func versusBase(rs runSet, pol memctrl.Policy, key func(w string) runKey) [][]float64 {
+	var rows [][]float64
+	for _, w := range workloadOrder() {
+		base := rs.get(newKey(w, memctrl.Baseline, pol, 4))
+		res := rs.get(key(w))
+		rows = append(rows, []float64{
+			stats.Ratio(res.AvgPowerMW(), base.AvgPowerMW()),
+			rs.normalizedWS(w, res, base, pol),
+			stats.Ratio(res.TotalEnergyPJ(), base.TotalEnergyPJ()),
+			stats.Ratio(res.EDP(), base.EDP())})
+	}
+	return rows
 }
 
 // ExpFig13 regenerates Figure 13: normalized performance (weighted
@@ -204,114 +291,72 @@ func ExpFig13(rs runSet) (string, error) {
 		"perf fga", "perf half", "perf pra",
 		"energy fga", "energy half", "energy pra",
 		"edp fga", "edp half", "edp pra")
-	var sums [9]float64
-	var n int
-	for _, w := range workloadOrder() {
-		base, fga, half, pra := schemeComparison(rs, w)
-		perf := func(res Result) float64 { return rs.normalizedWS(w, res, base, memctrl.RelaxedClose) }
-		energy := func(res Result) float64 { return stats.Ratio(res.TotalEnergyPJ(), base.TotalEnergyPJ()) }
-		edp := func(res Result) float64 { return stats.Ratio(res.EDP(), base.EDP()) }
-		vals := [9]float64{
-			perf(fga), perf(half), perf(pra),
-			energy(fga), energy(half), energy(pra),
-			edp(fga), edp(half), edp(pra),
-		}
-		row := []any{w}
-		for i, v := range vals {
-			row = append(row, v)
-			sums[i] += v
-		}
-		t.Row(row...)
-		n++
+	var per [][][]float64
+	for _, s := range comparedSchemes {
+		per = append(per, versusBase(rs, memctrl.RelaxedClose, schemeKey(s, memctrl.RelaxedClose)))
 	}
-	row := []any{"average"}
-	for _, s := range sums {
-		row = append(row, s/float64(n))
-	}
-	t.Row(row...)
+	sideBySide(t, per, 1, 2, 3)
 	return t.String() + "\nPaper: PRA perf -0.8% avg (-4.8% max); Half-DRAM +0.3%; FGA -14% avg (-18% max);\nPRA energy -23% avg (-34% max); PRA EDP -22% avg (-32% max).\n", nil
+}
+
+// fig14Schemes are Figure 14's rows: Half-DRAM, PRA, and the combination.
+var fig14Schemes = []memctrl.Scheme{memctrl.HalfDRAM, memctrl.PRA, memctrl.HalfDRAMPRA}
+
+// fig14Means returns scheme s's 14-workload averages of versusBase under
+// the restricted close-page policy.
+func fig14Means(rs runSet, s memctrl.Scheme) []float64 {
+	return means(versusBase(rs, memctrl.RestrictedClose, schemeKey(s, memctrl.RestrictedClose)))
 }
 
 // ExpFig14 regenerates Figure 14: Half-DRAM, PRA, and the combined scheme
 // under the restricted close-page policy (14-workload averages).
 func ExpFig14(rs runSet) (string, error) {
-	schemes := []memctrl.Scheme{memctrl.HalfDRAM, memctrl.PRA, memctrl.HalfDRAMPRA}
-	sums := make(map[memctrl.Scheme][4]float64)
-	var n int
-	for _, w := range workloadOrder() {
-		base := rs.get(newKey(w, memctrl.Baseline, memctrl.RestrictedClose, 4))
-		for _, s := range schemes {
-			res := rs.get(newKey(w, s, memctrl.RestrictedClose, 4))
-			perf := rs.normalizedWS(w, res, base, memctrl.RestrictedClose)
-			v := sums[s]
-			v[0] += stats.Ratio(res.AvgPowerMW(), base.AvgPowerMW())
-			v[1] += perf
-			v[2] += stats.Ratio(res.TotalEnergyPJ(), base.TotalEnergyPJ())
-			v[3] += stats.Ratio(res.EDP(), base.EDP())
-			sums[s] = v
-		}
-		n++
-	}
 	t := stats.NewTable("scheme", "power", "performance", "energy", "EDP")
-	for _, s := range schemes {
-		v := sums[s]
-		fn := float64(n)
-		t.Row(s.String(), v[0]/fn, v[1]/fn, v[2]/fn, v[3]/fn)
+	for _, s := range fig14Schemes {
+		addRow(t, fig14Means(rs, s), s.String())
 	}
 	return t.String() + "\nAll values normalized to the restricted-close baseline, averaged over 14 workloads.\nPaper: the combined scheme beats both components on power/energy/EDP and both\nbenefit from relaxed tRRD/tFAW under the restricted policy.\n", nil
+}
+
+// fig15Variant is one of Figure 15's configurations.
+type fig15Variant struct {
+	name   string
+	scheme memctrl.Scheme
+	dbi    bool
+}
+
+// key returns v's four-core run of workload w (relaxed close-page).
+func (v fig15Variant) key(w string) runKey {
+	k := newKey(w, v.scheme, memctrl.RelaxedClose, 4)
+	k.dbi = v.dbi
+	return k
+}
+
+// fig15Variants are Figure 15's rows: DBI, PRA, and the combination.
+var fig15Variants = []fig15Variant{
+	{"dbi", memctrl.Baseline, true},
+	{"pra", memctrl.PRA, false},
+	{"dbi+pra", memctrl.PRA, true},
 }
 
 // ExpFig15 regenerates Figure 15: DBI, PRA, and DBI+PRA for the paper's
 // representative benchmarks plus the 14-workload mean.
 func ExpFig15(rs runSet) (string, error) {
-	type variant struct {
-		name   string
-		scheme memctrl.Scheme
-		dbi    bool
-	}
-	variants := []variant{
-		{"dbi", memctrl.Baseline, true},
-		{"pra", memctrl.PRA, false},
-		{"dbi+pra", memctrl.PRA, true},
-	}
 	picks := []string{"bzip2", "GUPS", "em3d"}
 	t := stats.NewTable("workload", "variant", "power", "performance", "energy", "EDP")
-	sums := make(map[string][4]float64)
-	var n int
-	for _, w := range workloadOrder() {
-		base := rs.get(newKey(w, memctrl.Baseline, memctrl.RelaxedClose, 4))
-		show := false
-		for _, p := range picks {
-			if p == w {
-				show = true
-			}
-		}
-		for _, v := range variants {
-			k := newKey(w, v.scheme, memctrl.RelaxedClose, 4)
-			k.dbi = v.dbi
-			res := rs.get(k)
-			perf := rs.normalizedWS(w, res, base, memctrl.RelaxedClose)
-			vals := [4]float64{
-				stats.Ratio(res.AvgPowerMW(), base.AvgPowerMW()),
-				perf,
-				stats.Ratio(res.TotalEnergyPJ(), base.TotalEnergyPJ()),
-				stats.Ratio(res.EDP(), base.EDP()),
-			}
-			if show {
-				t.Row(w, v.name, vals[0], vals[1], vals[2], vals[3])
-			}
-			s := sums[v.name]
-			for i := range vals {
-				s[i] += vals[i]
-			}
-			sums[v.name] = s
-		}
-		n++
+	var per [][][]float64
+	for _, v := range fig15Variants {
+		per = append(per, versusBase(rs, memctrl.RelaxedClose, v.key))
 	}
-	for _, v := range variants {
-		s := sums[v.name]
-		fn := float64(n)
-		t.Row("MEAN", v.name, s[0]/fn, s[1]/fn, s[2]/fn, s[3]/fn)
+	for i, w := range workloadOrder() {
+		if slices.Contains(picks, w) {
+			for j, v := range fig15Variants {
+				addRow(t, per[j][i], w, v.name)
+			}
+		}
+	}
+	for j, v := range fig15Variants {
+		addRow(t, means(per[j]), "MEAN", v.name)
 	}
 	return t.String() + "\nPaper: DBI helps performance, PRA helps power; combined sits between\n(extra false hits from DBI's write bursts cost PRA some of its saving).\n", nil
 }
@@ -353,6 +398,25 @@ func ExpAblation(rs runSet) (string, error) {
 	return t.String() + "\nThe I/O ablation shows how much saving comes from transferring only dirty\nwords; the timing ablation isolates the relaxed tRRD/tFAW; the mask-cycle\nablation bounds the cost of delivering the PRA mask over the address bus.\n", nil
 }
 
+// sec3Coverage returns, per benchmark (single core), PRA's reduction of the
+// average row-activation granularity and SDS's of the average chip-access
+// granularity, in percent, then PRA's and SDS's power normalized to the
+// baseline's.
+func sec3Coverage(rs runSet) [][]float64 {
+	var rows [][]float64
+	for _, b := range benchOrder {
+		base := rs.get(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
+		pra := rs.get(newKey(b, memctrl.PRA, memctrl.RelaxedClose, 1))
+		sds := rs.get(newKey(b, memctrl.SDS, memctrl.RelaxedClose, 1))
+		rows = append(rows, []float64{
+			100 * (1 - pra.Dev.AvgGranularity()/8),
+			100 * (1 - sds.Dev.AvgGranularity()/8),
+			stats.Ratio(pra.AvgPowerMW(), base.AvgPowerMW()),
+			stats.Ratio(sds.AvgPowerMW(), base.AvgPowerMW())})
+	}
+	return rows
+}
+
 // ExpSec3Coverage regenerates the Section 3 comparison. Both metrics are
 // averaged over ALL memory accesses, as the paper's 42%-vs-16% framing
 // implies: PRA's average row-activation granularity comes from the PRA
@@ -364,24 +428,10 @@ func ExpSec3Coverage(rs runSet) (string, error) {
 	t := stats.NewTable("benchmark",
 		"PRA act-gran reduction %", "SDS chip-access reduction %",
 		"PRA power (norm)", "SDS power (norm)")
-	var pSum, sSum, ppSum, spSum float64
-	var n int
-	for _, b := range benchOrder {
-		base := rs.get(newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1))
-		pra := rs.get(newKey(b, memctrl.PRA, memctrl.RelaxedClose, 1))
-		sds := rs.get(newKey(b, memctrl.SDS, memctrl.RelaxedClose, 1))
-		praRed := 100 * (1 - pra.Dev.AvgGranularity()/8)
-		sdsRed := 100 * (1 - sds.Dev.AvgGranularity()/8)
-		praPow := stats.Ratio(pra.AvgPowerMW(), base.AvgPowerMW())
-		sdsPow := stats.Ratio(sds.AvgPowerMW(), base.AvgPowerMW())
-		t.Row(b, praRed, sdsRed, praPow, sdsPow)
-		pSum += praRed
-		sSum += sdsRed
-		ppSum += praPow
-		spSum += sdsPow
-		n++
+	rows := sec3Coverage(rs)
+	for i, b := range benchOrder {
+		addRow(t, rows[i], b)
 	}
-	fn := float64(n)
-	t.Row("average", pSum/fn, sSum/fn, ppSum/fn, spSum/fn)
+	addRow(t, means(rows), "average")
 	return t.String() + "\nPaper: PRA reduces average activation granularity by 42%; SDS reduces\naverage chip-access granularity by only 16%. The power columns run the\nfull SDS scheme (an extension beyond the paper's qualitative comparison).\n", nil
 }
