@@ -167,7 +167,7 @@ func TestResultNsUseTheRunsClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := &diskCache{fileStore{t.TempDir()}}
+	cache := &diskCache{t.TempDir()}
 	for _, r := range runs {
 		c := r.res.Ctrl
 		if c.ReadsServed == 0 || c.ReadLatHist.N == 0 {

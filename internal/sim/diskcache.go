@@ -43,52 +43,14 @@ import (
 // tail, so their Results differ again.
 const ModelVersion = "pradram-model-v11"
 
-// fileStore is the result cache's on-disk protocol: one file per id in dir,
-// named by a hash of the id (the ids embed ModelVersion, so a model bump
-// orphans old files instead of loading them) and replaced atomically. It
-// never trusts a file name: what load returns is verified by its caller.
-type fileStore struct{ dir string }
-
-func (s fileStore) path(id string) string {
-	h := sha256.Sum256([]byte(id))
-	return filepath.Join(s.dir, hex.EncodeToString(h[:12])+".json")
-}
-
-// load returns the bytes stored for id; a missing, unreadable or empty file
-// is a miss.
-func (s fileStore) load(id string) ([]byte, bool) {
-	raw, err := os.ReadFile(s.path(id))
-	return raw, err == nil && len(raw) > 0
-}
-
-// store writes via a unique temp file plus atomic rename, so concurrent
-// writers (parallel workers, or two processes sharing the directory) can
-// never interleave partial bytes.
-func (s fileStore) store(id string, data []byte) error {
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(s.dir, ".pradram-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), s.path(id))
-}
-
 // diskCache persists one Result per configuration as a JSON file, so
 // repeated praexp invocations and CI reruns skip simulation entirely.
 // Entries are keyed by the runKey string, the experiment budget
-// (Instr/Warmup/Seed), and ModelVersion; anything else is a miss.
-type diskCache struct{ fileStore }
+// (Instr/Warmup/Seed), and ModelVersion; anything else is a miss. Each
+// entry is one file in dir, named by a hash of that key (so a model bump
+// orphans old files instead of loading them) and replaced atomically. A
+// file name is never trusted: load verifies the key stored inside.
+type diskCache struct{ dir string }
 
 // diskEntry is the on-disk format. The key fields are stored in full (not
 // just hashed into the filename) so a load can verify it found the right
@@ -102,24 +64,28 @@ type diskEntry struct {
 	Result       Result `json:"result"`
 }
 
-func diskID(key string, opt ExpOptions) string {
-	return fmt.Sprintf("%s|%s|%d|%d|%d", ModelVersion, key, opt.Instr, opt.Warmup, opt.Seed)
+// path returns the file of (key, opt).
+func (d *diskCache) path(key string, opt ExpOptions) string {
+	h := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|%d|%d", ModelVersion, key, opt.Instr, opt.Warmup, opt.Seed)))
+	return filepath.Join(d.dir, hex.EncodeToString(h[:12])+".json")
 }
 
 // load returns the cached result for (key, opt), if present and valid.
 // Any read, decode, or verification failure is simply a miss — the run
 // re-simulates and overwrites the entry.
 func (d *diskCache) load(key string, opt ExpOptions) (Result, bool) {
-	raw, ok := d.fileStore.load(diskID(key, opt))
+	raw, err := os.ReadFile(d.path(key, opt))
 	var e diskEntry
-	if !ok || json.Unmarshal(raw, &e) != nil || e.Key != key || e.ModelVersion != ModelVersion ||
+	if err != nil || json.Unmarshal(raw, &e) != nil || e.Key != key || e.ModelVersion != ModelVersion ||
 		e.Instr != opt.Instr || e.Warmup != opt.Warmup || e.Seed != opt.Seed {
 		return Result{}, false
 	}
 	return e.Result, true
 }
 
-// store persists the result of (key, opt).
+// store persists the result of (key, opt) via a unique temp file plus an
+// atomic rename, so concurrent writers (parallel workers, or two processes
+// sharing the directory) can never interleave partial bytes.
 func (d *diskCache) store(key string, opt ExpOptions, res Result) error {
 	raw, err := json.Marshal(diskEntry{
 		Key: key, ModelVersion: ModelVersion,
@@ -129,5 +95,21 @@ func (d *diskCache) store(key string, opt ExpOptions, res Result) error {
 	if err != nil {
 		return err
 	}
-	return d.fileStore.store(diskID(key, opt), raw)
+	if err := os.MkdirAll(d.dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(d.dir, ".pradram-*.tmp")
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(raw); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return os.Rename(tmp.Name(), d.path(key, opt))
 }

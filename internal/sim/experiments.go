@@ -94,7 +94,7 @@ func NewRunner(opt ExpOptions) *Runner {
 	}
 	r := &Runner{opt: opt}
 	if opt.CacheDir != "" {
-		r.disk = &diskCache{fileStore{opt.CacheDir}}
+		r.disk = &diskCache{opt.CacheDir}
 	}
 	return r
 }
