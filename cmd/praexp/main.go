@@ -13,6 +13,7 @@
 //	praexp -exp all -cache ~/.cache/pradram   # reuse results across runs
 //	praexp -exp all -http :6060    # live progress JSON + pprof
 //	praexp -exp tensor             # analytic vs measured tensor-stream ACT rates
+//	praexp -exp scoreboard         # every paper target: measured, band, verdict
 //
 // Beyond the paper's artifacts, extension experiments (DESIGN.md §4b-§4j)
 // cover power-down/refresh sweeps, RowHammer mitigation overhead, latency

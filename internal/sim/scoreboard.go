@@ -118,21 +118,18 @@ func targets() []target {
 		target{"fig9", "energy of a half-row (8 of 16 MATs) activation (% of full)", nan, nil, 0,
 			func(runSet) float64 { return 100 * power.DefaultMATEnergy().Scale(8) }})
 
-	falseReads := func(rs runSet) []float64 { return column(fig10HitRates(rs), 6) }
 	ts = append(ts,
 		target{"fig10", "PRA false read-hit rate, 14-workload average (%)", 0.04, nil, 0,
 			func(rs runSet) float64 { return means(fig10HitRates(rs))[6] }},
 		target{"fig10", "PRA false read-hit rate, worst of 14 workloads (%)", 0.26, atMost(2), 0,
-			func(rs runSet) float64 { return slices.Max(falseReads(rs)) }})
+			func(rs runSet) float64 { return slices.Max(column(fig10HitRates(rs), 6)) }})
 
-	fig11 := func(pol memctrl.Policy, c int) func(runSet) float64 {
-		return func(rs runSet) float64 { return means(fig11Shares(rs, pol))[c] }
+	fig11 := func(c int) func(runSet) float64 {
+		return func(rs runSet) float64 { return means(fig11Shares(rs, memctrl.RelaxedClose))[c] }
 	}
 	ts = append(ts,
-		target{"fig11", "1/8-row activations, relaxed, 14-workload average (%)", 39, near(39, 15), 0, fig11(memctrl.RelaxedClose, 0)},
-		target{"fig11", "full-row activations, relaxed, 14-workload average (%)", 58, near(58, 15), 0, fig11(memctrl.RelaxedClose, 7)},
-		target{"fig11", "1/8-row activations, restricted, 14-workload average (%)", 36, nil, 0, fig11(memctrl.RestrictedClose, 0)},
-		target{"fig11", "full-row activations, restricted, 14-workload average (%)", 60, nil, 0, fig11(memctrl.RestrictedClose, 7)})
+		target{"fig11", "1/8-row activations, relaxed, 14-workload average (%)", 39, near(39, 15), 0, fig11(0)},
+		target{"fig11", "full-row activations, relaxed, 14-workload average (%)", 58, near(58, 15), 0, fig11(7)})
 
 	// Figure 12's reductions are 100 × (1 − normalized power); the largest
 	// reduction is that of the smallest normalized power.
@@ -149,7 +146,7 @@ func targets() []target {
 		target{"fig12", "PRA ACT power reduction, largest of 14 workloads (%)", 43, nil, 0, maxCut(0)},
 		target{"fig12", "PRA I/O power reduction, largest of 14 workloads (%)", 58, nil, 1, maxCut(1)},
 		target{"fig12", "PRA total power reduction, largest of 14 workloads (%)", 32, nil, 0, maxCut(2)},
-		target{"fig12", "FGA total power reduction, 14-workload average (%)", 15, nil, 0, avgCut(memctrl.FGA, 2)},
+		target{"fig12", "FGA total power reduction, 14-workload average (%)", 15, nil, 2, avgCut(memctrl.FGA, 2)},
 		target{"fig12", "Half-DRAM total power reduction, 14-workload average (%)", 11, nil, 0, avgCut(memctrl.HalfDRAM, 2)})
 
 	// The banded Figure 13 rows compare sum-IPC over fig13Subset; the open
@@ -175,13 +172,8 @@ func targets() []target {
 		target{"fig13", "PRA minus FGA of the two rows above", nan, positive(), 0,
 			func(rs runSet) float64 { return subsetIPC(memctrl.PRA)(rs) - subsetIPC(memctrl.FGA)(rs) }},
 		target{"fig13", "PRA performance (WS) vs baseline, 14-workload average", 0.992, nil, 0, fig13(memctrl.PRA, 1)},
-		target{"fig13", "PRA performance (WS) vs baseline, worst of 14 workloads", 0.952, nil, 0,
-			func(rs runSet) float64 {
-				return slices.Min(column(versusBase(rs, memctrl.RelaxedClose, schemeKey(memctrl.PRA, memctrl.RelaxedClose)), 1))
-			}},
 		target{"fig13", "Half-DRAM performance (WS) vs baseline, 14-workload average", 1.003, nil, 0, fig13(memctrl.HalfDRAM, 1)},
 		target{"fig13", "FGA performance (WS) vs baseline, 14-workload average", 0.86, nil, 2, fig13(memctrl.FGA, 1)},
-		target{"fig13", "PRA energy vs baseline, 14-workload average", 0.77, nil, 0, fig13(memctrl.PRA, 2)},
 		target{"fig13", "PRA EDP vs baseline, 14-workload average", 0.78, nil, 0, fig13(memctrl.PRA, 3)})
 
 	for _, s := range fig14Schemes {
