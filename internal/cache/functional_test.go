@@ -10,18 +10,24 @@ import (
 )
 
 // sinkMem is the backend of the detailed reference route: it accepts every
-// write-back and holds each fill for detailedAccess to deliver once the
-// access has returned.
+// write-back and holds each fill until the test delivers it.
 type sinkMem struct{ fill core.Done }
 
 func (m *sinkMem) Read(_ uint64, done core.Done) bool { m.fill = done; return true }
 
 func (m *sinkMem) Write(uint64, core.ByteMask) bool { return true }
 
+// deliver completes the held fill, if any.
+func (m *sinkMem) deliver() {
+	if fill := m.fill; fill.Fn != nil {
+		m.fill = core.Done{}
+		fill.Fn(0)
+	}
+}
+
 // detailedAccess runs one access through Load/Store with no time passing:
-// a hit's scheduled completion is dropped, and a miss's fill is delivered
-// after the call returns.
-func detailedAccess(h *Hierarchy, m *sinkMem, coreID int, addr uint64, store bool, mask core.ByteMask) {
+// a hit's scheduled completion is dropped, and a miss's fill stays held.
+func detailedAccess(h *Hierarchy, coreID int, addr uint64, store bool, mask core.ByteMask) {
 	done := core.Untagged(func(int64) {})
 	if store {
 		h.Store(coreID, addr, mask, 0, done)
@@ -30,10 +36,6 @@ func detailedAccess(h *Hierarchy, m *sinkMem, coreID int, addr uint64, store boo
 	}
 	for i := range h.lanes {
 		h.lanes[i] = lane{}
-	}
-	if fill := m.fill; fill.Fn != nil {
-		m.fill = core.Done{}
-		fill.Fn(0)
 	}
 }
 
@@ -53,12 +55,14 @@ func sameLevel(t *testing.T, name string, got, want *level) {
 }
 
 // TestFunctionalMatchesDetailedRoute holds Functional.Access to the
-// detailed route it shortcuts: the same access stream through Load/Store,
-// each miss filled as soon as its access returns, must leave every level's
-// tags, dirty masks and LRU stamps, the DBI index and the write-back
-// counters the same. The geometry is small enough that the stream makes
-// dirty L1 victims, L2 evictions that pull dirty bytes out of L1 copies,
-// DBI sweeps and zero-mask stores; the warm's own backend sees nothing.
+// detailed route it shortcuts: the same access stream through Load/Store
+// must leave every level's tags, dirty masks and LRU stamps, the DBI index
+// and the write-back counters the same. The stream comes in bursts of 2 to 8
+// accesses by one core to one line, and a miss's fill is held until its
+// burst has merged into the MSHR entry, so each fill completes several
+// waiters at once. The geometry is small enough that the stream makes dirty
+// L1 victims, L2 evictions that pull dirty bytes out of L1 copies, DBI sweeps
+// and zero-mask stores; the warm's own backend sees nothing.
 func TestFunctionalMatchesDetailedRoute(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		cfg := smallConfig()
@@ -77,18 +81,22 @@ func TestFunctionalMatchesDetailedRoute(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		f := h.Functional()
 		zeroMasks := 0
-		for n := 0; n < 20_000; n++ {
+		for n := 0; n < 20_000; {
 			coreID := rng.Intn(cfg.Cores)
-			addr := uint64(rng.Intn(128*64)) &^ 7 // 128 lines: 4x the L2
-			store := rng.Intn(2) == 0
-			var mask core.ByteMask
-			if store && rng.Intn(4) > 0 {
-				mask = core.StoreBytes(int(addr&63), 1<<rng.Intn(4))
-			} else if store {
-				zeroMasks++
+			line := uint64(rng.Intn(128)) * 64 // 128 lines: 4x the L2
+			for k := 2 + rng.Intn(7); k > 0; k, n = k-1, n+1 {
+				addr := line + uint64(rng.Intn(64))&^7
+				store := rng.Intn(2) == 0
+				var mask core.ByteMask
+				if store && rng.Intn(4) > 0 {
+					mask = core.StoreBytes(int(addr&63), 1<<rng.Intn(4))
+				} else if store {
+					zeroMasks++
+				}
+				f.Access(coreID, addr, store, mask)
+				detailedAccess(ref, coreID, addr, store, mask)
 			}
-			f.Access(coreID, addr, store, mask)
-			detailedAccess(ref, sink, coreID, addr, store, mask)
+			sink.deliver()
 		}
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
