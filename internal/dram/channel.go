@@ -177,6 +177,8 @@ type Channel struct {
 
 	acctUpTo int64 // background energy accounted up to this cycle
 
+	tck float64 // T.Rate.TCKNs(): the ns per cycle every energy booking scales by
+
 	// rowCtr holds the optional per-row activation counters
 	// (rowcounter.go); nil unless TrackRows enabled them. Counter contents
 	// are simulation state: they survive ResetStats and are checkpointed.
@@ -204,6 +206,7 @@ func NewChannel(t Timing, g Geometry, acc *power.Accumulator) (*Channel, error) 
 	acc.OtherRanks = g.Ranks - 1
 	ch := &Channel{
 		T: t, G: g, Acc: acc,
+		tck:   t.Rate.TCKNs(),
 		ranks: make([]rankState, g.Ranks),
 		Stats: new(Stats),
 	}
@@ -287,7 +290,7 @@ func (c *Channel) flushBG(rk *rankState) {
 		return
 	}
 	rk.bgFrom = end
-	tck := c.T.Rate.TCKNs()
+	tck := c.tck
 	if rk.refUntil > t {
 		stop := min(rk.refUntil, end)
 		n := stop - t
@@ -395,7 +398,7 @@ func (c *Channel) Activate(at int64, r, b, row int, mask core.Mask, halfDRAM boo
 	rk.openCount++
 	c.cmdFree = at + cmdCycles
 
-	c.Acc.Activation(mask.Granularity(), halfDRAM, float64(c.T.TRC)*c.T.Rate.TCKNs())
+	c.Acc.Activation(mask.Granularity(), halfDRAM, float64(c.T.TRC)*c.tck)
 	c.Stats.ActsByGranularity[mask.Granularity()]++
 	c.rowCtrOnAct(r, b, row)
 	c.emit(CmdEvent{At: at, Kind: CmdAct, Rank: r, Bank: b, Row: row, Mask: mask})
@@ -449,12 +452,12 @@ func (c *Channel) column(at int64, r, b, burstCycles int, frac float64, autoPre 
 	c.cmdFree = at + 1
 	if d == BusRead {
 		bk.preAllowed = max(bk.preAllowed, at+int64(c.T.TRTP))
-		c.Acc.ReadBurst(float64(burstCycles) * c.T.Rate.TCKNs() * min(max(frac, 0), 1))
+		c.Acc.ReadBurst(float64(burstCycles) * c.tck * min(max(frac, 0), 1))
 		c.Stats.Reads++
 	} else {
 		rk.rdAfterWr = end + int64(c.T.TWTR)
 		bk.preAllowed = max(bk.preAllowed, end+int64(c.T.TWR))
-		c.Acc.WriteBurst(float64(burstCycles)*c.T.Rate.TCKNs(), frac)
+		c.Acc.WriteBurst(float64(burstCycles)*c.tck, frac)
 		c.Stats.Writes++
 		c.Stats.WordsWritten += int64(frac*float64(core.WordsPerLine) + 0.5)
 		c.Stats.WordBudget += core.WordsPerLine
@@ -673,7 +676,7 @@ func (c *Channel) refresh(at int64, r, b int) error {
 func (c *Channel) block(at int64, r, b int, dur int64) {
 	rk := c.rank(r)
 	c.flushBG(rk)
-	e := float64(dur) * c.T.Rate.TCKNs()
+	e := float64(dur) * c.tck
 	if b == allBanks {
 		rk.refUntil = at + dur
 	} else {

@@ -37,6 +37,7 @@ var ckptFields = map[reflect.Type]map[string]string{
 		"busDir":        saved,
 		"busRank":       saved,
 		"acctUpTo":      saved,
+		"tck":           excluded, // configuration: T's tCK in ns, set by NewChannel
 		"rowCtr":        saved,
 		"Stats":         excluded, // statistics, reset at the warmup boundary
 	},
