@@ -439,8 +439,9 @@ func (h *Hierarchy) issueFill(e *missEntry) {
 	e.issued = true
 }
 
-// fill completes an L2 miss: install in L2 and the first waiter's L1, wake
-// all waiters.
+// fill completes an L2 miss: install in L2, apply each waiter's L1 step in
+// arrival order (a core's first waiter installs the line in its L1, the
+// later ones hit it), then wake all waiters.
 func (h *Hierarchy) fill(e *missEntry, at int64) {
 	for i, m := range h.mshr {
 		if m == e {
@@ -455,7 +456,7 @@ func (h *Hierarchy) fill(e *missEntry, at int64) {
 
 	h.installL2(e.id, 0)
 	for _, w := range e.waiters {
-		h.fillL1(w.core, e.id, w.storeMask)
+		h.stepL1(w.core, e.id, w.storeMask)
 	}
 	for _, w := range e.waiters {
 		w.done.Fn(at)
@@ -470,6 +471,17 @@ func (h *Hierarchy) fill(e *missEntry, at int64) {
 	e.issued = false
 	e.next = h.freeMiss
 	h.freeMiss = e
+}
+
+// stepL1 makes an access's L1 transition for a line the L2 holds: a hit
+// takes the access's store mask, a miss installs the line with it.
+func (h *Hierarchy) stepL1(coreID int, id uint64, storeMask core.ByteMask) {
+	l1 := h.l1[coreID]
+	if i := l1.touch(id); i >= 0 {
+		h.hitL1(l1, i, id, storeMask)
+		return
+	}
+	h.fillL1(coreID, id, storeMask)
 }
 
 // hitL1 applies an access's store mask to the L1 line id at slab index i.
@@ -737,15 +749,10 @@ func (f *Functional) Access(coreID int, addr uint64, store bool, mask core.ByteM
 	if store {
 		storeMask = storeDirty(addr, mask)
 	}
-	l1 := h.l1[coreID]
-	if i := l1.touch(id); i >= 0 {
-		h.hitL1(l1, i, id, storeMask)
-		return
-	}
-	if h.l2.touch(id) < 0 {
+	if h.l1[coreID].index(id) < 0 && h.l2.touch(id) < 0 {
 		h.installL2(id, 0)
 	}
-	h.fillL1(coreID, id, storeMask)
+	h.stepL1(coreID, id, storeMask)
 }
 
 // Close hands the backend back. It fails if anything is in flight, which the

@@ -41,7 +41,10 @@ import (
 // tail (Runner.config), so their Results differ.
 // v11: single-core experiment runs warm wholly functionally, with no detailed
 // tail, so their Results differ again.
-const ModelVersion = "pradram-model-v11"
+// v12: a fill that merged several accesses by one core installs its line in
+// that core's L1 once (the later accesses hit it), where it made one copy per
+// access, so runs whose misses merge differ.
+const ModelVersion = "pradram-model-v12"
 
 // diskCache persists one Result per configuration as a JSON file, so
 // repeated praexp invocations and CI reruns skip simulation entirely.
