@@ -56,3 +56,28 @@ func TestDocumentedCommandsParse(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignIndexListsEveryExperiment: DESIGN.md §4's per-experiment index
+// has one row per registered experiment, in registry order.
+func TestDesignIndexListsEveryExperiment(t *testing.T) {
+	text, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(text), "\n## 4. Per-experiment index\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no \"## 4. Per-experiment index\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	row := regexp.MustCompile("(?m)^\\| `([^`]+)` *\\|")
+	var got, want []string
+	for _, m := range row.FindAllStringSubmatch(section, -1) {
+		got = append(got, m[1])
+	}
+	for _, e := range sim.Experiments() {
+		want = append(want, e.ID)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("DESIGN.md §4 indexes\n  %v\nsim.Experiments() registers\n  %v", got, want)
+	}
+}

@@ -122,9 +122,7 @@ func ExpFig2(rs runSet) (string, error) {
 	for i, b := range benchOrder {
 		addRow(t, rows[i], b)
 	}
-	avg := means(rows)
-	return t.String() + fmt.Sprintf("\nACT-PRE average %.0f%% (paper: ~25%%, up to 33%%); I/O average %.0f%% (paper: ~14%%, up to 19%%)\n",
-		avg[0], avg[3]), nil
+	return t.String() + "\n" + scoreRows(rs, "fig2"), nil
 }
 
 // ExpFig3 regenerates Figure 3: the distribution of dirty words per cache
@@ -170,8 +168,7 @@ func ExpFig10(rs runSet) (string, error) {
 		addRow(t, rows[i], w)
 	}
 	avg := means(rows)
-	return t.String() + fmt.Sprintf("\nAverage false hit rate: reads %.2f%% (paper avg 0.04%%, max 0.26%%), writes %.2f%%\n",
-		avg[6], avg[7]), nil
+	return t.String() + fmt.Sprintf("\nAverage false hit rate: reads %.2f%%, writes %.2f%%\n\n", avg[6], avg[7]) + scoreRows(rs, "fig10"), nil
 }
 
 // fig11Shares returns each workload's share of activations opening 1/8,
@@ -204,9 +201,25 @@ func ExpFig11(rs runSet) (string, error) {
 		b.WriteString(t.String())
 		b.WriteString("\n")
 	}
-	b.WriteString("Paper averages (relaxed): 39, 2, 0.43, 0.45, 0.05, 0.05, 0.02, 58\n")
-	b.WriteString("Paper averages (restricted): 36, 2.3, 0.4, 1.2, 0.04, 0.04, 0.02, 60\n")
+	fmt.Fprintf(&b, "Paper averages (relaxed): %s\n", joinValues(paperFig11Relaxed[:]))
+	fmt.Fprintf(&b, "Paper averages (restricted): %s\n", joinValues(paperFig11Restricted[:]))
 	return b.String(), nil
+}
+
+// The paper's Figure 11 averages: the share of activations opening 1/8, 2/8,
+// … 8/8 of a row under PRA, in percent.
+var (
+	paperFig11Relaxed    = [8]float64{39, 2, 0.43, 0.45, 0.05, 0.05, 0.02, 58}
+	paperFig11Restricted = [8]float64{36, 2.3, 0.4, 1.2, 0.04, 0.04, 0.02, 60}
+)
+
+// joinValues prints vals comma-separated, each in its shortest form.
+func joinValues(vals []float64) string {
+	s := make([]string, len(vals))
+	for i, v := range vals {
+		s[i] = fmt.Sprint(v)
+	}
+	return strings.Join(s, ", ")
 }
 
 // comparedSchemes are the schemes Figures 12 and 13 set against the
@@ -251,7 +264,6 @@ func fig12Power(rs runSet, s memctrl.Scheme) [][]float64 {
 // ExpFig12 regenerates Figure 12: normalized activation, I/O, and total
 // DRAM power for FGA, Half-DRAM, and PRA.
 func ExpFig12(rs runSet) (string, error) {
-	var b strings.Builder
 	t := stats.NewTable("workload",
 		"ACT fga", "ACT half", "ACT pra",
 		"I/O fga", "I/O half", "I/O pra",
@@ -261,10 +273,7 @@ func ExpFig12(rs runSet) (string, error) {
 		per = append(per, fig12Power(rs, s))
 	}
 	sideBySide(t, per, 0, 1, 2)
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "\nPaper: PRA ACT power -34%% avg (-43%% max); PRA I/O power -45%% avg (-58%% max);\n")
-	fmt.Fprintf(&b, "PRA total power -23%% avg (-32%% max); FGA total -15%%; Half-DRAM total -11%%.\n")
-	return b.String(), nil
+	return t.String() + "\n" + scoreRows(rs, "fig12"), nil
 }
 
 // versusBase returns, per workload, the run key(w) against the four-core
@@ -296,7 +305,7 @@ func ExpFig13(rs runSet) (string, error) {
 		per = append(per, versusBase(rs, memctrl.RelaxedClose, schemeKey(s, memctrl.RelaxedClose)))
 	}
 	sideBySide(t, per, 1, 2, 3)
-	return t.String() + "\nPaper: PRA perf -0.8% avg (-4.8% max); Half-DRAM +0.3%; FGA -14% avg (-18% max);\nPRA energy -23% avg (-34% max); PRA EDP -22% avg (-32% max).\n", nil
+	return t.String() + "\n" + scoreRows(rs, "fig13"), nil
 }
 
 // fig14Schemes are Figure 14's rows: Half-DRAM, PRA, and the combination.
@@ -433,5 +442,5 @@ func ExpSec3Coverage(rs runSet) (string, error) {
 		addRow(t, rows[i], b)
 	}
 	addRow(t, means(rows), "average")
-	return t.String() + "\nPaper: PRA reduces average activation granularity by 42%; SDS reduces\naverage chip-access granularity by only 16%. The power columns run the\nfull SDS scheme (an extension beyond the paper's qualitative comparison).\n", nil
+	return t.String() + "\nThe power columns run the full SDS scheme (an extension beyond the paper's\nqualitative comparison).\n\n" + scoreRows(rs, "sec3cov"), nil
 }

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"pradram/internal/memctrl"
 )
 
 // TestScoreboardVerdict: a band's edges hold, a value past either edge and
@@ -65,6 +68,45 @@ func TestScoreboardReadsNoNewRuns(t *testing.T) {
 	for _, k := range board {
 		if !others[k.String()] {
 			t.Errorf("the scoreboard reads %s, which no other experiment reads", k)
+		}
+	}
+}
+
+// TestScoreboardEmptyShares: a single-core run that served no writes and
+// evicted no dirty line reads NaN, and so FAILS, on every row whose share
+// has no denominator, though stats.Ratio makes its write hit rate 0 %.
+func TestScoreboardEmptyShares(t *testing.T) {
+	t.Parallel()
+	k := newKey("bzip2", memctrl.Baseline, memctrl.RelaxedClose, 1)
+	readsOnly := Result{Ctrl: memctrl.Stats{ReadsServed: 100, RowHitRead: 30, ActsForReads: 70}}
+	if got := readsOnly.RowHitRateWrite(); got != 0 {
+		t.Fatalf("Result.RowHitRateWrite of a run with no writes = %v, want stats.Ratio's 0", got)
+	}
+	rs := runSet{exp: "scoreboard", res: map[string]Result{k.String(): readsOnly}}
+	want := map[string]string{
+		"bzip2 read hit rate (%)":         "30 holds",
+		"bzip2 write hit rate (%)":        "NaN FAILS",
+		"bzip2 read traffic share (%)":    "100 FAILS",
+		"bzip2 read activation share (%)": "100 FAILS",
+	}
+	for _, tg := range targets() {
+		if w, ok := want[tg.quantity]; ok {
+			v := tg.measure(rs)
+			if got := fmt.Sprintf("%v %s", v, tg.verdict(v)); got != w {
+				t.Errorf("%s: %s, want %s", tg.quantity, got, w)
+			}
+			delete(want, tg.quantity)
+		}
+	}
+	for q := range want {
+		t.Errorf("no scoreboard row %q", q)
+	}
+	rs.res[newKey("lbm", memctrl.Baseline, memctrl.RelaxedClose, 1).String()] = Result{}
+	for _, tg := range targets() {
+		if tg.quantity == "lbm mean dirty words per eviction" {
+			if v := tg.measure(rs); !math.IsNaN(v) {
+				t.Errorf("%s of a run with no dirty eviction = %v, want NaN", tg.quantity, v)
+			}
 		}
 	}
 }
