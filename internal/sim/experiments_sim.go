@@ -201,26 +201,15 @@ func ExpFig11(rs runSet) (string, error) {
 		b.WriteString(t.String())
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "Paper averages (relaxed): %s\n", joinValues(paperFig11Relaxed[:]))
-	fmt.Fprintf(&b, "Paper averages (restricted): %s\n", joinValues(paperFig11Restricted[:]))
+	for i, pol := range []string{"relaxed", "restricted"} {
+		fmt.Fprintf(&b, "Paper averages (%s): %s\n", pol, strings.ReplaceAll(strings.Trim(fmt.Sprint(paperFig11[i]), "[]"), " ", ", "))
+	}
 	return b.String(), nil
 }
 
-// The paper's Figure 11 averages: the share of activations opening 1/8, 2/8,
-// … 8/8 of a row under PRA, in percent.
-var (
-	paperFig11Relaxed    = [8]float64{39, 2, 0.43, 0.45, 0.05, 0.05, 0.02, 58}
-	paperFig11Restricted = [8]float64{36, 2.3, 0.4, 1.2, 0.04, 0.04, 0.02, 60}
-)
-
-// joinValues prints vals comma-separated, each in its shortest form.
-func joinValues(vals []float64) string {
-	s := make([]string, len(vals))
-	for i, v := range vals {
-		s[i] = fmt.Sprint(v)
-	}
-	return strings.Join(s, ", ")
-}
+// paperFig11 holds the paper's Figure 11 averages, relaxed then restricted:
+// the shares of activations opening 1/8, 2/8, … 8/8 of a row, in percent.
+var paperFig11 = [2][8]float64{{39, 2, 0.43, 0.45, 0.05, 0.05, 0.02, 58}, {36, 2.3, 0.4, 1.2, 0.04, 0.04, 0.02, 60}}
 
 // comparedSchemes are the schemes Figures 12 and 13 set against the
 // baseline, in column order.

@@ -78,31 +78,24 @@ var fig13Subset = []string{"libquantum", "GUPS", "MIX1", "MIX2"}
 func targets() []target {
 	nan := math.NaN()
 	single := func(b string) runKey { return newKey(b, memctrl.Baseline, memctrl.RelaxedClose, 1) }
-	// The single-core share rows read NaN, and so FAIL, when their run has
-	// nothing to share: stats.Ratio makes 0/0 a 0, which a one-sided band
-	// such as "<= 6" would hold. den is f's denominator.
-	pct := func(b string, f func(Result) float64, den func(memctrl.Stats) int64) func(runSet) float64 {
+	// share reads scale × f of benchmark b's single-core run, or NaN, which
+	// FAILS, when the run has none of f's denominator (den is 0): stats.Ratio
+	// makes 0/0 a 0, which a band such as "<= 6" holds.
+	share := func(b string, scale float64, f func(Result) float64, den func(Result) int64) func(runSet) float64 {
 		return func(rs runSet) float64 {
-			if r := rs.get(single(b)); den(r.Ctrl) != 0 {
-				return 100 * f(r)
+			if r := rs.get(single(b)); den(r) != 0 {
+				return scale * f(r)
 			}
 			return nan
 		}
 	}
-	reads := func(s memctrl.Stats) int64 { return s.ReadsServed }
-	writes := func(s memctrl.Stats) int64 { return s.WritesServed }
-	served := func(s memctrl.Stats) int64 { return s.ReadsServed + s.WritesServed }
-	acts := func(s memctrl.Stats) int64 { return s.ActsForReads + s.ActsForWrites }
-	evictions := func(b string, f func(*stats.Hist) float64) func(runSet) float64 {
-		return func(rs runSet) float64 {
-			if h := rs.get(single(b)).Cache.DirtyWords; h != nil && h.N != 0 {
-				return f(h)
-			}
-			return nan
-		}
-	}
+	reads := func(r Result) int64 { return r.Ctrl.ReadsServed }
+	writes := func(r Result) int64 { return r.Ctrl.WritesServed }
+	served := func(r Result) int64 { return r.Ctrl.ReadsServed + r.Ctrl.WritesServed }
+	acts := func(r Result) int64 { return r.Ctrl.ActsForReads + r.Ctrl.ActsForWrites }
+	evicted := func(r Result) int64 { return r.Cache.Writebacks } // one DirtyWords observation each
 	dirty := func(b string, words int) func(runSet) float64 {
-		return evictions(b, func(h *stats.Hist) float64 { return 100 * h.Share(words) })
+		return share(b, 100, func(r Result) float64 { return r.Cache.DirtyWords.Share(words) }, evicted)
 	}
 	var ts []target
 	for _, b := range benchOrder {
@@ -115,30 +108,26 @@ func targets() []target {
 			hitW, hitRDev = near(18, 12), 4
 		}
 		ts = append(ts,
-			target{"table1", b + " read hit rate (%)", p[0], near(p[0], tol[0]), hitRDev, pct(b, Result.RowHitRateRead, reads)},
-			target{"table1", b + " write hit rate (%)", p[1], hitW, hitWDev, pct(b, Result.RowHitRateWrite, writes)},
-			target{"table1", b + " read traffic share (%)", p[2], near(p[2], tol[1]), 0, pct(b, Result.ReadTrafficShare, served)},
-			target{"table1", b + " read activation share (%)", p[4], near(p[4], tol[2]), 0, pct(b, Result.ReadActShare, acts)})
+			target{"table1", b + " read hit rate (%)", p[0], near(p[0], tol[0]), hitRDev, share(b, 100, Result.RowHitRateRead, reads)},
+			target{"table1", b + " write hit rate (%)", p[1], hitW, hitWDev, share(b, 100, Result.RowHitRateWrite, writes)},
+			target{"table1", b + " read traffic share (%)", p[2], near(p[2], tol[1]), 0, share(b, 100, Result.ReadTrafficShare, served)},
+			target{"table1", b + " read activation share (%)", p[4], near(p[4], tol[2]), 0, share(b, 100, Result.ReadActShare, acts)})
 	}
 
 	fig2 := func(c int) func(runSet) float64 {
 		return func(rs runSet) float64 { return means(fig2Breakdown(rs))[c] }
 	}
-	fig2Max := func(c int) func(runSet) float64 {
-		return func(rs runSet) float64 { return slices.Max(column(fig2Breakdown(rs), c)) }
-	}
 	ts = append(ts,
 		target{"fig2", "ACT-PRE share of power, 8-benchmark average (%)", 25, nil, 1, fig2(0)},
-		target{"fig2", "ACT-PRE share of power, largest of 8 benchmarks (%)", 33, nil, 1, fig2Max(0)},
-		target{"fig2", "I/O share of power, 8-benchmark average (%)", 14, nil, 1, fig2(3)},
-		target{"fig2", "I/O share of power, largest of 8 benchmarks (%)", 19, nil, 1, fig2Max(3)})
+		target{"fig2", "I/O share of power, 8-benchmark average (%)", 14, nil, 1, fig2(3)})
 
 	for _, b := range []string{"GUPS", "LinkedList", "mcf"} {
 		ts = append(ts, target{"fig3", b + " evictions with 1 dirty word (%)", nan, atLeast(90), 0, dirty(b, 1)})
 	}
 	ts = append(ts,
 		target{"fig3", "libquantum evictions with 8 dirty words (%)", nan, atLeast(90), 0, dirty("libquantum", 8)},
-		target{"fig3", "lbm mean dirty words per eviction", nan, between(1.5, 5), 0, evictions("lbm", (*stats.Hist).Mean)},
+		target{"fig3", "lbm mean dirty words per eviction", nan, between(1.5, 5), 0,
+			share("lbm", 1, func(r Result) float64 { return r.Cache.DirtyWords.Mean() }, evicted)},
 		target{"fig9", "energy of a half-row (8 of 16 MATs) activation (% of full)", nan, nil, 0,
 			func(runSet) float64 { return 100 * power.DefaultMATEnergy().Scale(8) }})
 
@@ -152,8 +141,8 @@ func targets() []target {
 		return func(rs runSet) float64 { return means(fig11Shares(rs, memctrl.RelaxedClose))[c] }
 	}
 	ts = append(ts,
-		target{"fig11", "1/8-row activations, relaxed, 14-workload average (%)", paperFig11Relaxed[0], near(paperFig11Relaxed[0], 15), 0, fig11(0)},
-		target{"fig11", "full-row activations, relaxed, 14-workload average (%)", paperFig11Relaxed[7], near(paperFig11Relaxed[7], 15), 0, fig11(7)})
+		target{"fig11", "1/8-row activations, relaxed, 14-workload average (%)", paperFig11[0][0], near(paperFig11[0][0], 15), 0, fig11(0)},
+		target{"fig11", "full-row activations, relaxed, 14-workload average (%)", paperFig11[0][7], near(paperFig11[0][7], 15), 0, fig11(7)})
 
 	// Figure 12's reductions are 100 × (1 − normalized power); the largest
 	// reduction is that of the smallest normalized power.
@@ -185,14 +174,10 @@ func targets() []target {
 			return sum / float64(len(fig13Subset))
 		}
 	}
-	fig13Rows := func(rs runSet, s memctrl.Scheme) [][]float64 {
-		return versusBase(rs, memctrl.RelaxedClose, schemeKey(s, memctrl.RelaxedClose))
-	}
 	fig13 := func(s memctrl.Scheme, c int) func(runSet) float64 {
-		return func(rs runSet) float64 { return means(fig13Rows(rs, s))[c] }
-	}
-	fig13Min := func(s memctrl.Scheme, c int) func(runSet) float64 {
-		return func(rs runSet) float64 { return slices.Min(column(fig13Rows(rs, s), c)) }
+		return func(rs runSet) float64 {
+			return means(versusBase(rs, memctrl.RelaxedClose, schemeKey(s, memctrl.RelaxedClose)))[c]
+		}
 	}
 	ts = append(ts,
 		target{"fig13", "PRA sum-IPC vs baseline, libquantum/GUPS/MIX1/MIX2 average", nan, atLeast(0.92), 0, subsetIPC(memctrl.PRA)},
@@ -200,14 +185,10 @@ func targets() []target {
 		target{"fig13", "PRA minus FGA of the two rows above", nan, positive(), 0,
 			func(rs runSet) float64 { return subsetIPC(memctrl.PRA)(rs) - subsetIPC(memctrl.FGA)(rs) }},
 		target{"fig13", "PRA performance (WS) vs baseline, 14-workload average", 0.992, nil, 0, fig13(memctrl.PRA, 1)},
-		target{"fig13", "PRA performance (WS) vs baseline, lowest of 14 workloads", 0.952, nil, 0, fig13Min(memctrl.PRA, 1)},
 		target{"fig13", "Half-DRAM performance (WS) vs baseline, 14-workload average", 1.003, nil, 0, fig13(memctrl.HalfDRAM, 1)},
 		target{"fig13", "FGA performance (WS) vs baseline, 14-workload average", 0.86, nil, 2, fig13(memctrl.FGA, 1)},
-		target{"fig13", "FGA performance (WS) vs baseline, lowest of 14 workloads", 0.82, nil, 2, fig13Min(memctrl.FGA, 1)},
 		target{"fig13", "PRA DRAM energy vs baseline, 14-workload average", 0.77, nil, 0, fig13(memctrl.PRA, 2)},
-		target{"fig13", "PRA DRAM energy vs baseline, lowest of 14 workloads", 0.66, nil, 0, fig13Min(memctrl.PRA, 2)},
-		target{"fig13", "PRA EDP vs baseline, 14-workload average", 0.78, nil, 0, fig13(memctrl.PRA, 3)},
-		target{"fig13", "PRA EDP vs baseline, lowest of 14 workloads", 0.68, nil, 0, fig13Min(memctrl.PRA, 3)})
+		target{"fig13", "PRA EDP vs baseline, 14-workload average", 0.78, nil, 0, fig13(memctrl.PRA, 3)})
 
 	for _, s := range fig14Schemes {
 		ts = append(ts, target{"fig14", s.String() + " power vs baseline, restricted, 14-workload average", nan, nil, 0,
