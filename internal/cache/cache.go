@@ -430,18 +430,14 @@ func (h *Hierarchy) fillDone(e *missEntry) core.Done {
 }
 
 func (h *Hierarchy) issueFill(e *missEntry) {
-	addr := e.id << 6
-	ok := h.mem.Read(addr, h.fillDone(e))
-	if !ok {
+	e.issued = h.mem.Read(e.id<<6, h.fillDone(e))
+	if !e.issued {
 		h.retryFills = append(h.retryFills, e)
-		return
 	}
-	e.issued = true
 }
 
-// fill completes an L2 miss: install in L2, apply each waiter's L1 step in
-// arrival order (a core's first waiter installs the line in its L1, the
-// later ones hit it), then wake all waiters.
+// fill completes an L2 miss: install in L2, take each waiter's L1 step (a
+// core's first waiter installs the line, its later ones hit it), wake all.
 func (h *Hierarchy) fill(e *missEntry, at int64) {
 	for i, m := range h.mshr {
 		if m == e {
@@ -654,16 +650,12 @@ func (h *Hierarchy) Tick(now int64) {
 		}
 	}
 	if len(h.retryFills) > 0 {
-		keep := h.retryFills[:0]
-		for _, e := range h.retryFills {
-			addr := e.id << 6
-			if h.mem.Read(addr, h.fillDone(e)) {
-				e.issued = true
-			} else {
-				keep = append(keep, e)
-			}
+		// issueFill re-lists refusals in place, never past the entry it retries.
+		retry := h.retryFills
+		h.retryFills = retry[:0]
+		for _, e := range retry {
+			h.issueFill(e)
 		}
-		h.retryFills = keep
 	}
 	if len(h.wbs) > 0 {
 		// Drain in FIFO order, stopping at the first refusal: when the

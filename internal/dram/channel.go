@@ -290,12 +290,11 @@ func (c *Channel) flushBG(rk *rankState) {
 		return
 	}
 	rk.bgFrom = end
-	tck := c.tck
 	if rk.refUntil > t {
 		stop := min(rk.refUntil, end)
 		n := stop - t
 		c.Stats.ActiveRankCycles += n
-		c.Acc.Background(power.RankActive, tck*float64(n))
+		c.Acc.Background(power.RankActive, c.tck*float64(n))
 		t = stop
 	}
 	if t >= end {
@@ -305,22 +304,22 @@ func (c *Channel) flushBG(rk *rankState) {
 	switch {
 	case rk.pd == PDPrechargeFast:
 		c.Stats.PowerDownCycles += n
-		c.Acc.Background(power.RankPoweredDown, tck*float64(n))
+		c.Acc.Background(power.RankPoweredDown, c.tck*float64(n))
 	case rk.pd == PDActive:
 		c.Stats.ActivePDCycles += n
-		c.Acc.Background(power.RankActivePD, tck*float64(n))
+		c.Acc.Background(power.RankActivePD, c.tck*float64(n))
 	case rk.pd == PDPrechargeSlow:
 		c.Stats.SlowPDCycles += n
-		c.Acc.Background(power.RankPoweredDownSlow, tck*float64(n))
+		c.Acc.Background(power.RankPoweredDownSlow, c.tck*float64(n))
 	case rk.pd == PDSelfRefresh:
 		c.Stats.SelfRefCycles += n
-		c.Acc.Background(power.RankSelfRefresh, tck*float64(n))
+		c.Acc.Background(power.RankSelfRefresh, c.tck*float64(n))
 	case rk.openCount > 0:
 		c.Stats.ActiveRankCycles += n
-		c.Acc.Background(power.RankActive, tck*float64(n))
+		c.Acc.Background(power.RankActive, c.tck*float64(n))
 	default:
 		c.Stats.PrechargedRankCycles += n
-		c.Acc.Background(power.RankPrecharged, tck*float64(n))
+		c.Acc.Background(power.RankPrecharged, c.tck*float64(n))
 	}
 }
 

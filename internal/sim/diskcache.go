@@ -17,33 +17,7 @@ import (
 // different model semantics would silently contaminate the run warmed from
 // it. Container-format changes to the checkpoint encoding itself are
 // versioned separately by ckptFormat (checkpoint.go).
-// v3: Result gained always-on write-latency accounting
-// (Ctrl.WriteLatencySum), so v2 cache entries would deserialize with the
-// field silently zero.
-// v4: a write merged into a queued write wakes its channel, as an enqueue
-// does; under PRA a grown mask can make a command legal before the armed
-// wake, so PRA results can differ.
-// v5: the per-row activation counters are exact (one map per bank, as in
-// PRAC); the bounded table's spill floor, which raised alerts on benign
-// traffic under elastic refresh, is gone, so mitigation runs that spilled
-// can differ.
-// v6: speed grades derive from one device spec; outside DDR3-1600, tXP,
-// tXPDLL, tXS, tCKE, tRFM (and tREFI at 1866/2133) moved, so grade= runs differ.
-// v7: a powered-down rank's self-refresh deadline bounds its channel's
-// sleep, so escalation happens when the rank's idle time reaches SRTimeout
-// rather than at the next pass some other event causes; runs with
-// SRTimeout > 0 can differ.
-// v8: the DRAM runs at each bin's exact clock, 24:5 at DDR3-1333 and 24:7 at
-// DDR3-1866 (5 and 3 CPU cycles before), so grade= runs at those bins differ.
-// v9: Result carries its run's DRAM clock (Rate), so a v8 entry of a grade=
-// run would decode with the clock silently DDR3-1600's.
-// v10: single-core experiment runs warm functionally up to a 50 k detailed
-// tail (Runner.config), so their Results differ.
-// v11: single-core experiment runs warm wholly functionally, with no detailed
-// tail, so their Results differ again.
-// v12: a fill that merged several accesses by one core installs its line in
-// that core's L1 once (the later accesses hit it), where it made one copy per
-// access, so runs whose misses merge differ.
+// DESIGN.md §3 ("Disk cache") lists every bump and the change that caused it.
 const ModelVersion = "pradram-model-v12"
 
 // diskCache persists one Result per configuration as a JSON file, so
