@@ -11,10 +11,10 @@ import (
 	"pradram/internal/workload"
 )
 
-// The hierarchy referee restates, without calling any of the hierarchy's
-// code, what the FGD write-back path must conserve: every dirty byte a store
-// was accepted with reaches DRAM exactly once, in the write-back of its line
-// that follows the store. It drives real workload generators through a
+// The hierarchy referee checks, reading only the raw tag and mask slabs and
+// calling none of the hierarchy's lookup code, what the FGD write-back path
+// must conserve: every dirty byte a store was accepted with reaches DRAM
+// exactly once, in the write-back of its line that follows the store. It drives real workload generators through a
 // backend that delays each fill by a random time, so misses merge several
 // accesses, and after every event it also checks the two shape rules the
 // conservation rests on: no L1 set holds a line twice, and every L1 line is
