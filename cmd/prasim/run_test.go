@@ -34,32 +34,33 @@ func runPrasim(t *testing.T, bin string, args ...string) (stdout, stderr string)
 	return out.String(), errb.String()
 }
 
-// TestRunGolden pins the binary's run path end to end on a two-workload
-// batch: stdout by digest (tables and -json), byte-identical for every -j,
-// and each workload's -trace-out Perfetto file by digest.
+// TestRunGolden pins the binary's run path end to end on two runs, GUPS and
+// mcf: their stdout by digest (tables joined by one blank line, -json
+// documents back to back) and each run's -trace-out Perfetto file by digest.
 // Regenerate testdata/run.golden with -update after an intended change of
 // the report.
 func TestRunGolden(t *testing.T) {
 	bin := buildPrasim(t)
-	batch := []string{"-workload", "GUPS,mcf", "-instr", "30000", "-warmup", "40000"}
-	with := func(extra ...string) []string { return append(append([]string{}, batch...), extra...) }
+	var plain, asJSON, traces string
+	for i, w := range []string{"GUPS", "mcf"} {
+		args := []string{"-workload", w, "-instr", "30000", "-warmup", "40000"}
+		out, _ := runPrasim(t, bin, args...)
+		js, _ := runPrasim(t, bin, append(args, "-json")...)
+		if i > 0 {
+			plain += "\n"
+		}
+		plain, asJSON = plain+out, asJSON+js
 
-	plain, _ := runPrasim(t, bin, with("-j", "2")...)
-	asJSON, _ := runPrasim(t, bin, with("-j", "2", "-json")...)
-	if serial, _ := runPrasim(t, bin, with("-j", "1")...); serial != plain {
-		t.Error("stdout differs between -j 1 and -j 2")
-	}
-
-	got := fmt.Sprintf("plain %x\njson %x\n", sha256.Sum256([]byte(plain)), sha256.Sum256([]byte(asJSON)))
-	traceOut := filepath.Join(t.TempDir(), "spans.json")
-	runPrasim(t, bin, with("-j", "2", "-trace-out", traceOut)...)
-	for _, w := range []string{"GUPS", "mcf"} {
-		b, err := os.ReadFile(filepath.Join(filepath.Dir(traceOut), "spans."+w+".json"))
+		traceOut := filepath.Join(t.TempDir(), "spans.json")
+		runPrasim(t, bin, append(args, "-trace-out", traceOut)...)
+		b, err := os.ReadFile(traceOut)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got += fmt.Sprintf("trace-out %s %x\n", w, sha256.Sum256(b))
+		traces += fmt.Sprintf("trace-out %s %x\n", w, sha256.Sum256(b))
 	}
+
+	got := fmt.Sprintf("plain %x\njson %x\n", sha256.Sum256([]byte(plain)), sha256.Sum256([]byte(asJSON))) + traces
 	const path = "testdata/run.golden"
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {

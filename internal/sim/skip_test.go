@@ -277,17 +277,20 @@ func TestSkipBudgetCountsExecutedTicks(t *testing.T) {
 }
 
 // TestMaxCyclesAbortsBothModes covers the abort path in both run modes: a
-// tiny budget must produce the no-progress error, never a hang, whether
-// the loop fast-forwards or ticks every cycle.
+// tiny budget must produce the no-progress error naming the phase it ran
+// out in, never a hang, whether the loop fast-forwards or ticks every cycle.
 func TestMaxCyclesAbortsBothModes(t *testing.T) {
 	t.Parallel()
 	for _, noskip := range []bool{false, true} {
-		cfg := quickCfg("GUPS")
-		cfg.MaxCycles = 10
-		cfg.NoSkip = noskip
-		_, err := RunOne(cfg)
-		if err == nil || !strings.Contains(err.Error(), "no progress") {
-			t.Errorf("NoSkip=%v: tiny MaxCycles must abort with a progress error, got %v", noskip, err)
+		for warmup, phase := range map[int64]string{0: "measurement", 3000: "warmup"} {
+			cfg := quickCfg("GUPS")
+			cfg.MaxCycles = 10
+			cfg.WarmupPerCore = warmup
+			cfg.NoSkip = noskip
+			_, err := RunOne(cfg)
+			if want := phase + " made no progress"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("NoSkip=%v, warmup %d: tiny MaxCycles must abort with %q, got %v", noskip, warmup, want, err)
+			}
 		}
 	}
 }
