@@ -6,8 +6,6 @@ import (
 	"io"
 	"os"
 	"reflect"
-	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -21,16 +19,11 @@ func newFlagSet() *flag.FlagSet {
 }
 
 // flagSurface renders what -h promises about every flag: name, default,
-// help text, one flag per line in name order. The -j default tracks the
-// host, so it is spelled symbolically.
+// help text, one flag per line in name order.
 func flagSurface(fs *flag.FlagSet) string {
 	var b strings.Builder
 	fs.VisitAll(func(f *flag.Flag) {
-		def := f.DefValue
-		if f.Name == "j" && def == strconv.Itoa(runtime.GOMAXPROCS(0)) {
-			def = "GOMAXPROCS"
-		}
-		fmt.Fprintf(&b, "-%s\t%q\t%s\n", f.Name, def, f.Usage)
+		fmt.Fprintf(&b, "-%s\t%q\t%s\n", f.Name, f.DefValue, f.Usage)
 	})
 	return b.String()
 }
@@ -60,14 +53,14 @@ func TestFlagSurfaceGolden(t *testing.T) {
 }
 
 // field reads a dotted path out of the parsed options: "cfg.X" is field X
-// (promoted fields and nested structs included) of the first run's Config,
+// (promoted fields and nested structs included) of the run's Config,
 // anything else a field of the options struct itself.
 func field(t *testing.T, o options, path string) string {
 	t.Helper()
 	v := reflect.ValueOf(o)
 	parts := strings.Split(path, ".")
 	if parts[0] == "cfg" {
-		v, parts = reflect.ValueOf(o.cfgs[0]), parts[1:]
+		v, parts = reflect.ValueOf(o.cfg), parts[1:]
 	}
 	for _, p := range parts {
 		if v = v.FieldByName(p); !v.IsValid() {
@@ -96,7 +89,7 @@ func TestArgsToConfig(t *testing.T) {
 			"cfg.Obs.EpochCycles": "0", "cfg.Obs.EventLevel": "off",
 			"cfg.Capture": "false", "cfg.NoTimingRelax": "false", "cfg.NoPartialIO": "false", "cfg.NoMaskCycle": "false",
 			"cfg.MaxCycles": "0",
-			"list":          "false", "asJSON": "false", "workers": strconv.Itoa(runtime.GOMAXPROCS(0)),
+			"list":          "false", "asJSON": "false",
 			"traceOut": "", "timeline": "", "eventsOut": "", "httpAddr": "",
 		}},
 		{[]string{"-workload", "em3d"}, map[string]string{"cfg.Workload": "em3d"}},
@@ -110,7 +103,6 @@ func TestArgsToConfig(t *testing.T) {
 		{[]string{"-list"}, map[string]string{"list": "true"}},
 		{[]string{"-json"}, map[string]string{"asJSON": "true"}},
 		{[]string{"-ecc"}, map[string]string{"cfg.ECC": "true"}},
-		{[]string{"-j", "7"}, map[string]string{"workers": "7"}},
 		{[]string{"-noskip"}, map[string]string{"cfg.NoSkip": "true"}},
 		{[]string{"-channels", "4"}, map[string]string{"cfg.Channels": "4"}},
 		{[]string{"-pd-policy", "queue"}, map[string]string{"cfg.PDPolicy": "queue"}},
@@ -139,8 +131,8 @@ func TestArgsToConfig(t *testing.T) {
 		{[]string{"-timeline", "tl.csv", "-epoch", "500"}, map[string]string{"cfg.Obs.EpochCycles": "500"}},
 		{[]string{"-epoch", "500"}, map[string]string{"cfg.Obs.EpochCycles": "0"}},
 
-		// -mix replaces -workload with one co-run, commas and all.
-		{[]string{"-workload", "em3d", "-mix", "gups:2,linkedlist:2"}, map[string]string{"cfg.Workload": "gups:2,linkedlist:2"}},
+		// A co-run is one workload set, commas and all.
+		{[]string{"-workload", "gups:2,linkedlist:2"}, map[string]string{"cfg.Workload": "gups:2,linkedlist:2"}},
 	}
 	for _, c := range cases {
 		o, err := parseArgs(newFlagSet(), c.args)
@@ -155,20 +147,4 @@ func TestArgsToConfig(t *testing.T) {
 		}
 	}
 
-	// A comma-separated -workload is a batch: one Config per name, spaces
-	// trimmed, every other flag applied to each.
-	o, err := parseArgs(newFlagSet(), []string{"-workload", "GUPS, em3d,MIX2", "-scheme", "pra"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, cfg := range o.cfgs {
-		names = append(names, cfg.Workload+"/"+cfg.Scheme.String())
-	}
-	if got, want := strings.Join(names, " "), "GUPS/pra em3d/pra MIX2/pra"; got != want {
-		t.Errorf("batch = %q, want %q", got, want)
-	}
-	if o, err = parseArgs(newFlagSet(), []string{"-mix", "gups:2,linkedlist:2"}); err != nil || len(o.cfgs) != 1 {
-		t.Errorf("-mix must yield exactly one run, got %d (err %v)", len(o.cfgs), err)
-	}
 }

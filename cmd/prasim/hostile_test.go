@@ -23,14 +23,14 @@ func TestHostileArgsAreRejected(t *testing.T) {
 		{"-trace-out t.json -trace-sample -3", "LatSpanEvery"},
 		{"-events-out ev.log", "-events-out needs -events state or -events cmd"},
 		{"-events off -events-out ev.log", "-events-out needs -events state or -events cmd"},
-		{"-j -1", "-j must be non-negative"},
 		{"-pd-policy timeout -pd-timeout 0", "requires PDTimeout > 0"},
 		{"-channels 3", "channels must be a positive power of two"},
 		{"-cores 9", "ActiveCores"},
 		{"-power-cal bogus", "PowerCal"},
-		{"-workload GUPS,nosuch", `unknown workload set "nosuch"`},
-		{"-mix gups:3", "names 3 instances, have 4 cores"},
-		{"-mix gups:2.5,linkedlist:2", "bad instance count"},
+		{"-workload nosuch", `unknown workload set "nosuch"`},
+		{"-workload gups:3", "names 3 instances, have 4 cores"},
+		{"-workload gups:2.5,linkedlist:2", "bad instance count"},
+		{"-workload GUPS,em3d", `workload: mix spec "GUPS,em3d" names 2 instances, have 4 cores`},
 		{"-scheme nosuch", `invalid value "nosuch" for flag -scheme`},
 		{"-events loud", `invalid value "loud" for flag -events`},
 	} {

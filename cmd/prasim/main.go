@@ -1,4 +1,4 @@
-// Command prasim runs workloads on one DRAM scheme and prints the
+// Command prasim runs one workload set on one DRAM scheme and prints the
 // measured statistics: performance, row-buffer behaviour, activation
 // granularity, and the DRAM power/energy breakdown.
 //
@@ -7,32 +7,26 @@
 //	prasim -workload GUPS -scheme pra
 //	prasim -workload MIX2 -scheme halfdram+pra -policy restricted
 //	prasim -workload libquantum -scheme baseline -instr 2000000 -dbi
-//	prasim -workload GUPS,em3d,MIX2 -j 3       # parallel fan-out
-//	prasim -mix gups:2,linkedlist:2 -scheme pra  # custom SPEC-rate co-run
+//	prasim -workload gups:2,linkedlist:2 -scheme pra  # custom SPEC-rate co-run
 //
-// -workload accepts a comma-separated list; the runs execute across a
-// -j-sized worker pool and the reports print in the order given, so the
-// output is identical for every -j (each run is deterministic and
-// independent). With -json, one JSON document is emitted per workload.
-// -mix runs one custom multi-program co-run instead: a name[:count],...
-// spec over any single-core workloads (benchmarks, hammers, tensor
-// streams) whose counts sum to -cores, with per-core attribution in the
-// report.
+// -workload names one workload set: a benchmark, hammer or tensor stream run
+// on every core, a MIXn, or a name[:count],... co-run of single-core
+// workloads whose counts sum to -cores, with per-core attribution in the
+// report. With -json the report is one JSON document.
 //
 // Telemetry (see internal/obs and DESIGN.md "Observability"):
 //
 //	prasim -workload gups -timeline tl.csv -epoch 50000
 //	prasim -workload GUPS -events state -events-out ev.log
-//	prasim -workload GUPS,em3d -j 2 -timeline tl.csv -http :6060
+//	prasim -workload em3d -timeline tl.csv -http :6060
 //
 // -timeline samples per-epoch counters (per-bank ACT/PRE/RD/WR, activation
 // granularity histogram, queue depths, energy components, ...) into a CSV
-// (or JSON when the file ends in .json); in a batch the workload name is
-// inserted before the extension. -events records a ring-buffered trace of
-// state transitions (state) or every DRAM command (cmd), written to
-// -events-out and dumped to stderr when a run fails. -http serves the live
-// recorder, batch progress, the build/version block (/vars/build), and
-// net/http/pprof while the runs execute.
+// (or JSON when the file ends in .json). -events records a ring-buffered
+// trace of state transitions (state) or every DRAM command (cmd), written to
+// -events-out and dumped to stderr when the run fails. -http serves the live
+// recorder, the build/version block (/vars/build), and net/http/pprof while
+// the run executes.
 //
 // Latency attribution (DESIGN.md §4h):
 //
@@ -55,10 +49,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
-	"time"
 
 	"pradram/internal/memctrl"
 	"pradram/internal/obs"
@@ -68,34 +59,31 @@ import (
 	"pradram/internal/workload"
 )
 
-// options is a parsed command line: one validated Config per run plus the
-// settings that belong to the binary rather than to a run.
+// options is a parsed command line: the validated run Config plus the
+// settings that belong to the binary rather than to the run.
 type options struct {
-	cfgs         []sim.Config // one per run, in report order
+	cfg          sim.Config
 	list, asJSON bool
-	workers      int
 
 	traceOut, timeline, eventsOut, httpAddr string
 }
 
-// parseArgs registers the flags on fs, parses args and expands them into
-// the batch's Configs. Run flags bind straight to Config fields through
-// sim's flag table; the defaults below are this binary's.
+// parseArgs registers the flags on fs and parses args into the run's Config.
+// Run flags bind straight to Config fields through sim's flag table; the
+// defaults below are this binary's.
 func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
-	cfg := sim.DefaultConfig("GUPS")
+	o := options{cfg: sim.DefaultConfig("GUPS")}
+	cfg := &o.cfg
 	cfg.InstrPerCore = 400_000
 	cfg.WarmupPerCore = 400_000
 	cfg.ActiveCores = 4
 	cfg.PDTimeout = 200
 	cfg.LatSpanEvery = 64         // -trace-sample; armed by -trace-out
 	cfg.Obs.EpochCycles = 100_000 // -epoch; armed by -timeline / -http
-	sim.BindFlags(fs, &cfg)
+	sim.BindFlags(fs, cfg)
 
-	var o options
-	mixSpec := fs.String("mix", "", "run one custom co-run spec name[:count],... (e.g. gups:2,linkedlist:2); counts must sum to -cores")
 	fs.BoolVar(&o.list, "list", false, "list workloads and exit")
 	fs.BoolVar(&o.asJSON, "json", false, "emit machine-readable JSON instead of tables")
-	fs.IntVar(&o.workers, "j", runtime.GOMAXPROCS(0), "max simulations in flight for workload batches")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write sampled request spans as a Chrome/Perfetto trace JSON to this file (implies -latbreak)")
 	fs.StringVar(&o.timeline, "timeline", "", "write the per-epoch time-series to this file (.json for JSON, else CSV)")
 	fs.StringVar(&o.eventsOut, "events-out", "", "write the event trace to this file (otherwise dumped to stderr only on error)")
@@ -123,25 +111,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 	if o.eventsOut != "" && cfg.Obs.EventLevel == obs.LevelOff {
 		return o, fmt.Errorf("-events-out needs -events state or -events cmd")
 	}
-	if o.workers < 0 {
-		return o, fmt.Errorf("-j must be non-negative, got %d", o.workers)
-	}
-
-	names := strings.Split(cfg.Workload, ",")
-	if *mixSpec != "" {
-		// A co-run spec contains commas itself, so it cannot ride the
-		// comma-separated batch list; -mix submits the whole spec as one
-		// multi-program run instead.
-		names = []string{*mixSpec}
-	}
-	for _, name := range names {
-		cfg.Workload = strings.TrimSpace(name)
-		if err := cfg.Validate(); err != nil {
-			return o, err
-		}
-		o.cfgs = append(o.cfgs, cfg)
-	}
-	return o, nil
+	return o, cfg.Validate()
 }
 
 func main() {
@@ -154,7 +124,7 @@ func main() {
 		fmt.Println("hammers:   ", workload.HammerNames())
 		fmt.Println("tensors:   ", workload.TensorNames())
 		fmt.Println("mixes:     ", workload.MixNames())
-		fmt.Println("co-runs:    any single-core names as name[:count],... via -mix")
+		fmt.Println("co-runs:    any single-core names as -workload name[:count],...")
 		return
 	}
 
@@ -169,86 +139,48 @@ func main() {
 		srv.Publish("build", func() any { return sim.BuildInfo() })
 	}
 
-	systems := make([]*sim.System, len(o.cfgs))
-	for i, cfg := range o.cfgs {
-		if systems[i], err = sim.New(cfg); err != nil {
+	s, err := sim.New(o.cfg)
+	if err != nil {
+		fatal(err)
+	}
+	label := o.cfg.Workload
+	if rec := s.Recorder(); srv != nil && rec != nil {
+		srv.Publish("timeline/"+label, func() any { return rec.Snapshot() })
+	}
+	res, err := s.Run()
+	if err != nil {
+		// A failed run's event ring is the post-mortem: dump it before
+		// exiting.
+		if ev := s.Events(); ev != nil {
+			ev.Dump(os.Stderr)
+		}
+		fatal(err)
+	}
+	if err := dumpTelemetry(s, o.timeline, o.eventsOut); err != nil {
+		fatal(err)
+	}
+	if o.traceOut != "" {
+		if err := writeTrace(s, res, label, o.traceOut); err != nil {
 			fatal(err)
 		}
 	}
-	batch := len(systems) > 1
-
-	prog := obs.NewProgress()
-	stopReporter := func() {}
-	if batch {
-		stopReporter = prog.Reporter(os.Stderr, time.Second, "prasim")
-	}
-	if srv != nil {
-		srv.Publish("progress", func() any { return prog.Snapshot() })
-		for i := range systems {
-			s, label := systems[i], o.cfgs[i].Workload
-			if batch {
-				label = fmt.Sprintf("%d-%s", i, label)
-			}
-			if rec := s.Recorder(); rec != nil {
-				srv.Publish("timeline/"+label, func() any { return rec.Snapshot() })
-			}
-		}
-	}
-
-	// The runner fans the independent runs out across its pool; reports
-	// still print in the order the workloads were given.
-	runner := sim.NewRunner(sim.ExpOptions{Workers: max(o.workers, 1), Progress: prog})
-	results, errs := runner.RunSystems(systems)
-	stopReporter()
-
-	for i, res := range results {
-		if errs[i] != nil {
-			// A failed run's event ring is the post-mortem: dump it
-			// before exiting.
-			if ev := systems[i].Events(); ev != nil {
-				ev.Dump(os.Stderr)
-			}
-			fatal(errs[i])
-		}
-		if err := dumpTelemetry(systems[i], o.cfgs[i].Workload, o.timeline, o.eventsOut, batch); err != nil {
-			fatal(err)
-		}
-		if o.traceOut != "" {
-			if err := writeTrace(systems[i], res, o.cfgs[i].Workload, o.traceOut, batch); err != nil {
-				fatal(err)
-			}
-		}
-		if o.asJSON {
-			if err := emitJSON(os.Stdout, res); err != nil {
-				fatal(err)
-			}
-			continue
-		}
-		if i > 0 {
-			fmt.Println()
-		}
+	if o.asJSON {
+		err = emitJSON(os.Stdout, res)
+	} else {
 		report(os.Stdout, res)
 	}
-}
-
-// batchPath inserts the run label before the path's extension when several
-// runs share one -timeline/-events-out flag ("tl.csv" -> "tl.GUPS.csv").
-func batchPath(path, label string, batch bool) string {
-	if !batch {
-		return path
+	if err != nil {
+		fatal(err)
 	}
-	ext := filepath.Ext(path)
-	return strings.TrimSuffix(path, ext) + "." + label + ext
 }
 
 // dumpTelemetry writes a finished run's recorder and event log to the
 // requested files.
-func dumpTelemetry(s *sim.System, label, timeline, eventsOut string, batch bool) error {
+func dumpTelemetry(s *sim.System, timeline, eventsOut string) error {
 	if timeline != "" {
 		if rec := s.Recorder(); rec != nil {
-			path := batchPath(timeline, label, batch)
-			if err := writeTo(path, func(w io.Writer) error {
-				if strings.HasSuffix(path, ".json") {
+			if err := writeTo(timeline, func(w io.Writer) error {
+				if strings.HasSuffix(timeline, ".json") {
 					return rec.WriteJSON(w)
 				}
 				return rec.WriteCSV(w)
@@ -258,7 +190,7 @@ func dumpTelemetry(s *sim.System, label, timeline, eventsOut string, batch bool)
 		}
 	}
 	if eventsOut != "" { // parseArgs refused it unless -events armed the log
-		if err := writeTo(batchPath(eventsOut, label, batch), s.Events().Dump); err != nil {
+		if err := writeTo(eventsOut, s.Events().Dump); err != nil {
 			return err
 		}
 	}
@@ -272,7 +204,7 @@ func dumpTelemetry(s *sim.System, label, timeline, eventsOut string, batch bool)
 // events (refresh, power-down, alert, ...) when -events captured them.
 // Spans are a sample (every -trace-sample-th completion, ring-buffered),
 // not a census. Cycles convert to time at the run's own DRAM clock.
-func writeTrace(s *sim.System, res sim.Result, label, path string, batch bool) error {
+func writeTrace(s *sim.System, res sim.Result, label, path string) error {
 	spans := s.LatSpans()
 	tspans := make([]obs.TraceSpan, len(spans))
 	for i, sp := range spans {
@@ -309,7 +241,7 @@ func writeTrace(s *sim.System, res sim.Result, label, path string, batch bool) e
 		CycleNs:      res.MemCycleNs(),
 		InstantTrack: "dram",
 	}
-	return writeTo(batchPath(path, label, batch), func(w io.Writer) error {
+	return writeTo(path, func(w io.Writer) error {
 		return obs.WriteChromeTrace(w, opt, tspans, instants)
 	})
 }

@@ -30,9 +30,9 @@ type ExpOptions struct {
 	Workers int
 
 	// Progress, when non-nil, receives run-level progress (total / done /
-	// in-flight) as the runner executes a wave (Precompute, RunSystems) —
-	// the live feed behind the binaries' stderr progress line and the -http
-	// introspection endpoint. Nil-safe: a nil *obs.Progress records nothing.
+	// in-flight) as the runner executes a wave (Precompute) — the live feed
+	// behind praexp's stderr progress line and its -http introspection
+	// endpoint. Nil-safe: a nil *obs.Progress records nothing.
 	Progress *obs.Progress
 
 	// CacheDir, when non-empty, enables the on-disk result cache: every

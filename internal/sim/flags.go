@@ -22,7 +22,7 @@ var flagTable = []struct {
 	target func(*Config) any
 	help   string
 }{
-	{"workload", func(c *Config) any { return &c.Workload }, "benchmark or MIXn (comma-separated for a batch; see -list)"},
+	{"workload", func(c *Config) any { return &c.Workload }, "workload set: a benchmark, hammer, tensor or MIXn, or a name[:count],... co-run (see -list)"},
 	{"scheme", func(c *Config) any { return &c.Scheme }, "row-activation scheme: " + memctrl.SchemeNames.List()},
 	{"policy", func(c *Config) any { return &c.Policy }, "row-buffer policy: " + memctrl.PolicyNames.List()},
 	{"dbi", func(c *Config) any { return &c.DBI }, "enable Dirty-Block-Index proactive writeback"},

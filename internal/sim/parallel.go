@@ -78,26 +78,6 @@ func (r *Runner) each(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// RunSystems runs systems the caller built (New) and has not run across the
-// worker pool, one wave, and returns each one's result or error in input
-// order; a failure does not stop the others. It is
-// the entry for a driver that needs the systems themselves — to publish a
-// recorder before the run starts, to export a finished run's timeline,
-// events or spans — where Run and Precompute only hand back Results.
-func (r *Runner) RunSystems(systems []*System) ([]Result, []error) {
-	prog := r.opt.Progress
-	prog.AddTotal(int64(len(systems)))
-	results, errs := make([]Result, len(systems)), make([]error, len(systems))
-	r.each(len(systems), func(i int) {
-		prog.Start()
-		defer prog.Done()
-		if results[i], errs[i] = systems[i].Run(); errs[i] == nil {
-			r.sims.Add(1)
-		}
-	})
-	return results, errs
-}
-
 // finished executes whichever of the keys the runner has not memoized
 // (Precompute) and returns their results as experiment exp's run set.
 func (r *Runner) finished(exp string, keys []runKey) (runSet, error) {
