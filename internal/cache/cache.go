@@ -436,8 +436,8 @@ func (h *Hierarchy) issueFill(e *missEntry) {
 	}
 }
 
-// fill completes an L2 miss: install in L2, take each waiter's L1 step (a
-// core's first waiter installs the line, its later ones hit it), wake all.
+// fill completes an L2 miss: take each waiter's step (the first installs the
+// line in L2, a core's first fills it into its L1, later ones hit), wake all.
 func (h *Hierarchy) fill(e *missEntry, at int64) {
 	for i, m := range h.mshr {
 		if m == e {
@@ -450,9 +450,8 @@ func (h *Hierarchy) fill(e *missEntry, at int64) {
 	}
 	h.mshrPerCore[e.waiters[0].core]--
 
-	h.installL2(e.id, 0)
 	for _, w := range e.waiters {
-		h.stepL1(w.core, e.id, w.storeMask)
+		h.step(w.core, e.id, w.storeMask)
 	}
 	for _, w := range e.waiters {
 		w.done.Fn(at)
@@ -469,13 +468,17 @@ func (h *Hierarchy) fill(e *missEntry, at int64) {
 	h.freeMiss = e
 }
 
-// stepL1 makes an access's L1 transition for a line the L2 holds: a hit
-// takes the access's store mask, a miss installs the line with it.
-func (h *Hierarchy) stepL1(coreID int, id uint64, storeMask core.ByteMask) {
+// step makes an access's state transition with its data at hand: an L1 hit
+// takes the access's store mask; otherwise the L2 line is touched (installed
+// when absent) and filled into the L1 with the mask.
+func (h *Hierarchy) step(coreID int, id uint64, storeMask core.ByteMask) {
 	l1 := h.l1[coreID]
 	if i := l1.touch(id); i >= 0 {
 		h.hitL1(l1, i, id, storeMask)
 		return
+	}
+	if h.l2.touch(id) < 0 {
+		h.installL2(id, 0)
 	}
 	h.fillL1(coreID, id, storeMask)
 }
@@ -736,15 +739,11 @@ func (f *Functional) Write(uint64, core.ByteMask) bool { return true }
 
 // Access performs a load, or a store of mask, and completes it at once.
 func (f *Functional) Access(coreID int, addr uint64, store bool, mask core.ByteMask) {
-	h, id := f.h, lineID(addr)
 	var storeMask core.ByteMask
 	if store {
 		storeMask = storeDirty(addr, mask)
 	}
-	if h.l1[coreID].index(id) < 0 && h.l2.touch(id) < 0 {
-		h.installL2(id, 0)
-	}
-	h.stepL1(coreID, id, storeMask)
+	f.h.step(coreID, lineID(addr), storeMask)
 }
 
 // Close hands the backend back. It fails if anything is in flight, which the

@@ -58,9 +58,9 @@ func sameLevel(t *testing.T, name string, got, want *level) {
 // detailed route it shortcuts: the same access stream through Load/Store
 // must leave every level's tags, dirty masks and LRU stamps, the DBI index
 // and the write-back counters the same. The stream comes in bursts of 2 to 8
-// accesses by one core to one line, and a miss's fill is held until its
-// burst has merged into the MSHR entry, so each fill completes several
-// waiters at once. The geometry is small enough that the stream makes dirty
+// accesses to one line, each by a core drawn anew, and a miss's fill is held
+// until its burst has merged into the MSHR entry, so each fill completes
+// several waiters at once, from one core or several. The geometry is small enough that the stream makes dirty
 // L1 victims, L2 evictions that pull dirty bytes out of L1 copies, DBI sweeps
 // and zero-mask stores; the warm's own backend sees nothing.
 func TestFunctionalMatchesDetailedRoute(t *testing.T) {
@@ -82,9 +82,9 @@ func TestFunctionalMatchesDetailedRoute(t *testing.T) {
 		f := h.Functional()
 		zeroMasks := 0
 		for n := 0; n < 20_000; {
-			coreID := rng.Intn(cfg.Cores)
 			line := uint64(rng.Intn(128)) * 64 // 128 lines: 4x the L2
 			for k := 2 + rng.Intn(7); k > 0; k, n = k-1, n+1 {
+				coreID := rng.Intn(cfg.Cores)
 				addr := line + uint64(rng.Intn(64))&^7
 				store := rng.Intn(2) == 0
 				var mask core.ByteMask
