@@ -8,7 +8,7 @@ import (
 )
 
 // Progress tracks a campaign of independent runs (the experiment runner's
-// worker pool, a prasim batch): total known work, completions, and how many
+// worker pool): total known work, completions, and how many
 // runs are in flight right now. All methods are nil-safe and lock-free, so
 // instrumented code can call them unconditionally from worker goroutines.
 type Progress struct {
