@@ -155,6 +155,28 @@ func TestFasterGradeIsNoSlower(t *testing.T) {
 	}
 }
 
+// TestResultsCarryANamedCalibration: every Result RunOne returns names the
+// calibration it was configured with, "none" for an empty Config.PowerCal,
+// so EnergyBand can apply Result.Cal as it stands. A zero Cal would scale
+// every energy component by zero.
+func TestResultsCarryANamedCalibration(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct{ spec, name string }{{"", "none"}, {"ghose:10", "ghose"}} {
+		cfg := DefaultConfig("GUPS")
+		cfg.InstrPerCore, cfg.WarmupPerCore, cfg.PowerCal = 5_000, 0, c.spec
+		res, err := RunOne(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cal.Name != c.name {
+			t.Errorf("PowerCal %q: Result.Cal is %q, want %q", c.spec, res.Cal.Name, c.name)
+		}
+		if nom := res.EnergyBand().Nom; !(nom > 0) {
+			t.Errorf("PowerCal %q: nominal energy %v pJ, want positive", c.spec, nom)
+		}
+	}
+}
+
 // TestResultNsUseTheRunsClock: every ns latency on a Result is its cycle
 // figure times the run's own datasheet tCK, not DDR3-1600's at every bin.
 // 1-core GUPS writes nothing back at this budget, so the write methods are

@@ -33,6 +33,9 @@ func tinyOpt(workers int) ExpOptions {
 	return ExpOptions{Instr: 12_000, Warmup: 12_000, Seed: 1, Workers: workers}
 }
 
+// TestParallelPoolMatchesSequential runs one key set on two Runners, one
+// sequential and one pooled: a fresh Runner must return, for every key, a
+// Result reflect.DeepEqual to the earlier Runner's.
 func TestParallelPoolMatchesSequential(t *testing.T) {
 	t.Parallel()
 	keys := determinismKeys()
