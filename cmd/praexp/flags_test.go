@@ -82,7 +82,7 @@ func TestArgsToOptions(t *testing.T) {
 		{nil, map[string]string{
 			"exp": "all", "list": "false", "quiet": "false", "httpAddr": "",
 			"run.Instr": "400000", "run.Warmup": "400000", "run.Seed": "1",
-			"run.Workers": strconv.Itoa(runtime.GOMAXPROCS(0)), "run.CacheDir": "", "run.NoSkip": "false",
+			"run.Workers": strconv.Itoa(runtime.GOMAXPROCS(0)), "run.NoSkip": "false",
 		}},
 		{[]string{"-exp", "fig12"}, map[string]string{"exp": "fig12"}},
 		{[]string{"-list"}, map[string]string{"list": "true"}},
@@ -90,7 +90,6 @@ func TestArgsToOptions(t *testing.T) {
 		{[]string{"-warmup", "54321"}, map[string]string{"run.Warmup": "54321"}},
 		{[]string{"-seed", "9"}, map[string]string{"run.Seed": "9"}},
 		{[]string{"-j", "7"}, map[string]string{"run.Workers": "7"}},
-		{[]string{"-cache", "/tmp/c"}, map[string]string{"run.CacheDir": "/tmp/c"}},
 		{[]string{"-q"}, map[string]string{"quiet": "true"}},
 		{[]string{"-noskip"}, map[string]string{"run.NoSkip": "true"}},
 		{[]string{"-http", ":6060"}, map[string]string{"httpAddr": ":6060"}},

@@ -15,6 +15,7 @@ func TestHostileArgsAreRejected(t *testing.T) {
 		{"-instr -5", "Instr"},
 		{"-warmup -5", "Warmup"},
 		{"-j -2", "Workers"},
+		{"-cache /tmp/c", "flag provided but not defined: -cache"},
 	} {
 		_, err := parseArgs(newFlagSet(), strings.Fields(c.args))
 		if err == nil || !strings.Contains(err.Error(), c.want) {

@@ -10,7 +10,6 @@
 //	praexp -list                   # enumerate experiment IDs
 //	praexp -exp fig13 -instr 2000000 -warmup 1000000
 //	praexp -exp all -j 8           # 8 simulations in flight
-//	praexp -exp all -cache ~/.cache/pradram   # reuse results across runs
 //	praexp -exp all -http :6060    # live progress JSON + pprof
 //	praexp -exp tensor             # analytic vs measured tensor-stream ACT rates
 //	praexp -exp scoreboard         # every paper target: measured, band, verdict
@@ -29,9 +28,7 @@
 // configuration once. Each experiment's configuration set is precomputed
 // across a -j-sized worker pool before its table is formatted; the tables
 // on stdout are byte-identical for every -j (timings go to stderr).
-// With -cache, results also persist on disk keyed by configuration,
-// budget, and model version, so repeated invocations skip simulation.
-// Every run that still has to simulate warms itself (DESIGN.md §4e).
+// Every run simulates and warms itself (DESIGN.md §4e).
 package main
 
 import (
@@ -45,7 +42,7 @@ import (
 	"pradram/internal/sim"
 )
 
-// options is a parsed command line: what to run, and the budget and caches
+// options is a parsed command line: what to run, and the budget and pool
 // the runner is built from.
 type options struct {
 	exp         string
@@ -64,7 +61,6 @@ func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 	fs.Int64Var(&o.run.Warmup, "warmup", 400_000, "warmup instructions per core")
 	fs.Uint64Var(&o.run.Seed, "seed", 1, "workload seed")
 	fs.IntVar(&o.run.Workers, "j", runtime.GOMAXPROCS(0), "max simulations in flight (worker pool size)")
-	fs.StringVar(&o.run.CacheDir, "cache", "", "on-disk result cache directory (empty = disabled)")
 	fs.BoolVar(&o.quiet, "q", false, "suppress the stderr progress line")
 	fs.BoolVar(&o.run.NoSkip, "noskip", false, "disable event-driven cycle skipping (identical results, slower campaign)")
 	fs.StringVar(&o.httpAddr, "http", "", "serve live campaign progress and pprof on this address (e.g. :6060)")
@@ -148,6 +144,6 @@ func main() {
 		}
 	}
 	stopReporter()
-	fmt.Fprintf(os.Stderr, "(total: %v, %d simulations run, %d disk-cache hits, -j %d)\n",
-		time.Since(start).Round(time.Millisecond), runner.Simulations(), runner.DiskHits(), o.run.Workers)
+	fmt.Fprintf(os.Stderr, "(total: %v, %d simulations run, -j %d)\n",
+		time.Since(start).Round(time.Millisecond), runner.Simulations(), o.run.Workers)
 }

@@ -332,7 +332,7 @@ func report(w io.Writer, res sim.Result) {
 	pw.Row("TOTAL", tot/1e6, "100%")
 	fmt.Fprintln(w, pw.String())
 	fmt.Fprintf(w, "avg DRAM power %.1f mW   EDP %.3g pJ*ns\n", res.AvgPowerMW(), res.EDP())
-	if band := res.PowerBandMW(); res.Cal.Name != "" && res.Cal.Name != "none" {
+	if band := res.PowerBandMW(); res.Cal.Name != "none" {
 		fmt.Fprintf(w, "calibrated power band (%s): %.1f / %.1f / %.1f mW (min/nom/max, %.1f%% spread)\n",
 			res.Cal.Name, band.Min, band.Nom, band.Max, 100*band.Spread())
 	}
@@ -427,7 +427,7 @@ func emitJSON(w io.Writer, res sim.Result) error {
 		AlertStallCycles: res.Ctrl.AlertStallCycles,
 		RFMs:             res.Dev.RFMs,
 	}
-	if res.Cal.Name != "" && res.Cal.Name != "none" {
+	if res.Cal.Name != "none" {
 		band := res.PowerBandMW()
 		rep.PowerCal = res.Cal.Name
 		rep.PowerBandMW = &[3]float64{band.Min, band.Nom, band.Max}

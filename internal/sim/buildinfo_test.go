@@ -3,9 +3,9 @@ package sim
 import "testing"
 
 // TestBuildInfoContract pins the keys operators script against when
-// correlating a live campaign (/vars/build) with its disk caches: the
-// model version that keys result caches and the checkpoint container
-// format must always be present and must match the package constants.
+// correlating a live campaign (/vars/build) with its warmup checkpoints:
+// the model version and the checkpoint container format that stamp every
+// checkpoint must always be present and must match the package constants.
 func TestBuildInfoContract(t *testing.T) {
 	info := BuildInfo()
 	if got := info["model_version"]; got != ModelVersion {

@@ -79,6 +79,15 @@ const (
 	ckptFormat = 8 // v8: cache ways as tags and dirty masks; no scratch clocks, statistics or caches of other fields
 )
 
+// ModelVersion stamps warmup checkpoints and BuildInfo with the simulation
+// model's semantic version. Bump it whenever a change alters simulated
+// numbers: System.Restore rejects any checkpoint payload whose embedded
+// version disagrees, since restoring a snapshot taken under different model
+// semantics would silently contaminate the run warmed from it.
+// DESIGN.md §3 ("Model version") lists every bump and the change that
+// caused it.
+const ModelVersion = "pradram-model-v12"
+
 // Checkpoint serializes the system's complete post-warmup state. It must
 // be called at the warmup boundary — after Warmup returned nil and before
 // Measure — because the encoding relies on all statistics and energy

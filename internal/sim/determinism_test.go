@@ -122,60 +122,3 @@ func TestExperimentOutputIdenticalAcrossWorkers(t *testing.T) {
 		t.Errorf("experiment output differs between -j 1 and -j 4:\n--- sequential ---\n%s\n--- parallel ---\n%s", seqOut, parOut)
 	}
 }
-
-// TestDiskCacheRoundTrip proves a result survives the JSON round trip
-// bit-identically and that a second runner recalls it without simulating.
-func TestDiskCacheRoundTrip(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	opt := tinyOpt(2)
-	opt.CacheDir = dir
-	k := newKey("em3d", memctrl.PRA, memctrl.RelaxedClose, 4)
-
-	first := NewRunner(opt)
-	a, err := first.Run(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Simulations() != 1 || first.DiskHits() != 0 {
-		t.Fatalf("cold run: %d sims, %d disk hits", first.Simulations(), first.DiskHits())
-	}
-
-	second := NewRunner(opt)
-	b, err := second.Run(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Simulations() != 0 || second.DiskHits() != 1 {
-		t.Errorf("warm run: %d sims, %d disk hits, want 0 and 1", second.Simulations(), second.DiskHits())
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("disk round trip changed the result:\nfresh: %+v\ncached: %+v", a, b)
-	}
-}
-
-// TestDiskCacheKeyedByBudgetAndVersion: a different budget or seed must
-// miss rather than resurface a foreign result.
-func TestDiskCacheKeyedByBudgetAndVersion(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	opt := tinyOpt(1)
-	opt.CacheDir = dir
-	k := newKey("GUPS", memctrl.Baseline, memctrl.RelaxedClose, 1)
-
-	if _, err := NewRunner(opt).Run(k); err != nil {
-		t.Fatal(err)
-	}
-	changed := opt
-	changed.Seed = 99
-	r := NewRunner(changed)
-	if _, err := r.Run(k); err != nil {
-		t.Fatal(err)
-	}
-	if r.DiskHits() != 0 {
-		t.Error("a different seed must not hit the disk cache")
-	}
-	if r.Simulations() != 1 {
-		t.Errorf("changed-seed run executed %d simulations, want 1", r.Simulations())
-	}
-}

@@ -35,16 +35,9 @@ type ExpOptions struct {
 	// endpoint. Nil-safe: a nil *obs.Progress records nothing.
 	Progress *obs.Progress
 
-	// CacheDir, when non-empty, enables the on-disk result cache: every
-	// completed run is persisted as JSON keyed by the run configuration,
-	// the budget above, and ModelVersion, and later invocations — including
-	// separate processes and CI reruns — recall it instead of simulating.
-	CacheDir string
-
 	// NoSkip disables event-driven cycle skipping on every run the runner
 	// launches (praexp -noskip). Results are bit-identical either way
-	// (enforced by the determinism suite), which is also why the on-disk
-	// cache deliberately does not key on it.
+	// (enforced by the determinism suite).
 	NoSkip bool
 }
 
@@ -74,17 +67,15 @@ func (o ExpOptions) Validate() error {
 // are deduplicated (memo.go), so a key simulates exactly once no matter how
 // many goroutines ask for it.
 type Runner struct {
-	opt  ExpOptions
-	disk *diskCache
+	opt ExpOptions
 
 	results memo[Result] // by runKey.String()
 
-	sims     atomic.Int64 // simulations actually executed
-	diskHits atomic.Int64 // runs recalled from the on-disk cache
+	sims atomic.Int64 // simulations actually executed
 }
 
 // NewRunner builds a runner; results are cached inside it for the
-// runner's lifetime (and on disk when opt.CacheDir is set).
+// runner's lifetime.
 func NewRunner(opt ExpOptions) *Runner {
 	if opt.Instr <= 0 {
 		opt.Instr = DefaultExpOptions().Instr
@@ -92,19 +83,12 @@ func NewRunner(opt ExpOptions) *Runner {
 	if opt.Warmup < 0 {
 		opt.Warmup = 0
 	}
-	r := &Runner{opt: opt}
-	if opt.CacheDir != "" {
-		r.disk = &diskCache{opt.CacheDir}
-	}
-	return r
+	return &Runner{opt: opt}
 }
 
 // Simulations returns how many simulations this runner actually executed
-// (memo and disk hits excluded).
+// (memo hits excluded).
 func (r *Runner) Simulations() int64 { return r.sims.Load() }
-
-// DiskHits returns how many runs were recalled from the on-disk cache.
-func (r *Runner) DiskHits() int64 { return r.diskHits.Load() }
 
 // CheckpointHits is always 0: the Runner restores no warmups, every run
 // warms itself. It is kept only for bench/layers.go until ROADMAP 3(b).
@@ -133,8 +117,8 @@ func newKey(workload string, s memctrl.Scheme, p memctrl.Policy, active int) run
 	return runKey{workload: workload, Knobs: memctrl.Knobs{Scheme: s, Policy: p}, active: active}
 }
 
-// String is the memo key and, with the budget and ModelVersion, the on-disk
-// cache's file name, so its spelling is pinned (testdata/runkeys.golden).
+// String is the memo key, and the name a failed run's error reports; its
+// spelling is pinned with every experiment's run set (testdata/runkeys.golden).
 // Every group past the first only grows a suffix when one of its fields is
 // set, so historical keys for default runs are unchanged, and each renders
 // its fields in declaration order. ECC and LatSpanEvery are not rendered: no
@@ -232,14 +216,8 @@ func (r *Runner) config(k runKey) (Config, error) {
 // tiny-budget goldens, stay detailed (ROADMAP 19(d)).
 const functionalWarmMin = 50_000
 
-// execute resolves one memo miss: disk cache first, then simulation.
+// execute resolves one memo miss by simulating it.
 func (r *Runner) execute(k runKey, key string) (Result, error) {
-	if r.disk != nil {
-		if res, ok := r.disk.load(key, r.opt); ok {
-			r.diskHits.Add(1)
-			return res, nil
-		}
-	}
 	cfg, err := r.config(k)
 	var res Result
 	if err == nil {
@@ -249,10 +227,6 @@ func (r *Runner) execute(k runKey, key string) (Result, error) {
 		return Result{}, fmt.Errorf("run %s: %w", key, err)
 	}
 	r.sims.Add(1)
-	if r.disk != nil {
-		// A failed store only costs a future re-simulation.
-		_ = r.disk.store(key, r.opt, res)
-	}
 	return res, nil
 }
 

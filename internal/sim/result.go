@@ -26,13 +26,13 @@ type Result struct {
 	Energy power.Breakdown
 
 	// Cal is the power-model calibration the run was configured with
-	// (Config.PowerCal); EnergyBand and PowerBandMW apply it. A zero Cal
-	// (e.g. a Result decoded from an old cache entry) behaves as "none".
+	// (Config.PowerCal, named "none" when empty); EnergyBand and PowerBandMW
+	// apply it.
 	Cal power.Calibration
 
-	// Rate is the run's DRAM data rate, nil at DDR3-1600's, so a DDR3-1600
-	// Result encodes without it. MemCycleNs reads the clock from it.
-	Rate *dram.Rate `json:",omitempty"`
+	// Rate is the run's DRAM data rate, nil at DDR3-1600's. MemCycleNs
+	// reads the clock from it.
+	Rate *dram.Rate
 }
 
 // defaultRate is DDR3-1600's data rate, the one a nil Result.Rate stands for.
@@ -45,15 +45,6 @@ func (r Result) MemCycleNs() float64 {
 		return defaultRate.TCKNs()
 	}
 	return r.Rate.TCKNs()
-}
-
-// calibration returns the effective calibration, defaulting a zero value
-// to the identity so Results from older cache entries keep working.
-func (r Result) calibration() power.Calibration {
-	if r.Cal.Name == "" {
-		return power.CalNone()
-	}
-	return r.Cal
 }
 
 // RuntimeNs returns the run's wall time in DRAM-visible nanoseconds.
@@ -77,7 +68,7 @@ func (r Result) EDP() float64 { return r.Energy.Total() * r.RuntimeNs() }
 // see power.Calibration). Under the "none" calibration all three equal
 // TotalEnergyPJ().
 func (r Result) EnergyBand() power.Band {
-	return r.calibration().Total(r.Energy)
+	return r.Cal.Total(r.Energy)
 }
 
 // PowerBandMW returns the calibrated average-power band over the run.

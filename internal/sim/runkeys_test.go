@@ -7,12 +7,10 @@ import (
 )
 
 // TestRunKeysGolden pins the run-key strings of every experiment's run set
-// (the runs its declaration pass reads).
-// The strings are the memo keys and — with the budget and ModelVersion —
-// the on-disk result cache's file names, so a changed string silently
-// orphans every -cache directory; a refactor of runKey must leave this file
-// byte-identical (go test ./internal/sim -run RunKeysGolden -update only
-// when an experiment's configuration set is meant to change).
+// (the runs its declaration pass reads). The strings are the memo keys, so
+// a changed set is a changed campaign: a refactor of runKey must leave this
+// file byte-identical (go test ./internal/sim -run RunKeysGolden -update
+// only when an experiment's configuration set is meant to change).
 func TestRunKeysGolden(t *testing.T) {
 	seen := make(map[string]bool)
 	var keys []string
