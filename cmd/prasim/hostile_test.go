@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"pradram/internal/sim"
 )
 
 // TestHostileArgsAreRejected: nonsense on the command line ends in an error
@@ -38,6 +40,14 @@ func TestHostileArgsAreRejected(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one containing %q", c.args, err, c.want)
 		}
+	}
+	// Padding around a bare workload name is no error: the run is GUPS's.
+	o, err := parseArgs(newFlagSet(), []string{"-workload", " GUPS", "-instr", "2000", "-warmup", "0"})
+	if err != nil {
+		t.Fatalf("-workload \" GUPS\": %v", err)
+	}
+	if res, err := sim.RunOne(o.cfg); err != nil || res.Workload != "GUPS" {
+		t.Errorf("-workload \" GUPS\" ran %q (%v), want GUPS", res.Workload, err)
 	}
 	// -list needs no valid run.
 	if o, err := parseArgs(newFlagSet(), []string{"-list", "-workload", "nosuch"}); err != nil || !o.list {

@@ -224,10 +224,12 @@ func Names() []string {
 }
 
 // Canonical resolves a workload, hammer, or mix name case-insensitively to
-// its canonical spelling ("gups" -> "GUPS", "mix2" -> "MIX2"), so CLI
-// flags don't require the paper's exact capitalization. Unknown names are
-// returned unchanged for the caller's own error path.
+// its canonical spelling ("gups" -> "GUPS", " mix2 " -> "MIX2"), so CLI
+// flags don't require the paper's exact capitalization or spacing. Unknown
+// names are returned trimmed but otherwise unchanged for the caller's own
+// error path.
 func Canonical(name string) string {
+	name = strings.TrimSpace(name)
 	if strings.ContainsAny(name, ":,") {
 		if entries, err := parseMixSpec(name); err == nil {
 			return renderMixSpec(entries)
@@ -332,7 +334,7 @@ func parseMixSpec(spec string) ([]mixEntry, error) {
 	for _, part := range parts {
 		part = strings.TrimSpace(part)
 		name, countStr, hasCount := strings.Cut(part, ":")
-		e := mixEntry{name: Canonical(strings.TrimSpace(name)), count: 1}
+		e := mixEntry{name: Canonical(name), count: 1}
 		if !soloMaker(e.name) {
 			return nil, fmt.Errorf("workload: mix component %q is not a benchmark, hammer, or tensor generator", name)
 		}

@@ -243,6 +243,16 @@ func TestMixesAndSets(t *testing.T) {
 			t.Error("single-benchmark set must replicate")
 		}
 	}
+	// Padding around a bare name is trimmed once, so Set and the run keys
+	// see one spelling.
+	for _, c := range []struct{ name, want string }{{" GUPS", "GUPS"}, {"gups ", "GUPS"}, {" MIX1 ", "MIX1"}} {
+		if got := Canonical(c.name); got != c.want {
+			t.Errorf("Canonical(%q) = %q, want %q", c.name, got, c.want)
+		}
+		if apps, err := Set(c.name, 4); err != nil || len(apps) != 4 {
+			t.Errorf("Set(%q, 4) = %v, %v; want four apps", c.name, apps, err)
+		}
+	}
 	if _, err := Set("MIX1", 2); err == nil {
 		t.Error("mix with wrong core count must error")
 	}
