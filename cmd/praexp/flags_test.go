@@ -90,6 +90,7 @@ func TestArgsToOptions(t *testing.T) {
 		{[]string{"-warmup", "54321"}, map[string]string{"run.Warmup": "54321"}},
 		{[]string{"-seed", "9"}, map[string]string{"run.Seed": "9"}},
 		{[]string{"-j", "7"}, map[string]string{"run.Workers": "7"}},
+		{[]string{"-j", "0"}, map[string]string{"run.Workers": strconv.Itoa(runtime.GOMAXPROCS(0))}},
 		{[]string{"-q"}, map[string]string{"quiet": "true"}},
 		{[]string{"-noskip"}, map[string]string{"run.NoSkip": "true"}},
 		{[]string{"-http", ":6060"}, map[string]string{"httpAddr": ":6060"}},

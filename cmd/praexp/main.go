@@ -67,6 +67,9 @@ func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
+	if o.run.Workers == 0 {
+		o.run.Workers = runtime.GOMAXPROCS(0) // so the totals line names the pool it used
+	}
 	return o, o.run.Validate()
 }
 
