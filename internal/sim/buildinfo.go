@@ -4,12 +4,12 @@ import "runtime/debug"
 
 // BuildInfo returns the version block the cmd binaries publish as the
 // "build" introspection variable (obs.Server /vars/build): the simulator's
-// versioned contracts — the semantic model version that keys result caches
-// and warmup checkpoints, and the checkpoint container format — plus
-// whatever the Go toolchain stamped into the binary (module path and
-// version, Go version, VCS revision). Operators correlate a live campaign
-// with its caches through this block, so it must never require a running
-// simulation to produce.
+// versioned contracts — the semantic model version that stamps warmup
+// checkpoints, and the checkpoint container format — plus whatever the Go
+// toolchain stamped into the binary (module path and version, Go version,
+// VCS revision). Operators correlate a live campaign with its checkpoints
+// through this block, so it must never require a running simulation to
+// produce.
 func BuildInfo() map[string]any {
 	info := map[string]any{
 		"model_version": ModelVersion,
