@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -178,7 +180,8 @@ func TestResultsCarryANamedCalibration(t *testing.T) {
 // TestResultNsUseTheRunsClock: every ns latency on a Result is its cycle
 // figure times the run's own datasheet tCK, not DDR3-1600's at every bin.
 // 1-core GUPS writes nothing back at this budget, so the write methods are
-// held to the read figures moved into the write fields.
+// held to the read figures moved into the write fields. A DDR3-1600 Result
+// encodes without its clock, byte for byte as before the clock was carried.
 func TestResultNsUseTheRunsClock(t *testing.T) {
 	t.Parallel()
 	runs, err := gradeRuns()
@@ -205,6 +208,13 @@ func TestResultNsUseTheRunsClock(t *testing.T) {
 			if want := m.cycles * r.tck; m.ns != want {
 				t.Errorf("%s: %s latency %v ns, want %v cycles × %v ns = %v", r.name, m.name, m.ns, m.cycles, r.tck, want)
 			}
+		}
+		raw, err := json.Marshal(r.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hasKey, want := bytes.Contains(raw, []byte(`"Rate"`)), r.name != "DDR3-1600"; hasKey != want {
+			t.Errorf("%s: the Result's JSON has a clock key: %v, want %v", r.name, hasKey, want)
 		}
 	}
 }

@@ -30,9 +30,10 @@ type Result struct {
 	// apply it.
 	Cal power.Calibration
 
-	// Rate is the run's DRAM data rate, nil at DDR3-1600's. MemCycleNs
-	// reads the clock from it.
-	Rate *dram.Rate
+	// Rate is the run's DRAM data rate, nil at DDR3-1600's, so a DDR3-1600
+	// Result encodes without it and bench's digests of a Result's JSON stay
+	// as before the clock was carried. MemCycleNs reads the clock from it.
+	Rate *dram.Rate `json:",omitempty"`
 }
 
 // defaultRate is DDR3-1600's data rate, the one a nil Result.Rate stands for.
