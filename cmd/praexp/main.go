@@ -28,7 +28,7 @@
 // configuration once. Each experiment's configuration set is precomputed
 // across a -j-sized worker pool before its table is formatted; the tables
 // on stdout are byte-identical for every -j (timings go to stderr).
-// Every run simulates and warms itself (DESIGN.md §4e).
+// Every run warms itself (DESIGN.md §4e).
 package main
 
 import (
